@@ -1,8 +1,7 @@
 //! The monitor's resizable LRU buffer.
 
-use std::collections::HashMap;
-
 use fluidmem_mem::Vpn;
+use fluidmem_sim::FastMap;
 
 /// Slab link sentinel: "no node".
 const NIL: u32 = u32::MAX;
@@ -57,7 +56,7 @@ pub struct LruBuffer {
     free: Vec<u32>,
     head: u32,
     tail: u32,
-    index: HashMap<Vpn, u32>,
+    index: FastMap<Vpn, u32>,
     capacity: u64,
 }
 
@@ -69,7 +68,7 @@ impl LruBuffer {
             free: Vec::new(),
             head: NIL,
             tail: NIL,
-            index: HashMap::new(),
+            index: FastMap::default(),
             capacity,
         }
     }
@@ -244,6 +243,7 @@ impl LruBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn v(n: u64) -> Vpn {
         Vpn::new(n)

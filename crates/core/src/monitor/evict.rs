@@ -141,12 +141,12 @@ impl Monitor {
             // The compressed tier gets first refusal; only bypassed pages
             // (tier off, thrash gate, incompressible) stage for writeback.
             if let Some(contents) = self.tier_try_admit(key, contents, None) {
-                self.charge(&self.config.costs.write_list_push.clone());
+                self.charge(|c| &c.costs.write_list_push);
                 self.write_list.push(key, contents, ready_at);
                 self.trace(|| format!("{} queued on the write list", key));
             }
         } else {
-            self.charge(&self.config.costs.sync_write_staging.clone());
+            self.charge(|c| &c.costs.sync_write_staging);
             let t0 = self.clock.now();
             self.put_with_retries(key, contents);
             self.profile

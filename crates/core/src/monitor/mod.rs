@@ -551,8 +551,14 @@ impl Monitor {
         ExternalKey::new(vpn, self.partition_of(vpn))
     }
 
-    pub(in crate::monitor) fn charge(&mut self, model: &fluidmem_sim::LatencyModel) {
-        let d = model.sample(&mut self.rng);
+    /// Advances the clock by one draw from the cost model `pick` selects
+    /// out of the config (sampled in place: `config` and `rng` are
+    /// disjoint fields).
+    pub(in crate::monitor) fn charge(
+        &mut self,
+        pick: impl FnOnce(&MonitorConfig) -> &fluidmem_sim::LatencyModel,
+    ) {
+        let d = pick(&self.config).sample(&mut self.rng);
         self.clock.advance(d);
     }
 
@@ -682,7 +688,7 @@ impl Monitor {
         }
         match self.tier.promote(key) {
             Some(contents) => {
-                self.charge(&self.config.tier.decompress.clone());
+                self.charge(|c| &c.tier.decompress);
                 self.stats.tier_hits.inc();
                 self.trace(|| format!("tier: {key} promoted to DRAM"));
                 Some(contents)

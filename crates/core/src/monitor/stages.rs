@@ -71,7 +71,7 @@ impl Monitor {
         let lookup = self
             .telemetry
             .begin(consts::TRACK_MONITOR, "page_hash_lookup");
-        self.charge(&self.config.costs.hash_lookup.clone());
+        self.charge(|c| &c.costs.hash_lookup);
         let seen = self.tracker.contains(vpn);
         self.telemetry.end(lookup);
         FaultIntake { t0, span, seen }
@@ -114,7 +114,7 @@ impl Monitor {
         let span = self
             .telemetry
             .begin(consts::TRACK_MONITOR, "insert_page_hash");
-        self.charge(&self.config.costs.insert_page_hash.clone());
+        self.charge(|c| &c.costs.insert_page_hash);
         self.tracker.insert(vpn);
         self.telemetry.end(span);
         self.profile
@@ -122,7 +122,7 @@ impl Monitor {
 
         let t0 = self.clock.now();
         let span = self.telemetry.begin(consts::TRACK_MONITOR, "insert_lru");
-        self.charge(&self.config.costs.insert_lru.clone());
+        self.charge(|c| &c.costs.insert_lru);
         self.lru.insert(vpn);
         self.telemetry.end(span);
         self.profile
@@ -199,7 +199,7 @@ impl Monitor {
     /// write list ... and shortcut two round trips".
     pub(in crate::monitor) fn stage_steal_check(&mut self, key: ExternalKey) -> StealOutcome {
         let span = self.telemetry.begin(consts::TRACK_MONITOR, "steal_check");
-        self.charge(&self.config.costs.steal_check.clone());
+        self.charge(|c| &c.costs.steal_check);
         let steal = self.write_list.steal(key, self.clock.now());
         self.telemetry.end(span);
         steal
@@ -311,7 +311,7 @@ impl Monitor {
 
         let t0 = self.clock.now();
         let span = self.telemetry.begin(consts::TRACK_MONITOR, "insert_lru");
-        self.charge(&self.config.costs.insert_lru.clone());
+        self.charge(|c| &c.costs.insert_lru);
         self.lru.insert(vpn);
         self.telemetry.end(span);
         self.profile
@@ -638,7 +638,7 @@ impl Monitor {
         pm: &mut PhysicalMemory,
         key: ExternalKey,
     ) -> PageContents {
-        self.charge(&self.config.costs.sync_read_staging.clone());
+        self.charge(|c| &c.costs.sync_read_staging);
         let t0 = self.clock.now();
         let span = self.telemetry.begin(consts::TRACK_MONITOR, "kv.read");
         let contents = self.fetch_with_retries(key, 0);
@@ -741,7 +741,7 @@ impl Monitor {
         let span = self
             .telemetry
             .begin(consts::TRACK_MONITOR, "update_page_cache");
-        self.charge(&self.config.costs.update_page_cache.clone());
+        self.charge(|c| &c.costs.update_page_cache);
         self.telemetry.end(span);
         self.profile
             .record(CodePath::UpdatePageCache, self.clock.now() - t0);

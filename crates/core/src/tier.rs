@@ -22,11 +22,11 @@
 //! the remote store rather than occupying a full page of pool for no
 //! win (the zswap `reject_compress_poor` path).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use fluidmem_kv::ExternalKey;
 use fluidmem_mem::PageContents;
-use fluidmem_sim::LatencyModel;
+use fluidmem_sim::{FastMap, LatencyModel};
 
 /// Configuration of the compressed local tier.
 ///
@@ -195,7 +195,7 @@ struct TierEntry {
 /// eviction order itself).
 #[derive(Default)]
 pub(crate) struct CompressedTier {
-    entries: HashMap<ExternalKey, TierEntry>,
+    entries: FastMap<ExternalKey, TierEntry>,
     /// `(seq, key)` in admission order; stale stamps (seq mismatch) are
     /// skipped lazily on demotion.
     order: VecDeque<(u64, ExternalKey)>,

@@ -28,9 +28,10 @@
 //! RNG draws — with the default [`WorkingSetMode::Passive`] mode the
 //! monitor's externally observable behavior is bit-for-bit unchanged.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use fluidmem_mem::{Region, Vpn};
+use fluidmem_sim::FastMap;
 
 /// How the estimator's output is used.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,7 +125,7 @@ pub struct Refault {
 pub struct WorkingSetEstimator {
     config: WorkingSetConfig,
     /// Live shadow entries: nonresident page → eviction stamp.
-    shadow: HashMap<Vpn, u64>,
+    shadow: FastMap<Vpn, u64>,
     /// Insertion order by stamp, for FIFO overflow. Entries whose page
     /// was consumed or forgotten go stale and are skipped lazily (the
     /// same scheme as `LruBuffer`).
@@ -150,7 +151,7 @@ impl WorkingSetEstimator {
     pub fn new(config: WorkingSetConfig) -> Self {
         WorkingSetEstimator {
             config,
-            shadow: HashMap::new(),
+            shadow: FastMap::default(),
             order: VecDeque::new(),
             evictions: 0,
             refaults: 0,

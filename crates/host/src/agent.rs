@@ -36,6 +36,7 @@ use fluidmem_telemetry::{consts, Counter, Gauge, Registry, Telemetry};
 use fluidmem_vm::Balloon;
 
 use crate::arbiter::{self, ArbiterConfig, ArbiterPolicy, VmDemand};
+use crate::interleave::Interleave;
 
 /// Host-wide configuration.
 #[derive(Debug, Clone)]
@@ -238,8 +239,6 @@ struct VmSlot {
     measured_ops: u64,
     capacity_gauge: Gauge,
     workload_rng: SimRng,
-    /// Smooth weighted round-robin accumulator.
-    wrr: i64,
 }
 
 /// At most this many partitions migrate concurrently; the rest of a
@@ -275,6 +274,8 @@ pub struct HostAgent {
     directory: HostDirectory,
     members: Vec<VmLease>,
     slots: Vec<VmSlot>,
+    /// Smooth-weighted-round-robin state, index-aligned with `slots`.
+    interleave: Interleave,
     telemetry: Telemetry,
     counters: HostCounters,
     clock: SimClock,
@@ -313,6 +314,7 @@ impl HostAgent {
             directory,
             members: Vec::new(),
             slots: Vec::new(),
+            interleave: Interleave::default(),
             telemetry,
             counters,
             clock,
@@ -410,6 +412,7 @@ impl HostAgent {
             &slo_violations,
         );
         let workload_rng = self.rng.fork(&format!("workload-{}", spec.name));
+        self.interleave.push(spec.weight);
         self.slots.push(VmSlot {
             spec,
             pid,
@@ -426,7 +429,6 @@ impl HostAgent {
             measured_ops: 0,
             capacity_gauge,
             workload_rng,
-            wrr: 0,
         });
         self.split_evenly();
         self.refresh_membership();
@@ -437,6 +439,7 @@ impl HostAgent {
     /// the shared store), deletes its lease, and releases its partition.
     pub fn remove_vm(&mut self, index: usize) {
         let mut slot = self.slots.remove(index);
+        self.interleave.remove(index);
         slot.vm.drain_writes();
         let region = slot.region;
         slot.vm.unregister_region(&region);
@@ -470,17 +473,9 @@ impl HostAgent {
             self.run_completion_ordered(ops);
             return;
         }
-        let total_weight: i64 = self.slots.iter().map(|s| s.spec.weight as i64).sum();
         for _ in 0..ops {
-            let mut best = 0;
-            for i in 0..self.slots.len() {
-                self.slots[i].wrr += self.slots[i].spec.weight as i64;
-                if self.slots[i].wrr > self.slots[best].wrr {
-                    best = i;
-                }
-            }
-            self.slots[best].wrr -= total_weight;
-            self.step(best);
+            let next = self.interleave.pick();
+            self.step(next);
             self.ops_done += 1;
             self.maybe_rebalance();
             self.maybe_cluster_tick();
@@ -575,7 +570,7 @@ impl HostAgent {
             {
                 slot.slo_violations.inc();
             }
-            slot.window_fault_lat = Sample::new();
+            slot.window_fault_lat.clear();
         }
         let plan = arbiter::plan(
             &ArbiterConfig {
@@ -1368,6 +1363,54 @@ mod tests {
         assert!(a.vm_ops(0) > a.vm_ops(1));
         assert!(a.vm_ops(1) > 0);
         assert_eq!(a.vm_ops(0) + a.vm_ops(1), 4_000);
+    }
+
+    #[test]
+    fn chunked_runs_with_membership_changes_follow_the_scan_interleave() {
+        // The agent's interleave state must carry across `run` calls of
+        // any size and across VMs joining and leaving: after every chunk
+        // each VM has issued exactly the accesses the textbook O(N) scan
+        // would have given it.
+        use crate::interleave::tests::ScanInterleave;
+        let mut agent = host(HostConfig::new(512).min_pages(8).rebalance_interval(64), 17);
+        let mut scan = ScanInterleave::default();
+        let mut expected: Vec<u64> = Vec::new();
+        let add = |agent: &mut HostAgent, scan: &mut ScanInterleave, name: &str, w: u64| {
+            agent.add_vm(VmSpec::new(name, 48).weight(w));
+            scan.push(w);
+        };
+        for (name, weight) in [("a", 1), ("b", 1), ("c", 4), ("d", 7), ("e", 7)] {
+            add(&mut agent, &mut scan, name, weight);
+            expected.push(0);
+        }
+        for (round, chunk) in [1u64, 7, 64, 3, 129, 20, 2, 255, 19]
+            .into_iter()
+            .enumerate()
+        {
+            match round {
+                2 => {
+                    agent.remove_vm(3);
+                    scan.remove(3);
+                    expected.remove(3);
+                }
+                4 => {
+                    add(&mut agent, &mut scan, "f", 4);
+                    expected.push(0);
+                }
+                6 => {
+                    agent.remove_vm(0);
+                    scan.remove(0);
+                    expected.remove(0);
+                }
+                _ => {}
+            }
+            agent.run(chunk);
+            for _ in 0..chunk {
+                expected[scan.pick()] += 1;
+            }
+            let got: Vec<u64> = (0..agent.vm_count()).map(|i| agent.vm_ops(i)).collect();
+            assert_eq!(got, expected, "after round {round} ({chunk} ops)");
+        }
     }
 
     #[test]

@@ -27,6 +27,7 @@
 
 mod agent;
 mod arbiter;
+mod interleave;
 
 pub use agent::{HostAgent, HostConfig, VmSpec};
 pub use arbiter::{plan, ArbiterConfig, ArbiterPlan, ArbiterPolicy, VmDemand};

@@ -52,7 +52,7 @@ use std::cell::RefCell;
 
 use fluidmem_coord::PartitionId;
 use fluidmem_mem::PageContents;
-use fluidmem_sim::{EventQueue, SimClock, SimInstant, SimRng};
+use fluidmem_sim::{EventQueue, FastMap, SimClock, SimInstant, SimRng};
 use fluidmem_telemetry::{consts, Counter, Gauge, Registry, Telemetry};
 
 use crate::error::KvError;
@@ -191,8 +191,8 @@ pub struct ClusterStore {
     ring: HashRing,
     /// Authoritative partition → owner map. Entries appear at first
     /// touch (ring home) and change only at migration flips.
-    assignments: HashMap<u16, NodeId>,
-    migrations: HashMap<u16, Migration>,
+    assignments: FastMap<u16, NodeId>,
+    migrations: FastMap<u16, Migration>,
     /// Copier activations: `(partition, generation)`.
     activations: EventQueue<(u16, u64)>,
     next_gen: u64,
@@ -206,8 +206,11 @@ pub struct ClusterStore {
     /// Every key acknowledged as written and not deleted since.
     shadow: BTreeSet<u64>,
     /// Which node served each in-flight `begin_get`, FIFO per key.
-    pending_gets: HashMap<u64, VecDeque<usize>>,
-    /// Inner pendings of in-flight multi-writes, keyed by lead key.
+    pending_gets: FastMap<u64, VecDeque<usize>>,
+    /// Inner pendings of in-flight multi-writes, keyed by lead key. A
+    /// flight leaves through `finish_write`, or — for callers that
+    /// retire their batches by time and never finish them — through
+    /// [`retire_landed_writes`](Self::retire_landed_writes).
     inflight_writes: Vec<(u64, Vec<(usize, PendingWrite)>)>,
     telemetry: Option<Telemetry>,
     counters: ClusterCounters,
@@ -231,8 +234,8 @@ impl ClusterStore {
         ClusterStore {
             nodes: Vec::new(),
             ring: HashRing::new(vnodes),
-            assignments: HashMap::new(),
-            migrations: HashMap::new(),
+            assignments: FastMap::default(),
+            migrations: FastMap::default(),
             activations: EventQueue::new(),
             next_gen: 0,
             cursor: SimInstant::EPOCH,
@@ -241,7 +244,7 @@ impl ClusterStore {
             clock,
             rng,
             shadow: BTreeSet::new(),
-            pending_gets: HashMap::new(),
+            pending_gets: FastMap::default(),
             inflight_writes: Vec::new(),
             telemetry: None,
             counters: ClusterCounters::default(),
@@ -774,6 +777,37 @@ impl ClusterStore {
         }
     }
 
+    /// Settles every multi-write whose shards have all landed by `now`
+    /// but that nobody finished: the monitor's async flush retires its
+    /// batches by time and never calls `finish_write`, which used to
+    /// leave one entry here per flushed batch forever and to keep those
+    /// batches' keys out of the shadow set, so the audit checked next to
+    /// nothing. Pure bookkeeping: no clock charge, no RNG draw, and the
+    /// nodes' own `finish_write` (which charges both) is not run.
+    fn retire_landed_writes(&mut self, now: SimInstant) {
+        let shadow = &mut self.shadow;
+        self.inflight_writes.retain(|(_, inner)| {
+            if inner.iter().any(|(_, p)| p.completes_at > now) {
+                return true;
+            }
+            for (_, p) in inner {
+                shadow.extend(p.keys.iter().map(|k| k.raw()));
+            }
+            false
+        });
+    }
+
+    /// Drops the keys `gone` selects from every in-flight write's
+    /// acknowledgement list: a page deleted while its write is on the
+    /// wire must not re-enter the shadow set when the write settles.
+    fn unacknowledge(&mut self, gone: impl Fn(u64) -> bool) {
+        for (_, inner) in &mut self.inflight_writes {
+            for (_, p) in inner {
+                p.keys.retain(|k| !gone(k.raw()));
+            }
+        }
+    }
+
     fn update_imbalance(&mut self) {
         let mut counts: HashMap<NodeId, u64> = self.ring.nodes().map(|n| (n, 0)).collect();
         if counts.is_empty() {
@@ -829,6 +863,7 @@ impl KeyValueStore for ClusterStore {
 
     fn delete(&mut self, key: ExternalKey) -> bool {
         self.shadow.remove(&key.raw());
+        self.unacknowledge(|raw| raw == key.raw());
         let p = key.raw() as u16 & 0xFFF;
         // Propagate the delete to an in-flight migration target and
         // retire any pending re-copy of the key.
@@ -907,6 +942,7 @@ impl KeyValueStore for ClusterStore {
             }
         }
         let now = self.clock.now();
+        self.retire_landed_writes(now);
         let mut inner: Vec<(usize, PendingWrite)> = Vec::with_capacity(shards.len());
         for (idx, shard) in shards {
             match self.nodes[idx].store.begin_multi_write(shard) {
@@ -966,6 +1002,7 @@ impl KeyValueStore for ClusterStore {
         // A dying partition's migration is moot.
         self.abort_migration(partition);
         self.shadow.retain(|&raw| (raw & 0xFFF) as u16 != p);
+        self.unacknowledge(|raw| (raw & 0xFFF) as u16 == p);
         let dropped = match self.assignments.get(&p) {
             Some(&owner) => match self.nodes.iter().position(|n| n.id == owner) {
                 Some(idx) => self.nodes[idx].store.drop_partition(partition),
@@ -1188,6 +1225,62 @@ mod tests {
             assert_eq!(c.get(key(vpn, 5)).unwrap(), PageContents::Token(vpn));
         }
         assert!(c.audit().is_clean());
+    }
+
+    #[test]
+    fn unfinished_async_batches_are_retired_and_audited() {
+        // The monitor's flusher: begin_multi_write, remember the
+        // completion instant, never finish_write. The in-flight table
+        // must stay bounded by what is actually on the wire, and every
+        // key written this way must reach the audit.
+        let clock = SimClock::new();
+        let mut c = cluster_with(&clock, 4);
+        let mut peak = 0;
+        for batch in 0..200u64 {
+            let pages: Vec<_> = (0..16u64)
+                .map(|i| {
+                    let vpn = batch * 16 + i;
+                    (key(vpn, (vpn % 8) as u16), PageContents::Token(vpn))
+                })
+                .collect();
+            let _unfinished = c.begin_multi_write(pages).unwrap();
+            // The next eviction burst comes a while later.
+            clock.advance(SimDuration::from_micros(40));
+            peak = peak.max(c.inflight_writes.len());
+        }
+        assert!(peak <= 4, "{peak} flights tracked at once: the table leaks");
+        // One more write settles the stragglers.
+        clock.advance(SimDuration::from_micros(1_000));
+        let last = c
+            .begin_multi_write(vec![(key(9_999, 1), PageContents::Token(0))])
+            .unwrap();
+        c.finish_write(last);
+        assert!(c.inflight_writes.is_empty());
+        let report = c.audit();
+        assert_eq!(report.checked, 200 * 16 + 1, "every written key is audited");
+        assert!(report.is_clean(), "{report:?}");
+    }
+
+    #[test]
+    fn a_page_deleted_mid_flight_is_not_resurrected_by_the_retire() {
+        let clock = SimClock::new();
+        let mut c = cluster_with(&clock, 2);
+        let pages = vec![
+            (key(1, 3), PageContents::Token(1)),
+            (key(2, 3), PageContents::Token(2)),
+            (key(3, 4), PageContents::Token(3)),
+        ];
+        let _unfinished = c.begin_multi_write(pages).unwrap();
+        assert!(c.delete(key(1, 3)));
+        c.drop_partition(PartitionId::new(4));
+        clock.advance(SimDuration::from_micros(1_000));
+        let next = c
+            .begin_multi_write(vec![(key(7, 3), PageContents::Token(7))])
+            .unwrap();
+        c.finish_write(next);
+        let report = c.audit();
+        assert_eq!(report.checked, 2, "keys 2 and 7 of partition 3: {report:?}");
+        assert!(report.is_clean(), "{report:?}");
     }
 
     #[test]

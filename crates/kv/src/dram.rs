@@ -1,10 +1,8 @@
 //! The local-DRAM store baseline.
 
-use std::collections::HashMap;
-
 use fluidmem_coord::PartitionId;
 use fluidmem_mem::{PageContents, PAGE_SIZE};
-use fluidmem_sim::{SimClock, SimRng};
+use fluidmem_sim::{FastMap, SimClock, SimRng};
 
 use crate::error::KvError;
 use crate::key::ExternalKey;
@@ -34,7 +32,7 @@ use fluidmem_telemetry::Registry;
 /// ```
 #[derive(Debug)]
 pub struct DramStore {
-    map: HashMap<u64, PageContents>,
+    map: FastMap<u64, PageContents>,
     capacity_pages: usize,
     transport: TransportModel,
     clock: SimClock,
@@ -46,7 +44,7 @@ impl DramStore {
     /// Creates a store holding up to `capacity_bytes` of pages.
     pub fn new(capacity_bytes: usize, clock: SimClock, rng: SimRng) -> Self {
         DramStore {
-            map: HashMap::new(),
+            map: FastMap::default(),
             capacity_pages: (capacity_bytes / PAGE_SIZE).max(1),
             transport: TransportModel::local(),
             clock,

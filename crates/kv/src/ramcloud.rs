@@ -1,10 +1,8 @@
 //! A RAMCloud-like log-structured store.
 
-use std::collections::HashMap;
-
 use fluidmem_coord::PartitionId;
 use fluidmem_mem::{PageContents, PAGE_SIZE};
-use fluidmem_sim::{SimClock, SimRng};
+use fluidmem_sim::{FastMap, SimClock, SimRng};
 
 use crate::error::KvError;
 use crate::key::ExternalKey;
@@ -78,7 +76,7 @@ impl Segment {
 pub struct RamCloudStore {
     segments: Vec<Segment>,
     head: usize,
-    index: HashMap<u64, (u32, u32)>,
+    index: FastMap<u64, (u32, u32)>,
     capacity_records: usize,
     records_per_segment: usize,
     live_records: usize,
@@ -115,7 +113,7 @@ impl RamCloudStore {
         RamCloudStore {
             segments: vec![Segment::default()],
             head: 0,
-            index: HashMap::new(),
+            index: FastMap::default(),
             capacity_records,
             records_per_segment,
             live_records: 0,

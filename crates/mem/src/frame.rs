@@ -1,6 +1,5 @@
 //! Host physical memory: frames and their contents.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::page::PageContents;
@@ -48,7 +47,10 @@ pub struct PhysicalMemory {
     capacity: u64,
     next_unused: u64,
     free_list: Vec<FrameId>,
-    contents: HashMap<FrameId, PageContents>,
+    /// Indexed by frame number (the allocator hands them out densely);
+    /// `None` marks a frame that is not allocated. Slot 0 stays `None`:
+    /// the zero page reads from `zero`.
+    contents: Vec<Option<PageContents>>,
     zero: PageContents,
 }
 
@@ -60,7 +62,7 @@ impl PhysicalMemory {
             capacity: frames,
             next_unused: 1, // frame 0 is the zero page
             free_list: Vec::new(),
-            contents: HashMap::new(),
+            contents: vec![None],
             zero: PageContents::Zero,
         }
     }
@@ -89,9 +91,10 @@ impl PhysicalMemory {
         let frame = self.free_list.pop().unwrap_or_else(|| {
             let f = FrameId(self.next_unused);
             self.next_unused += 1;
+            self.contents.push(None);
             f
         });
-        self.contents.insert(frame, PageContents::Zero);
+        self.contents[frame.0 as usize] = Some(PageContents::Zero);
         Some(frame)
     }
 
@@ -104,7 +107,8 @@ impl PhysicalMemory {
         assert_ne!(frame, FrameId::ZERO_PAGE, "cannot free the zero page");
         let contents = self
             .contents
-            .remove(&frame)
+            .get_mut(frame.0 as usize)
+            .and_then(Option::take)
             .expect("freeing an unallocated frame");
         self.free_list.push(frame);
         contents
@@ -119,7 +123,8 @@ impl PhysicalMemory {
         assert_ne!(frame, FrameId::ZERO_PAGE, "the zero page is read-only");
         let slot = self
             .contents
-            .get_mut(&frame)
+            .get_mut(frame.0 as usize)
+            .and_then(Option::as_mut)
             .expect("storing to an unallocated frame");
         *slot = contents;
     }
@@ -135,7 +140,8 @@ impl PhysicalMemory {
             return &self.zero;
         }
         self.contents
-            .get(&frame)
+            .get(frame.0 as usize)
+            .and_then(Option::as_ref)
             .expect("loading from an unallocated frame")
     }
 
@@ -150,14 +156,15 @@ impl PhysicalMemory {
         assert_ne!(frame, FrameId::ZERO_PAGE, "the zero page is read-only");
         let slot = self
             .contents
-            .get_mut(&frame)
+            .get_mut(frame.0 as usize)
+            .and_then(Option::as_mut)
             .expect("taking from an unallocated frame");
         std::mem::take(slot)
     }
 
     /// Whether the frame is currently allocated.
     pub fn is_allocated(&self, frame: FrameId) -> bool {
-        frame == FrameId::ZERO_PAGE || self.contents.contains_key(&frame)
+        frame == FrameId::ZERO_PAGE || matches!(self.contents.get(frame.0 as usize), Some(Some(_)))
     }
 }
 
@@ -226,5 +233,27 @@ mod tests {
         let f = pm.alloc().unwrap();
         pm.free(f);
         pm.free(f);
+    }
+
+    #[test]
+    #[should_panic(expected = "unallocated")]
+    fn load_of_a_freed_frame_panics() {
+        let mut pm = PhysicalMemory::new(2);
+        let f = pm.alloc().unwrap();
+        pm.store(f, PageContents::Token(5));
+        pm.free(f);
+        assert!(!pm.is_allocated(f));
+        let _ = pm.load(f);
+    }
+
+    #[test]
+    #[should_panic(expected = "unallocated")]
+    fn load_of_a_never_allocated_frame_panics() {
+        // A frame id minted by a larger memory, beyond this one's store.
+        let mut big = PhysicalMemory::new(8);
+        let far = (0..8).map(|_| big.alloc().unwrap()).last().unwrap();
+        let pm = PhysicalMemory::new(8);
+        assert!(!pm.is_allocated(far));
+        let _ = pm.load(far);
     }
 }

@@ -1,6 +1,6 @@
 //! A per-process page table.
 
-use std::collections::HashMap;
+use fluidmem_sim::FastMap;
 
 use crate::{FrameId, PteFlags, Vpn};
 
@@ -42,15 +42,13 @@ impl PageTableEntry {
 /// ```
 #[derive(Debug, Default)]
 pub struct PageTable {
-    entries: HashMap<Vpn, PageTableEntry>,
+    entries: FastMap<Vpn, PageTableEntry>,
 }
 
 impl PageTable {
     /// Creates an empty page table.
     pub fn new() -> Self {
-        PageTable {
-            entries: HashMap::new(),
-        }
+        Self::default()
     }
 
     /// Installs (or replaces) a translation.

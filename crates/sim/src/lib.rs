@@ -18,6 +18,8 @@
 //! * [`EventQueue`] — a deterministic discrete-event queue ordered by
 //!   `(virtual_time, seq)`, the substrate for pipelined (multiple
 //!   outstanding operations) experiments.
+//! * [`FastMap`] / [`FastSet`] — `HashMap`/`HashSet` over a deterministic
+//!   multiplicative hasher, for the integer-keyed per-page maps.
 //! * [`LatencyModel`] — composable latency distributions (constant, uniform,
 //!   normal, log-normal, spiked) used to calibrate component costs to the
 //!   paper's Table I/II measurements.
@@ -47,6 +49,7 @@ mod clock;
 mod dist;
 mod event;
 mod fault;
+mod hash;
 pub mod prop;
 mod rng;
 mod series;
@@ -58,6 +61,7 @@ pub use clock::SimClock;
 pub use dist::LatencyModel;
 pub use event::EventQueue;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultPlanStats};
+pub use hash::{FastBuildHasher, FastHasher, FastMap, FastSet};
 pub use rng::SimRng;
 pub use series::TimeSeries;
 pub use time::{SimDuration, SimInstant};

@@ -6,9 +6,11 @@
 //! exact case seed so the run can be reproduced with
 //! [`run_case`](forall) (`FLUIDMEM_PROP_SEED=<seed> cargo test ...`).
 //!
-//! There is no shrinking; instead every failure message carries the case
+//! [`forall`] does not shrink; every failure message carries the case
 //! seed and the property is expected to rebuild its inputs from it
-//! deterministically via [`SimRng`].
+//! deterministically via [`SimRng`]. Properties over an *operation
+//! sequence* (model-based tests) use [`forall_sequences`], which shrinks
+//! a failing sequence by deleting runs of operations before reporting it.
 //!
 //! # Example
 //!
@@ -69,6 +71,57 @@ pub fn run_case(label: &str, seed: u64, body: &mut impl FnMut(&mut SimRng)) {
     }
 }
 
+/// Runs `check` over `cases` random operation sequences drawn by `gen`.
+///
+/// `check` replays a sequence from scratch and returns `Err` with a
+/// description at the first divergence. A failing sequence is shrunk —
+/// ever smaller runs of operations are deleted while the check keeps
+/// failing — and the panic carries the case seed, the shrunk sequence
+/// and its failure message.
+pub fn forall_sequences<Op: Clone + std::fmt::Debug>(
+    label: &str,
+    cases: u64,
+    mut gen: impl FnMut(&mut SimRng) -> Vec<Op>,
+    check: impl Fn(&[Op]) -> Result<(), String>,
+) {
+    forall(label, cases, |rng| {
+        let ops = gen(rng);
+        if let Err(first) = check(&ops) {
+            let (ops, message) = shrink(ops, first, &check);
+            panic!("{message}\nshrunk to {} ops: {ops:?}", ops.len());
+        }
+    });
+}
+
+/// Delta-debugging over deletions: returns a failing subsequence from
+/// which no single operation can be removed, with its failure message.
+fn shrink<Op: Clone>(
+    mut ops: Vec<Op>,
+    mut message: String,
+    check: &impl Fn(&[Op]) -> Result<(), String>,
+) -> (Vec<Op>, String) {
+    let mut chunk = ops.len().div_ceil(2).max(1);
+    loop {
+        let mut start = 0;
+        while start < ops.len() {
+            let end = (start + chunk).min(ops.len());
+            let mut candidate = ops.clone();
+            candidate.drain(start..end);
+            match check(&candidate) {
+                Err(m) => {
+                    ops = candidate;
+                    message = m;
+                }
+                Ok(()) => start = end,
+            }
+        }
+        if chunk == 1 {
+            return (ops, message);
+        }
+        chunk = chunk.div_ceil(2);
+    }
+}
+
 /// Generates a random-length vector using `gen` for each element.
 pub fn vec_of<T>(
     rng: &mut SimRng,
@@ -107,6 +160,45 @@ mod tests {
         let msg = payload.downcast_ref::<String>().unwrap();
         assert!(msg.contains("FLUIDMEM_PROP_SEED="), "{msg}");
         assert!(msg.contains("inner message"), "{msg}");
+    }
+
+    #[test]
+    fn failing_sequences_are_shrunk_to_a_minimal_core() {
+        // The property "never a 7 after a 3" fails on many long random
+        // sequences; the shrunk report must be exactly [3, 7].
+        let caught = std::panic::catch_unwind(|| {
+            forall_sequences(
+                "no-7-after-3",
+                8,
+                |rng| vec_of(rng, 50, 200, |r| r.gen_index(10)),
+                |ops| {
+                    let three = ops.iter().position(|&op| op == 3);
+                    match three {
+                        Some(i) if ops[i..].contains(&7) => Err("7 after 3".to_string()),
+                        _ => Ok(()),
+                    }
+                },
+            );
+        });
+        let payload = caught.unwrap_err();
+        let msg = payload.downcast_ref::<String>().unwrap();
+        assert!(msg.contains("shrunk to 2 ops: [3, 7]"), "{msg}");
+        assert!(msg.contains("FLUIDMEM_PROP_SEED="), "{msg}");
+    }
+
+    #[test]
+    fn passing_sequences_run_every_case() {
+        let runs = std::cell::Cell::new(0u64);
+        forall_sequences(
+            "always-passes",
+            5,
+            |rng| vec_of(rng, 1, 9, |r| r.gen_index(4)),
+            |_| {
+                runs.set(runs.get() + 1);
+                Ok(())
+            },
+        );
+        assert_eq!(runs.get(), 5);
     }
 
     #[test]

@@ -159,6 +159,13 @@ impl Sample {
         self.sorted = false;
     }
 
+    /// Drops every observation but keeps the allocation, for samples
+    /// that are refilled window after window.
+    pub fn clear(&mut self) {
+        self.values.clear();
+        self.sorted = true;
+    }
+
     /// Records a duration, in microseconds.
     pub fn record_duration(&mut self, d: SimDuration) {
         self.record(d.as_micros_f64());
@@ -501,6 +508,19 @@ mod tests {
         assert!((s.harmonic_mean() - 2.0).abs() < 1e-12);
         assert_eq!(harmonic_mean(&[1.0, 4.0, 4.0]), s.harmonic_mean());
         assert_eq!(harmonic_mean(&[]), 0.0);
+    }
+
+    #[test]
+    fn sample_clear_resets_observations_and_sort_state() {
+        let mut s: Sample = [3.0, 1.0, 2.0].into_iter().collect();
+        assert_eq!(s.percentile(1.0), 3.0);
+        s.clear();
+        assert!(s.is_empty());
+        assert_eq!(s.percentile(0.99), 0.0);
+        // Refilled out of order: the stale "sorted" flag must not leak.
+        s.record(9.0);
+        s.record(4.0);
+        assert_eq!(s.percentile(0.0), 4.0);
     }
 
     #[test]

@@ -206,14 +206,11 @@ pub const fn bucket_bound_ns(i: usize) -> u64 {
 /// [`HIST_BUCKETS`] means the `+Inf` overflow bucket.
 #[inline]
 pub fn bucket_index(ns: u64) -> usize {
-    let mut i = 0;
-    while i < HIST_BUCKETS {
-        if ns <= bucket_bound_ns(i) {
-            return i;
-        }
-        i += 1;
-    }
-    HIST_BUCKETS
+    // Bounds are `FIRST << i`, so the bucket is the bit length of
+    // `ceil(ns / FIRST) - 1`: no loop, no data-dependent branch.
+    let units = ns.div_ceil(HIST_FIRST_BOUND_NS);
+    let i = u64::BITS - units.saturating_sub(1).leading_zeros();
+    (i as usize).min(HIST_BUCKETS)
 }
 
 #[cfg(test)]
@@ -226,6 +223,24 @@ mod tests {
         assert_eq!(bucket_bound_ns(1), 500);
         assert_eq!(bucket_bound_ns(2), 1_000);
         assert_eq!(bucket_bound_ns(12), 1_024_000);
+    }
+
+    #[test]
+    fn index_agrees_with_a_linear_scan_of_the_bounds() {
+        let scan = |ns: u64| {
+            (0..HIST_BUCKETS)
+                .find(|&i| ns <= bucket_bound_ns(i))
+                .unwrap_or(HIST_BUCKETS)
+        };
+        for i in 0..HIST_BUCKETS {
+            let bound = bucket_bound_ns(i);
+            for ns in [bound - 1, bound, bound + 1, bound + bound / 2] {
+                assert_eq!(bucket_index(ns), scan(ns), "ns = {ns}");
+            }
+        }
+        for ns in (0..5_000).chain([u64::MAX - 1, u64::MAX, 1 << 63]) {
+            assert_eq!(bucket_index(ns), scan(ns), "ns = {ns}");
+        }
     }
 
     #[test]

@@ -98,8 +98,9 @@ struct HistogramCore {
     /// Total observations ever recorded (drives the subsampling).
     recorded: u64,
     /// Log-bucketed counts under the fixed [`crate::consts`] scheme;
-    /// the last slot is the `+Inf` overflow bucket.
-    buckets: Vec<u64>,
+    /// the last slot is the `+Inf` overflow bucket. Inline, so an
+    /// observation touches the handle's one allocation and nothing else.
+    buckets: [u64; HIST_BUCKETS + 1],
 }
 
 impl Default for HistogramCore {
@@ -108,7 +109,7 @@ impl Default for HistogramCore {
             summary: Summary::new(),
             sample: Sample::new(),
             recorded: 0,
-            buckets: vec![0; HIST_BUCKETS + 1],
+            buckets: [0; HIST_BUCKETS + 1],
         }
     }
 }
@@ -166,7 +167,7 @@ impl Histogram {
             max_us: c.summary.max(),
             p50_us: sample.percentile(0.5),
             p99_us: sample.percentile(0.99),
-            buckets: c.buckets.clone(),
+            buckets: c.buckets.to_vec(),
         }
     }
 

@@ -1,11 +1,11 @@
 //! The userfaultfd object: registration, fault delivery, and ioctls.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use fluidmem_mem::{
     FrameId, PageContents, PageTable, PhysicalMemory, PteFlags, Region, TlbModel, VirtAddr, Vpn,
 };
-use fluidmem_sim::{SimClock, SimDuration, SimInstant, SimRng};
+use fluidmem_sim::{FastMap, SimClock, SimDuration, SimInstant, SimRng};
 
 use crate::{RegionId, UffdCosts, UffdError, UffdEvent};
 
@@ -68,7 +68,7 @@ impl RemapHandle {
 pub struct Userfaultfd {
     /// start-vpn → region, for containment queries.
     by_start: BTreeMap<u64, (RegionId, Region)>,
-    by_id: HashMap<RegionId, Region>,
+    by_id: FastMap<RegionId, Region>,
     next_region: u64,
     events: VecDeque<UffdEvent>,
     /// vCPU threads currently parked on an unresolved fault, in fault
@@ -91,7 +91,7 @@ impl Userfaultfd {
     pub fn with_costs(clock: SimClock, rng: SimRng, costs: UffdCosts, tlb: TlbModel) -> Self {
         Userfaultfd {
             by_start: BTreeMap::new(),
-            by_id: HashMap::new(),
+            by_id: FastMap::default(),
             next_region: 0,
             events: VecDeque::new(),
             blocked: VecDeque::new(),

@@ -17,6 +17,19 @@ cargo build -q --workspace --all-targets
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> fmbench smoke: all five workloads at 1/32 size (adapter surface + every self-check)"
+# fmbench is a package of its own that names this repo's API in one
+# adapter file; a PR that breaks that surface, or any workload's
+# integrity/audit self-check, fails here rather than at benchmark time.
+fmbench_set="$(mktemp)"
+fmbench_log="$(mktemp)"
+fmbench/run.sh --smoke --out "$fmbench_set" > "$fmbench_log" 2>&1 || {
+    cat "$fmbench_log" >&2
+    echo "fmbench smoke: a workload failed to build, run or self-check" >&2
+    exit 1
+}
+rm -f "$fmbench_set" "$fmbench_log"
+
 echo "==> telemetry smoke: fluidmem trace --scenario pmbench"
 trace_file="$(mktemp)"
 cargo run -q --bin fluidmem -- trace --scenario pmbench --out "$trace_file" > /dev/null
@@ -97,6 +110,26 @@ lint_hits="$(grep -rn 'HashMap\|HashSet' crates/bench/src crates/telemetry/src \
 if [ -n "$lint_hits" ]; then
     echo "unordered container in an output-producing crate without a sort or marker:" >&2
     echo "$lint_hits" >&2
+    exit 1
+fi
+
+echo "==> lint: default-hasher maps on the per-page paths"
+# The per-page maps of mem, core, uffd and the RAMCloud index hash
+# simulator-generated integers; std's SipHash there cost a fifth of
+# fleet-scale host time (DESIGN.md §17). Use fluidmem_sim::FastMap /
+# FastSet, or mark a map that is genuinely off the per-page path with
+# '// lint: cold-path'. Test modules (and monitor/tests.rs) are exempt.
+hasher_hits=""
+for f in $(find crates/mem/src crates/core/src crates/uffd/src -name '*.rs' ! -name 'tests.rs') \
+    crates/kv/src/ramcloud.rs; do
+    hasher_hits="$hasher_hits$(awk -v f="$f" '
+        /^#\[cfg\(test\)\]/ { exit }
+        /HashMap|HashSet/ && !/lint: cold-path/ && !/^[[:space:]]*\/\// { print f ":" FNR ": " $0 }
+    ' "$f")"
+done
+if [ -n "$hasher_hits" ]; then
+    echo "default-hasher HashMap/HashSet on a per-page path (use FastMap/FastSet or mark '// lint: cold-path'):" >&2
+    echo "$hasher_hits" >&2
     exit 1
 fi
 
