@@ -14,7 +14,9 @@
 
 use fluidmem_bench::{banner, f2, pct, HarnessArgs, TextTable};
 use fluidmem_coord::{CoordCluster, PartitionId, PartitionTable, VmIdentity};
-use fluidmem_core::{EvictionMechanism, FluidMemMemory, LruPolicy, MonitorConfig, PrefetchPolicy};
+use fluidmem_core::{
+    EvictionMechanism, FluidMemMemory, LruPolicy, MonitorConfig, PrefetchPolicy, ReclaimConfig,
+};
 use fluidmem_kv::{CompressedStore, KeyValueStore, RamCloudStore, ReplicatedStore};
 use fluidmem_mem::{AccessOutcome, MemoryBackend, PageClass, PageContents, PAGE_SIZE};
 use fluidmem_sim::SimDuration;
@@ -377,7 +379,13 @@ fn ablation_prefetch(args: &HarnessArgs) {
             "sequential, window 8",
         ),
     ] {
-        let mut vm = fluidmem(MonitorConfig::new(1024).prefetch(policy), args.seed);
+        // The window is capped at free headroom, and a buffer that only
+        // evicts on demand has none: run both rows with the background
+        // evictor keeping its watermark of free pages.
+        let config = MonitorConfig::new(1024)
+            .reclaim(ReclaimConfig::kswapd())
+            .prefetch(policy);
+        let mut vm = fluidmem(config, args.seed);
         let region = vm.map_region(4096, PageClass::Anonymous);
         // Populate, then scan sequentially twice.
         for i in 0..region.pages() {

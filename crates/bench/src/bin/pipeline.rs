@@ -1,13 +1,12 @@
-//! `pipeline` — the staged fault pipeline's depth sweep: throughput and
+//! `pipeline` — the fault engine's depth sweep: throughput and
 //! fault-latency tails as the monitor holds 1→16 faults in flight.
 //!
 //! The paper's monitor is multi-threaded: each faulting vCPU blocks in
 //! the kernel while a handler resolves its page, so several store round
-//! trips overlap each other and the evictor. The reproduction's
-//! call-return path (`Monitor::handle_fault`) serializes those round
-//! trips; the staged pipeline (`Monitor::submit_fault` /
-//! `Monitor::complete_next`) overlaps them on a deterministic event
-//! queue. This harness measures what that buys:
+//! trips overlap each other and the evictor. `Monitor::submit_fault` /
+//! `Monitor::complete_next` model that overlap on a deterministic event
+//! queue, bounded by `MonitorConfig::max_inflight`. This harness
+//! measures what depth buys:
 //!
 //! * a fleet of vCPUs over one RamCloud-class store, working set 4× the
 //!   local buffer so most accesses refault from the store;
@@ -16,8 +15,8 @@
 //! * per-depth throughput (accesses per virtual ms), speedup over depth
 //!   1, fault mix (parked / coalesced), and fault-latency p50/p99.
 //!
-//! Depth 1 is the call-return degenerate case (byte-identical to
-//! `handle_fault`); depth ≥ 4 must beat it on throughput — the §V-B
+//! Depth 1 completes each fault before admitting the next (what
+//! `handle_fault` does); depth ≥ 4 must beat it on throughput — the §V-B
 //! asynchrony argument, extended from one overlapped read to many.
 //!
 //! Runs are fully deterministic: a fixed `--seed` reproduces the output
@@ -183,7 +182,7 @@ fn main() {
     }
     table.print();
     println!(
-        "\nDepth 1 is the call-return path; deeper rows overlap store round\n\
+        "\nDepth 1 completes each fault before the next; deeper rows overlap store round\n\
          trips (and coalesce duplicate fetches) on the event queue."
     );
 

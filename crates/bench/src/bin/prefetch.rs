@@ -15,14 +15,14 @@
 //! * three phases over disjoint page ranges — `seq` (stride 1),
 //!   `strided` (stride 7), `random` (uniform over a small tail) — with
 //!   the *same* seed and access list for every policy row;
-//! * policy rows: `none` and `stride` on both the call-return path and
-//!   the depth-8 pipeline, plus the legacy `sequential` window.
+//! * policy rows: `none`, the legacy `sequential` window, and `stride`.
 //!
-//! On the pipelined rows speculative reads park as real in-flight
-//! operations, so a demand fault for a page already on the wire adopts
-//! the flight and pays only its remaining time — the strided-phase p50
-//! collapse the `prefetch_gate` record reports. On the random phase the
-//! detector must decay and stop issuing within one window.
+//! Speculative reads park as real in-flight operations: one that lands
+//! during the guest's think time installs and the access is a plain hit,
+//! and a demand fault for a page still on the wire adopts the flight and
+//! pays only its remaining time — the strided-phase p50 collapse the
+//! `prefetch_gate` record reports. On the random phase the detector must
+//! decay and stop issuing within one window.
 //!
 //! Runs are fully deterministic: a fixed `--seed` reproduces the output
 //! byte for byte (the check.sh gate runs the smoke sweep twice and
@@ -35,7 +35,7 @@ use std::path::PathBuf;
 use fluidmem_bench::json::{write_json_line, Json};
 use fluidmem_bench::{banner, f2, TextTable};
 use fluidmem_coord::PartitionId;
-use fluidmem_core::{FluidMemMemory, MonitorConfig, PipelineSubmit, PrefetchPolicy};
+use fluidmem_core::{FluidMemMemory, MonitorConfig, PrefetchPolicy};
 use fluidmem_kv::RamCloudStore;
 use fluidmem_mem::{AccessOutcome, MemoryBackend, PageClass, PageContents};
 use fluidmem_sim::stats::Sample;
@@ -159,13 +159,11 @@ struct RunResult {
     fatal_errors: u64,
 }
 
-fn run_config(sizes: &Sizes, seed: u64, policy: PrefetchPolicy, depth: usize) -> RunResult {
+fn run_config(sizes: &Sizes, seed: u64, policy: PrefetchPolicy) -> RunResult {
     let clock = SimClock::new();
     let store = RamCloudStore::new(1 << 30, clock.clone(), SimRng::seed_from_u64(seed));
     let mut vm = FluidMemMemory::new(
-        MonitorConfig::new(sizes.warm_capacity)
-            .prefetch(policy)
-            .inflight(depth),
+        MonitorConfig::new(sizes.warm_capacity).prefetch(policy),
         Box::new(store),
         PartitionId::new(0),
         clock.clone(),
@@ -191,30 +189,14 @@ fn run_config(sizes: &Sizes, seed: u64, policy: PrefetchPolicy, depth: usize) ->
         let mut fault_latencies = Sample::new();
         let mut access_latencies = Sample::new();
         for &idx in &indices {
-            // The guest computes on the previous page, and the monitor
-            // thread installs whatever speculative reads landed in the
-            // meantime — the window prefetch hides latency behind.
+            // The guest computes on the previous page; whatever
+            // speculative reads land in the meantime install when the
+            // access polls — the window prefetch hides latency behind.
             clock.advance(THINK);
-            vm.poll_ready_completions();
-            let addr = region.page(idx);
+            let report = vm.access(region.page(idx), false);
             // `None` = the access hit a mapped page (zero guest-visible
             // latency); `Some(d)` = the access faulted and stalled for `d`.
-            let stall = if depth == 1 {
-                let report = vm.access(addr, false);
-                (report.outcome != AccessOutcome::Hit).then_some(report.latency)
-            } else {
-                match vm.submit_access(0, addr, false) {
-                    PipelineSubmit::Ready(report) => {
-                        (report.outcome != AccessOutcome::Hit).then_some(report.latency)
-                    }
-                    PipelineSubmit::Pending(_) => {
-                        let done = vm
-                            .complete_next_access()
-                            .expect("a parked fault has a completion");
-                        Some(done.wake_at - done.submitted_at)
-                    }
-                }
-            };
+            let stall = (report.outcome != AccessOutcome::Hit).then_some(report.latency);
             match stall {
                 Some(d) => {
                     faults += 1;
@@ -277,25 +259,15 @@ fn main() {
         ),
     );
 
-    let rows: Vec<(&'static str, PrefetchPolicy, usize)> = vec![
-        ("none", PrefetchPolicy::None, 1),
-        ("none-pipe8", PrefetchPolicy::None, 8),
-        ("sequential", PrefetchPolicy::Sequential { window: 8 }, 1),
+    let rows: Vec<(&'static str, PrefetchPolicy)> = vec![
+        ("none", PrefetchPolicy::None),
+        ("sequential", PrefetchPolicy::Sequential { window: 8 }),
         (
             "stride",
             PrefetchPolicy::Stride {
                 window: 16,
                 max_depth: 8,
             },
-            1,
-        ),
-        (
-            "stride-pipe8",
-            PrefetchPolicy::Stride {
-                window: 16,
-                max_depth: 8,
-            },
-            8,
         ),
     ];
 
@@ -312,9 +284,9 @@ fn main() {
     ]);
     let mut fatal_errors = 0u64;
     let mut strided_none_p50 = 0.0f64;
-    let mut strided_pipe: Option<(f64, f64, f64)> = None; // (hit_rate, accuracy, access_p50)
-    for (label, policy, depth) in rows {
-        let run = run_config(&sizes, args.seed, policy, depth);
+    let mut strided_stride: Option<(f64, f64, f64)> = None; // (hit_rate, accuracy, access_p50)
+    for (label, policy) in rows {
+        let run = run_config(&sizes, args.seed, policy);
         fatal_errors += run.fatal_errors;
         for r in &run.phases {
             table.row(vec![
@@ -334,7 +306,6 @@ fn main() {
                     .field("bench", "prefetch")
                     .field("seed", args.seed as i64)
                     .field("policy", label)
-                    .field("depth", depth as i64)
                     .field("phase", r.phase)
                     .field("accesses", r.accesses as i64)
                     .field("hits", r.hits as i64)
@@ -349,9 +320,9 @@ fn main() {
             );
             if r.phase == "strided" {
                 match label {
-                    "none-pipe8" => strided_none_p50 = r.access_p50,
-                    "stride-pipe8" => {
-                        strided_pipe = Some((r.hit_rate(), r.accuracy(), r.access_p50));
+                    "none" => strided_none_p50 = r.access_p50,
+                    "stride" => {
+                        strided_stride = Some((r.hit_rate(), r.accuracy(), r.access_p50));
                     }
                     _ => {}
                 }
@@ -360,18 +331,18 @@ fn main() {
     }
     table.print();
 
-    // The gate record: strided-phase quality of the depth-8 pipelined
-    // stride row against the same-depth no-prefetch baseline. The metric
+    // The gate record: strided-phase quality of the stride row against
+    // the no-prefetch baseline. The metric
     // is the p50 over *all* accesses — a prefetcher wins by turning
     // faults into zero-latency hits, so the guest-visible distribution
     // is the honest comparison (residual faults are trend restarts and
     // still cost full latency individually).
-    let (hit_rate, accuracy, p50) = strided_pipe.expect("stride-pipe8 row ran");
+    let (hit_rate, accuracy, p50) = strided_stride.expect("stride row ran");
     // When the median access is a prefetch hit, access p50 is 0; floor
     // the divisor so the improvement ratio stays finite.
     let p50_improvement = strided_none_p50 / p50.max(0.01);
     println!(
-        "\nStrided phase, depth-8 pipeline: hit rate {}, detector accuracy {},\n\
+        "\nStrided phase, stride policy: hit rate {}, detector accuracy {},\n\
          access p50 {} µs vs {} µs without prefetch ({}x better); \
          {} fatal store errors.",
         f2(hit_rate),

@@ -5,26 +5,15 @@ use std::collections::BTreeMap;
 use fluidmem_coord::PartitionId;
 use fluidmem_kv::KeyValueStore;
 use fluidmem_mem::{
-    AccessCounters, AccessOutcome, AccessReport, CapacityError, MemoryBackend, PageClass,
-    PageContents, PageTable, PhysicalMemory, PteFlags, Region, VirtAddr, Vpn,
+    AccessCounters, AccessReport, CapacityError, MemoryBackend, PageClass, PageContents, Region,
+    VirtAddr, Vpn,
 };
-use fluidmem_sim::{SimClock, SimDuration, SimRng};
-use fluidmem_uffd::{RegionId, Userfaultfd};
+use fluidmem_sim::{SimClock, SimRng};
+use fluidmem_uffd::RegionId;
 
 use crate::config::MonitorConfig;
-use crate::monitor::{CompletedFault, Monitor, Resolution, SubmitOutcome};
-
-/// The outcome of [`FluidMemMemory::submit_access`].
-#[derive(Debug, Clone, Copy)]
-pub enum PipelineSubmit {
-    /// The access resolved inline — a mapped-page hit, a CoW break, or a
-    /// fault the pipeline completed without parking (first touch,
-    /// write-list steal). The report is final and already counted.
-    Ready(AccessReport),
-    /// The access parked (or coalesced) in the monitor's in-flight
-    /// table; [`FluidMemMemory::complete_next_access`] finishes it.
-    Pending(SubmitOutcome),
-}
+use crate::monitor::{CompletedFault, Monitor};
+use crate::uffd_memory::{PipelineSubmit, UffdMemory};
 
 /// The state handed from a migration source to its destination: the
 /// guest's region layout and the monitor's seen-page set. The pages
@@ -76,16 +65,10 @@ pub struct MigrationImage {
 /// assert!(vm.resident_pages() <= 64, "the LRU bound holds");
 /// ```
 pub struct FluidMemMemory {
-    uffd: Userfaultfd,
-    pt: PageTable,
-    pm: PhysicalMemory,
-    monitor: Monitor,
+    mem: UffdMemory,
     regions: BTreeMap<u64, (RegionId, Region)>,
-    next_vpn: u64,
     pid: u64,
-    from_vm: bool,
     counters: AccessCounters,
-    clock: SimClock,
     label: String,
 }
 
@@ -100,35 +83,24 @@ impl FluidMemMemory {
         rng: SimRng,
     ) -> Self {
         let label = format!("FluidMem/{}", store.name());
-        let from_vm = config.from_vm;
-        let uffd = Userfaultfd::new(clock.clone(), rng.fork("uffd"));
-        let monitor = Monitor::new(config, store, partition, clock.clone(), rng.fork("monitor"));
         FluidMemMemory {
-            uffd,
-            pt: PageTable::new(),
-            // Host frames are bounded by the monitor's LRU, not by this
-            // allocator; size it generously.
-            pm: PhysicalMemory::new(u64::MAX / 2),
-            monitor,
+            mem: UffdMemory::new(config, store, partition, clock, rng),
             regions: BTreeMap::new(),
-            next_vpn: 0x10_000,
             pid: 4242,
-            from_vm,
             counters: AccessCounters::default(),
-            clock,
             label,
         }
     }
 
     /// The monitor (for stats, profile, and resize access).
     pub fn monitor(&self) -> &Monitor {
-        &self.monitor
+        &self.mem.monitor
     }
 
     /// Attaches a shared telemetry handle (see
     /// [`Monitor::attach_telemetry`]).
     pub fn attach_telemetry(&mut self, telemetry: &fluidmem_telemetry::Telemetry) {
-        self.monitor.attach_telemetry(telemetry);
+        self.mem.monitor.attach_telemetry(telemetry);
     }
 
     /// Attaches a shared telemetry handle with every monitor instrument
@@ -139,31 +111,31 @@ impl FluidMemMemory {
         telemetry: &fluidmem_telemetry::Telemetry,
         vm: &str,
     ) {
-        self.monitor.attach_telemetry_labeled(telemetry, vm);
+        self.mem.monitor.attach_telemetry_labeled(telemetry, vm);
     }
 
     /// The arbiter-facing snapshot of this VM's memory behavior: access
     /// and fault counters plus residency/capacity/write-back gauges.
     pub fn signals(&self) -> crate::VmSignals {
         let access = self.counters();
-        let stats = self.monitor.stats();
+        let stats = self.mem.monitor.stats();
         crate::VmSignals {
             accesses: access.total(),
             hits: access.hits,
             minor_faults: access.minor_faults,
             major_faults: access.major_faults,
             remote_reads: stats.remote_reads,
-            resident_pages: self.monitor.resident_pages(),
-            capacity_pages: self.monitor.capacity(),
-            pending_writes: self.monitor.pending_writes() as u64,
+            resident_pages: self.mem.monitor.resident_pages(),
+            capacity_pages: self.mem.monitor.capacity(),
+            pending_writes: self.mem.monitor.pending_writes() as u64,
             refaults_measured: stats.refaults_measured,
             thrash_refaults: stats.thrash_refaults,
-            wss_estimate_pages: self.monitor.wss_estimate_pages(),
+            wss_estimate_pages: self.mem.monitor.wss_estimate_pages(),
             background_reclaims: stats.background_reclaims,
             direct_reclaims: stats.direct_reclaims,
             tier_hits: stats.tier_hits,
             tier_demotions: stats.tier_demotions,
-            tier_pool_bytes: self.monitor.tier_bytes() as u64,
+            tier_pool_bytes: self.mem.monitor.tier_bytes() as u64,
             prefetch_issued: stats.prefetch_issued,
             prefetch_hits: stats.prefetch_hits,
         }
@@ -172,12 +144,12 @@ impl FluidMemMemory {
     /// Retargets the compressed tier's byte budget (the host arbiter's
     /// per-VM pool quota); a shrink demotes overflow to the store.
     pub fn set_tier_budget(&mut self, max_bytes: usize) {
-        self.monitor.set_tier_budget(max_bytes);
+        self.mem.monitor.set_tier_budget(max_bytes);
     }
 
     /// Mutable monitor access (profile clearing, drains).
     pub fn monitor_mut(&mut self) -> &mut Monitor {
-        &mut self.monitor
+        &mut self.mem.monitor
     }
 
     /// Adds memory to the running VM via hotplug (the left-hand VM of
@@ -191,37 +163,26 @@ impl FluidMemMemory {
     /// VM's pages in the store.
     pub fn unregister_region(&mut self, region: &Region) {
         if let Some((id, _)) = self.regions.remove(&region.start().raw()) {
-            self.uffd.unregister(id).expect("region was registered");
-            // Consume the unregister event as the monitor would.
-            while self.uffd.poll().is_some() {}
-            self.monitor.remove_region(region);
-            for vpn in region.iter_pages() {
-                if let Some(entry) = self.pt.unmap(vpn) {
-                    if !entry.flags.contains(PteFlags::ZERO_PAGE) {
-                        self.pm.free(entry.frame);
-                    }
-                }
-            }
+            self.mem.unregister(id, region);
         }
     }
 
     /// Flushes all outstanding writes (shutdown / test hygiene).
     pub fn drain_writes(&mut self) {
-        self.monitor.drain_writes();
+        self.mem.monitor.drain_writes();
     }
 
     /// Migrates the VM out: evicts every page to the (shared) store,
     /// drains the write list, and returns the image the destination
     /// needs. Consumes the source — the VM no longer runs here.
     pub fn migrate_out(mut self) -> MigrationImage {
-        let capacity = self.monitor.capacity();
-        self.monitor
-            .resize(&mut self.uffd, &mut self.pt, &mut self.pm, 0);
-        self.monitor.drain_writes();
+        let capacity = self.mem.monitor.capacity();
+        self.mem.resize(0);
+        self.mem.monitor.drain_writes();
         MigrationImage {
             regions: self.regions.values().map(|(_, r)| *r).collect(),
-            seen: self.monitor.export_seen(),
-            partition: self.monitor.partition(),
+            seen: self.mem.monitor.export_seen(),
+            partition: self.mem.monitor.partition(),
             capacity,
         }
     }
@@ -240,215 +201,103 @@ impl FluidMemMemory {
         config.lru_capacity = image.capacity;
         let mut vm = FluidMemMemory::new(config, store, image.partition, clock, rng);
         for region in &image.regions {
-            let id = vm
-                .uffd
-                .register(*region)
-                .expect("migrated regions do not overlap");
+            let id = vm.mem.register(*region);
             vm.regions.insert(region.start().raw(), (id, *region));
-            vm.next_vpn = vm.next_vpn.max(region.end().raw() + 16);
         }
-        vm.monitor.import_seen(image.seen);
+        vm.mem.monitor.import_seen(image.seen);
         vm
     }
 
-    /// Resolves an access to an already-mapped page (hit or CoW break);
-    /// `None` means the page is unmapped and must fault to the monitor.
-    fn try_mapped_access(&mut self, vpn: Vpn, write: bool) -> Option<AccessReport> {
-        let entry = self.pt.get_mut(vpn)?;
-        if write && entry.flags.contains(PteFlags::ZERO_PAGE) {
-            // Kernel-side copy-on-write break (footnote 1 of the
-            // paper): a regular minor fault, invisible to the
-            // monitor.
-            let t0 = self.clock.now();
-            self.uffd
-                .break_cow(&mut self.pt, &mut self.pm, vpn)
-                .expect("zero-page mapping breaks cleanly");
-            self.counters.record(AccessOutcome::MinorFault);
-            return Some(AccessReport {
-                outcome: AccessOutcome::MinorFault,
-                latency: self.clock.now() - t0,
-            });
-        }
-        entry.flags.insert(PteFlags::REFERENCED);
-        if write {
-            entry.flags.insert(PteFlags::DIRTY);
-        }
-        // First guest touch of a prefetched page resolves its
-        // accuracy-ledger entry to a hit (a no-op branch when nothing
-        // is pending).
-        self.monitor.note_mapped_touch(vpn);
-        self.counters.record(AccessOutcome::Hit);
-        Some(AccessReport {
-            outcome: AccessOutcome::Hit,
-            latency: SimDuration::ZERO,
-        })
-    }
-
-    fn do_access(&mut self, addr: VirtAddr, write: bool) -> AccessReport {
-        let vpn = addr.vpn();
-        if let Some(report) = self.try_mapped_access(vpn, write) {
-            return report;
-        }
-
-        let t0 = self.clock.now();
-        self.uffd
-            .raise_fault(addr, write, self.pid, self.from_vm)
-            .unwrap_or_else(|e| panic!("access to unregistered address {addr}: {e}"));
-        let _event = self.uffd.poll().expect("fault was queued");
-        let res = self
-            .monitor
-            .handle_fault(&mut self.uffd, &mut self.pt, &mut self.pm, vpn, write);
-        let mut latency = res.wake_at - t0;
-
-        // A *write* that was resolved with the zero page immediately
-        // breaks CoW when the guest retries the instruction.
-        if write && self.pt.has_flags(vpn, PteFlags::ZERO_PAGE) {
-            let before = self.clock.now();
-            self.uffd
-                .break_cow(&mut self.pt, &mut self.pm, vpn)
-                .expect("zero-page mapping breaks cleanly");
-            latency += self.clock.now() - before;
-        }
-
-        let outcome = match res.resolution {
-            Resolution::ZeroFill | Resolution::WriteListSteal | Resolution::CompressedHit => {
-                AccessOutcome::MinorFault
-            }
-            Resolution::RemoteRead | Resolution::InflightWait => AccessOutcome::MajorFault,
-        };
-        self.counters.record(outcome);
-        AccessReport { outcome, latency }
-    }
-
-    /// Submits one guest access from `vcpu_pid` to the monitor's staged
-    /// pipeline. Hits and CoW breaks resolve inline, as do faults the
-    /// pipeline completes without parking (first touch, write-list
-    /// steal); a fault that must wait on the store parks in the
-    /// in-flight table — the vCPU stays blocked in the (simulated)
-    /// userfaultfd until [`FluidMemMemory::complete_next_access`]
-    /// resolves its page.
+    /// Submits one guest access from `vcpu_pid` to the monitor. Hits and
+    /// CoW breaks resolve inline, as do faults the monitor completes
+    /// without parking (first touch, write-list steal, compressed-tier
+    /// hit); a fault that must wait on the store parks in the in-flight
+    /// table — the vCPU stays blocked in the (simulated) userfaultfd
+    /// until [`FluidMemMemory::complete_next_access`] resolves its page.
     ///
     /// The caller is responsible for keeping the submission depth within
     /// [`MonitorConfig::max_inflight`] by completing between submits
     /// (see [`Monitor::submit_fault`]).
     pub fn submit_access(&mut self, vcpu_pid: u64, addr: VirtAddr, write: bool) -> PipelineSubmit {
-        let vpn = addr.vpn();
-        if let Some(report) = self.try_mapped_access(vpn, write) {
-            return PipelineSubmit::Ready(report);
+        let submit = self.mem.submit(vcpu_pid, addr, write);
+        if let PipelineSubmit::Ready(report) = &submit {
+            self.counters.record(report.outcome);
         }
-
-        let t0 = self.clock.now();
-        self.uffd
-            .raise_fault(addr, write, vcpu_pid, self.from_vm)
-            .unwrap_or_else(|e| panic!("access to unregistered address {addr}: {e}"));
-        let _event = self.uffd.poll().expect("fault was queued");
-        match self
-            .monitor
-            .submit_fault(&mut self.uffd, &mut self.pt, &mut self.pm, vpn, write)
-        {
-            SubmitOutcome::Completed(res) => {
-                let mut latency = res.wake_at - t0;
-                // A write resolved with the zero page breaks CoW when the
-                // guest retries the instruction — same as the call-return
-                // path.
-                if write && self.pt.has_flags(vpn, PteFlags::ZERO_PAGE) {
-                    let before = self.clock.now();
-                    self.uffd
-                        .break_cow(&mut self.pt, &mut self.pm, vpn)
-                        .expect("zero-page mapping breaks cleanly");
-                    latency += self.clock.now() - before;
-                }
-                let outcome = match res.resolution {
-                    Resolution::ZeroFill
-                    | Resolution::WriteListSteal
-                    | Resolution::CompressedHit => AccessOutcome::MinorFault,
-                    Resolution::RemoteRead | Resolution::InflightWait => AccessOutcome::MajorFault,
-                };
-                self.counters.record(outcome);
-                PipelineSubmit::Ready(AccessReport { outcome, latency })
-            }
-            parked => PipelineSubmit::Pending(parked),
-        }
+        submit
     }
 
-    /// Finishes the earliest in-flight pipelined access: resolves the
-    /// page, wakes the blocked vCPU(s), and records one access outcome
-    /// per fault sharing the operation (the submitter plus any coalesced
-    /// waiters). Returns `None` when nothing is in flight.
+    /// Finishes the earliest in-flight access: resolves the page, wakes
+    /// the blocked vCPU(s), and records one access outcome per fault
+    /// sharing the operation (the submitter plus any coalesced waiters).
+    /// Returns `None` when nothing is in flight.
     pub fn complete_next_access(&mut self) -> Option<CompletedFault> {
-        let done = self
-            .monitor
-            .complete_next(&mut self.uffd, &mut self.pt, &mut self.pm)?;
-        let outcome = match done.resolution {
-            Resolution::ZeroFill | Resolution::WriteListSteal | Resolution::CompressedHit => {
-                AccessOutcome::MinorFault
-            }
-            Resolution::RemoteRead | Resolution::InflightWait => AccessOutcome::MajorFault,
-        };
+        let done = self.mem.complete_next()?;
         for _ in 0..=done.waiters {
-            self.counters.record(outcome);
+            self.counters.record(done.resolution.outcome());
         }
         Some(done)
     }
 
     /// Faults currently parked in the monitor's in-flight table.
     pub fn inflight_len(&self) -> usize {
-        self.monitor.inflight_len()
+        self.mem.monitor.inflight_len()
     }
 
     /// Installs any speculative reads (and runs any reclaim work) whose
     /// completion instant has already passed, without blocking on
-    /// in-flight demand faults. Pipelined drivers call this between
+    /// in-flight demand faults. Submit/complete drivers call this between
     /// guest accesses to model the monitor thread running bottom halves
-    /// while the vCPUs compute; never advances the clock.
+    /// while the vCPUs compute (a blocking `access` does it on entry).
+    /// Never waits: the clock moves only by the installs' own CPU cost.
     pub fn poll_ready_completions(&mut self) {
-        self.monitor
-            .poll_ready(&mut self.uffd, &mut self.pt, &mut self.pm);
+        self.mem.poll_ready();
     }
 }
 
 impl MemoryBackend for FluidMemMemory {
     fn map_region(&mut self, pages: u64, class: PageClass) -> Region {
-        let region = Region::new(Vpn::new(self.next_vpn), pages, class);
-        self.next_vpn += pages + 16;
-        let id = self
-            .uffd
-            .register(region)
-            .expect("bump allocation never overlaps");
+        let (id, region) = self.mem.map_region(pages, class);
         self.regions.insert(region.start().raw(), (id, region));
         region
     }
 
+    /// One blocking access: [`FluidMemMemory::submit_access`] and, if the
+    /// fault parked, its completion.
+    ///
+    /// # Panics
+    ///
+    /// Panics if demand faults submitted through
+    /// [`FluidMemMemory::submit_access`] are still parked; finish them
+    /// with [`FluidMemMemory::complete_next_access`] first.
     fn access(&mut self, addr: VirtAddr, write: bool) -> AccessReport {
-        self.do_access(addr, write)
+        let report = self.mem.access(self.pid, addr, write);
+        self.counters.record(report.outcome);
+        report
     }
 
     fn write_page(&mut self, addr: VirtAddr, contents: PageContents) -> AccessReport {
-        let report = self.do_access(addr, true);
-        let entry = self.pt.get(addr.vpn()).expect("write access maps the page");
-        self.pm.store(entry.frame, contents);
+        let report = self.access(addr, true);
+        self.mem.store_page(addr, contents);
         report
     }
 
     fn read_page(&mut self, addr: VirtAddr) -> (PageContents, AccessReport) {
-        let report = self.do_access(addr, false);
-        let entry = self.pt.get(addr.vpn()).expect("read access maps the page");
-        (self.pm.load(entry.frame).clone(), report)
+        let report = self.access(addr, false);
+        (self.mem.load_page(addr), report)
     }
 
     fn resident_pages(&self) -> u64 {
-        self.monitor.resident_pages()
+        self.mem.monitor.resident_pages()
     }
 
     fn local_capacity_pages(&self) -> u64 {
-        self.monitor.capacity()
+        self.mem.monitor.capacity()
     }
 
     fn set_local_capacity(&mut self, pages: u64) -> Result<(), CapacityError> {
         // FluidMem's defining capability (§III, §VI-E): the operator
         // resizes the buffer with no guest involvement.
-        self.monitor
-            .resize(&mut self.uffd, &mut self.pt, &mut self.pm, pages);
+        self.mem.resize(pages);
         Ok(())
     }
 
@@ -463,7 +312,7 @@ impl MemoryBackend for FluidMemMemory {
     }
 
     fn clock(&self) -> &SimClock {
-        &self.clock
+        &self.mem.clock
     }
 
     fn label(&self) -> String {
@@ -485,6 +334,7 @@ impl std::fmt::Debug for FluidMemMemory {
 mod tests {
     use super::*;
     use fluidmem_kv::{DramStore, RamCloudStore};
+    use fluidmem_mem::AccessOutcome;
 
     fn backend(capacity: u64) -> FluidMemMemory {
         let clock = SimClock::new();
@@ -639,6 +489,29 @@ mod tests {
     fn unregistered_access_panics() {
         let mut vm = backend(4);
         vm.access(VirtAddr::new(0x10), false);
+    }
+
+    #[test]
+    #[should_panic(expected = "demand faults parked")]
+    fn blocking_access_with_a_parked_demand_fault_panics() {
+        let clock = SimClock::new();
+        let store = DramStore::new(1 << 30, clock.clone(), SimRng::seed_from_u64(1));
+        let mut vm = FluidMemMemory::new(
+            MonitorConfig::new(4).inflight(4),
+            Box::new(store),
+            PartitionId::new(0),
+            clock,
+            SimRng::seed_from_u64(2),
+        );
+        let r = vm.map_region(16, PageClass::Anonymous);
+        for i in 0..16 {
+            vm.access(r.page(i), true);
+        }
+        vm.drain_writes();
+        let parked = vm.submit_access(1, r.page(0), false);
+        assert!(matches!(parked, PipelineSubmit::Pending(_)));
+        // The completion a blocking access waits for must be its own.
+        vm.access(r.page(1), false);
     }
 
     #[test]

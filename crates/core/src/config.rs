@@ -88,9 +88,9 @@ pub enum PrefetchPolicy {
     /// (negative strides included). Issue is suppressed for
     /// thrash-flagged VMs (WSS estimate over capacity) and when LRU
     /// headroom is below the depth, so speculation never evicts warm
-    /// pages. In the pipelined path the speculative reads are real
-    /// in-flight operations: a demand fault arriving mid-flight adopts
-    /// the pending read and pays only the remaining flight time.
+    /// pages. The speculative reads are real in-flight operations: a
+    /// demand fault arriving mid-flight adopts the pending read and pays
+    /// only the remaining flight time.
     Stride {
         /// Fault deltas the majority vote runs over (clamped ≥ 4).
         window: usize,
@@ -317,15 +317,12 @@ pub struct MonitorConfig {
     /// refusals) are retried. Backoff waits are charged to the virtual
     /// clock, so retried faults honestly extend the observed latency.
     pub retry: RetryPolicy,
-    /// How many faults the monitor's pipelined entry points
-    /// ([`Monitor::submit_fault`](crate::Monitor::submit_fault) /
-    /// [`Monitor::complete_next`](crate::Monitor::complete_next)) may
-    /// hold in flight at once. `1` (the default) degenerates to the
-    /// call-return path: each fault completes before the next is
-    /// admitted, byte-identical to
-    /// [`Monitor::handle_fault`](crate::Monitor::handle_fault). Larger
-    /// values model FluidMem's multi-threaded monitor, where several
-    /// store round trips and the evictor overlap.
+    /// How many demand faults may be parked in the monitor's in-flight
+    /// table at once ([`Monitor::submit_fault`](crate::Monitor::submit_fault)
+    /// panics beyond it). A bound, not a mode: at `1` (the default) each
+    /// fault completes before the next is admitted; larger values model
+    /// FluidMem's multi-threaded monitor, where several store round
+    /// trips and the evictor overlap. Speculative reads are not counted.
     pub max_inflight: usize,
     /// Shadow-entry working-set estimation: how many nonresident entries
     /// to retain and whether the estimate drives the LRU capacity
@@ -407,8 +404,8 @@ impl MonitorConfig {
         self
     }
 
-    /// Sets the outstanding-fault depth for the pipelined entry points
-    /// (clamped to at least 1).
+    /// Sets how many demand faults may be parked at once (clamped to at
+    /// least 1).
     pub fn inflight(mut self, depth: usize) -> Self {
         self.max_inflight = depth.max(1);
         self

@@ -20,14 +20,15 @@ use std::rc::Rc;
 use fluidmem_coord::PartitionId;
 use fluidmem_kv::KeyValueStore;
 use fluidmem_mem::{
-    AccessCounters, AccessOutcome, AccessReport, CapacityError, MemoryBackend, PageClass,
-    PageContents, PageTable, PhysicalMemory, PteFlags, Region, VirtAddr, Vpn,
+    AccessCounters, AccessReport, CapacityError, MemoryBackend, PageClass, PageContents, Region,
+    VirtAddr,
 };
-use fluidmem_sim::{SimClock, SimDuration, SimRng};
-use fluidmem_uffd::{RegionId, Userfaultfd};
+use fluidmem_sim::{SimClock, SimRng};
+use fluidmem_uffd::RegionId;
 
 use crate::config::MonitorConfig;
-use crate::monitor::{Monitor, Resolution};
+use crate::monitor::Monitor;
+use crate::uffd_memory::UffdMemory;
 
 /// Identifies one VM hosted on a [`FluidMemHypervisor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,16 +74,10 @@ struct VmInfo {
 /// assert!(hv.resident_pages() <= 64, "both VMs share one budget");
 /// ```
 pub struct FluidMemHypervisor {
-    uffd: Userfaultfd,
-    pt: PageTable,
-    pm: PhysicalMemory,
-    monitor: Monitor,
+    mem: UffdMemory,
     /// region start → owning VM, for fault attribution.
     region_owner: BTreeMap<u64, usize>,
     vms: Vec<VmInfo>,
-    next_vpn: u64,
-    from_vm: bool,
-    clock: SimClock,
 }
 
 impl FluidMemHypervisor {
@@ -94,25 +89,10 @@ impl FluidMemHypervisor {
         clock: SimClock,
         rng: SimRng,
     ) -> Self {
-        let from_vm = config.from_vm;
-        let uffd = Userfaultfd::new(clock.clone(), rng.fork("uffd"));
-        let monitor = Monitor::new(
-            config,
-            store,
-            PartitionId::new(0),
-            clock.clone(),
-            rng.fork("monitor"),
-        );
         FluidMemHypervisor {
-            uffd,
-            pt: PageTable::new(),
-            pm: PhysicalMemory::new(u64::MAX / 2),
-            monitor,
+            mem: UffdMemory::new(config, store, PartitionId::new(0), clock, rng),
             region_owner: BTreeMap::new(),
             vms: Vec::new(),
-            next_vpn: 0x10_000,
-            from_vm,
-            clock,
         }
     }
 
@@ -136,24 +116,20 @@ impl FluidMemHypervisor {
     /// Panics if the VM was destroyed.
     pub fn map_region(&mut self, vm: VmHandle, pages: u64, class: PageClass) -> Region {
         assert!(self.vms[vm.0].alive, "cannot map into a destroyed VM");
-        let region = Region::new(Vpn::new(self.next_vpn), pages, class);
-        self.next_vpn += pages + 16;
-        let id = self
-            .uffd
-            .register(region)
-            .expect("bump alloc never overlaps");
+        let (id, region) = self.mem.map_region(pages, class);
         let partition = self.vms[vm.0].partition;
-        self.monitor.register_partition(region, partition);
+        self.mem.monitor.register_partition(region, partition);
         self.region_owner.insert(region.start().raw(), vm.0);
         self.vms[vm.0].regions.push((id, region));
         region
     }
 
-    /// One guest memory access by `vm`.
+    /// One blocking guest memory access by `vm`.
     ///
     /// # Panics
     ///
-    /// Panics if the address is not in one of the VM's regions.
+    /// Panics if the address is not in one of the VM's regions, or if
+    /// demand faults submitted to the monitor directly are still parked.
     pub fn access(&mut self, vm: VmHandle, addr: VirtAddr, write: bool) -> AccessReport {
         let owner = self
             .region_owner
@@ -166,54 +142,9 @@ impl FluidMemHypervisor {
             "address {addr} does not belong to vm {}",
             vm.0
         );
-        let vpn = addr.vpn();
-        if let Some(entry) = self.pt.get_mut(vpn) {
-            if write && entry.flags.contains(PteFlags::ZERO_PAGE) {
-                let t0 = self.clock.now();
-                self.uffd
-                    .break_cow(&mut self.pt, &mut self.pm, vpn)
-                    .expect("zero mapping breaks");
-                self.vms[vm.0].counters.record(AccessOutcome::MinorFault);
-                return AccessReport {
-                    outcome: AccessOutcome::MinorFault,
-                    latency: self.clock.now() - t0,
-                };
-            }
-            entry.flags.insert(PteFlags::REFERENCED);
-            if write {
-                entry.flags.insert(PteFlags::DIRTY);
-            }
-            self.vms[vm.0].counters.record(AccessOutcome::Hit);
-            return AccessReport {
-                outcome: AccessOutcome::Hit,
-                latency: SimDuration::ZERO,
-            };
-        }
-        let t0 = self.clock.now();
-        let pid = self.vms[vm.0].pid;
-        self.uffd
-            .raise_fault(addr, write, pid, self.from_vm)
-            .expect("region is registered");
-        let _event = self.uffd.poll().expect("event queued");
-        let res = self
-            .monitor
-            .handle_fault(&mut self.uffd, &mut self.pt, &mut self.pm, vpn, write);
-        let mut latency = res.wake_at - t0;
-        if write && self.pt.has_flags(vpn, PteFlags::ZERO_PAGE) {
-            let before = self.clock.now();
-            self.uffd
-                .break_cow(&mut self.pt, &mut self.pm, vpn)
-                .expect("zero mapping breaks");
-            latency += self.clock.now() - before;
-        }
-        let outcome = match res.resolution {
-            Resolution::ZeroFill | Resolution::WriteListSteal | Resolution::CompressedHit => {
-                AccessOutcome::MinorFault
-            }
-            Resolution::RemoteRead | Resolution::InflightWait => AccessOutcome::MajorFault,
-        };
-        self.vms[vm.0].counters.record(outcome);
-        AccessReport { outcome, latency }
+        let report = self.mem.access(self.vms[vm.0].pid, addr, write);
+        self.vms[vm.0].counters.record(report.outcome);
+        report
     }
 
     /// Shuts a VM down: unregisters its regions (shrinking the monitor's
@@ -222,24 +153,15 @@ impl FluidMemHypervisor {
     pub fn destroy_vm(&mut self, vm: VmHandle) {
         let regions = std::mem::take(&mut self.vms[vm.0].regions);
         for (id, region) in regions {
-            self.uffd.unregister(id).expect("was registered");
-            while self.uffd.poll().is_some() {}
-            self.monitor.remove_region(&region);
+            self.mem.unregister(id, &region);
             self.region_owner.remove(&region.start().raw());
-            for vpn in region.iter_pages() {
-                if let Some(entry) = self.pt.unmap(vpn) {
-                    if !entry.flags.contains(PteFlags::ZERO_PAGE) {
-                        self.pm.free(entry.frame);
-                    }
-                }
-            }
         }
         self.vms[vm.0].alive = false;
     }
 
     /// Pages in DRAM across all VMs (bounded by the shared capacity).
     pub fn resident_pages(&self) -> u64 {
-        self.monitor.resident_pages()
+        self.mem.monitor.resident_pages()
     }
 
     /// Pages of one VM currently in DRAM.
@@ -247,19 +169,18 @@ impl FluidMemHypervisor {
         self.vms[vm.0]
             .regions
             .iter()
-            .map(|(_, r)| self.monitor.resident_in(r))
+            .map(|(_, r)| self.mem.monitor.resident_in(r))
             .sum()
     }
 
     /// The shared local budget.
     pub fn capacity(&self) -> u64 {
-        self.monitor.capacity()
+        self.mem.monitor.capacity()
     }
 
     /// Resizes the shared budget, evicting down if needed.
     pub fn set_capacity(&mut self, pages: u64) {
-        self.monitor
-            .resize(&mut self.uffd, &mut self.pt, &mut self.pm, pages);
+        self.mem.resize(pages);
     }
 
     /// A VM's access counters.
@@ -274,17 +195,17 @@ impl FluidMemHypervisor {
 
     /// The shared monitor.
     pub fn monitor(&self) -> &Monitor {
-        &self.monitor
+        &self.mem.monitor
     }
 
     /// Mutable access to the shared monitor (drains, profile resets).
     pub fn monitor_mut(&mut self) -> &mut Monitor {
-        &mut self.monitor
+        &mut self.mem.monitor
     }
 
     /// The shared clock.
     pub fn clock(&self) -> &SimClock {
-        &self.clock
+        &self.mem.clock
     }
 
     /// Wraps one hosted VM as a standalone [`MemoryBackend`], so the
@@ -292,7 +213,7 @@ impl FluidMemHypervisor {
     /// hypervisor.
     pub fn vm_backend(hypervisor: Rc<RefCell<FluidMemHypervisor>>, vm: VmHandle) -> SharedVm {
         let label = format!("FluidMem/shared/vm{}", vm.0);
-        let clock = hypervisor.borrow().clock.clone();
+        let clock = hypervisor.borrow().mem.clock.clone();
         SharedVm {
             hypervisor,
             vm,
@@ -336,19 +257,14 @@ impl MemoryBackend for SharedVm {
     fn write_page(&mut self, addr: VirtAddr, contents: PageContents) -> AccessReport {
         let mut hv = self.hypervisor.borrow_mut();
         let report = hv.access(self.vm, addr, true);
-        let entry = hv.pt.get(addr.vpn()).expect("write maps the page");
-        let frame = entry.frame;
-        hv.pm.store(frame, contents);
+        hv.mem.store_page(addr, contents);
         report
     }
 
     fn read_page(&mut self, addr: VirtAddr) -> (PageContents, AccessReport) {
         let mut hv = self.hypervisor.borrow_mut();
         let report = hv.access(self.vm, addr, false);
-        let entry = hv.pt.get(addr.vpn()).expect("read maps the page");
-        let frame = entry.frame;
-        let contents = hv.pm.load(frame).clone();
-        (contents, report)
+        (hv.mem.load_page(addr), report)
     }
 
     fn resident_pages(&self) -> u64 {
@@ -381,6 +297,7 @@ impl MemoryBackend for SharedVm {
 mod tests {
     use super::*;
     use fluidmem_kv::{DramStore, ExternalKey, RamCloudStore};
+    use fluidmem_mem::AccessOutcome;
 
     fn hypervisor(capacity: u64) -> FluidMemHypervisor {
         let clock = SimClock::new();

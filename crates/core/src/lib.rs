@@ -54,10 +54,11 @@ mod profile;
 mod signals;
 mod stats;
 mod tier;
+mod uffd_memory;
 mod workingset;
 mod write_list;
 
-pub use backend::{FluidMemMemory, MigrationImage, PipelineSubmit};
+pub use backend::{FluidMemMemory, MigrationImage};
 pub use config::{
     EvictionMechanism, LruPolicy, MonitorConfig, MonitorCosts, Optimizations, PrefetchPolicy,
     ReclaimConfig,
@@ -71,5 +72,6 @@ pub use profile::{CodePath, PathStats, ProfileTable};
 pub use signals::VmSignals;
 pub use stats::MonitorStats;
 pub use tier::{TierAudit, TierConfig};
+pub use uffd_memory::PipelineSubmit;
 pub use workingset::{Refault, WorkingSetConfig, WorkingSetEstimator, WorkingSetMode};
 pub use write_list::{StealOutcome, WriteList};

@@ -1,9 +1,9 @@
 //! The evictor and flusher stages: moving pages out of the local buffer
 //! and onto the write list, and flushing the write list to the store.
 //!
-//! These run *during* read flights on the pipelined path (§V-B: the
-//! eviction happens "at a time when the vCPU thread was already
-//! suspended"), and inline on the call-return path.
+//! Inline eviction runs *during* the faulting vCPU's read flight (§V-B:
+//! "at a time when the vCPU thread was already suspended"), or after the
+//! wake on the paths that have no flight.
 
 use fluidmem_kv::KvError;
 use fluidmem_mem::{PageTable, PhysicalMemory};

@@ -1,24 +1,23 @@
 //! The monitor process: FluidMem's user-space page-fault handler.
 //!
-//! The monitor is decomposed into pipeline stages, mirroring the paper's
-//! thread split (fault handlers, the evictor draining the write list,
-//! and the §V-B asynchronous read whose store round trip overlaps
-//! `UFFD_REMAP`/bookkeeping):
+//! There is one fault engine. [`Monitor::submit_fault`] runs a fault's
+//! intake and either resolves it on the spot (first touch, write-list
+//! steal, compressed-tier hit, synchronous read) or issues the §V-B
+//! asynchronous read's top half and parks the fault on a deterministic
+//! [`EventQueue`](fluidmem_sim::EventQueue) until the flight lands;
+//! [`Monitor::complete_next`] pops the earliest completion and runs the
+//! bottom half, placement, wake and post-wake work.
+//! [`Monitor::handle_fault`] is the two back to back, and
+//! [`MonitorConfig::max_inflight`] only bounds how many faults may be
+//! parked at once — it never selects a different path.
 //!
-//! * `stages` — fault intake, first-touch and refault resolution, the
-//!   split top/bottom-half read, and prefetch.
-//! * `evict` — the evictor: `UFFD_REMAP` eviction, write-list flushes,
-//!   and the shutdown drain.
-//! * `pipeline` — the staged entry points
-//!   ([`Monitor::submit_fault`] / [`Monitor::complete_next`]) that hold
-//!   up to [`MonitorConfig::max_inflight`] faults in flight on a
-//!   deterministic [`EventQueue`](fluidmem_sim::EventQueue).
-//!
-//! [`Monitor::handle_fault`] remains the call-return path: intake,
-//! resolution, and wake in one call, with at most one store operation
-//! outstanding. It is byte-identical to a pipelined run at
-//! `max_inflight = 1` because both are built from the same stage
-//! functions, invoked in the same order.
+//! * `pipeline` — the entry points and the in-flight table.
+//! * `stages` — the steps they are built from: intake, first-touch
+//!   resolution, the steal check, the split top/bottom-half read, page
+//!   placement + wake, post-wake work, and prefetch.
+//! * `evict` / `reclaim` — the evictor: `UFFD_REMAP` eviction inline or
+//!   on the background evictor's timeline, write-list flushes, and the
+//!   shutdown drain.
 
 mod evict;
 mod pipeline;
@@ -30,7 +29,7 @@ mod tests;
 pub use pipeline::{CompletedFault, SubmitOutcome};
 
 use fluidmem_coord::PartitionId;
-use fluidmem_kv::{ExternalKey, KeyValueStore, PendingGet};
+use fluidmem_kv::{ExternalKey, KeyValueStore};
 use fluidmem_mem::{PageTable, PhysicalMemory, Region, Vpn};
 use fluidmem_sim::{SimClock, SimInstant, SimRng, Tracer};
 use fluidmem_uffd::Userfaultfd;
@@ -86,6 +85,18 @@ impl Resolution {
         Resolution::CompressedHit,
     ];
 
+    /// How the guest experiences this resolution: minor when no store
+    /// round trip (or write wait) sat on the critical path.
+    pub fn outcome(self) -> fluidmem_mem::AccessOutcome {
+        use fluidmem_mem::AccessOutcome::{MajorFault, MinorFault};
+        match self {
+            Resolution::ZeroFill | Resolution::WriteListSteal | Resolution::CompressedHit => {
+                MinorFault
+            }
+            Resolution::RemoteRead | Resolution::InflightWait => MajorFault,
+        }
+    }
+
     fn index(self) -> usize {
         match self {
             Resolution::ZeroFill => 0,
@@ -137,7 +148,8 @@ pub struct Monitor {
     /// Per-region partition overrides (multi-VM hosting): region start →
     /// (region, partition).
     region_partitions: std::collections::BTreeMap<u64, (Region, PartitionId)>,
-    /// In-flight operation table for the pipelined entry points.
+    /// Parked demand faults, speculative reads in flight, and the
+    /// completion queue that orders them.
     pub(in crate::monitor) inflight: InflightTable,
     /// Background-evictor thread state (watermark reclaim).
     pub(in crate::monitor) reclaim: reclaim::ReclaimState,
@@ -170,8 +182,6 @@ pub struct Monitor {
     inflight_parked_ops: Gauge,
     /// Pooled buffer for the `ScanReferenced` head scan.
     pub(in crate::monitor) scan_buf: Vec<Vpn>,
-    /// Pooled buffer for prefetch flights issued in one batch.
-    pub(in crate::monitor) prefetch_buf: Vec<(Vpn, PendingGet)>,
     /// Pooled buffer for prefetch candidate pages per fault.
     pub(in crate::monitor) prefetch_candidates: Vec<Vpn>,
     /// Majority-vote stride detector over the fault VPN stream — the
@@ -207,6 +217,7 @@ impl Monitor {
             PrefetchPolicy::Stride { window, .. } => StrideDetector::new(window),
             _ => StrideDetector::new(16),
         };
+        let inflight = InflightTable::new(config.max_inflight);
         let monitor = Monitor {
             config,
             tracker: PageTracker::new(),
@@ -215,7 +226,7 @@ impl Monitor {
             store,
             partition,
             region_partitions: std::collections::BTreeMap::new(),
-            inflight: InflightTable::new(),
+            inflight,
             reclaim: reclaim::ReclaimState::new(),
             profile: ProfileTable::new(),
             stats: MonitorCounters::new(),
@@ -235,7 +246,6 @@ impl Monitor {
             tracker_chunks: Gauge::new(),
             inflight_parked_ops: Gauge::new(),
             scan_buf: Vec::new(),
-            prefetch_buf: Vec::new(),
             prefetch_candidates: Vec::new(),
             stride,
             prefetch_pending_touch: std::collections::BTreeMap::new(),
@@ -745,16 +755,17 @@ impl Monitor {
         }
     }
 
-    /// Handles one page fault for `vpn` on the call-return path: intake,
-    /// resolution, and wake complete before the call returns, with at
-    /// most one store operation in flight. The caller (the backend) has
-    /// already charged fault-trap and event-delivery costs via the
+    /// Handles one page fault for `vpn` and returns once the guest is
+    /// woken: [`Monitor::submit_fault`], then — if the fault parked on
+    /// the store — [`Monitor::complete_next`]. The caller (the backend)
+    /// has already charged fault-trap and event-delivery costs via the
     /// userfaultfd object.
     ///
-    /// This is the `max_inflight = 1` degenerate case of the staged
-    /// pipeline: it runs the same stage functions as
-    /// [`Monitor::submit_fault`] / [`Monitor::complete_next`], in the
-    /// same order.
+    /// # Panics
+    ///
+    /// Panics if demand faults are already parked: the completion this
+    /// call waits for must be its own, so drain with
+    /// [`Monitor::complete_next`] first.
     pub fn handle_fault(
         &mut self,
         uffd: &mut Userfaultfd,
@@ -763,16 +774,23 @@ impl Monitor {
         vpn: Vpn,
         write: bool,
     ) -> FaultResolution {
-        let intake = self.fault_intake(pt, vpn, write);
-        let res = if !intake.seen {
-            self.trace(|| format!("pagetracker: {vpn} unseen -> zero-page path"));
-            self.handle_first_touch(uffd, pt, pm, vpn)
-        } else {
-            self.trace(|| format!("pagetracker: {vpn} seen before -> read path"));
-            self.handle_refault(uffd, pt, pm, vpn, write)
-        };
-        self.finalize_fault(intake.span, intake.t0, res.resolution, res.wake_at);
-        res
+        assert_eq!(
+            self.inflight.len(),
+            0,
+            "handle_fault with demand faults parked; complete them first"
+        );
+        match self.submit_fault(uffd, pt, pm, vpn, write) {
+            SubmitOutcome::Completed(res) => res,
+            SubmitOutcome::Parked(_) | SubmitOutcome::Coalesced(_) => {
+                let done = self
+                    .complete_next(uffd, pt, pm)
+                    .expect("the fault just parked");
+                FaultResolution {
+                    resolution: done.resolution,
+                    wake_at: done.wake_at,
+                }
+            }
+        }
     }
 
     /// Resizes the local buffer (the §VI-E capability swap lacks),

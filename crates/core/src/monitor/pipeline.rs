@@ -1,23 +1,23 @@
-//! The staged fault pipeline: explicit in-flight operations on a
+//! The fault engine's entry points: explicit in-flight operations on a
 //! deterministic event queue.
 //!
-//! The call-return path ([`Monitor::handle_fault`]) holds at most one
-//! store operation outstanding. FluidMem's real monitor is multi-
-//! threaded: several fault handlers block in store reads while the
-//! evictor drains the write list. This module models that overlap
-//! without threads. [`Monitor::submit_fault`] runs a fault's intake and
-//! issue stages and, if the fault needs to wait on the store (or on an
-//! in-flight write), parks it in the [`InflightTable`] keyed by its
-//! completion instant; [`Monitor::complete_next`] pops the earliest
-//! completion off the [`EventQueue`] and runs the placement, wake, and
-//! post-wake stages.
+//! FluidMem's real monitor is multi-threaded: several fault handlers
+//! block in store reads while the evictor drains the write list. This
+//! module models that overlap without threads. [`Monitor::submit_fault`]
+//! runs a fault's intake and issue stages and, if the fault needs to
+//! wait on the store (or on an in-flight write), parks it in the
+//! [`InflightTable`] keyed by its completion instant;
+//! [`Monitor::complete_next`] pops the earliest completion off the
+//! [`EventQueue`] and runs the placement, wake, and post-wake stages.
+//! Speculative reads and background-reclaim activations ride the same
+//! queue and run transparently in event order.
 //!
 //! Determinism: the queue orders strictly by `(completes_at, seq)`, seq
 //! being submission order, so the schedule is a pure function of the
-//! seed — two runs with the same seed interleave identically. At
-//! `max_inflight = 1` every fault completes before the next is
-//! submitted, which makes the pipelined path byte-identical (same clock
-//! charges, same RNG draws, same telemetry) to `handle_fault`.
+//! seed — two runs with the same seed interleave identically. A driver
+//! that completes each fault before submitting the next (what
+//! [`Monitor::handle_fault`] does) is the blocking, one-at-a-time
+//! monitor; nothing else distinguishes it.
 
 use fluidmem_kv::PendingGet;
 use fluidmem_mem::{PageContents, PageTable, PhysicalMemory, Vpn};
@@ -97,8 +97,8 @@ enum QueueItem {
 
 /// The in-flight operation table: a slab of operation slots plus the
 /// completion queue that orders them. Slots and waiter buffers are
-/// recycled, so sustained fault traffic at any depth stops allocating
-/// once the slab has grown to the peak in-flight depth.
+/// recycled and the slab is sized to the depth bound up front, so demand
+/// traffic never allocates here.
 pub(in crate::monitor) struct InflightTable {
     slots: Vec<Option<InflightFault>>,
     free: Vec<u32>,
@@ -115,14 +115,16 @@ pub(in crate::monitor) struct InflightTable {
 }
 
 impl InflightTable {
-    pub(in crate::monitor) fn new() -> Self {
+    /// A table sized for `depth` parked faults, so demand traffic within
+    /// the bound never allocates after construction.
+    pub(in crate::monitor) fn new(depth: usize) -> Self {
         InflightTable {
-            slots: Vec::new(),
-            free: Vec::new(),
+            slots: Vec::with_capacity(depth),
+            free: Vec::with_capacity(depth),
             live: 0,
-            queue: EventQueue::new(),
+            queue: EventQueue::with_capacity(depth),
             next_id: 0,
-            waiter_pool: Vec::new(),
+            waiter_pool: Vec::with_capacity(depth),
             prefetch_slots: Vec::new(),
             prefetch_free: Vec::new(),
             prefetch_live: 0,
@@ -177,6 +179,18 @@ impl InflightTable {
         id
     }
 
+    /// Parks a fault on its read flight, due when the flight lands.
+    fn park_fetch(
+        &mut self,
+        vpn: Vpn,
+        write: bool,
+        intake: FaultIntake,
+        flight: ReadFlight,
+    ) -> u64 {
+        let completes_at = flight.completes_at();
+        self.park(vpn, write, intake, FaultStage::Fetch(flight), completes_at)
+    }
+
     /// Enqueues a background-reclaim activation at `at`; it runs inside
     /// the next [`Monitor::complete_next`] that reaches it.
     pub(in crate::monitor) fn schedule_reclaim(&mut self, at: SimInstant) {
@@ -184,6 +198,9 @@ impl InflightTable {
     }
 
     fn by_vpn_mut(&mut self, vpn: Vpn) -> Option<&mut InflightFault> {
+        if self.live == 0 {
+            return None; // the common case: skip the slab scan
+        }
         // Slot order differs from submission order, but coalescing keeps
         // at most one live operation per page, so the match is unique.
         self.slots
@@ -252,6 +269,9 @@ impl InflightTable {
     /// any — a demand fault adopting the flight. The flight's queue
     /// entry stays behind and is skipped later by its id guard.
     fn absorb_prefetch(&mut self, vpn: Vpn) -> Option<PrefetchFlight> {
+        if self.prefetch_live == 0 {
+            return None;
+        }
         let slot = self
             .prefetch_slots
             .iter()
@@ -286,8 +306,9 @@ impl InflightTable {
 /// What [`Monitor::submit_fault`] did with the fault.
 #[derive(Debug, Clone, Copy)]
 pub enum SubmitOutcome {
-    /// The fault resolved inline (first touch, write-list steal) without
-    /// parking; the guest is already woken.
+    /// The fault resolved inline (first touch, write-list steal,
+    /// compressed-tier hit, synchronous read) without parking; the guest
+    /// is already woken.
     Completed(FaultResolution),
     /// The fault parked in the in-flight table with this operation id;
     /// a later [`Monitor::complete_next`] finishes it.
@@ -315,10 +336,11 @@ pub struct CompletedFault {
 }
 
 impl Monitor {
-    /// Submits one page fault to the staged pipeline. Inline-resolvable
-    /// faults (first touch, write-list steal) complete before returning;
-    /// faults that must wait on the store or on an in-flight write park
-    /// in the in-flight table and are finished by
+    /// Submits one page fault. Faults whose page is at hand (first touch,
+    /// write-list steal, compressed-tier hit) — and every remote read
+    /// when `optimizations.async_read` is off — complete before
+    /// returning; faults that must wait on a read flight or on an
+    /// in-flight write park in the in-flight table and are finished by
     /// [`Monitor::complete_next`] in completion order.
     ///
     /// # Panics
@@ -367,69 +389,57 @@ impl Monitor {
         // measure it against the shadow table exactly once.
         self.note_refault(vpn);
         let key = self.key(vpn);
-        match self.stage_steal_check(key) {
+        // Either the page's contents are at hand (the fault resolves
+        // before this call returns) or the fault must wait on the store.
+        let (contents, resolution) = match self.stage_steal_check(key) {
             StealOutcome::Stolen(contents) => {
                 self.stats.write_list_steals.inc();
                 // Make room (the page is coming back in).
                 self.evict_while_full(uffd, pt, pm);
-                let wake_at = self.stage_place_and_wake(uffd, pt, pm, vpn, write, contents);
-                self.stage_post_wake(uffd, pt, pm, vpn);
-                let res = FaultResolution {
-                    resolution: Resolution::WriteListSteal,
-                    wake_at,
-                };
-                self.finalize_fault(intake.span, intake.t0, res.resolution, res.wake_at);
-                SubmitOutcome::Completed(res)
+                (contents, Resolution::WriteListSteal)
             }
             StealOutcome::WaitInflight { until, contents } => {
-                let id = self.inflight.park(
-                    vpn,
-                    write,
-                    intake,
-                    FaultStage::WaitWrite { until, contents },
-                    until,
-                );
-                SubmitOutcome::Parked(id)
+                let stage = FaultStage::WaitWrite { until, contents };
+                let id = self.inflight.park(vpn, write, intake, stage, until);
+                return SubmitOutcome::Parked(id);
             }
             StealOutcome::Miss => {
-                // A compressed-tier hit resolves inline, like a steal:
-                // the decompress is CPU work, there is no flight to park.
+                // The compressed local tier sits between the write list
+                // and the remote store: a pool hit resolves for a
+                // decompress, no network round trip, no flight to park.
                 if let Some(contents) = self.tier_try_promote(key) {
-                    // Make room (the page is coming back in).
                     self.evict_while_full(uffd, pt, pm);
-                    let wake_at = self.stage_place_and_wake(uffd, pt, pm, vpn, write, contents);
-                    self.stage_post_wake(uffd, pt, pm, vpn);
-                    let res = FaultResolution {
-                        resolution: Resolution::CompressedHit,
-                        wake_at,
-                    };
-                    self.finalize_fault(intake.span, intake.t0, res.resolution, res.wake_at);
-                    return SubmitOutcome::Completed(res);
-                }
-                // A demand fault for a page whose speculative read is
-                // still in flight adopts the pending read instead of
-                // issuing a duplicate: the guest pays only the flight's
-                // remaining time (a prefetch hit resolved early).
-                if let Some(pf) = self.inflight.absorb_prefetch(vpn) {
+                    (contents, Resolution::CompressedHit)
+                } else if let Some(pf) = self.inflight.absorb_prefetch(vpn) {
+                    // Its speculative read is still in flight: adopt it
+                    // instead of issuing a duplicate. The guest pays only
+                    // the flight's remaining time.
                     let flight = self.stage_adopt_prefetch(uffd, pt, pm, key, pf);
-                    let completes_at = flight.completes_at();
-                    let id = self.inflight.park(
-                        vpn,
-                        write,
-                        intake,
-                        FaultStage::Fetch(flight),
-                        completes_at,
+                    return SubmitOutcome::Parked(
+                        self.inflight.park_fetch(vpn, write, intake, flight),
                     );
-                    return SubmitOutcome::Parked(id);
+                } else if self.config.optimizations.async_read {
+                    let flight = self.stage_issue_read(uffd, pt, pm, key);
+                    return SubmitOutcome::Parked(
+                        self.inflight.park_fetch(vpn, write, intake, flight),
+                    );
+                } else {
+                    // Table II "Default": with the asynchronous read off
+                    // the whole store round trip sits on the critical
+                    // path, so there is nothing to overlap and no flight.
+                    let contents = self.read_sync(uffd, pt, pm, key);
+                    self.stats.remote_reads.inc();
+                    (contents, Resolution::RemoteRead)
                 }
-                let flight = self.stage_issue_read(uffd, pt, pm, key);
-                let completes_at = flight.completes_at();
-                let id =
-                    self.inflight
-                        .park(vpn, write, intake, FaultStage::Fetch(flight), completes_at);
-                SubmitOutcome::Parked(id)
             }
-        }
+        };
+        let wake_at = self.stage_place_and_wake(uffd, pt, pm, vpn, write, contents);
+        self.stage_post_wake(uffd, pt, pm, vpn);
+        self.finalize_fault(intake.span, intake.t0, resolution, wake_at);
+        SubmitOutcome::Completed(FaultResolution {
+            resolution,
+            wake_at,
+        })
     }
 
     /// Finishes the in-flight operation with the earliest completion
@@ -522,18 +532,17 @@ impl Monitor {
     /// when a fault parks leaves landed prefetches sitting in the queue
     /// — the guest refaults on pages whose bytes already arrived, and
     /// every speculative read degrades into an adopted flight instead
-    /// of a mapped-page hit. Never advances the clock.
+    /// of a mapped-page hit. Never waits: the clock only moves by the
+    /// CPU the installs themselves cost.
     pub fn poll_ready(
         &mut self,
         uffd: &mut Userfaultfd,
         pt: &mut PageTable,
         pm: &mut PhysicalMemory,
     ) {
-        loop {
-            let now = self.clock.now();
-            match self.inflight.queue.peek() {
-                Some((at, item)) if at <= now && !matches!(item, QueueItem::Fault { .. }) => {}
-                _ => return,
+        while let Some((at, item)) = self.inflight.queue.peek() {
+            if at > self.clock.now() || matches!(item, QueueItem::Fault { .. }) {
+                return;
             }
             let (_, item) = self.inflight.queue.pop_next().expect("peeked a live event");
             match item {

@@ -1,13 +1,10 @@
 //! Fault-handler stages.
 //!
-//! Each stage is one step of the fault pipeline: intake, first-touch
-//! resolution, the steal check, the split top/bottom-half read, page
-//! placement + wake, and post-wake work. [`Monitor::handle_fault`] runs
-//! them back-to-back (the call-return path); the `pipeline` module runs
-//! the same functions with the read flight parked in the in-flight table
-//! between the issue and completion stages. Sharing the stage bodies is
-//! what makes a `max_inflight = 1` pipelined run byte-identical to the
-//! call-return path.
+//! Each stage is one step of a fault: intake, first-touch resolution,
+//! the steal check, the split top/bottom-half read, page placement +
+//! wake, and post-wake work. The `pipeline` module sequences them, with
+//! the read flight parked in the in-flight table between the issue and
+//! completion stages.
 
 use fluidmem_kv::{ExternalKey, KvError, PendingGet};
 use fluidmem_mem::{PageContents, PageTable, PhysicalMemory, PteFlags, Vpn};
@@ -138,59 +135,6 @@ impl Monitor {
         self.maybe_flush();
         FaultResolution {
             resolution: Resolution::ZeroFill,
-            wake_at,
-        }
-    }
-
-    /// The read path: the page was evicted earlier and must come back.
-    pub(in crate::monitor) fn handle_refault(
-        &mut self,
-        uffd: &mut Userfaultfd,
-        pt: &mut PageTable,
-        pm: &mut PhysicalMemory,
-        vpn: Vpn,
-        write: bool,
-    ) -> FaultResolution {
-        // A seen page faulting again is a refault: measure its distance
-        // against the shadow table before any resolution work.
-        self.note_refault(vpn);
-        let key = self.key(vpn);
-        let steal = self.stage_steal_check(key);
-        let (contents, resolution) = match steal {
-            StealOutcome::Stolen(contents) => {
-                self.stats.write_list_steals.inc();
-                // Make room (the page is coming back in).
-                self.evict_while_full(uffd, pt, pm);
-                (contents, Resolution::WriteListSteal)
-            }
-            StealOutcome::WaitInflight { until, contents } => {
-                self.stage_wait_write(uffd, pt, pm, until);
-                (contents, Resolution::InflightWait)
-            }
-            StealOutcome::Miss => {
-                // The compressed local tier sits between the write list
-                // and the remote store: a pool hit resolves for a
-                // decompress, no network round trip.
-                if let Some(contents) = self.tier_try_promote(key) {
-                    // Make room (the page is coming back in).
-                    self.evict_while_full(uffd, pt, pm);
-                    (contents, Resolution::CompressedHit)
-                } else {
-                    let contents = if self.config.optimizations.async_read {
-                        let flight = self.stage_issue_read(uffd, pt, pm, key);
-                        self.stage_complete_read(flight)
-                    } else {
-                        self.read_sync(uffd, pt, pm, key)
-                    };
-                    self.stats.remote_reads.inc();
-                    (contents, Resolution::RemoteRead)
-                }
-            }
-        };
-        let wake_at = self.stage_place_and_wake(uffd, pt, pm, vpn, write, contents);
-        self.stage_post_wake(uffd, pt, pm, vpn);
-        FaultResolution {
-            resolution,
             wake_at,
         }
     }
@@ -342,64 +286,82 @@ impl Monitor {
         self.evict_to_capacity(uffd, pt, pm);
         // Post-wake proactive work: prefetch successors of the faulting
         // page (overlapping asynchronous reads), then flush.
-        self.maybe_prefetch(uffd, pt, pm, vpn);
+        self.maybe_prefetch(uffd, pt, vpn);
         self.maybe_flush();
     }
 
-    /// Proactive prefetch after a refault wake: pulls pages the guest is
-    /// predicted to touch next back from the store before it asks.
-    ///
-    /// `Sequential` pulls the next `window` successors of the faulting
-    /// page. `Stride` asks the majority-vote detector for the stream's
-    /// trend and pulls up to `max_depth` pages ahead at that stride,
-    /// gated by the working-set estimator: a thrash-flagged VM (working
-    /// set over capacity) or one whose free headroom is below the depth
-    /// gets no speculation. With the pipeline enabled the reads park as
-    /// real in-flight operations on the completion queue; on the
-    /// call-return path they are issued as one overlapped batch and
-    /// completed in place.
-    fn maybe_prefetch(
-        &mut self,
-        uffd: &mut Userfaultfd,
-        pt: &mut PageTable,
-        pm: &mut PhysicalMemory,
-        vpn: Vpn,
-    ) {
+    /// Proactive prefetch after a refault wake: issues reads for the
+    /// pages the guest is predicted to touch next. Each read parks as a
+    /// real in-flight operation on the completion queue: it installs
+    /// when it lands (see [`Monitor::complete_prefetch`]) without waking
+    /// anyone, and a demand fault arriving mid-flight adopts it instead
+    /// of re-issuing the read.
+    fn maybe_prefetch(&mut self, uffd: &Userfaultfd, pt: &PageTable, vpn: Vpn) {
         // The candidate list is a pooled buffer: prefetch runs after
         // every remote fault, and per-call Vec churn at 256 VMs adds up.
         let mut candidates = std::mem::take(&mut self.prefetch_candidates);
         debug_assert!(candidates.is_empty());
+        self.prefetch_candidates_for(uffd, pt, vpn, &mut candidates);
+        for candidate in candidates.drain(..) {
+            let key = self.key(candidate);
+            self.stats.prefetch_issued.inc();
+            let pending = self.store.begin_get(key);
+            self.telemetry.record_span(
+                consts::TRACK_KV,
+                "kv.read.flight",
+                pending.issued_at(),
+                pending.completes_at(),
+            );
+            self.trace(|| format!("speculative read in flight for {candidate}"));
+            self.inflight.park_prefetch(PrefetchFlight {
+                vpn: candidate,
+                pending,
+            });
+        }
+        self.prefetch_candidates = candidates;
+    }
+
+    /// Fills `out` with the pages worth fetching ahead of a fault on
+    /// `vpn`, per the configured policy.
+    ///
+    /// `Sequential` takes the next `window` successors of the faulting
+    /// page. `Stride` asks the majority-vote detector for the stream's
+    /// trend and takes up to `max_depth` pages ahead at that stride,
+    /// gated by the working-set estimator: a thrash-flagged VM (working
+    /// set over capacity) or one whose free headroom is below the depth
+    /// gets no speculation.
+    fn prefetch_candidates_for(
+        &mut self,
+        uffd: &Userfaultfd,
+        pt: &PageTable,
+        vpn: Vpn,
+        out: &mut Vec<Vpn>,
+    ) {
         match self.config.prefetch {
-            PrefetchPolicy::None => {
-                self.prefetch_candidates = candidates;
-                return;
-            }
+            PrefetchPolicy::None => {}
             PrefetchPolicy::Sequential { window } => {
                 // Issue is capped at current headroom: a page past the
-                // cap would only be re-evicted by the trailing
-                // `evict_to_capacity` — a wasted remote read that can
-                // push warm pages out on its way through.
+                // cap could not be installed when it lands — a wasted
+                // remote read.
                 let cap = self.headroom();
                 for i in 1..=window {
-                    if candidates.len() as u64 == cap {
+                    if out.len() as u64 == cap {
                         break;
                     }
                     let candidate = vpn.offset(i);
                     if self.prefetchable(uffd, pt, candidate) {
-                        candidates.push(candidate);
+                        out.push(candidate);
                     }
                 }
             }
             PrefetchPolicy::Stride { max_depth, .. } => {
                 // max_depth = 0 is the policy's off switch: no gate
-                // counters, no eviction pass, no RNG or clock effects —
-                // byte-identical to `PrefetchPolicy::None`.
+                // counters, no RNG or clock effects — byte-identical to
+                // `PrefetchPolicy::None`.
                 if max_depth == 0 {
-                    self.prefetch_candidates = candidates;
                     return;
                 }
                 let Some(stride) = self.stride.trend() else {
-                    self.prefetch_candidates = candidates;
                     return;
                 };
                 // Thrash gate: with the working set over capacity every
@@ -412,82 +374,27 @@ impl Monitor {
                     self.trace(|| {
                         format!("prefetch suppressed: thrashing (wss {wss} > capacity {capacity})")
                     });
-                    self.prefetch_candidates = candidates;
                     return;
                 }
                 // Headroom gate: fewer free slots than the depth means
-                // speculation would immediately evict its own fetches.
+                // speculation would find no room when it lands.
                 let headroom = self.headroom();
                 if headroom < max_depth {
                     self.stats.prefetch_suppressed_headroom.inc();
                     self.trace(|| {
                         format!("prefetch suppressed: headroom {headroom} < depth {max_depth}")
                     });
-                    self.prefetch_candidates = candidates;
                     return;
                 }
                 for k in 1..=max_depth {
                     if let Some(candidate) = crate::prefetch::project(vpn, stride, k) {
                         if self.prefetchable(uffd, pt, candidate) {
-                            candidates.push(candidate);
+                            out.push(candidate);
                         }
                     }
                 }
-                if candidates.is_empty() {
-                    // Nothing issuable at this stride: return with zero
-                    // side effects. (The Sequential arm falls through
-                    // even when empty to keep its legacy shape — its
-                    // trailing eviction pass has always run.)
-                    self.prefetch_candidates = candidates;
-                    return;
-                }
             }
         }
-
-        // Pipelined monitors issue speculation as real in-flight
-        // operations: the read rides the completion queue, installs on
-        // completion without waking anyone, and a demand fault arriving
-        // mid-flight adopts the pending read instead of re-issuing it.
-        if self.config.max_inflight > 1 {
-            for &candidate in &candidates {
-                let key = self.key(candidate);
-                self.stats.prefetch_issued.inc();
-                let pending = self.store.begin_get(key);
-                self.telemetry.record_span(
-                    consts::TRACK_KV,
-                    "kv.read.flight",
-                    pending.issued_at(),
-                    pending.completes_at(),
-                );
-                self.trace(|| format!("speculative read in flight for {candidate}"));
-                self.inflight.park_prefetch(PrefetchFlight {
-                    vpn: candidate,
-                    pending,
-                });
-            }
-            candidates.clear();
-            self.prefetch_candidates = candidates;
-            return;
-        }
-
-        // Call-return shape: issue every read first so the flights
-        // overlap, then complete them in place off a pooled buffer.
-        let mut pendings = std::mem::take(&mut self.prefetch_buf);
-        debug_assert!(pendings.is_empty());
-        for &candidate in &candidates {
-            let key = self.key(candidate);
-            self.stats.prefetch_issued.inc();
-            pendings.push((candidate, self.store.begin_get(key)));
-        }
-        candidates.clear();
-        self.prefetch_candidates = candidates;
-        for (candidate, pending) in pendings.drain(..) {
-            let issued_at = pending.issued_at();
-            let result = self.store.finish_get(pending);
-            self.note_prefetch_result(uffd, pt, pm, candidate, issued_at, result);
-        }
-        self.prefetch_buf = pendings;
-        self.evict_to_capacity(uffd, pt, pm);
     }
 
     /// Whether a page may be speculatively fetched: evicted-but-seen, in
@@ -631,7 +538,7 @@ impl Monitor {
 
     /// Synchronous read (Table II "Default"): the full store round trip
     /// sits on the critical path, then the eviction runs.
-    fn read_sync(
+    pub(in crate::monitor) fn read_sync(
         &mut self,
         uffd: &mut Userfaultfd,
         pt: &mut PageTable,

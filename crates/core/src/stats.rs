@@ -74,10 +74,9 @@ pub struct MonitorStats {
     /// Write-list flushes whose multi-write failed retryably; the batch
     /// stays on the write list and is re-flushed later.
     pub flush_failures: u64,
-    /// Pipelined faults coalesced onto an already in-flight read of the
-    /// same page (a second vCPU touching a page whose fetch is pending).
-    /// Always zero on the call-return path, where at most one fault is
-    /// outstanding.
+    /// Faults coalesced onto an already in-flight read of the same page
+    /// (a second vCPU touching a page whose fetch is pending). Always
+    /// zero for a driver that completes each fault before the next.
     pub coalesced_faults: u64,
     /// Refaults whose shadow entry was still live, yielding a measured
     /// refault distance.

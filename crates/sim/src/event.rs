@@ -1,8 +1,8 @@
 //! A deterministic discrete-event queue over virtual time.
 //!
-//! The pipeline refactor turns call-return interactions (a store fetch,
-//! a TLB shootdown, a write-list batch) into *events* that complete at a
-//! known [`SimInstant`]. [`EventQueue`] is the scheduler substrate: a
+//! Interactions that take virtual time (a store fetch, a TLB shootdown,
+//! a write-list batch) are *events* that complete at a known
+//! [`SimInstant`]. [`EventQueue`] is the scheduler substrate: a
 //! priority queue ordered by `(virtual_time, seq)` where `seq` is a
 //! monotonically increasing insertion counter. The tiebreak makes the
 //! pop order a pure function of the push history — two runs that push
@@ -96,10 +96,16 @@ impl<T> Default for EventQueue<T> {
 impl<T> EventQueue<T> {
     /// An empty queue.
     pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// An empty queue that holds `events` scheduled events before it
+    /// allocates again.
+    pub fn with_capacity(events: usize) -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
+            heap: BinaryHeap::with_capacity(events),
+            slots: Vec::with_capacity(events),
+            free: Vec::with_capacity(events),
             live: 0,
             next_seq: 0,
         }

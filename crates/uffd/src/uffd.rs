@@ -59,7 +59,7 @@ impl RemapHandle {
 ///
 /// // Monitor resolves it with UFFD_ZEROPAGE and wakes the guest.
 /// uffd.zeropage(&mut pt, region.page(0).vpn())?;
-/// uffd.wake();
+/// uffd.wake_page(region.page(0).vpn());
 /// assert!(pt.get(region.page(0).vpn()).unwrap().is_present());
 /// # uffd.unregister(id)?;
 /// # Ok::<(), fluidmem_uffd::UffdError>(())
@@ -326,19 +326,11 @@ impl Userfaultfd {
         self.clock.advance_to(handle.completes_at)
     }
 
-    /// Wakes the oldest parked vCPU thread after resolution — the
-    /// call-return path, where at most one fault is outstanding so
-    /// "oldest" and "the one just resolved" coincide.
-    pub fn wake(&mut self) {
-        self.clock.advance(self.costs.wake.sample(&mut self.rng));
-        self.blocked.pop_front();
-    }
-
-    /// Wakes the vCPU thread parked on `vpn` specifically (the real
-    /// `UFFDIO_WAKE` takes a range). The pipelined monitor resolves
-    /// faults out of completion order, so the wake must be addressed to
-    /// the page, not to queue position. Charges the same wake cost as
-    /// [`Userfaultfd::wake`]; returns whether a parked thread was found.
+    /// Wakes the vCPU thread parked on `vpn` (the real `UFFDIO_WAKE`
+    /// takes a range). The monitor resolves faults out of arrival order,
+    /// so the wake is addressed to the page, not to queue position.
+    /// Charges the wake cost either way; returns whether a parked thread
+    /// was found.
     pub fn wake_page(&mut self, vpn: Vpn) -> bool {
         self.clock.advance(self.costs.wake.sample(&mut self.rng));
         if let Some(i) = self.blocked.iter().position(|(v, _)| *v == vpn) {
@@ -590,10 +582,6 @@ mod tests {
         let before = uffd.clock.now();
         assert!(!uffd.wake_page(region.page(1).vpn()));
         assert!(uffd.clock.now() > before);
-        // Positional wake drains the oldest (page 0).
-        uffd.wake();
-        assert!(!uffd.blocked_on(region.page(0).vpn()));
-        assert_eq!(uffd.blocked_count(), 1);
     }
 
     #[test]

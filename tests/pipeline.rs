@@ -1,135 +1,21 @@
-//! Acceptance tests for the staged fault pipeline.
+//! Acceptance tests for the fault engine with several faults in flight.
 //!
-//! Two properties anchor the refactor:
-//!
-//! * **Equivalence** — at `max_inflight = 1` the pipeline is the
-//!   call-return path re-staged, not re-implemented: the same access
-//!   sequence must leave byte-identical monitor stats, virtual clock,
-//!   and telemetry exports (Prometheus text + Chrome trace) for several
-//!   seeds.
 //! * **Chaos** — with several reads genuinely in flight, injected store
 //!   faults (drops, timeouts, transient errors) must not lose data:
 //!   every completed fault installs the last-written contents, retries
 //!   stay accounted, and the write list drains.
+//! * **Determinism** — the vCPU-set driver over the same chaos is a pure
+//!   function of its seeds.
 
-use fluidmem::coord::PartitionId;
-use fluidmem::core::{FluidMemMemory, MonitorConfig, Optimizations, PipelineSubmit};
-use fluidmem::kv::{FaultInjectingStore, RamCloudStore};
+mod common;
+
+use common::{chaotic_vm, SEEDS};
+use fluidmem::core::{FluidMemMemory, MonitorConfig, PipelineSubmit};
 use fluidmem::mem::{AccessOutcome, MemoryBackend, PageClass, PageContents};
-use fluidmem::sim::{FaultPlan, SimClock, SimInstant, SimRng};
-use fluidmem::telemetry::Telemetry;
 use fluidmem::vm::VcpuSet;
 
-const SEEDS: [u64; 4] = [3, 17, 271, 65_537];
-
-/// The guest pid `FluidMemMemory::do_access` raises faults from; the
-/// pipelined run must use the same identity for byte-identical traces.
-const BACKEND_PID: u64 = 4242;
-
-fn traced_vm(seed: u64) -> (Telemetry, FluidMemMemory) {
-    let clock = SimClock::new();
-    let store = RamCloudStore::new(1 << 28, clock.clone(), SimRng::seed_from_u64(seed ^ 0x4B56));
-    let mut vm = FluidMemMemory::new(
-        MonitorConfig::new(48).optimizations(Optimizations::full()),
-        Box::new(store),
-        PartitionId::new(0),
-        clock.clone(),
-        SimRng::seed_from_u64(seed),
-    );
-    let telemetry = Telemetry::new(clock);
-    telemetry.enable_spans();
-    vm.attach_telemetry(&telemetry);
-    (telemetry, vm)
-}
-
-/// A working set ~4x the LRU capacity, so the schedule exercises every
-/// path: first touch, refault, steal, and inflight wait.
-fn schedule(seed: u64) -> Vec<(u64, bool)> {
-    let mut rng = SimRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9));
-    (0..600)
-        .map(|_| (rng.gen_index(192), rng.gen_bool(0.4)))
-        .collect()
-}
-
-type RunFingerprint = (fluidmem::core::MonitorStats, SimInstant, String, String);
-
-fn run_call_return(seed: u64) -> RunFingerprint {
-    let (telemetry, mut vm) = traced_vm(seed);
-    let region = vm.map_region(192, PageClass::Anonymous);
-    for (page, write) in schedule(seed) {
-        vm.access(region.page(page), write);
-    }
-    vm.drain_writes();
-    (
-        vm.monitor().stats(),
-        vm.clock().now(),
-        telemetry.export_prometheus(),
-        telemetry.export_chrome_trace(),
-    )
-}
-
-fn run_pipelined_depth_one(seed: u64) -> RunFingerprint {
-    let (telemetry, mut vm) = traced_vm(seed);
-    let region = vm.map_region(192, PageClass::Anonymous);
-    for (page, write) in schedule(seed) {
-        match vm.submit_access(BACKEND_PID, region.page(page), write) {
-            PipelineSubmit::Ready(_) => {}
-            PipelineSubmit::Pending(_) => {
-                // Depth 1: the parked fault is the only one in flight;
-                // completing it immediately reproduces the blocking call.
-                vm.complete_next_access().expect("one fault is in flight");
-            }
-        }
-        assert_eq!(vm.inflight_len(), 0, "depth 1 never holds a fault");
-    }
-    vm.drain_writes();
-    (
-        vm.monitor().stats(),
-        vm.clock().now(),
-        telemetry.export_prometheus(),
-        telemetry.export_chrome_trace(),
-    )
-}
-
-/// The headline equivalence property: for every seed, depth-1 pipelined
-/// execution is byte-identical to the call-return path — same stats,
-/// same virtual clock, same Prometheus text, same Chrome trace.
-#[test]
-fn depth_one_pipeline_matches_call_return_across_seeds() {
-    for &seed in &SEEDS {
-        let (sync_stats, sync_now, sync_prom, sync_trace) = run_call_return(seed);
-        let (pipe_stats, pipe_now, pipe_prom, pipe_trace) = run_pipelined_depth_one(seed);
-        assert_eq!(sync_stats, pipe_stats, "seed {seed}: stats diverged");
-        assert_eq!(sync_now, pipe_now, "seed {seed}: virtual clocks diverged");
-        assert_eq!(
-            sync_prom, pipe_prom,
-            "seed {seed}: Prometheus export diverged"
-        );
-        assert_eq!(sync_trace, pipe_trace, "seed {seed}: Chrome trace diverged");
-    }
-}
-
-/// Drop + timeout + transient-refusal mix on the store transport.
-fn chaotic_plan(seed: u64) -> FaultPlan {
-    FaultPlan::new(SimRng::seed_from_u64(seed ^ 0xFA_17))
-        .with_drop(0.08)
-        .with_timeout(0.06)
-        .with_transient_error(0.06)
-}
-
 fn chaotic_pipelined_vm(seed: u64, depth: usize) -> FluidMemMemory {
-    let clock = SimClock::new();
-    let inner = RamCloudStore::new(1 << 26, clock.clone(), SimRng::seed_from_u64(seed));
-    let store = FaultInjectingStore::new(Box::new(inner), chaotic_plan(seed), clock.clone());
-    FluidMemMemory::new(
-        MonitorConfig::new(16)
-            .inflight(depth)
-            .optimizations(Optimizations::full()),
-        Box::new(store),
-        PartitionId::new(0),
-        clock,
-        SimRng::seed_from_u64(seed + 1),
-    )
+    chaotic_vm(seed, MonitorConfig::new(16).inflight(depth))
 }
 
 /// Chaos: store faults land while several reads are genuinely in
@@ -144,7 +30,7 @@ fn injected_store_faults_with_overlapping_reads_lose_nothing() {
         let region = vm.map_region(pages, PageClass::Anonymous);
         let token = |p: u64| PageContents::Token(p * 31 + 7);
 
-        // Populate every page through the sync path, then push the
+        // Populate every page with blocking accesses, then push the
         // working set out to the (faulty) store.
         for p in 0..pages {
             vm.write_page(region.page(p), token(p));

@@ -4,11 +4,11 @@
 //!
 //! * **Inertness** — `Stride` with `max_depth = 0` (or no trend) is the
 //!   policy's off switch: byte-identical stats, clock, and telemetry to
-//!   `PrefetchPolicy::None` on both the call-return path and the deep
-//!   pipeline, for several seeds.
-//! * **Equivalence** — with the policy *active*, the depth-1 pipeline
-//!   still reproduces the call-return path exactly: speculation is
-//!   staged work, not a second implementation.
+//!   `PrefetchPolicy::None`, driven by blocking accesses and with eight
+//!   faults in flight, for several seeds.
+//! * **One engine** — speculative reads ride the completion queue no
+//!   matter how the monitor is driven: blocking accesses on a deep
+//!   monitor install or adopt every flight, never strand one.
 //! * **Safety** — store failures on speculative reads degrade (counted,
 //!   never panicking, never losing data), and a chaotic transport under
 //!   pipelined prefetch keeps every page's last-written contents and
@@ -17,47 +17,22 @@
 //!   capacity gets zero issued prefetches and exactly one eviction per
 //!   demand load, with the suppression counters saying why.
 
+mod common;
+
+use common::{chaotic_vm, fingerprint, traced_vm, RunFingerprint, SEEDS};
 use fluidmem::coord::PartitionId;
-use fluidmem::core::{
-    FluidMemMemory, MonitorConfig, Optimizations, PipelineSubmit, PrefetchPolicy,
-};
+use fluidmem::core::{FluidMemMemory, MonitorConfig, PipelineSubmit, PrefetchPolicy};
 use fluidmem::kv::{FaultInjectingStore, RamCloudStore};
 use fluidmem::mem::{AccessOutcome, MemoryBackend, PageClass, PageContents};
-use fluidmem::sim::{FaultEvent, FaultKind, FaultPlan, SimClock, SimDuration, SimInstant, SimRng};
-use fluidmem::telemetry::Telemetry;
-
-const SEEDS: [u64; 4] = [3, 17, 271, 65_537];
-
-/// The guest pid `FluidMemMemory::do_access` raises faults from; the
-/// depth-1 pipelined run must use the same identity for byte-identical
-/// traces.
-const BACKEND_PID: u64 = 4242;
+use fluidmem::sim::{FaultEvent, FaultKind, FaultPlan, SimClock, SimDuration, SimRng};
 
 /// Pages in the test region. Strided bursts below stay inside it.
 const REGION_PAGES: u64 = 224;
 
-fn traced_vm(
-    seed: u64,
-    capacity: u64,
-    policy: PrefetchPolicy,
-    depth: usize,
-) -> (Telemetry, FluidMemMemory) {
-    let clock = SimClock::new();
-    let store = RamCloudStore::new(1 << 28, clock.clone(), SimRng::seed_from_u64(seed ^ 0x4B56));
-    let mut vm = FluidMemMemory::new(
-        MonitorConfig::new(capacity)
-            .optimizations(Optimizations::full())
-            .prefetch(policy)
-            .inflight(depth),
-        Box::new(store),
-        PartitionId::new(0),
-        clock.clone(),
-        SimRng::seed_from_u64(seed),
-    );
-    let telemetry = Telemetry::new(clock);
-    telemetry.enable_spans();
-    vm.attach_telemetry(&telemetry);
-    (telemetry, vm)
+fn config(capacity: u64, policy: PrefetchPolicy, depth: usize) -> MonitorConfig {
+    MonitorConfig::new(capacity)
+        .prefetch(policy)
+        .inflight(depth)
 }
 
 /// Strided bursts (the detector's food) interleaved with random
@@ -79,19 +54,8 @@ fn schedule(seed: u64) -> Vec<(u64, bool)> {
     ops
 }
 
-type RunFingerprint = (fluidmem::core::MonitorStats, SimInstant, String, String);
-
-fn fingerprint(telemetry: &Telemetry, vm: &FluidMemMemory) -> RunFingerprint {
-    (
-        vm.monitor().stats(),
-        vm.clock().now(),
-        telemetry.export_prometheus(),
-        telemetry.export_chrome_trace(),
-    )
-}
-
-fn run_call_return(seed: u64, policy: PrefetchPolicy) -> RunFingerprint {
-    let (telemetry, mut vm) = traced_vm(seed, 48, policy, 1);
+fn run_blocking(seed: u64, policy: PrefetchPolicy) -> RunFingerprint {
+    let (telemetry, mut vm) = traced_vm(seed, config(48, policy, 1));
     let region = vm.map_region(REGION_PAGES, PageClass::Anonymous);
     for (page, write) in schedule(seed) {
         vm.access(region.page(page), write);
@@ -101,7 +65,7 @@ fn run_call_return(seed: u64, policy: PrefetchPolicy) -> RunFingerprint {
 }
 
 fn run_pipelined(seed: u64, policy: PrefetchPolicy, depth: usize) -> RunFingerprint {
-    let (telemetry, mut vm) = traced_vm(seed, 48, policy, depth);
+    let (telemetry, mut vm) = traced_vm(seed, config(48, policy, depth));
     let region = vm.map_region(REGION_PAGES, PageClass::Anonymous);
     for (i, (page, write)) in schedule(seed).into_iter().enumerate() {
         if let PipelineSubmit::Pending(_) =
@@ -120,7 +84,7 @@ fn run_pipelined(seed: u64, policy: PrefetchPolicy, depth: usize) -> RunFingerpr
 /// `Stride { max_depth: 0 }` is the off switch: the detector may watch
 /// the fault stream, but the run must be byte-identical to
 /// `PrefetchPolicy::None` — stats, virtual clock, Prometheus text, and
-/// Chrome trace — on the call-return path and the depth-8 pipeline.
+/// Chrome trace — under blocking accesses and at depth 8.
 #[test]
 fn disabled_stride_is_byte_identical_to_none_across_seeds() {
     let off = PrefetchPolicy::Stride {
@@ -128,68 +92,66 @@ fn disabled_stride_is_byte_identical_to_none_across_seeds() {
         max_depth: 0,
     };
     for &seed in &SEEDS {
-        let none = run_call_return(seed, PrefetchPolicy::None);
-        let disabled = run_call_return(seed, off);
-        assert_eq!(none, disabled, "seed {seed}: call-return run diverged");
+        let none = run_blocking(seed, PrefetchPolicy::None);
+        let disabled = run_blocking(seed, off);
+        assert_eq!(none, disabled, "seed {seed}: blocking run diverged");
         let none = run_pipelined(seed, PrefetchPolicy::None, 8);
         let disabled = run_pipelined(seed, off, 8);
         assert_eq!(none, disabled, "seed {seed}: depth-8 run diverged");
     }
 }
 
-/// A run with the policy *active*: warm the region through a small
-/// buffer, grow capacity so the gates open, then replay the strided
-/// schedule either through `access` or the depth-1 pipeline.
-fn stride_active_run(seed: u64, pipelined: bool) -> RunFingerprint {
+/// Regression: blocking accesses on a deep monitor used to park
+/// speculative reads that nothing ever completed — the flights piled up
+/// unseen, their pages were vetoed from further prefetch forever, and a
+/// demand fault on one re-read it from the store instead of adopting.
+/// With one engine every flight installs (the access path polls) or is
+/// adopted, so a sequential sweep reads each page from the store exactly
+/// once and never holds more than `max_depth` flights.
+#[test]
+fn blocking_accesses_on_a_deep_monitor_strand_no_speculative_reads() {
+    const PAGES: u64 = 192;
+    const MAX_DEPTH: u64 = 4;
     let policy = PrefetchPolicy::Stride {
         window: 4,
-        max_depth: 4,
+        max_depth: MAX_DEPTH,
     };
-    let (telemetry, mut vm) = traced_vm(seed, 32, policy, 1);
-    let region = vm.map_region(REGION_PAGES, PageClass::Anonymous);
-    for p in 0..REGION_PAGES {
-        vm.write_page(region.page(p), PageContents::Token(p * 13 + 5));
+    let (_telemetry, mut vm) = traced_vm(7, config(32, policy, 8));
+    let region = vm.map_region(PAGES, PageClass::Anonymous);
+    let token = |p: u64| PageContents::Token(p * 13 + 5);
+    for p in 0..PAGES {
+        vm.write_page(region.page(p), token(p));
     }
+    // Push every page out to the store, then open plenty of headroom.
+    vm.set_local_capacity(0).unwrap();
     vm.drain_writes();
-    vm.set_local_capacity(256).unwrap();
-    for (page, write) in schedule(seed) {
-        if pipelined {
-            match vm.submit_access(BACKEND_PID, region.page(page), write) {
-                PipelineSubmit::Ready(_) => {}
-                PipelineSubmit::Pending(_) => {
-                    vm.complete_next_access().expect("one fault is in flight");
-                }
-            }
-        } else {
-            vm.access(region.page(page), write);
-        }
-    }
-    vm.drain_writes();
-    fingerprint(&telemetry, &vm)
-}
+    vm.set_local_capacity(2 * PAGES).unwrap();
 
-/// With speculation actually issuing, depth-1 pipelined execution is
-/// still byte-identical to the call-return path.
-#[test]
-fn active_stride_depth_one_pipeline_matches_call_return() {
-    for &seed in &SEEDS {
-        let sync = stride_active_run(seed, false);
-        let pipe = stride_active_run(seed, true);
+    let gets_before = vm.monitor().store().stats().gets;
+    for p in 0..PAGES {
+        // Short think time: some flights land and install before the
+        // guest arrives, the rest are adopted mid-flight.
+        vm.clock().advance(SimDuration::from_micros(3));
+        let (contents, _) = vm.read_page(region.page(p));
+        assert_eq!(contents, token(p), "page {p}");
         assert!(
-            sync.0.prefetch_issued > 0,
-            "seed {seed}: the equivalence is vacuous unless prefetch issues: {:?}",
-            sync.0
+            vm.monitor().inflight_prefetch_len() as u64 <= MAX_DEPTH,
+            "flights must not pile up: {} in flight after page {p}",
+            vm.monitor().inflight_prefetch_len()
         );
-        assert_eq!(sync, pipe, "seed {seed}: runs diverged");
     }
-}
+    while vm.complete_next_access().is_some() {}
+    assert_eq!(vm.monitor().inflight_prefetch_len(), 0);
 
-/// Drop + timeout + transient-refusal mix on the store transport.
-fn chaotic_plan(seed: u64) -> FaultPlan {
-    FaultPlan::new(SimRng::seed_from_u64(seed ^ 0xFA_17))
-        .with_drop(0.08)
-        .with_timeout(0.06)
-        .with_transient_error(0.06)
+    let stats = vm.monitor().stats();
+    assert!(stats.prefetch_issued > 0, "{stats:?}");
+    assert!(stats.prefetch_hits > 0, "{stats:?}");
+    assert_eq!(
+        vm.monitor().store().stats().gets - gets_before,
+        PAGES,
+        "each page is read from the store exactly once — by a demand \
+         read or a speculative one, never both: {stats:?}"
+    );
 }
 
 /// Chaos: injected transport faults land on demand *and* speculative
@@ -200,22 +162,11 @@ fn chaotic_plan(seed: u64) -> FaultPlan {
 #[test]
 fn chaotic_store_with_pipelined_prefetch_loses_nothing() {
     for &seed in &SEEDS {
-        let clock = SimClock::new();
-        let inner = RamCloudStore::new(1 << 26, clock.clone(), SimRng::seed_from_u64(seed));
-        let store = FaultInjectingStore::new(Box::new(inner), chaotic_plan(seed), clock.clone());
-        let mut vm = FluidMemMemory::new(
-            MonitorConfig::new(24)
-                .inflight(4)
-                .prefetch(PrefetchPolicy::Stride {
-                    window: 4,
-                    max_depth: 4,
-                })
-                .optimizations(Optimizations::full()),
-            Box::new(store),
-            PartitionId::new(0),
-            clock,
-            SimRng::seed_from_u64(seed + 1),
-        );
+        let policy = PrefetchPolicy::Stride {
+            window: 4,
+            max_depth: 4,
+        };
+        let mut vm = chaotic_vm(seed, config(24, policy, 4));
         let pages = 96u64;
         let region = vm.map_region(pages, PageClass::Anonymous);
         let token = |p: u64| PageContents::Token(p * 31 + 7);
@@ -283,8 +234,7 @@ fn fatal_store_error_on_a_prefetch_read_degrades_instead_of_panicking() {
     let store = FaultInjectingStore::new(Box::new(inner), plan, clock.clone());
     let mut config = MonitorConfig::new(16)
         .write_batch(1000)
-        .prefetch(PrefetchPolicy::Sequential { window: 4 })
-        .optimizations(Optimizations::full());
+        .prefetch(PrefetchPolicy::Sequential { window: 4 });
     config.flush_interval = SimDuration::from_secs(1);
     let mut vm = FluidMemMemory::new(
         config,
@@ -301,10 +251,13 @@ fn fatal_store_error_on_a_prefetch_read_degrades_instead_of_panicking() {
     vm.drain_writes();
     vm.set_local_capacity(48).unwrap();
 
-    // Refault page 0: the demand read succeeds, the prefetch of page 1
-    // hits the scripted fatal error and is dropped; pages 2..=4 land.
+    // Refault page 0: the demand read succeeds; once the speculative
+    // flights land, the read of page 1 surfaces the scripted fatal error
+    // and is dropped while pages 2..=4 install.
     let (contents, _) = vm.read_page(region.page(0));
     assert_eq!(contents, token(0));
+    vm.clock().advance(SimDuration::from_micros(100));
+    vm.poll_ready_completions();
     let stats = vm.monitor().stats();
     assert_eq!(stats.prefetch_fatal_errors, 1, "{stats:?}");
     assert_eq!(
@@ -329,12 +282,10 @@ fn prefetch_at_capacity_issues_nothing_and_churns_nothing() {
     let clock = SimClock::new();
     let store = RamCloudStore::new(1 << 26, clock.clone(), SimRng::seed_from_u64(5));
     let mut vm = FluidMemMemory::new(
-        MonitorConfig::new(16)
-            .prefetch(PrefetchPolicy::Stride {
-                window: 4,
-                max_depth: 4,
-            })
-            .optimizations(Optimizations::full()),
+        MonitorConfig::new(16).prefetch(PrefetchPolicy::Stride {
+            window: 4,
+            max_depth: 4,
+        }),
         Box::new(store),
         PartitionId::new(0),
         clock,
@@ -378,12 +329,10 @@ fn headroom_gate_suppresses_until_capacity_grows() {
     let clock = SimClock::new();
     let store = RamCloudStore::new(1 << 26, clock.clone(), SimRng::seed_from_u64(13));
     let mut vm = FluidMemMemory::new(
-        MonitorConfig::new(16)
-            .prefetch(PrefetchPolicy::Stride {
-                window: 4,
-                max_depth: 4,
-            })
-            .optimizations(Optimizations::full()),
+        MonitorConfig::new(16).prefetch(PrefetchPolicy::Stride {
+            window: 4,
+            max_depth: 4,
+        }),
         Box::new(store),
         PartitionId::new(0),
         clock,
@@ -408,6 +357,8 @@ fn headroom_gate_suppresses_until_capacity_grows() {
 
     vm.set_local_capacity(32).unwrap();
     let _ = vm.read_page(region.page(0));
+    vm.clock().advance(SimDuration::from_micros(100));
+    vm.poll_ready_completions();
     let after = vm.monitor().stats();
     assert!(after.prefetch_issued > 0, "{after:?}");
     assert!(after.prefetched_pages > 0, "{after:?}");

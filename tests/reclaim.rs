@@ -7,96 +7,21 @@
 //!   feature: same stats, virtual clock, Prometheus text, and Chrome
 //!   trace across seeds, with zero reclaim counters and no reclaim
 //!   spans.
-//! * **Depth-1 equivalence holds with reclaim ON** — the background
-//!   evictor rides the completion event queue, but at depth 1 nothing
-//!   is ever in flight when it wakes, so the pipelined path must stay
-//!   byte-identical to the call-return path even with reclaim enabled.
+//! * **Off the fault path** — enabled at default watermarks, the evictor
+//!   carries the whole eviction load of an oversubscribed run: no fault
+//!   evicts inline, and its activations show in the trace.
 //! * **Chaos safety** — with reclaim enabled over a faulty store
 //!   transport (drops, timeouts, transient errors, including
 //!   multi-write flush failures), no page may be lost or double-freed:
 //!   every read returns the last-written contents, the shadow-table
 //!   accounting balances, and the write list drains.
 
-use fluidmem::coord::PartitionId;
-use fluidmem::core::{FluidMemMemory, MonitorConfig, Optimizations, PipelineSubmit, ReclaimConfig};
-use fluidmem::kv::{FaultInjectingStore, RamCloudStore};
+mod common;
+
+use common::{chaotic_vm, run_schedule, SEEDS};
+use fluidmem::core::{FluidMemMemory, MonitorConfig, PipelineSubmit, ReclaimConfig};
 use fluidmem::mem::{AccessOutcome, MemoryBackend, PageClass, PageContents};
-use fluidmem::sim::{FaultPlan, SimClock, SimInstant, SimRng};
-use fluidmem::telemetry::Telemetry;
 use fluidmem::vm::VcpuSet;
-
-const SEEDS: [u64; 4] = [3, 17, 271, 65_537];
-
-/// The guest pid `FluidMemMemory::do_access` raises faults from; the
-/// pipelined run must use the same identity for byte-identical traces.
-const BACKEND_PID: u64 = 4242;
-
-fn traced_vm(seed: u64, reclaim: Option<ReclaimConfig>) -> (Telemetry, FluidMemMemory) {
-    let clock = SimClock::new();
-    let store = RamCloudStore::new(1 << 28, clock.clone(), SimRng::seed_from_u64(seed ^ 0x4B56));
-    let mut config = MonitorConfig::new(48).optimizations(Optimizations::full());
-    if let Some(cfg) = reclaim {
-        config = config.reclaim(cfg);
-    }
-    let mut vm = FluidMemMemory::new(
-        config,
-        Box::new(store),
-        PartitionId::new(0),
-        clock.clone(),
-        SimRng::seed_from_u64(seed),
-    );
-    let telemetry = Telemetry::new(clock);
-    telemetry.enable_spans();
-    vm.attach_telemetry(&telemetry);
-    (telemetry, vm)
-}
-
-/// A working set ~4x the LRU capacity, so the run keeps the buffer full
-/// and the evictor busy: first touches, refaults, steals, evictions.
-fn schedule(seed: u64) -> Vec<(u64, bool)> {
-    let mut rng = SimRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9));
-    (0..600)
-        .map(|_| (rng.gen_index(192), rng.gen_bool(0.4)))
-        .collect()
-}
-
-type RunFingerprint = (fluidmem::core::MonitorStats, SimInstant, String, String);
-
-fn run_call_return(seed: u64, reclaim: Option<ReclaimConfig>) -> RunFingerprint {
-    let (telemetry, mut vm) = traced_vm(seed, reclaim);
-    let region = vm.map_region(192, PageClass::Anonymous);
-    for (page, write) in schedule(seed) {
-        vm.access(region.page(page), write);
-    }
-    vm.drain_writes();
-    (
-        vm.monitor().stats(),
-        vm.clock().now(),
-        telemetry.export_prometheus(),
-        telemetry.export_chrome_trace(),
-    )
-}
-
-fn run_pipelined_depth_one(seed: u64, reclaim: Option<ReclaimConfig>) -> RunFingerprint {
-    let (telemetry, mut vm) = traced_vm(seed, reclaim);
-    let region = vm.map_region(192, PageClass::Anonymous);
-    for (page, write) in schedule(seed) {
-        match vm.submit_access(BACKEND_PID, region.page(page), write) {
-            PipelineSubmit::Ready(_) => {}
-            PipelineSubmit::Pending(_) => {
-                vm.complete_next_access().expect("one fault is in flight");
-            }
-        }
-        assert_eq!(vm.inflight_len(), 0, "depth 1 never holds a fault");
-    }
-    vm.drain_writes();
-    (
-        vm.monitor().stats(),
-        vm.clock().now(),
-        telemetry.export_prometheus(),
-        telemetry.export_chrome_trace(),
-    )
-}
 
 /// Default-off identity: a config that never mentions reclaim and one
 /// that explicitly disables it are the same monitor, byte for byte —
@@ -104,8 +29,11 @@ fn run_pipelined_depth_one(seed: u64, reclaim: Option<ReclaimConfig>) -> RunFing
 #[test]
 fn disabled_reclaim_is_byte_identical_to_default_across_seeds() {
     for &seed in &SEEDS {
-        let default = run_call_return(seed, None);
-        let disabled = run_call_return(seed, Some(ReclaimConfig::disabled()));
+        let default = run_schedule(seed, MonitorConfig::new(48));
+        let disabled = run_schedule(
+            seed,
+            MonitorConfig::new(48).reclaim(ReclaimConfig::disabled()),
+        );
         assert_eq!(default, disabled, "seed {seed}: disabled reclaim diverged");
 
         let (stats, _, _, trace) = default;
@@ -118,58 +46,36 @@ fn disabled_reclaim_is_byte_identical_to_default_across_seeds() {
     }
 }
 
-/// Depth-1 equivalence survives turning reclaim ON: with at most one
-/// fault in flight the evictor always runs inline at the hook, so the
-/// pipelined path stays byte-identical to the call-return path.
+/// Enabled at default watermarks over the same oversubscribed schedule,
+/// the evictor runs — visibly — and entirely off the fault path.
 #[test]
-fn depth_one_pipeline_matches_call_return_with_reclaim_enabled() {
+fn enabled_reclaim_absorbs_every_eviction_off_the_fault_path() {
     for &seed in &SEEDS {
-        let sync = run_call_return(seed, Some(ReclaimConfig::kswapd()));
-        let pipe = run_pipelined_depth_one(seed, Some(ReclaimConfig::kswapd()));
-        assert_eq!(sync.0, pipe.0, "seed {seed}: stats diverged");
-        assert_eq!(sync.1, pipe.1, "seed {seed}: virtual clocks diverged");
-        assert_eq!(sync.2, pipe.2, "seed {seed}: Prometheus export diverged");
-        assert_eq!(sync.3, pipe.3, "seed {seed}: Chrome trace diverged");
-
-        // The oversubscribed schedule must actually exercise the
-        // evictor, and entirely off the fault path.
+        let (stats, _, _, trace) = run_schedule(
+            seed,
+            MonitorConfig::new(48).reclaim(ReclaimConfig::kswapd()),
+        );
         assert!(
-            sync.0.background_reclaims > 0,
+            stats.background_reclaims > 0,
             "seed {seed}: the evictor never ran"
         );
         assert_eq!(
-            sync.0.direct_reclaims, 0,
+            stats.direct_reclaims, 0,
             "seed {seed}: no fault may evict inline at default watermarks"
         );
         assert!(
-            sync.3.contains("\"reclaim\""),
+            trace.contains("\"reclaim\""),
             "seed {seed}: reclaim activations must be visible in the trace"
         );
     }
 }
 
-/// Drop + timeout + transient-refusal mix on the store transport; the
-/// rates are high enough that batched multi-writes fail and requeue.
-fn chaotic_plan(seed: u64) -> FaultPlan {
-    FaultPlan::new(SimRng::seed_from_u64(seed ^ 0xFA_17))
-        .with_drop(0.08)
-        .with_timeout(0.06)
-        .with_transient_error(0.06)
-}
-
 fn chaotic_reclaim_vm(seed: u64, depth: usize) -> FluidMemMemory {
-    let clock = SimClock::new();
-    let inner = RamCloudStore::new(1 << 26, clock.clone(), SimRng::seed_from_u64(seed));
-    let store = FaultInjectingStore::new(Box::new(inner), chaotic_plan(seed), clock.clone());
-    FluidMemMemory::new(
+    chaotic_vm(
+        seed,
         MonitorConfig::new(16)
             .inflight(depth)
-            .optimizations(Optimizations::full())
             .reclaim(ReclaimConfig::kswapd()),
-        Box::new(store),
-        PartitionId::new(0),
-        clock,
-        SimRng::seed_from_u64(seed + 1),
     )
 }
 

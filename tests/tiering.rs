@@ -15,60 +15,12 @@
 //! * **Determinism** — the same seeds with the tier enabled produce
 //!   byte-identical stats, clock, and exports, run to run.
 
-use fluidmem::coord::PartitionId;
-use fluidmem::core::{FluidMemMemory, MonitorConfig, Optimizations, ReclaimConfig, TierConfig};
-use fluidmem::kv::{FaultInjectingStore, RamCloudStore};
+mod common;
+
+use common::{chaotic_vm, run_schedule, SEEDS};
+use fluidmem::core::{FluidMemMemory, MonitorConfig, ReclaimConfig, TierConfig};
 use fluidmem::mem::{MemoryBackend, PageClass, PageContents, PAGE_SIZE};
-use fluidmem::sim::{FaultPlan, SimClock, SimInstant, SimRng};
-use fluidmem::telemetry::Telemetry;
-
-const SEEDS: [u64; 4] = [3, 17, 271, 65_537];
-
-fn traced_vm(seed: u64, tier: Option<TierConfig>) -> (Telemetry, FluidMemMemory) {
-    let clock = SimClock::new();
-    let store = RamCloudStore::new(1 << 28, clock.clone(), SimRng::seed_from_u64(seed ^ 0x4B56));
-    let mut config = MonitorConfig::new(48).optimizations(Optimizations::full());
-    if let Some(cfg) = tier {
-        config = config.tier(cfg);
-    }
-    let mut vm = FluidMemMemory::new(
-        config,
-        Box::new(store),
-        PartitionId::new(0),
-        clock.clone(),
-        SimRng::seed_from_u64(seed),
-    );
-    let telemetry = Telemetry::new(clock);
-    telemetry.enable_spans();
-    vm.attach_telemetry(&telemetry);
-    (telemetry, vm)
-}
-
-/// A working set ~4x the LRU capacity, so the run keeps the buffer full
-/// and every eviction faces the admission decision.
-fn schedule(seed: u64) -> Vec<(u64, bool)> {
-    let mut rng = SimRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9));
-    (0..600)
-        .map(|_| (rng.gen_index(192), rng.gen_bool(0.4)))
-        .collect()
-}
-
-type RunFingerprint = (fluidmem::core::MonitorStats, SimInstant, String, String);
-
-fn run_call_return(seed: u64, tier: Option<TierConfig>) -> RunFingerprint {
-    let (telemetry, mut vm) = traced_vm(seed, tier);
-    let region = vm.map_region(192, PageClass::Anonymous);
-    for (page, write) in schedule(seed) {
-        vm.access(region.page(page), write);
-    }
-    vm.drain_writes();
-    (
-        vm.monitor().stats(),
-        vm.clock().now(),
-        telemetry.export_prometheus(),
-        telemetry.export_chrome_trace(),
-    )
-}
+use fluidmem::sim::SimRng;
 
 /// Default-off identity: a config that never mentions the tier and one
 /// that explicitly disables it are the same monitor, byte for byte —
@@ -76,8 +28,8 @@ fn run_call_return(seed: u64, tier: Option<TierConfig>) -> RunFingerprint {
 #[test]
 fn disabled_tier_is_byte_identical_to_default_across_seeds() {
     for &seed in &SEEDS {
-        let default = run_call_return(seed, None);
-        let disabled = run_call_return(seed, Some(TierConfig::disabled()));
+        let default = run_schedule(seed, MonitorConfig::new(48));
+        let disabled = run_schedule(seed, MonitorConfig::new(48).tier(TierConfig::disabled()));
         assert_eq!(default, disabled, "seed {seed}: disabled tier diverged");
 
         let stats = &default.0;
@@ -88,16 +40,6 @@ fn disabled_tier_is_byte_identical_to_default_across_seeds() {
         assert_eq!(stats.tier_bypass_incompressible, 0, "seed {seed}");
         assert_eq!(stats.tier_bypass_thrash, 0, "seed {seed}");
     }
-}
-
-/// Drop + timeout + transient-refusal mix on the store transport; the
-/// rates are high enough that demoted batches fail mid-flush and
-/// requeue onto the write list.
-fn chaotic_plan(seed: u64) -> FaultPlan {
-    FaultPlan::new(SimRng::seed_from_u64(seed ^ 0xFA_17))
-        .with_drop(0.08)
-        .with_timeout(0.06)
-        .with_transient_error(0.06)
 }
 
 /// A pool holding ~28 token-sized entries — enough that random refaults
@@ -113,18 +55,11 @@ fn tiny_chaotic_tier() -> TierConfig {
 }
 
 fn chaotic_tier_vm(seed: u64) -> FluidMemMemory {
-    let clock = SimClock::new();
-    let inner = RamCloudStore::new(1 << 26, clock.clone(), SimRng::seed_from_u64(seed));
-    let store = FaultInjectingStore::new(Box::new(inner), chaotic_plan(seed), clock.clone());
-    FluidMemMemory::new(
+    chaotic_vm(
+        seed,
         MonitorConfig::new(16)
-            .optimizations(Optimizations::full())
             .reclaim(ReclaimConfig::kswapd())
             .tier(tiny_chaotic_tier()),
-        Box::new(store),
-        PartitionId::new(0),
-        clock,
-        SimRng::seed_from_u64(seed + 1),
     )
 }
 
