@@ -208,16 +208,19 @@ impl FluidMemMemory {
         vm
     }
 
-    /// Submits one guest access from `vcpu_pid` to the monitor. Hits and
-    /// CoW breaks resolve inline, as do faults the monitor completes
-    /// without parking (first touch, write-list steal, compressed-tier
-    /// hit); a fault that must wait on the store parks in the in-flight
-    /// table — the vCPU stays blocked in the (simulated) userfaultfd
-    /// until [`FluidMemMemory::complete_next_access`] resolves its page.
+    /// Submits one guest access from `vcpu_pid` to the monitor. Reads
+    /// that landed before this instant — other vCPUs' demand faults and
+    /// speculative ones alike — are finished first, in landing order
+    /// (see [`Monitor::poll_ready`]). Hits and CoW breaks resolve inline,
+    /// as do faults the monitor completes without parking (first touch,
+    /// write-list steal, compressed-tier hit); a fault that must wait on
+    /// the store parks in the in-flight table — the vCPU stays blocked
+    /// in the (simulated) userfaultfd until its read lands, and
+    /// [`FluidMemMemory::complete_next_access`] reports the wake.
     ///
     /// The caller is responsible for keeping the submission depth within
-    /// [`MonitorConfig::max_inflight`] by completing between submits
-    /// (see [`Monitor::submit_fault`]).
+    /// [`MonitorConfig::max_inflight`] (see [`Monitor::submit_fault`]);
+    /// [`FluidMemMemory::inflight_len`] is the depth in use.
     pub fn submit_access(&mut self, vcpu_pid: u64, addr: VirtAddr, write: bool) -> PipelineSubmit {
         let submit = self.mem.submit(vcpu_pid, addr, write);
         if let PipelineSubmit::Ready(report) = &submit {
@@ -226,10 +229,11 @@ impl FluidMemMemory {
         submit
     }
 
-    /// Finishes the earliest in-flight access: resolves the page, wakes
-    /// the blocked vCPU(s), and records one access outcome per fault
-    /// sharing the operation (the submitter plus any coalesced waiters).
-    /// Returns `None` when nothing is in flight.
+    /// The next finished access, in wake order: one the monitor already
+    /// finished when its read landed, or else the earliest one still in
+    /// flight, waited for. Records one access outcome per fault sharing
+    /// the operation (the submitter plus any coalesced waiters). Returns
+    /// `None` when nothing is in flight or waiting to be collected.
     pub fn complete_next_access(&mut self) -> Option<CompletedFault> {
         let done = self.mem.complete_next()?;
         for _ in 0..=done.waiters {
@@ -238,17 +242,20 @@ impl FluidMemMemory {
         Some(done)
     }
 
-    /// Faults currently parked in the monitor's in-flight table.
+    /// Faults currently parked in the monitor's in-flight table: vCPUs
+    /// still blocked. A finished access stops counting when its read
+    /// lands, not when [`FluidMemMemory::complete_next_access`] collects
+    /// it.
     pub fn inflight_len(&self) -> usize {
         self.mem.monitor.inflight_len()
     }
 
-    /// Installs any speculative reads (and runs any reclaim work) whose
-    /// completion instant has already passed, without blocking on
-    /// in-flight demand faults. Submit/complete drivers call this between
-    /// guest accesses to model the monitor thread running bottom halves
-    /// while the vCPUs compute (a blocking `access` does it on entry).
-    /// Never waits: the clock moves only by the installs' own CPU cost.
+    /// Finishes every read — demand or speculative — and runs any
+    /// reclaim work whose instant has already passed (see
+    /// [`Monitor::poll_ready`]). Every access does this on entry, so a
+    /// driver only needs it to let the monitor catch up at an instant
+    /// when no vCPU touches memory. Never waits: the clock moves only by
+    /// the bottom halves' own CPU cost.
     pub fn poll_ready_completions(&mut self) {
         self.mem.poll_ready();
     }
@@ -267,8 +274,9 @@ impl MemoryBackend for FluidMemMemory {
     /// # Panics
     ///
     /// Panics if demand faults submitted through
-    /// [`FluidMemMemory::submit_access`] are still parked; finish them
-    /// with [`FluidMemMemory::complete_next_access`] first.
+    /// [`FluidMemMemory::submit_access`] are still parked, or finished
+    /// but not collected; drain them with
+    /// [`FluidMemMemory::complete_next_access`] first.
     fn access(&mut self, addr: VirtAddr, write: bool) -> AccessReport {
         let report = self.mem.access(self.pid, addr, write);
         self.counters.record(report.outcome);
@@ -335,6 +343,7 @@ mod tests {
     use super::*;
     use fluidmem_kv::{DramStore, RamCloudStore};
     use fluidmem_mem::AccessOutcome;
+    use fluidmem_sim::SimDuration;
 
     fn backend(capacity: u64) -> FluidMemMemory {
         let clock = SimClock::new();
@@ -491,11 +500,11 @@ mod tests {
         vm.access(VirtAddr::new(0x10), false);
     }
 
-    #[test]
-    #[should_panic(expected = "demand faults parked")]
-    fn blocking_access_with_a_parked_demand_fault_panics() {
+    /// A depth-4 VM whose 16 pages all live in the store, with one read
+    /// of page 0 submitted and parked.
+    fn vm_with_a_parked_read() -> (FluidMemMemory, Region) {
         let clock = SimClock::new();
-        let store = DramStore::new(1 << 30, clock.clone(), SimRng::seed_from_u64(1));
+        let store = RamCloudStore::new(1 << 28, clock.clone(), SimRng::seed_from_u64(1));
         let mut vm = FluidMemMemory::new(
             MonitorConfig::new(4).inflight(4),
             Box::new(store),
@@ -510,8 +519,55 @@ mod tests {
         vm.drain_writes();
         let parked = vm.submit_access(1, r.page(0), false);
         assert!(matches!(parked, PipelineSubmit::Pending(_)));
+        (vm, r)
+    }
+
+    #[test]
+    #[should_panic(expected = "demand faults parked")]
+    fn blocking_access_with_a_parked_demand_fault_panics() {
+        let (mut vm, r) = vm_with_a_parked_read();
         // The completion a blocking access waits for must be its own.
         vm.access(r.page(1), false);
+    }
+
+    #[test]
+    #[should_panic(expected = "completions unreported")]
+    fn blocking_access_with_an_uncollected_completion_panics() {
+        let (mut vm, r) = vm_with_a_parked_read();
+        // The read lands and the monitor finishes it; nobody collects it.
+        vm.clock().advance(SimDuration::from_micros(100));
+        vm.poll_ready_completions();
+        assert_eq!(vm.inflight_len(), 0);
+        vm.access(r.page(1), false);
+    }
+
+    #[test]
+    fn submit_access_finishes_what_landed_and_reports_it_once() {
+        let (mut vm, r) = vm_with_a_parked_read();
+        let before = vm.counters();
+        vm.clock().advance(SimDuration::from_micros(100));
+        // The next access, on another vCPU, finds page 0's read landed:
+        // the monitor finishes it first, without being asked to.
+        let other = vm.submit_access(2, r.page(1), false);
+        assert!(matches!(other, PipelineSubmit::Pending(_)));
+        assert_eq!(vm.inflight_len(), 1, "only page 1's read is parked");
+        assert!(
+            matches!(
+                vm.submit_access(3, r.page(0), false),
+                PipelineSubmit::Ready(hit) if hit.outcome == AccessOutcome::Hit
+            ),
+            "page 0 is mapped before anyone collects its completion"
+        );
+        // Collecting reports page 0 first, then waits for page 1; each
+        // is counted once.
+        let first = vm.complete_next_access().expect("page 0 finished");
+        let second = vm.complete_next_access().expect("page 1 in flight");
+        assert_eq!(first.vpn, r.page(0).vpn());
+        assert_eq!(second.vpn, r.page(1).vpn());
+        assert!(first.wake_at <= second.wake_at);
+        assert!(vm.complete_next_access().is_none());
+        assert_eq!(vm.counters().major_faults, before.major_faults + 2);
+        assert_eq!(vm.counters().total(), before.total() + 3);
     }
 
     #[test]

@@ -4,10 +4,13 @@
 //! intake and either resolves it on the spot (first touch, write-list
 //! steal, compressed-tier hit, synchronous read) or issues the §V-B
 //! asynchronous read's top half and parks the fault on a deterministic
-//! [`EventQueue`](fluidmem_sim::EventQueue) until the flight lands;
-//! [`Monitor::complete_next`] pops the earliest completion and runs the
-//! bottom half, placement, wake and post-wake work.
-//! [`Monitor::handle_fault`] is the two back to back, and
+//! [`EventQueue`](fluidmem_sim::EventQueue) until the flight lands.
+//! Landed flights retire in event order — bottom half, placement, wake
+//! and post-wake work — at the next monitor entry
+//! ([`Monitor::poll_ready`], which every guest access runs), and
+//! [`Monitor::complete_next`] reports the finished faults in wake order,
+//! waiting for the earliest flight only when none has landed.
+//! [`Monitor::handle_fault`] is submit and complete back to back, and
 //! [`MonitorConfig::max_inflight`] only bounds how many faults may be
 //! parked at once — it never selects a different path.
 //!
@@ -195,6 +198,11 @@ pub struct Monitor {
     pub(in crate::monitor) prefetch_pending_touch: std::collections::BTreeMap<Vpn, SimInstant>,
     /// Issue→first-touch distance of prefetched pages that were used.
     pub(in crate::monitor) prefetch_timeliness: Histogram,
+    /// How long a response that had arrived sat before the monitor
+    /// picked it up (see [`Monitor::note_completion_lag`]), for demand
+    /// reads and write waits, and for speculative reads.
+    pub(in crate::monitor) demand_completion_lag: Histogram,
+    pub(in crate::monitor) speculative_completion_lag: Histogram,
     pub(in crate::monitor) tracer: Tracer,
     pub(in crate::monitor) clock: SimClock,
     pub(in crate::monitor) rng: SimRng,
@@ -250,6 +258,8 @@ impl Monitor {
             stride,
             prefetch_pending_touch: std::collections::BTreeMap::new(),
             prefetch_timeliness: Histogram::new(),
+            demand_completion_lag: Histogram::new(),
+            speculative_completion_lag: Histogram::new(),
             tracer: Tracer::disabled(),
             clock,
             rng,
@@ -291,6 +301,16 @@ impl Monitor {
                 consts::PREFETCH_TIMELINESS_US,
                 &[],
                 &self.prefetch_timeliness,
+            );
+            registry.adopt_histogram(
+                consts::COMPLETION_LAG_US,
+                &[(consts::LABEL_KIND, "demand")],
+                &self.demand_completion_lag,
+            );
+            registry.adopt_histogram(
+                consts::COMPLETION_LAG_US,
+                &[(consts::LABEL_KIND, "speculative")],
+                &self.speculative_completion_lag,
             );
             for r in Resolution::ALL {
                 registry.adopt_histogram(
@@ -359,6 +379,16 @@ impl Monitor {
                 consts::PREFETCH_TIMELINESS_US,
                 &vm_label,
                 &self.prefetch_timeliness,
+            );
+            registry.adopt_histogram(
+                consts::COMPLETION_LAG_US,
+                &[(consts::LABEL_KIND, "demand"), (consts::LABEL_VM, vm)],
+                &self.demand_completion_lag,
+            );
+            registry.adopt_histogram(
+                consts::COMPLETION_LAG_US,
+                &[(consts::LABEL_KIND, "speculative"), (consts::LABEL_VM, vm)],
+                &self.speculative_completion_lag,
             );
             for r in Resolution::ALL {
                 registry.adopt_histogram(
@@ -763,9 +793,9 @@ impl Monitor {
     ///
     /// # Panics
     ///
-    /// Panics if demand faults are already parked: the completion this
-    /// call waits for must be its own, so drain with
-    /// [`Monitor::complete_next`] first.
+    /// Panics if demand faults are already parked, or finished ones not
+    /// yet collected: the completion this call waits for must be its
+    /// own, so drain with [`Monitor::complete_next`] first.
     pub fn handle_fault(
         &mut self,
         uffd: &mut Userfaultfd,
@@ -774,11 +804,7 @@ impl Monitor {
         vpn: Vpn,
         write: bool,
     ) -> FaultResolution {
-        assert_eq!(
-            self.inflight.len(),
-            0,
-            "handle_fault with demand faults parked; complete them first"
-        );
+        self.assert_no_fault_outstanding("handle_fault");
         match self.submit_fault(uffd, pt, pm, vpn, write) {
             SubmitOutcome::Completed(res) => res,
             SubmitOutcome::Parked(_) | SubmitOutcome::Coalesced(_) => {

@@ -6,18 +6,27 @@
 //! module models that overlap without threads. [`Monitor::submit_fault`]
 //! runs a fault's intake and issue stages and, if the fault needs to
 //! wait on the store (or on an in-flight write), parks it in the
-//! [`InflightTable`] keyed by its completion instant;
-//! [`Monitor::complete_next`] pops the earliest completion off the
-//! [`EventQueue`] and runs the placement, wake, and post-wake stages.
-//! Speculative reads and background-reclaim activations ride the same
-//! queue and run transparently in event order.
+//! [`InflightTable`] keyed by its completion instant. Speculative reads
+//! and background-reclaim activations ride the same [`EventQueue`].
 //!
-//! Determinism: the queue orders strictly by `(completes_at, seq)`, seq
-//! being submission order, so the schedule is a pure function of the
-//! seed — two runs with the same seed interleave identically. A driver
-//! that completes each fault before submitting the next (what
-//! [`Monitor::handle_fault`] does) is the blocking, one-at-a-time
-//! monitor; nothing else distinguishes it.
+//! The engine, not the driver, owns event order: the paper's monitor
+//! (§V-B) handles a read's bottom half when the response lands, so
+//! [`Monitor::poll_ready`] — run on every guest access — retires every
+//! event whose instant has passed, demand completions included, in
+//! `(completes_at, seq)` order. A fault finished that way has already
+//! installed its page and woken its vCPU; its [`CompletedFault`] waits
+//! in a small FIFO until the driver asks for it.
+//! [`Monitor::complete_next`] hands those out first, in wake order, and
+//! only then waits: it retires events off the queue, in the same order
+//! through the same routine, until one of them finishes a fault.
+//!
+//! Determinism: seq is submission order, so the schedule is a pure
+//! function of the seed — two runs with the same seed interleave
+//! identically. A driver that completes each fault before submitting
+//! the next (what [`Monitor::handle_fault`] does) is the blocking,
+//! one-at-a-time monitor; nothing else distinguishes it.
+
+use std::collections::VecDeque;
 
 use fluidmem_kv::PendingGet;
 use fluidmem_mem::{PageContents, PageTable, PhysicalMemory, Vpn};
@@ -40,6 +49,16 @@ enum FaultStage {
         until: SimInstant,
         contents: PageContents,
     },
+}
+
+impl FaultStage {
+    /// When the wait is over: the flight lands, or the write completes.
+    fn completes_at(&self) -> SimInstant {
+        match self {
+            FaultStage::Fetch(flight) => flight.completes_at(),
+            FaultStage::WaitWrite { until, .. } => *until,
+        }
+    }
 }
 
 /// A speculative (prefetch) read in flight: no guest vCPU waits on it.
@@ -69,6 +88,11 @@ struct InflightFault {
     vpn: Vpn,
     write: bool,
     submitted_at: SimInstant,
+    /// From when the operation is only waiting to be picked up: its
+    /// completion instant, or the end of its own issue stage if the
+    /// store answered before the monitor finished the work it overlaps
+    /// with the flight.
+    ripe_at: SimInstant,
     span: SpanId,
     stage: FaultStage,
     waiters: Vec<Waiter>,
@@ -112,6 +136,9 @@ pub(in crate::monitor) struct InflightTable {
     prefetch_slots: Vec<Option<(u64, PrefetchFlight)>>,
     prefetch_free: Vec<u32>,
     prefetch_live: usize,
+    /// Faults already finished (page installed, vCPUs woken) that the
+    /// driver has not collected yet, in wake order.
+    unreported: VecDeque<CompletedFault>,
 }
 
 impl InflightTable {
@@ -128,10 +155,12 @@ impl InflightTable {
             prefetch_slots: Vec::new(),
             prefetch_free: Vec::new(),
             prefetch_live: 0,
+            unreported: VecDeque::with_capacity(depth),
         }
     }
 
-    /// Live (parked) operations.
+    /// Live (parked) operations: faults whose vCPU is still blocked.
+    /// Finished-but-unreported ones are not counted.
     pub(in crate::monitor) fn len(&self) -> usize {
         self.live
     }
@@ -143,21 +172,25 @@ impl InflightTable {
         self.slots.len()
     }
 
+    /// Parks a fault whose issue stage ended at `now`, due when its
+    /// stage's wait is over.
     fn park(
         &mut self,
         vpn: Vpn,
         write: bool,
         intake: FaultIntake,
         stage: FaultStage,
-        completes_at: SimInstant,
+        now: SimInstant,
     ) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
+        let completes_at = stage.completes_at();
         let op = InflightFault {
             id,
             vpn,
             write,
             submitted_at: intake.t0,
+            ripe_at: completes_at.max(now),
             span: intake.span,
             stage,
             waiters: self.waiter_pool.pop().unwrap_or_default(),
@@ -179,20 +212,8 @@ impl InflightTable {
         id
     }
 
-    /// Parks a fault on its read flight, due when the flight lands.
-    fn park_fetch(
-        &mut self,
-        vpn: Vpn,
-        write: bool,
-        intake: FaultIntake,
-        flight: ReadFlight,
-    ) -> u64 {
-        let completes_at = flight.completes_at();
-        self.park(vpn, write, intake, FaultStage::Fetch(flight), completes_at)
-    }
-
-    /// Enqueues a background-reclaim activation at `at`; it runs inside
-    /// the next [`Monitor::complete_next`] that reaches it.
+    /// Enqueues a background-reclaim activation at `at`; it runs when
+    /// the completion queue reaches it.
     pub(in crate::monitor) fn schedule_reclaim(&mut self, at: SimInstant) {
         self.queue.push(at, QueueItem::Reclaim);
     }
@@ -227,8 +248,8 @@ impl InflightTable {
         self.waiter_pool.push(waiters);
     }
 
-    /// Parks a speculative read; it completes transparently inside a
-    /// later [`Monitor::complete_next`] (or is adopted by a demand fault
+    /// Parks a speculative read; it lands transparently when the
+    /// completion queue reaches it (or is adopted by a demand fault
     /// first).
     pub(in crate::monitor) fn park_prefetch(&mut self, flight: PrefetchFlight) {
         let completes_at = flight.pending.completes_at();
@@ -311,14 +332,15 @@ pub enum SubmitOutcome {
     /// is already woken.
     Completed(FaultResolution),
     /// The fault parked in the in-flight table with this operation id;
-    /// a later [`Monitor::complete_next`] finishes it.
+    /// it finishes when its wait is over and a later
+    /// [`Monitor::complete_next`] reports it.
     Parked(u64),
     /// The fault attached as a waiter to the already-in-flight operation
     /// with this id (same page, fetch still pending).
     Coalesced(u64),
 }
 
-/// A fault operation finished by [`Monitor::complete_next`].
+/// A finished fault operation, reported by [`Monitor::complete_next`].
 #[derive(Debug, Clone, Copy)]
 pub struct CompletedFault {
     /// The operation id [`SubmitOutcome::Parked`] returned.
@@ -400,8 +422,7 @@ impl Monitor {
             }
             StealOutcome::WaitInflight { until, contents } => {
                 let stage = FaultStage::WaitWrite { until, contents };
-                let id = self.inflight.park(vpn, write, intake, stage, until);
-                return SubmitOutcome::Parked(id);
+                return self.park(vpn, write, intake, stage);
             }
             StealOutcome::Miss => {
                 // The compressed local tier sits between the write list
@@ -415,14 +436,10 @@ impl Monitor {
                     // instead of issuing a duplicate. The guest pays only
                     // the flight's remaining time.
                     let flight = self.stage_adopt_prefetch(uffd, pt, pm, key, pf);
-                    return SubmitOutcome::Parked(
-                        self.inflight.park_fetch(vpn, write, intake, flight),
-                    );
+                    return self.park(vpn, write, intake, FaultStage::Fetch(flight));
                 } else if self.config.optimizations.async_read {
                     let flight = self.stage_issue_read(uffd, pt, pm, key);
-                    return SubmitOutcome::Parked(
-                        self.inflight.park_fetch(vpn, write, intake, flight),
-                    );
+                    return self.park(vpn, write, intake, FaultStage::Fetch(flight));
                 } else {
                     // Table II "Default": with the asynchronous read off
                     // the whole store round trip sits on the critical
@@ -442,49 +459,112 @@ impl Monitor {
         })
     }
 
-    /// Finishes the in-flight operation with the earliest completion
-    /// instant: runs the read bottom half (or the write wait), installs
-    /// the page, wakes the faulting vCPU and every coalesced waiter, and
-    /// runs the post-wake stage. Returns `None` when nothing is in
-    /// flight.
+    /// Parks a fault at the end of its issue stage.
+    fn park(
+        &mut self,
+        vpn: Vpn,
+        write: bool,
+        intake: FaultIntake,
+        stage: FaultStage,
+    ) -> SubmitOutcome {
+        let now = self.clock.now();
+        SubmitOutcome::Parked(self.inflight.park(vpn, write, intake, stage, now))
+    }
+
+    /// The next finished fault, in wake order. One that already landed
+    /// and was retired by [`Monitor::poll_ready`] is handed out without
+    /// touching the clock; otherwise this waits — events retire off the
+    /// queue, in order, until one of them finishes a fault. Returns
+    /// `None` when nothing is parked, unreported, or queued.
     pub fn complete_next(
         &mut self,
         uffd: &mut Userfaultfd,
         pt: &mut PageTable,
         pm: &mut PhysicalMemory,
     ) -> Option<CompletedFault> {
-        let (id, slot) = loop {
-            let (_, item) = self.inflight.queue.pop_next()?;
-            match item {
-                // Reclaim activations ride the same queue so the evictor
-                // runs in deterministic event order, transparently to
-                // the caller waiting on a fault completion.
-                QueueItem::Reclaim => self.run_scheduled_reclaim(uffd, pt, pm),
-                // Speculative completions are transparent: install (or
-                // discard) and keep looking for a demand completion. A
-                // stale entry — the flight was adopted — takes nothing.
-                QueueItem::Prefetch { id, slot } => {
-                    if let Some(flight) = self.inflight.take_prefetch(id, slot) {
-                        self.complete_prefetch(uffd, pt, pm, flight);
-                    }
-                }
-                QueueItem::Fault { id, slot } => break (id, slot),
+        loop {
+            if let Some(done) = self.inflight.unreported.pop_front() {
+                return Some(done);
             }
-        };
-        let op = self
-            .inflight
-            .take(id, slot)
-            .expect("queued operation is live");
+            let (_, item) = self.inflight.queue.pop_next()?;
+            self.retire(uffd, pt, pm, item);
+        }
+    }
+
+    /// Retires every event whose instant has passed, in `(time, seq)`
+    /// order: landed demand reads run their bottom half, install and
+    /// wake (the [`CompletedFault`] then waits for
+    /// [`Monitor::complete_next`]), landed speculative reads install or
+    /// are discarded, due reclaim activations run. Retiring an event
+    /// costs CPU, which can ripen the next one; the loop runs until the
+    /// head of the queue is in the future.
+    ///
+    /// This is the monitor's handler threads picking responses up as
+    /// they land (§V-B), independent of what the driver does next: no
+    /// blocked vCPU and no landed prefetch waits for a `complete_next`
+    /// call. Never waits: the clock only moves by the CPU the bottom
+    /// halves themselves cost.
+    pub fn poll_ready(
+        &mut self,
+        uffd: &mut Userfaultfd,
+        pt: &mut PageTable,
+        pm: &mut PhysicalMemory,
+    ) {
+        while let Some((_, item)) = self.inflight.queue.pop_ready(self.clock.now()) {
+            self.retire(uffd, pt, pm, item);
+        }
+    }
+
+    /// Runs one event popped off the completion queue.
+    fn retire(
+        &mut self,
+        uffd: &mut Userfaultfd,
+        pt: &mut PageTable,
+        pm: &mut PhysicalMemory,
+        item: QueueItem,
+    ) {
+        match item {
+            QueueItem::Reclaim => self.run_scheduled_reclaim(uffd, pt, pm),
+            // A stale entry — a demand fault adopted the flight — takes
+            // nothing.
+            QueueItem::Prefetch { id, slot } => {
+                if let Some(flight) = self.inflight.take_prefetch(id, slot) {
+                    self.complete_prefetch(uffd, pt, pm, flight);
+                }
+            }
+            QueueItem::Fault { id, slot } => {
+                let op = self
+                    .inflight
+                    .take(id, slot)
+                    .expect("queued operation is live");
+                let done = self.finish(uffd, pt, pm, op);
+                self.inflight.unreported.push_back(done);
+            }
+        }
+    }
+
+    /// Finishes a parked fault whose wait is over: runs the read bottom
+    /// half (or the write wait), installs the page, wakes the faulting
+    /// vCPU and every coalesced waiter, and runs the post-wake stage.
+    fn finish(
+        &mut self,
+        uffd: &mut Userfaultfd,
+        pt: &mut PageTable,
+        pm: &mut PhysicalMemory,
+        op: InflightFault,
+    ) -> CompletedFault {
         let InflightFault {
             id,
             vpn,
             write,
             submitted_at,
+            ripe_at,
             span,
             stage,
             waiters,
         } = op;
 
+        self.note_completion_lag(&self.demand_completion_lag, ripe_at);
         let (contents, resolution) = match stage {
             FaultStage::WaitWrite { until, contents } => {
                 self.stage_wait_write(uffd, pt, pm, until);
@@ -511,53 +591,18 @@ impl Monitor {
         }
         let n_waiters = waiters.len() as u32;
         self.inflight.recycle_waiters(waiters);
-        Some(CompletedFault {
+        CompletedFault {
             id,
             vpn,
             resolution,
             submitted_at,
             wake_at,
             waiters: n_waiters,
-        })
-    }
-
-    /// Runs the bottom halves that are already ripe at the monitor's
-    /// current instant without waiting on anything still in flight: due
-    /// speculative reads install (or are discarded) and due reclaim
-    /// activations run, while the earliest demand-fault completion — a
-    /// blocked vCPU's wake — is left for [`Monitor::complete_next`].
-    ///
-    /// This is the monitor thread's polling loop between fault
-    /// arrivals. Without it a driver that only calls `complete_next`
-    /// when a fault parks leaves landed prefetches sitting in the queue
-    /// — the guest refaults on pages whose bytes already arrived, and
-    /// every speculative read degrades into an adopted flight instead
-    /// of a mapped-page hit. Never waits: the clock only moves by the
-    /// CPU the installs themselves cost.
-    pub fn poll_ready(
-        &mut self,
-        uffd: &mut Userfaultfd,
-        pt: &mut PageTable,
-        pm: &mut PhysicalMemory,
-    ) {
-        while let Some((at, item)) = self.inflight.queue.peek() {
-            if at > self.clock.now() || matches!(item, QueueItem::Fault { .. }) {
-                return;
-            }
-            let (_, item) = self.inflight.queue.pop_next().expect("peeked a live event");
-            match item {
-                QueueItem::Reclaim => self.run_scheduled_reclaim(uffd, pt, pm),
-                QueueItem::Prefetch { id, slot } => {
-                    if let Some(flight) = self.inflight.take_prefetch(id, slot) {
-                        self.complete_prefetch(uffd, pt, pm, flight);
-                    }
-                }
-                QueueItem::Fault { .. } => unreachable!("fault completions are not polled"),
-            }
         }
     }
 
-    /// Finishes every in-flight operation, in completion order.
+    /// Collects every finished fault and finishes every in-flight
+    /// operation, in wake order.
     pub fn drain_inflight(
         &mut self,
         uffd: &mut Userfaultfd,
@@ -571,20 +616,49 @@ impl Monitor {
         done
     }
 
-    /// Faults currently parked in the in-flight table.
+    /// Faults currently parked in the in-flight table — vCPUs still
+    /// blocked, the quantity [`MonitorConfig::max_inflight`](crate::MonitorConfig::max_inflight)
+    /// bounds. A fault [`Monitor::poll_ready`] already finished frees its
+    /// slot at once, whether or not the driver has collected it.
     pub fn inflight_len(&self) -> usize {
         self.inflight.len()
     }
 
+    /// Faults already finished by [`Monitor::poll_ready`] whose
+    /// [`CompletedFault`] the driver has not collected with
+    /// [`Monitor::complete_next`] yet.
+    pub fn unreported_completions(&self) -> usize {
+        self.inflight.unreported.len()
+    }
+
+    /// Panics unless no fault is parked and none is finished but
+    /// uncollected: a blocking `caller` waits for the next completion,
+    /// which must be its own.
+    pub(crate) fn assert_no_fault_outstanding(&self, caller: &str) {
+        assert_eq!(
+            self.inflight.len(),
+            0,
+            "{caller} with demand faults parked; complete them first"
+        );
+        assert_eq!(
+            self.inflight.unreported.len(),
+            0,
+            "{caller} with completions unreported; collect them first"
+        );
+    }
+
     /// Speculative (prefetch) reads currently in flight. Not counted by
     /// [`Monitor::inflight_len`]: the depth bound applies to faults
-    /// holding vCPUs, and nothing blocks on these. They finish inside
-    /// [`Monitor::complete_next`] / [`Monitor::drain_inflight`] calls.
+    /// holding vCPUs, and nothing blocks on these. They land in
+    /// [`Monitor::poll_ready`] or while [`Monitor::complete_next`] waits.
     pub fn inflight_prefetch_len(&self) -> usize {
         self.inflight.prefetch_len()
     }
 
-    /// The virtual instant the next in-flight operation completes.
+    /// The virtual instant the next event still on the completion queue
+    /// lands. Operations already finished are off the queue: `None`
+    /// with [`Monitor::unreported_completions`] non-zero means there is
+    /// nothing left to wait for, only results to collect.
     pub fn next_completion_at(&self) -> Option<SimInstant> {
         self.inflight.queue.peek_time()
     }

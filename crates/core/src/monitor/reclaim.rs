@@ -25,7 +25,8 @@
 //! * **Deterministic scheduling.** When faults are parked in the
 //!   in-flight table, an activation is enqueued on the same
 //!   [`EventQueue`](fluidmem_sim::EventQueue) that orders fault
-//!   completions ([`Monitor::complete_next`] runs it transparently);
+//!   completions and runs in event order with them (the next
+//!   [`Monitor::poll_ready`] or [`Monitor::complete_next`] reaches it);
 //!   with nothing in flight the activation runs on the spot. Either
 //!   way the schedule is a pure function of the seed.
 //! * **Direct reclaim as fallback.** If the evictor falls behind and a
@@ -123,9 +124,9 @@ impl Monitor {
     }
 
     /// Runs the awake evictor batch-by-batch until it sleeps, or — when
-    /// faults are parked in the in-flight table, so
-    /// [`Monitor::complete_next`] is guaranteed to be called — enqueues
-    /// one activation on the completion queue to run in event order.
+    /// faults are parked in the in-flight table, so the completion queue
+    /// is guaranteed to be run — enqueues one activation on it to run in
+    /// event order.
     fn kick_reclaim(
         &mut self,
         uffd: &mut Userfaultfd,
@@ -144,8 +145,7 @@ impl Monitor {
         }
     }
 
-    /// A queued activation popped off the completion queue by
-    /// [`Monitor::complete_next`].
+    /// A queued activation popped off the completion queue.
     pub(in crate::monitor) fn run_scheduled_reclaim(
         &mut self,
         uffd: &mut Userfaultfd,

@@ -9,7 +9,7 @@
 use fluidmem_kv::{ExternalKey, KvError, PendingGet};
 use fluidmem_mem::{PageContents, PageTable, PhysicalMemory, PteFlags, Vpn};
 use fluidmem_sim::SimInstant;
-use fluidmem_telemetry::{consts, SpanId};
+use fluidmem_telemetry::{consts, Histogram, SpanId};
 use fluidmem_uffd::Userfaultfd;
 
 use super::pipeline::PrefetchFlight;
@@ -90,6 +90,19 @@ impl Monitor {
             .instant_at(consts::TRACK_GUEST, "wake", wake_at);
         self.fault_latency[resolution.index()].observe(wake_at - t0);
         self.update_gauges();
+    }
+
+    /// Records how long an operation that was `ripe_at` some instant —
+    /// its response landed and the monitor done with its issue stage —
+    /// sat before its bottom half started. One the monitor was waiting
+    /// for is picked up at that instant and records nothing: the
+    /// histogram counts late pickups only, so a blocking driver — whose
+    /// completions are never late — pays nothing for the instrument.
+    pub(in crate::monitor) fn note_completion_lag(&self, lag: &Histogram, ripe_at: SimInstant) {
+        let late_by = self.clock.now().saturating_since(ripe_at);
+        if !late_by.is_zero() {
+            lag.observe(late_by);
+        }
     }
 
     /// Figure 2's fast path: zero-fill, wake, then evict asynchronously.
@@ -491,6 +504,7 @@ impl Monitor {
     ) {
         let PrefetchFlight { vpn, pending } = flight;
         let issued_at = pending.issued_at();
+        self.note_completion_lag(&self.speculative_completion_lag, pending.completes_at());
         let result = self.store.finish_get(pending);
         if result.is_ok() && self.headroom() == 0 {
             // The LRU filled (or shrank) while the read was in flight:

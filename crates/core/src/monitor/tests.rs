@@ -16,14 +16,20 @@ struct Rig {
 }
 
 fn rig(capacity: u64, config: Option<MonitorConfig>) -> Rig {
+    rig_over(
+        config.unwrap_or_else(|| MonitorConfig::new(capacity)),
+        |clock| Box::new(DramStore::new(1 << 30, clock, SimRng::seed_from_u64(2))),
+    )
+}
+
+fn rig_over(config: MonitorConfig, store: impl FnOnce(SimClock) -> Box<dyn KeyValueStore>) -> Rig {
     let clock = SimClock::new();
     let mut uffd = Userfaultfd::new(clock.clone(), SimRng::seed_from_u64(1));
     let region = Region::new(Vpn::new(0x1000), 4096, PageClass::Anonymous);
     uffd.register(region).unwrap();
-    let store = DramStore::new(1 << 30, clock.clone(), SimRng::seed_from_u64(2));
     let monitor = Monitor::new(
-        config.unwrap_or_else(|| MonitorConfig::new(capacity)),
-        Box::new(store),
+        config,
+        store(clock.clone()),
         PartitionId::new(0),
         clock.clone(),
         SimRng::seed_from_u64(3),
@@ -325,27 +331,14 @@ fn sequential_prefetch_pulls_successors() {
 }
 
 fn faulty_rig(config: MonitorConfig, plan: fluidmem_sim::FaultPlan) -> Rig {
-    let clock = SimClock::new();
-    let mut uffd = Userfaultfd::new(clock.clone(), SimRng::seed_from_u64(1));
-    let region = Region::new(Vpn::new(0x1000), 4096, PageClass::Anonymous);
-    uffd.register(region).unwrap();
-    let inner = DramStore::new(1 << 30, clock.clone(), SimRng::seed_from_u64(2));
-    let store = fluidmem_kv::FaultInjectingStore::new(Box::new(inner), plan, clock.clone());
-    let monitor = Monitor::new(
-        config,
-        Box::new(store),
-        PartitionId::new(0),
-        clock.clone(),
-        SimRng::seed_from_u64(3),
-    );
-    Rig {
-        uffd,
-        pt: PageTable::new(),
-        pm: PhysicalMemory::new(1 << 24),
-        monitor,
-        region,
-        clock,
-    }
+    rig_over(config, |clock| {
+        let inner = DramStore::new(1 << 30, clock.clone(), SimRng::seed_from_u64(2));
+        Box::new(fluidmem_kv::FaultInjectingStore::new(
+            Box::new(inner),
+            plan,
+            clock,
+        ))
+    })
 }
 
 #[test]
@@ -716,4 +709,154 @@ fn fault_on_inflight_page_coalesces_onto_the_pending_read() {
         r.pt.has_flags(r.region.page(0).vpn(), PteFlags::DIRTY),
         "the coalesced writer's dirty bit lands on the shared install"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Event-ordered retirement: landed completions never wait on the driver.
+// ---------------------------------------------------------------------------
+
+/// A rig whose first `pages` pages live in a RAMCloud-class store — a
+/// read's flight outlasts the work the monitor overlaps with it — with
+/// room in the buffer to bring them all back.
+fn spilled_rig(config: MonitorConfig, pages: u64) -> Rig {
+    let capacity = config.lru_capacity;
+    let mut r = rig_over(config, |clock| {
+        Box::new(fluidmem_kv::RamCloudStore::new(
+            1 << 28,
+            clock,
+            SimRng::seed_from_u64(2),
+        ))
+    });
+    for i in 0..pages {
+        fault(&mut r, i, true);
+    }
+    r.monitor.resize(&mut r.uffd, &mut r.pt, &mut r.pm, 0);
+    r.monitor.drain_writes();
+    r.monitor
+        .resize(&mut r.uffd, &mut r.pt, &mut r.pm, capacity);
+    r
+}
+
+fn mapped(r: &Rig, i: u64) -> bool {
+    r.pt.get(r.region.page(i).vpn()).is_some()
+}
+
+#[test]
+fn poll_retires_landed_demand_and_speculative_reads_in_event_order() {
+    let config = MonitorConfig::new(64)
+        .inflight(4)
+        .prefetch(crate::PrefetchPolicy::Sequential { window: 2 });
+    let mut r = spilled_rig(config, 48);
+    let poll = |r: &mut Rig| r.monitor.poll_ready(&mut r.uffd, &mut r.pt, &mut r.pm);
+
+    // A speculative read ahead of a demand completion: the refault of
+    // page 0 reads 1 and 2 ahead, then page 20 faults and parks behind
+    // them on the queue.
+    fault(&mut r, 0, false);
+    assert_eq!(r.monitor.inflight_prefetch_len(), 2);
+    let SubmitOutcome::Parked(late) = pipelined_fault(&mut r, 20, false) else {
+        panic!("page 20 should park on its store read");
+    };
+    r.clock.advance(SimDuration::from_micros(100));
+    poll(&mut r);
+    assert!(mapped(&r, 1) && mapped(&r, 2), "landed prefetches install");
+    assert!(mapped(&r, 20), "the landed demand read installs too");
+    assert_eq!(r.monitor.inflight_len(), 0, "its vCPU is no longer blocked");
+    let done = r
+        .monitor
+        .complete_next(&mut r.uffd, &mut r.pt, &mut r.pm)
+        .expect("the finished fault is waiting to be collected");
+    assert_eq!(done.id, late);
+
+    // A demand completion ahead of speculative reads: page 40's finish
+    // issues reads of 41 and 42 that land after page 30's demand read.
+    // Nothing queues behind the parked fault at the head.
+    r.monitor.drain_inflight(&mut r.uffd, &mut r.pt, &mut r.pm);
+    let a = pipelined_fault(&mut r, 40, false);
+    let b = pipelined_fault(&mut r, 30, false);
+    assert!(matches!(a, SubmitOutcome::Parked(_)) && matches!(b, SubmitOutcome::Parked(_)));
+    r.monitor.complete_next(&mut r.uffd, &mut r.pt, &mut r.pm);
+    assert!(mapped(&r, 40) && !mapped(&r, 30));
+    assert_eq!(r.monitor.inflight_prefetch_len(), 2);
+    r.clock.advance(SimDuration::from_micros(100));
+    poll(&mut r);
+    assert!(mapped(&r, 30), "the demand read at the head retires");
+    assert!(
+        mapped(&r, 41) && mapped(&r, 42),
+        "and so do the speculative reads behind it"
+    );
+}
+
+#[test]
+fn finished_faults_free_their_slots_and_are_reported_once_in_wake_order() {
+    let mut r = spilled_rig(MonitorConfig::new(16).inflight(2), 8);
+    let parked = |outcome| match outcome {
+        SubmitOutcome::Parked(id) => id,
+        other => panic!("expected a parked read, got {other:?}"),
+    };
+    let first = [0, 1].map(|i| parked(pipelined_fault(&mut r, i, false)));
+    assert_eq!(r.monitor.inflight_len(), 2);
+    let landing = r.monitor.next_completion_at().expect("two reads in flight");
+    assert!(landing > r.clock.now());
+
+    r.clock.advance(SimDuration::from_micros(100));
+    r.monitor.poll_ready(&mut r.uffd, &mut r.pt, &mut r.pm);
+    // Both landed and finished: the depth bound counts blocked vCPUs
+    // only, and there is nothing left on the queue to wait for.
+    assert_eq!(r.monitor.inflight_len(), 0);
+    assert_eq!(r.monitor.unreported_completions(), 2);
+    assert_eq!(r.monitor.next_completion_at(), None);
+    assert_eq!(r.monitor.stats().remote_reads, 2);
+
+    // So two more faults fit under depth 2 before anything is collected.
+    let second = [2, 3].map(|i| {
+        let vpn = r.region.page(i).vpn();
+        parked(
+            r.monitor
+                .submit_fault(&mut r.uffd, &mut r.pt, &mut r.pm, vpn, false),
+        )
+    });
+    assert_eq!(r.monitor.inflight_len(), 2);
+    assert_eq!(r.monitor.unreported_completions(), 2);
+
+    let done = r.monitor.drain_inflight(&mut r.uffd, &mut r.pt, &mut r.pm);
+    let ids: Vec<u64> = done.iter().map(|c| c.id).collect();
+    assert_eq!(
+        ids,
+        [first, second].concat(),
+        "each id once, finished first"
+    );
+    assert!(done.windows(2).all(|w| w[0].wake_at <= w[1].wake_at));
+    assert_eq!(r.monitor.unreported_completions(), 0);
+    assert!(r
+        .monitor
+        .complete_next(&mut r.uffd, &mut r.pt, &mut r.pm)
+        .is_none());
+}
+
+#[test]
+#[should_panic(expected = "completions unreported")]
+fn handle_fault_with_an_uncollected_completion_panics() {
+    let mut r = spilled_rig(MonitorConfig::new(16).inflight(2), 8);
+    pipelined_fault(&mut r, 0, false);
+    r.clock.advance(SimDuration::from_micros(100));
+    r.monitor.poll_ready(&mut r.uffd, &mut r.pt, &mut r.pm);
+    // The completion a blocking fault waits for must be its own.
+    fault(&mut r, 1, false);
+}
+
+#[test]
+fn completion_lag_counts_only_late_pickups() {
+    let mut r = spilled_rig(MonitorConfig::new(16).inflight(2), 8);
+    // A fault the monitor waits for is picked up as it lands.
+    fault(&mut r, 0, false);
+    assert_eq!(r.monitor.demand_completion_lag.snapshot().count, 0);
+    // One that landed 60 µs before anyone looked is late by that much.
+    pipelined_fault(&mut r, 1, false);
+    let landed = r.monitor.next_completion_at().unwrap();
+    r.clock.advance_to(landed + SimDuration::from_micros(60));
+    r.monitor.poll_ready(&mut r.uffd, &mut r.pt, &mut r.pm);
+    let lag = r.monitor.demand_completion_lag.snapshot();
+    assert_eq!(lag.count, 1);
+    assert!((lag.max_us - 60.0).abs() < 1e-9, "{lag:?}");
 }

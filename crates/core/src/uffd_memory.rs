@@ -102,18 +102,26 @@ impl UffdMemory {
             .resize(&mut self.uffd, &mut self.pt, &mut self.pm, pages);
     }
 
-    /// The monitor thread's polling loop between guest accesses (see
+    /// Retires every completion that has already landed (see
     /// [`Monitor::poll_ready`]).
     pub(crate) fn poll_ready(&mut self) {
         self.monitor
             .poll_ready(&mut self.uffd, &mut self.pt, &mut self.pm);
     }
 
-    /// Submits one guest access by `pid`. A mapped page is a hit (or a
-    /// kernel-side CoW break); an unmapped one faults to the monitor,
-    /// which either resolves it before returning or parks it for
-    /// [`UffdMemory::complete_next`].
+    /// Submits one guest access by `pid`, after the monitor has caught
+    /// up with everything that landed before it: a page whose read
+    /// already arrived is mapped by the time the access looks.
     pub(crate) fn submit(&mut self, pid: u64, addr: VirtAddr, write: bool) -> PipelineSubmit {
+        self.poll_ready();
+        self.touch(pid, addr, write)
+    }
+
+    /// The access itself. A mapped page is a hit (or a kernel-side CoW
+    /// break); an unmapped one faults to the monitor, which either
+    /// resolves it before returning or parks it for
+    /// [`UffdMemory::complete_next`].
+    fn touch(&mut self, pid: u64, addr: VirtAddr, write: bool) -> PipelineSubmit {
         let vpn = addr.vpn();
         if let Some(entry) = self.pt.get_mut(vpn) {
             if write && entry.flags.contains(PteFlags::ZERO_PAGE) {
@@ -173,29 +181,28 @@ impl UffdMemory {
         }
     }
 
-    /// Finishes the earliest parked access (see [`Monitor::complete_next`]).
+    /// The next finished access, waiting for one to land if none has
+    /// (see [`Monitor::complete_next`]).
     pub(crate) fn complete_next(&mut self) -> Option<CompletedFault> {
         self.monitor
             .complete_next(&mut self.uffd, &mut self.pt, &mut self.pm)
     }
 
-    /// One blocking guest access: installs whatever speculative reads
-    /// have landed, submits, and — if the fault parked — completes it.
+    /// One blocking guest access: [`UffdMemory::submit`] and — if the
+    /// fault parked — its completion. The guest-observed latency starts
+    /// once the monitor has caught up, at the access itself.
     ///
     /// # Panics
     ///
-    /// Panics if demand faults are parked on entry: the completion this
-    /// call waits for must be its own. Pipelined drivers finish their
-    /// parked accesses before mixing in a blocking one.
+    /// Panics if demand faults are parked, or finished ones not yet
+    /// collected, on entry: the completion this call waits for must be
+    /// its own. Pipelined drivers finish and collect their parked
+    /// accesses before mixing in a blocking one.
     pub(crate) fn access(&mut self, pid: u64, addr: VirtAddr, write: bool) -> AccessReport {
-        assert_eq!(
-            self.monitor.inflight_len(),
-            0,
-            "blocking access with demand faults parked; complete them first"
-        );
+        self.monitor.assert_no_fault_outstanding("blocking access");
         self.poll_ready();
         let t0 = self.clock.now();
-        match self.submit(pid, addr, write) {
+        match self.touch(pid, addr, write) {
             PipelineSubmit::Ready(report) => report,
             PipelineSubmit::Pending(_) => {
                 let done = self.complete_next().expect("the fault just parked");

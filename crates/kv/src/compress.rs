@@ -132,12 +132,12 @@ fn compress_contents(contents: &PageContents) -> (PageContents, bool) {
                 None
             };
             match compressed {
-                Some(c) => (PageContents::Bytes(c.into_boxed_slice()), true),
+                Some(c) => (PageContents::Bytes(c.into()), true),
                 None => {
                     let mut framed = Vec::with_capacity(b.len() + 1);
                     framed.push(RAW_MAGIC);
                     framed.extend_from_slice(b);
-                    (PageContents::Bytes(framed.into_boxed_slice()), false)
+                    (PageContents::Bytes(framed.into()), false)
                 }
             }
         }
@@ -152,9 +152,9 @@ fn decompress_contents(contents: PageContents) -> Result<PageContents, KvError> 
                 if decoded.len() != PAGE_SIZE {
                     return Err(KvError::Corruption("RLE page decoded to a non-page length"));
                 }
-                Ok(PageContents::Bytes(decoded.into_boxed_slice()))
+                Ok(PageContents::Bytes(decoded.into()))
             }
-            Some(&RAW_MAGIC) => Ok(PageContents::Bytes(b[1..].to_vec().into_boxed_slice())),
+            Some(&RAW_MAGIC) => Ok(PageContents::Bytes(b[1..].into())),
             _ => Err(KvError::Corruption("unknown page frame tag")),
         },
         other => Ok(other),
@@ -608,7 +608,7 @@ mod tests {
         // `CompressedStore` frames them raw, so pools must charge raw too.
         // (`from_bytes` pads to a full page, so build the payload raw.)
         assert_eq!(
-            stored_page_size(&PageContents::Bytes(vec![5u8; 512].into_boxed_slice())),
+            stored_page_size(&PageContents::Bytes(vec![5u8; 512].into())),
             None
         );
     }

@@ -28,6 +28,17 @@ struct LogRecord {
     live: bool,
 }
 
+impl LogRecord {
+    /// Marks the record dead and lets go of its payload. A dead version
+    /// is never read again — recovery indexes live records only and the
+    /// cleaner drops dead ones — and the log space it occupies is
+    /// counted in `RECORD_BYTES`, not by the payload it held.
+    fn kill(&mut self) {
+        self.live = false;
+        self.value = PageContents::Zero;
+    }
+}
+
 #[derive(Debug, Default)]
 struct Segment {
     records: Vec<LogRecord>,
@@ -169,7 +180,7 @@ impl RamCloudStore {
             let segment = &mut self.segments[seg as usize];
             let rec = &mut segment.records[idx as usize];
             debug_assert!(rec.live);
-            rec.live = false;
+            rec.kill();
             segment.live -= 1;
             self.live_records -= 1;
         }
@@ -367,7 +378,7 @@ impl KeyValueStore for RamCloudStore {
         for raw in doomed {
             if let Some((seg, idx)) = self.index.remove(&raw) {
                 let segment = &mut self.segments[seg as usize];
-                segment.records[idx as usize].live = false;
+                segment.records[idx as usize].kill();
                 segment.live -= 1;
                 self.live_records -= 1;
             }
@@ -462,6 +473,34 @@ mod tests {
         assert_eq!(s.get(key(1)).unwrap(), PageContents::Token(2));
         assert_eq!(s.len(), 1);
         assert!(s.log_utilization() < 1.0, "old version must be dead space");
+    }
+
+    #[test]
+    fn dead_versions_let_go_of_their_payload() {
+        let holders = |page: &PageContents| match page {
+            PageContents::Bytes(buf) => std::sync::Arc::strong_count(buf),
+            other => panic!("expected a byte page, got {other:?}"),
+        };
+        let mut s = store(16);
+        let [a, b, c] = [1u8, 2, 3].map(PageContents::from_byte_fill);
+        s.put(key(1), a.clone()).unwrap();
+        s.put(key(2), b.clone()).unwrap();
+        s.put(
+            ExternalKey::new(Vpn::new(3), PartitionId::new(7)),
+            c.clone(),
+        )
+        .unwrap();
+        assert_eq!((holders(&a), holders(&b), holders(&c)), (2, 2, 2));
+        // Overwrite, delete, partition drop: each leaves a dead record
+        // in the log — still counted as dead space — that holds nothing.
+        s.put(key(1), PageContents::Token(9)).unwrap();
+        s.delete(key(2));
+        s.drop_partition(PartitionId::new(7));
+        assert_eq!((holders(&a), holders(&b), holders(&c)), (1, 1, 1));
+        assert!(s.log_utilization() < 0.5);
+        s.crash_and_recover();
+        assert_eq!(s.get(key(1)).unwrap(), PageContents::Token(9));
+        assert_eq!(s.len(), 1);
     }
 
     #[test]

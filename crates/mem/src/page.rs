@@ -1,6 +1,7 @@
 //! Page size and page contents.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// The page size used throughout the reproduction (4 KB, as in the paper).
 pub const PAGE_SIZE: usize = 4096;
@@ -18,7 +19,12 @@ pub const PAGE_SIZE: usize = 4096;
 ///   store → monitor) is identical to real bytes, so eviction/refault
 ///   round-trips are still integrity-checked.
 /// * [`Bytes`](PageContents::Bytes) — a real 4 KB buffer, used by the
-///   byte-level integrity tests.
+///   byte-level integrity tests. The buffer is immutable and shared:
+///   a page is never modified in place (a guest write stores a new
+///   page), so the copies the data path holds of one page — frame,
+///   write list, in-flight batch, store log, replicas — are clones of
+///   one handle, not 4 KB copies. (`Arc`, not `Rc`: the type stays
+///   `Send + Sync`.)
 ///
 /// # Example
 ///
@@ -36,22 +42,22 @@ pub enum PageContents {
     Zero,
     /// A compact stand-in carrying a 64-bit payload.
     Token(u64),
-    /// A literal 4 KB buffer.
-    Bytes(Box<[u8]>),
+    /// A literal 4 KB buffer, shared between clones.
+    Bytes(Arc<[u8]>),
 }
 
 impl PageContents {
     /// A page filled with one repeated byte.
     pub fn from_byte_fill(byte: u8) -> Self {
-        PageContents::Bytes(vec![byte; PAGE_SIZE].into_boxed_slice())
+        PageContents::Bytes([byte; PAGE_SIZE][..].into())
     }
 
     /// A page holding the given bytes, zero-padded or truncated to 4 KB.
     pub fn from_bytes(data: &[u8]) -> Self {
-        let mut buf = vec![0u8; PAGE_SIZE];
+        let mut buf = [0u8; PAGE_SIZE];
         let n = data.len().min(PAGE_SIZE);
         buf[..n].copy_from_slice(&data[..n]);
-        PageContents::Bytes(buf.into_boxed_slice())
+        PageContents::Bytes(buf[..].into())
     }
 
     /// The raw bytes, if this is a byte-level page.
@@ -124,6 +130,13 @@ mod tests {
         let b = p.as_bytes().unwrap();
         assert_eq!(b.len(), PAGE_SIZE);
         assert!(b.iter().all(|&x| x == 7));
+    }
+
+    #[test]
+    fn clones_share_one_buffer() {
+        let p = PageContents::from_byte_fill(7);
+        let q = p.clone();
+        assert!(std::ptr::eq(p.as_bytes().unwrap(), q.as_bytes().unwrap()));
     }
 
     #[test]

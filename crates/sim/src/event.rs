@@ -230,22 +230,6 @@ impl<T> EventQueue<T> {
         self.heap.peek().map(|Reverse(rec)| rec.at)
     }
 
-    /// The earliest event as `(completes_at, &payload)` without
-    /// removing it; the payload is the one [`pop_next`] would return.
-    /// Lets a poller decide whether to consume an event based on what
-    /// it is, not just when it lands.
-    ///
-    /// [`pop_next`]: EventQueue::pop_next
-    pub fn peek(&self) -> Option<(SimInstant, &T)> {
-        let Reverse(rec) = self.heap.peek()?;
-        let slot = &self.slots[rec.slot as usize];
-        debug_assert!(
-            slot.gen == rec.gen && slot.payload.is_some(),
-            "the heap minimum is always live"
-        );
-        Some((rec.at, slot.payload.as_ref()?))
-    }
-
     /// Removes and returns the earliest event as `(completes_at,
     /// payload)`. Ties pop in push order.
     pub fn pop_next(&mut self) -> Option<(SimInstant, T)> {
@@ -303,20 +287,6 @@ mod tests {
         assert_eq!(q.pop_next(), Some((SimInstant::from_nanos(20), "b")));
         assert_eq!(q.pop_next(), Some((SimInstant::from_nanos(30), "c")));
         assert_eq!(q.pop_next(), None);
-    }
-
-    #[test]
-    fn peek_sees_what_pop_returns_even_past_a_cancel() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek(), None);
-        let (_, tok) = q.push_keyed(SimInstant::from_nanos(10), "a");
-        q.push(SimInstant::from_nanos(20), "b");
-        assert_eq!(q.peek(), Some((SimInstant::from_nanos(10), &"a")));
-        // Cancelling the minimum must not leave a stale record visible.
-        q.cancel(tok);
-        assert_eq!(q.peek(), Some((SimInstant::from_nanos(20), &"b")));
-        assert_eq!(q.pop_next(), Some((SimInstant::from_nanos(20), "b")));
-        assert_eq!(q.peek(), None);
     }
 
     #[test]

@@ -118,6 +118,18 @@ pub const PREFETCH_WASTED: &str = "fluidmem_prefetch_wasted_total";
 /// values mean pages sat idle in the LRU.
 pub const PREFETCH_TIMELINESS_US: &str = "fluidmem_prefetch_timeliness_us";
 
+/// Completion-lag histogram (labeled by [`LABEL_KIND`]): virtual time
+/// a store response that had landed sat before the monitor started its
+/// bottom half — the wait between `kv.read.flight` and `UFFD_COPY`,
+/// spent on other bottom halves or waiting for the next monitor entry.
+/// Time the monitor spent on the same fault's own issue stage (a store
+/// that answers before the overlapped eviction is done) is that
+/// stage's, not lag. Only late pickups are observed — a response the
+/// monitor was waiting for has no lag — so the count is the number of
+/// them. `kind="demand"` holds a vCPU for that long;
+/// `kind="speculative"` delays a prefetched page's install.
+pub const COMPLETION_LAG_US: &str = "fluidmem_completion_lag_us";
+
 /// Cluster-layer operation counter (labeled by [`LABEL_NODE`] and
 /// [`LABEL_OP`]): per-store-node reads, writes, deletes, and retryable
 /// errors as routed by the consistent-hash cluster.
@@ -153,6 +165,9 @@ pub const LABEL_VM: &str = "vm";
 pub const LABEL_POLICY: &str = "policy";
 /// Label key naming a cluster store node.
 pub const LABEL_NODE: &str = "node";
+/// Label key naming a kind of landed store read (`demand`,
+/// `speculative`).
+pub const LABEL_KIND: &str = "kind";
 
 /// Span track for the guest / workload side.
 pub const TRACK_GUEST: &str = "guest";

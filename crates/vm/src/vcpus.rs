@@ -9,8 +9,11 @@
 //! the monitor completes its operation, and the set keeps submitting
 //! from other ready vCPUs up to the monitor's
 //! [`max_inflight`](fluidmem_core::MonitorConfig::max_inflight) depth.
-//! Everything runs on the shared virtual clock — two runs with the same
-//! seeds are bit-identical.
+//! The monitor finishes each read when it lands — every submitted
+//! access lets it catch up first — so a fault's latency does not depend
+//! on when the set gets round to collecting it, and a finished fault
+//! frees its depth slot at once. Everything runs on the shared virtual
+//! clock — two runs with the same seeds are bit-identical.
 
 use std::collections::BTreeMap;
 
@@ -101,8 +104,9 @@ impl VcpuSet {
 
     /// Drives `ops` accesses across the vCPUs: ready vCPUs issue in
     /// ready-time order; faults that park on the store block their vCPU
-    /// until the monitor's completion event fires. The pipeline depth is
-    /// whatever the monitor's config allows.
+    /// until the set collects the completion (it re-enters the ready
+    /// list at its wake instant, however late it is collected). The
+    /// pipeline depth is whatever the monitor's config allows.
     pub fn run(&mut self, ops: u64) -> PipelineRunStats {
         let depth = self.vm.monitor().config().max_inflight.max(1);
         let start = self.vm.clock().now();
@@ -187,7 +191,8 @@ impl VcpuSet {
         }
     }
 
-    /// The instant the next in-flight completion would land (if any).
+    /// The instant the next in-flight completion would land (if any);
+    /// reads that already landed and finished do not count.
     pub fn next_completion_at(&self) -> Option<SimInstant> {
         self.vm.monitor().next_completion_at()
     }
@@ -248,6 +253,29 @@ mod tests {
             (stats.elapsed, stats.faults, stats.parked, stats.coalesced)
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn fault_latency_does_not_scale_with_the_depth_bound() {
+        // Depth bounds how many vCPUs may be blocked; it must not set
+        // how long a landed read waits. (When completions waited for
+        // the set to collect them, p99 grew linearly with depth.)
+        let run = |depth| {
+            let mut set = vcpu_set(depth, 16);
+            set.run(2_000); // warm the buffer past first touches
+            let mut stats = set.run(8_000);
+            (stats.fault_latency.percentile(0.99), stats.ops_per_ms())
+        };
+        let (p99_shallow, rate_shallow) = run(2);
+        let (p99_deep, rate_deep) = run(16);
+        assert!(
+            p99_deep <= 2.0 * p99_shallow,
+            "fault p99 {p99_deep:.1} us at depth 16 vs {p99_shallow:.1} us at depth 2"
+        );
+        assert!(
+            rate_deep >= rate_shallow,
+            "{rate_deep:.2} ops/ms at depth 16 vs {rate_shallow:.2} at depth 2"
+        );
     }
 
     #[test]

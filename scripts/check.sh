@@ -223,6 +223,22 @@ if grep '"bench":"pipeline_reclaim"' "$pipe_json_a" | grep -E '"depth":(4|8|16),
     echo "pipeline smoke: background reclaim lost the p99 tail at depth >= 4" >&2
     exit 1
 fi
+# A landed read is finished by the next monitor entry, not when the
+# driver collects it: fault latency must not scale with the depth bound.
+pipe_p99() {
+    grep '"bench":"pipeline"' "$pipe_json_a" | grep "\"depth\":$1," \
+        | sed 's/.*"fault_p99_us":\([0-9.eE+-]*\).*/\1/'
+}
+p99_d2="$(pipe_p99 2)"
+p99_d16="$(pipe_p99 16)"
+test -n "$p99_d2" && test -n "$p99_d16" || {
+    echo "pipeline smoke: fault_p99_us missing from the depth sweep" >&2
+    exit 1
+}
+awk -v shallow="$p99_d2" -v deep="$p99_d16" 'BEGIN { exit (deep <= 2 * shallow) ? 0 : 1 }' || {
+    echo "pipeline smoke: fault p99 at depth 16 ($p99_d16 us) is over 2x depth 2 ($p99_d2 us)" >&2
+    exit 1
+}
 rm -f "$pipe_out_a" "$pipe_out_b" "$pipe_json_a" "$pipe_json_b"
 
 echo "==> workingset smoke: WSS sweep (twice, stdout + JSON must be byte-identical)"

@@ -1,14 +1,17 @@
 //! Helpers shared by the pipeline, reclaim, prefetch and tiering
 //! acceptance tests: a traced VM, the oversubscribed access schedule,
-//! the byte-level run fingerprint, and the chaotic store transport.
+//! the byte-level run fingerprint, the chaotic store transport, and
+//! closed-loop vCPU streams over the submit/complete API.
 
 #![allow(dead_code)] // each test binary uses its own subset
 
 use fluidmem::coord::PartitionId;
-use fluidmem::core::{FluidMemMemory, MonitorConfig, MonitorStats};
+use fluidmem::core::{
+    CompletedFault, FluidMemMemory, MonitorConfig, MonitorStats, PipelineSubmit, SubmitOutcome,
+};
 use fluidmem::kv::{FaultInjectingStore, RamCloudStore};
-use fluidmem::mem::{MemoryBackend, PageClass};
-use fluidmem::sim::{FaultPlan, SimClock, SimInstant, SimRng};
+use fluidmem::mem::{MemoryBackend, PageClass, VirtAddr};
+use fluidmem::sim::{FaultPlan, SimClock, SimDuration, SimInstant, SimRng};
 use fluidmem::telemetry::Telemetry;
 
 pub const SEEDS: [u64; 4] = [3, 17, 271, 65_537];
@@ -85,4 +88,96 @@ pub fn chaotic_vm(seed: u64, config: MonitorConfig) -> FluidMemMemory {
         clock,
         SimRng::seed_from_u64(seed + 1),
     )
+}
+
+/// Closed-loop vCPU streams over `submit_access` / `complete_next_access`,
+/// run the way a driver that knows nothing about the monitor's event
+/// order runs them: each vCPU has one outstanding access and `think` of
+/// compute after it, the vCPU that is ready first issues the next access
+/// of one shared sequence, and finished faults are collected only when
+/// no vCPU is ready.
+pub struct VcpuStreams {
+    think: SimDuration,
+    /// When each vCPU may issue next; `None` while it is blocked.
+    ready: Vec<Option<SimInstant>>,
+    /// (operation id, vCPU) of accesses not yet collected.
+    blocked: Vec<(u64, usize)>,
+    /// Accesses issued so far.
+    pub issued: u64,
+    /// Accesses that parked or coalesced.
+    pub pended: u64,
+    /// Ids `submit_access` returned as `Parked`, in submission order.
+    pub parked_ids: Vec<u64>,
+    /// Every completion the VM reported, in the order it reported them.
+    pub completed: Vec<CompletedFault>,
+}
+
+impl VcpuStreams {
+    pub fn new(vm: &FluidMemMemory, vcpus: usize, think: SimDuration) -> Self {
+        VcpuStreams {
+            think,
+            ready: vec![Some(vm.clock().now()); vcpus],
+            blocked: Vec::new(),
+            issued: 0,
+            pended: 0,
+            parked_ids: Vec::new(),
+            completed: Vec::new(),
+        }
+    }
+
+    /// Collects the next finished access and readies its vCPU(s).
+    fn collect_one(&mut self, vm: &mut FluidMemMemory) {
+        let done = vm
+            .complete_next_access()
+            .expect("blocked vCPUs imply an operation to collect");
+        let think = self.think;
+        let ready = &mut self.ready;
+        self.blocked.retain(|&(id, vcpu)| {
+            if id == done.id {
+                ready[vcpu] = Some(done.wake_at + think);
+            }
+            id != done.id
+        });
+        self.completed.push(done);
+    }
+
+    /// Issues one access on the vCPU that is ready first.
+    pub fn access(&mut self, vm: &mut FluidMemMemory, addr: VirtAddr, write: bool) {
+        let (at, vcpu) = loop {
+            let next = (self.ready.iter().enumerate())
+                .filter_map(|(vcpu, at)| at.map(|at| (at, vcpu)))
+                .min();
+            match next {
+                Some(next) => break next,
+                None => self.collect_one(vm),
+            }
+        };
+        vm.clock().advance_to(at);
+        self.issued += 1;
+        match vm.submit_access(9_000 + vcpu as u64, addr, write) {
+            PipelineSubmit::Ready(_) => self.ready[vcpu] = Some(vm.clock().now() + self.think),
+            PipelineSubmit::Pending(outcome) => {
+                let id = match outcome {
+                    SubmitOutcome::Parked(id) => {
+                        self.parked_ids.push(id);
+                        id
+                    }
+                    SubmitOutcome::Coalesced(id) => id,
+                    SubmitOutcome::Completed(_) => unreachable!("completed submissions are Ready"),
+                };
+                self.pended += 1;
+                self.blocked.push((id, vcpu));
+                self.ready[vcpu] = None;
+            }
+        }
+    }
+
+    /// Collects every outstanding access, then lets trailing speculative
+    /// reads land, so blocking accesses may follow.
+    pub fn quiesce(&mut self, vm: &mut FluidMemMemory) {
+        while !self.blocked.is_empty() {
+            self.collect_one(vm);
+        }
+        assert!(vm.complete_next_access().is_none());
+    }
 }
