@@ -1,19 +1,34 @@
-//! `FluidMemMemory`: the packaged FluidMem `MemoryBackend`.
+//! `FluidMemMemory`: the packaged FluidMem `MemoryBackend` — one VM's
+//! userfaultfd-registered guest memory, the monitor that resolves its
+//! faults, and the one routine that turns a guest access into a hit, a
+//! CoW break, or a monitor-resolved fault.
 
 use std::collections::BTreeMap;
 
 use fluidmem_coord::PartitionId;
 use fluidmem_kv::KeyValueStore;
 use fluidmem_mem::{
-    AccessCounters, AccessReport, CapacityError, MemoryBackend, PageClass, PageContents, Region,
-    VirtAddr, Vpn,
+    AccessCounters, AccessOutcome, AccessReport, CapacityError, MemoryBackend, PageClass,
+    PageContents, PageTable, PhysicalMemory, PteFlags, Region, VirtAddr, Vpn,
 };
-use fluidmem_sim::{SimClock, SimRng};
-use fluidmem_uffd::RegionId;
+use fluidmem_sim::{SimClock, SimDuration, SimRng};
+use fluidmem_uffd::{RegionId, Userfaultfd};
 
 use crate::config::MonitorConfig;
-use crate::monitor::{CompletedFault, Monitor};
-use crate::uffd_memory::{PipelineSubmit, UffdMemory};
+use crate::monitor::{CompletedFault, Monitor, SubmitOutcome};
+
+/// The outcome of [`FluidMemMemory::submit_access`].
+#[derive(Debug, Clone, Copy)]
+pub enum PipelineSubmit {
+    /// The access resolved inline — a mapped-page hit, a CoW break, or a
+    /// fault the monitor completed without parking (first touch,
+    /// write-list steal, compressed-tier hit, synchronous read). The
+    /// report is final and already counted.
+    Ready(AccessReport),
+    /// The access parked (or coalesced) in the monitor's in-flight
+    /// table; [`FluidMemMemory::complete_next_access`] finishes it.
+    Pending(SubmitOutcome),
+}
 
 /// The state handed from a migration source to its destination: the
 /// guest's region layout and the monitor's seen-page set. The pages
@@ -65,7 +80,13 @@ pub struct MigrationImage {
 /// assert!(vm.resident_pages() <= 64, "the LRU bound holds");
 /// ```
 pub struct FluidMemMemory {
-    mem: UffdMemory,
+    uffd: Userfaultfd,
+    pt: PageTable,
+    pm: PhysicalMemory,
+    monitor: Monitor,
+    /// Bump allocator for fresh regions.
+    next_vpn: u64,
+    clock: SimClock,
     regions: BTreeMap<u64, (RegionId, Region)>,
     pid: u64,
     counters: AccessCounters,
@@ -83,8 +104,17 @@ impl FluidMemMemory {
         rng: SimRng,
     ) -> Self {
         let label = format!("FluidMem/{}", store.name());
+        let uffd = Userfaultfd::new(clock.clone(), rng.fork("uffd"));
+        let monitor = Monitor::new(config, store, partition, clock.clone(), rng.fork("monitor"));
         FluidMemMemory {
-            mem: UffdMemory::new(config, store, partition, clock, rng),
+            uffd,
+            pt: PageTable::new(),
+            // Host frames are bounded by the monitor's LRU, not by this
+            // allocator; size it generously.
+            pm: PhysicalMemory::new(u64::MAX / 2),
+            monitor,
+            next_vpn: 0x10_000,
+            clock,
             regions: BTreeMap::new(),
             pid: 4242,
             counters: AccessCounters::default(),
@@ -94,13 +124,13 @@ impl FluidMemMemory {
 
     /// The monitor (for stats, profile, and resize access).
     pub fn monitor(&self) -> &Monitor {
-        &self.mem.monitor
+        &self.monitor
     }
 
     /// Attaches a shared telemetry handle (see
     /// [`Monitor::attach_telemetry`]).
     pub fn attach_telemetry(&mut self, telemetry: &fluidmem_telemetry::Telemetry) {
-        self.mem.monitor.attach_telemetry(telemetry);
+        self.monitor.attach_telemetry(telemetry);
     }
 
     /// Attaches a shared telemetry handle with every monitor instrument
@@ -111,31 +141,31 @@ impl FluidMemMemory {
         telemetry: &fluidmem_telemetry::Telemetry,
         vm: &str,
     ) {
-        self.mem.monitor.attach_telemetry_labeled(telemetry, vm);
+        self.monitor.attach_telemetry_labeled(telemetry, vm);
     }
 
     /// The arbiter-facing snapshot of this VM's memory behavior: access
     /// and fault counters plus residency/capacity/write-back gauges.
     pub fn signals(&self) -> crate::VmSignals {
         let access = self.counters();
-        let stats = self.mem.monitor.stats();
+        let stats = self.monitor.stats();
         crate::VmSignals {
             accesses: access.total(),
             hits: access.hits,
             minor_faults: access.minor_faults,
             major_faults: access.major_faults,
             remote_reads: stats.remote_reads,
-            resident_pages: self.mem.monitor.resident_pages(),
-            capacity_pages: self.mem.monitor.capacity(),
-            pending_writes: self.mem.monitor.pending_writes() as u64,
+            resident_pages: self.monitor.resident_pages(),
+            capacity_pages: self.monitor.capacity(),
+            pending_writes: self.monitor.pending_writes() as u64,
             refaults_measured: stats.refaults_measured,
             thrash_refaults: stats.thrash_refaults,
-            wss_estimate_pages: self.mem.monitor.wss_estimate_pages(),
+            wss_estimate_pages: self.monitor.wss_estimate_pages(),
             background_reclaims: stats.background_reclaims,
             direct_reclaims: stats.direct_reclaims,
             tier_hits: stats.tier_hits,
             tier_demotions: stats.tier_demotions,
-            tier_pool_bytes: self.mem.monitor.tier_bytes() as u64,
+            tier_pool_bytes: self.monitor.tier_bytes() as u64,
             prefetch_issued: stats.prefetch_issued,
             prefetch_hits: stats.prefetch_hits,
         }
@@ -144,12 +174,12 @@ impl FluidMemMemory {
     /// Retargets the compressed tier's byte budget (the host arbiter's
     /// per-VM pool quota); a shrink demotes overflow to the store.
     pub fn set_tier_budget(&mut self, max_bytes: usize) {
-        self.mem.monitor.set_tier_budget(max_bytes);
+        self.monitor.set_tier_budget(max_bytes);
     }
 
     /// Mutable monitor access (profile clearing, drains).
     pub fn monitor_mut(&mut self) -> &mut Monitor {
-        &mut self.mem.monitor
+        &mut self.monitor
     }
 
     /// Adds memory to the running VM via hotplug (the left-hand VM of
@@ -159,30 +189,54 @@ impl FluidMemMemory {
         self.map_region(pages, class)
     }
 
-    /// Unregisters a region (VM shutdown), dropping monitor state and the
-    /// VM's pages in the store.
+    /// Registers a region at its address and keeps the bump allocator
+    /// clear of it.
+    fn register(&mut self, region: Region) {
+        self.next_vpn = self.next_vpn.max(region.end().raw() + 16);
+        let id = self
+            .uffd
+            .register(region)
+            .expect("regions never overlap: bump allocation or a migrated layout");
+        self.regions.insert(region.start().raw(), (id, region));
+    }
+
+    /// Unregisters a region (hot-unplug, VM shutdown): drops the
+    /// monitor's state and the region's pages in the store, and frees
+    /// its frames.
     pub fn unregister_region(&mut self, region: &Region) {
-        if let Some((id, _)) = self.regions.remove(&region.start().raw()) {
-            self.mem.unregister(id, region);
+        let Some((id, _)) = self.regions.remove(&region.start().raw()) else {
+            return;
+        };
+        self.uffd.unregister(id).expect("region was registered");
+        // Consume the unregister event as the monitor would.
+        while self.uffd.poll().is_some() {}
+        self.monitor.remove_region(region);
+        for vpn in region.iter_pages() {
+            if let Some(entry) = self.pt.unmap(vpn) {
+                if !entry.flags.contains(PteFlags::ZERO_PAGE) {
+                    self.pm.free(entry.frame);
+                }
+            }
         }
     }
 
     /// Flushes all outstanding writes (shutdown / test hygiene).
     pub fn drain_writes(&mut self) {
-        self.mem.monitor.drain_writes();
+        self.monitor.drain_writes();
     }
 
     /// Migrates the VM out: evicts every page to the (shared) store,
     /// drains the write list, and returns the image the destination
     /// needs. Consumes the source — the VM no longer runs here.
     pub fn migrate_out(mut self) -> MigrationImage {
-        let capacity = self.mem.monitor.capacity();
-        self.mem.resize(0);
-        self.mem.monitor.drain_writes();
+        let capacity = self.monitor.capacity();
+        self.monitor
+            .resize(&mut self.uffd, &mut self.pt, &mut self.pm, 0);
+        self.monitor.drain_writes();
         MigrationImage {
             regions: self.regions.values().map(|(_, r)| *r).collect(),
-            seen: self.mem.monitor.export_seen(),
-            partition: self.mem.monitor.partition(),
+            seen: self.monitor.export_seen(),
+            partition: self.monitor.partition(),
             capacity,
         }
     }
@@ -201,32 +255,97 @@ impl FluidMemMemory {
         config.lru_capacity = image.capacity;
         let mut vm = FluidMemMemory::new(config, store, image.partition, clock, rng);
         for region in &image.regions {
-            let id = vm.mem.register(*region);
-            vm.regions.insert(region.start().raw(), (id, *region));
+            vm.register(*region);
         }
-        vm.mem.monitor.import_seen(image.seen);
+        vm.monitor.import_seen(image.seen);
         vm
     }
 
     /// Submits one guest access from `vcpu_pid` to the monitor. Reads
     /// that landed before this instant — other vCPUs' demand faults and
     /// speculative ones alike — are finished first, in landing order
-    /// (see [`Monitor::poll_ready`]). Hits and CoW breaks resolve inline,
-    /// as do faults the monitor completes without parking (first touch,
-    /// write-list steal, compressed-tier hit); a fault that must wait on
-    /// the store parks in the in-flight table — the vCPU stays blocked
-    /// in the (simulated) userfaultfd until its read lands, and
-    /// [`FluidMemMemory::complete_next_access`] reports the wake.
+    /// (see [`Monitor::poll_ready`]), so a page whose read already
+    /// arrived is mapped by the time the access looks. Hits and CoW
+    /// breaks resolve inline, as do faults the monitor completes without
+    /// parking (first touch, write-list steal, compressed-tier hit); a
+    /// fault that must wait on the store parks in the in-flight table —
+    /// the vCPU stays blocked in the (simulated) userfaultfd until its
+    /// read lands, and [`FluidMemMemory::complete_next_access`] reports
+    /// the wake.
     ///
     /// The caller is responsible for keeping the submission depth within
     /// [`MonitorConfig::max_inflight`] (see [`Monitor::submit_fault`]);
     /// [`FluidMemMemory::inflight_len`] is the depth in use.
     pub fn submit_access(&mut self, vcpu_pid: u64, addr: VirtAddr, write: bool) -> PipelineSubmit {
-        let submit = self.mem.submit(vcpu_pid, addr, write);
+        self.poll_ready_completions();
+        let submit = self.touch(vcpu_pid, addr, write);
         if let PipelineSubmit::Ready(report) = &submit {
             self.counters.record(report.outcome);
         }
         submit
+    }
+
+    /// The access itself. A mapped page is a hit (or a kernel-side CoW
+    /// break); an unmapped one faults to the monitor, which either
+    /// resolves it before returning or parks it.
+    fn touch(&mut self, pid: u64, addr: VirtAddr, write: bool) -> PipelineSubmit {
+        let vpn = addr.vpn();
+        if let Some(entry) = self.pt.get_mut(vpn) {
+            if write && entry.flags.contains(PteFlags::ZERO_PAGE) {
+                // Kernel-side copy-on-write break (footnote 1 of the
+                // paper): a regular minor fault, invisible to the
+                // monitor.
+                return PipelineSubmit::Ready(self.break_cow(vpn));
+            }
+            entry.flags.insert(PteFlags::REFERENCED);
+            if write {
+                entry.flags.insert(PteFlags::DIRTY);
+            }
+            // First guest touch of a prefetched page resolves its
+            // accuracy-ledger entry to a hit (a no-op branch when nothing
+            // is pending).
+            self.monitor.note_mapped_touch(vpn);
+            return PipelineSubmit::Ready(AccessReport {
+                outcome: AccessOutcome::Hit,
+                latency: SimDuration::ZERO,
+            });
+        }
+
+        let t0 = self.clock.now();
+        self.uffd
+            .raise_fault(addr, write, pid, self.monitor.config().from_vm)
+            .unwrap_or_else(|e| panic!("access to unregistered address {addr}: {e}"));
+        let _event = self.uffd.poll().expect("fault was queued");
+        match self
+            .monitor
+            .submit_fault(&mut self.uffd, &mut self.pt, &mut self.pm, vpn, write)
+        {
+            SubmitOutcome::Completed(res) => {
+                let mut report = AccessReport {
+                    outcome: res.resolution.outcome(),
+                    latency: res.wake_at - t0,
+                };
+                // A *write* that was resolved with the zero page
+                // immediately breaks CoW when the guest retries the
+                // instruction.
+                if write && self.pt.has_flags(vpn, PteFlags::ZERO_PAGE) {
+                    report.latency += self.break_cow(vpn).latency;
+                }
+                PipelineSubmit::Ready(report)
+            }
+            parked => PipelineSubmit::Pending(parked),
+        }
+    }
+
+    fn break_cow(&mut self, vpn: Vpn) -> AccessReport {
+        let t0 = self.clock.now();
+        self.uffd
+            .break_cow(&mut self.pt, &mut self.pm, vpn)
+            .expect("zero-page mapping breaks cleanly");
+        AccessReport {
+            outcome: AccessOutcome::MinorFault,
+            latency: self.clock.now() - t0,
+        }
     }
 
     /// The next finished access, in wake order: one the monitor already
@@ -235,7 +354,9 @@ impl FluidMemMemory {
     /// the operation (the submitter plus any coalesced waiters). Returns
     /// `None` when nothing is in flight or waiting to be collected.
     pub fn complete_next_access(&mut self) -> Option<CompletedFault> {
-        let done = self.mem.complete_next()?;
+        let done = self
+            .monitor
+            .complete_next(&mut self.uffd, &mut self.pt, &mut self.pm)?;
         for _ in 0..=done.waiters {
             self.counters.record(done.resolution.outcome());
         }
@@ -247,7 +368,7 @@ impl FluidMemMemory {
     /// lands, not when [`FluidMemMemory::complete_next_access`] collects
     /// it.
     pub fn inflight_len(&self) -> usize {
-        self.mem.monitor.inflight_len()
+        self.monitor.inflight_len()
     }
 
     /// Finishes every read — demand or speculative — and runs any
@@ -257,55 +378,77 @@ impl FluidMemMemory {
     /// when no vCPU touches memory. Never waits: the clock moves only by
     /// the bottom halves' own CPU cost.
     pub fn poll_ready_completions(&mut self) {
-        self.mem.poll_ready();
+        self.monitor
+            .poll_ready(&mut self.uffd, &mut self.pt, &mut self.pm);
     }
 }
 
 impl MemoryBackend for FluidMemMemory {
+    /// Bump-allocates a fresh region (with a guard gap) and registers it.
     fn map_region(&mut self, pages: u64, class: PageClass) -> Region {
-        let (id, region) = self.mem.map_region(pages, class);
-        self.regions.insert(region.start().raw(), (id, region));
+        let region = Region::new(Vpn::new(self.next_vpn), pages, class);
+        self.register(region);
         region
     }
 
     /// One blocking access: [`FluidMemMemory::submit_access`] and, if the
-    /// fault parked, its completion.
+    /// fault parked, its completion. The guest-observed latency starts
+    /// once the monitor has caught up, at the access itself.
     ///
     /// # Panics
     ///
     /// Panics if demand faults submitted through
     /// [`FluidMemMemory::submit_access`] are still parked, or finished
-    /// but not collected; drain them with
-    /// [`FluidMemMemory::complete_next_access`] first.
+    /// but not collected: the completion this call waits for must be its
+    /// own. Drain them with [`FluidMemMemory::complete_next_access`]
+    /// first.
     fn access(&mut self, addr: VirtAddr, write: bool) -> AccessReport {
-        let report = self.mem.access(self.pid, addr, write);
+        self.monitor.assert_no_fault_outstanding("blocking access");
+        self.poll_ready_completions();
+        let t0 = self.clock.now();
+        let report = match self.touch(self.pid, addr, write) {
+            PipelineSubmit::Ready(report) => report,
+            PipelineSubmit::Pending(_) => {
+                let done = self
+                    .monitor
+                    .complete_next(&mut self.uffd, &mut self.pt, &mut self.pm)
+                    .expect("the fault just parked");
+                AccessReport {
+                    outcome: done.resolution.outcome(),
+                    latency: done.wake_at - t0,
+                }
+            }
+        };
         self.counters.record(report.outcome);
         report
     }
 
     fn write_page(&mut self, addr: VirtAddr, contents: PageContents) -> AccessReport {
         let report = self.access(addr, true);
-        self.mem.store_page(addr, contents);
+        let entry = self.pt.get(addr.vpn()).expect("write access maps the page");
+        self.pm.store(entry.frame, contents);
         report
     }
 
     fn read_page(&mut self, addr: VirtAddr) -> (PageContents, AccessReport) {
         let report = self.access(addr, false);
-        (self.mem.load_page(addr), report)
+        let entry = self.pt.get(addr.vpn()).expect("read access maps the page");
+        (self.pm.load(entry.frame).clone(), report)
     }
 
     fn resident_pages(&self) -> u64 {
-        self.mem.monitor.resident_pages()
+        self.monitor.resident_pages()
     }
 
     fn local_capacity_pages(&self) -> u64 {
-        self.mem.monitor.capacity()
+        self.monitor.capacity()
     }
 
     fn set_local_capacity(&mut self, pages: u64) -> Result<(), CapacityError> {
         // FluidMem's defining capability (§III, §VI-E): the operator
         // resizes the buffer with no guest involvement.
-        self.mem.resize(pages);
+        self.monitor
+            .resize(&mut self.uffd, &mut self.pt, &mut self.pm, pages);
         Ok(())
     }
 
@@ -320,7 +463,7 @@ impl MemoryBackend for FluidMemMemory {
     }
 
     fn clock(&self) -> &SimClock {
-        &self.mem.clock
+        &self.clock
     }
 
     fn label(&self) -> String {

@@ -45,7 +45,6 @@
 
 mod backend;
 mod config;
-mod hypervisor;
 mod lru_buffer;
 mod monitor;
 mod page_tracker;
@@ -54,16 +53,14 @@ mod profile;
 mod signals;
 mod stats;
 mod tier;
-mod uffd_memory;
 mod workingset;
 mod write_list;
 
-pub use backend::{FluidMemMemory, MigrationImage};
+pub use backend::{FluidMemMemory, MigrationImage, PipelineSubmit};
 pub use config::{
     EvictionMechanism, LruPolicy, MonitorConfig, MonitorCosts, Optimizations, PrefetchPolicy,
     ReclaimConfig,
 };
-pub use hypervisor::{FluidMemHypervisor, SharedVm, VmHandle};
 pub use lru_buffer::LruBuffer;
 pub use monitor::{CompletedFault, Monitor, SubmitOutcome};
 pub use page_tracker::PageTracker;
@@ -72,6 +69,5 @@ pub use profile::{CodePath, PathStats, ProfileTable};
 pub use signals::VmSignals;
 pub use stats::MonitorStats;
 pub use tier::{TierAudit, TierConfig};
-pub use uffd_memory::PipelineSubmit;
 pub use workingset::{Refault, WorkingSetConfig, WorkingSetEstimator, WorkingSetMode};
 pub use write_list::{StealOutcome, WriteList};

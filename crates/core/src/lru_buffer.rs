@@ -229,15 +229,6 @@ impl LruBuffer {
             None => false,
         }
     }
-
-    /// Counts tracked pages with `start <= vpn < end` (per-VM residency
-    /// accounting on a shared buffer).
-    pub fn count_in(&self, start: Vpn, end: Vpn) -> u64 {
-        self.index
-            .keys()
-            .filter(|v| **v >= start && **v < end)
-            .count() as u64
-    }
 }
 
 #[cfg(test)]

@@ -35,7 +35,7 @@ impl Monitor {
         // made (or make) room, so the inline loop below is a fallback.
         self.maybe_background_reclaim(uffd, pt, pm);
         while self.lru.len() >= self.lru.capacity() {
-            if !self.evict_one(uffd, pt, pm) {
+            if !self.evict_one(uffd, pt, pm, None) {
                 break;
             }
             if self.reclaim_active() {
@@ -54,7 +54,7 @@ impl Monitor {
     ) {
         self.maybe_background_reclaim(uffd, pt, pm);
         while self.lru.over_capacity() {
-            if !self.evict_one(uffd, pt, pm) {
+            if !self.evict_one(uffd, pt, pm, None) {
                 break;
             }
             if self.reclaim_active() {
@@ -84,28 +84,41 @@ impl Monitor {
         Some(victim)
     }
 
-    /// Evicts one page from the top of the LRU. Returns `false` if the
-    /// buffer is empty.
-    fn evict_one(
+    /// Evicts one page from the top of the LRU; returns `false` if the
+    /// buffer is empty. The state changes (page-table unmap, frame free,
+    /// staging) happen now either way; `timeline` says who pays the CPU.
+    /// `None` is the inline / direct-reclaim entry: the shared clock
+    /// pays, and the eviction shows as a `UFFD_REMAP` span and Table I
+    /// row. `Some` is the background evictor's private cursor: the
+    /// shared clock does not move, and the shootdown handle and the
+    /// write-list `ready_at` are stamped from the cursor, so the page
+    /// stays unflushable until its shootdown genuinely completes.
+    pub(in crate::monitor) fn evict_one(
         &mut self,
         uffd: &mut Userfaultfd,
         pt: &mut PageTable,
         pm: &mut PhysicalMemory,
+        mut timeline: Option<&mut SimInstant>,
     ) -> bool {
         let Some(victim) = self.pop_victim_for_eviction() else {
             return false;
         };
         let key = self.key(victim);
 
-        let t0 = self.clock.now();
-        let span = self
-            .telemetry
-            .begin_with(consts::TRACK_MONITOR, "UFFD_REMAP", || {
-                vec![("vpn", format!("{victim}"))]
-            });
-        let (contents, handle) = uffd
-            .remap(pt, pm, victim)
+        let t0 = match timeline.as_deref() {
+            Some(t) => *t,
+            None => self.clock.now(),
+        };
+        let span = timeline.is_none().then(|| {
+            self.telemetry
+                .begin_with(consts::TRACK_MONITOR, "UFFD_REMAP", || {
+                    vec![("vpn", format!("{victim}"))]
+                })
+        });
+        let (contents, handle, cpu) = uffd
+            .remap_detached(pt, pm, victim, t0)
             .expect("LRU pages are mapped in the VM");
+        self.charge_to(timeline.as_deref_mut(), cpu);
         if self.config.eviction == EvictionMechanism::Remap {
             // The cross-CPU TLB shootdown completes in the background.
             self.telemetry.record_span(
@@ -121,8 +134,7 @@ impl Monitor {
                 // Zero-copy ablation: UFFD_COPY-style eviction copies the
                 // page out instead; no cross-CPU wait, but a 4 KB copy.
                 let copy_cost = uffd.costs().copy.sample(&mut self.rng);
-                self.clock.advance(copy_cost);
-                self.clock.now()
+                self.charge_to(timeline.as_deref_mut(), copy_cost)
             }
         };
         if !self.config.optimizations.async_write
@@ -131,21 +143,26 @@ impl Monitor {
             // Synchronous writes need the shootdown done before staging.
             uffd.wait_remap(handle);
         }
-        self.telemetry.end(span);
-        self.profile
-            .record(CodePath::UffdRemap, self.clock.now() - t0);
+        if let Some(span) = span {
+            self.telemetry.end(span);
+            self.profile
+                .record(CodePath::UffdRemap, self.clock.now() - t0);
+        }
 
         self.stats.evictions.inc();
 
         if self.config.optimizations.async_write {
             // The compressed tier gets first refusal; only bypassed pages
-            // (tier off, thrash gate, incompressible) stage for writeback.
-            if let Some(contents) = self.tier_try_admit(key, contents, None) {
-                self.charge(|c| &c.costs.write_list_push);
+            // (tier off, thrash gate, incompressible) stage for writeback
+            // and stay stealable until the batch flush retires them.
+            if let Some(contents) = self.tier_try_admit(key, contents, timeline.as_deref_mut()) {
+                let push = self.config.costs.write_list_push.sample(&mut self.rng);
+                self.charge_to(timeline, push);
                 self.write_list.push(key, contents, ready_at);
                 self.trace(|| format!("{} queued on the write list", key));
             }
         } else {
+            // Inline only: background reclaim requires `async_write`.
             self.charge(|c| &c.costs.sync_write_staging);
             let t0 = self.clock.now();
             self.put_with_retries(key, contents);

@@ -34,7 +34,7 @@ pub use pipeline::{CompletedFault, SubmitOutcome};
 use fluidmem_coord::PartitionId;
 use fluidmem_kv::{ExternalKey, KeyValueStore};
 use fluidmem_mem::{PageTable, PhysicalMemory, Region, Vpn};
-use fluidmem_sim::{SimClock, SimInstant, SimRng, Tracer};
+use fluidmem_sim::{SimClock, SimDuration, SimInstant, SimRng, Tracer};
 use fluidmem_uffd::Userfaultfd;
 
 use crate::config::{MonitorConfig, PrefetchPolicy};
@@ -133,14 +133,16 @@ pub(in crate::monitor) struct FaultIntake {
 /// FluidMem's monitor process (paper §V).
 ///
 /// "Its primary responsibility is to watch for page faults and resolve
-/// them before waking up the faulting process." The monitor owns the
+/// them before waking up the faulting process." One monitor serves one
+/// VM and keys every page under that VM's store partition. It owns the
 /// page tracker, the resizable LRU buffer, the write list, and the
 /// key-value store client; the kernel-side objects (userfaultfd, page
 /// table, physical memory) are passed in per call because they belong to
-/// the hypervisor.
+/// the VM's backend.
 ///
 /// See [`FluidMemMemory`](crate::FluidMemMemory) for the packaged
-/// `MemoryBackend`, which is the usual way to drive a monitor.
+/// `MemoryBackend`, which is the usual way to drive a monitor; a host
+/// running many of them over one store is `fluidmem_host::HostAgent`.
 pub struct Monitor {
     pub(in crate::monitor) config: MonitorConfig,
     pub(in crate::monitor) tracker: PageTracker,
@@ -148,9 +150,6 @@ pub struct Monitor {
     pub(in crate::monitor) write_list: WriteList,
     pub(in crate::monitor) store: Box<dyn KeyValueStore>,
     partition: PartitionId,
-    /// Per-region partition overrides (multi-VM hosting): region start →
-    /// (region, partition).
-    region_partitions: std::collections::BTreeMap<u64, (Region, PartitionId)>,
     /// Parked demand faults, speculative reads in flight, and the
     /// completion queue that orders them.
     pub(in crate::monitor) inflight: InflightTable,
@@ -233,7 +232,6 @@ impl Monitor {
             write_list: WriteList::new(),
             store,
             partition,
-            region_partitions: std::collections::BTreeMap::new(),
             inflight,
             reclaim: reclaim::ReclaimState::new(),
             profile: ProfileTable::new(),
@@ -325,8 +323,8 @@ impl Monitor {
     }
 
     /// Like [`Monitor::attach_telemetry`], but every monitor-owned
-    /// instrument is additionally keyed by a `vm` label so N monitors can
-    /// share one registry (multi-VM hosting) without clobbering each
+    /// instrument is additionally keyed by a `vm` label so a host's N
+    /// monitors can share one registry without clobbering each
     /// other — adoption replaces identically-keyed entries, so unlabeled
     /// registration from several monitors would leave only the last one
     /// visible.
@@ -563,32 +561,8 @@ impl Monitor {
         self.partition
     }
 
-    /// Routes a region's keys to a specific partition (one hypervisor
-    /// monitor serving several VMs, paper §IV).
-    pub fn register_partition(&mut self, region: Region, partition: PartitionId) {
-        self.region_partitions
-            .insert(region.start().raw(), (region, partition));
-    }
-
-    /// The partition a page's key falls under.
-    pub fn partition_of(&self, vpn: Vpn) -> PartitionId {
-        if let Some((_, (region, partition))) =
-            self.region_partitions.range(..=vpn.raw()).next_back()
-        {
-            if region.contains(vpn) {
-                return *partition;
-            }
-        }
-        self.partition
-    }
-
-    /// How many of `region`'s pages are currently resident.
-    pub fn resident_in(&self, region: &Region) -> u64 {
-        self.lru.count_in(region.start(), region.end())
-    }
-
     pub(in crate::monitor) fn key(&self, vpn: Vpn) -> ExternalKey {
-        ExternalKey::new(vpn, self.partition_of(vpn))
+        ExternalKey::new(vpn, self.partition)
     }
 
     /// Advances the clock by one draw from the cost model `pick` selects
@@ -600,6 +574,23 @@ impl Monitor {
     ) {
         let d = pick(&self.config).sample(&mut self.rng);
         self.clock.advance(d);
+    }
+
+    /// Charges `cost` to whoever is paying — the background evictor's
+    /// private `timeline`, or the shared clock when there is none — and
+    /// returns the instant the payer has reached.
+    pub(in crate::monitor) fn charge_to(
+        &self,
+        timeline: Option<&mut SimInstant>,
+        cost: SimDuration,
+    ) -> SimInstant {
+        match timeline {
+            Some(t) => {
+                *t += cost;
+                *t
+            }
+            None => self.clock.advance(cost),
+        }
     }
 
     // --- the compressed local tier ------------------------------------
@@ -662,12 +653,7 @@ impl Monitor {
         // discovered: its CPU cost is charged whether or not the page
         // admits (zram's reject path, satellite fix #2).
         let cost = self.config.tier.compress.sample(&mut self.rng);
-        match background.as_deref_mut() {
-            Some(t) => *t += cost,
-            None => {
-                self.clock.advance(cost);
-            }
-        }
+        self.charge_to(background.as_deref_mut(), cost);
         let compressed = fluidmem_kv::stored_page_size(&contents)
             .filter(|&bytes| bytes <= self.config.tier.max_bytes);
         let Some(bytes) = compressed else {
@@ -700,16 +686,7 @@ impl Monitor {
                 break;
             };
             let push = self.config.costs.write_list_push.sample(&mut self.rng);
-            let ready_at = match background.as_deref_mut() {
-                Some(t) => {
-                    *t += push;
-                    *t
-                }
-                None => {
-                    self.clock.advance(push);
-                    self.clock.now()
-                }
-            };
+            let ready_at = self.charge_to(background.as_deref_mut(), push);
             self.write_list.push(key, contents, ready_at);
             self.stats.tier_demotions.inc();
             self.trace(|| format!("tier: {key} demoted to the write list"));
@@ -854,16 +831,13 @@ impl Monitor {
         self.update_gauges();
     }
 
-    /// Forgets all monitor state for a region (VM shutdown) and drops its
-    /// pages from the store. Returns how many pages were forgotten.
+    /// Forgets all monitor state for a region (hot-unplug, VM shutdown)
+    /// and drops its pages from the store. Returns how many pages were
+    /// forgotten.
     ///
-    /// The store cleanup must be scoped to *this region's* keys: bulk
-    /// `drop_partition` is only safe when the region owned a dedicated
-    /// registered partition no other region still routes to; otherwise
-    /// (the region shares the monitor's default partition, or a sibling
-    /// region shares the registered one) dropping the partition would
-    /// wipe other regions' pages, so the region's keys are deleted
-    /// individually instead.
+    /// The store cleanup is scoped to *this region's* keys, deleted one
+    /// by one: the VM's other regions share its partition, so a bulk
+    /// `drop_partition` would wipe their pages too.
     pub fn remove_region(&mut self, region: &Region) -> usize {
         // Regions are contiguous, so the tracker drops whole bitmap
         // chunks: the cost depends on this region's span, not on how
@@ -886,30 +860,8 @@ impl Monitor {
         }
         // Pooled pages die with the region too.
         self.tier.remove_matching(|key| region.contains(key.vpn()));
-        let dedicated = self
-            .region_partitions
-            .remove(&region.start().raw())
-            .map(|(_, partition)| partition);
-        match dedicated {
-            Some(partition)
-                if partition != self.partition
-                    && !self
-                        .region_partitions
-                        .values()
-                        .any(|(_, p)| *p == partition) =>
-            {
-                self.store.drop_partition(partition);
-            }
-            Some(partition) => {
-                for vpn in region.iter_pages() {
-                    self.store.delete(ExternalKey::new(vpn, partition));
-                }
-            }
-            None => {
-                for vpn in region.iter_pages() {
-                    self.store.delete(ExternalKey::new(vpn, self.partition));
-                }
-            }
+        for vpn in region.iter_pages() {
+            self.store.delete(self.key(vpn));
         }
         removed
     }

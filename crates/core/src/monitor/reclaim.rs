@@ -30,9 +30,9 @@
 //!   with nothing in flight the activation runs on the spot. Either
 //!   way the schedule is a pure function of the seed.
 //! * **Direct reclaim as fallback.** If the evictor falls behind and a
-//!   fault still finds the buffer full, the inline path evicts as
-//!   before — counted as `direct_reclaim`, the analogue of
-//!   `SwapBackend::ensure_frames`.
+//!   fault still finds the buffer full, the fault runs the same
+//!   `evict_one` on the shared clock — counted as `direct_reclaim`, the
+//!   analogue of `SwapBackend::ensure_frames`.
 //!
 //! Everything here is gated on [`Monitor::reclaim_active`]: with the
 //! feature off (the default) no RNG draw, clock charge, counter, or
@@ -44,7 +44,6 @@ use fluidmem_telemetry::consts;
 use fluidmem_uffd::Userfaultfd;
 
 use super::Monitor;
-use crate::config::EvictionMechanism;
 
 /// The background evictor's thread state.
 #[derive(Debug)]
@@ -176,11 +175,12 @@ impl Monitor {
         let mut thread_now = start;
         let mut evicted = 0usize;
         while evicted < self.config.reclaim.batch && self.headroom() < high {
-            if !self.evict_one_background(uffd, pt, pm, &mut thread_now) {
+            if !self.evict_one(uffd, pt, pm, Some(&mut thread_now)) {
                 // Nothing evictable: sleep rather than spin awake.
                 self.reclaim.awake = false;
                 break;
             }
+            self.stats.background_reclaims.inc();
             evicted += 1;
         }
         if self.headroom() >= high {
@@ -201,52 +201,5 @@ impl Monitor {
             self.maybe_flush();
             self.update_gauges();
         }
-    }
-
-    /// Evicts one page on the evictor's timeline: the state changes
-    /// happen now, the CPU lands on `thread_now`, and the shootdown
-    /// handle completes relative to the evictor, not the fault path.
-    fn evict_one_background(
-        &mut self,
-        uffd: &mut Userfaultfd,
-        pt: &mut PageTable,
-        pm: &mut PhysicalMemory,
-        thread_now: &mut SimInstant,
-    ) -> bool {
-        let Some(victim) = self.pop_victim_for_eviction() else {
-            return false;
-        };
-        let key = self.key(victim);
-        let t0 = *thread_now;
-        let (contents, handle, cpu) = uffd
-            .remap_detached(pt, pm, victim, t0)
-            .expect("LRU pages are mapped in the VM");
-        *thread_now = t0 + cpu;
-        if self.config.eviction == EvictionMechanism::Remap {
-            self.telemetry.record_span(
-                consts::TRACK_KERNEL,
-                "tlb.shootdown",
-                t0,
-                handle.completes_at(),
-            );
-        }
-        let ready_at = match self.config.eviction {
-            EvictionMechanism::Remap => handle.completes_at(),
-            EvictionMechanism::Copy => {
-                *thread_now += uffd.costs().copy.sample(&mut self.rng);
-                *thread_now
-            }
-        };
-        self.stats.evictions.inc();
-        self.stats.background_reclaims.inc();
-        // The compressed tier gets first refusal, with its CPU charged to
-        // the evictor's own timeline. Bypassed pages stage onto the write
-        // list as before — reclaim_active implies async_write — and stay
-        // stealable until the batch flush retires them.
-        if let Some(contents) = self.tier_try_admit(key, contents, Some(thread_now)) {
-            *thread_now += self.config.costs.write_list_push.sample(&mut self.rng);
-            self.write_list.push(key, contents, ready_at);
-        }
-        true
     }
 }

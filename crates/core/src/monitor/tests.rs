@@ -482,77 +482,9 @@ fn prefetch_transients_are_counted_apart_from_misses() {
 }
 
 #[test]
-fn adjacent_regions_route_to_their_own_partitions() {
-    let mut r = rig(64, None);
-    let a = Region::new(Vpn::new(0x1000), 32, PageClass::Anonymous);
-    let b = Region::new(Vpn::new(0x1020), 32, PageClass::Anonymous);
-    r.monitor.register_partition(a, PartitionId::new(1));
-    r.monitor.register_partition(b, PartitionId::new(2));
-    // Interior and both boundaries of each region.
-    assert_eq!(
-        r.monitor.partition_of(Vpn::new(0x1000)),
-        PartitionId::new(1)
-    );
-    assert_eq!(
-        r.monitor.partition_of(Vpn::new(0x101f)),
-        PartitionId::new(1)
-    );
-    assert_eq!(
-        r.monitor.partition_of(Vpn::new(0x1020)),
-        PartitionId::new(2)
-    );
-    assert_eq!(
-        r.monitor.partition_of(Vpn::new(0x103f)),
-        PartitionId::new(2)
-    );
-    // Past the last region: the range lookup finds `b`, but the
-    // containment check must reject it and fall back to the default.
-    assert_eq!(
-        r.monitor.partition_of(Vpn::new(0x1040)),
-        PartitionId::new(0)
-    );
-}
-
-#[test]
-fn fault_past_removed_region_uses_default_partition() {
-    let mut r = rig(4, None);
-    let a = Region::new(Vpn::new(0x1000), 8, PageClass::Anonymous);
-    let b = Region::new(Vpn::new(0x1008), 8, PageClass::Anonymous);
-    r.monitor.register_partition(a, PartitionId::new(3));
-    r.monitor.register_partition(b, PartitionId::new(4));
-    r.monitor.remove_region(&a);
-    // VPNs inside and past the removed region must not resolve to a
-    // neighboring (or stale) partition.
-    assert_eq!(
-        r.monitor.partition_of(Vpn::new(0x1002)),
-        PartitionId::new(0)
-    );
-    assert_eq!(
-        r.monitor.partition_of(Vpn::new(0x1009)),
-        PartitionId::new(4)
-    );
-    // A fault in the removed range is a fresh first touch whose key,
-    // once evicted and drained, lands in the default partition.
-    for i in 0..6 {
-        fault(&mut r, i, true);
-    }
-    r.monitor.drain_writes();
-    assert!(r
-        .monitor
-        .store()
-        .contains(ExternalKey::new(Vpn::new(0x1000), PartitionId::new(0))));
-    assert!(!r
-        .monitor
-        .store()
-        .contains(ExternalKey::new(Vpn::new(0x1000), PartitionId::new(3))));
-}
-
-#[test]
 fn remove_region_spares_siblings_on_the_shared_partition() {
     let mut r = rig(4, None);
-    // Two sub-ranges, both keyed under the monitor's default
-    // partition (no register_partition call — the FluidMemMemory
-    // shape).
+    // Two sub-ranges of one VM, both keyed under its partition.
     let a = Region::new(Vpn::new(0x1000), 8, PageClass::Anonymous);
     let b = Region::new(Vpn::new(0x1008), 8, PageClass::Anonymous);
     for i in 0..16 {
@@ -578,24 +510,60 @@ fn remove_region_spares_siblings_on_the_shared_partition() {
 }
 
 #[test]
-fn remove_region_drops_a_dedicated_partition_wholesale() {
-    let mut r = rig(4, None);
-    let a = Region::new(Vpn::new(0x1000), 8, PageClass::Anonymous);
-    let b = Region::new(Vpn::new(0x1008), 8, PageClass::Anonymous);
-    r.monitor.register_partition(a, PartitionId::new(5));
-    r.monitor.register_partition(b, PartitionId::new(6));
-    for i in 0..16 {
-        fault(&mut r, i, true);
-    }
-    r.monitor.drain_writes();
-    assert_eq!(r.monitor.store().len(), 12);
-    r.monitor.remove_region(&a);
-    // Partition 5 was `a`'s alone: bulk-dropped. Partition 6 intact.
-    assert_eq!(r.monitor.store().len(), 4);
-    assert!(r
+fn one_evictor_body_charges_whichever_timeline_it_is_given() {
+    // Two identically seeded rigs hold the same 64 pages; one evicts
+    // through the inline entry (reclaim off, shrink the buffer), the
+    // other through one background activation. Same victims, same cost
+    // draws, same write-list stamps — only the payer differs.
+    let kswapd = crate::ReclaimConfig::kswapd();
+    let batch = kswapd.high_pages(64);
+    let filled = |reclaim| {
+        let mut r = rig(4096, Some(MonitorConfig::new(4096).reclaim(reclaim)));
+        for i in 0..64 {
+            fault(&mut r, i, true);
+        }
+        r
+    };
+    let mut inline = filled(crate::ReclaimConfig::disabled());
+    let mut background = filled(kswapd);
+    let t0 = inline.clock.now();
+    assert_eq!(background.clock.now(), t0);
+
+    inline.monitor.lru.set_capacity(64 - batch);
+    inline
         .monitor
-        .store()
-        .contains(ExternalKey::new(Vpn::new(0x1008), PartitionId::new(6))));
+        .evict_to_capacity(&mut inline.uffd, &mut inline.pt, &mut inline.pm);
+    background.monitor.lru.set_capacity(64);
+    background.monitor.run_background_reclaim(
+        &mut background.uffd,
+        &mut background.pt,
+        &mut background.pm,
+    );
+
+    for r in [&inline, &background] {
+        assert_eq!(r.monitor.stats().evictions, batch);
+        assert_eq!(r.monitor.stats().direct_reclaims, 0);
+        assert_eq!(r.monitor.pending_writes() as u64, batch);
+        assert!((0..batch).all(|i| !r.monitor.is_resident(r.region.page(i).vpn())));
+        assert!(r.monitor.is_resident(r.region.page(batch).vpn()));
+    }
+    assert_eq!(inline.monitor.stats().background_reclaims, 0);
+    assert_eq!(background.monitor.stats().background_reclaims, batch);
+    assert!(
+        inline.clock.now() > t0,
+        "the inline entry pays on the clock"
+    );
+    assert_eq!(
+        background.clock.now(),
+        t0,
+        "the background entry never moves the shared clock"
+    );
+    // The first victim's `ready_at` is `start + remap CPU + shootdown`
+    // on both: stamped from the clock inline, and — the clock not having
+    // moved — from the evictor's cursor in the background.
+    let ready_at = background.monitor.write_list.oldest_pending();
+    assert_eq!(ready_at, inline.monitor.write_list.oldest_pending());
+    assert!(ready_at.is_some_and(|at| at > t0));
 }
 
 // ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ use fluidmem_core::{FluidMemMemory, MonitorConfig, VmSignals};
 use fluidmem_kv::{AuditReport, ClusterHandle, KeyValueStore, NodeId, SharedStore, StoreStats};
 use fluidmem_mem::{AccessOutcome, MemoryBackend, PageClass, Region};
 use fluidmem_sim::stats::Sample;
-use fluidmem_sim::{EventQueue, SimClock, SimDuration, SimInstant, SimRng};
+use fluidmem_sim::{SimClock, SimDuration, SimInstant, SimRng};
 use fluidmem_telemetry::{consts, Counter, Gauge, Registry, Telemetry};
 use fluidmem_vm::Balloon;
 
@@ -457,51 +457,17 @@ impl HostAgent {
     /// Drives `ops` accesses across the fleet, rebalancing at the
     /// configured cadence.
     ///
-    /// With the default `monitor.max_inflight = 1` the interleave is
-    /// smooth weighted round-robin: a weight-4 VM issues 4/7 of the
-    /// accesses in a 4:1:1:1 fleet, without bursts. When the monitor
-    /// config pipelines (`max_inflight > 1`), the agent switches to a
-    /// completion-ordered interleave on a deterministic [`EventQueue`]:
-    /// each VM holds `weight` slots in the queue and re-enters at its
-    /// access's completion instant, so the VM whose previous fault
-    /// resolved earliest goes next — the schedule the paper's
-    /// multi-threaded monitor produces, and still a pure function of the
-    /// seed.
+    /// The interleave is smooth weighted round-robin over blocking
+    /// accesses: a weight-4 VM issues 4/7 of the accesses in a 4:1:1:1
+    /// fleet, without bursts. Each access runs to completion on the
+    /// shared clock before the next VM is picked, so the fleet's store
+    /// round trips serialise rather than overlap, whatever the monitors'
+    /// `max_inflight`.
     pub fn run(&mut self, ops: u64) {
         assert!(!self.slots.is_empty(), "add VMs before running");
-        if self.config.monitor.max_inflight > 1 {
-            self.run_completion_ordered(ops);
-            return;
-        }
         for _ in 0..ops {
             let next = self.interleave.pick();
             self.step(next);
-            self.ops_done += 1;
-            self.maybe_rebalance();
-            self.maybe_cluster_tick();
-        }
-    }
-
-    /// The pipelined interleave: VMs re-enter the ready queue at the
-    /// completion instant of their previous access, FIFO among ties
-    /// (queue order is `(instant, submission seq)`), so two runs with
-    /// the same seed interleave identically.
-    fn run_completion_ordered(&mut self, ops: u64) {
-        let mut ready: EventQueue<usize> = EventQueue::new();
-        let now = self.clock.now();
-        for (i, slot) in self.slots.iter().enumerate() {
-            for _ in 0..slot.spec.weight.max(1) {
-                ready.push(now, i);
-            }
-        }
-        for _ in 0..ops {
-            let (ready_at, i) = ready.pop_next().expect("every VM holds a queue slot");
-            // No-op if this VM's completion is already in the past
-            // relative to work other VMs did meanwhile.
-            self.clock.advance_to(ready_at);
-            let t0 = self.clock.now();
-            let latency = self.step(i);
-            ready.push(t0 + latency, i);
             self.ops_done += 1;
             self.maybe_rebalance();
             self.maybe_cluster_tick();
@@ -516,7 +482,7 @@ impl HostAgent {
         }
     }
 
-    fn step(&mut self, i: usize) -> SimDuration {
+    fn step(&mut self, i: usize) {
         let slot = &mut self.slots[i];
         let page = slot.workload_rng.gen_index(slot.spec.wss_pages);
         let write = slot.workload_rng.gen_bool(slot.spec.write_fraction);
@@ -527,7 +493,6 @@ impl HostAgent {
             slot.fault_lat.record_duration(report.latency);
             slot.window_fault_lat.record_duration(report.latency);
         }
-        report.latency
     }
 
     /// Runs one arbiter round immediately: collect windowed demands,
@@ -1296,14 +1261,15 @@ mod tests {
         // An over-committed fleet with the kswapd-style reclaimer on:
         // arbiter retargets route shrinks through the background
         // evictor, the run must stay a pure function of the seed, and
-        // the host budget must still hold.
-        let build = || {
+        // the host budget must still hold. The monitors' depth bound
+        // selects nothing at the host: depth 4 and depth 1 are one run.
+        let build = |depth| {
             let clock = SimClock::new();
             let store = RamCloudStore::new(1 << 28, clock.clone(), SimRng::seed_from_u64(31));
             let config = HostConfig::new(256)
                 .min_pages(16)
                 .rebalance_interval(128)
-                .monitor(MonitorConfig::new(256).inflight(4))
+                .monitor(MonitorConfig::new(256).inflight(depth))
                 .reclaim(fluidmem_core::ReclaimConfig::kswapd());
             let mut agent =
                 HostAgent::new(config, Box::new(store), clock, SimRng::seed_from_u64(32));
@@ -1313,15 +1279,14 @@ mod tests {
             agent.drain();
             agent
         };
-        let a = build();
-        let b = build();
-        assert_eq!(a.clock().now(), b.clock().now(), "virtual time diverged");
-        let mut background = 0;
-        for i in 0..2 {
-            let signals = a.vm_signals(i);
-            assert_eq!(signals, b.vm_signals(i), "vm{i} signals diverged");
-            background += signals.background_reclaims;
+        let a = build(4);
+        for b in [build(4), build(1)] {
+            assert_eq!(a.clock().now(), b.clock().now(), "virtual time diverged");
+            for i in 0..2 {
+                assert_eq!(a.vm_signals(i), b.vm_signals(i), "vm{i} signals diverged");
+            }
         }
+        let background: u64 = (0..2).map(|i| a.vm_signals(i).background_reclaims).sum();
         assert!(
             background > 0,
             "the fleet thrashes; the background evictor must have run"
@@ -1333,36 +1298,35 @@ mod tests {
     }
 
     #[test]
-    fn completion_ordered_interleave_is_deterministic() {
-        // A pipelining monitor config flips the host to the
-        // completion-ordered interleave; the schedule must still be a
-        // pure function of the seed, and every VM must make progress.
-        let build = || {
-            let clock = SimClock::new();
-            let store = RamCloudStore::new(1 << 28, clock.clone(), SimRng::seed_from_u64(21));
-            let config = HostConfig::new(256)
-                .min_pages(16)
-                .rebalance_interval(128)
-                .monitor(MonitorConfig::new(256).inflight(4));
-            let mut agent =
-                HostAgent::new(config, Box::new(store), clock, SimRng::seed_from_u64(22));
-            agent.add_vm(VmSpec::new("hot", 160).weight(4));
-            agent.add_vm(VmSpec::new("cold", 40));
-            agent.run(4_000);
-            agent.drain();
-            agent
-        };
-        let a = build();
-        let b = build();
-        assert_eq!(a.clock().now(), b.clock().now(), "virtual time diverged");
-        for i in 0..2 {
-            assert_eq!(a.vm_signals(i), b.vm_signals(i), "vm{i} signals diverged");
+    fn remove_vm_drops_only_its_own_partition_from_the_shared_store() {
+        use fluidmem_kv::ExternalKey;
+        let mut agent = host(HostConfig::new(48).min_pages(8).rebalance_interval(0), 5);
+        for name in ["a", "b", "c"] {
+            agent.add_vm(VmSpec::new(name, 64).write_fraction(1.0));
         }
-        assert_eq!(a.store_stats().gets, b.store_stats().gets);
-        // Both VMs ran, with the heavier VM issuing the majority.
-        assert!(a.vm_ops(0) > a.vm_ops(1));
-        assert!(a.vm_ops(1) > 0);
-        assert_eq!(a.vm_ops(0) + a.vm_ops(1), 4_000);
+        agent.run(3_000);
+        agent.drain();
+        let store = agent.store();
+        // Every tenant's region covers the same guest page numbers; what
+        // keeps their pages apart in the one store is the partition.
+        let stored_keys = |slot: &VmSlot| -> Vec<ExternalKey> {
+            assert_eq!(slot.region.start(), agent.slots[0].region.start());
+            slot.region
+                .iter_pages()
+                .map(|vpn| ExternalKey::new(vpn, slot.partition))
+                .filter(|key| store.contains(*key))
+                .collect()
+        };
+        let [a, b, c] = [0, 1, 2].map(|i| stored_keys(&agent.slots[i]));
+        assert!(!a.is_empty() && !b.is_empty() && !c.is_empty());
+        assert!(a[0].partition() != b[0].partition() && b[0].partition() != c[0].partition());
+        let before = store.len();
+        assert_eq!(before, a.len() + b.len() + c.len());
+
+        agent.remove_vm(1);
+        assert_eq!(store.len(), before - b.len(), "exactly b's keys went");
+        assert!(b.iter().all(|key| !store.contains(*key)));
+        assert!(a.iter().chain(&c).all(|key| store.contains(*key)));
     }
 
     #[test]

@@ -108,7 +108,9 @@ impl VcpuSet {
     /// list at its wake instant, however late it is collected). The
     /// pipeline depth is whatever the monitor's config allows.
     pub fn run(&mut self, ops: u64) -> PipelineRunStats {
-        let depth = self.vm.monitor().config().max_inflight.max(1);
+        // Only ever compared as `inflight_len() >= depth`: a bound on parked
+        // faults, not a mode switch.
+        let depth = self.vm.monitor().config().max_inflight.max(1); // lint: depth-bound
         let start = self.vm.clock().now();
         let mut stats = PipelineRunStats {
             ops: 0,

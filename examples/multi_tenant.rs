@@ -1,94 +1,82 @@
-//! Multi-tenant hypervisor: several VMs sharing one monitor, one DRAM
-//! budget, and one key-value store — the paper's deployment model
-//! (§V-A: the LRU list bounds DRAM "for all VMs"; §IV: partitions keep
-//! tenants apart in the shared store).
+//! Multi-tenant host: several VMs, each with its own monitor, sharing
+//! one DRAM budget and one key-value store — the paper's deployment
+//! model (§IV: partitions keep tenants apart in the shared store), with
+//! the host's DRAM arbiter deciding who holds how much of the budget.
 //!
 //! ```sh
 //! cargo run --release --example multi_tenant
 //! ```
 
-use fluidmem::coord::{CoordCluster, PartitionTable, VmIdentity};
-use fluidmem::core::{FluidMemHypervisor, MonitorConfig};
-use fluidmem::kv::RamCloudStore;
-use fluidmem::mem::PageClass;
+use fluidmem::host::{HostAgent, HostConfig, VmSpec};
+use fluidmem::kv::{KeyValueStore, RamCloudStore};
 use fluidmem::sim::{SimClock, SimRng};
+
+/// Host DRAM shared by every tenant's LRU buffer: 512 pages (2 MB).
+const HOST_PAGES: u64 = 512;
+
+fn report(agent: &HostAgent) {
+    let mut granted = 0;
+    for i in 0..agent.vm_count() {
+        let signals = agent.vm_signals(i);
+        granted += agent.vm_capacity(i);
+        println!(
+            "  {:<6} {}: granted {:>3}, resident {:>3}, {:>5} major faults",
+            agent.vm_name(i),
+            agent.vm_partition(i),
+            agent.vm_capacity(i),
+            signals.resident_pages,
+            signals.major_faults,
+        );
+    }
+    println!("  ({granted} of {HOST_PAGES} host pages granted)");
+}
 
 fn main() {
     let clock = SimClock::new();
     let rng = SimRng::seed_from_u64(21);
 
-    // Partition allocation through the coordination service.
-    let mut cluster = CoordCluster::new(3, clock.clone(), rng.fork("coord"));
-    PartitionTable::init(&mut cluster).unwrap();
-
-    // One hypervisor: 512 pages (2 MB) of DRAM shared by every tenant.
+    // One host: every tenant gets at least 64 pages of the budget, which
+    // is re-planned every 512 accesses.
     let store = RamCloudStore::new(1 << 30, clock.clone(), rng.fork("store"));
-    let mut hv = FluidMemHypervisor::new(
-        MonitorConfig::new(512),
-        Box::new(store),
-        clock.clone(),
-        rng.fork("hv"),
-    );
+    let config = HostConfig::new(HOST_PAGES)
+        .min_pages(64)
+        .rebalance_interval(512);
+    let mut agent = HostAgent::new(config, Box::new(store), clock, rng.fork("host"));
 
-    // Three tenants land on the host.
-    let mut tenants = Vec::new();
-    for pid in [101u64, 102, 103] {
-        let partition =
-            PartitionTable::allocate(&mut cluster, VmIdentity { pid, hypervisor: 1 }).unwrap();
-        let vm = hv.create_vm(pid, partition);
-        let region = hv.map_region(vm, 2048, PageClass::Anonymous);
-        tenants.push((pid, vm, region));
-    }
+    // Three tenants land on the host, partitions allocated through the
+    // coordination service. Two keep a modest working set; the third
+    // churns through 4x the whole budget, four times as often.
+    agent.add_vm(VmSpec::new("quiet1", 128));
+    agent.add_vm(VmSpec::new("quiet2", 128));
+    agent.add_vm(VmSpec::new("noisy", 2048).weight(4));
 
-    // Everyone boots and touches a modest working set.
-    for &(_, vm, region) in &tenants {
-        for i in 0..128 {
-            hv.access(vm, region.page(i), true);
-        }
-    }
+    agent.run(400);
+    println!("after boot (even split):");
+    report(&agent);
+
+    agent.run(30_000);
+    println!("\nafter the noisy tenant churns:");
+    report(&agent);
+    println!("(its faults pull DRAM its way: the quiet tenants are squeezed below their");
+    println!(" 128-page working sets and start faulting, but never below the 64-page floor)");
+
+    // A quiet tenant leaves; its partition vanishes from the shared
+    // store and its DRAM goes back to the others.
+    agent.drain();
+    let before = agent.store().len();
+    agent.remove_vm(0);
     println!(
-        "after boot: shared budget {} / {} pages",
-        hv.resident_pages(),
-        hv.capacity()
+        "\nquiet1 shut down: shared store {} -> {} pages, {} VMs remain",
+        before,
+        agent.store().len(),
+        agent.vm_count()
     );
-    for &(pid, vm, _) in &tenants {
-        println!("  vm {pid}: {} pages resident", hv.resident_pages_of(vm));
-    }
+    report(&agent);
 
-    // Tenant 103 goes noisy: it churns through 4x the shared budget.
-    let (_, noisy_vm, noisy_region) = tenants[2];
-    for round in 0..2 {
-        for i in 0..2048 {
-            hv.access(noisy_vm, noisy_region.page(i), true);
-        }
-        let _ = round;
-    }
-    println!("\nafter tenant 103 churns 4x the budget:");
-    for &(pid, vm, _) in &tenants {
-        println!(
-            "  vm {pid}: {} pages resident, {} major faults",
-            hv.resident_pages_of(vm),
-            hv.counters_of(vm).major_faults
-        );
-    }
-    println!("(the shared first-touch LRU let the noisy tenant displace the others)");
-
-    // Tenant 101 leaves; its pages vanish from the store instantly.
-    let (pid, vm, _) = tenants[0];
-    let store_len_before = hv.monitor().store().len();
-    hv.destroy_vm(vm);
+    // The survivors keep running against their own partitions.
+    agent.run(2_000);
     println!(
-        "\nvm {pid} shut down: store {} -> {} pages, {} VMs remain",
-        store_len_before,
-        hv.monitor().store().len(),
-        hv.vm_count()
-    );
-
-    // The quiet survivor still reads its data fine.
-    let (pid, vm, region) = tenants[1];
-    let rep = hv.access(vm, region.page(0), false);
-    println!(
-        "vm {pid} touch after neighbor churn + shutdown: {:?} in {}",
-        rep.outcome, rep.latency
+        "\n2000 more accesses: fault p99 {:.1} us across the fleet",
+        agent.aggregate_fault_percentile(0.99)
     );
 }

@@ -134,14 +134,15 @@ if [ -n "$hasher_hits" ]; then
 fi
 
 echo "==> lint: depth is a bound, not a mode"
-# There is one fault engine (DESIGN.md "Fault engine"):
-# MonitorConfig::max_inflight only bounds how many demand faults may be
-# parked, checked by submit_fault's capacity assert. Core code that
-# compares it to anything is growing a second path; so is a revived
-# handle_refault. Mark a genuine bound check with '// lint: depth-bound'.
-# Comments, test modules and monitor/tests.rs are exempt.
+# There is one fault engine (DESIGN.md "Fault engine") and one host
+# interleave: MonitorConfig::max_inflight only bounds how many demand
+# faults may be parked, checked by submit_fault's capacity assert. Core,
+# host or vm code that compares it to anything is growing a second path;
+# so is a revived handle_refault. Mark a genuine bound check with
+# '// lint: depth-bound'. Comments, test modules and monitor/tests.rs are
+# exempt.
 depth_hits=""
-for f in $(find crates/core/src -name '*.rs' ! -name 'tests.rs'); do
+for f in $(find crates/core/src crates/host/src crates/vm/src -name '*.rs' ! -name 'tests.rs'); do
     depth_hits="$depth_hits$(awk -v f="$f" '
         /^#\[cfg\(test\)\]/ { exit }
         /^[[:space:]]*\/\// || /lint: depth-bound/ { next }
@@ -149,7 +150,7 @@ for f in $(find crates/core/src -name '*.rs' ! -name 'tests.rs'); do
     ' "$f")"
 done
 if [ -n "$depth_hits" ]; then
-    echo "core code branches on max_inflight (or revives handle_refault); depth only bounds parked faults:" >&2
+    echo "core/host/vm code branches on max_inflight (or revives handle_refault); depth only bounds parked faults:" >&2
     echo "$depth_hits" >&2
     exit 1
 fi
