@@ -46,9 +46,6 @@
 //! target being the one sanctioned duplicate holder).
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::rc::Rc;
-
-use std::cell::RefCell;
 
 use fluidmem_coord::PartitionId;
 use fluidmem_mem::PageContents;
@@ -59,6 +56,7 @@ use crate::error::KvError;
 use crate::key::ExternalKey;
 use crate::pending::{PendingGet, PendingWrite};
 use crate::ring::{HashRing, NodeId};
+use crate::shared::Shared;
 use crate::stats::StoreStats;
 use crate::store::KeyValueStore;
 use crate::transport::TransportModel;
@@ -205,8 +203,6 @@ pub struct ClusterStore {
     rng: SimRng,
     /// Every key acknowledged as written and not deleted since.
     shadow: BTreeSet<u64>,
-    /// Which node served each in-flight `begin_get`, FIFO per key.
-    pending_gets: FastMap<u64, VecDeque<usize>>,
     /// Inner pendings of in-flight multi-writes, keyed by lead key. A
     /// flight leaves through `finish_write`, or — for callers that
     /// retire their batches by time and never finish them — through
@@ -244,7 +240,6 @@ impl ClusterStore {
             clock,
             rng,
             shadow: BTreeSet::new(),
-            pending_gets: FastMap::default(),
             inflight_writes: Vec::new(),
             telemetry: None,
             counters: ClusterCounters::default(),
@@ -602,12 +597,8 @@ impl ClusterStore {
         for &raw in &self.shadow {
             report.checked += 1;
             let key = ExternalKey::from_raw(raw);
-            let p = (raw & 0xFFF) as u16;
-            let owner = self
-                .assignments
-                .get(&p)
-                .copied()
-                .or_else(|| self.ring.home_of(key.partition()));
+            let p = key.partition().raw();
+            let owner = self.owner_of(key.partition());
             let sanctioned_extra = self.migrations.get(&p).map(|m| m.target);
             match owner {
                 Some(owner_id) => {
@@ -719,7 +710,7 @@ impl ClusterStore {
         let start = self.cursor;
         let flight = self
             .transport
-            .sample_batch_flight(&mut self.rng, count, count * 4096);
+            .sample_batch_flight(&mut self.rng, count, count * 4096); // lint: own-timeline
         self.cursor = start + flight;
         let mig = self.migrations.get_mut(&p).unwrap();
         mig.pages_copied += copied;
@@ -737,7 +728,7 @@ impl ClusterStore {
     /// The index of the node `key` routes to, assigning the partition on
     /// first touch.
     fn route(&mut self, key: ExternalKey) -> Result<usize, KvError> {
-        let p = key.raw() as u16 & 0xFFF;
+        let p = key.partition().raw();
         let owner = match self.assignments.get(&p) {
             Some(&n) => n,
             None => {
@@ -764,7 +755,7 @@ impl ClusterStore {
     /// its outcome is known, so an applied-but-unacked timeout can never
     /// leave the target stale.
     fn note_write(&mut self, key: ExternalKey) {
-        let p = key.raw() as u16 & 0xFFF;
+        let p = key.partition().raw();
         if let Some(mig) = self.migrations.get_mut(&p) {
             mig.dirty.insert(key.raw());
             if mig.ready {
@@ -864,7 +855,7 @@ impl KeyValueStore for ClusterStore {
     fn delete(&mut self, key: ExternalKey) -> bool {
         self.shadow.remove(&key.raw());
         self.unacknowledge(|raw| raw == key.raw());
-        let p = key.raw() as u16 & 0xFFF;
+        let p = key.partition().raw();
         // Propagate the delete to an in-flight migration target and
         // retire any pending re-copy of the key.
         if let Some(mig) = self.migrations.get_mut(&p) {
@@ -885,33 +876,21 @@ impl KeyValueStore for ClusterStore {
         match self.route(key) {
             Ok(idx) => {
                 self.nodes[idx].gets.inc();
-                let pending = self.nodes[idx].store.begin_get(key);
-                self.pending_gets
-                    .entry(key.raw())
-                    .or_default()
-                    .push_back(idx);
+                let mut pending = self.nodes[idx].store.begin_get(key);
+                pending.node = Some(idx);
                 pending
             }
             Err(e) => {
                 // No routable node: a pre-failed flight, resolved at
                 // finish time without touching any store.
                 let now = self.clock.now();
-                PendingGet {
-                    key,
-                    result: Err(e),
-                    issued_at: now,
-                    completes_at: now,
-                }
+                PendingGet::failed(key, e, now, now)
             }
         }
     }
 
     fn finish_get(&mut self, pending: PendingGet) -> Result<PageContents, KvError> {
-        let served = self
-            .pending_gets
-            .get_mut(&pending.key.raw())
-            .and_then(VecDeque::pop_front);
-        match served {
+        match pending.node {
             Some(idx) => {
                 let r = self.nodes[idx].store.finish_get(pending);
                 if r.is_err() {
@@ -1001,8 +980,9 @@ impl KeyValueStore for ClusterStore {
         let p = partition.raw();
         // A dying partition's migration is moot.
         self.abort_migration(partition);
-        self.shadow.retain(|&raw| (raw & 0xFFF) as u16 != p);
-        self.unacknowledge(|raw| (raw & 0xFFF) as u16 == p);
+        let doomed = |raw| ExternalKey::from_raw(raw).partition() == partition;
+        self.shadow.retain(|&raw| !doomed(raw));
+        self.unacknowledge(doomed);
         let dropped = match self.assignments.get(&p) {
             Some(&owner) => match self.nodes.iter().position(|n| n.id == owner) {
                 Some(idx) => self.nodes[idx].store.drop_partition(partition),
@@ -1020,13 +1000,7 @@ impl KeyValueStore for ClusterStore {
     }
 
     fn contains(&self, key: ExternalKey) -> bool {
-        let p = (key.raw() & 0xFFF) as u16;
-        let owner = self
-            .assignments
-            .get(&p)
-            .copied()
-            .or_else(|| self.ring.home_of(key.partition()));
-        match owner {
+        match self.owner_of(key.partition()) {
             Some(id) => self
                 .nodes
                 .iter()
@@ -1048,12 +1022,7 @@ impl KeyValueStore for ClusterStore {
     }
 
     fn peek(&self, key: ExternalKey) -> Option<PageContents> {
-        let p = (key.raw() & 0xFFF) as u16;
-        let owner = self
-            .assignments
-            .get(&p)
-            .copied()
-            .or_else(|| self.ring.home_of(key.partition()))?;
+        let owner = self.owner_of(key.partition())?;
         self.nodes
             .iter()
             .find(|n| n.id == owner)
@@ -1063,21 +1032,7 @@ impl KeyValueStore for ClusterStore {
     fn stats(&self) -> StoreStats {
         let mut total = StoreStats::default();
         for n in &self.nodes {
-            let s = n.store.stats();
-            total.gets += s.gets;
-            total.get_misses += s.get_misses;
-            total.puts += s.puts;
-            total.batched_puts += s.batched_puts;
-            total.multi_writes += s.multi_writes;
-            total.deletes += s.deletes;
-            total.evictions += s.evictions;
-            total.cleanings += s.cleanings;
-            total.recoveries += s.recoveries;
-            total.faults_injected += s.faults_injected;
-            total.timeouts += s.timeouts;
-            total.unavailables += s.unavailables;
-            total.retries += s.retries;
-            total.failovers += s.failovers;
+            total += n.store.stats();
         }
         total
     }
@@ -1092,93 +1047,9 @@ impl KeyValueStore for ClusterStore {
 
 /// A cheaply clonable handle to one [`ClusterStore`], so the monitor's
 /// fault pipeline (through the [`KeyValueStore`] face) and the host
-/// agent (through [`with`](ClusterHandle::with), driving membership and
+/// agent (through [`with`](Shared::with), driving membership and
 /// migrations) share the same cluster.
-#[derive(Clone)]
-pub struct ClusterHandle {
-    inner: Rc<RefCell<ClusterStore>>,
-}
-
-impl ClusterHandle {
-    /// Wraps a cluster for sharing.
-    pub fn new(cluster: ClusterStore) -> Self {
-        ClusterHandle {
-            inner: Rc::new(RefCell::new(cluster)),
-        }
-    }
-
-    /// Runs `f` with exclusive access to the cluster.
-    pub fn with<R>(&self, f: impl FnOnce(&mut ClusterStore) -> R) -> R {
-        f(&mut self.inner.borrow_mut())
-    }
-}
-
-impl std::fmt::Debug for ClusterHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.inner.borrow().fmt(f)
-    }
-}
-
-impl KeyValueStore for ClusterHandle {
-    fn name(&self) -> &'static str {
-        "cluster"
-    }
-
-    fn put(&mut self, key: ExternalKey, value: PageContents) -> Result<(), KvError> {
-        self.inner.borrow_mut().put(key, value)
-    }
-
-    fn delete(&mut self, key: ExternalKey) -> bool {
-        self.inner.borrow_mut().delete(key)
-    }
-
-    fn begin_get(&mut self, key: ExternalKey) -> PendingGet {
-        self.inner.borrow_mut().begin_get(key)
-    }
-
-    fn finish_get(&mut self, pending: PendingGet) -> Result<PageContents, KvError> {
-        self.inner.borrow_mut().finish_get(pending)
-    }
-
-    fn begin_multi_write(
-        &mut self,
-        batch: Vec<(ExternalKey, PageContents)>,
-    ) -> Result<PendingWrite, KvError> {
-        self.inner.borrow_mut().begin_multi_write(batch)
-    }
-
-    fn finish_write(&mut self, pending: PendingWrite) {
-        self.inner.borrow_mut().finish_write(pending)
-    }
-
-    fn drop_partition(&mut self, partition: PartitionId) -> u64 {
-        self.inner.borrow_mut().drop_partition(partition)
-    }
-
-    fn len(&self) -> usize {
-        self.inner.borrow().len()
-    }
-
-    fn contains(&self, key: ExternalKey) -> bool {
-        self.inner.borrow().contains(key)
-    }
-
-    fn partition_keys(&self, partition: PartitionId) -> Vec<ExternalKey> {
-        self.inner.borrow().partition_keys(partition)
-    }
-
-    fn peek(&self, key: ExternalKey) -> Option<PageContents> {
-        self.inner.borrow().peek(key)
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.inner.borrow().stats()
-    }
-
-    fn instrument(&mut self, registry: &Registry) {
-        self.inner.borrow_mut().instrument(registry)
-    }
-}
+pub type ClusterHandle = Shared<ClusterStore>;
 
 #[cfg(test)]
 mod tests {
@@ -1579,6 +1450,26 @@ mod tests {
             );
         }
         assert!(c.audit().is_clean());
+    }
+
+    #[test]
+    fn a_flight_is_finished_by_the_node_that_served_it() {
+        // Two reads of one key in flight, the second refused at the
+        // router because the owner died in between, finished out of
+        // order: the refusal must reach no store, and the served read
+        // must still be finished by its node.
+        let clock = SimClock::new();
+        let mut c = cluster_with(&clock, 1);
+        c.put(key(1, 0), PageContents::Token(7)).unwrap();
+        let served = c.begin_get(key(1, 0));
+        c.fail_node(0);
+        let refused = c.begin_get(key(1, 0));
+        assert!(matches!(c.finish_get(refused), Err(KvError::Unavailable)));
+        assert_eq!(c.stats().get_misses, 0, "a refusal touched a store");
+        let lands_at = served.completes_at();
+        assert_eq!(c.finish_get(served).unwrap(), PageContents::Token(7));
+        assert_eq!(c.stats().gets, 1);
+        assert!(clock.now() > lands_at, "the node's bottom half was skipped");
     }
 
     #[test]

@@ -5,16 +5,13 @@
 //! of customizations ... Some examples are page compression or
 //! replication across remote servers."
 
-use fluidmem_coord::PartitionId;
 use fluidmem_mem::{PageContents, PAGE_SIZE};
 use fluidmem_sim::{LatencyModel, SimClock, SimRng};
 
 use crate::error::KvError;
 use crate::key::ExternalKey;
 use crate::pending::{PendingGet, PendingWrite};
-use crate::stats::StoreStats;
-use crate::store::KeyValueStore;
-use fluidmem_telemetry::Registry;
+use crate::store::{forward, KeyValueStore};
 
 /// Frame tag of an RLE-compressed page.
 const RLE_MAGIC: u8 = 0xC7;
@@ -245,14 +242,6 @@ impl KeyValueStore for CompressedStore {
         self.inner.put(key, compressed)
     }
 
-    fn delete(&mut self, key: ExternalKey) -> bool {
-        self.inner.delete(key)
-    }
-
-    fn begin_get(&mut self, key: ExternalKey) -> PendingGet {
-        self.inner.begin_get(key)
-    }
-
     fn finish_get(&mut self, pending: PendingGet) -> Result<PageContents, KvError> {
         let raw = self.inner.finish_get(pending)?;
         self.decompress(raw)
@@ -269,26 +258,6 @@ impl KeyValueStore for CompressedStore {
         self.inner.begin_multi_write(compressed)
     }
 
-    fn finish_write(&mut self, pending: PendingWrite) {
-        self.inner.finish_write(pending)
-    }
-
-    fn drop_partition(&mut self, partition: PartitionId) -> u64 {
-        self.inner.drop_partition(partition)
-    }
-
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn contains(&self, key: ExternalKey) -> bool {
-        self.inner.contains(key)
-    }
-
-    fn partition_keys(&self, partition: PartitionId) -> Vec<ExternalKey> {
-        self.inner.partition_keys(partition)
-    }
-
     // Maintenance ops run the codec as pure functions — no CPU charge,
     // no RNG draw — so a migration copier streaming through this wrapper
     // stays invisible to the fault path's timing.
@@ -302,17 +271,8 @@ impl KeyValueStore for CompressedStore {
         self.inner.ingest(key, compressed)
     }
 
-    fn expunge(&mut self, key: ExternalKey) -> bool {
-        self.inner.expunge(key)
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.inner.stats()
-    }
-
-    fn instrument(&mut self, registry: &Registry) {
-        self.inner.instrument(registry)
-    }
+    forward!(self, self.inner, self.inner; delete begin_get finish_write drop_partition len
+        contains partition_keys expunge stats instrument);
 }
 
 impl std::fmt::Debug for CompressedStore {
@@ -329,6 +289,7 @@ impl std::fmt::Debug for CompressedStore {
 mod tests {
     use super::*;
     use crate::DramStore;
+    use fluidmem_coord::PartitionId;
     use fluidmem_mem::Vpn;
 
     fn store() -> CompressedStore {

@@ -6,11 +6,9 @@ use fluidmem_sim::{FastMap, SimClock, SimRng};
 
 use crate::error::KvError;
 use crate::key::ExternalKey;
-use crate::pending::{PendingGet, PendingWrite};
-use crate::stats::{StoreCounters, StoreStats};
-use crate::store::KeyValueStore;
+use crate::leaf::{LeafStore, StorageEngine};
+use crate::stats::StoreCounters;
 use crate::transport::TransportModel;
-use fluidmem_telemetry::Registry;
 
 /// An in-process page store on the hypervisor's own DRAM — the paper's
 /// "FluidMem DRAM" configuration, used to isolate monitor overhead from
@@ -30,139 +28,51 @@ use fluidmem_telemetry::Registry;
 /// assert!(store.contains(key));
 /// # Ok::<(), fluidmem_kv::KvError>(())
 /// ```
+pub type DramStore = LeafStore<DramEngine>;
+
+/// The storage engine behind [`DramStore`]: a bounded table.
 #[derive(Debug)]
-pub struct DramStore {
+pub struct DramEngine {
     map: FastMap<u64, PageContents>,
     capacity_pages: usize,
-    transport: TransportModel,
-    clock: SimClock,
-    rng: SimRng,
-    stats: StoreCounters,
 }
 
-impl DramStore {
+impl LeafStore<DramEngine> {
     /// Creates a store holding up to `capacity_bytes` of pages.
     pub fn new(capacity_bytes: usize, clock: SimClock, rng: SimRng) -> Self {
-        DramStore {
+        let engine = DramEngine {
             map: FastMap::default(),
             capacity_pages: (capacity_bytes / PAGE_SIZE).max(1),
-            transport: TransportModel::local(),
-            clock,
-            rng,
-            stats: StoreCounters::new(),
-        }
+        };
+        LeafStore::over(engine, TransportModel::local(), clock, rng)
     }
 }
 
-impl KeyValueStore for DramStore {
-    fn name(&self) -> &'static str {
-        "dram"
-    }
+impl StorageEngine for DramEngine {
+    const NAME: &'static str = "dram";
+    const OBJECT_BYTES: usize = PAGE_SIZE;
+    const DELETE_FLIGHT: bool = false;
 
-    fn put(&mut self, key: ExternalKey, value: PageContents) -> Result<(), KvError> {
-        let cost = self.transport.sample_top_half(&mut self.rng)
-            + self.transport.sample_flight(&mut self.rng, PAGE_SIZE)
-            + self.transport.sample_bottom_half(&mut self.rng);
-        self.clock.advance(cost);
+    fn insert(
+        &mut self,
+        key: ExternalKey,
+        value: PageContents,
+        _stats: &StoreCounters,
+    ) -> Result<(), KvError> {
+        // Overwrite of an existing key is always allowed.
         if !self.map.contains_key(&key.raw()) && self.map.len() >= self.capacity_pages {
             return Err(KvError::OutOfCapacity);
         }
         self.map.insert(key.raw(), value);
-        self.stats.puts.inc();
-        self.stats.put_latency.observe(cost);
         Ok(())
     }
 
-    fn delete(&mut self, key: ExternalKey) -> bool {
-        let cost = self.transport.sample_top_half(&mut self.rng);
-        self.clock.advance(cost);
-        let existed = self.map.remove(&key.raw()).is_some();
-        if existed {
-            self.stats.deletes.inc();
-        }
-        existed
+    fn peek(&self, key: ExternalKey) -> Option<PageContents> {
+        self.map.get(&key.raw()).cloned()
     }
 
-    fn begin_get(&mut self, key: ExternalKey) -> PendingGet {
-        let issued_at = self.clock.now();
-        let top = self.transport.sample_top_half(&mut self.rng);
-        self.clock.advance(top);
-        let flight = self.transport.sample_flight(&mut self.rng, PAGE_SIZE);
-        let result = match self.map.get(&key.raw()) {
-            Some(v) => Ok(v.clone()),
-            None => Err(KvError::NotFound(key)),
-        };
-        PendingGet {
-            key,
-            result,
-            issued_at,
-            completes_at: self.clock.now() + flight,
-        }
-    }
-
-    fn finish_get(&mut self, pending: PendingGet) -> Result<PageContents, KvError> {
-        self.clock.advance_to(pending.completes_at);
-        let bottom = self.transport.sample_bottom_half(&mut self.rng);
-        self.clock.advance(bottom);
-        self.stats
-            .get_latency
-            .observe(self.clock.now() - pending.issued_at);
-        match pending.result {
-            Ok(v) => {
-                self.stats.gets.inc();
-                Ok(v)
-            }
-            Err(e) => {
-                self.stats.get_misses.inc();
-                Err(e)
-            }
-        }
-    }
-
-    fn begin_multi_write(
-        &mut self,
-        batch: Vec<(ExternalKey, PageContents)>,
-    ) -> Result<PendingWrite, KvError> {
-        let count = batch.len();
-        let issued_at = self.clock.now();
-        let top = self.transport.sample_top_half(&mut self.rng);
-        self.clock.advance(top);
-        let flight = self
-            .transport
-            .sample_batch_flight(&mut self.rng, count, count * PAGE_SIZE);
-        let mut keys = Vec::with_capacity(count);
-        for (key, value) in batch {
-            if !self.map.contains_key(&key.raw()) && self.map.len() >= self.capacity_pages {
-                return Err(KvError::OutOfCapacity);
-            }
-            self.map.insert(key.raw(), value);
-            keys.push(key);
-        }
-        self.stats.batched_puts.add(count as u64);
-        self.stats.multi_writes.inc();
-        Ok(PendingWrite {
-            keys,
-            issued_at,
-            completes_at: self.clock.now() + flight,
-        })
-    }
-
-    fn finish_write(&mut self, pending: PendingWrite) {
-        self.clock.advance_to(pending.completes_at);
-        let bottom = self.transport.sample_bottom_half(&mut self.rng);
-        self.clock.advance(bottom);
-        self.stats
-            .multi_write_latency
-            .observe(self.clock.now() - pending.issued_at);
-    }
-
-    fn drop_partition(&mut self, partition: PartitionId) -> u64 {
-        let before = self.map.len();
-        self.map
-            .retain(|&raw, _| raw & 0xFFF != u64::from(partition.raw()));
-        let n = (before - self.map.len()) as u64;
-        self.stats.deletes.add(n);
-        n
+    fn remove(&mut self, key: ExternalKey) -> bool {
+        self.map.remove(&key.raw()).is_some()
     }
 
     fn len(&self) -> usize {
@@ -174,44 +84,14 @@ impl KeyValueStore for DramStore {
     }
 
     fn partition_keys(&self, partition: PartitionId) -> Vec<ExternalKey> {
-        let mut keys: Vec<ExternalKey> = self
-            .map
-            .keys()
-            .filter(|&&raw| raw & 0xFFF == u64::from(partition.raw()))
-            .map(|&raw| ExternalKey::from_raw(raw))
-            .collect();
-        keys.sort_unstable();
-        keys
-    }
-
-    fn peek(&self, key: ExternalKey) -> Option<PageContents> {
-        self.map.get(&key.raw()).cloned()
-    }
-
-    fn ingest(&mut self, key: ExternalKey, value: PageContents) -> Result<(), KvError> {
-        if !self.map.contains_key(&key.raw()) && self.map.len() >= self.capacity_pages {
-            return Err(KvError::OutOfCapacity);
-        }
-        self.map.insert(key.raw(), value);
-        Ok(())
-    }
-
-    fn expunge(&mut self, key: ExternalKey) -> bool {
-        self.map.remove(&key.raw()).is_some()
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.stats.snapshot()
-    }
-
-    fn instrument(&mut self, registry: &Registry) {
-        self.stats.register(registry, self.name());
+        ExternalKey::sorted_in_partition(self.map.keys().copied(), partition)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::KeyValueStore;
     use fluidmem_mem::Vpn;
     use fluidmem_sim::SimDuration;
 
@@ -241,15 +121,5 @@ mod tests {
         let t0 = clock.now();
         s.get(key(1)).unwrap();
         assert!((clock.now() - t0) < SimDuration::from_micros(3));
-    }
-
-    #[test]
-    fn stats_track_misses() {
-        let mut s = DramStore::new(1 << 20, SimClock::new(), SimRng::seed_from_u64(1));
-        let _ = s.get(key(1));
-        s.put(key(1), PageContents::Token(1)).unwrap();
-        let _ = s.get(key(1));
-        assert_eq!(s.stats().get_misses, 1);
-        assert_eq!(s.stats().gets, 1);
     }
 }

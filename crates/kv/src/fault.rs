@@ -28,7 +28,6 @@
 //!
 //! [`FaultEvent`]: fluidmem_sim::FaultEvent
 
-use fluidmem_coord::PartitionId;
 use fluidmem_mem::PageContents;
 use fluidmem_sim::{FaultKind, FaultPlan, FaultPlanStats, SimClock, SimDuration, SimInstant};
 
@@ -36,7 +35,7 @@ use crate::error::KvError;
 use crate::key::ExternalKey;
 use crate::pending::{PendingGet, PendingWrite};
 use crate::stats::StoreStats;
-use crate::store::KeyValueStore;
+use crate::store::{forward, KeyValueStore};
 use crate::transport::TransportModel;
 use fluidmem_telemetry::{consts, Counter, Registry};
 
@@ -193,10 +192,6 @@ impl KeyValueStore for FaultInjectingStore {
         }
     }
 
-    fn delete(&mut self, key: ExternalKey) -> bool {
-        self.inner.delete(key)
-    }
-
     fn begin_get(&mut self, key: ExternalKey) -> PendingGet {
         match self.next_fault() {
             None => self.inner.begin_get(key),
@@ -204,12 +199,8 @@ impl KeyValueStore for FaultInjectingStore {
             // lost response are client-identical: the deadline expires.
             Some(FaultKind::Drop) | Some(FaultKind::Timeout) => {
                 self.timeouts.inc();
-                PendingGet {
-                    key,
-                    result: Err(KvError::Timeout),
-                    issued_at: self.clock.now(),
-                    completes_at: self.clock.now() + self.deadline,
-                }
+                let now = self.clock.now();
+                PendingGet::failed(key, KvError::Timeout, now, now + self.deadline)
             }
             // A duplicated read response is de-duplicated client-side
             // for free; only the plan's counters notice.
@@ -221,26 +212,17 @@ impl KeyValueStore for FaultInjectingStore {
             }
             Some(FaultKind::TransientError) => {
                 self.unavailables.inc();
-                PendingGet {
-                    key,
-                    result: Err(KvError::Unavailable),
-                    issued_at: self.clock.now(),
-                    completes_at: self.clock.now() + self.refusal_cost(),
-                }
+                let now = self.clock.now();
+                PendingGet::failed(key, KvError::Unavailable, now, now + self.refusal_cost())
             }
             // A non-retryable refusal: the stored object is damaged in
             // place, so the error ships with the completion.
-            Some(FaultKind::Fatal) => PendingGet {
-                key,
-                result: Err(KvError::Corruption("injected fatal fault")),
-                issued_at: self.clock.now(),
-                completes_at: self.clock.now() + self.refusal_cost(),
-            },
+            Some(FaultKind::Fatal) => {
+                let now = self.clock.now();
+                let error = KvError::Corruption("injected fatal fault");
+                PendingGet::failed(key, error, now, now + self.refusal_cost())
+            }
         }
-    }
-
-    fn finish_get(&mut self, pending: PendingGet) -> Result<PageContents, KvError> {
-        self.inner.finish_get(pending)
     }
 
     fn begin_multi_write(
@@ -285,45 +267,20 @@ impl KeyValueStore for FaultInjectingStore {
         }
     }
 
-    fn finish_write(&mut self, pending: PendingWrite) {
-        self.inner.finish_write(pending)
-    }
-
-    fn drop_partition(&mut self, partition: PartitionId) -> u64 {
-        self.inner.drop_partition(partition)
-    }
-
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn contains(&self, key: ExternalKey) -> bool {
-        self.inner.contains(key)
-    }
-
-    // Maintenance traffic is out-of-band (a copier's private channel),
-    // so it is not faultable and consumes no fault-plan decisions.
-    fn partition_keys(&self, partition: PartitionId) -> Vec<ExternalKey> {
-        self.inner.partition_keys(partition)
-    }
-
-    fn peek(&self, key: ExternalKey) -> Option<PageContents> {
-        self.inner.peek(key)
-    }
-
-    fn ingest(&mut self, key: ExternalKey, value: PageContents) -> Result<(), KvError> {
-        self.inner.ingest(key, value)
-    }
-
-    fn expunge(&mut self, key: ExternalKey) -> bool {
-        self.inner.expunge(key)
-    }
+    // Everything else passes through. Maintenance traffic is out-of-band
+    // (a copier's private channel), so it is not faultable and consumes
+    // no fault-plan decisions.
+    forward!(self, self.inner, self.inner; delete finish_get finish_write drop_partition len
+        contains partition_keys peek ingest expunge);
 
     fn stats(&self) -> StoreStats {
         let mut stats = self.inner.stats();
-        stats.faults_injected += self.faults_injected.get();
-        stats.timeouts += self.timeouts.get();
-        stats.unavailables += self.unavailables.get();
+        stats += StoreStats {
+            faults_injected: self.faults_injected.get(),
+            timeouts: self.timeouts.get(),
+            unavailables: self.unavailables.get(),
+            ..StoreStats::default()
+        };
         stats
     }
 
@@ -358,6 +315,7 @@ impl std::fmt::Debug for FaultInjectingStore {
 mod tests {
     use super::*;
     use crate::DramStore;
+    use fluidmem_coord::PartitionId;
     use fluidmem_mem::Vpn;
     use fluidmem_sim::{FaultEvent, SimRng};
 

@@ -62,6 +62,21 @@ impl ExternalKey {
     pub fn from_raw(raw: u64) -> Self {
         ExternalKey(raw)
     }
+
+    /// The keys of `partition` among `raws`, ascending — the scan behind
+    /// every store's `partition_keys`, whatever order its table
+    /// iterates in.
+    pub(crate) fn sorted_in_partition(
+        raws: impl Iterator<Item = u64>,
+        partition: PartitionId,
+    ) -> Vec<ExternalKey> {
+        let mut keys: Vec<ExternalKey> = raws
+            .map(ExternalKey)
+            .filter(|key| key.partition() == partition)
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
 }
 
 impl fmt::Debug for ExternalKey {

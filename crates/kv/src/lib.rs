@@ -2,34 +2,39 @@
 //!
 //! FluidMem "interfaces with key-value stores via a generic API that
 //! supports partitions and allows multiple VMs to share the same key-value
-//! store" (paper §IV). This crate provides that API and three backends
-//! matching the paper's evaluation:
+//! store" (paper §IV). This crate provides that API, [`KeyValueStore`],
+//! including the split *top-half/bottom-half* asynchronous calls
+//! ([`KeyValueStore::begin_get`] / [`KeyValueStore::finish_get`]) that the
+//! monitor's §V-B optimizations interleave with `UFFD_REMAP`.
 //!
-//! * [`RamCloudStore`] — a log-structured store with a hash-table index,
-//!   a segment cleaner, and RAMCloud's `multiRead`/`multiWrite` batch
-//!   operations, reached over a kernel-bypass InfiniBand-verbs transport
-//!   model (~10 µs round trips; Table I's `READ_PAGE` = 15.62 µs).
-//! * [`MemcachedStore`] — a slab-allocated cache with per-class LRU
-//!   eviction over a TCP/IP-over-InfiniBand transport model (tens of µs).
-//!   Like real memcached it *evicts under memory pressure*, which the
-//!   monitor must treat as data loss.
+//! A backend is a [`StorageEngine`] behind the one [`LeafStore`] front
+//! that charges its transport. The three of the paper's evaluation:
+//!
+//! * [`RamCloudStore`] — a log with a hash-table index, a segment cleaner
+//!   and RAMCloud's `multiWrite`, over kernel-bypass InfiniBand verbs
+//!   (~10 µs round trips; Table I's `READ_PAGE` = 15.62 µs).
+//! * [`MemcachedStore`] — slab classes with per-class LRU eviction over
+//!   TCP/IP-over-InfiniBand (tens of µs). Like real memcached it *evicts
+//!   under memory pressure*, which the monitor must treat as data loss.
 //! * [`DramStore`] — an in-process table (the paper's "FluidMem DRAM"
 //!   baseline) with sub-microsecond access.
 //!
-//! All stores implement [`KeyValueStore`], including the split
-//! *top-half/bottom-half* asynchronous API ([`KeyValueStore::begin_get`] /
-//! [`KeyValueStore::finish_get`]) that the monitor's §V-B optimizations
-//! interleave with `UFFD_REMAP`.
+//! Wrappers ([`CompressedStore`], [`FaultInjectingStore`],
+//! [`ReplicatedStore`], [`ClusterStore`], the [`Shared`] handle) take
+//! any store and state only the operations they change.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cluster;
 mod compress;
+#[cfg(test)]
+mod conformance;
 mod dram;
 mod error;
 mod fault;
 mod key;
+mod leaf;
 mod memcached;
 mod pending;
 mod ramcloud;
@@ -49,13 +54,14 @@ pub use dram::DramStore;
 pub use error::KvError;
 pub use fault::FaultInjectingStore;
 pub use key::ExternalKey;
+pub use leaf::{LeafStore, StorageEngine};
 pub use memcached::MemcachedStore;
 pub use pending::{PendingGet, PendingWrite};
 pub use ramcloud::RamCloudStore;
 pub use replicated::ReplicatedStore;
-pub use retry::{run_with_retries, run_with_retries_from, RetryPolicy};
+pub use retry::{run_with_retries_from, RetryPolicy};
 pub use ring::{HashRing, NodeId};
-pub use shared::SharedStore;
+pub use shared::{Shared, SharedStore};
 pub use stats::{StoreCounters, StoreStats};
 pub use store::KeyValueStore;
 pub use transport::TransportModel;

@@ -8,14 +8,14 @@ use fluidmem_sim::{SimClock, SimRng};
 
 use crate::error::KvError;
 use crate::key::ExternalKey;
-use crate::pending::{PendingGet, PendingWrite};
-use crate::stats::{StoreCounters, StoreStats};
-use crate::store::KeyValueStore;
+use crate::leaf::{LeafStore, StorageEngine};
+use crate::stats::StoreCounters;
 use crate::transport::TransportModel;
-use fluidmem_telemetry::Registry;
 
-/// Item overhead (memcached's per-item header + key).
-const ITEM_OVERHEAD: usize = 56;
+/// Bytes a stored page occupies: memcached stores whole values (token
+/// pages still logically occupy a page on the wire and in the slab)
+/// behind a per-item header + key.
+const ITEM_BYTES: usize = PAGE_SIZE + 56;
 
 #[derive(Debug)]
 struct Item {
@@ -32,7 +32,9 @@ struct SlabClass {
 }
 
 /// A Memcached-like store: slab classes with per-class LRU eviction,
-/// reached over a TCP (IP-over-InfiniBand) transport (paper §VI-A).
+/// reached over a TCP (IP-over-InfiniBand) transport (paper §VI-A). It
+/// has no `multiWrite`; the client pipelines a batch's sets on one
+/// connection, paying one round trip plus per-item server time.
 ///
 /// Unlike [`RamCloudStore`](crate::RamCloudStore), memcached is a *cache*:
 /// when memory runs out it silently evicts the least-recently-used item of
@@ -55,20 +57,20 @@ struct SlabClass {
 /// assert_eq!(store.get(key)?, PageContents::Token(7));
 /// # Ok::<(), fluidmem_kv::KvError>(())
 /// ```
+pub type MemcachedStore = LeafStore<MemcachedEngine>;
+
+/// The storage engine behind [`MemcachedStore`]: slab classes and
+/// their LRU lists.
 #[derive(Debug)]
-pub struct MemcachedStore {
+pub struct MemcachedEngine {
     classes: Vec<SlabClass>,
     items: HashMap<u64, Item>,
     capacity_bytes: usize,
     used_bytes: usize,
     next_seq: u64,
-    transport: TransportModel,
-    clock: SimClock,
-    rng: SimRng,
-    stats: StoreCounters,
 }
 
-impl MemcachedStore {
+impl LeafStore<MemcachedEngine> {
     /// Creates a cache with `capacity_bytes` of slab memory over
     /// IP-over-InfiniBand TCP.
     pub fn new(capacity_bytes: usize, clock: SimClock, rng: SimRng) -> Self {
@@ -83,32 +85,31 @@ impl MemcachedStore {
         rng: SimRng,
     ) -> Self {
         // Memcached's default growth factor of 1.25 from 96 bytes.
-        let mut classes = Vec::new();
-        let mut chunk = 96usize;
-        while chunk < 1024 * 1024 {
-            classes.push(SlabClass {
-                chunk_size: chunk,
-                lru: BTreeMap::new(),
-            });
-            chunk = (chunk as f64 * 1.25) as usize + 8;
-        }
-        classes.push(SlabClass {
-            chunk_size: 1024 * 1024,
-            lru: BTreeMap::new(),
-        });
-        MemcachedStore {
-            classes,
+        let grow = |&chunk: &usize| Some((chunk as f64 * 1.25) as usize + 8);
+        let engine = MemcachedEngine {
+            classes: std::iter::successors(Some(96), grow)
+                .take_while(|&chunk| chunk < 1024 * 1024)
+                .chain([1024 * 1024])
+                .map(|chunk_size| SlabClass {
+                    chunk_size,
+                    lru: BTreeMap::new(),
+                })
+                .collect(),
             items: HashMap::new(),
             capacity_bytes,
             used_bytes: 0,
             next_seq: 0,
-            transport,
-            clock,
-            rng,
-            stats: StoreCounters::new(),
-        }
+        };
+        LeafStore::over(engine, transport, clock, rng)
     }
 
+    /// Slab memory currently allocated to items.
+    pub fn used_bytes(&self) -> usize {
+        self.engine.used_bytes
+    }
+}
+
+impl MemcachedEngine {
     /// The slab class whose chunks fit an item of `bytes`.
     fn class_for(&self, bytes: usize) -> usize {
         self.classes
@@ -117,186 +118,66 @@ impl MemcachedStore {
             .unwrap_or(self.classes.len() - 1)
     }
 
-    /// Bytes a stored page occupies (memcached stores whole values; token
-    /// pages still logically occupy a page on the wire and in the slab).
-    fn item_bytes() -> usize {
-        PAGE_SIZE + ITEM_OVERHEAD
-    }
-
-    fn touch(&mut self, key: ExternalKey) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        if let Some(item) = self.items.get_mut(&key.raw()) {
-            let class = item.class;
-            let old = item.lru_seq;
-            item.lru_seq = seq;
-            self.classes[class].lru.remove(&old);
-            self.classes[class].lru.insert(seq, key);
-        }
-    }
-
-    fn remove_item(&mut self, key: ExternalKey) -> Option<Item> {
+    fn take(&mut self, key: ExternalKey) -> Option<Item> {
         let item = self.items.remove(&key.raw())?;
         self.classes[item.class].lru.remove(&item.lru_seq);
         self.used_bytes -= self.classes[item.class].chunk_size;
         Some(item)
     }
+}
 
-    fn insert_item(&mut self, key: ExternalKey, value: PageContents) -> Result<(), KvError> {
-        let class = self.class_for(Self::item_bytes());
+impl StorageEngine for MemcachedEngine {
+    const NAME: &'static str = "memcached";
+    const OBJECT_BYTES: usize = ITEM_BYTES;
+    const DELETE_FLIGHT: bool = true;
+
+    fn insert(
+        &mut self,
+        key: ExternalKey,
+        value: PageContents,
+        stats: &StoreCounters,
+    ) -> Result<(), KvError> {
+        let class = self.class_for(ITEM_BYTES);
         let chunk = self.classes[class].chunk_size;
-        self.remove_item(key);
+        self.take(key);
         // Evict LRU items of this class until the chunk fits.
         while self.used_bytes + chunk > self.capacity_bytes {
-            let victim = self.classes[class].lru.iter().next().map(|(_, k)| *k);
-            match victim {
-                Some(v) => {
-                    self.remove_item(v);
-                    self.stats.evictions.inc();
-                }
-                None => return Err(KvError::OutOfCapacity),
-            }
+            let Some((_, &victim)) = self.classes[class].lru.first_key_value() else {
+                return Err(KvError::OutOfCapacity);
+            };
+            self.take(victim);
+            stats.evictions.inc();
         }
-        let seq = self.next_seq;
+        let lru_seq = self.next_seq;
         self.next_seq += 1;
-        self.items.insert(
-            key.raw(),
-            Item {
-                value,
-                class,
-                lru_seq: seq,
-            },
-        );
-        self.classes[class].lru.insert(seq, key);
+        let item = Item {
+            value,
+            class,
+            lru_seq,
+        };
+        self.items.insert(key.raw(), item);
+        self.classes[class].lru.insert(lru_seq, key);
         self.used_bytes += chunk;
         Ok(())
     }
 
-    /// Slab memory currently allocated to items.
-    pub fn used_bytes(&self) -> usize {
-        self.used_bytes
-    }
-}
-
-impl KeyValueStore for MemcachedStore {
-    fn name(&self) -> &'static str {
-        "memcached"
+    fn peek(&self, key: ExternalKey) -> Option<PageContents> {
+        self.items.get(&key.raw()).map(|item| item.value.clone())
     }
 
-    fn put(&mut self, key: ExternalKey, value: PageContents) -> Result<(), KvError> {
-        let cost = self.transport.sample_top_half(&mut self.rng)
-            + self
-                .transport
-                .sample_flight(&mut self.rng, Self::item_bytes())
-            + self.transport.sample_bottom_half(&mut self.rng);
-        self.clock.advance(cost);
-        self.insert_item(key, value)?;
-        self.stats.puts.inc();
-        self.stats.put_latency.observe(cost);
-        Ok(())
+    /// A hit moves the item to the warm end of its class's LRU.
+    fn lookup(&mut self, key: ExternalKey) -> Option<PageContents> {
+        let item = self.items.get_mut(&key.raw())?;
+        let lru = &mut self.classes[item.class].lru;
+        lru.remove(&item.lru_seq);
+        item.lru_seq = self.next_seq;
+        self.next_seq += 1;
+        lru.insert(item.lru_seq, key);
+        Some(item.value.clone())
     }
 
-    fn delete(&mut self, key: ExternalKey) -> bool {
-        let cost = self.transport.sample_top_half(&mut self.rng)
-            + self.transport.sample_flight(&mut self.rng, 64);
-        self.clock.advance(cost);
-        let existed = self.remove_item(key).is_some();
-        if existed {
-            self.stats.deletes.inc();
-        }
-        existed
-    }
-
-    fn begin_get(&mut self, key: ExternalKey) -> PendingGet {
-        let issued_at = self.clock.now();
-        let top = self.transport.sample_top_half(&mut self.rng);
-        self.clock.advance(top);
-        let flight = self
-            .transport
-            .sample_flight(&mut self.rng, Self::item_bytes());
-        let result = match self.items.get(&key.raw()) {
-            Some(item) => Ok(item.value.clone()),
-            None => Err(KvError::NotFound(key)),
-        };
-        if result.is_ok() {
-            self.touch(key);
-        }
-        PendingGet {
-            key,
-            result,
-            issued_at,
-            completes_at: self.clock.now() + flight,
-        }
-    }
-
-    fn finish_get(&mut self, pending: PendingGet) -> Result<PageContents, KvError> {
-        self.clock.advance_to(pending.completes_at);
-        let bottom = self.transport.sample_bottom_half(&mut self.rng);
-        self.clock.advance(bottom);
-        self.stats
-            .get_latency
-            .observe(self.clock.now() - pending.issued_at);
-        match pending.result {
-            Ok(v) => {
-                self.stats.gets.inc();
-                Ok(v)
-            }
-            Err(e) => {
-                self.stats.get_misses.inc();
-                Err(e)
-            }
-        }
-    }
-
-    fn begin_multi_write(
-        &mut self,
-        batch: Vec<(ExternalKey, PageContents)>,
-    ) -> Result<PendingWrite, KvError> {
-        // Memcached has no multiWrite; the client pipelines sets on one
-        // connection, paying one round trip plus per-item server time.
-        let count = batch.len();
-        let issued_at = self.clock.now();
-        let top = self.transport.sample_top_half(&mut self.rng);
-        self.clock.advance(top);
-        let flight =
-            self.transport
-                .sample_batch_flight(&mut self.rng, count, count * Self::item_bytes());
-        let mut keys = Vec::with_capacity(count);
-        for (key, value) in batch {
-            self.insert_item(key, value)?;
-            keys.push(key);
-        }
-        self.stats.batched_puts.add(count as u64);
-        self.stats.multi_writes.inc();
-        Ok(PendingWrite {
-            keys,
-            issued_at,
-            completes_at: self.clock.now() + flight,
-        })
-    }
-
-    fn finish_write(&mut self, pending: PendingWrite) {
-        self.clock.advance_to(pending.completes_at);
-        let bottom = self.transport.sample_bottom_half(&mut self.rng);
-        self.clock.advance(bottom);
-        self.stats
-            .multi_write_latency
-            .observe(self.clock.now() - pending.issued_at);
-    }
-
-    fn drop_partition(&mut self, partition: PartitionId) -> u64 {
-        let doomed: Vec<ExternalKey> = self
-            .classes
-            .iter()
-            .flat_map(|c| c.lru.values().copied())
-            .filter(|k| k.partition() == partition)
-            .collect();
-        let n = doomed.len() as u64;
-        for key in doomed {
-            self.remove_item(key);
-        }
-        self.stats.deletes.add(n);
-        n
+    fn remove(&mut self, key: ExternalKey) -> bool {
+        self.take(key).is_some()
     }
 
     fn len(&self) -> usize {
@@ -308,40 +189,14 @@ impl KeyValueStore for MemcachedStore {
     }
 
     fn partition_keys(&self, partition: PartitionId) -> Vec<ExternalKey> {
-        let mut keys: Vec<ExternalKey> = self
-            .items
-            .keys()
-            .filter(|&&raw| raw & 0xFFF == u64::from(partition.raw()))
-            .map(|&raw| ExternalKey::from_raw(raw))
-            .collect();
-        keys.sort_unstable();
-        keys
-    }
-
-    fn peek(&self, key: ExternalKey) -> Option<PageContents> {
-        self.items.get(&key.raw()).map(|item| item.value.clone())
-    }
-
-    fn ingest(&mut self, key: ExternalKey, value: PageContents) -> Result<(), KvError> {
-        self.insert_item(key, value)
-    }
-
-    fn expunge(&mut self, key: ExternalKey) -> bool {
-        self.remove_item(key).is_some()
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.stats.snapshot()
-    }
-
-    fn instrument(&mut self, registry: &Registry) {
-        self.stats.register(registry, self.name());
+        ExternalKey::sorted_in_partition(self.items.keys().copied(), partition)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::KeyValueStore;
     use fluidmem_mem::Vpn;
 
     fn key(n: u64) -> ExternalKey {
@@ -352,16 +207,9 @@ mod tests {
         // Enough slab memory for exactly `items` page items.
         let chunk = {
             let probe = MemcachedStore::new(1 << 20, SimClock::new(), SimRng::seed_from_u64(0));
-            probe.classes[probe.class_for(MemcachedStore::item_bytes())].chunk_size
+            probe.engine.classes[probe.engine.class_for(ITEM_BYTES)].chunk_size
         };
         MemcachedStore::new(chunk * items, SimClock::new(), SimRng::seed_from_u64(1))
-    }
-
-    #[test]
-    fn put_get_roundtrip() {
-        let mut s = small_store(8);
-        s.put(key(1), PageContents::from_byte_fill(3)).unwrap();
-        assert_eq!(s.get(key(1)).unwrap(), PageContents::from_byte_fill(3));
     }
 
     #[test]
@@ -412,35 +260,15 @@ mod tests {
     }
 
     #[test]
-    fn multi_write_pipelines() {
-        let mut s = small_store(64);
-        let batch: Vec<_> = (0..16).map(|i| (key(i), PageContents::Token(i))).collect();
-        s.multi_write(batch).unwrap();
-        assert_eq!(s.len(), 16);
-        assert_eq!(s.stats().multi_writes, 1);
-    }
-
-    #[test]
-    fn drop_partition_scoped() {
-        let mut s = small_store(8);
-        let a = ExternalKey::new(Vpn::new(1), PartitionId::new(3));
-        let b = ExternalKey::new(Vpn::new(1), PartitionId::new(4));
-        s.put(a, PageContents::Token(1)).unwrap();
-        s.put(b, PageContents::Token(2)).unwrap();
-        assert_eq!(s.drop_partition(PartitionId::new(3)), 1);
-        assert!(!s.contains(a));
-        assert!(s.contains(b));
-    }
-
-    #[test]
     fn slab_classes_grow_geometrically() {
         let s = MemcachedStore::new(1 << 20, SimClock::new(), SimRng::seed_from_u64(0));
+        let s = s.engine;
         for w in s.classes.windows(2) {
             assert!(w[1].chunk_size > w[0].chunk_size);
         }
         // A 4 KB page lands in a class that fits it snugly (< 2x).
-        let c = s.class_for(MemcachedStore::item_bytes());
-        assert!(s.classes[c].chunk_size >= MemcachedStore::item_bytes());
-        assert!(s.classes[c].chunk_size < MemcachedStore::item_bytes() * 2);
+        let c = s.class_for(ITEM_BYTES);
+        assert!(s.classes[c].chunk_size >= ITEM_BYTES);
+        assert!(s.classes[c].chunk_size < ITEM_BYTES * 2);
     }
 }

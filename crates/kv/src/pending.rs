@@ -18,9 +18,31 @@ pub struct PendingGet {
     pub(crate) result: Result<PageContents, KvError>,
     pub(crate) issued_at: SimInstant,
     pub(crate) completes_at: SimInstant,
+    /// Index of the [`ClusterStore`](crate::ClusterStore) node serving
+    /// this flight, stamped by the cluster on the way out (nodes are
+    /// never removed, so it is stable); `None` below a cluster and for a
+    /// flight that reached no node.
+    pub(crate) node: Option<usize>,
 }
 
 impl PendingGet {
+    /// A flight that reaches no store: `error` ships with the
+    /// completion.
+    pub(crate) fn failed(
+        key: ExternalKey,
+        error: KvError,
+        issued_at: SimInstant,
+        completes_at: SimInstant,
+    ) -> Self {
+        PendingGet {
+            key,
+            result: Err(error),
+            issued_at,
+            completes_at,
+            node: None,
+        }
+    }
+
     /// The key being read.
     pub fn key(&self) -> ExternalKey {
         self.key

@@ -2,15 +2,13 @@
 
 use fluidmem_coord::PartitionId;
 use fluidmem_mem::{PageContents, PAGE_SIZE};
-use fluidmem_sim::{FastMap, SimClock, SimRng};
+use fluidmem_sim::{FastMap, SimClock, SimDuration, SimRng};
 
 use crate::error::KvError;
 use crate::key::ExternalKey;
-use crate::pending::{PendingGet, PendingWrite};
-use crate::stats::{StoreCounters, StoreStats};
-use crate::store::KeyValueStore;
+use crate::leaf::{LeafStore, StorageEngine};
+use crate::stats::StoreCounters;
 use crate::transport::TransportModel;
-use fluidmem_telemetry::Registry;
 
 /// Logical bytes one page record occupies in the log (payload + header).
 const RECORD_BYTES: usize = PAGE_SIZE + 100;
@@ -28,17 +26,6 @@ struct LogRecord {
     live: bool,
 }
 
-impl LogRecord {
-    /// Marks the record dead and lets go of its payload. A dead version
-    /// is never read again — recovery indexes live records only and the
-    /// cleaner drops dead ones — and the log space it occupies is
-    /// counted in `RECORD_BYTES`, not by the payload it held.
-    fn kill(&mut self) {
-        self.live = false;
-        self.value = PageContents::Zero;
-    }
-}
-
 #[derive(Debug, Default)]
 struct Segment {
     records: Vec<LogRecord>,
@@ -46,10 +33,6 @@ struct Segment {
 }
 
 impl Segment {
-    fn is_sealed_at(&self, records_per_segment: usize) -> bool {
-        self.records.len() >= records_per_segment
-    }
-
     fn utilization(&self) -> f64 {
         if self.records.is_empty() {
             return 1.0;
@@ -60,9 +43,9 @@ impl Segment {
 
 /// A log-structured, DRAM-resident store in the style of RAMCloud
 /// (Ousterhout et al.): an append-only segmented log, a hash-table index,
-/// a segment cleaner that compacts dead space, and batched
-/// `multiRead`/`multiWrite` operations — the store the paper gives 25 GB
-/// of memory on a separate server (§VI-A).
+/// a segment cleaner that compacts dead space, and a batched
+/// `multiWrite` — the store the paper gives 25 GB of memory on a
+/// separate server (§VI-A).
 ///
 /// Pages are pinned in the store's DRAM (RAMCloud "pins memory to ensure
 /// that it is not paged out", §V-A); when the log is full the cleaner
@@ -83,31 +66,26 @@ impl Segment {
 /// assert_eq!(store.get(key)?, PageContents::Token(7));
 /// # Ok::<(), fluidmem_kv::KvError>(())
 /// ```
+pub type RamCloudStore = LeafStore<RamCloudEngine>;
+
+/// The storage engine behind [`RamCloudStore`]: the segmented log, its
+/// index and its cleaner.
 #[derive(Debug)]
-pub struct RamCloudStore {
+pub struct RamCloudEngine {
     segments: Vec<Segment>,
-    head: usize,
     index: FastMap<u64, (u32, u32)>,
     capacity_records: usize,
     records_per_segment: usize,
     live_records: usize,
     total_records: usize,
-    transport: TransportModel,
-    clock: SimClock,
-    rng: SimRng,
-    stats: StoreCounters,
 }
 
-impl RamCloudStore {
+impl LeafStore<RamCloudEngine> {
     /// Creates a store with `capacity_bytes` of log space, reached over
     /// InfiniBand verbs.
     pub fn new(capacity_bytes: usize, clock: SimClock, rng: SimRng) -> Self {
-        Self::with_transport(
-            capacity_bytes,
-            TransportModel::infiniband_verbs(),
-            clock,
-            rng,
-        )
+        let transport = TransportModel::infiniband_verbs();
+        Self::with_transport(capacity_bytes, transport, clock, rng)
     }
 
     /// Creates a store with an explicit transport model.
@@ -118,22 +96,17 @@ impl RamCloudStore {
         rng: SimRng,
     ) -> Self {
         let capacity_records = (capacity_bytes / RECORD_BYTES).max(1);
-        let records_per_segment = (SEGMENT_BYTES / RECORD_BYTES)
-            .min(capacity_records.div_ceil(MIN_SEGMENTS))
-            .max(8);
-        RamCloudStore {
+        let engine = RamCloudEngine {
             segments: vec![Segment::default()],
-            head: 0,
             index: FastMap::default(),
             capacity_records,
-            records_per_segment,
+            records_per_segment: (SEGMENT_BYTES / RECORD_BYTES)
+                .min(capacity_records.div_ceil(MIN_SEGMENTS))
+                .max(8),
             live_records: 0,
             total_records: 0,
-            transport,
-            clock,
-            rng,
-            stats: StoreCounters::new(),
-        }
+        };
+        LeafStore::over(engine, transport, clock, rng)
     }
 
     /// Simulates the server crashing and recovering: the DRAM hash-table
@@ -142,71 +115,74 @@ impl RamCloudStore {
     /// the paper's citation \[33\]). Charges recovery time proportional to
     /// the log size; later records win replay conflicts, so the recovered
     /// index is exactly the pre-crash one.
-    pub fn crash_and_recover(&mut self) -> fluidmem_sim::SimDuration {
+    pub fn crash_and_recover(&mut self) -> SimDuration {
         self.stats.recoveries.inc();
-        let t0 = self.clock.now();
-        self.index.clear();
+        self.engine.reindex();
         // Replay: ~0.6 µs per log record (hash insert + checksum), spread
         // over the recovery masters; single-server model charges it all.
-        let per_record = fluidmem_sim::SimDuration::from_nanos(600);
-        let mut replayed = 0u64;
+        let cost = SimDuration::from_nanos(600) * self.engine.total_records as u64;
+        self.clock.advance(cost);
+        cost
+    }
+
+    /// Fraction of the log occupied by live records.
+    pub fn log_utilization(&self) -> f64 {
+        if self.engine.total_records == 0 {
+            return 0.0;
+        }
+        self.engine.live_records as f64 / self.engine.total_records as f64
+    }
+
+    /// Number of log segments (including the open head).
+    pub fn segment_count(&self) -> usize {
+        self.engine.segments.len()
+    }
+}
+
+impl RamCloudEngine {
+    fn is_sealed(&self, segment: &Segment) -> bool {
+        segment.records.len() >= self.records_per_segment
+    }
+
+    /// Rebuilds the index from the live records of the log.
+    fn reindex(&mut self) {
+        self.index.clear();
         for (si, seg) in self.segments.iter().enumerate() {
             for (ri, rec) in seg.records.iter().enumerate() {
-                replayed += 1;
                 if rec.live {
                     self.index.insert(rec.key.raw(), (si as u32, ri as u32));
                 }
             }
         }
-        self.clock.advance(per_record * replayed);
-        self.clock.now() - t0
     }
 
-    /// Fraction of the log occupied by live records.
-    pub fn log_utilization(&self) -> f64 {
-        if self.total_records == 0 {
-            return 0.0;
-        }
-        self.live_records as f64 / self.total_records as f64
-    }
-
-    /// Number of log segments (including the open head).
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
-    fn kill_existing(&mut self, key: ExternalKey) {
-        if let Some((seg, idx)) = self.index.remove(&key.raw()) {
-            let segment = &mut self.segments[seg as usize];
-            let rec = &mut segment.records[idx as usize];
-            debug_assert!(rec.live);
-            rec.kill();
-            segment.live -= 1;
-            self.live_records -= 1;
-        }
-    }
-
-    /// Appends a record, running the cleaner if the log is full.
-    fn append(&mut self, key: ExternalKey, value: PageContents) -> Result<(), KvError> {
+    /// Appends a record to the head segment, running the cleaner if the
+    /// log is full.
+    fn append(
+        &mut self,
+        key: ExternalKey,
+        value: PageContents,
+        stats: &StoreCounters,
+    ) -> Result<(), KvError> {
         if self.total_records >= self.capacity_records {
-            self.clean();
+            self.clean(stats);
             if self.total_records >= self.capacity_records {
                 return Err(KvError::OutOfCapacity);
             }
         }
-        if self.segments[self.head].is_sealed_at(self.records_per_segment) {
+        if self.is_sealed(&self.segments[self.segments.len() - 1]) {
             self.segments.push(Segment::default());
-            self.head = self.segments.len() - 1;
         }
-        let seg = self.head as u32;
-        let idx = self.segments[self.head].records.len() as u32;
-        self.segments[self.head].records.push(LogRecord {
+        let seg = self.segments.len() - 1;
+        let head = &mut self.segments[seg];
+        self.index
+            .insert(key.raw(), (seg as u32, head.records.len() as u32));
+        head.records.push(LogRecord {
             key,
             value,
             live: true,
         });
-        self.segments[self.head].live += 1;
-        self.index.insert(key.raw(), (seg, idx));
+        head.live += 1;
         self.live_records += 1;
         self.total_records += 1;
         Ok(())
@@ -215,195 +191,53 @@ impl RamCloudStore {
     /// The log cleaner: compacts sealed segments with the most dead
     /// space by relocating their live records to fresh segments. Runs on
     /// the server's spare cores, so it charges no monitor time.
-    fn clean(&mut self) {
-        self.stats.cleanings.inc();
+    fn clean(&mut self, stats: &StoreCounters) {
+        stats.cleanings.inc();
         // Collect live records from sealed segments with < 90% utilization.
         let mut survivors: Vec<(ExternalKey, PageContents)> = Vec::new();
         let mut freed = 0usize;
-        let old_segments = std::mem::take(&mut self.segments);
         let mut kept: Vec<Segment> = Vec::new();
-        for (i, seg) in old_segments.into_iter().enumerate() {
-            let sealed = seg.records.len() >= self.records_per_segment;
-            if sealed && seg.utilization() < 0.9 {
+        for seg in std::mem::take(&mut self.segments) {
+            if self.is_sealed(&seg) && seg.utilization() < 0.9 {
                 freed += seg.records.len();
-                for rec in seg.records {
-                    if rec.live {
-                        survivors.push((rec.key, rec.value));
-                    }
-                }
+                survivors.extend(
+                    seg.records
+                        .into_iter()
+                        .filter(|rec| rec.live)
+                        .map(|rec| (rec.key, rec.value)),
+                );
             } else {
                 kept.push(seg);
-                let _ = i;
             }
         }
-        self.segments = if kept.is_empty() {
-            vec![Segment::default()]
-        } else {
-            kept
-        };
-        self.head = self.segments.len() - 1;
-        if self.segments[self.head].is_sealed_at(self.records_per_segment) {
-            self.segments.push(Segment::default());
-            self.head += 1;
+        if kept.last().is_none_or(|head| self.is_sealed(head)) {
+            kept.push(Segment::default());
         }
+        self.segments = kept;
         self.total_records -= freed;
         self.live_records -= survivors.len();
-        // Rebuild the index for everything (survivor relocation moves
-        // records; keeping it simple and correct).
-        self.index.clear();
-        for (si, seg) in self.segments.iter().enumerate() {
-            for (ri, rec) in seg.records.iter().enumerate() {
-                if rec.live {
-                    self.index.insert(rec.key.raw(), (si as u32, ri as u32));
-                }
-            }
-        }
+        // Dropping segments renumbers the ones that stay.
+        self.reindex();
         for (key, value) in survivors {
             // Capacity now has room for every survivor by construction.
-            self.append(key, value).expect("cleaner made room");
+            self.append(key, value, stats).expect("cleaner made room");
         }
     }
 }
 
-impl KeyValueStore for RamCloudStore {
-    fn name(&self) -> &'static str {
-        "ramcloud"
-    }
+impl StorageEngine for RamCloudEngine {
+    const NAME: &'static str = "ramcloud";
+    const OBJECT_BYTES: usize = RECORD_BYTES;
+    const DELETE_FLIGHT: bool = true;
 
-    fn put(&mut self, key: ExternalKey, value: PageContents) -> Result<(), KvError> {
-        let top = self.transport.sample_top_half(&mut self.rng);
-        let flight = self.transport.sample_flight(&mut self.rng, RECORD_BYTES);
-        let bottom = self.transport.sample_bottom_half(&mut self.rng);
-        self.clock.advance(top + flight + bottom);
-        self.kill_existing(key);
-        self.append(key, value)?;
-        self.stats.puts.inc();
-        self.stats.put_latency.observe(top + flight + bottom);
-        Ok(())
-    }
-
-    fn delete(&mut self, key: ExternalKey) -> bool {
-        let top = self.transport.sample_top_half(&mut self.rng);
-        let flight = self.transport.sample_flight(&mut self.rng, 64);
-        self.clock.advance(top + flight);
-        let existed = self.index.contains_key(&key.raw());
-        self.kill_existing(key);
-        if existed {
-            self.stats.deletes.inc();
-        }
-        existed
-    }
-
-    fn begin_get(&mut self, key: ExternalKey) -> PendingGet {
-        let issued_at = self.clock.now();
-        let top = self.transport.sample_top_half(&mut self.rng);
-        self.clock.advance(top);
-        let flight = self.transport.sample_flight(&mut self.rng, RECORD_BYTES);
-        let result = match self.index.get(&key.raw()) {
-            Some(&(seg, idx)) => Ok(self.segments[seg as usize].records[idx as usize]
-                .value
-                .clone()),
-            None => Err(KvError::NotFound(key)),
-        };
-        PendingGet {
-            key,
-            result,
-            issued_at,
-            completes_at: self.clock.now() + flight,
-        }
-    }
-
-    fn finish_get(&mut self, pending: PendingGet) -> Result<PageContents, KvError> {
-        self.clock.advance_to(pending.completes_at);
-        let bottom = self.transport.sample_bottom_half(&mut self.rng);
-        self.clock.advance(bottom);
-        self.stats
-            .get_latency
-            .observe(self.clock.now() - pending.issued_at);
-        match pending.result {
-            Ok(v) => {
-                self.stats.gets.inc();
-                Ok(v)
-            }
-            Err(e) => {
-                self.stats.get_misses.inc();
-                Err(e)
-            }
-        }
-    }
-
-    fn begin_multi_write(
+    fn insert(
         &mut self,
-        batch: Vec<(ExternalKey, PageContents)>,
-    ) -> Result<PendingWrite, KvError> {
-        let count = batch.len();
-        let issued_at = self.clock.now();
-        let top = self.transport.sample_top_half(&mut self.rng);
-        self.clock.advance(top);
-        let flight = self
-            .transport
-            .sample_batch_flight(&mut self.rng, count, count * RECORD_BYTES);
-        let mut keys = Vec::with_capacity(count);
-        for (key, value) in batch {
-            self.kill_existing(key);
-            self.append(key, value)?;
-            keys.push(key);
-        }
-        self.stats.batched_puts.add(count as u64);
-        self.stats.multi_writes.inc();
-        Ok(PendingWrite {
-            keys,
-            issued_at,
-            completes_at: self.clock.now() + flight,
-        })
-    }
-
-    fn finish_write(&mut self, pending: PendingWrite) {
-        self.clock.advance_to(pending.completes_at);
-        let bottom = self.transport.sample_bottom_half(&mut self.rng);
-        self.clock.advance(bottom);
-        self.stats
-            .multi_write_latency
-            .observe(self.clock.now() - pending.issued_at);
-    }
-
-    fn drop_partition(&mut self, partition: PartitionId) -> u64 {
-        let doomed: Vec<u64> = self
-            .index
-            .keys()
-            .copied()
-            .filter(|&raw| raw & 0xFFF == u64::from(partition.raw()))
-            .collect();
-        let n = doomed.len() as u64;
-        for raw in doomed {
-            if let Some((seg, idx)) = self.index.remove(&raw) {
-                let segment = &mut self.segments[seg as usize];
-                segment.records[idx as usize].kill();
-                segment.live -= 1;
-                self.live_records -= 1;
-            }
-        }
-        self.stats.deletes.add(n);
-        n
-    }
-
-    fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    fn contains(&self, key: ExternalKey) -> bool {
-        self.index.contains_key(&key.raw())
-    }
-
-    fn partition_keys(&self, partition: PartitionId) -> Vec<ExternalKey> {
-        let mut keys: Vec<ExternalKey> = self
-            .index
-            .keys()
-            .filter(|&&raw| raw & 0xFFF == u64::from(partition.raw()))
-            .map(|&raw| ExternalKey::from_raw(raw))
-            .collect();
-        keys.sort_unstable();
-        keys
+        key: ExternalKey,
+        value: PageContents,
+        stats: &StoreCounters,
+    ) -> Result<(), KvError> {
+        self.remove(key);
+        self.append(key, value, stats)
     }
 
     fn peek(&self, key: ExternalKey) -> Option<PageContents> {
@@ -415,31 +249,42 @@ impl KeyValueStore for RamCloudStore {
         )
     }
 
-    fn ingest(&mut self, key: ExternalKey, value: PageContents) -> Result<(), KvError> {
-        self.kill_existing(key);
-        self.append(key, value)
+    /// Marks the record dead and lets go of its payload. A dead version
+    /// is never read again — recovery indexes live records only and the
+    /// cleaner drops dead ones — and the log space it occupies is
+    /// counted in `RECORD_BYTES`, not by the payload it held.
+    fn remove(&mut self, key: ExternalKey) -> bool {
+        let Some((seg, idx)) = self.index.remove(&key.raw()) else {
+            return false;
+        };
+        let segment = &mut self.segments[seg as usize];
+        let rec = &mut segment.records[idx as usize];
+        debug_assert!(rec.live);
+        rec.live = false;
+        rec.value = PageContents::Zero;
+        segment.live -= 1;
+        self.live_records -= 1;
+        true
     }
 
-    fn expunge(&mut self, key: ExternalKey) -> bool {
-        let existed = self.index.contains_key(&key.raw());
-        self.kill_existing(key);
-        existed
+    fn len(&self) -> usize {
+        self.index.len()
     }
 
-    fn stats(&self) -> StoreStats {
-        self.stats.snapshot()
+    fn contains(&self, key: ExternalKey) -> bool {
+        self.index.contains_key(&key.raw())
     }
 
-    fn instrument(&mut self, registry: &Registry) {
-        self.stats.register(registry, self.name());
+    fn partition_keys(&self, partition: PartitionId) -> Vec<ExternalKey> {
+        ExternalKey::sorted_in_partition(self.index.keys().copied(), partition)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::KeyValueStore;
     use fluidmem_mem::Vpn;
-    use fluidmem_sim::SimDuration;
 
     fn store(mb: usize) -> RamCloudStore {
         RamCloudStore::new(mb << 20, SimClock::new(), SimRng::seed_from_u64(5))
@@ -447,22 +292,6 @@ mod tests {
 
     fn key(n: u64) -> ExternalKey {
         ExternalKey::new(Vpn::new(n), PartitionId::new(0))
-    }
-
-    #[test]
-    fn put_get_roundtrip_preserves_bytes() {
-        let mut s = store(16);
-        let value = PageContents::from_byte_fill(0x5A);
-        s.put(key(1), value.clone()).unwrap();
-        assert_eq!(s.get(key(1)).unwrap(), value);
-        assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn get_missing_is_not_found() {
-        let mut s = store(16);
-        assert!(matches!(s.get(key(9)), Err(KvError::NotFound(_))));
-        assert_eq!(s.stats().get_misses, 1);
     }
 
     #[test]
@@ -558,24 +387,11 @@ mod tests {
     }
 
     #[test]
-    fn multi_write_batches() {
-        let mut s = store(64);
-        let batch: Vec<_> = (0..32).map(|i| (key(i), PageContents::Token(i))).collect();
-        s.multi_write(batch).unwrap();
-        assert_eq!(s.len(), 32);
-        assert_eq!(s.stats().multi_writes, 1);
-        assert_eq!(s.stats().batched_puts, 32);
-        for i in 0..32 {
-            assert_eq!(s.get(key(i)).unwrap(), PageContents::Token(i));
-        }
-    }
-
-    #[test]
     fn cleaner_reclaims_dead_space() {
         // Capacity ~2 segments; overwrite the same keys repeatedly so the
         // log fills with dead versions and the cleaner must run.
         let mut s = store(32);
-        let n = (s.capacity_records / 4) as u64;
+        let n = (s.engine.capacity_records / 4) as u64;
         for round in 0..8u64 {
             for i in 0..n {
                 s.put(key(i), PageContents::Token(round)).unwrap();
@@ -635,17 +451,5 @@ mod tests {
             big.put(key(i), PageContents::Token(i)).unwrap();
         }
         assert!(big.crash_and_recover() > small.crash_and_recover() * 8);
-    }
-
-    #[test]
-    fn drop_partition_removes_only_that_partition() {
-        let mut s = store(16);
-        let p0 = ExternalKey::new(Vpn::new(1), PartitionId::new(0));
-        let p1 = ExternalKey::new(Vpn::new(1), PartitionId::new(1));
-        s.put(p0, PageContents::Token(0)).unwrap();
-        s.put(p1, PageContents::Token(1)).unwrap();
-        assert_eq!(s.drop_partition(PartitionId::new(0)), 1);
-        assert!(!s.contains(p0));
-        assert!(s.contains(p1));
     }
 }

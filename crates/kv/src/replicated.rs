@@ -291,7 +291,7 @@ impl KeyValueStore for ReplicatedStore {
             if self.alive[i] {
                 dropped = dropped.max(self.replicas[i].drop_partition(partition));
             }
-            self.stale[i].retain(|&raw| raw & 0xFFF != u64::from(partition.raw()));
+            self.stale[i].retain(|&raw| ExternalKey::from_raw(raw).partition() != partition);
         }
         dropped
     }
@@ -366,7 +366,10 @@ impl KeyValueStore for ReplicatedStore {
             .first_alive()
             .map(|i| self.replicas[i].stats())
             .unwrap_or_default();
-        stats.failovers += self.failovers.get();
+        stats += StoreStats {
+            failovers: self.failovers.get(),
+            ..StoreStats::default()
+        };
         stats
     }
 

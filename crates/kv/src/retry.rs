@@ -100,25 +100,9 @@ impl SaturatingShl for u64 {
 }
 
 /// Runs `op` under `policy`, charging each backoff wait to the
-/// simulation clock and counting retries into `retries`.
-///
-/// `op` receives the zero-based attempt number. Fatal errors
-/// (`NotFound`, `OutOfCapacity`) return immediately; retryable errors
-/// retry until the attempt budget is spent, then surface the last
-/// error.
-pub fn run_with_retries<T>(
-    policy: &RetryPolicy,
-    clock: &SimClock,
-    rng: &mut SimRng,
-    retries: &mut u64,
-    op: impl FnMut(u32) -> Result<T, KvError>,
-) -> Result<T, KvError> {
-    run_with_retries_from(policy, clock, rng, 0, |_, _| *retries += 1, op)
-}
-
-/// The general form of [`run_with_retries`]: the clock-charging retry
-/// loop shared by every store client (reads, eviction writes, the
-/// flush/drain path).
+/// simulation clock: the retry loop shared by every store client (reads,
+/// eviction writes, the flush/drain path). `op` receives the zero-based
+/// attempt number.
 ///
 /// `prior_attempts` counts tries already spent on this operation by an
 /// earlier phase (e.g. an asynchronous top-half read that failed); it
@@ -200,14 +184,21 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(3);
         let mut retries = 0;
         let mut failures_left = 3;
-        let out = run_with_retries(&policy, &clock, &mut rng, &mut retries, |_| {
-            if failures_left > 0 {
-                failures_left -= 1;
-                Err(KvError::Unavailable)
-            } else {
-                Ok(42)
-            }
-        });
+        let out = run_with_retries_from(
+            &policy,
+            &clock,
+            &mut rng,
+            0,
+            |_, _| retries += 1,
+            |_| {
+                if failures_left > 0 {
+                    failures_left -= 1;
+                    Err(KvError::Unavailable)
+                } else {
+                    Ok(42)
+                }
+            },
+        );
         assert_eq!(out, Ok(42));
         assert_eq!(retries, 3);
         assert!(clock.now().as_nanos() > 0, "backoff must consume time");
@@ -220,11 +211,17 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(4);
         let mut retries = 0;
         let mut calls = 0;
-        let out: Result<(), KvError> =
-            run_with_retries(&policy, &clock, &mut rng, &mut retries, |_| {
+        let out: Result<(), KvError> = run_with_retries_from(
+            &policy,
+            &clock,
+            &mut rng,
+            0,
+            |_, _| retries += 1,
+            |_| {
                 calls += 1;
                 Err(KvError::OutOfCapacity)
-            });
+            },
+        );
         assert_eq!(out, Err(KvError::OutOfCapacity));
         assert_eq!(calls, 1);
         assert_eq!(retries, 0);
@@ -237,11 +234,17 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(5);
         let mut retries = 0;
         let mut calls = 0;
-        let out: Result<(), KvError> =
-            run_with_retries(&policy, &clock, &mut rng, &mut retries, |_| {
+        let out: Result<(), KvError> = run_with_retries_from(
+            &policy,
+            &clock,
+            &mut rng,
+            0,
+            |_, _| retries += 1,
+            |_| {
                 calls += 1;
                 Err(KvError::Timeout)
-            });
+            },
+        );
         assert_eq!(out, Err(KvError::Timeout));
         assert_eq!(calls, 5);
         assert_eq!(retries, 4);

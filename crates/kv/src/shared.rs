@@ -3,15 +3,14 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use fluidmem_coord::PartitionId;
-use fluidmem_mem::PageContents;
+use crate::store::{forward, KeyValueStore};
 
-use crate::error::KvError;
-use crate::key::ExternalKey;
-use crate::pending::{PendingGet, PendingWrite};
-use crate::stats::StoreStats;
-use crate::store::KeyValueStore;
-use fluidmem_telemetry::Registry;
+/// A cheaply clonable handle to one store of type `S`: every clone
+/// operates on the same underlying store. [`SharedStore`] and
+/// [`ClusterHandle`](crate::ClusterHandle) are this type.
+pub struct Shared<S> {
+    inner: Rc<RefCell<S>>,
+}
 
 /// A cheaply clonable handle to a single underlying store, so multiple
 /// monitors — e.g. the source and destination hypervisors of a live
@@ -39,98 +38,44 @@ use fluidmem_telemetry::Registry;
 /// assert_eq!(host_b.get(key)?, PageContents::Token(7));
 /// # Ok::<(), fluidmem_kv::KvError>(())
 /// ```
-#[derive(Clone)]
-pub struct SharedStore {
-    inner: Rc<RefCell<Box<dyn KeyValueStore>>>,
-}
+pub type SharedStore = Shared<Box<dyn KeyValueStore>>;
 
-impl SharedStore {
+impl<S> Shared<S> {
     /// Wraps a store for sharing.
-    pub fn new(store: Box<dyn KeyValueStore>) -> Self {
-        SharedStore {
+    pub fn new(store: S) -> Self {
+        Shared {
             inner: Rc::new(RefCell::new(store)),
         }
     }
 
     /// Another handle to the same store.
-    pub fn handle(&self) -> SharedStore {
-        self.clone()
+    pub fn handle(&self) -> Self {
+        Shared {
+            inner: Rc::clone(&self.inner),
+        }
+    }
+
+    /// Runs `f` with exclusive access to the store, for what the
+    /// [`KeyValueStore`] face does not cover.
+    pub fn with<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
+        f(&mut self.inner.borrow_mut())
     }
 }
 
-impl KeyValueStore for SharedStore {
-    fn name(&self) -> &'static str {
-        "shared"
-    }
-
-    fn put(&mut self, key: ExternalKey, value: PageContents) -> Result<(), KvError> {
-        self.inner.borrow_mut().put(key, value)
-    }
-
-    fn delete(&mut self, key: ExternalKey) -> bool {
-        self.inner.borrow_mut().delete(key)
-    }
-
-    fn begin_get(&mut self, key: ExternalKey) -> PendingGet {
-        self.inner.borrow_mut().begin_get(key)
-    }
-
-    fn finish_get(&mut self, pending: PendingGet) -> Result<PageContents, KvError> {
-        self.inner.borrow_mut().finish_get(pending)
-    }
-
-    fn begin_multi_write(
-        &mut self,
-        batch: Vec<(ExternalKey, PageContents)>,
-    ) -> Result<PendingWrite, KvError> {
-        self.inner.borrow_mut().begin_multi_write(batch)
-    }
-
-    fn finish_write(&mut self, pending: PendingWrite) {
-        self.inner.borrow_mut().finish_write(pending)
-    }
-
-    fn drop_partition(&mut self, partition: PartitionId) -> u64 {
-        self.inner.borrow_mut().drop_partition(partition)
-    }
-
-    fn len(&self) -> usize {
-        self.inner.borrow().len()
-    }
-
-    fn contains(&self, key: ExternalKey) -> bool {
-        self.inner.borrow().contains(key)
-    }
-
-    fn partition_keys(&self, partition: PartitionId) -> Vec<ExternalKey> {
-        self.inner.borrow().partition_keys(partition)
-    }
-
-    fn peek(&self, key: ExternalKey) -> Option<PageContents> {
-        self.inner.borrow().peek(key)
-    }
-
-    fn ingest(&mut self, key: ExternalKey, value: PageContents) -> Result<(), KvError> {
-        self.inner.borrow_mut().ingest(key, value)
-    }
-
-    fn expunge(&mut self, key: ExternalKey) -> bool {
-        self.inner.borrow_mut().expunge(key)
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.inner.borrow().stats()
-    }
-
-    fn instrument(&mut self, registry: &Registry) {
-        self.inner.borrow_mut().instrument(registry)
+impl<S> Clone for Shared<S> {
+    fn clone(&self) -> Self {
+        self.handle()
     }
 }
 
-impl std::fmt::Debug for SharedStore {
+impl<S: KeyValueStore> KeyValueStore for Shared<S> {
+    forward!(self, self.inner.borrow(), self.inner.borrow_mut(); all);
+}
+
+impl<S: KeyValueStore> std::fmt::Debug for Shared<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SharedStore")
-            .field("inner", &self.inner.borrow().name())
+        f.debug_struct("Shared")
+            .field("store", &self.name())
             .field("len", &self.len())
             .finish()
     }
@@ -139,9 +84,12 @@ impl std::fmt::Debug for SharedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DramStore;
+    use crate::{DramStore, ExternalKey};
+    use fluidmem_coord::PartitionId;
+    use fluidmem_mem::PageContents;
     use fluidmem_mem::Vpn;
     use fluidmem_sim::{SimClock, SimRng};
+    use fluidmem_telemetry::Registry;
 
     #[test]
     fn handles_see_each_others_writes() {

@@ -10,42 +10,6 @@
 
 use fluidmem_telemetry::{consts, Counter, Histogram, Registry};
 
-/// A point-in-time snapshot of a store backend's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Successful reads.
-    pub gets: u64,
-    /// Reads that missed (not found / evicted).
-    pub get_misses: u64,
-    /// Single-object writes.
-    pub puts: u64,
-    /// Objects written through batch (`multiWrite`) operations.
-    pub batched_puts: u64,
-    /// Batch operations issued.
-    pub multi_writes: u64,
-    /// Objects removed by `delete`.
-    pub deletes: u64,
-    /// Objects dropped by cache eviction (memcached) — data loss.
-    pub evictions: u64,
-    /// Log-cleaner passes (RAMCloud).
-    pub cleanings: u64,
-    /// Crash-recovery replays (RAMCloud).
-    pub recoveries: u64,
-    /// Faults injected by a wrapping [`FaultInjectingStore`]
-    /// (drops, timeouts, duplicates, slow replicas, transient errors).
-    pub faults_injected: u64,
-    /// Operations that returned [`KvError::Timeout`](crate::KvError).
-    pub timeouts: u64,
-    /// Operations that returned [`KvError::Unavailable`](crate::KvError).
-    pub unavailables: u64,
-    /// Retry attempts issued through a [`RetryPolicy`](crate::RetryPolicy)
-    /// driving this store.
-    pub retries: u64,
-    /// Reads or writes redirected to another replica after a fault
-    /// ([`ReplicatedStore`](crate::ReplicatedStore)).
-    pub failovers: u64,
-}
-
 impl StoreStats {
     /// Total objects written by any means.
     pub fn total_puts(&self) -> u64 {
@@ -60,6 +24,20 @@ impl StoreStats {
 
 macro_rules! store_counters {
     ($(($field:ident, $op:literal, $doc:literal)),+ $(,)?) => {
+        /// A point-in-time snapshot of a store backend's counters.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct StoreStats {
+            $(#[doc = $doc] pub $field: u64,)+
+        }
+
+        /// Field-wise sum, for stores that total several backends or add
+        /// counters of their own to a wrapped store's.
+        impl std::ops::AddAssign for StoreStats {
+            fn add_assign(&mut self, rhs: StoreStats) {
+                $(self.$field += rhs.$field;)+
+            }
+        }
+
         /// A store backend's live counter handles (see the module docs),
         /// plus client-observed latency histograms for the three
         /// round-trip operations.
@@ -72,6 +50,12 @@ macro_rules! store_counters {
             pub put_latency: Histogram,
             /// Batch multi-write round-trip latency.
             pub multi_write_latency: Histogram,
+        }
+
+        /// Visits every [`StoreStats`] field by name and accessor.
+        #[cfg(test)]
+        fn for_each_field(mut visit: impl FnMut(&str, fn(&mut StoreStats) -> &mut u64)) {
+            $(visit(stringify!($field), |s| &mut s.$field);)+
         }
 
         impl StoreCounters {
@@ -122,17 +106,16 @@ store_counters! {
     (gets, "get", "Successful reads."),
     (get_misses, "get_miss", "Reads that missed (not found / evicted)."),
     (puts, "put", "Single-object writes."),
-    (batched_puts, "batched_put", "Objects written through batch operations."),
+    (batched_puts, "batched_put", "Objects written through batch (`multiWrite`) operations."),
     (multi_writes, "multi_write", "Batch operations issued."),
     (deletes, "delete", "Objects removed by `delete`."),
-    (evictions, "eviction", "Objects dropped by cache eviction — data loss."),
+    (evictions, "eviction", "Objects dropped by cache eviction (memcached) — data loss."),
     (cleanings, "cleaning", "Log-cleaner passes (RAMCloud)."),
     (recoveries, "recovery", "Crash-recovery replays (RAMCloud)."),
-    (faults_injected, "fault_injected", "Faults injected by a fault-injecting wrapper."),
-    (timeouts, "timeout", "Operations that returned a timeout."),
-    (unavailables, "unavailable", "Operations refused as unavailable."),
-    (retries, "retry", "Retry attempts issued by a retry policy."),
-    (failovers, "failover", "Operations redirected to another replica."),
+    (faults_injected, "fault_injected", "Faults injected by a fault-injecting wrapper, of any kind."),
+    (timeouts, "timeout", "Operations that returned [`KvError::Timeout`](crate::KvError)."),
+    (unavailables, "unavailable", "Operations refused as [`KvError::Unavailable`](crate::KvError)."),
+    (failovers, "failover", "Operations redirected to another replica after a fault."),
 }
 
 #[cfg(test)]
@@ -148,6 +131,25 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(s.total_puts(), 10);
+    }
+
+    #[test]
+    fn add_assign_sums_every_field() {
+        let (mut a, mut b) = (StoreStats::default(), StoreStats::default());
+        let mut n = 0;
+        for_each_field(|_, field| {
+            n += 1;
+            *field(&mut a) = n;
+            *field(&mut b) = 100 * n;
+        });
+        let mut sum = a;
+        sum += b;
+        for_each_field(|name, field| {
+            let (a, b) = (*field(&mut a), *field(&mut b));
+            assert_eq!(*field(&mut sum), a + b, "{name} dropped from the sum");
+            assert_eq!(b, 100 * a, "{name} shares a slot with another field");
+        });
+        assert_eq!(n, 13, "one distinct value per counter");
     }
 
     #[test]

@@ -149,6 +149,124 @@ pub trait KeyValueStore {
     fn instrument(&mut self, _registry: &Registry) {}
 }
 
+/// Writes the pass-through methods of a [`KeyValueStore`] that wraps
+/// another one, so a wrapper states only the operations it changes.
+/// Called inside the `impl` block as
+/// `forward!(self, <shared access>, <exclusive access>; <methods>)`,
+/// where `all` stands for every required or maintenance method.
+macro_rules! forward {
+    ($s:ident, $r:expr, $m:expr; all) => {
+        forward!($s, $r, $m; name put delete begin_get finish_get begin_multi_write
+            finish_write drop_partition len contains partition_keys peek ingest expunge
+            stats instrument);
+    };
+    ($s:ident, $r:expr, $m:expr; $($method:ident)+) => {
+        $(forward!(@$method $s, $r, $m);)+
+    };
+    (@name $s:ident, $r:expr, $m:expr) => {
+        fn name(&$s) -> &'static str {
+            $r.name()
+        }
+    };
+    (@put $s:ident, $r:expr, $m:expr) => {
+        fn put(
+            &mut $s,
+            key: $crate::ExternalKey,
+            value: fluidmem_mem::PageContents,
+        ) -> Result<(), $crate::KvError> {
+            $m.put(key, value)
+        }
+    };
+    (@delete $s:ident, $r:expr, $m:expr) => {
+        fn delete(&mut $s, key: $crate::ExternalKey) -> bool {
+            $m.delete(key)
+        }
+    };
+    (@begin_get $s:ident, $r:expr, $m:expr) => {
+        fn begin_get(&mut $s, key: $crate::ExternalKey) -> $crate::PendingGet {
+            $m.begin_get(key)
+        }
+    };
+    (@finish_get $s:ident, $r:expr, $m:expr) => {
+        fn finish_get(
+            &mut $s,
+            pending: $crate::PendingGet,
+        ) -> Result<fluidmem_mem::PageContents, $crate::KvError> {
+            $m.finish_get(pending)
+        }
+    };
+    (@begin_multi_write $s:ident, $r:expr, $m:expr) => {
+        fn begin_multi_write(
+            &mut $s,
+            batch: Vec<($crate::ExternalKey, fluidmem_mem::PageContents)>,
+        ) -> Result<$crate::PendingWrite, $crate::KvError> {
+            $m.begin_multi_write(batch)
+        }
+    };
+    (@finish_write $s:ident, $r:expr, $m:expr) => {
+        fn finish_write(&mut $s, pending: $crate::PendingWrite) {
+            $m.finish_write(pending)
+        }
+    };
+    (@drop_partition $s:ident, $r:expr, $m:expr) => {
+        fn drop_partition(&mut $s, partition: fluidmem_coord::PartitionId) -> u64 {
+            $m.drop_partition(partition)
+        }
+    };
+    (@len $s:ident, $r:expr, $m:expr) => {
+        fn len(&$s) -> usize {
+            $r.len()
+        }
+    };
+    (@contains $s:ident, $r:expr, $m:expr) => {
+        fn contains(&$s, key: $crate::ExternalKey) -> bool {
+            $r.contains(key)
+        }
+    };
+    (@partition_keys $s:ident, $r:expr, $m:expr) => {
+        fn partition_keys(
+            &$s,
+            partition: fluidmem_coord::PartitionId,
+        ) -> Vec<$crate::ExternalKey> {
+            $r.partition_keys(partition)
+        }
+    };
+    (@peek $s:ident, $r:expr, $m:expr) => {
+        fn peek(&$s, key: $crate::ExternalKey) -> Option<fluidmem_mem::PageContents> {
+            $r.peek(key)
+        }
+    };
+    (@ingest $s:ident, $r:expr, $m:expr) => {
+        fn ingest(
+            &mut $s,
+            key: $crate::ExternalKey,
+            value: fluidmem_mem::PageContents,
+        ) -> Result<(), $crate::KvError> {
+            $m.ingest(key, value)
+        }
+    };
+    (@expunge $s:ident, $r:expr, $m:expr) => {
+        fn expunge(&mut $s, key: $crate::ExternalKey) -> bool {
+            $m.expunge(key)
+        }
+    };
+    (@stats $s:ident, $r:expr, $m:expr) => {
+        fn stats(&$s) -> $crate::StoreStats {
+            $r.stats()
+        }
+    };
+    (@instrument $s:ident, $r:expr, $m:expr) => {
+        fn instrument(&mut $s, registry: &fluidmem_telemetry::Registry) {
+            $m.instrument(registry)
+        }
+    };
+}
+pub(crate) use forward;
+
+impl<S: KeyValueStore + ?Sized> KeyValueStore for Box<S> {
+    forward!(self, **self, **self; all);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

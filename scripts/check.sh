@@ -155,6 +155,21 @@ if [ -n "$depth_hits" ]; then
     exit 1
 fi
 
+echo "==> lint: the wire is charged in one place"
+# What a store operation costs on the wire — which halves it draws, in
+# which order, against which clock — is decided in the leaf front
+# (crates/kv/src/leaf.rs) and nowhere else: a store is an engine behind
+# that front or a wrapper around another store. The one other sampler
+# is the cluster copier, which charges its private cursor; mark such a
+# line '// lint: own-timeline'.
+wire_hits="$(grep -rn 'sample_top_half\|sample_flight\|sample_batch_flight\|sample_bottom_half' crates/kv/src \
+    | grep -v '^crates/kv/src/transport\.rs:\|^crates/kv/src/leaf\.rs:\|lint: own-timeline' || true)"
+if [ -n "$wire_hits" ]; then
+    echo "transport sampled outside the leaf front (implement a StorageEngine, or mark '// lint: own-timeline'):" >&2
+    echo "$wire_hits" >&2
+    exit 1
+fi
+
 echo "==> cluster smoke: scaling --smoke --cluster (twice, byte-identical, zero lost pages)"
 cluster_out_a="$(mktemp)"
 cluster_out_b="$(mktemp)"
