@@ -22,7 +22,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod criterion;
 pub mod json;
 
 use std::fmt::Write as _;

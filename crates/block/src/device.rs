@@ -6,7 +6,7 @@ use std::fmt;
 
 use fluidmem_mem::PageContents;
 use fluidmem_sim::{LatencyModel, SimClock, SimDuration, SimInstant, SimRng};
-use fluidmem_telemetry::{consts, Counter, Registry};
+use fluidmem_telemetry::{consts, instrument_set, Registry};
 
 /// Errors returned by block devices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,67 +53,28 @@ pub struct Completion {
     pub at: SimInstant,
 }
 
-/// A point-in-time snapshot of a device's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BlockStats {
-    /// Read requests completed or in flight.
-    pub reads: u64,
-    /// Write requests completed or in flight.
-    pub writes: u64,
-    /// Write submissions the device rejected (e.g. zram's `ENOSPC` after
-    /// the compression attempt already burned CPU).
-    pub write_errors: u64,
-    /// Requests that found the submission queue full and had to wait.
-    pub queue_full_waits: u64,
-}
-
-/// A device's live counter handles; [`BlockStats`] is their snapshot.
-#[derive(Debug, Clone, Default)]
-pub struct BlockCounters {
-    /// Read requests completed or in flight.
-    pub reads: Counter,
-    /// Write requests completed or in flight.
-    pub writes: Counter,
-    /// Write submissions the device rejected (e.g. zram's `ENOSPC` after
-    /// the compression attempt already burned CPU).
-    pub write_errors: Counter,
-    /// Requests that found the submission queue full and had to wait.
-    pub queue_full_waits: Counter,
+instrument_set! {
+    /// A device's live counter handles; `register` takes the device
+    /// name as the runtime `device` label.
+    pub struct BlockCounters {
+        counters {
+            reads: BLOCK_OPS[LABEL_OP = "read"], "Read requests completed or in flight.";
+            writes: BLOCK_OPS[LABEL_OP = "write"], "Write requests completed or in flight.";
+            write_errors: BLOCK_OPS[LABEL_OP = "write_error"],
+                "Write submissions the device rejected (e.g. zram's `ENOSPC` after the \
+                 compression attempt already burned CPU).";
+            queue_full_waits: BLOCK_OPS[LABEL_OP = "queue_full_wait"],
+                "Requests that found the submission queue full and had to wait.";
+        }
+    }
+    /// A point-in-time snapshot of a device's counters.
+    pub struct BlockStats;
 }
 
 impl BlockCounters {
-    /// Fresh detached counters (not exported anywhere).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers every counter in `registry` under
-    /// [`consts::BLOCK_OPS`], labeled by `device` and the operation.
-    /// Accumulated values carry over: the registry adopts the live
-    /// handles.
-    pub fn register(&self, registry: &Registry, device: &str) {
-        for (counter, op) in [
-            (&self.reads, "read"),
-            (&self.writes, "write"),
-            (&self.write_errors, "write_error"),
-            (&self.queue_full_waits, "queue_full_wait"),
-        ] {
-            registry.adopt_counter(
-                consts::BLOCK_OPS,
-                &[(consts::LABEL_DEVICE, device), (consts::LABEL_OP, op)],
-                counter,
-            );
-        }
-    }
-
-    /// A point-in-time snapshot of every counter.
-    pub fn snapshot(&self) -> BlockStats {
-        BlockStats {
-            reads: self.reads.get(),
-            writes: self.writes.get(),
-            write_errors: self.write_errors.get(),
-            queue_full_waits: self.queue_full_waits.get(),
-        }
+    /// Registers the counters under `device`'s label.
+    pub(crate) fn register_device(&self, registry: &Registry, device: &str) {
+        self.register(registry, &[(consts::LABEL_DEVICE, device)]);
     }
 }
 
@@ -219,7 +180,7 @@ impl QueueedStore {
             inflight: Vec::new(),
             clock,
             rng,
-            stats: BlockCounters::new(),
+            stats: BlockCounters::default(),
         }
     }
 

@@ -29,3 +29,6 @@ pub use nvmeof::NvmeofDevice;
 pub use pmem::PmemDevice;
 pub use ssd::SsdDevice;
 pub use zram::ZramDevice;
+
+/// The series every instrument set this crate declares exports.
+pub const CATALOGUE: &[&[fluidmem_telemetry::CatalogueRow]] = &[BlockCounters::CATALOGUE];

@@ -103,7 +103,7 @@ impl BlockDevice for SsdDevice {
     }
 
     fn instrument(&mut self, registry: &fluidmem_telemetry::Registry) {
-        self.inner.stats.register(registry, self.name());
+        self.inner.stats.register_device(registry, self.name());
     }
 }
 

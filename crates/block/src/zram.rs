@@ -62,7 +62,7 @@ impl ZramDevice {
             submit: SimDuration::from_nanos(500),
             clock,
             rng,
-            stats: BlockCounters::new(),
+            stats: BlockCounters::default(),
         }
     }
 
@@ -153,7 +153,7 @@ impl BlockDevice for ZramDevice {
     }
 
     fn instrument(&mut self, registry: &fluidmem_telemetry::Registry) {
-        self.stats.register(registry, self.name());
+        self.stats.register_device(registry, self.name());
     }
 }
 

@@ -79,11 +79,18 @@ pub struct CoordCluster {
     rng: SimRng,
     /// One-way message latency between any two nodes (TCP control plane).
     rpc: LatencyModel,
-    /// Committed proposals / leader elections / sessions opened, exported
-    /// under `fluidmem_coord_events_total`.
-    proposals: fluidmem_telemetry::Counter,
-    elections: fluidmem_telemetry::Counter,
-    sessions_opened: fluidmem_telemetry::Counter,
+    counters: CoordCounters,
+}
+
+fluidmem_telemetry::instrument_set! {
+    /// The coordination service's live event counters.
+    pub struct CoordCounters {
+        counters {
+            proposals: COORD_EVENTS[LABEL_EVENT = "proposal"], "Proposals committed by a quorum.";
+            elections: COORD_EVENTS[LABEL_EVENT = "election"], "Leader elections won.";
+            sessions_opened: COORD_EVENTS[LABEL_EVENT = "session_open"], "Client sessions opened.";
+        }
+    }
 }
 
 impl CoordCluster {
@@ -106,10 +113,14 @@ impl CoordCluster {
             clock,
             rng,
             rpc: LatencyModel::lognormal_mean_p99_us(120.0, 400.0),
-            proposals: fluidmem_telemetry::Counter::new(),
-            elections: fluidmem_telemetry::Counter::new(),
-            sessions_opened: fluidmem_telemetry::Counter::new(),
+            counters: CoordCounters::default(),
         }
+    }
+
+    /// The service's live event counters (exported under
+    /// `fluidmem_coord_events_total` once registered).
+    pub fn counters(&self) -> &CoordCounters {
+        &self.counters
     }
 
     /// Number of replicas (alive or dead).
@@ -144,7 +155,7 @@ impl CoordCluster {
         let id = self.next_session;
         self.next_session += 1;
         self.open_sessions.insert(id);
-        self.sessions_opened.inc();
+        self.counters.sessions_opened.inc();
         self.charge_rtt();
         SessionId(id)
     }
@@ -234,7 +245,7 @@ impl CoordCluster {
 
         // Leader → client reply.
         self.charge_rtt();
-        self.proposals.inc();
+        self.counters.proposals.inc();
         Ok(result)
     }
 
@@ -388,7 +399,7 @@ impl CoordCluster {
         // An election costs a couple of message rounds.
         self.charge_rtt();
         self.charge_rtt();
-        self.elections.inc();
+        self.counters.elections.inc();
         Ok(ReplicaId(winner))
     }
 

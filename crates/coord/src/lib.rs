@@ -30,7 +30,7 @@ mod stores;
 mod watch;
 mod znode;
 
-pub use cluster::{CoordCluster, ReplicaId, SessionId};
+pub use cluster::{CoordCluster, CoordCounters, ReplicaId, SessionId};
 pub use error::CoordError;
 pub use log::{LogEntry, OpResult, WriteOp};
 pub use membership::{HostDirectory, VmLease};
@@ -38,3 +38,6 @@ pub use partition::{PartitionId, PartitionTable, VmIdentity};
 pub use stores::StoreDirectory;
 pub use watch::{WatchEvent, WatchKind};
 pub use znode::{Znode, ZnodeTree};
+
+/// The series every instrument set this crate declares exports.
+pub const CATALOGUE: &[&[fluidmem_telemetry::CatalogueRow]] = &[CoordCounters::CATALOGUE];

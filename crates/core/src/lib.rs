@@ -71,3 +71,9 @@ pub use stats::MonitorStats;
 pub use tier::{TierAudit, TierConfig};
 pub use workingset::{Refault, WorkingSetConfig, WorkingSetEstimator, WorkingSetMode};
 pub use write_list::{StealOutcome, WriteList};
+
+/// The series every instrument set this crate declares exports.
+pub const CATALOGUE: &[&[fluidmem_telemetry::CatalogueRow]] = &[
+    stats::MonitorCounters::CATALOGUE,
+    profile::CodePathHistograms::CATALOGUE,
+];

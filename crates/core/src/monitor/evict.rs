@@ -5,7 +5,6 @@
 //! "at a time when the vCPU thread was already suspended"), or after the
 //! wake on the paths that have no flight.
 
-use fluidmem_kv::KvError;
 use fluidmem_mem::{PageTable, PhysicalMemory};
 use fluidmem_sim::SimInstant;
 use fluidmem_telemetry::consts;
@@ -186,7 +185,8 @@ impl Monitor {
         if self.write_list.pending_len() >= self.config.write_batch_size || stale {
             self.flush_batch();
         }
-        self.write_list_pending
+        self.stats
+            .write_list_pending
             .set(self.write_list.pending_len() as i64);
     }
 
@@ -235,7 +235,6 @@ impl Monitor {
             self.stats.tier_demotions.inc();
             self.write_list.push(key, contents, self.clock.now());
         }
-        let policy = self.config.retry;
         loop {
             // Waiting for pending shootdowns makes everything flushable.
             if let Some(t) = self.write_list.oldest_pending() {
@@ -245,35 +244,13 @@ impl Monitor {
             if batch.is_empty() {
                 break;
             }
-            let mut tries = 0u32;
-            let result: Result<(), KvError> = {
-                let Monitor {
-                    store,
-                    clock,
-                    rng,
-                    stats,
-                    tracer,
-                    ..
-                } = self;
-                let clock = &*clock;
-                fluidmem_kv::run_with_retries_from(
-                    &policy,
-                    clock,
-                    rng,
-                    0,
-                    |_, e| {
-                        tries += 1;
-                        stats.write_retries.inc();
-                        tracer.emit(clock.now(), "monitor", || {
-                            format!("drain: multi-write failed ({e}); retrying")
-                        });
-                    },
-                    |_| store.multi_write(batch.clone()),
-                )
-            };
-            if let Err(e) = result {
-                panic!("store failure on drain after {tries} retries: {e}");
-            }
+            self.with_store_retries(
+                |s| &s.write_retries,
+                "drain",
+                0,
+                |_, e| format!("drain: multi-write failed ({e}); retrying"),
+                |store| store.multi_write(batch.clone()),
+            );
             self.stats.flushes.inc();
         }
         self.write_list.retire(SimInstant::from_nanos(u64::MAX));

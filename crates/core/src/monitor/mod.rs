@@ -46,7 +46,7 @@ use crate::stats::{MonitorCounters, MonitorStats};
 use crate::tier::{CompressedTier, TierAudit};
 use crate::workingset::WorkingSetEstimator;
 use crate::write_list::WriteList;
-use fluidmem_telemetry::{consts, Gauge, Histogram, SpanId, Telemetry};
+use fluidmem_telemetry::{consts, SpanId, Telemetry};
 
 use pipeline::InflightTable;
 
@@ -68,26 +68,6 @@ pub enum Resolution {
 }
 
 impl Resolution {
-    /// The `resolution` label value this kind is exported under.
-    pub fn label(self) -> &'static str {
-        match self {
-            Resolution::ZeroFill => "zero_fill",
-            Resolution::RemoteRead => "remote_read",
-            Resolution::WriteListSteal => "write_list_steal",
-            Resolution::InflightWait => "inflight_wait",
-            Resolution::CompressedHit => "compressed_hit",
-        }
-    }
-
-    /// Every resolution kind, in label order.
-    pub const ALL: [Resolution; 5] = [
-        Resolution::ZeroFill,
-        Resolution::RemoteRead,
-        Resolution::WriteListSteal,
-        Resolution::InflightWait,
-        Resolution::CompressedHit,
-    ];
-
     /// How the guest experiences this resolution: minor when no store
     /// round trip (or write wait) sat on the critical path.
     pub fn outcome(self) -> fluidmem_mem::AccessOutcome {
@@ -97,16 +77,6 @@ impl Resolution {
                 MinorFault
             }
             Resolution::RemoteRead | Resolution::InflightWait => MajorFault,
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            Resolution::ZeroFill => 0,
-            Resolution::RemoteRead => 1,
-            Resolution::WriteListSteal => 2,
-            Resolution::InflightWait => 3,
-            Resolution::CompressedHit => 4,
         }
     }
 }
@@ -156,32 +126,13 @@ pub struct Monitor {
     /// Background-evictor thread state (watermark reclaim).
     pub(in crate::monitor) reclaim: reclaim::ReclaimState,
     pub(in crate::monitor) profile: ProfileTable,
+    /// Every counter, gauge and histogram the monitor keeps.
     pub(in crate::monitor) stats: MonitorCounters,
     pub(in crate::monitor) telemetry: Telemetry,
     /// Shadow-entry refault-distance tracking (working-set estimation).
     pub(in crate::monitor) workingset: WorkingSetEstimator,
     /// The compressed local tier between the LRU and the remote store.
     pub(in crate::monitor) tier: CompressedTier,
-    /// Guest-observed fault latency, one histogram per [`Resolution`].
-    pub(in crate::monitor) fault_latency: [Histogram; 5],
-    /// Refault distances in eviction counts (recorded unit-less).
-    pub(in crate::monitor) refault_distance: Histogram,
-    /// The current working-set-size estimate.
-    wss_estimate: Gauge,
-    lru_resident: Gauge,
-    lru_capacity: Gauge,
-    lru_headroom: Gauge,
-    /// Compressed bytes currently charged to the tier pool.
-    tier_pool_bytes: Gauge,
-    /// Live entries in the tier pool.
-    tier_pool_pages: Gauge,
-    pub(in crate::monitor) write_list_pending: Gauge,
-    /// Per-structure occupancy: slab nodes allocated by the LRU buffer.
-    lru_slab_nodes: Gauge,
-    /// Per-structure occupancy: bitmap chunks held by the page tracker.
-    tracker_chunks: Gauge,
-    /// Per-structure occupancy: operations parked in the in-flight table.
-    inflight_parked_ops: Gauge,
     /// Pooled buffer for the `ScanReferenced` head scan.
     pub(in crate::monitor) scan_buf: Vec<Vpn>,
     /// Pooled buffer for prefetch candidate pages per fault.
@@ -195,13 +146,6 @@ pub struct Monitor {
     /// first guest touch resolves to a hit (and a timeliness sample); an
     /// eviction or region removal first resolves to a waste.
     pub(in crate::monitor) prefetch_pending_touch: std::collections::BTreeMap<Vpn, SimInstant>,
-    /// Issue→first-touch distance of prefetched pages that were used.
-    pub(in crate::monitor) prefetch_timeliness: Histogram,
-    /// How long a response that had arrived sat before the monitor
-    /// picked it up (see [`Monitor::note_completion_lag`]), for demand
-    /// reads and write waits, and for speculative reads.
-    pub(in crate::monitor) demand_completion_lag: Histogram,
-    pub(in crate::monitor) speculative_completion_lag: Histogram,
     pub(in crate::monitor) tracer: Tracer,
     pub(in crate::monitor) clock: SimClock,
     pub(in crate::monitor) rng: SimRng,
@@ -235,29 +179,14 @@ impl Monitor {
             inflight,
             reclaim: reclaim::ReclaimState::new(),
             profile: ProfileTable::new(),
-            stats: MonitorCounters::new(),
+            stats: MonitorCounters::default(),
             telemetry,
             workingset,
             tier: CompressedTier::new(),
-            fault_latency: Default::default(),
-            refault_distance: Histogram::new(),
-            wss_estimate: Gauge::new(),
-            lru_resident: Gauge::new(),
-            lru_capacity: Gauge::new(),
-            lru_headroom: Gauge::new(),
-            tier_pool_bytes: Gauge::new(),
-            tier_pool_pages: Gauge::new(),
-            write_list_pending: Gauge::new(),
-            lru_slab_nodes: Gauge::new(),
-            tracker_chunks: Gauge::new(),
-            inflight_parked_ops: Gauge::new(),
             scan_buf: Vec::new(),
             prefetch_candidates: Vec::new(),
             stride,
             prefetch_pending_touch: std::collections::BTreeMap::new(),
-            prefetch_timeliness: Histogram::new(),
-            demand_completion_lag: Histogram::new(),
-            speculative_completion_lag: Histogram::new(),
             tracer: Tracer::disabled(),
             clock,
             rng,
@@ -267,59 +196,11 @@ impl Monitor {
     }
 
     /// Swaps in a shared telemetry handle and registers every live
-    /// instrument in its registry: the monitor's event counters, the
-    /// Table I code-path profile, the fault-latency histograms, the LRU
-    /// and write-list gauges, and the store's own counters. Accumulated
-    /// values carry over.
+    /// instrument in its registry: the monitor's own set, the Table I
+    /// code-path profile, and the store's counters. Accumulated values
+    /// carry over.
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        let telemetry = telemetry.clone();
-        {
-            let registry = telemetry.registry();
-            self.stats.register(registry);
-            self.profile.register(registry);
-            self.store.instrument(registry);
-            registry.adopt_gauge(consts::LRU_RESIDENT_PAGES, &[], &self.lru_resident);
-            registry.adopt_gauge(consts::LRU_CAPACITY_PAGES, &[], &self.lru_capacity);
-            registry.adopt_gauge(consts::LRU_HEADROOM_PAGES, &[], &self.lru_headroom);
-            registry.adopt_gauge(consts::TIER_POOL_BYTES, &[], &self.tier_pool_bytes);
-            registry.adopt_gauge(consts::TIER_POOL_PAGES, &[], &self.tier_pool_pages);
-            registry.adopt_gauge(consts::WRITE_LIST_PENDING, &[], &self.write_list_pending);
-            registry.adopt_gauge(consts::LRU_SLAB_NODES, &[], &self.lru_slab_nodes);
-            registry.adopt_gauge(consts::TRACKER_CHUNKS, &[], &self.tracker_chunks);
-            registry.adopt_gauge(consts::INFLIGHT_PARKED_OPS, &[], &self.inflight_parked_ops);
-            registry.adopt_gauge(consts::WSS_ESTIMATE_PAGES, &[], &self.wss_estimate);
-            registry.adopt_histogram(consts::REFAULT_DISTANCE_PAGES, &[], &self.refault_distance);
-            // The prefetch accuracy panel: dedicated names aliasing the
-            // same counter handles the event-labeled export already
-            // carries, plus the issue→first-touch timeliness histogram.
-            registry.adopt_counter(consts::PREFETCH_ISSUED, &[], &self.stats.prefetch_issued);
-            registry.adopt_counter(consts::PREFETCH_HITS, &[], &self.stats.prefetch_hits);
-            registry.adopt_counter(consts::PREFETCH_WASTED, &[], &self.stats.prefetch_wasted);
-            registry.adopt_histogram(
-                consts::PREFETCH_TIMELINESS_US,
-                &[],
-                &self.prefetch_timeliness,
-            );
-            registry.adopt_histogram(
-                consts::COMPLETION_LAG_US,
-                &[(consts::LABEL_KIND, "demand")],
-                &self.demand_completion_lag,
-            );
-            registry.adopt_histogram(
-                consts::COMPLETION_LAG_US,
-                &[(consts::LABEL_KIND, "speculative")],
-                &self.speculative_completion_lag,
-            );
-            for r in Resolution::ALL {
-                registry.adopt_histogram(
-                    consts::FAULT_LATENCY_US,
-                    &[(consts::LABEL_RESOLUTION, r.label())],
-                    &self.fault_latency[r.index()],
-                );
-            }
-        }
-        self.telemetry = telemetry;
-        self.update_gauges();
+        self.attach(telemetry, &[]);
     }
 
     /// Like [`Monitor::attach_telemetry`], but every monitor-owned
@@ -333,73 +214,16 @@ impl Monitor {
     /// are monitor-global by construction and only meaningful when a
     /// single monitor owns the registry.
     pub fn attach_telemetry_labeled(&mut self, telemetry: &Telemetry, vm: &str) {
-        let telemetry = telemetry.clone();
-        {
-            let registry = telemetry.registry();
-            self.stats.register_labeled(registry, vm);
-            self.store.instrument(registry);
-            let vm_label = [(consts::LABEL_VM, vm)];
-            registry.adopt_gauge(consts::LRU_RESIDENT_PAGES, &vm_label, &self.lru_resident);
-            registry.adopt_gauge(consts::LRU_CAPACITY_PAGES, &vm_label, &self.lru_capacity);
-            registry.adopt_gauge(consts::LRU_HEADROOM_PAGES, &vm_label, &self.lru_headroom);
-            registry.adopt_gauge(consts::TIER_POOL_BYTES, &vm_label, &self.tier_pool_bytes);
-            registry.adopt_gauge(consts::TIER_POOL_PAGES, &vm_label, &self.tier_pool_pages);
-            registry.adopt_gauge(
-                consts::WRITE_LIST_PENDING,
-                &vm_label,
-                &self.write_list_pending,
-            );
-            registry.adopt_gauge(consts::LRU_SLAB_NODES, &vm_label, &self.lru_slab_nodes);
-            registry.adopt_gauge(consts::TRACKER_CHUNKS, &vm_label, &self.tracker_chunks);
-            registry.adopt_gauge(
-                consts::INFLIGHT_PARKED_OPS,
-                &vm_label,
-                &self.inflight_parked_ops,
-            );
-            registry.adopt_gauge(consts::WSS_ESTIMATE_PAGES, &vm_label, &self.wss_estimate);
-            registry.adopt_histogram(
-                consts::REFAULT_DISTANCE_PAGES,
-                &vm_label,
-                &self.refault_distance,
-            );
-            registry.adopt_counter(
-                consts::PREFETCH_ISSUED,
-                &vm_label,
-                &self.stats.prefetch_issued,
-            );
-            registry.adopt_counter(consts::PREFETCH_HITS, &vm_label, &self.stats.prefetch_hits);
-            registry.adopt_counter(
-                consts::PREFETCH_WASTED,
-                &vm_label,
-                &self.stats.prefetch_wasted,
-            );
-            registry.adopt_histogram(
-                consts::PREFETCH_TIMELINESS_US,
-                &vm_label,
-                &self.prefetch_timeliness,
-            );
-            registry.adopt_histogram(
-                consts::COMPLETION_LAG_US,
-                &[(consts::LABEL_KIND, "demand"), (consts::LABEL_VM, vm)],
-                &self.demand_completion_lag,
-            );
-            registry.adopt_histogram(
-                consts::COMPLETION_LAG_US,
-                &[(consts::LABEL_KIND, "speculative"), (consts::LABEL_VM, vm)],
-                &self.speculative_completion_lag,
-            );
-            for r in Resolution::ALL {
-                registry.adopt_histogram(
-                    consts::FAULT_LATENCY_US,
-                    &[
-                        (consts::LABEL_RESOLUTION, r.label()),
-                        (consts::LABEL_VM, vm),
-                    ],
-                    &self.fault_latency[r.index()],
-                );
-            }
+        self.attach(telemetry, &[(consts::LABEL_VM, vm)]);
+    }
+
+    fn attach(&mut self, telemetry: &Telemetry, labels: &[(&str, &str)]) {
+        self.stats.register(telemetry.registry(), labels);
+        if labels.is_empty() {
+            self.profile.register(telemetry.registry());
         }
-        self.telemetry = telemetry;
+        self.store.instrument(telemetry.registry());
+        self.telemetry = telemetry.clone();
         self.update_gauges();
     }
 
@@ -409,16 +233,17 @@ impl Monitor {
     }
 
     pub(in crate::monitor) fn update_gauges(&self) {
-        self.lru_resident.set(self.lru.len() as i64);
-        self.lru_capacity.set(self.lru.capacity() as i64);
-        self.lru_headroom.set(self.headroom() as i64);
-        self.tier_pool_bytes.set(self.tier.bytes() as i64);
-        self.tier_pool_pages.set(self.tier.len() as i64);
-        self.write_list_pending
+        let g = &self.stats;
+        g.lru_resident.set(self.lru.len() as i64);
+        g.lru_capacity.set(self.lru.capacity() as i64);
+        g.lru_headroom.set(self.headroom() as i64);
+        g.tier_pool_bytes.set(self.tier.bytes() as i64);
+        g.tier_pool_pages.set(self.tier.len() as i64);
+        g.write_list_pending
             .set(self.write_list.pending_len() as i64);
-        self.lru_slab_nodes.set(self.lru.slab_nodes() as i64);
-        self.tracker_chunks.set(self.tracker.chunk_count() as i64);
-        self.inflight_parked_ops.set(self.inflight.len() as i64);
+        g.lru_slab_nodes.set(self.lru.slab_nodes() as i64);
+        g.tracker_chunks.set(self.tracker.chunk_count() as i64);
+        g.inflight_parked_ops.set(self.inflight.len() as i64);
     }
 
     /// Turns on event tracing (for the Figure 2 timeline and debugging).
@@ -481,8 +306,10 @@ impl Monitor {
             if r.thrash {
                 self.stats.thrash_refaults.inc();
             }
-            self.refault_distance.observe_value(r.distance);
-            self.wss_estimate.set(self.workingset.wss_estimate() as i64);
+            self.stats.refault_distance.observe_value(r.distance);
+            self.stats
+                .wss_estimate
+                .set(self.workingset.wss_estimate() as i64);
         }
     }
 
@@ -505,7 +332,8 @@ impl Monitor {
         }
         if let Some(issued_at) = self.prefetch_pending_touch.remove(&vpn) {
             self.stats.prefetch_hits.inc();
-            self.prefetch_timeliness
+            self.stats
+                .prefetch_timeliness
                 .observe(self.clock.now().saturating_since(issued_at));
         }
     }

@@ -564,7 +564,7 @@ impl Monitor {
             waiters,
         } = op;
 
-        self.note_completion_lag(&self.demand_completion_lag, ripe_at);
+        self.note_completion_lag(&self.stats.demand_completion_lag, ripe_at);
         let (contents, resolution) = match stage {
             FaultStage::WaitWrite { until, contents } => {
                 self.stage_wait_write(uffd, pt, pm, until);

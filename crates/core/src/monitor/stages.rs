@@ -6,16 +6,17 @@
 //! the read flight parked in the in-flight table between the issue and
 //! completion stages.
 
-use fluidmem_kv::{ExternalKey, KvError, PendingGet};
+use fluidmem_kv::{ExternalKey, KeyValueStore, KvError, PendingGet};
 use fluidmem_mem::{PageContents, PageTable, PhysicalMemory, PteFlags, Vpn};
 use fluidmem_sim::SimInstant;
-use fluidmem_telemetry::{consts, Histogram, SpanId};
+use fluidmem_telemetry::{consts, Counter, Histogram, SpanId};
 use fluidmem_uffd::Userfaultfd;
 
 use super::pipeline::PrefetchFlight;
 use super::{FaultIntake, FaultResolution, Monitor, Resolution};
 use crate::config::{LruPolicy, PrefetchPolicy};
 use crate::profile::CodePath;
+use crate::stats::MonitorCounters;
 use crate::write_list::StealOutcome;
 
 /// A store read in flight: the §V-B top half has been issued and the
@@ -88,7 +89,7 @@ impl Monitor {
         self.telemetry.end_at(span, wake_at);
         self.telemetry
             .instant_at(consts::TRACK_GUEST, "wake", wake_at);
-        self.fault_latency[resolution.index()].observe(wake_at - t0);
+        self.stats.fault_latency(resolution).observe(wake_at - t0);
         self.update_gauges();
     }
 
@@ -504,7 +505,10 @@ impl Monitor {
     ) {
         let PrefetchFlight { vpn, pending } = flight;
         let issued_at = pending.issued_at();
-        self.note_completion_lag(&self.speculative_completion_lag, pending.completes_at());
+        self.note_completion_lag(
+            &self.stats.speculative_completion_lag,
+            pending.completes_at(),
+        );
         let result = self.store.finish_get(pending);
         if result.is_ok() && self.headroom() == 0 {
             // The LRU filled (or shrank) while the read was in flight:
@@ -532,7 +536,8 @@ impl Monitor {
         let t0 = self.clock.now();
         let span = self.telemetry.begin(consts::TRACK_MONITOR, "kv.read");
         self.stats.prefetch_hits.inc();
-        self.prefetch_timeliness
+        self.stats
+            .prefetch_timeliness
             .observe(t0.saturating_since(flight.pending.issued_at()));
         self.trace(|| {
             format!(
@@ -572,89 +577,86 @@ impl Monitor {
         contents
     }
 
-    /// Reads `key` synchronously, retrying retryable store failures
-    /// under the configured policy via [`fluidmem_kv::run_with_retries_from`].
-    /// `prior_attempts` counts tries already spent on this fault (the
-    /// async top-half path).
+    /// Runs one store operation under the configured retry policy via
+    /// [`fluidmem_kv::run_with_retries_from`], bumping the `retries`
+    /// counter and tracing `describe(attempt, error)` once per retry.
+    /// `prior_attempts` counts tries already spent on this operation
+    /// (the async top-half path).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming `verb`, on a failure the policy gives up on.
+    pub(in crate::monitor) fn with_store_retries<T>(
+        &mut self,
+        retries: fn(&MonitorCounters) -> &Counter,
+        verb: &str,
+        prior_attempts: u32,
+        describe: impl Fn(u32, &KvError) -> String,
+        mut op: impl FnMut(&mut dyn KeyValueStore) -> Result<T, KvError>,
+    ) -> T {
+        let policy = self.config.retry;
+        let mut tries = 0u32;
+        let Monitor {
+            store,
+            clock,
+            rng,
+            stats,
+            tracer,
+            ..
+        } = self;
+        let clock = &*clock;
+        let retries = retries(stats);
+        fluidmem_kv::run_with_retries_from(
+            &policy,
+            clock,
+            rng,
+            prior_attempts,
+            |attempt, e| {
+                tries += 1;
+                retries.inc();
+                tracer.emit(clock.now(), "monitor", || describe(attempt, e));
+            },
+            |_| op(store.as_mut()),
+        )
+        .unwrap_or_else(|e| panic!("store failure on {verb} after {tries} retries: {e}"))
+    }
+
+    /// Reads `key` synchronously with retries; a page the store no
+    /// longer has is counted lost and re-materialized as zeros.
     pub(in crate::monitor) fn fetch_with_retries(
         &mut self,
         key: ExternalKey,
         prior_attempts: u32,
     ) -> PageContents {
-        let policy = self.config.retry;
-        let mut tries = 0u32;
-        let result = {
-            let Monitor {
-                store,
-                clock,
-                rng,
-                stats,
-                tracer,
-                ..
-            } = self;
-            let clock = &*clock;
-            fluidmem_kv::run_with_retries_from(
-                &policy,
-                clock,
-                rng,
-                prior_attempts,
-                |attempt, e| {
-                    tries += 1;
-                    stats.read_retries.inc();
-                    tracer.emit(clock.now(), "monitor", || {
-                        format!("read of {key} failed ({e}); retry {}", attempt + 1)
-                    });
-                },
-                |_| store.get(key),
-            )
-        };
-        match result {
-            Ok(c) => c,
-            Err(KvError::NotFound(_)) => {
-                self.stats.lost_pages.inc();
-                PageContents::Zero
-            }
-            Err(e) => panic!("store failure on read after {tries} retries: {e}"),
-        }
+        let found = self.with_store_retries(
+            |s| &s.read_retries,
+            "read",
+            prior_attempts,
+            |attempt, e| format!("read of {key} failed ({e}); retry {}", attempt + 1),
+            |store| match store.get(key) {
+                Err(KvError::NotFound(_)) => Ok(None),
+                got => got.map(Some),
+            },
+        );
+        found.unwrap_or_else(|| {
+            self.stats.lost_pages.inc();
+            PageContents::Zero
+        })
     }
 
-    /// Writes `key` synchronously with retries (the sync-eviction path),
-    /// via the same shared retry helper.
+    /// Writes `key` synchronously with retries (the sync-eviction path).
     pub(in crate::monitor) fn put_with_retries(
         &mut self,
         key: ExternalKey,
         contents: PageContents,
     ) {
-        let policy = self.config.retry;
-        let mut tries = 0u32;
-        let result = {
-            let Monitor {
-                store,
-                clock,
-                rng,
-                stats,
-                tracer,
-                ..
-            } = self;
-            let clock = &*clock;
-            fluidmem_kv::run_with_retries_from(
-                &policy,
-                clock,
-                rng,
-                0,
-                |attempt, e| {
-                    tries += 1;
-                    stats.write_retries.inc();
-                    tracer.emit(clock.now(), "monitor", || {
-                        format!("write of {key} failed ({e}); retry {}", attempt + 1)
-                    });
-                },
-                |_| store.put(key, contents.clone()),
-            )
-        };
-        if let Err(e) = result {
-            panic!("store failure on eviction write after {tries} retries: {e}");
-        }
+        self.with_store_retries(
+            |s| &s.write_retries,
+            "eviction write",
+            0,
+            |attempt, e| format!("write of {key} failed ({e}); retry {}", attempt + 1),
+            |store| store.put(key, contents.clone()),
+        );
     }
 
     pub(in crate::monitor) fn bookkeeping_update_cache(&mut self) {

@@ -818,13 +818,13 @@ fn completion_lag_counts_only_late_pickups() {
     let mut r = spilled_rig(MonitorConfig::new(16).inflight(2), 8);
     // A fault the monitor waits for is picked up as it lands.
     fault(&mut r, 0, false);
-    assert_eq!(r.monitor.demand_completion_lag.snapshot().count, 0);
+    assert_eq!(r.monitor.stats.demand_completion_lag.snapshot().count, 0);
     // One that landed 60 µs before anyone looked is late by that much.
     pipelined_fault(&mut r, 1, false);
     let landed = r.monitor.next_completion_at().unwrap();
     r.clock.advance_to(landed + SimDuration::from_micros(60));
     r.monitor.poll_ready(&mut r.uffd, &mut r.pt, &mut r.pm);
-    let lag = r.monitor.demand_completion_lag.snapshot();
+    let lag = r.monitor.stats.demand_completion_lag.snapshot();
     assert_eq!(lag.count, 1);
     assert!((lag.max_us - 60.0).abs() < 1e-9, "{lag:?}");
 }

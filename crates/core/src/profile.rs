@@ -2,7 +2,7 @@
 //!
 //! The table is a thin view over eight telemetry [`Histogram`]s — one
 //! per instrumented code path. Registering them in a [`Registry`] under
-//! [`consts::CODEPATH_LATENCY_US`] exports the same data as Prometheus
+//! `fluidmem_codepath_latency_us` exports the same data as Prometheus
 //! buckets, so Table I and the metrics endpoint read one source of
 //! truth. The histogram's exact moments and bounded percentile
 //! subsample reproduce the previous profiler's numbers bit for bit.
@@ -10,7 +10,7 @@
 use std::fmt;
 
 use fluidmem_sim::SimDuration;
-use fluidmem_telemetry::{consts, Histogram, Registry};
+use fluidmem_telemetry::{instrument_set, Histogram, Registry};
 
 /// The instrumented sections of the monitor's fault-handling path — the
 /// exact row set of the paper's Table I.
@@ -46,34 +46,13 @@ impl CodePath {
         CodePath::ReadPage,
         CodePath::WritePage,
     ];
-
-    fn index(self) -> usize {
-        match self {
-            CodePath::UpdatePageCache => 0,
-            CodePath::InsertPageHashNode => 1,
-            CodePath::InsertLruCacheNode => 2,
-            CodePath::UffdZeropage => 3,
-            CodePath::UffdRemap => 4,
-            CodePath::UffdCopy => 5,
-            CodePath::ReadPage => 6,
-            CodePath::WritePage => 7,
-        }
-    }
 }
 
+/// The Table I row name: the `path` label the histogram is declared
+/// under.
 impl fmt::Display for CodePath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            CodePath::UpdatePageCache => "UPDATE_PAGE_CACHE",
-            CodePath::InsertPageHashNode => "INSERT_PAGE_HASH_NODE",
-            CodePath::InsertLruCacheNode => "INSERT_LRU_CACHE_NODE",
-            CodePath::UffdZeropage => "UFFD_ZEROPAGE",
-            CodePath::UffdRemap => "UFFD_REMAP",
-            CodePath::UffdCopy => "UFFD_COPY",
-            CodePath::ReadPage => "READ_PAGE",
-            CodePath::WritePage => "WRITE_PAGE",
-        };
-        f.write_str(s)
+        f.write_str(CodePathHistograms::CATALOGUE[*self as usize].labels[0].1)
     }
 }
 
@@ -107,7 +86,30 @@ pub struct PathStats {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ProfileTable {
-    histograms: [Histogram; 8],
+    paths: CodePathHistograms,
+}
+
+instrument_set! {
+    /// One latency histogram per [`CodePath`], in its variant order,
+    /// labeled by the Table I row name.
+    pub(crate) struct CodePathHistograms {
+        histograms {
+            update_page_cache: CODEPATH_LATENCY_US[LABEL_PATH = "UPDATE_PAGE_CACHE"],
+                "Updating the monitor's page-cache metadata.";
+            insert_page_hash_node: CODEPATH_LATENCY_US[LABEL_PATH = "INSERT_PAGE_HASH_NODE"],
+                "Inserting into the page-tracker hash.";
+            insert_lru_cache_node: CODEPATH_LATENCY_US[LABEL_PATH = "INSERT_LRU_CACHE_NODE"],
+                "Inserting into the LRU list.";
+            uffd_zeropage: CODEPATH_LATENCY_US[LABEL_PATH = "UFFD_ZEROPAGE"], "The `UFFD_ZEROPAGE` ioctl.";
+            uffd_remap: CODEPATH_LATENCY_US[LABEL_PATH = "UFFD_REMAP"],
+                "The `UFFD_REMAP` ioctl (including any TLB wait actually paid).";
+            uffd_copy: CODEPATH_LATENCY_US[LABEL_PATH = "UFFD_COPY"], "The `UFFD_COPY` ioctl.";
+            read_page: CODEPATH_LATENCY_US[LABEL_PATH = "READ_PAGE"],
+                "Reading a page from the key-value store.";
+            write_page: CODEPATH_LATENCY_US[LABEL_PATH = "WRITE_PAGE"],
+                "Writing a page to the key-value store.";
+        }
+    }
 }
 
 impl ProfileTable {
@@ -117,28 +119,36 @@ impl ProfileTable {
     }
 
     /// Registers each path's histogram in `registry` under
-    /// [`consts::CODEPATH_LATENCY_US`], labeled by the Table I row name.
+    /// `fluidmem_codepath_latency_us`, labeled by the Table I row name.
     /// Spans already recorded carry over (the registry adopts the live
     /// handles).
     pub fn register(&self, registry: &Registry) {
-        for path in CodePath::ALL {
-            registry.adopt_histogram(
-                consts::CODEPATH_LATENCY_US,
-                &[(consts::LABEL_PATH, &path.to_string())],
-                &self.histograms[path.index()],
-            );
+        self.paths.register(registry, &[]);
+    }
+
+    fn histogram(&self, path: CodePath) -> &Histogram {
+        let p = &self.paths;
+        match path {
+            CodePath::UpdatePageCache => &p.update_page_cache,
+            CodePath::InsertPageHashNode => &p.insert_page_hash_node,
+            CodePath::InsertLruCacheNode => &p.insert_lru_cache_node,
+            CodePath::UffdZeropage => &p.uffd_zeropage,
+            CodePath::UffdRemap => &p.uffd_remap,
+            CodePath::UffdCopy => &p.uffd_copy,
+            CodePath::ReadPage => &p.read_page,
+            CodePath::WritePage => &p.write_page,
         }
     }
 
     /// Records one span. Summaries are exact; the percentile sample is
     /// systematically subsampled past its cap to bound memory.
     pub fn record(&self, path: CodePath, duration: SimDuration) {
-        self.histograms[path.index()].observe(duration);
+        self.histogram(path).observe(duration);
     }
 
     /// Statistics for one path.
     pub fn stats(&self, path: CodePath) -> PathStats {
-        let snap = self.histograms[path.index()].snapshot();
+        let snap = self.histogram(path).snapshot();
         PathStats {
             count: snap.count,
             avg_us: snap.mean_us,
@@ -159,8 +169,8 @@ impl ProfileTable {
     /// Drops all recorded spans. Registered histograms stay registered
     /// (the handles reset in place).
     pub fn clear(&self) {
-        for h in &self.histograms {
-            h.reset();
+        for path in CodePath::ALL {
+            self.histogram(path).reset();
         }
     }
 }
@@ -168,8 +178,9 @@ impl ProfileTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fluidmem_telemetry::consts;
 
-    const SAMPLE_CAP: u64 = fluidmem_telemetry::consts::HIST_SAMPLE_CAP;
+    const SAMPLE_CAP: u64 = consts::HIST_SAMPLE_CAP;
 
     #[test]
     fn records_per_path_independently() {
@@ -196,11 +207,39 @@ mod tests {
 
     #[test]
     fn display_names_match_paper() {
-        assert_eq!(CodePath::UffdRemap.to_string(), "UFFD_REMAP");
+        let names: Vec<String> = CodePath::ALL.iter().map(|p| p.to_string()).collect();
         assert_eq!(
-            CodePath::InsertLruCacheNode.to_string(),
-            "INSERT_LRU_CACHE_NODE"
+            names,
+            [
+                "UPDATE_PAGE_CACHE",
+                "INSERT_PAGE_HASH_NODE",
+                "INSERT_LRU_CACHE_NODE",
+                "UFFD_ZEROPAGE",
+                "UFFD_REMAP",
+                "UFFD_COPY",
+                "READ_PAGE",
+                "WRITE_PAGE"
+            ]
         );
+    }
+
+    #[test]
+    fn every_path_exports_under_its_own_row_name() {
+        let p = ProfileTable::new();
+        let reg = Registry::new();
+        p.register(&reg);
+        for (i, &path) in CodePath::ALL.iter().enumerate() {
+            for _ in 0..=i {
+                p.record(path, SimDuration::from_micros(1));
+            }
+        }
+        for (i, path) in CodePath::ALL.iter().enumerate() {
+            let h = reg.histogram(
+                consts::CODEPATH_LATENCY_US,
+                &[(consts::LABEL_PATH, &path.to_string())],
+            );
+            assert_eq!(h.snapshot().count, i as u64 + 1, "{path}");
+        }
     }
 
     #[test]

@@ -7,56 +7,39 @@
 //! everything needed to compute fault rates and hit ratios over a
 //! rebalance window via [`VmSignals::window_since`].
 
-/// A point-in-time snapshot of one VM's memory behavior, as seen by the
-/// backend ([`FluidMemMemory::signals`](crate::FluidMemMemory::signals)).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VmSignals {
-    /// Guest accesses observed in total (hits + faults).
-    pub accesses: u64,
-    /// Accesses served without any monitor involvement.
-    pub hits: u64,
-    /// Minor faults (CoW breaks, zero fills, write-list steals).
-    pub minor_faults: u64,
-    /// Major faults (the monitor had to consult the remote store path).
-    pub major_faults: u64,
-    /// Faults that performed an actual remote read.
-    pub remote_reads: u64,
-    /// Pages currently resident in the VM's LRU buffer.
-    pub resident_pages: u64,
-    /// The LRU capacity currently granted to this VM.
-    pub capacity_pages: u64,
-    /// Pages waiting on the VM's asynchronous write list.
-    pub pending_writes: u64,
-    /// Refaults whose shadow entry was live (distance measured).
-    pub refaults_measured: u64,
-    /// Measured refaults inside the working-set estimate — the faults
-    /// extra capacity would actually have avoided. The
-    /// refault-proportional arbiter weighs this.
-    pub thrash_refaults: u64,
-    /// The monitor's working-set-size estimate in pages (a gauge, like
-    /// residency/capacity).
-    pub wss_estimate_pages: u64,
-    /// Pages evicted by the watermark-driven background reclaimer.
-    pub background_reclaims: u64,
-    /// Pages evicted inline with background reclaim enabled — nonzero
-    /// means the evictor fell behind and faults paid for eviction.
-    pub direct_reclaims: u64,
-    /// Refaults resolved from the compressed local tier (no network
-    /// round trip).
-    pub tier_hits: u64,
-    /// Pages demoted from the compressed tier to the remote store under
-    /// pool pressure.
-    pub tier_demotions: u64,
-    /// Compressed bytes currently charged to the VM's tier pool (a
-    /// gauge, like residency/capacity).
-    pub tier_pool_bytes: u64,
-    /// Speculative reads issued by the VM's prefetch policy.
-    pub prefetch_issued: u64,
-    /// Prefetched pages the guest actually touched. With
-    /// `prefetch_issued` this gives the arbiter the VM's prefetch
-    /// accuracy over a window — speculation that isn't paying off is
-    /// remote-read bandwidth the host can take back.
-    pub prefetch_hits: u64,
+fluidmem_telemetry::instrument_set! {
+    /// A point-in-time snapshot of one VM's memory behavior, as seen by
+    /// the backend ([`FluidMemMemory::signals`](crate::FluidMemMemory::signals)).
+    /// Counters are monotone; gauges are instantaneous levels.
+    pub snapshot VmSignals {
+        counters {
+            accesses: "Guest accesses observed in total (hits + faults).";
+            hits: "Accesses served without any monitor involvement.";
+            minor_faults: "Minor faults (CoW breaks, zero fills, write-list steals).";
+            major_faults: "Major faults (the monitor had to consult the remote store path).";
+            remote_reads: "Faults that performed an actual remote read.";
+            refaults_measured: "Refaults whose shadow entry was live (distance measured).";
+            thrash_refaults: "Measured refaults inside the working-set estimate — the faults extra \
+                capacity would actually have avoided. The refault-proportional arbiter weighs this.";
+            background_reclaims: "Pages evicted by the watermark-driven background reclaimer.";
+            direct_reclaims: "Pages evicted inline with background reclaim enabled — nonzero means \
+                the evictor fell behind and faults paid for eviction.";
+            tier_hits: "Refaults resolved from the compressed local tier (no network round trip).";
+            tier_demotions: "Pages demoted from the compressed tier to the remote store under pool \
+                pressure.";
+            prefetch_issued: "Speculative reads issued by the VM's prefetch policy.";
+            prefetch_hits: "Prefetched pages the guest actually touched. With `prefetch_issued` this \
+                gives the arbiter the VM's prefetch accuracy over a window — speculation that isn't \
+                paying off is remote-read bandwidth the host can take back.";
+        }
+        gauges {
+            resident_pages: "Pages currently resident in the VM's LRU buffer.";
+            capacity_pages: "The LRU capacity currently granted to this VM.";
+            pending_writes: "Pages waiting on the VM's asynchronous write list.";
+            wss_estimate_pages: "The monitor's working-set-size estimate in pages.";
+            tier_pool_bytes: "Compressed bytes currently charged to the VM's tier pool.";
+        }
+    }
 }
 
 impl VmSignals {
@@ -94,36 +77,7 @@ impl VmSignals {
     /// instantaneous gauges (residency, capacity, pending writes) from
     /// `self`. This is the per-window view an arbiter rebalances on.
     pub fn window_since(&self, baseline: &VmSignals) -> VmSignals {
-        VmSignals {
-            accesses: self.accesses.saturating_sub(baseline.accesses),
-            hits: self.hits.saturating_sub(baseline.hits),
-            minor_faults: self.minor_faults.saturating_sub(baseline.minor_faults),
-            major_faults: self.major_faults.saturating_sub(baseline.major_faults),
-            remote_reads: self.remote_reads.saturating_sub(baseline.remote_reads),
-            resident_pages: self.resident_pages,
-            capacity_pages: self.capacity_pages,
-            pending_writes: self.pending_writes,
-            refaults_measured: self
-                .refaults_measured
-                .saturating_sub(baseline.refaults_measured),
-            thrash_refaults: self
-                .thrash_refaults
-                .saturating_sub(baseline.thrash_refaults),
-            wss_estimate_pages: self.wss_estimate_pages,
-            background_reclaims: self
-                .background_reclaims
-                .saturating_sub(baseline.background_reclaims),
-            direct_reclaims: self
-                .direct_reclaims
-                .saturating_sub(baseline.direct_reclaims),
-            tier_hits: self.tier_hits.saturating_sub(baseline.tier_hits),
-            tier_demotions: self.tier_demotions.saturating_sub(baseline.tier_demotions),
-            tier_pool_bytes: self.tier_pool_bytes,
-            prefetch_issued: self
-                .prefetch_issued
-                .saturating_sub(baseline.prefetch_issued),
-            prefetch_hits: self.prefetch_hits.saturating_sub(baseline.prefetch_hits),
-        }
+        self.since(baseline)
     }
 }
 
@@ -154,64 +108,35 @@ mod tests {
         assert!((s.major_fault_rate() - 0.3).abs() < 1e-12);
     }
 
+    /// The five levels are declared as gauges: a window carries them and
+    /// subtracts everything else.
     #[test]
-    fn window_subtracts_counters_and_keeps_gauges() {
+    fn window_carries_the_levels_and_subtracts_the_counters() {
         let base = VmSignals {
             accesses: 100,
-            hits: 80,
-            minor_faults: 5,
-            major_faults: 15,
-            remote_reads: 12,
+            prefetch_hits: 4,
             resident_pages: 32,
             capacity_pages: 64,
             pending_writes: 3,
-            refaults_measured: 8,
-            thrash_refaults: 4,
             wss_estimate_pages: 70,
-            background_reclaims: 40,
-            direct_reclaims: 2,
-            tier_hits: 5,
-            tier_demotions: 2,
             tier_pool_bytes: 4096,
-            prefetch_issued: 10,
-            prefetch_hits: 4,
+            ..Default::default()
         };
         let now = VmSignals {
             accesses: 150,
-            hits: 110,
-            minor_faults: 10,
-            major_faults: 30,
-            remote_reads: 25,
+            prefetch_hits: 14,
             resident_pages: 48,
             capacity_pages: 64,
             pending_writes: 1,
-            refaults_measured: 20,
-            thrash_refaults: 13,
             wss_estimate_pages: 90,
-            background_reclaims: 100,
-            direct_reclaims: 3,
-            tier_hits: 9,
-            tier_demotions: 6,
             tier_pool_bytes: 8192,
-            prefetch_issued: 25,
-            prefetch_hits: 14,
+            ..Default::default()
         };
-        let w = now.window_since(&base);
-        assert_eq!(w.accesses, 50);
-        assert_eq!(w.hits, 30);
-        assert_eq!(w.major_faults, 15);
-        assert_eq!(w.resident_pages, 48);
-        assert_eq!(w.capacity_pages, 64);
-        assert_eq!(w.pending_writes, 1);
-        assert_eq!(w.refaults_measured, 12);
-        assert_eq!(w.thrash_refaults, 9);
-        assert_eq!(w.wss_estimate_pages, 90, "gauge carried, not subtracted");
-        assert_eq!(w.background_reclaims, 60);
-        assert_eq!(w.direct_reclaims, 1);
-        assert_eq!(w.tier_hits, 4);
-        assert_eq!(w.tier_demotions, 4);
-        assert_eq!(w.tier_pool_bytes, 8192, "gauge carried, not subtracted");
-        assert_eq!(w.prefetch_issued, 15);
-        assert_eq!(w.prefetch_hits, 10);
+        let expected = VmSignals {
+            accesses: 50,
+            prefetch_hits: 10,
+            ..now
+        };
+        assert_eq!(now.window_since(&base), expected);
     }
 }

@@ -32,7 +32,7 @@ use fluidmem_kv::{AuditReport, ClusterHandle, KeyValueStore, NodeId, SharedStore
 use fluidmem_mem::{AccessOutcome, MemoryBackend, PageClass, Region};
 use fluidmem_sim::stats::Sample;
 use fluidmem_sim::{SimClock, SimDuration, SimInstant, SimRng};
-use fluidmem_telemetry::{consts, Counter, Gauge, Registry, Telemetry};
+use fluidmem_telemetry::{consts, instrument_set, Telemetry};
 use fluidmem_vm::Balloon;
 
 use crate::arbiter::{self, ArbiterConfig, ArbiterPolicy, VmDemand};
@@ -183,35 +183,34 @@ impl VmSpec {
     }
 }
 
-/// Host-level event counters, exported as `fluidmem_host_events_total`.
-#[derive(Debug, Default)]
-struct HostCounters {
-    rebalances: Counter,
-    grants: Counter,
-    shrinks: Counter,
-    balloon_clamps: Counter,
-    membership_events: Counter,
-    /// Rounds in which any SLO-throttled VM was planned below the floor
-    /// — must stay zero; the `slo_guarded` policy guarantees the
-    /// minimum even while throttling.
-    floor_misses: Counter,
+instrument_set! {
+    /// Host-level event counters.
+    pub(crate) struct HostCounters {
+        counters {
+            rebalances: HOST_EVENTS[LABEL_EVENT = "rebalance"], "Arbiter rebalance rounds.";
+            grants: HOST_EVENTS[LABEL_EVENT = "grant"], "Capacity grants applied.";
+            shrinks: HOST_EVENTS[LABEL_EVENT = "shrink"], "Capacity shrinks applied.";
+            balloon_clamps: HOST_EVENTS[LABEL_EVENT = "balloon_clamp"],
+                "Plans clamped to a VM's balloon target.";
+            membership_events: HOST_EVENTS[LABEL_EVENT = "membership_event"],
+                "Membership watch events consumed.";
+            floor_misses: HOST_EVENTS[LABEL_EVENT = "floor_miss"],
+                "Rounds in which any SLO-throttled VM was planned below the floor — must stay \
+                 zero; the `slo_guarded` policy guarantees the minimum even while throttling.";
+        }
+    }
 }
 
-impl HostCounters {
-    fn register(&self, registry: &Registry) {
-        for (event, counter) in [
-            ("rebalance", &self.rebalances),
-            ("grant", &self.grants),
-            ("shrink", &self.shrinks),
-            ("balloon_clamp", &self.balloon_clamps),
-            ("membership_event", &self.membership_events),
-            ("floor_miss", &self.floor_misses),
-        ] {
-            registry.adopt_counter(
-                consts::HOST_EVENTS,
-                &[(consts::LABEL_EVENT, event)],
-                counter,
-            );
+instrument_set! {
+    /// What the host keeps per VM; `register` takes the VM's name as
+    /// the runtime `vm` label.
+    pub(crate) struct VmHostInstruments {
+        counters {
+            slo_violations: HOST_SLO_VIOLATIONS[],
+                "Rebalance windows in which this VM ran over its SLO target.";
+        }
+        gauges {
+            capacity: HOST_VM_CAPACITY_PAGES[], "The LRU capacity the arbiter grants this VM.";
         }
     }
 }
@@ -234,10 +233,9 @@ struct VmSlot {
     /// Fault latencies in the current rebalance window only (cleared
     /// every round): the arbiter's per-window p99 signal.
     window_fault_lat: Sample,
-    /// Rebalance windows in which this VM ran over its SLO target.
-    slo_violations: Counter,
+    /// SLO violations and the granted-capacity gauge, labeled by VM.
+    instruments: VmHostInstruments,
     measured_ops: u64,
-    capacity_gauge: Gauge,
     workload_rng: SimRng,
 }
 
@@ -305,7 +303,7 @@ impl HostAgent {
             .expect("fresh cluster watches");
         let telemetry = Telemetry::new(clock.clone());
         let counters = HostCounters::default();
-        counters.register(telemetry.registry());
+        counters.register(telemetry.registry(), &[]);
         let measure_start = clock.now();
         HostAgent {
             config,
@@ -399,18 +397,8 @@ impl HostAgent {
         vm.attach_telemetry_labeled(&self.telemetry, &spec.name);
         let region = vm.map_region(spec.wss_pages, PageClass::Anonymous);
         let baseline = vm.signals();
-        let capacity_gauge = Gauge::new();
-        self.telemetry.registry().adopt_gauge(
-            consts::HOST_VM_CAPACITY_PAGES,
-            &[(consts::LABEL_VM, &spec.name)],
-            &capacity_gauge,
-        );
-        let slo_violations = Counter::new();
-        self.telemetry.registry().adopt_counter(
-            consts::HOST_SLO_VIOLATIONS,
-            &[(consts::LABEL_VM, &spec.name)],
-            &slo_violations,
-        );
+        let instruments = VmHostInstruments::default();
+        instruments.register(self.telemetry.registry(), &[(consts::LABEL_VM, &spec.name)]);
         let workload_rng = self.rng.fork(&format!("workload-{}", spec.name));
         self.interleave.push(spec.weight);
         self.slots.push(VmSlot {
@@ -425,9 +413,8 @@ impl HostAgent {
             access_lat: Sample::new(),
             fault_lat: Sample::new(),
             window_fault_lat: Sample::new(),
-            slo_violations,
+            instruments,
             measured_ops: 0,
-            capacity_gauge,
             workload_rng,
         });
         self.split_evenly();
@@ -533,7 +520,7 @@ impl HostAgent {
                 .slo_p99_us
                 .is_some_and(|slo| demand.p99_fault_us > slo)
             {
-                slot.slo_violations.inc();
+                slot.instruments.slo_violations.inc();
             }
             slot.window_fault_lat.clear();
         }
@@ -586,7 +573,8 @@ impl HostAgent {
             }
             // The compressed-tier pool quota follows the DRAM grant.
             Self::apply_tier_quota(&self.config, slot);
-            slot.capacity_gauge
+            slot.instruments
+                .capacity
                 .set(slot.vm.local_capacity_pages() as i64);
             slot.baseline = slot.vm.signals();
         }
@@ -622,19 +610,19 @@ impl HostAgent {
         }
     }
 
-    /// Swaps in a shared telemetry handle: re-registers host counters,
-    /// every VM's labeled instruments, and the per-VM capacity gauges.
+    /// Swaps in a shared telemetry handle: re-registers the host's and
+    /// the coordination service's counters, every VM's labeled
+    /// instruments, and the cluster's.
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
         self.telemetry = telemetry.clone();
-        self.counters.register(self.telemetry.registry());
+        let registry = self.telemetry.registry();
+        self.counters.register(registry, &[]);
+        self.coord.counters().register(registry, &[]);
         for slot in &mut self.slots {
             slot.vm
                 .attach_telemetry_labeled(&self.telemetry, &slot.spec.name);
-            self.telemetry.registry().adopt_gauge(
-                consts::HOST_VM_CAPACITY_PAGES,
-                &[(consts::LABEL_VM, &slot.spec.name)],
-                &slot.capacity_gauge,
-            );
+            slot.instruments
+                .register(registry, &[(consts::LABEL_VM, &slot.spec.name)]);
         }
         if let Some(rt) = &self.cluster {
             rt.handle
@@ -658,7 +646,7 @@ impl HostAgent {
                 .set_local_capacity(cap)
                 .expect("FluidMem resizes freely");
             Self::apply_tier_quota(&self.config, &mut self.slots[i]);
-            self.slots[i].capacity_gauge.set(cap as i64);
+            self.slots[i].instruments.capacity.set(cap as i64);
         }
     }
 
@@ -968,7 +956,10 @@ impl HostAgent {
     /// Rebalance windows in which a VM with an SLO target ran over it,
     /// summed across the fleet.
     pub fn slo_violations(&self) -> u64 {
-        self.slots.iter().map(|s| s.slo_violations.get()).sum()
+        self.slots
+            .iter()
+            .map(|s| s.instruments.slo_violations.get())
+            .sum()
     }
 
     /// Rounds in which an SLO-throttled VM was planned below the floor
@@ -1605,5 +1596,36 @@ mod tests {
         let trace = telemetry.export_chrome_trace();
         assert!(trace.contains("rebalance"), "{trace}");
         assert!(trace.contains("host"), "{trace}");
+    }
+
+    /// A telemetry handle attached after the fleet is up sees every
+    /// series the host's own handle had — including the coordination
+    /// service's events and each VM's SLO counter, with their counts.
+    #[test]
+    fn reattached_telemetry_carries_coord_events_and_per_vm_slo_counters() {
+        let mut agent = host(HostConfig::new(128).rebalance_interval(256), 7);
+        agent.add_vm(VmSpec::new("alpha", 96).slo_p99(1.0));
+        agent.add_vm(VmSpec::new("beta", 96));
+        agent.run(2_000);
+        assert!(agent.slo_violations() > 0, "a 1 µs SLO must be violated");
+
+        let telemetry = Telemetry::new(agent.clock().clone());
+        agent.attach_telemetry(&telemetry);
+        let registry = telemetry.registry();
+        let coord = |event| {
+            registry
+                .counter(consts::COORD_EVENTS, &[(consts::LABEL_EVENT, event)])
+                .get()
+        };
+        assert!(coord("proposal") > 0, "partition and lease writes commit");
+        assert_eq!(coord("session_open"), 1);
+        assert_eq!(coord("election"), 0);
+        let slo = registry.counter(consts::HOST_SLO_VIOLATIONS, &[(consts::LABEL_VM, "alpha")]);
+        assert_eq!(slo.get(), agent.slo_violations());
+
+        // The registry holds the live handles, not copies.
+        let before = coord("proposal");
+        agent.add_vm(VmSpec::new("gamma", 32));
+        assert!(coord("proposal") > before);
     }
 }

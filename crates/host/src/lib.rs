@@ -31,3 +31,9 @@ mod interleave;
 
 pub use agent::{HostAgent, HostConfig, VmSpec};
 pub use arbiter::{plan, ArbiterConfig, ArbiterPlan, ArbiterPolicy, VmDemand};
+
+/// The series every instrument set this crate declares exports.
+pub const CATALOGUE: &[&[fluidmem_telemetry::CatalogueRow]] = &[
+    agent::HostCounters::CATALOGUE,
+    agent::VmHostInstruments::CATALOGUE,
+];

@@ -50,7 +50,7 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 use fluidmem_coord::PartitionId;
 use fluidmem_mem::PageContents;
 use fluidmem_sim::{EventQueue, FastMap, SimClock, SimInstant, SimRng};
-use fluidmem_telemetry::{consts, Counter, Gauge, Registry, Telemetry};
+use fluidmem_telemetry::{consts, instrument_set, Registry, Telemetry};
 
 use crate::error::KvError;
 use crate::key::ExternalKey;
@@ -61,60 +61,44 @@ use crate::stats::StoreStats;
 use crate::store::KeyValueStore;
 use crate::transport::TransportModel;
 
-/// Live telemetry handles for the cluster layer, exported under the
-/// `fluidmem_cluster_*` metric family.
-#[derive(Debug, Clone, Default)]
-pub struct ClusterCounters {
-    /// Migrations started.
-    pub migrations_started: Counter,
-    /// Migrations whose routing flip committed.
-    pub migrations_flipped: Counter,
-    /// Migrations abandoned (target discarded).
-    pub migrations_aborted: Counter,
-    /// Migrations restarted toward a different target.
-    pub migrations_retargeted: Counter,
-    /// First-pass pages streamed by the copier.
-    pub pages_copied: Counter,
-    /// Pages re-sent off the dirty-key log.
-    pub pages_recopied: Counter,
-    /// Store nodes that joined the ring.
-    pub node_joins: Counter,
-    /// Store nodes that left gracefully.
-    pub node_leaves: Counter,
-    /// Store nodes removed because their lease expired.
-    pub node_expirations: Counter,
-    /// Current ring imbalance, permille over the mean.
-    pub ring_imbalance_permille: Gauge,
+instrument_set! {
+    /// Live telemetry handles for the cluster layer, exported under the
+    /// `fluidmem_cluster_*` metric family.
+    pub struct ClusterCounters {
+        counters {
+            migrations_started: CLUSTER_EVENTS[LABEL_EVENT = "migration_start"], "Migrations started.";
+            migrations_flipped: CLUSTER_EVENTS[LABEL_EVENT = "migration_flip"],
+                "Migrations whose routing flip committed.";
+            migrations_aborted: CLUSTER_EVENTS[LABEL_EVENT = "migration_abort"],
+                "Migrations abandoned (target discarded).";
+            migrations_retargeted: CLUSTER_EVENTS[LABEL_EVENT = "migration_retarget"],
+                "Migrations restarted toward a different target.";
+            pages_copied: CLUSTER_MIGRATION_PAGES[LABEL_OP = "copied"],
+                "First-pass pages streamed by the copier.";
+            pages_recopied: CLUSTER_MIGRATION_PAGES[LABEL_OP = "recopied"],
+                "Pages re-sent off the dirty-key log.";
+            node_joins: CLUSTER_EVENTS[LABEL_EVENT = "node_join"], "Store nodes that joined the ring.";
+            node_leaves: CLUSTER_EVENTS[LABEL_EVENT = "node_leave"], "Store nodes that left gracefully.";
+            node_expirations: CLUSTER_EVENTS[LABEL_EVENT = "node_expire"],
+                "Store nodes removed because their lease expired.";
+        }
+        gauges {
+            ring_imbalance_permille: CLUSTER_RING_IMBALANCE_PERMILLE[],
+                "Current ring imbalance, permille over the mean.";
+        }
+    }
 }
 
-impl ClusterCounters {
-    /// Registers every handle in `registry` (adoption carries values).
-    pub fn register(&self, registry: &Registry) {
-        let event = |name: &'static str, c: &Counter| {
-            registry.adopt_counter(consts::CLUSTER_EVENTS, &[(consts::LABEL_EVENT, name)], c);
-        };
-        event("migration_start", &self.migrations_started);
-        event("migration_flip", &self.migrations_flipped);
-        event("migration_abort", &self.migrations_aborted);
-        event("migration_retarget", &self.migrations_retargeted);
-        event("node_join", &self.node_joins);
-        event("node_leave", &self.node_leaves);
-        event("node_expire", &self.node_expirations);
-        registry.adopt_counter(
-            consts::CLUSTER_MIGRATION_PAGES,
-            &[(consts::LABEL_OP, "copied")],
-            &self.pages_copied,
-        );
-        registry.adopt_counter(
-            consts::CLUSTER_MIGRATION_PAGES,
-            &[(consts::LABEL_OP, "recopied")],
-            &self.pages_recopied,
-        );
-        registry.adopt_gauge(
-            consts::CLUSTER_RING_IMBALANCE_PERMILLE,
-            &[],
-            &self.ring_imbalance_permille,
-        );
+instrument_set! {
+    /// One store node's routed-operation counters; `register` takes the
+    /// node id as the runtime `node` label.
+    pub(crate) struct NodeCounters {
+        counters {
+            gets: CLUSTER_OPS[LABEL_OP = "get"], "Reads routed to the node.";
+            puts: CLUSTER_OPS[LABEL_OP = "put"], "Pages written to the node.";
+            deletes: CLUSTER_OPS[LABEL_OP = "delete"], "Deletes routed to the node.";
+            errors: CLUSTER_OPS[LABEL_OP = "error"], "Retryable errors the node returned.";
+        }
     }
 }
 
@@ -141,26 +125,13 @@ struct ClusterNode {
     id: NodeId,
     store: Box<dyn KeyValueStore>,
     alive: bool,
-    gets: Counter,
-    puts: Counter,
-    deletes: Counter,
-    errors: Counter,
+    ops: NodeCounters,
 }
 
 impl ClusterNode {
     fn register(&self, registry: &Registry) {
-        let id = self.id.to_string();
-        let op = |name: &'static str, c: &Counter| {
-            registry.adopt_counter(
-                consts::CLUSTER_OPS,
-                &[(consts::LABEL_NODE, id.as_str()), (consts::LABEL_OP, name)],
-                c,
-            );
-        };
-        op("get", &self.gets);
-        op("put", &self.puts);
-        op("delete", &self.deletes);
-        op("error", &self.errors);
+        self.ops
+            .register(registry, &[(consts::LABEL_NODE, &self.id.to_string())]);
     }
 }
 
@@ -255,7 +226,7 @@ impl ClusterStore {
     /// node's per-node op counters, and records migration spans on the
     /// [`consts::TRACK_CLUSTER`] track from now on.
     pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
-        self.counters.register(telemetry.registry());
+        self.counters.register(telemetry.registry(), &[]);
         for node in &self.nodes {
             node.register(telemetry.registry());
         }
@@ -277,10 +248,7 @@ impl ClusterStore {
             id,
             store,
             alive: true,
-            gets: Counter::default(),
-            puts: Counter::default(),
-            deletes: Counter::default(),
-            errors: Counter::default(),
+            ops: NodeCounters::default(),
         };
         if let Some(t) = &self.telemetry {
             node.register(t.registry());
@@ -361,7 +329,12 @@ impl ClusterStore {
         self.nodes
             .iter()
             .filter(|n| n.alive)
-            .map(|n| (n.id, n.gets.get() + n.puts.get() + n.deletes.get()))
+            .map(|n| {
+                (
+                    n.id,
+                    n.ops.gets.get() + n.ops.puts.get() + n.ops.deletes.get(),
+                )
+            })
             .collect()
     }
 
@@ -841,13 +814,13 @@ impl KeyValueStore for ClusterStore {
     fn put(&mut self, key: ExternalKey, value: PageContents) -> Result<(), KvError> {
         self.note_write(key);
         let idx = self.route(key)?;
-        self.nodes[idx].puts.inc();
+        self.nodes[idx].ops.puts.inc();
         let r = self.nodes[idx].store.put(key, value);
         match &r {
             Ok(()) => {
                 self.shadow.insert(key.raw());
             }
-            Err(_) => self.nodes[idx].errors.inc(),
+            Err(_) => self.nodes[idx].ops.errors.inc(),
         }
         r
     }
@@ -868,14 +841,14 @@ impl KeyValueStore for ClusterStore {
         let Ok(idx) = self.route(key) else {
             return false;
         };
-        self.nodes[idx].deletes.inc();
+        self.nodes[idx].ops.deletes.inc();
         self.nodes[idx].store.delete(key)
     }
 
     fn begin_get(&mut self, key: ExternalKey) -> PendingGet {
         match self.route(key) {
             Ok(idx) => {
-                self.nodes[idx].gets.inc();
+                self.nodes[idx].ops.gets.inc();
                 let mut pending = self.nodes[idx].store.begin_get(key);
                 pending.node = Some(idx);
                 pending
@@ -894,7 +867,7 @@ impl KeyValueStore for ClusterStore {
             Some(idx) => {
                 let r = self.nodes[idx].store.finish_get(pending);
                 if r.is_err() {
-                    self.nodes[idx].errors.inc();
+                    self.nodes[idx].ops.errors.inc();
                 }
                 r
             }
@@ -926,11 +899,11 @@ impl KeyValueStore for ClusterStore {
         for (idx, shard) in shards {
             match self.nodes[idx].store.begin_multi_write(shard) {
                 Ok(p) => {
-                    self.nodes[idx].puts.add(p.keys.len() as u64);
+                    self.nodes[idx].ops.puts.add(p.keys.len() as u64);
                     inner.push((idx, p));
                 }
                 Err(e) => {
-                    self.nodes[idx].errors.inc();
+                    self.nodes[idx].ops.errors.inc();
                     // Settle the shards already issued before failing, so
                     // no inner flight is silently abandoned.
                     for (i, p) in inner {
@@ -1038,7 +1011,7 @@ impl KeyValueStore for ClusterStore {
     }
 
     fn instrument(&mut self, registry: &Registry) {
-        self.counters.register(registry);
+        self.counters.register(registry, &[]);
         for node in &self.nodes {
             node.register(registry);
         }

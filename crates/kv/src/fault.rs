@@ -37,7 +37,7 @@ use crate::pending::{PendingGet, PendingWrite};
 use crate::stats::StoreStats;
 use crate::store::{forward, KeyValueStore};
 use crate::transport::TransportModel;
-use fluidmem_telemetry::{consts, Counter, Registry};
+use fluidmem_telemetry::{consts, instrument_set, Registry};
 
 /// Wraps a store with deterministic transport-fault injection.
 ///
@@ -65,9 +65,19 @@ pub struct FaultInjectingStore {
     clock: SimClock,
     deadline: SimDuration,
     ops: u64,
-    faults_injected: Counter,
-    timeouts: Counter,
-    unavailables: Counter,
+    counters: FaultInjectionCounters,
+}
+
+instrument_set! {
+    /// What a [`FaultInjectingStore`] counts itself, exported under the
+    /// wrapper's own `store` label.
+    pub(crate) struct FaultInjectionCounters {
+        counters {
+            faults_injected: STORE_OPS[LABEL_OP = "fault_injected"], "Faults injected, of any kind.";
+            timeouts: STORE_OPS[LABEL_OP = "timeout"], "Operations the wrapper timed out.";
+            unavailables: STORE_OPS[LABEL_OP = "unavailable"], "Operations the wrapper refused.";
+        }
+    }
 }
 
 impl FaultInjectingStore {
@@ -80,9 +90,7 @@ impl FaultInjectingStore {
             clock,
             deadline: SimDuration::from_micros(400),
             ops: 0,
-            faults_injected: Counter::new(),
-            timeouts: Counter::new(),
-            unavailables: Counter::new(),
+            counters: FaultInjectionCounters::default(),
         }
     }
 
@@ -129,7 +137,7 @@ impl FaultInjectingStore {
         let fault = self.plan.decide(self.ops);
         self.ops += 1;
         if fault.is_some() {
-            self.faults_injected.inc();
+            self.counters.faults_injected.inc();
         }
         fault
     }
@@ -158,14 +166,14 @@ impl KeyValueStore for FaultInjectingStore {
             None => self.inner.put(key, value),
             Some(FaultKind::Drop) => {
                 self.clock.advance(self.deadline);
-                self.timeouts.inc();
+                self.counters.timeouts.inc();
                 Err(KvError::Timeout)
             }
             Some(FaultKind::Timeout) => {
                 let issued_at = self.clock.now();
                 self.inner.put(key, value)?;
                 self.clock.advance_to(issued_at + self.deadline);
-                self.timeouts.inc();
+                self.counters.timeouts.inc();
                 Err(KvError::Timeout)
             }
             Some(FaultKind::Duplicate) => {
@@ -182,7 +190,7 @@ impl KeyValueStore for FaultInjectingStore {
             }
             Some(FaultKind::TransientError) => {
                 self.clock.advance(self.refusal_cost());
-                self.unavailables.inc();
+                self.counters.unavailables.inc();
                 Err(KvError::Unavailable)
             }
             Some(FaultKind::Fatal) => {
@@ -198,7 +206,7 @@ impl KeyValueStore for FaultInjectingStore {
             // Reads have no server-side effect, so a lost request and a
             // lost response are client-identical: the deadline expires.
             Some(FaultKind::Drop) | Some(FaultKind::Timeout) => {
-                self.timeouts.inc();
+                self.counters.timeouts.inc();
                 let now = self.clock.now();
                 PendingGet::failed(key, KvError::Timeout, now, now + self.deadline)
             }
@@ -211,7 +219,7 @@ impl KeyValueStore for FaultInjectingStore {
                 pending
             }
             Some(FaultKind::TransientError) => {
-                self.unavailables.inc();
+                self.counters.unavailables.inc();
                 let now = self.clock.now();
                 PendingGet::failed(key, KvError::Unavailable, now, now + self.refusal_cost())
             }
@@ -233,7 +241,7 @@ impl KeyValueStore for FaultInjectingStore {
             None => self.inner.begin_multi_write(batch),
             Some(FaultKind::Drop) => {
                 self.clock.advance(self.deadline);
-                self.timeouts.inc();
+                self.counters.timeouts.inc();
                 Err(KvError::Timeout)
             }
             Some(FaultKind::Timeout) => {
@@ -242,7 +250,7 @@ impl KeyValueStore for FaultInjectingStore {
                 let pending = self.inner.begin_multi_write(batch)?;
                 self.inner.finish_write(pending);
                 self.clock.advance_to(issued_at + self.deadline);
-                self.timeouts.inc();
+                self.counters.timeouts.inc();
                 Err(KvError::Timeout)
             }
             Some(FaultKind::Duplicate) => {
@@ -257,7 +265,7 @@ impl KeyValueStore for FaultInjectingStore {
             }
             Some(FaultKind::TransientError) => {
                 self.clock.advance(self.refusal_cost());
-                self.unavailables.inc();
+                self.counters.unavailables.inc();
                 Err(KvError::Unavailable)
             }
             Some(FaultKind::Fatal) => {
@@ -276,9 +284,9 @@ impl KeyValueStore for FaultInjectingStore {
     fn stats(&self) -> StoreStats {
         let mut stats = self.inner.stats();
         stats += StoreStats {
-            faults_injected: self.faults_injected.get(),
-            timeouts: self.timeouts.get(),
-            unavailables: self.unavailables.get(),
+            faults_injected: self.counters.faults_injected.get(),
+            timeouts: self.counters.timeouts.get(),
+            unavailables: self.counters.unavailables.get(),
             ..StoreStats::default()
         };
         stats
@@ -286,17 +294,8 @@ impl KeyValueStore for FaultInjectingStore {
 
     fn instrument(&mut self, registry: &Registry) {
         self.inner.instrument(registry);
-        for (counter, op) in [
-            (&self.faults_injected, "fault_injected"),
-            (&self.timeouts, "timeout"),
-            (&self.unavailables, "unavailable"),
-        ] {
-            registry.adopt_counter(
-                consts::STORE_OPS,
-                &[(consts::LABEL_STORE, self.name()), (consts::LABEL_OP, op)],
-                counter,
-            );
-        }
+        self.counters
+            .register(registry, &[(consts::LABEL_STORE, self.name())]);
     }
 }
 

@@ -12,7 +12,7 @@
 use fluidmem_coord::PartitionId;
 use fluidmem_mem::PageContents;
 use fluidmem_sim::{SimClock, SimRng};
-use fluidmem_telemetry::Registry;
+use fluidmem_telemetry::{consts, Registry};
 
 use crate::error::KvError;
 use crate::key::ExternalKey;
@@ -91,7 +91,7 @@ impl<E: StorageEngine> LeafStore<E> {
             transport,
             clock,
             rng,
-            stats: StoreCounters::new(),
+            stats: StoreCounters::default(),
         }
     }
 }
@@ -230,6 +230,7 @@ impl<E: StorageEngine> KeyValueStore for LeafStore<E> {
     }
 
     fn instrument(&mut self, registry: &Registry) {
-        self.stats.register(registry, E::NAME);
+        self.stats
+            .register(registry, &[(consts::LABEL_STORE, E::NAME)]);
     }
 }

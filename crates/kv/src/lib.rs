@@ -65,3 +65,12 @@ pub use shared::{Shared, SharedStore};
 pub use stats::{StoreCounters, StoreStats};
 pub use store::KeyValueStore;
 pub use transport::TransportModel;
+
+/// The series every instrument set this crate declares exports.
+pub const CATALOGUE: &[&[fluidmem_telemetry::CatalogueRow]] = &[
+    StoreCounters::CATALOGUE,
+    fault::FaultInjectionCounters::CATALOGUE,
+    replicated::ReplicationCounters::CATALOGUE,
+    ClusterCounters::CATALOGUE,
+    cluster::NodeCounters::CATALOGUE,
+];

@@ -9,7 +9,7 @@ use crate::key::ExternalKey;
 use crate::pending::{PendingGet, PendingWrite};
 use crate::stats::StoreStats;
 use crate::store::KeyValueStore;
-use fluidmem_telemetry::{consts, Counter, Registry};
+use fluidmem_telemetry::{consts, instrument_set, Registry};
 
 /// A store that mirrors every page across multiple remote servers, so a
 /// store-server failure does not lose VM memory.
@@ -58,8 +58,18 @@ pub struct ReplicatedStore {
     /// acknowledge (it was dead, or the write dropped / was refused).
     /// Answers for these keys are untrusted until read-repair heals them.
     stale: Vec<std::collections::HashSet<u64>>,
-    failovers: Counter,
+    counters: ReplicationCounters,
     repairs: u64,
+}
+
+instrument_set! {
+    /// What a [`ReplicatedStore`] counts itself.
+    pub(crate) struct ReplicationCounters {
+        counters {
+            failovers: STORE_OPS[LABEL_OP = "failover"],
+                "Operations redirected to another replica after a fault.";
+        }
+    }
 }
 
 impl ReplicatedStore {
@@ -79,7 +89,7 @@ impl ReplicatedStore {
             replicas,
             alive,
             stale,
-            failovers: Counter::new(),
+            counters: ReplicationCounters::default(),
             repairs: 0,
         }
     }
@@ -101,7 +111,7 @@ impl ReplicatedStore {
 
     /// Reads served by a non-primary replica.
     pub fn failovers(&self) -> u64 {
-        self.failovers.get()
+        self.counters.failovers.get()
     }
 
     /// Pages re-written to lagging replicas by read-repair.
@@ -212,7 +222,7 @@ impl KeyValueStore for ReplicatedStore {
             }
             match self.replicas[i].get(key) {
                 Ok(v) => {
-                    self.failovers.inc();
+                    self.counters.failovers.inc();
                     if needs_repair && self.replicas[primary].put(key, v.clone()).is_ok() {
                         self.stale[primary].remove(&key.raw());
                         self.repairs += 1;
@@ -272,7 +282,7 @@ impl KeyValueStore for ReplicatedStore {
         }
         let (lead, lead_pending) = accepted.remove(0);
         if lead != primary {
-            self.failovers.inc();
+            self.counters.failovers.inc();
         }
         for (i, p) in accepted {
             self.replicas[i].finish_write(p);
@@ -367,7 +377,7 @@ impl KeyValueStore for ReplicatedStore {
             .map(|i| self.replicas[i].stats())
             .unwrap_or_default();
         stats += StoreStats {
-            failovers: self.failovers.get(),
+            failovers: self.counters.failovers.get(),
             ..StoreStats::default()
         };
         stats
@@ -378,14 +388,8 @@ impl KeyValueStore for ReplicatedStore {
     // silently winning. Only the wrapper's own failover counter is
     // exported.
     fn instrument(&mut self, registry: &Registry) {
-        registry.adopt_counter(
-            consts::STORE_OPS,
-            &[
-                (consts::LABEL_STORE, self.name()),
-                (consts::LABEL_OP, "failover"),
-            ],
-            &self.failovers,
-        );
+        self.counters
+            .register(registry, &[(consts::LABEL_STORE, self.name())]);
     }
 }
 
@@ -394,7 +398,7 @@ impl std::fmt::Debug for ReplicatedStore {
         f.debug_struct("ReplicatedStore")
             .field("replicas", &self.replicas.len())
             .field("alive", &self.alive)
-            .field("failovers", &self.failovers.get())
+            .field("failovers", &self.counters.failovers.get())
             .finish()
     }
 }

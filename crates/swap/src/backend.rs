@@ -121,7 +121,7 @@ impl SwapBackedMemory {
             from_vm: true,
             label,
             counters: AccessCounters::default(),
-            stats: SwapCounters::new(),
+            stats: SwapCounters::default(),
         }
     }
 
@@ -138,7 +138,7 @@ impl SwapBackedMemory {
     /// Registers the swap counters and both block devices' counters in
     /// a shared telemetry registry.
     pub fn attach_telemetry(&mut self, telemetry: &fluidmem_telemetry::Telemetry) {
-        self.stats.register(telemetry.registry());
+        self.stats.register(telemetry.registry(), &[]);
         self.swap_dev.instrument(telemetry.registry());
         self.fs_dev.instrument(telemetry.registry());
     }

@@ -40,3 +40,6 @@ pub use config::{DiskCacheMode, SwapConfig, SwapCosts};
 pub use lru::TwoListLru;
 pub use slots::SlotAllocator;
 pub use stats::{SwapCounters, SwapStats};
+
+/// The series every instrument set this crate declares exports.
+pub const CATALOGUE: &[&[fluidmem_telemetry::CatalogueRow]] = &[SwapCounters::CATALOGUE];

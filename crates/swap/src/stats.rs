@@ -5,108 +5,35 @@
 //! handles produce. Registering the counters exports the same handles
 //! under [`consts::SWAP_EVENTS`](fluidmem_telemetry::consts::SWAP_EVENTS).
 
-use fluidmem_telemetry::{consts, Counter, Registry};
+use fluidmem_telemetry::instrument_set;
 
-/// A point-in-time snapshot of the counters kept by
-/// [`SwapBackedMemory`](crate::SwapBackedMemory).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SwapStats {
-    /// Faults served from the swap device (page was swapped out).
-    pub major_faults: u64,
-    /// Faults served from the swap cache (readahead hit).
-    pub swap_cache_hits: u64,
-    /// First-touch anonymous faults (zero-fill).
-    pub first_touch_faults: u64,
-    /// Pages written to the swap device.
-    pub swap_outs: u64,
-    /// Evictions that skipped the write because a clean slot copy
-    /// existed.
-    pub clean_evictions: u64,
-    /// Pages pulled in speculatively by readahead.
-    pub readahead_pages: u64,
-    /// kswapd background reclaim passes.
-    pub kswapd_runs: u64,
-    /// Pages reclaimed on the allocation critical path.
-    pub direct_reclaims: u64,
-    /// File-backed pages refaulted from the filesystem.
-    pub fs_reads: u64,
-    /// Dirty file-backed pages written back to the filesystem.
-    pub fs_writes: u64,
-    /// Faults that had to wait for an in-flight writeback of the same
-    /// page.
-    pub writeback_collisions: u64,
-}
-
-macro_rules! swap_counters {
-    ($(($field:ident, $event:literal, $doc:literal)),+ $(,)?) => {
-        /// The swap backend's live counter handles (see the module docs).
-        #[derive(Debug, Clone, Default)]
-        pub struct SwapCounters {
-            $(#[doc = $doc] pub $field: Counter,)+
+instrument_set! {
+    /// The swap backend's live counter handles (see the module docs).
+    pub struct SwapCounters {
+        counters {
+            major_faults: SWAP_EVENTS[LABEL_EVENT = "major_fault"],
+                "Faults served from the swap device (page was swapped out).";
+            swap_cache_hits: SWAP_EVENTS[LABEL_EVENT = "swap_cache_hit"],
+                "Faults served from the swap cache (readahead hit).";
+            first_touch_faults: SWAP_EVENTS[LABEL_EVENT = "first_touch_fault"],
+                "First-touch anonymous faults (zero-fill).";
+            swap_outs: SWAP_EVENTS[LABEL_EVENT = "swap_out"], "Pages written to the swap device.";
+            clean_evictions: SWAP_EVENTS[LABEL_EVENT = "clean_eviction"],
+                "Evictions that skipped the write because a clean slot copy existed.";
+            readahead_pages: SWAP_EVENTS[LABEL_EVENT = "readahead_page"],
+                "Pages pulled in speculatively by readahead.";
+            kswapd_runs: SWAP_EVENTS[LABEL_EVENT = "kswapd_run"], "kswapd background reclaim passes.";
+            direct_reclaims: SWAP_EVENTS[LABEL_EVENT = "direct_reclaim"],
+                "Pages reclaimed on the allocation critical path.";
+            fs_reads: SWAP_EVENTS[LABEL_EVENT = "fs_read"],
+                "File-backed pages refaulted from the filesystem.";
+            fs_writes: SWAP_EVENTS[LABEL_EVENT = "fs_write"],
+                "Dirty file-backed pages written back to the filesystem.";
+            writeback_collisions: SWAP_EVENTS[LABEL_EVENT = "writeback_collision"],
+                "Faults that had to wait for an in-flight writeback of the same page.";
         }
-
-        impl SwapCounters {
-            /// Fresh detached counters (not exported anywhere).
-            pub fn new() -> Self {
-                Self::default()
-            }
-
-            /// Registers every counter in `registry` under
-            /// [`consts::SWAP_EVENTS`], keyed by an `event` label.
-            /// Accumulated values carry over: the registry adopts the
-            /// live handles.
-            pub fn register(&self, registry: &Registry) {
-                $(registry.adopt_counter(
-                    consts::SWAP_EVENTS,
-                    &[(consts::LABEL_EVENT, $event)],
-                    &self.$field,
-                );)+
-            }
-
-            /// A point-in-time snapshot of every counter.
-            pub fn snapshot(&self) -> SwapStats {
-                SwapStats {
-                    $($field: self.$field.get(),)+
-                }
-            }
-        }
-    };
-}
-
-swap_counters! {
-    (major_faults, "major_fault", "Faults served from the swap device."),
-    (swap_cache_hits, "swap_cache_hit", "Faults served from the swap cache (readahead hit)."),
-    (first_touch_faults, "first_touch_fault", "First-touch anonymous faults (zero-fill)."),
-    (swap_outs, "swap_out", "Pages written to the swap device."),
-    (clean_evictions, "clean_eviction", "Evictions that skipped the write (clean slot copy)."),
-    (readahead_pages, "readahead_page", "Pages pulled in speculatively by readahead."),
-    (kswapd_runs, "kswapd_run", "kswapd background reclaim passes."),
-    (direct_reclaims, "direct_reclaim", "Pages reclaimed on the allocation critical path."),
-    (fs_reads, "fs_read", "File-backed pages refaulted from the filesystem."),
-    (fs_writes, "fs_write", "Dirty file-backed pages written back."),
-    (writeback_collisions, "writeback_collision", "Faults that waited on an in-flight writeback."),
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_is_zeroed() {
-        let s = SwapStats::default();
-        assert_eq!(s.major_faults, 0);
-        assert_eq!(SwapCounters::new().snapshot(), SwapStats::default());
     }
-
-    #[test]
-    fn registered_counters_are_the_same_handles() {
-        let c = SwapCounters::new();
-        c.swap_outs.add(4);
-        let reg = Registry::new();
-        c.register(&reg);
-        let outs = reg.counter(consts::SWAP_EVENTS, &[(consts::LABEL_EVENT, "swap_out")]);
-        assert_eq!(outs.get(), 4);
-        c.swap_outs.inc();
-        assert_eq!(outs.get(), 5);
-    }
+    /// A point-in-time snapshot of the counters kept by
+    /// [`SwapBackedMemory`](crate::SwapBackedMemory).
+    pub struct SwapStats;
 }

@@ -161,8 +161,6 @@ pub const LABEL_PATH: &str = "path";
 pub const LABEL_RESOLUTION: &str = "resolution";
 /// Label key naming a guest VM (multi-VM hosting).
 pub const LABEL_VM: &str = "vm";
-/// Label key naming an arbiter policy.
-pub const LABEL_POLICY: &str = "policy";
 /// Label key naming a cluster store node.
 pub const LABEL_NODE: &str = "node";
 /// Label key naming a kind of landed store read (`demand`,

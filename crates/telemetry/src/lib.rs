@@ -49,10 +49,12 @@
 
 pub mod consts;
 mod export;
+mod instruments;
 mod registry;
 mod span;
 
 pub use export::{chrome_trace, jsonl, prometheus_text, validate_chrome_trace};
+pub use instruments::{CatalogueRow, InstrumentKind};
 pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricKey, Registry, RegistrySnapshot,
 };

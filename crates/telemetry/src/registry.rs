@@ -19,9 +19,12 @@ use crate::consts::{bucket_bound_ns, bucket_index, HIST_BUCKETS, HIST_SAMPLE_CAP
 /// A metric's identity: name plus sorted `(key, value)` labels.
 pub type MetricKey = (String, Vec<(String, String)>);
 
-fn metric_key(name: &str, labels: &[(&str, &str)]) -> MetricKey {
+fn metric_key<'a>(
+    name: &str,
+    labels: impl IntoIterator<Item = &'a (&'a str, &'a str)>,
+) -> MetricKey {
     let mut l: Vec<(String, String)> = labels
-        .iter()
+        .into_iter()
         .map(|(k, v)| (k.to_string(), v.to_string()))
         .collect();
     l.sort();
@@ -280,21 +283,36 @@ impl Registry {
     /// value) under `name`/`labels`, replacing any previous registration.
     /// Lets components instrument themselves after construction without
     /// losing counts.
-    pub fn adopt_counter(&self, name: &str, labels: &[(&str, &str)], counter: &Counter) {
+    pub fn adopt_counter<'a>(
+        &self,
+        name: &str,
+        labels: impl IntoIterator<Item = &'a (&'a str, &'a str)>,
+        counter: &Counter,
+    ) {
         let key = metric_key(name, labels);
         let mut inner = self.inner.lock().expect("registry lock");
         inner.counters.insert(key, counter.clone());
     }
 
     /// Registers an existing gauge handle.
-    pub fn adopt_gauge(&self, name: &str, labels: &[(&str, &str)], gauge: &Gauge) {
+    pub fn adopt_gauge<'a>(
+        &self,
+        name: &str,
+        labels: impl IntoIterator<Item = &'a (&'a str, &'a str)>,
+        gauge: &Gauge,
+    ) {
         let key = metric_key(name, labels);
         let mut inner = self.inner.lock().expect("registry lock");
         inner.gauges.insert(key, gauge.clone());
     }
 
     /// Registers an existing histogram handle.
-    pub fn adopt_histogram(&self, name: &str, labels: &[(&str, &str)], histogram: &Histogram) {
+    pub fn adopt_histogram<'a>(
+        &self,
+        name: &str,
+        labels: impl IntoIterator<Item = &'a (&'a str, &'a str)>,
+        histogram: &Histogram,
+    ) {
         let key = metric_key(name, labels);
         let mut inner = self.inner.lock().expect("registry lock");
         inner.histograms.insert(key, histogram.clone());

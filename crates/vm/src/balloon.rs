@@ -18,7 +18,16 @@ use fluidmem_mem::MemoryBackend;
 #[derive(Debug, Default)]
 pub struct Balloon {
     inflated_to: Option<u64>,
-    inflations: fluidmem_telemetry::Counter,
+    events: BalloonCounters,
+}
+
+fluidmem_telemetry::instrument_set! {
+    /// A balloon's event counters.
+    pub(crate) struct BalloonCounters {
+        counters {
+            inflations: VM_EVENTS[LABEL_EVENT = "balloon_inflate"], "Inflation requests.";
+        }
+    }
 }
 
 impl Balloon {
@@ -30,7 +39,7 @@ impl Balloon {
     /// Inflates toward `target_resident_pages`; returns the footprint
     /// actually achieved (bounded by the mechanism's floor).
     pub fn inflate(&mut self, backend: &mut dyn MemoryBackend, target_resident_pages: u64) -> u64 {
-        self.inflations.inc();
+        self.events.inflations.inc();
         let achieved = backend.balloon_reclaim(target_resident_pages);
         self.inflated_to = Some(target_resident_pages);
         achieved
@@ -39,12 +48,7 @@ impl Balloon {
     /// Registers the balloon's inflation counter in a shared telemetry
     /// registry.
     pub fn attach_telemetry(&mut self, telemetry: &fluidmem_telemetry::Telemetry) {
-        use fluidmem_telemetry::consts;
-        telemetry.registry().adopt_counter(
-            consts::VM_EVENTS,
-            &[(consts::LABEL_EVENT, "balloon_inflate")],
-            &self.inflations,
-        );
+        self.events.register(telemetry.registry(), &[]);
     }
 
     /// The last inflation target, if any.
@@ -61,7 +65,7 @@ impl Balloon {
     /// guest cooperation needed (the paper's point about FluidMem vs.
     /// ballooning, §VII).
     pub fn request(&mut self, target_resident_pages: u64) {
-        self.inflations.inc();
+        self.events.inflations.inc();
         self.inflated_to = Some(target_resident_pages);
     }
 

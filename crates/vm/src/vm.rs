@@ -51,8 +51,17 @@ pub struct Vm {
     os: GuestOs,
     mode: VirtualizationMode,
     idle_step: u64,
-    idle_ticks: fluidmem_telemetry::Counter,
-    workload_allocs: fluidmem_telemetry::Counter,
+    events: VmCounters,
+}
+
+fluidmem_telemetry::instrument_set! {
+    /// A VM's event counters.
+    pub(crate) struct VmCounters {
+        counters {
+            idle_ticks: VM_EVENTS[LABEL_EVENT = "idle_tick"], "Idle-loop ticks run.";
+            workload_allocs: VM_EVENTS[LABEL_EVENT = "workload_alloc"], "Workload regions allocated.";
+        }
+    }
 }
 
 impl Vm {
@@ -68,21 +77,13 @@ impl Vm {
             os,
             mode: VirtualizationMode::Kvm,
             idle_step: 0,
-            idle_ticks: fluidmem_telemetry::Counter::new(),
-            workload_allocs: fluidmem_telemetry::Counter::new(),
+            events: VmCounters::default(),
         }
     }
 
     /// Registers the VM's event counters in a shared telemetry registry.
     pub fn attach_telemetry(&mut self, telemetry: &fluidmem_telemetry::Telemetry) {
-        use fluidmem_telemetry::consts;
-        let registry = telemetry.registry();
-        for (counter, event) in [
-            (&self.idle_ticks, "idle_tick"),
-            (&self.workload_allocs, "workload_alloc"),
-        ] {
-            registry.adopt_counter(consts::VM_EVENTS, &[(consts::LABEL_EVENT, event)], counter);
-        }
+        self.events.register(telemetry.registry(), &[]);
     }
 
     /// Switches the virtualization mode (Table III's last row uses
@@ -124,14 +125,14 @@ impl Vm {
     /// Allocates an anonymous workload region (an application starting in
     /// the guest).
     pub fn alloc_workload(&mut self, pages: u64) -> Region {
-        self.workload_allocs.inc();
+        self.events.workload_allocs.inc();
         self.backend.map_region(pages, PageClass::Anonymous)
     }
 
     /// One idle-OS tick (a timer interrupt's worth of background memory
     /// traffic).
     pub fn idle_tick(&mut self) {
-        self.idle_ticks.inc();
+        self.events.idle_ticks.inc();
         self.os.idle_tick(self.backend.as_mut(), self.idle_step);
         self.idle_step += 1;
     }

@@ -11,7 +11,7 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo build --all-targets (examples + benches included)"
+echo "==> cargo build --all-targets (examples included)"
 cargo build -q --workspace --all-targets
 
 echo "==> cargo test"
@@ -167,6 +167,20 @@ wire_hits="$(grep -rn 'sample_top_half\|sample_flight\|sample_batch_flight\|samp
 if [ -n "$wire_hits" ]; then
     echo "transport sampled outside the leaf front (implement a StorageEngine, or mark '// lint: own-timeline'):" >&2
     echo "$wire_hits" >&2
+    exit 1
+fi
+
+echo "==> lint: instruments are declared, not hand-registered"
+# A layer states its counters, gauges and histograms once, in a
+# fluidmem_telemetry::instrument_set! list; the snapshot struct, the
+# registration under the caller's labels and the CATALOGUE row are
+# derived from it (DESIGN.md "Telemetry"). A Registry::adopt_* call
+# anywhere else is an instrument the catalogue does not know.
+adopt_hits="$(grep -rn 'adopt_counter\|adopt_gauge\|adopt_histogram' crates src --include='*.rs' \
+    | grep -v '^crates/telemetry/src/' || true)"
+if [ -n "$adopt_hits" ]; then
+    echo "instrument registered by hand (declare it in the layer's instrument_set! list):" >&2
+    echo "$adopt_hits" >&2
     exit 1
 fi
 

@@ -2,11 +2,8 @@
 //!
 //! Three properties anchor the feature:
 //!
-//! * **Default-off identity** — with reclaim disabled (the default) the
-//!   monitor must be byte-identical to one that never heard of the
-//!   feature: same stats, virtual clock, Prometheus text, and Chrome
-//!   trace across seeds, with zero reclaim counters and no reclaim
-//!   spans.
+//! * **Off by default** — with reclaim disabled (the default) no
+//!   reclaim counter moves and no reclaim span exists.
 //! * **Off the fault path** — enabled at default watermarks, the evictor
 //!   carries the whole eviction load of an oversubscribed run: no fault
 //!   evicts inline, and its activations show in the trace.
@@ -23,20 +20,12 @@ use fluidmem::core::{FluidMemMemory, MonitorConfig, PipelineSubmit, ReclaimConfi
 use fluidmem::mem::{AccessOutcome, MemoryBackend, PageClass, PageContents};
 use fluidmem::vm::VcpuSet;
 
-/// Default-off identity: a config that never mentions reclaim and one
-/// that explicitly disables it are the same monitor, byte for byte —
-/// no extra RNG draws, clock charges, counters, or spans.
+/// Off by default: the default config (`ReclaimConfig::disabled()` is
+/// `Default`) counts no reclaim and records no reclaim span.
 #[test]
-fn disabled_reclaim_is_byte_identical_to_default_across_seeds() {
+fn default_config_counts_no_reclaim_and_records_no_reclaim_span() {
     for &seed in &SEEDS {
-        let default = run_schedule(seed, MonitorConfig::new(48));
-        let disabled = run_schedule(
-            seed,
-            MonitorConfig::new(48).reclaim(ReclaimConfig::disabled()),
-        );
-        assert_eq!(default, disabled, "seed {seed}: disabled reclaim diverged");
-
-        let (stats, _, _, trace) = default;
+        let (stats, _, _, trace) = run_schedule(seed, MonitorConfig::new(48));
         assert_eq!(stats.background_reclaims, 0, "seed {seed}");
         assert_eq!(stats.direct_reclaims, 0, "seed {seed}");
         assert!(

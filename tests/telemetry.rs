@@ -121,3 +121,61 @@ fn fault_latency_histograms_populate_by_resolution() {
         "an over-capacity working set must produce remote reads"
     );
 }
+
+/// The metric catalogue is the instrument sets' declarations: every
+/// `fluidmem_*` metric-name constant in `telemetry::consts` is declared
+/// by some set (a constant nobody declares is a documented metric that
+/// is never exported), no set declares one series twice, and every row
+/// says what it measures.
+#[test]
+fn every_metric_constant_is_declared_by_an_instrument_set() {
+    let catalogues = [
+        ("block", fluidmem::block::CATALOGUE),
+        ("coord", fluidmem::coord::CATALOGUE),
+        ("core", fluidmem::core::CATALOGUE),
+        ("host", fluidmem::host::CATALOGUE),
+        ("kv", fluidmem::kv::CATALOGUE),
+        ("swap", fluidmem::swap::CATALOGUE),
+        ("vm", fluidmem::vm::CATALOGUE),
+    ];
+    let mut declared = std::collections::BTreeSet::new();
+    for (layer, sets) in catalogues {
+        for rows in sets {
+            assert!(!rows.is_empty(), "a {layer} set declares nothing");
+            let mut series = std::collections::BTreeSet::new();
+            for row in *rows {
+                let mut labels = row.labels.to_vec();
+                labels.sort_unstable();
+                assert!(
+                    series.insert((row.metric, labels)),
+                    "a {layer} set declares {} {:?} twice",
+                    row.metric,
+                    row.labels
+                );
+                assert!(
+                    !row.doc.trim().is_empty(),
+                    "{layer}: {} {:?} has no doc",
+                    row.metric,
+                    row.labels
+                );
+                declared.insert(row.metric);
+            }
+        }
+    }
+
+    // The constants, read off their one definition site.
+    let consts_rs = include_str!("../crates/telemetry/src/consts.rs");
+    let names: Vec<&str> = consts_rs
+        .lines()
+        .filter_map(|line| line.strip_prefix("pub const ")?.split_once(": &str = \""))
+        .filter_map(|(_, value)| value.strip_suffix("\";"))
+        .filter(|value| value.starts_with("fluidmem_"))
+        .collect();
+    assert!(names.len() >= 32, "consts.rs no longer parses: {names:?}");
+    for name in &names {
+        assert!(
+            declared.contains(name),
+            "{name} is documented in telemetry::consts but no instrument set declares it"
+        );
+    }
+}
