@@ -28,57 +28,13 @@
 //!
 //! Usage: `pipeline [--smoke] [--seed N] [--json FILE]`
 
-use std::path::PathBuf;
-
-use fluidmem_bench::json::{write_json_line, Json};
-use fluidmem_bench::{banner, f2, TextTable};
+use fluidmem_bench::json::Json;
+use fluidmem_bench::{banner, f2, HarnessArgs, TextTable};
 use fluidmem_coord::PartitionId;
 use fluidmem_core::{FluidMemMemory, MonitorConfig, ReclaimConfig};
 use fluidmem_kv::RamCloudStore;
 use fluidmem_sim::{SimClock, SimRng};
 use fluidmem_vm::VcpuSet;
-
-struct Args {
-    smoke: bool,
-    seed: u64,
-    json_path: Option<PathBuf>,
-}
-
-/// Hand-rolled parsing (not `HarnessArgs`): this harness has no
-/// `--scale` notion — `--smoke` selects the reduced sizes instead.
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        seed: 42,
-        json_path: None,
-    };
-    let argv: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--smoke" => args.smoke = true,
-            "--seed" => {
-                i += 1;
-                args.seed = argv.get(i).and_then(|s| s.parse().ok()).unwrap_or(42);
-            }
-            "--json" => {
-                i += 1;
-                args.json_path = argv.get(i).map(PathBuf::from);
-            }
-            other => eprintln!("ignoring unknown argument {other:?}"),
-        }
-        i += 1;
-    }
-    args
-}
-
-fn emit(args: &Args, record: &Json) {
-    if let Some(path) = &args.json_path {
-        if let Err(e) = write_json_line(path, record) {
-            eprintln!("failed to write {path:?}: {e}");
-        }
-    }
-}
 
 struct Sizes {
     capacity: u64,
@@ -89,7 +45,7 @@ struct Sizes {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = HarnessArgs::parse(1);
     let sizes = if args.smoke {
         Sizes {
             capacity: 256,
@@ -166,8 +122,7 @@ fn main() {
             f2(p50),
             f2(p99),
         ]);
-        emit(
-            &args,
+        args.emit_json(
             &Json::object()
                 .field("bench", "pipeline")
                 .field("seed", args.seed as i64)
@@ -199,7 +154,7 @@ fn main() {
 /// timeline between faults; the background evictor does that work on
 /// its own virtual thread while vCPUs are suspended in read flights, so
 /// at depth ≥ 4 the fault-latency tail must come down.
-fn reclaim_sweep(args: &Args, sizes: &Sizes) {
+fn reclaim_sweep(args: &HarnessArgs, sizes: &Sizes) {
     banner(
         "pipeline — background reclaim vs inline eviction",
         "same fleet and seed per depth; kswapd-style watermark evictor on/off is the only variable",
@@ -248,8 +203,7 @@ fn reclaim_sweep(args: &Args, sizes: &Sizes) {
             signals.direct_reclaims.to_string(),
             if tail_win { "yes" } else { "no" }.to_string(),
         ]);
-        emit(
-            args,
+        args.emit_json(
             &Json::object()
                 .field("bench", "pipeline_reclaim")
                 .field("seed", args.seed as i64)

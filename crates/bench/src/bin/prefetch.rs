@@ -30,10 +30,8 @@
 //!
 //! Usage: `prefetch [--smoke] [--seed N] [--json FILE]`
 
-use std::path::PathBuf;
-
-use fluidmem_bench::json::{write_json_line, Json};
-use fluidmem_bench::{banner, f2, TextTable};
+use fluidmem_bench::json::Json;
+use fluidmem_bench::{banner, f2, HarnessArgs, TextTable};
 use fluidmem_coord::PartitionId;
 use fluidmem_core::{FluidMemMemory, MonitorConfig, PrefetchPolicy};
 use fluidmem_kv::RamCloudStore;
@@ -46,48 +44,6 @@ use fluidmem_sim::{SimClock, SimDuration, SimRng};
 /// than any store can serve them and every speculative read is adopted
 /// mid-flight rather than landing first.
 const THINK: SimDuration = SimDuration::from_micros(6);
-
-struct Args {
-    smoke: bool,
-    seed: u64,
-    json_path: Option<PathBuf>,
-}
-
-/// Hand-rolled parsing (not `HarnessArgs`): this harness has no
-/// `--scale` notion — `--smoke` selects the reduced sizes instead.
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        seed: 42,
-        json_path: None,
-    };
-    let argv: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--smoke" => args.smoke = true,
-            "--seed" => {
-                i += 1;
-                args.seed = argv.get(i).and_then(|s| s.parse().ok()).unwrap_or(42);
-            }
-            "--json" => {
-                i += 1;
-                args.json_path = argv.get(i).map(PathBuf::from);
-            }
-            other => eprintln!("ignoring unknown argument {other:?}"),
-        }
-        i += 1;
-    }
-    args
-}
-
-fn emit(args: &Args, record: &Json) {
-    if let Some(path) = &args.json_path {
-        if let Err(e) = write_json_line(path, record) {
-            eprintln!("failed to write {path:?}: {e}");
-        }
-    }
-}
 
 struct Sizes {
     region_pages: u64,
@@ -233,7 +189,7 @@ fn run_config(sizes: &Sizes, seed: u64, policy: PrefetchPolicy) -> RunResult {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = HarnessArgs::parse(1);
     let sizes = if args.smoke {
         Sizes {
             region_pages: 8192,
@@ -300,8 +256,7 @@ fn main() {
                 r.issued.to_string(),
                 f2(r.accuracy()),
             ]);
-            emit(
-                &args,
+            args.emit_json(
                 &Json::object()
                     .field("bench", "prefetch")
                     .field("seed", args.seed as i64)
@@ -352,8 +307,7 @@ fn main() {
         f2(p50_improvement),
         fatal_errors
     );
-    emit(
-        &args,
+    args.emit_json(
         &Json::object()
             .field("bench", "prefetch_gate")
             .field("seed", args.seed as i64)

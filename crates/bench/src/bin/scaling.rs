@@ -41,59 +41,11 @@
 
 use std::path::PathBuf;
 
-use fluidmem_bench::json::{write_json_line, Json};
-use fluidmem_bench::{banner, f2, pct, TextTable};
+use fluidmem_bench::json::Json;
+use fluidmem_bench::{banner, f2, pct, HarnessArgs, TextTable};
 use fluidmem_host::{ArbiterPolicy, HostAgent, HostConfig, VmSpec};
 use fluidmem_kv::{ClusterHandle, ClusterStore, NodeId, RamCloudStore, TransportModel};
 use fluidmem_sim::{SimClock, SimDuration, SimRng};
-
-struct Args {
-    smoke: bool,
-    cluster: bool,
-    big: bool,
-    seed: u64,
-    json_path: Option<PathBuf>,
-}
-
-/// Hand-rolled parsing (not `HarnessArgs`): this harness has no
-/// `--scale` notion — `--smoke` selects the reduced grid instead.
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        cluster: false,
-        big: false,
-        seed: 42,
-        json_path: None,
-    };
-    let argv: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--smoke" => args.smoke = true,
-            "--cluster" => args.cluster = true,
-            "--big" => args.big = true,
-            "--seed" => {
-                i += 1;
-                args.seed = argv.get(i).and_then(|s| s.parse().ok()).unwrap_or(42);
-            }
-            "--json" => {
-                i += 1;
-                args.json_path = argv.get(i).map(PathBuf::from);
-            }
-            other => eprintln!("ignoring unknown argument {other:?}"),
-        }
-        i += 1;
-    }
-    args
-}
-
-fn emit(args: &Args, record: &Json) {
-    if let Some(path) = &args.json_path {
-        if let Err(e) = write_json_line(path, record) {
-            eprintln!("failed to write {path:?}: {e}");
-        }
-    }
-}
 
 struct CellResult {
     n: usize,
@@ -182,7 +134,7 @@ fn run_cell(n: usize, factor: f64, dram: u64, interval: u64, seed: u64) -> CellR
     }
 }
 
-fn sweep(args: &Args, dram: u64, interval: u64) {
+fn sweep(args: &HarnessArgs, dram: u64, interval: u64) {
     let (fleet_sizes, factors): (&[usize], &[f64]) = if args.smoke {
         (&[2, 4, 8], &[0.5, 2.0])
     } else {
@@ -240,8 +192,7 @@ fn sweep(args: &Args, dram: u64, interval: u64) {
                         .field("fault_p99_us", *p99)
                 })
                 .collect::<Vec<Json>>();
-            emit(
-                args,
+            args.emit_json(
                 &Json::object()
                     .field("bench", "scaling")
                     .field("seed", args.seed)
@@ -320,7 +271,7 @@ fn settle_cluster(host: &mut HostAgent) {
     panic!("cluster migrations never settled");
 }
 
-fn cluster_sweep(args: &Args, dram: u64, interval: u64) {
+fn cluster_sweep(args: &HarnessArgs, dram: u64, interval: u64) {
     let node_counts: &[u32] = if args.smoke {
         &[1, 2, 4]
     } else {
@@ -403,8 +354,7 @@ fn cluster_sweep(args: &Args, dram: u64, interval: u64) {
             report.missing.len().to_string(),
             report.duplicated.len().to_string(),
         ]);
-        emit(
-            args,
+        args.emit_json(
             &Json::object()
                 .field("bench", "scaling_cluster")
                 .field("seed", args.seed)
@@ -443,7 +393,7 @@ fn cluster_sweep(args: &Args, dram: u64, interval: u64) {
 /// tail that the guard genuinely engages.
 const BIG_SLO_P99_US: f64 = 35.0;
 
-fn big_sweep(args: &Args) {
+fn big_sweep(args: &HarnessArgs) {
     let (fleet_sizes, dram_per_vm, per_vm_wss): (&[usize], u64, u64) = if args.smoke {
         (&[16, 64], 256, 512)
     } else {
@@ -536,8 +486,7 @@ fn big_sweep(args: &Args) {
             slo_violations.to_string(),
             floor_misses.to_string(),
         ]);
-        emit(
-            args,
+        args.emit_json(
             &Json::object()
                 .field("bench", "scaling_big")
                 .field("seed", args.seed)
@@ -562,7 +511,7 @@ fn big_sweep(args: &Args) {
     );
 }
 
-fn faceoff(args: &Args, dram: u64, interval: u64) {
+fn faceoff(args: &HarnessArgs, dram: u64, interval: u64) {
     banner(
         "Arbiter policy face-off (skewed fleet)",
         "one hot VM (weight 4, WSS 5/8 of DRAM) vs three cold VMs (WSS 1/16 each)",
@@ -606,8 +555,7 @@ fn faceoff(args: &Args, dram: u64, interval: u64) {
             f2(access_p99),
             f2(fault_p99),
         ]);
-        emit(
-            args,
+        args.emit_json(
             &Json::object()
                 .field("bench", "scaling_policy")
                 .field("seed", args.seed)
@@ -627,7 +575,7 @@ fn faceoff(args: &Args, dram: u64, interval: u64) {
 }
 
 fn main() {
-    let mut args = parse_args();
+    let mut args = HarnessArgs::parse(1);
     let (dram, interval) = if args.smoke { (256, 128) } else { (2048, 512) };
     if args.big {
         // A separate mode with its own default JSON artifact. The file

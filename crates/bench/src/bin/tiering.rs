@@ -31,58 +31,14 @@
 //!
 //! Usage: `tiering [--smoke] [--seed N] [--json FILE]`
 
-use std::path::PathBuf;
-
-use fluidmem_bench::json::{write_json_line, Json};
-use fluidmem_bench::{banner, f2, TextTable};
+use fluidmem_bench::json::Json;
+use fluidmem_bench::{banner, f2, HarnessArgs, TextTable};
 use fluidmem_coord::PartitionId;
 use fluidmem_core::{FluidMemMemory, MonitorConfig, Optimizations, TierConfig};
 use fluidmem_kv::MemcachedStore;
 use fluidmem_mem::{MemoryBackend, PageClass, PageContents, PAGE_SIZE};
 use fluidmem_sim::{SimClock, SimRng};
 use fluidmem_telemetry::{consts, Telemetry};
-
-struct Args {
-    smoke: bool,
-    seed: u64,
-    json_path: Option<PathBuf>,
-}
-
-/// Hand-rolled parsing (not `HarnessArgs`): this harness has no
-/// `--scale` notion — `--smoke` selects the reduced sizes instead.
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        seed: 42,
-        json_path: None,
-    };
-    let argv: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--smoke" => args.smoke = true,
-            "--seed" => {
-                i += 1;
-                args.seed = argv.get(i).and_then(|s| s.parse().ok()).unwrap_or(42);
-            }
-            "--json" => {
-                i += 1;
-                args.json_path = argv.get(i).map(PathBuf::from);
-            }
-            other => eprintln!("ignoring unknown argument {other:?}"),
-        }
-        i += 1;
-    }
-    args
-}
-
-fn emit(args: &Args, record: &Json) {
-    if let Some(path) = &args.json_path {
-        if let Err(e) = write_json_line(path, record) {
-            eprintln!("failed to write {path:?}: {e}");
-        }
-    }
-}
 
 struct Sizes {
     capacity: u64,
@@ -218,7 +174,7 @@ fn opt_f2(v: Option<f64>) -> String {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = HarnessArgs::parse(1);
     let sizes = if args.smoke {
         Sizes {
             capacity: 96,
@@ -293,8 +249,7 @@ fn main() {
             opt_f2(r.hit_us),
             opt_f2(r.remote_us),
         ]);
-        emit(
-            &args,
+        args.emit_json(
             &Json::object()
                 .field("bench", "tiering")
                 .field("section", "sweep")
@@ -349,8 +304,7 @@ fn main() {
         speedup >= 5.0,
         "warm refaults must beat the remote path by >= 5x, got {speedup:.2}x"
     );
-    emit(
-        &args,
+    args.emit_json(
         &Json::object()
             .field("bench", "tiering")
             .field("section", "speedup")

@@ -26,58 +26,14 @@
 //!
 //! Usage: `workingset [--smoke] [--seed N] [--json FILE]`
 
-use std::path::PathBuf;
-
-use fluidmem_bench::json::{write_json_line, Json};
-use fluidmem_bench::{banner, f2, TextTable};
+use fluidmem_bench::json::Json;
+use fluidmem_bench::{banner, f2, HarnessArgs, TextTable};
 use fluidmem_coord::PartitionId;
 use fluidmem_core::{FluidMemMemory, MonitorConfig, WorkingSetConfig, WorkingSetMode};
 use fluidmem_host::{ArbiterPolicy, HostAgent, HostConfig, VmSpec};
 use fluidmem_kv::RamCloudStore;
 use fluidmem_sim::{SimClock, SimDuration, SimRng};
 use fluidmem_workloads::pmbench::{self, PmbenchConfig};
-
-struct Args {
-    smoke: bool,
-    seed: u64,
-    json_path: Option<PathBuf>,
-}
-
-/// Hand-rolled parsing (not `HarnessArgs`): this harness has no
-/// `--scale` notion — `--smoke` selects the reduced sizes instead.
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        seed: 42,
-        json_path: None,
-    };
-    let argv: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--smoke" => args.smoke = true,
-            "--seed" => {
-                i += 1;
-                args.seed = argv.get(i).and_then(|s| s.parse().ok()).unwrap_or(42);
-            }
-            "--json" => {
-                i += 1;
-                args.json_path = argv.get(i).map(PathBuf::from);
-            }
-            other => eprintln!("ignoring unknown argument {other:?}"),
-        }
-        i += 1;
-    }
-    args
-}
-
-fn emit(args: &Args, record: &Json) {
-    if let Some(path) = &args.json_path {
-        if let Err(e) = write_json_line(path, record) {
-            eprintln!("failed to write {path:?}: {e}");
-        }
-    }
-}
 
 struct Sizes {
     capacity: u64,
@@ -132,7 +88,7 @@ fn run_one(capacity: u64, wss_pages: u64, ops: u64, seed: u64, mode: WorkingSetM
     }
 }
 
-fn sweep(args: &Args, sizes: &Sizes) {
+fn sweep(args: &HarnessArgs, sizes: &Sizes) {
     let capacity = sizes.capacity;
     let max_pages = capacity * 4;
     println!("\n-- Static vs adaptive capacity, WSS sweep --");
@@ -195,8 +151,7 @@ fn sweep(args: &Args, sizes: &Sizes) {
             f2(adapt.avg_us),
         ]);
         for (mode, r) in [("static", &stat), ("adaptive", &adapt)] {
-            emit(
-                args,
+            args.emit_json(
                 &Json::object()
                     .field("bench", "workingset")
                     .field("section", "sweep")
@@ -220,7 +175,7 @@ fn sweep(args: &Args, sizes: &Sizes) {
     );
 }
 
-fn faceoff(args: &Args, sizes: &Sizes) {
+fn faceoff(args: &HarnessArgs, sizes: &Sizes) {
     let dram = sizes.fleet_dram;
     println!("\n-- Arbiter face-off: raw faults vs thrash refaults --");
     println!(
@@ -274,8 +229,7 @@ fn faceoff(args: &Args, sizes: &Sizes) {
             host.vm_faults(1).to_string(),
             f2(p99),
         ]);
-        emit(
-            args,
+        args.emit_json(
             &Json::object()
                 .field("bench", "workingset")
                 .field("section", "faceoff")
@@ -302,7 +256,7 @@ fn faceoff(args: &Args, sizes: &Sizes) {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = HarnessArgs::parse(1);
     let sizes = if args.smoke {
         Sizes {
             capacity: 128,

@@ -38,14 +38,23 @@ pub struct HarnessArgs {
     pub json_path: Option<PathBuf>,
     /// Write a Chrome trace-event file of the run to this path.
     pub trace_path: Option<PathBuf>,
+    /// Run the harness's reduced smoke sizes (for the harnesses that
+    /// size themselves by mode, not by `--scale`).
+    pub smoke: bool,
+    /// `scaling`'s big-fleet sweep.
+    pub big: bool,
+    /// `scaling`'s sharded-cluster sweep.
+    pub cluster: bool,
 }
 
 impl HarnessArgs {
-    /// Parses `--full`, `--scale <N>`, `--seed <N>`, `--json <file>`,
-    /// and `--trace <file>` from `args`, using `default_denominator`
-    /// when neither sizing flag is given.
+    /// Parses `--full`, `--scale <N>`, `--smoke`, `--big`, `--cluster`,
+    /// `--seed <N>`, `--json <file>` and `--trace <file>` from the
+    /// command line, using `default_denominator` when neither sizing
+    /// flag is given.
     pub fn parse(default_denominator: u64) -> HarnessArgs {
         let mut scale = default_denominator;
+        let (mut smoke, mut big, mut cluster) = (false, false, false);
         let mut seed = 42;
         let mut json_path = None;
         let mut trace_path = None;
@@ -54,6 +63,9 @@ impl HarnessArgs {
         while i < argv.len() {
             match argv[i].as_str() {
                 "--full" => scale = 1,
+                "--smoke" => smoke = true,
+                "--big" => big = true,
+                "--cluster" => cluster = true,
                 "--scale" => {
                     i += 1;
                     scale = argv
@@ -82,6 +94,9 @@ impl HarnessArgs {
             seed,
             json_path,
             trace_path,
+            smoke,
+            big,
+            cluster,
         }
     }
 

@@ -1,11 +1,11 @@
-//! The block-device trait and the shared queueing engine.
+//! The block-device trait and the one queued device.
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::marker::PhantomData;
 
 use fluidmem_mem::PageContents;
-use fluidmem_sim::{LatencyModel, SimClock, SimDuration, SimInstant, SimRng};
+use fluidmem_sim::{FastMap, LatencyModel, SimClock, SimDuration, SimInstant, SimRng};
 use fluidmem_telemetry::{consts, instrument_set, Registry};
 
 /// Errors returned by block devices.
@@ -156,35 +156,56 @@ pub trait BlockDevice {
     fn instrument(&mut self, _registry: &Registry) {}
 }
 
-/// The shared engine: payload storage, a bounded in-flight window, and
-/// latency sampling. Concrete devices wrap this with their own latency
-/// models.
-#[derive(Debug)]
-pub(crate) struct QueueedStore {
-    pub(crate) blocks: HashMap<u64, PageContents>,
-    capacity: u64,
-    queue_depth: usize,
-    /// Completion times of in-flight requests (unsorted; small).
-    inflight: Vec<SimInstant>,
-    pub(crate) clock: SimClock,
-    pub(crate) rng: SimRng,
-    pub(crate) stats: BlockCounters,
+/// What tells one queued device from another: its name, its queue depth
+/// and its calibration.
+pub trait DeviceProfile {
+    /// The device's [`BlockDevice::name`].
+    const NAME: &'static str;
+    /// Requests the submission queue holds before a new one must wait.
+    const QUEUE_DEPTH: usize;
+    /// Host-side CPU cost of submitting one request.
+    const SUBMIT_COST: SimDuration;
+    /// Service time of a 4 KB read.
+    fn read_latency() -> LatencyModel;
+    /// Service time of a 4 KB write.
+    fn write_latency() -> LatencyModel;
 }
 
-impl QueueedStore {
-    pub(crate) fn new(capacity: u64, queue_depth: usize, clock: SimClock, rng: SimRng) -> Self {
-        QueueedStore {
-            blocks: HashMap::new(),
-            capacity,
-            queue_depth: queue_depth.max(1),
+/// The one queued block device: payload storage, a bounded in-flight
+/// window, and service times sampled from its [`DeviceProfile`].
+#[derive(Debug)]
+pub struct QueuedDevice<P> {
+    blocks: FastMap<u64, PageContents>,
+    capacity: u64,
+    queue_depth: usize,
+    read_latency: LatencyModel,
+    write_latency: LatencyModel,
+    /// Completion times of in-flight requests (unsorted; small).
+    inflight: Vec<SimInstant>,
+    clock: SimClock,
+    rng: SimRng,
+    stats: BlockCounters,
+    profile: PhantomData<P>,
+}
+
+impl<P: DeviceProfile> QueuedDevice<P> {
+    /// Creates a device with `capacity_blocks` 4 KB blocks.
+    pub fn new(capacity_blocks: u64, clock: SimClock, rng: SimRng) -> Self {
+        QueuedDevice {
+            blocks: FastMap::default(),
+            capacity: capacity_blocks,
+            queue_depth: P::QUEUE_DEPTH.max(1),
+            read_latency: P::read_latency(),
+            write_latency: P::write_latency(),
             inflight: Vec::new(),
             clock,
             rng,
             stats: BlockCounters::default(),
+            profile: PhantomData,
         }
     }
 
-    pub(crate) fn check_range(&self, block: u64) -> Result<(), BlockError> {
+    fn check_range(&self, block: u64) -> Result<(), BlockError> {
         if block >= self.capacity {
             Err(BlockError::OutOfRange {
                 block,
@@ -195,18 +216,10 @@ impl QueueedStore {
         }
     }
 
-    pub(crate) fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
     /// Schedules one request with the given submission overhead and
-    /// service latency, honoring the queue depth: if the window is full
+    /// service time, honoring the queue depth: if the window is full
     /// the request starts when the earliest in-flight op finishes.
-    pub(crate) fn schedule(
-        &mut self,
-        submit_cost: SimDuration,
-        service: &LatencyModel,
-    ) -> SimInstant {
+    fn schedule(&mut self, submit_cost: SimDuration, service: SimDuration) -> SimInstant {
         // Charge CPU submission cost on the caller.
         self.clock.advance(submit_cost);
         let now = self.clock.now();
@@ -231,38 +244,76 @@ impl QueueedStore {
         } else {
             now
         };
-        let done = start + service.sample(&mut self.rng);
+        let done = start + service;
         self.inflight.push(done);
         done
     }
 
-    /// Like [`schedule`](Self::schedule) but without charging any
-    /// submission cost to the caller — for background (kswapd/flusher)
-    /// contexts whose CPU time does not stall the faulting thread.
-    pub(crate) fn schedule_background(&mut self, service: &LatencyModel) -> SimInstant {
-        let now = self.clock.now();
-        self.inflight.retain(|&t| t > now);
-        let start = if self.inflight.len() >= self.queue_depth {
-            self.stats.queue_full_waits.inc();
-            let earliest = self
-                .inflight
-                .iter()
-                .copied()
-                .min()
-                .expect("inflight nonempty when full");
-            let pos = self
-                .inflight
-                .iter()
-                .position(|&t| t == earliest)
-                .expect("min exists");
-            self.inflight.swap_remove(pos);
-            earliest.max(now)
-        } else {
-            now
-        };
-        let done = start + service.sample(&mut self.rng);
-        self.inflight.push(done);
-        done
+    fn write(
+        &mut self,
+        block: u64,
+        data: PageContents,
+        submit_cost: SimDuration,
+    ) -> Result<Completion, BlockError> {
+        self.check_range(block)?;
+        let service = self.write_latency.sample(&mut self.rng);
+        let at = self.schedule(submit_cost, service);
+        self.stats.writes.inc();
+        self.blocks.insert(block, data);
+        Ok(Completion {
+            data: PageContents::Zero,
+            at,
+        })
+    }
+}
+
+impl<P: DeviceProfile> BlockDevice for QueuedDevice<P> {
+    fn name(&self) -> &'static str {
+        P::NAME
+    }
+
+    fn capacity_blocks(&self) -> u64 {
+        self.capacity
+    }
+
+    fn submit_read(&mut self, block: u64) -> Result<Completion, BlockError> {
+        self.check_range(block)?;
+        let service = self.read_latency.sample(&mut self.rng);
+        let at = self.schedule(P::SUBMIT_COST, service);
+        self.stats.reads.inc();
+        let data = self
+            .blocks
+            .get(&block)
+            .cloned()
+            .unwrap_or(PageContents::Zero);
+        Ok(Completion { data, at })
+    }
+
+    fn submit_write(&mut self, block: u64, data: PageContents) -> Result<Completion, BlockError> {
+        self.write(block, data, P::SUBMIT_COST)
+    }
+
+    /// The request occupies the queue, but a background context
+    /// (kswapd, flusher threads) does not stall the faulting thread:
+    /// no submission cost is charged.
+    fn submit_write_background(
+        &mut self,
+        block: u64,
+        data: PageContents,
+    ) -> Result<Completion, BlockError> {
+        self.write(block, data, SimDuration::ZERO)
+    }
+
+    fn clock(&self) -> &SimClock {
+        &self.clock
+    }
+
+    fn stats(&self) -> BlockStats {
+        self.stats.snapshot()
+    }
+
+    fn instrument(&mut self, registry: &Registry) {
+        self.stats.register_device(registry, P::NAME);
     }
 }
 
@@ -270,26 +321,28 @@ impl QueueedStore {
 mod tests {
     use super::*;
 
+    /// A pmem device with its queue depth overridden.
+    fn queue(capacity: u64, depth: usize, clock: SimClock) -> crate::PmemDevice {
+        let mut q = crate::PmemDevice::new(capacity, clock, SimRng::seed_from_u64(1));
+        q.queue_depth = depth;
+        q
+    }
+
     #[test]
     fn schedule_without_contention_is_service_time() {
-        let clock = SimClock::new();
-        let mut q = QueueedStore::new(100, 4, clock.clone(), SimRng::seed_from_u64(1));
-        let done = q.schedule(
-            SimDuration::from_micros(1),
-            &LatencyModel::constant_us(10.0),
-        );
+        let mut q = queue(100, 4, SimClock::new());
+        let done = q.schedule(SimDuration::from_micros(1), SimDuration::from_micros(10));
         // 1µs submit + 10µs service.
         assert_eq!(done.as_nanos(), 11_000);
     }
 
     #[test]
     fn full_queue_serializes() {
-        let clock = SimClock::new();
-        let mut q = QueueedStore::new(100, 2, clock.clone(), SimRng::seed_from_u64(1));
-        let svc = LatencyModel::constant_us(100.0);
-        let d1 = q.schedule(SimDuration::ZERO, &svc);
-        let d2 = q.schedule(SimDuration::ZERO, &svc);
-        let d3 = q.schedule(SimDuration::ZERO, &svc); // must wait for d1
+        let mut q = queue(100, 2, SimClock::new());
+        let svc = SimDuration::from_micros(100);
+        let d1 = q.schedule(SimDuration::ZERO, svc);
+        let d2 = q.schedule(SimDuration::ZERO, svc);
+        let d3 = q.schedule(SimDuration::ZERO, svc); // must wait for d1
         assert_eq!(d1.as_nanos(), 100_000);
         assert_eq!(d2.as_nanos(), 100_000);
         assert_eq!(d3.as_nanos(), 200_000, "third op queues behind the first");
@@ -298,7 +351,7 @@ mod tests {
 
     #[test]
     fn range_checking() {
-        let q = QueueedStore::new(10, 1, SimClock::new(), SimRng::seed_from_u64(1));
+        let q = queue(10, 1, SimClock::new());
         assert!(q.check_range(9).is_ok());
         assert_eq!(
             q.check_range(10),

@@ -9,6 +9,7 @@
 //! * **SSD** — a local flash SSD with read/write asymmetry and occasional
 //!   garbage-collection stalls ([`SsdDevice`]).
 //!
+//! The three are one [`QueuedDevice`] under three [`DeviceProfile`]s.
 //! All devices work in 4 KB blocks (one page per block), carry real
 //! [`PageContents`](fluidmem_mem::PageContents), and model a bounded
 //! submission queue: when the queue is full, new requests wait for a slot
@@ -24,7 +25,9 @@ mod pmem;
 mod ssd;
 mod zram;
 
-pub use device::{BlockCounters, BlockDevice, BlockError, BlockStats, Completion};
+pub use device::{
+    BlockCounters, BlockDevice, BlockError, BlockStats, Completion, DeviceProfile, QueuedDevice,
+};
 pub use nvmeof::NvmeofDevice;
 pub use pmem::PmemDevice;
 pub use ssd::SsdDevice;

@@ -1,9 +1,8 @@
 //! An NVMe-over-Fabrics remote block device.
 
-use fluidmem_mem::PageContents;
-use fluidmem_sim::{LatencyModel, SimClock, SimDuration, SimRng};
+use fluidmem_sim::{LatencyModel, SimDuration};
 
-use crate::device::{BlockDevice, BlockError, BlockStats, Completion, QueueedStore};
+use crate::device::{DeviceProfile, QueuedDevice};
 
 /// An NVMe-over-Fabrics target reached over FDR InfiniBand RDMA — the
 /// swap device the paper uses to stand in for Infiniswap-class remote
@@ -27,94 +26,34 @@ use crate::device::{BlockDevice, BlockError, BlockStats, Completion, QueueedStor
 /// assert_eq!(dev.read_sync(0)?, PageContents::Token(1));
 /// # Ok::<(), fluidmem_block::BlockError>(())
 /// ```
+pub type NvmeofDevice = QueuedDevice<Nvmeof>;
+
+/// [`NvmeofDevice`]'s calibration.
 #[derive(Debug)]
-pub struct NvmeofDevice {
-    inner: QueueedStore,
-    read_latency: LatencyModel,
-    write_latency: LatencyModel,
-    submit_cost: SimDuration,
-}
+pub enum Nvmeof {}
 
-impl NvmeofDevice {
-    /// Creates a target with `capacity_blocks` 4 KB blocks.
-    pub fn new(capacity_blocks: u64, clock: SimClock, rng: SimRng) -> Self {
-        NvmeofDevice {
-            inner: QueueedStore::new(capacity_blocks, 32, clock, rng),
-            // fabric RTT + target service, with a modest tail from target
-            // CPU scheduling.
-            read_latency: LatencyModel::lognormal_mean_p99_us(14.5, 34.0),
-            write_latency: LatencyModel::lognormal_mean_p99_us(13.0, 30.0),
-            // Host-side submission: queue entry + doorbell + IRQ handling.
-            submit_cost: SimDuration::from_nanos(1_800),
-        }
+impl DeviceProfile for Nvmeof {
+    const NAME: &'static str = "nvmeof";
+    const QUEUE_DEPTH: usize = 32;
+    // Host-side submission: queue entry + doorbell + IRQ handling.
+    const SUBMIT_COST: SimDuration = SimDuration::from_nanos(1_800);
+    // Fabric RTT + target service, with a modest tail from target CPU
+    // scheduling.
+    fn read_latency() -> LatencyModel {
+        LatencyModel::lognormal_mean_p99_us(14.5, 34.0)
     }
-}
-
-impl BlockDevice for NvmeofDevice {
-    fn name(&self) -> &'static str {
-        "nvmeof"
-    }
-
-    fn capacity_blocks(&self) -> u64 {
-        self.inner.capacity()
-    }
-
-    fn submit_read(&mut self, block: u64) -> Result<Completion, BlockError> {
-        self.inner.check_range(block)?;
-        let at = self.inner.schedule(self.submit_cost, &self.read_latency);
-        self.inner.stats.reads.inc();
-        let data = self
-            .inner
-            .blocks
-            .get(&block)
-            .cloned()
-            .unwrap_or(PageContents::Zero);
-        Ok(Completion { data, at })
-    }
-
-    fn submit_write(&mut self, block: u64, data: PageContents) -> Result<Completion, BlockError> {
-        self.inner.check_range(block)?;
-        let at = self.inner.schedule(self.submit_cost, &self.write_latency);
-        self.inner.stats.writes.inc();
-        self.inner.blocks.insert(block, data);
-        Ok(Completion {
-            data: PageContents::Zero,
-            at,
-        })
-    }
-
-    fn submit_write_background(
-        &mut self,
-        block: u64,
-        data: PageContents,
-    ) -> Result<Completion, BlockError> {
-        self.inner.check_range(block)?;
-        let at = self.inner.schedule_background(&self.write_latency);
-        self.inner.stats.writes.inc();
-        self.inner.blocks.insert(block, data);
-        Ok(Completion {
-            data: PageContents::Zero,
-            at,
-        })
-    }
-
-    fn clock(&self) -> &SimClock {
-        &self.inner.clock
-    }
-
-    fn stats(&self) -> BlockStats {
-        self.inner.stats.snapshot()
-    }
-
-    fn instrument(&mut self, registry: &fluidmem_telemetry::Registry) {
-        self.inner.stats.register_device(registry, self.name());
+    fn write_latency() -> LatencyModel {
+        LatencyModel::lognormal_mean_p99_us(13.0, 30.0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BlockDevice;
+    use fluidmem_mem::PageContents;
     use fluidmem_sim::stats::Sample;
+    use fluidmem_sim::{SimClock, SimRng};
 
     #[test]
     fn read_latency_matches_calibration() {

@@ -1,9 +1,8 @@
 //! A DRAM-backed (`/dev/pmem0`-style) block device.
 
-use fluidmem_mem::PageContents;
-use fluidmem_sim::{LatencyModel, SimClock, SimDuration, SimRng};
+use fluidmem_sim::{LatencyModel, SimDuration};
 
-use crate::device::{BlockDevice, BlockError, BlockStats, Completion, QueueedStore};
+use crate::device::{DeviceProfile, QueuedDevice};
 
 /// A byte-addressable DRAM region exposed as a block device — the paper's
 /// swap-to-DRAM baseline ("swap backed by local DRAM ... as a lower bound
@@ -24,91 +23,30 @@ use crate::device::{BlockDevice, BlockError, BlockStats, Completion, QueueedStor
 /// assert_eq!(dev.read_sync(7)?, PageContents::Token(7));
 /// # Ok::<(), fluidmem_block::BlockError>(())
 /// ```
+pub type PmemDevice = QueuedDevice<Pmem>;
+
+/// [`PmemDevice`]'s calibration.
 #[derive(Debug)]
-pub struct PmemDevice {
-    inner: QueueedStore,
-    read_latency: LatencyModel,
-    write_latency: LatencyModel,
-    submit_cost: SimDuration,
-}
+pub enum Pmem {}
 
-impl PmemDevice {
-    /// Creates a device with `capacity_blocks` 4 KB blocks.
-    pub fn new(capacity_blocks: u64, clock: SimClock, rng: SimRng) -> Self {
-        PmemDevice {
-            inner: QueueedStore::new(capacity_blocks, 64, clock, rng),
-            read_latency: LatencyModel::normal_us(0.9, 0.15),
-            write_latency: LatencyModel::normal_us(0.8, 0.15),
-            submit_cost: SimDuration::from_nanos(400),
-        }
+impl DeviceProfile for Pmem {
+    const NAME: &'static str = "pmem-dram";
+    const QUEUE_DEPTH: usize = 64;
+    const SUBMIT_COST: SimDuration = SimDuration::from_nanos(400);
+    fn read_latency() -> LatencyModel {
+        LatencyModel::normal_us(0.9, 0.15)
     }
-}
-
-impl BlockDevice for PmemDevice {
-    fn name(&self) -> &'static str {
-        "pmem-dram"
-    }
-
-    fn capacity_blocks(&self) -> u64 {
-        self.inner.capacity()
-    }
-
-    fn submit_read(&mut self, block: u64) -> Result<Completion, BlockError> {
-        self.inner.check_range(block)?;
-        let at = self.inner.schedule(self.submit_cost, &self.read_latency);
-        self.inner.stats.reads.inc();
-        let data = self
-            .inner
-            .blocks
-            .get(&block)
-            .cloned()
-            .unwrap_or(PageContents::Zero);
-        Ok(Completion { data, at })
-    }
-
-    fn submit_write(&mut self, block: u64, data: PageContents) -> Result<Completion, BlockError> {
-        self.inner.check_range(block)?;
-        let at = self.inner.schedule(self.submit_cost, &self.write_latency);
-        self.inner.stats.writes.inc();
-        self.inner.blocks.insert(block, data);
-        Ok(Completion {
-            data: PageContents::Zero,
-            at,
-        })
-    }
-
-    fn submit_write_background(
-        &mut self,
-        block: u64,
-        data: PageContents,
-    ) -> Result<Completion, BlockError> {
-        self.inner.check_range(block)?;
-        let at = self.inner.schedule_background(&self.write_latency);
-        self.inner.stats.writes.inc();
-        self.inner.blocks.insert(block, data);
-        Ok(Completion {
-            data: PageContents::Zero,
-            at,
-        })
-    }
-
-    fn clock(&self) -> &SimClock {
-        &self.inner.clock
-    }
-
-    fn stats(&self) -> BlockStats {
-        self.inner.stats.snapshot()
-    }
-
-    fn instrument(&mut self, registry: &fluidmem_telemetry::Registry) {
-        self.inner.stats.register_device(registry, self.name());
+    fn write_latency() -> LatencyModel {
+        LatencyModel::normal_us(0.8, 0.15)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fluidmem_sim::SimDuration;
+    use crate::BlockDevice;
+    use fluidmem_mem::PageContents;
+    use fluidmem_sim::{SimClock, SimRng};
 
     #[test]
     fn round_trip_and_unwritten_blocks_read_zero() {

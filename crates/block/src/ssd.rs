@@ -1,9 +1,8 @@
 //! A local flash SSD.
 
-use fluidmem_mem::PageContents;
-use fluidmem_sim::{LatencyModel, SimClock, SimDuration, SimRng};
+use fluidmem_sim::{LatencyModel, SimDuration};
 
-use crate::device::{BlockDevice, BlockError, BlockStats, Completion, QueueedStore};
+use crate::device::{DeviceProfile, QueuedDevice};
 
 /// A local SATA/NVMe flash SSD — the paper's slowest swap backend
 /// (Figure 3f: 106.56 µs average fault latency) and the disk under
@@ -25,92 +24,32 @@ use crate::device::{BlockDevice, BlockError, BlockStats, Completion, QueueedStor
 /// assert_eq!(dev.read_sync(3)?, PageContents::Token(3));
 /// # Ok::<(), fluidmem_block::BlockError>(())
 /// ```
+pub type SsdDevice = QueuedDevice<Ssd>;
+
+/// [`SsdDevice`]'s calibration.
 #[derive(Debug)]
-pub struct SsdDevice {
-    inner: QueueedStore,
-    read_latency: LatencyModel,
-    write_latency: LatencyModel,
-    submit_cost: SimDuration,
-}
+pub enum Ssd {}
 
-impl SsdDevice {
-    /// Creates an SSD with `capacity_blocks` 4 KB blocks.
-    pub fn new(capacity_blocks: u64, clock: SimClock, rng: SimRng) -> Self {
-        SsdDevice {
-            inner: QueueedStore::new(capacity_blocks, 32, clock, rng),
-            read_latency: LatencyModel::lognormal_mean_p99_us(104.0, 265.0),
-            write_latency: LatencyModel::lognormal_mean_p99_us(28.0, 80.0)
-                .with_spike(0.002, LatencyModel::uniform_us(2_000.0, 8_000.0)),
-            submit_cost: SimDuration::from_nanos(1_500),
-        }
+impl DeviceProfile for Ssd {
+    const NAME: &'static str = "ssd";
+    const QUEUE_DEPTH: usize = 32;
+    const SUBMIT_COST: SimDuration = SimDuration::from_nanos(1_500);
+    fn read_latency() -> LatencyModel {
+        LatencyModel::lognormal_mean_p99_us(104.0, 265.0)
     }
-}
-
-impl BlockDevice for SsdDevice {
-    fn name(&self) -> &'static str {
-        "ssd"
-    }
-
-    fn capacity_blocks(&self) -> u64 {
-        self.inner.capacity()
-    }
-
-    fn submit_read(&mut self, block: u64) -> Result<Completion, BlockError> {
-        self.inner.check_range(block)?;
-        let at = self.inner.schedule(self.submit_cost, &self.read_latency);
-        self.inner.stats.reads.inc();
-        let data = self
-            .inner
-            .blocks
-            .get(&block)
-            .cloned()
-            .unwrap_or(PageContents::Zero);
-        Ok(Completion { data, at })
-    }
-
-    fn submit_write(&mut self, block: u64, data: PageContents) -> Result<Completion, BlockError> {
-        self.inner.check_range(block)?;
-        let at = self.inner.schedule(self.submit_cost, &self.write_latency);
-        self.inner.stats.writes.inc();
-        self.inner.blocks.insert(block, data);
-        Ok(Completion {
-            data: PageContents::Zero,
-            at,
-        })
-    }
-
-    fn submit_write_background(
-        &mut self,
-        block: u64,
-        data: PageContents,
-    ) -> Result<Completion, BlockError> {
-        self.inner.check_range(block)?;
-        let at = self.inner.schedule_background(&self.write_latency);
-        self.inner.stats.writes.inc();
-        self.inner.blocks.insert(block, data);
-        Ok(Completion {
-            data: PageContents::Zero,
-            at,
-        })
-    }
-
-    fn clock(&self) -> &SimClock {
-        &self.inner.clock
-    }
-
-    fn stats(&self) -> BlockStats {
-        self.inner.stats.snapshot()
-    }
-
-    fn instrument(&mut self, registry: &fluidmem_telemetry::Registry) {
-        self.inner.stats.register_device(registry, self.name());
+    fn write_latency() -> LatencyModel {
+        LatencyModel::lognormal_mean_p99_us(28.0, 80.0)
+            .with_spike(0.002, LatencyModel::uniform_us(2_000.0, 8_000.0))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BlockDevice;
+    use fluidmem_mem::PageContents;
     use fluidmem_sim::stats::Sample;
+    use fluidmem_sim::{SimClock, SimRng};
 
     #[test]
     fn read_latency_calibration() {

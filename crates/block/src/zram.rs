@@ -6,10 +6,8 @@
 //! ablation harness can position FluidMem against today's kernel
 //! baseline as well as the 2019-era ones.
 
-use std::collections::HashMap;
-
 use fluidmem_mem::{PageContents, PAGE_SIZE};
-use fluidmem_sim::{LatencyModel, SimClock, SimDuration, SimRng};
+use fluidmem_sim::{FastMap, LatencyModel, SimClock, SimDuration, SimRng};
 
 use crate::device::{BlockCounters, BlockDevice, BlockError, BlockStats, Completion};
 
@@ -36,7 +34,7 @@ use crate::device::{BlockCounters, BlockDevice, BlockError, BlockStats, Completi
 /// # Ok::<(), fluidmem_block::BlockError>(())
 /// ```
 pub struct ZramDevice {
-    blocks: HashMap<u64, (PageContents, usize)>,
+    blocks: FastMap<u64, (PageContents, usize)>,
     capacity_blocks: u64,
     mem_limit_bytes: usize,
     used_bytes: usize,
@@ -53,7 +51,7 @@ impl ZramDevice {
     /// compressed-memory budget of `mem_limit_bytes`.
     pub fn new(capacity_blocks: u64, mem_limit_bytes: usize, clock: SimClock, rng: SimRng) -> Self {
         ZramDevice {
-            blocks: HashMap::new(),
+            blocks: FastMap::default(),
             capacity_blocks,
             mem_limit_bytes,
             used_bytes: 0,

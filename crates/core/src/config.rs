@@ -151,21 +151,6 @@ impl ReclaimConfig {
         }
     }
 
-    /// Background reclaim on with explicit watermark fractions.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < low < high <= 1`.
-    pub fn watermarks(low: f64, high: f64) -> Self {
-        let config = ReclaimConfig {
-            watermark_low: low,
-            watermark_high: high,
-            ..Self::kswapd()
-        };
-        config.validate();
-        config
-    }
-
     /// The low watermark in pages for a given capacity: rounded up and
     /// floored at 1, so small buffers still wake the evictor (the same
     /// truncation bug `SwapConfig`'s watermarks had).

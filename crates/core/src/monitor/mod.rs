@@ -313,14 +313,6 @@ impl Monitor {
         }
     }
 
-    /// The stride the prefetch detector currently believes the fault
-    /// stream is following, in pages per fault (`None` while the stream
-    /// looks random, or when [`PrefetchPolicy::Stride`] is not
-    /// configured).
-    pub fn prefetch_trend(&self) -> Option<i64> {
-        self.stride.trend()
-    }
-
     /// Notes a mapped (non-faulting) guest access: the first touch of a
     /// prefetched page resolves its accuracy-ledger entry to a hit and
     /// records the issue→touch timeliness. Pure bookkeeping on a map
@@ -435,11 +427,6 @@ impl Monitor {
     /// Compressed bytes currently charged to the tier pool.
     pub fn tier_bytes(&self) -> usize {
         self.tier.bytes()
-    }
-
-    /// Pages currently held in the tier pool.
-    pub fn tier_pages(&self) -> usize {
-        self.tier.len()
     }
 
     /// Offers an evicted page to the compressed tier.
@@ -686,6 +673,10 @@ impl Monitor {
             let dropped = (before - self.prefetch_pending_touch.len()) as u64;
             self.stats.prefetch_wasted.add(dropped);
         }
+        // So do speculative reads still in flight for it: landing later
+        // they would find an unregistered range and a deleted key.
+        let cancelled = self.inflight.cancel_prefetches(|vpn| region.contains(vpn));
+        self.stats.prefetch_wasted.add(cancelled);
         // Pooled pages die with the region too.
         self.tier.remove_matching(|key| region.contains(key.vpn()));
         for vpn in region.iter_pages() {

@@ -5,9 +5,13 @@
 //! block in store reads while the evictor drains the write list. This
 //! module models that overlap without threads. [`Monitor::submit_fault`]
 //! runs a fault's intake and issue stages and, if the fault needs to
-//! wait on the store (or on an in-flight write), parks it in the
-//! [`InflightTable`] keyed by its completion instant. Speculative reads
-//! and background-reclaim activations ride the same [`EventQueue`].
+//! wait on the store (or on an in-flight write), parks it: the fault
+//! itself becomes an event on the [`InflightTable`]'s [`EventQueue`],
+//! due at its completion instant. Speculative reads and
+//! background-reclaim activations are events on the same queue, and an
+//! operation that ends early — a speculative read adopted by a demand
+//! fault, or one whose region is removed — is cancelled by its token, so
+//! nothing stale is ever left to pop.
 //!
 //! The engine, not the driver, owns event order: the paper's monitor
 //! (§V-B) handles a read's bottom half when the response lands, so
@@ -30,7 +34,7 @@ use std::collections::VecDeque;
 
 use fluidmem_kv::PendingGet;
 use fluidmem_mem::{PageContents, PageTable, PhysicalMemory, Vpn};
-use fluidmem_sim::{EventQueue, SimInstant};
+use fluidmem_sim::{EventQueue, EventToken, SimInstant};
 use fluidmem_telemetry::SpanId;
 use fluidmem_uffd::Userfaultfd;
 
@@ -64,9 +68,9 @@ impl FaultStage {
 /// A speculative (prefetch) read in flight: no guest vCPU waits on it.
 /// Completion installs the page and wakes nothing; a demand fault
 /// arriving first adopts the flight and pays only the remaining flight
-/// time. Speculative operations live in their own slab and are *not*
-/// counted against [`MonitorConfig::max_inflight`](crate::MonitorConfig)
-/// — the depth bounds faults holding vCPUs, and nothing blocks on these.
+/// time. Speculative reads are *not* counted against
+/// [`MonitorConfig::max_inflight`](crate::MonitorConfig) — the depth
+/// bounds faults holding vCPUs, and nothing blocks on these.
 pub(in crate::monitor) struct PrefetchFlight {
     pub(in crate::monitor) vpn: Vpn,
     pub(in crate::monitor) pending: PendingGet,
@@ -98,44 +102,36 @@ struct InflightFault {
     waiters: Vec<Waiter>,
 }
 
-/// An entry on the completion queue: a fault operation finishing, or a
-/// background-reclaim activation interleaved into the same total order.
-enum QueueItem {
-    /// A fault operation: its monotonically increasing id plus the slab
-    /// slot it lives in, so completion is an O(1) indexed take (the id
-    /// guards against a recycled slot).
-    Fault {
-        id: u64,
-        slot: u32,
-    },
-    /// A speculative read completing: handled transparently (install,
-    /// no wake) while the caller keeps waiting for a demand completion.
-    /// Same id-guarded slab addressing as `Fault`, over the prefetch
-    /// slab — an adopted flight leaves a stale entry behind.
-    Prefetch {
-        id: u64,
-        slot: u32,
-    },
+/// An operation on the completion queue: a parked fault or a speculative
+/// read, due when it lands, or a background-reclaim activation
+/// interleaved into the same total order.
+enum Op {
+    Fault(InflightFault),
+    Prefetch(PrefetchFlight),
     Reclaim,
 }
 
-/// The in-flight operation table: a slab of operation slots plus the
-/// completion queue that orders them. Slots and waiter buffers are
-/// recycled and the slab is sized to the depth bound up front, so demand
-/// traffic never allocates here.
+/// Where the queue holds the one operation in flight for a page.
+struct Parked {
+    vpn: Vpn,
+    token: EventToken,
+    /// A parked fault (a vCPU is blocked on it), not a speculative read.
+    demand: bool,
+}
+
+/// The in-flight operation table. The completion queue's slab is the
+/// only home of an operation: it lands when its event pops and leaves
+/// early only by cancelling that event. `parked` finds the operation
+/// that owns a page — coalescing and the prefetch filter keep it to one
+/// per page, so the list is as short as the depth bound plus the
+/// prefetch window. Queue slots and waiter buffers are recycled and
+/// sized to the depth bound up front, so demand traffic never allocates
+/// here.
 pub(in crate::monitor) struct InflightTable {
-    slots: Vec<Option<InflightFault>>,
-    free: Vec<u32>,
-    live: usize,
-    queue: EventQueue<QueueItem>,
+    queue: EventQueue<Op>,
+    parked: Vec<Parked>,
     next_id: u64,
     waiter_pool: Vec<Vec<Waiter>>,
-    /// Speculative reads in flight, in their own recycled slab (entries
-    /// are `(id, flight)`; the id guards against slot reuse exactly as
-    /// in the demand slab).
-    prefetch_slots: Vec<Option<(u64, PrefetchFlight)>>,
-    prefetch_free: Vec<u32>,
-    prefetch_live: usize,
     /// Faults already finished (page installed, vCPUs woken) that the
     /// driver has not collected yet, in wake order.
     unreported: VecDeque<CompletedFault>,
@@ -146,15 +142,10 @@ impl InflightTable {
     /// the bound never allocates after construction.
     pub(in crate::monitor) fn new(depth: usize) -> Self {
         InflightTable {
-            slots: Vec::with_capacity(depth),
-            free: Vec::with_capacity(depth),
-            live: 0,
             queue: EventQueue::with_capacity(depth),
+            parked: Vec::with_capacity(depth),
             next_id: 0,
             waiter_pool: Vec::with_capacity(depth),
-            prefetch_slots: Vec::new(),
-            prefetch_free: Vec::new(),
-            prefetch_live: 0,
             unreported: VecDeque::with_capacity(depth),
         }
     }
@@ -162,14 +153,26 @@ impl InflightTable {
     /// Live (parked) operations: faults whose vCPU is still blocked.
     /// Finished-but-unreported ones are not counted.
     pub(in crate::monitor) fn len(&self) -> usize {
-        self.live
+        self.parked.iter().filter(|p| p.demand).count()
     }
 
-    /// Operation slots allocated in the slab (live + pooled): the
+    /// Speculative reads currently in flight.
+    pub(in crate::monitor) fn prefetch_len(&self) -> usize {
+        self.parked.len() - self.len()
+    }
+
+    /// Payload slots allocated in the queue's slab (live + pooled): the
     /// table's standing footprint, which plateaus at peak depth.
     #[cfg(test)]
     pub(in crate::monitor) fn pool_slots(&self) -> usize {
-        self.slots.len()
+        self.queue.slab_slots()
+    }
+
+    /// Puts `op`, the one operation in flight for `vpn`, on the queue.
+    fn enqueue(&mut self, at: SimInstant, vpn: Vpn, op: Op) {
+        let demand = matches!(op, Op::Fault(_));
+        let (_, token) = self.queue.push_keyed(at, op);
+        self.parked.push(Parked { vpn, token, demand });
     }
 
     /// Parks a fault whose issue stage ended at `now`, due when its
@@ -195,50 +198,64 @@ impl InflightTable {
             stage,
             waiters: self.waiter_pool.pop().unwrap_or_default(),
         };
-        let slot = match self.free.pop() {
-            Some(i) => {
-                debug_assert!(self.slots[i as usize].is_none());
-                self.slots[i as usize] = Some(op);
-                i
-            }
-            None => {
-                let i = self.slots.len() as u32;
-                self.slots.push(Some(op));
-                i
-            }
-        };
-        self.live += 1;
-        self.queue.push(completes_at, QueueItem::Fault { id, slot });
+        self.enqueue(completes_at, vpn, Op::Fault(op));
         id
     }
 
     /// Enqueues a background-reclaim activation at `at`; it runs when
     /// the completion queue reaches it.
     pub(in crate::monitor) fn schedule_reclaim(&mut self, at: SimInstant) {
-        self.queue.push(at, QueueItem::Reclaim);
+        self.queue.push(at, Op::Reclaim);
     }
 
-    fn by_vpn_mut(&mut self, vpn: Vpn) -> Option<&mut InflightFault> {
-        if self.live == 0 {
-            return None; // the common case: skip the slab scan
-        }
-        // Slot order differs from submission order, but coalescing keeps
-        // at most one live operation per page, so the match is unique.
-        self.slots
-            .iter_mut()
-            .filter_map(Option::as_mut)
-            .find(|op| op.vpn == vpn)
+    /// Parks a speculative read; it lands transparently when the
+    /// completion queue reaches it (or is adopted by a demand fault
+    /// first).
+    pub(in crate::monitor) fn park_prefetch(&mut self, flight: PrefetchFlight) {
+        // Speculative reads draw from the same id sequence as faults.
+        self.next_id += 1;
+        let at = flight.pending.completes_at();
+        self.enqueue(at, flight.vpn, Op::Prefetch(flight));
     }
 
-    fn take(&mut self, id: u64, slot: u32) -> Option<InflightFault> {
-        match self.slots.get_mut(slot as usize) {
-            Some(entry @ Some(_)) if entry.as_ref().is_some_and(|op| op.id == id) => {
-                let op = entry.take();
-                self.free.push(slot);
-                self.live -= 1;
-                op
-            }
+    /// The parked fault on `vpn`, for a second fault to coalesce onto.
+    fn parked_fault_mut(&mut self, vpn: Vpn) -> Option<&mut InflightFault> {
+        let p = self.parked.iter().find(|p| p.demand && p.vpn == vpn)?;
+        match self.queue.get_mut(p.token) {
+            Some(Op::Fault(op)) => Some(op),
             _ => None,
+        }
+    }
+
+    /// Takes the speculative read in flight for `vpn` off the queue — a
+    /// demand fault adopting the flight.
+    fn adopt_prefetch(&mut self, vpn: Vpn) -> Option<PrefetchFlight> {
+        let i = self.parked.iter().position(|p| !p.demand && p.vpn == vpn)?;
+        match self.queue.cancel(self.parked.swap_remove(i).token) {
+            Some(Op::Prefetch(flight)) => Some(flight),
+            _ => None,
+        }
+    }
+
+    /// Cancels every speculative read on a page `doomed` selects (their
+    /// region is going away) and returns how many there were.
+    pub(in crate::monitor) fn cancel_prefetches(&mut self, doomed: impl Fn(Vpn) -> bool) -> u64 {
+        let before = self.parked.len();
+        let queue = &mut self.queue;
+        self.parked.retain(|p| {
+            let keep = p.demand || !doomed(p.vpn);
+            if !keep {
+                queue.cancel(p.token);
+            }
+            keep
+        });
+        (before - self.parked.len()) as u64
+    }
+
+    /// Forgets where a popped operation was parked.
+    fn unpark(&mut self, vpn: Vpn) {
+        if let Some(i) = self.parked.iter().position(|p| p.vpn == vpn) {
+            self.parked.swap_remove(i);
         }
     }
 
@@ -248,79 +265,11 @@ impl InflightTable {
         self.waiter_pool.push(waiters);
     }
 
-    /// Parks a speculative read; it lands transparently when the
-    /// completion queue reaches it (or is adopted by a demand fault
-    /// first).
-    pub(in crate::monitor) fn park_prefetch(&mut self, flight: PrefetchFlight) {
-        let completes_at = flight.pending.completes_at();
-        let id = self.next_id;
-        self.next_id += 1;
-        let slot = match self.prefetch_free.pop() {
-            Some(i) => {
-                debug_assert!(self.prefetch_slots[i as usize].is_none());
-                self.prefetch_slots[i as usize] = Some((id, flight));
-                i
-            }
-            None => {
-                let i = self.prefetch_slots.len() as u32;
-                self.prefetch_slots.push(Some((id, flight)));
-                i
-            }
-        };
-        self.prefetch_live += 1;
-        self.queue
-            .push(completes_at, QueueItem::Prefetch { id, slot });
-    }
-
-    /// Takes a queued speculative read; `None` if a demand fault already
-    /// adopted it (the queue entry went stale).
-    fn take_prefetch(&mut self, id: u64, slot: u32) -> Option<PrefetchFlight> {
-        match self.prefetch_slots.get_mut(slot as usize) {
-            Some(entry @ Some(_)) if entry.as_ref().is_some_and(|(i, _)| *i == id) => {
-                let (_, flight) = entry.take()?;
-                self.prefetch_free.push(slot);
-                self.prefetch_live -= 1;
-                Some(flight)
-            }
-            _ => None,
-        }
-    }
-
-    /// Removes and returns the in-flight speculative read for `vpn`, if
-    /// any — a demand fault adopting the flight. The flight's queue
-    /// entry stays behind and is skipped later by its id guard.
-    fn absorb_prefetch(&mut self, vpn: Vpn) -> Option<PrefetchFlight> {
-        if self.prefetch_live == 0 {
-            return None;
-        }
-        let slot = self
-            .prefetch_slots
-            .iter()
-            .position(|e| e.as_ref().is_some_and(|(_, f)| f.vpn == vpn))?;
-        let (_, flight) = self.prefetch_slots[slot].take()?;
-        self.prefetch_free.push(slot as u32);
-        self.prefetch_live -= 1;
-        Some(flight)
-    }
-
-    /// Speculative reads currently in flight.
-    pub(in crate::monitor) fn prefetch_len(&self) -> usize {
-        self.prefetch_live
-    }
-
-    /// Whether any live operation — demand or speculative — already owns
+    /// Whether an operation — demand or speculative — is in flight for
     /// `vpn`. The prefetch candidate filter uses this to never issue a
     /// read that would race a pending install.
-    pub(in crate::monitor) fn tracks(&self, vpn: Vpn) -> bool {
-        self.slots
-            .iter()
-            .filter_map(Option::as_ref)
-            .any(|op| op.vpn == vpn)
-            || self
-                .prefetch_slots
-                .iter()
-                .filter_map(Option::as_ref)
-                .any(|(_, f)| f.vpn == vpn)
+    pub(in crate::monitor) fn is_parked(&self, vpn: Vpn) -> bool {
+        self.parked.iter().any(|p| p.vpn == vpn)
     }
 }
 
@@ -388,7 +337,7 @@ impl Monitor {
         // A second vCPU faulting on a page whose fetch is already in
         // flight coalesces onto the pending operation instead of issuing
         // a duplicate read.
-        if let Some(op) = self.inflight.by_vpn_mut(vpn) {
+        if let Some(op) = self.inflight.parked_fault_mut(vpn) {
             let id = op.id;
             op.waiters.push(Waiter {
                 t0: intake.t0,
@@ -431,7 +380,7 @@ impl Monitor {
                 if let Some(contents) = self.tier_try_promote(key) {
                     self.evict_while_full(uffd, pt, pm);
                     (contents, Resolution::CompressedHit)
-                } else if let Some(pf) = self.inflight.absorb_prefetch(vpn) {
+                } else if let Some(pf) = self.inflight.adopt_prefetch(vpn) {
                     // Its speculative read is still in flight: adopt it
                     // instead of issuing a duplicate. The guest pays only
                     // the flight's remaining time.
@@ -486,8 +435,8 @@ impl Monitor {
             if let Some(done) = self.inflight.unreported.pop_front() {
                 return Some(done);
             }
-            let (_, item) = self.inflight.queue.pop_next()?;
-            self.retire(uffd, pt, pm, item);
+            let (_, op) = self.inflight.queue.pop_next()?;
+            self.retire(uffd, pt, pm, op);
         }
     }
 
@@ -510,33 +459,27 @@ impl Monitor {
         pt: &mut PageTable,
         pm: &mut PhysicalMemory,
     ) {
-        while let Some((_, item)) = self.inflight.queue.pop_ready(self.clock.now()) {
-            self.retire(uffd, pt, pm, item);
+        while let Some((_, op)) = self.inflight.queue.pop_ready(self.clock.now()) {
+            self.retire(uffd, pt, pm, op);
         }
     }
 
-    /// Runs one event popped off the completion queue.
+    /// Runs one operation popped off the completion queue.
     fn retire(
         &mut self,
         uffd: &mut Userfaultfd,
         pt: &mut PageTable,
         pm: &mut PhysicalMemory,
-        item: QueueItem,
+        op: Op,
     ) {
-        match item {
-            QueueItem::Reclaim => self.run_scheduled_reclaim(uffd, pt, pm),
-            // A stale entry — a demand fault adopted the flight — takes
-            // nothing.
-            QueueItem::Prefetch { id, slot } => {
-                if let Some(flight) = self.inflight.take_prefetch(id, slot) {
-                    self.complete_prefetch(uffd, pt, pm, flight);
-                }
+        match op {
+            Op::Reclaim => self.run_scheduled_reclaim(uffd, pt, pm),
+            Op::Prefetch(flight) => {
+                self.inflight.unpark(flight.vpn);
+                self.complete_prefetch(uffd, pt, pm, flight);
             }
-            QueueItem::Fault { id, slot } => {
-                let op = self
-                    .inflight
-                    .take(id, slot)
-                    .expect("queued operation is live");
+            Op::Fault(op) => {
+                self.inflight.unpark(op.vpn);
                 let done = self.finish(uffd, pt, pm, op);
                 self.inflight.unreported.push_back(done);
             }

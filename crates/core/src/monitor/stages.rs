@@ -179,10 +179,43 @@ impl Monitor {
         self.evict_while_full(uffd, pt, pm);
     }
 
-    /// Issues the asynchronous read's top half (§V-B) and runs the work
-    /// that overlaps the flight: eviction (`UFFD_REMAP` "at a time when
-    /// the vCPU thread was already suspended") and cache bookkeeping —
-    /// the evictor stage running during the store round trip.
+    /// The one place a store read is submitted: issues the asynchronous
+    /// read's top half (§V-B) and records the in-flight window on the kv
+    /// track, where it visibly overlaps the `UFFD_REMAP` / bookkeeping
+    /// the monitor does meanwhile.
+    fn issue_read(&mut self, key: ExternalKey) -> PendingGet {
+        let pending = self.store.begin_get(key);
+        self.telemetry.record_span(
+            consts::TRACK_KV,
+            "kv.read.flight",
+            pending.issued_at(),
+            pending.completes_at(),
+        );
+        pending
+    }
+
+    /// The work that overlaps a read flight: eviction (`UFFD_REMAP` "at
+    /// a time when the vCPU thread was already suspended") and cache
+    /// bookkeeping — the evictor stage running during the store round
+    /// trip.
+    fn overlap_flight(
+        &mut self,
+        uffd: &mut Userfaultfd,
+        pt: &mut PageTable,
+        pm: &mut PhysicalMemory,
+    ) {
+        self.evict_while_full(uffd, pt, pm);
+        let t0 = self.clock.now();
+        let span = self
+            .telemetry
+            .begin(consts::TRACK_MONITOR, "update_page_cache");
+        self.charge(|c| &c.costs.update_page_cache);
+        self.telemetry.end(span);
+        self.profile
+            .record(CodePath::UpdatePageCache, self.clock.now() - t0);
+    }
+
+    /// Issues a demand read and runs the work that overlaps its flight.
     pub(in crate::monitor) fn stage_issue_read(
         &mut self,
         uffd: &mut Userfaultfd,
@@ -193,18 +226,8 @@ impl Monitor {
         let t0 = self.clock.now();
         let span = self.telemetry.begin(consts::TRACK_MONITOR, "kv.read");
         self.trace(|| format!("async read top half issued for {key}"));
-        let pending = self.store.begin_get(key);
-        // The in-flight window on the kv track: its span visibly overlaps
-        // the UFFD_REMAP / bookkeeping the monitor does meanwhile (§V-B).
-        self.telemetry.record_span(
-            consts::TRACK_KV,
-            "kv.read.flight",
-            pending.issued_at(),
-            pending.completes_at(),
-        );
-
-        self.evict_while_full(uffd, pt, pm);
-        self.bookkeeping_update_cache();
+        let pending = self.issue_read(key);
+        self.overlap_flight(uffd, pt, pm);
         ReadFlight {
             t0,
             span,
@@ -319,13 +342,7 @@ impl Monitor {
         for candidate in candidates.drain(..) {
             let key = self.key(candidate);
             self.stats.prefetch_issued.inc();
-            let pending = self.store.begin_get(key);
-            self.telemetry.record_span(
-                consts::TRACK_KV,
-                "kv.read.flight",
-                pending.issued_at(),
-                pending.completes_at(),
-            );
+            let pending = self.issue_read(key);
             self.trace(|| format!("speculative read in flight for {candidate}"));
             self.inflight.park_prefetch(PrefetchFlight {
                 vpn: candidate,
@@ -430,7 +447,7 @@ impl Monitor {
         // A duplicate read would race the pending install: the first
         // completion maps the page and the second copy-in fails — or
         // worse, maps under a parked demand fault about to wake.
-        !self.inflight.tracks(candidate)
+        !self.inflight.is_parked(candidate)
     }
 
     /// Lands one finished speculative read: installs the page and
@@ -523,8 +540,7 @@ impl Monitor {
 
     /// Converts an in-flight speculative read into a demand fault's read
     /// flight: the guest asked for the page mid-flight and pays only the
-    /// remaining flight time (a prefetch hit, resolved early). Runs the
-    /// same overlapped evictor work as [`Monitor::stage_issue_read`].
+    /// remaining flight time (a prefetch hit, resolved early).
     pub(in crate::monitor) fn stage_adopt_prefetch(
         &mut self,
         uffd: &mut Userfaultfd,
@@ -545,8 +561,7 @@ impl Monitor {
                 flight.vpn
             )
         });
-        self.evict_while_full(uffd, pt, pm);
-        self.bookkeeping_update_cache();
+        self.overlap_flight(uffd, pt, pm);
         ReadFlight {
             t0,
             span,
@@ -572,8 +587,7 @@ impl Monitor {
         self.profile
             .record(CodePath::ReadPage, self.clock.now() - t0);
 
-        self.evict_while_full(uffd, pt, pm);
-        self.bookkeeping_update_cache();
+        self.overlap_flight(uffd, pt, pm);
         contents
     }
 
@@ -657,17 +671,6 @@ impl Monitor {
             |attempt, e| format!("write of {key} failed ({e}); retry {}", attempt + 1),
             |store| store.put(key, contents.clone()),
         );
-    }
-
-    pub(in crate::monitor) fn bookkeeping_update_cache(&mut self) {
-        let t0 = self.clock.now();
-        let span = self
-            .telemetry
-            .begin(consts::TRACK_MONITOR, "update_page_cache");
-        self.charge(|c| &c.costs.update_page_cache);
-        self.telemetry.end(span);
-        self.profile
-            .record(CodePath::UpdatePageCache, self.clock.now() - t0);
     }
 
     /// Applies the configured LRU policy's per-fault maintenance.

@@ -756,6 +756,44 @@ fn poll_retires_landed_demand_and_speculative_reads_in_event_order() {
 }
 
 #[test]
+fn an_adopted_speculative_read_leaves_nothing_on_the_queue() {
+    let config = MonitorConfig::new(64)
+        .inflight(4)
+        .prefetch(crate::PrefetchPolicy::Sequential { window: 1 });
+    let mut r = spilled_rig(config, 2);
+    // The refault of page 0 reads page 1 ahead; page 1 then faults with
+    // that read still in flight and adopts it.
+    fault(&mut r, 0, false);
+    assert_eq!(r.monitor.inflight_prefetch_len(), 1);
+    let landing = r.monitor.next_completion_at();
+    let SubmitOutcome::Parked(id) = pipelined_fault(&mut r, 1, false) else {
+        panic!("page 1 should park on the adopted read");
+    };
+    assert_eq!(r.monitor.inflight_prefetch_len(), 0);
+    assert_eq!(r.monitor.inflight_len(), 1);
+    assert_eq!(r.monitor.next_completion_at(), landing);
+    assert_eq!(
+        r.monitor.inflight.pool_slots(),
+        1,
+        "the read's event was cancelled, not left dead beside the fault's"
+    );
+
+    let done = r
+        .monitor
+        .complete_next(&mut r.uffd, &mut r.pt, &mut r.pm)
+        .expect("the adopting fault finishes");
+    assert_eq!((done.id, done.resolution), (id, Resolution::RemoteRead));
+    assert_eq!(r.monitor.stats().prefetch_hits, 1);
+    assert_eq!(r.monitor.store().stats().gets, 2, "no duplicate read");
+    assert_eq!(r.monitor.inflight_len(), 0);
+    assert_eq!(r.monitor.next_completion_at(), None);
+    assert!(r
+        .monitor
+        .complete_next(&mut r.uffd, &mut r.pt, &mut r.pm)
+        .is_none());
+}
+
+#[test]
 fn finished_faults_free_their_slots_and_are_reported_once_in_wake_order() {
     let mut r = spilled_rig(MonitorConfig::new(16).inflight(2), 8);
     let parked = |outcome| match outcome {

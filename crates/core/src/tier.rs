@@ -49,10 +49,6 @@ pub struct TierConfig {
     /// Demotion to the remote store begins when occupancy exceeds this
     /// fraction of `max_bytes`.
     pub watermark_high: f64,
-    /// Expected compressed size of a pooled page, used only to convert
-    /// the byte budget into an approximate page count for the
-    /// refault-distance thrash gate.
-    pub expected_page_bytes: usize,
     /// Bypass admission when the VM's working-set estimate exceeds what
     /// DRAM plus the pool could hold: a thrashing VM would only churn
     /// the pool (admit, demote, refault from remote anyway), so its
@@ -67,6 +63,11 @@ pub struct TierConfig {
 }
 
 impl TierConfig {
+    /// Expected compressed size of a pooled page (half a KB), used only
+    /// to convert the byte budget into an approximate page count for
+    /// the refault-distance thrash gate.
+    const EXPECTED_PAGE_BYTES: usize = 512;
+
     /// Compressed tier off (the default).
     pub fn disabled() -> Self {
         TierConfig {
@@ -84,26 +85,10 @@ impl TierConfig {
             max_bytes,
             watermark_low: 0.75,
             watermark_high: 0.90,
-            expected_page_bytes: 512,
             thrash_gate: true,
             compress: LatencyModel::normal_us(1.6, 0.2),
             decompress: LatencyModel::normal_us(0.8, 0.1),
         }
-    }
-
-    /// Tier on with explicit demotion watermark fractions.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < low < high <= 1`.
-    pub fn watermarks(max_bytes: usize, low: f64, high: f64) -> Self {
-        let config = TierConfig {
-            watermark_low: low,
-            watermark_high: high,
-            ..Self::pool(max_bytes)
-        };
-        config.validate();
-        config
     }
 
     /// The demotion-stop target in bytes (floor of the hysteresis band).
@@ -118,7 +103,7 @@ impl TierConfig {
 
     /// Approximate pool capacity in pages, for the thrash gate.
     pub fn pool_pages_estimate(&self) -> u64 {
-        (self.max_bytes / self.expected_page_bytes.max(1)) as u64
+        (self.max_bytes / Self::EXPECTED_PAGE_BYTES) as u64
     }
 
     /// Checks the watermark fractions and budget are sane.
@@ -126,13 +111,9 @@ impl TierConfig {
     /// # Panics
     ///
     /// Panics unless `0 < watermark_low < watermark_high <= 1` and the
-    /// budget and expected page size are nonzero.
+    /// budget is nonzero.
     pub fn validate(&self) {
         assert!(self.max_bytes > 0, "tier max_bytes must be positive");
-        assert!(
-            self.expected_page_bytes > 0,
-            "tier expected_page_bytes must be positive"
-        );
         assert!(
             self.watermark_low > 0.0,
             "tier watermark_low must be positive (got {})",
@@ -337,7 +318,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "watermark_high")]
     fn inverted_watermarks_panic() {
-        TierConfig::watermarks(1 << 20, 0.9, 0.9);
+        TierConfig {
+            watermark_low: 0.9,
+            watermark_high: 0.9,
+            ..TierConfig::pool(1 << 20)
+        }
+        .validate();
     }
 
     #[test]

@@ -740,28 +740,6 @@ impl HostAgent {
             .watch(rt.dir.session(), &StoreDirectory::node_path(id));
     }
 
-    /// The arbiter-style drain policy: migrate one partition off the
-    /// most-loaded node to the least-loaded other node. Returns
-    /// `(source, partition, target)` if a migration started.
-    pub fn drain_hottest_node(&mut self) -> Option<(NodeId, PartitionId, NodeId)> {
-        let rt = self.cluster.as_ref()?;
-        let loads = rt.handle.with(|c| c.node_loads());
-        let (hot, _) = loads.iter().copied().max_by_key(|&(id, load)| (load, id))?;
-        let (cold, _) = loads
-            .iter()
-            .copied()
-            .filter(|&(id, _)| id != hot)
-            .min_by_key(|&(id, load)| (load, id))?;
-        let partition = rt
-            .handle
-            .with(|c| c.partitions_of(hot))
-            .into_iter()
-            .next()?;
-        rt.handle
-            .with(|c| c.start_migration(partition, cold))
-            .then_some((hot, partition, cold))
-    }
-
     fn maybe_cluster_tick(&mut self) {
         if self.cluster.is_some()
             && self.config.cluster_interval > 0
@@ -972,12 +950,6 @@ impl HostAgent {
     /// (`0.0` if the VM faulted zero times in the window).
     pub fn vm_fault_percentile(&mut self, index: usize, p: f64) -> f64 {
         self.slots[index].fault_lat.percentile(p)
-    }
-
-    /// Percentile of a VM's measured *access* latencies (hits are
-    /// zero), in µs.
-    pub fn vm_access_percentile(&mut self, index: usize, p: f64) -> f64 {
-        self.slots[index].access_lat.percentile(p)
     }
 
     /// Percentile over every VM's measured access latencies, in µs —

@@ -49,7 +49,7 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use fluidmem_coord::PartitionId;
 use fluidmem_mem::PageContents;
-use fluidmem_sim::{EventQueue, FastMap, SimClock, SimInstant, SimRng};
+use fluidmem_sim::{EventQueue, EventToken, FastMap, SimClock, SimInstant, SimRng};
 use fluidmem_telemetry::{consts, instrument_set, Registry, Telemetry};
 
 use crate::error::KvError;
@@ -148,10 +148,9 @@ struct Migration {
     pages_recopied: u64,
     /// Both lists drained; eligible for a routing flip.
     ready: bool,
-    /// An activation for this migration is queued.
-    scheduled: bool,
-    /// Guards stale activations after an abort/retarget.
-    gen: u64,
+    /// The queued copier activation, cancelled if the migration is
+    /// aborted first.
+    activation: Option<EventToken>,
 }
 
 /// A sharded store routing partitions across N nodes (see module docs).
@@ -162,9 +161,8 @@ pub struct ClusterStore {
     /// touch (ring home) and change only at migration flips.
     assignments: FastMap<u16, NodeId>,
     migrations: FastMap<u16, Migration>,
-    /// Copier activations: `(partition, generation)`.
-    activations: EventQueue<(u16, u64)>,
-    next_gen: u64,
+    /// Copier activations, by partition: one per copying migration.
+    activations: EventQueue<u16>,
     /// The copier's private timeline (DESIGN.md §13 pattern).
     cursor: SimInstant,
     batch_pages: usize,
@@ -204,7 +202,6 @@ impl ClusterStore {
             assignments: FastMap::default(),
             migrations: FastMap::default(),
             activations: EventQueue::new(),
-            next_gen: 0,
             cursor: SimInstant::EPOCH,
             batch_pages,
             transport,
@@ -323,21 +320,6 @@ impl ClusterStore {
             .map_or(0, |n| n.store.len())
     }
 
-    /// Per-node issued-operation counts (get + put + delete), for load
-    /// policies like "drain the hottest node".
-    pub fn node_loads(&self) -> Vec<(NodeId, u64)> {
-        self.nodes
-            .iter()
-            .filter(|n| n.alive)
-            .map(|n| {
-                (
-                    n.id,
-                    n.ops.gets.get() + n.ops.puts.get() + n.ops.deletes.get(),
-                )
-            })
-            .collect()
-    }
-
     /// The node a partition currently routes to, if assigned or homeable.
     pub fn owner_of(&self, partition: PartitionId) -> Option<NodeId> {
         self.assignments
@@ -407,8 +389,6 @@ impl ClusterStore {
             .into_iter()
             .map(ExternalKey::raw)
             .collect();
-        let gen = self.next_gen;
-        self.next_gen += 1;
         self.migrations.insert(
             p,
             Migration {
@@ -419,8 +399,7 @@ impl ClusterStore {
                 pages_copied: 0,
                 pages_recopied: 0,
                 ready: false,
-                scheduled: false,
-                gen,
+                activation: None,
             },
         );
         self.counters.migrations_started.inc();
@@ -440,6 +419,9 @@ impl ClusterStore {
         let Some(mig) = self.migrations.remove(&partition.raw()) else {
             return false;
         };
+        if let Some(token) = mig.activation {
+            self.activations.cancel(token);
+        }
         if let Some(tgt) = self.nodes.iter().position(|n| n.id == mig.target) {
             self.nodes[tgt].store.drop_partition(partition);
         }
@@ -451,20 +433,6 @@ impl ClusterStore {
             );
         }
         true
-    }
-
-    /// Aborts and immediately restarts a migration toward `new_target`
-    /// (lease-expiry recovery). Returns whether a restart happened.
-    pub fn retarget_migration(&mut self, partition: PartitionId, new_target: NodeId) -> bool {
-        if !self.migrations.contains_key(&partition.raw()) {
-            return false;
-        }
-        self.abort_migration(partition);
-        let restarted = self.start_migration(partition, new_target);
-        if restarted {
-            self.counters.migrations_retargeted.inc();
-        }
-        restarted
     }
 
     /// The `(source, target)` of an in-flight migration.
@@ -503,14 +471,11 @@ impl ClusterStore {
     /// or the data-path RNG.
     pub fn tick(&mut self, now: SimInstant) -> Vec<PartitionId> {
         let mut flips = Vec::new();
-        while let Some((at, (p, gen))) = self.activations.pop_ready(now) {
-            let Some(mig) = self.migrations.get_mut(&p) else {
-                continue; // aborted since scheduling
-            };
-            if mig.gen != gen {
-                continue; // retargeted since scheduling
-            }
-            mig.scheduled = false;
+        while let Some((at, p)) = self.activations.pop_ready(now) {
+            // An abort cancels the activation, so a popped one always
+            // finds its migration.
+            let mig = self.migrations.get_mut(&p).unwrap();
+            mig.activation = None;
             if mig.ready {
                 continue; // a flip is already pending with the host
             }
@@ -555,11 +520,6 @@ impl ClusterStore {
             );
         }
         Some((mig.source, mig.target))
-    }
-
-    /// When the copier next wants to run, for event-driven hosts.
-    pub fn next_activation(&self) -> Option<SimInstant> {
-        self.activations.peek_time()
     }
 
     // ----- audit ------------------------------------------------------
@@ -610,12 +570,11 @@ impl ClusterStore {
 
     fn schedule(&mut self, p: u16) {
         let mig = self.migrations.get_mut(&p).unwrap();
-        if mig.scheduled {
+        if mig.activation.is_some() {
             return;
         }
-        mig.scheduled = true;
         let at = self.cursor.max(self.clock.now());
-        self.activations.push(at, (p, mig.gen));
+        mig.activation = Some(self.activations.push_keyed(at, p).1);
     }
 
     /// Copies one batch of `p`'s pages, charging the copier's cursor.
@@ -1326,6 +1285,34 @@ mod tests {
             assert_eq!(c.get(key(vpn, 6)).unwrap(), PageContents::Token(vpn));
         }
         assert!(c.audit().is_clean());
+    }
+
+    #[test]
+    fn abort_cancels_the_queued_activation() {
+        let clock = SimClock::new();
+        let mut c = cluster_with(&clock, 2);
+        let p = PartitionId::new(6);
+        for vpn in 0..64 {
+            c.put(key(vpn, 6), PageContents::Token(vpn)).unwrap();
+        }
+        let target = 1 - c.owner_of(p).unwrap();
+        assert!(c.start_migration(p, target));
+        assert_eq!(c.activations.len(), 1);
+        assert!(c.abort_migration(p));
+        assert!(c.activations.is_empty(), "nothing stale left to pop");
+        let cursor = c.cursor;
+        clock.advance(SimDuration::from_secs(3600));
+        assert_eq!(c.tick(clock.now()), vec![]);
+        assert_eq!(c.cursor, cursor, "the copier did not run");
+        // A restart schedules afresh and runs to the flip.
+        assert!(c.start_migration(p, target));
+        assert_eq!(c.activations.len(), 1);
+        let mut flips = Vec::new();
+        while flips.is_empty() {
+            clock.advance(SimDuration::from_micros(100));
+            flips = c.tick(clock.now());
+        }
+        assert_eq!(flips, vec![p]);
     }
 
     #[test]

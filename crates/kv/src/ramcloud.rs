@@ -132,11 +132,6 @@ impl LeafStore<RamCloudEngine> {
         }
         self.engine.live_records as f64 / self.engine.total_records as f64
     }
-
-    /// Number of log segments (including the open head).
-    pub fn segment_count(&self) -> usize {
-        self.engine.segments.len()
-    }
 }
 
 impl RamCloudEngine {

@@ -94,11 +94,6 @@ impl ReplicatedStore {
         }
     }
 
-    /// Number of replicas.
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
-    }
-
     /// Marks a replica as failed (its server crashed / unreachable).
     pub fn fail_replica(&mut self, index: usize) {
         self.alive[index] = false;

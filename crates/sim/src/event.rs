@@ -194,6 +194,16 @@ impl<T> EventQueue<T> {
         payload
     }
 
+    /// The payload of a scheduled event, in place, or `None` if the
+    /// token is stale. The event keeps its instant and its FIFO rank.
+    pub fn get_mut(&mut self, token: EventToken) -> Option<&mut T> {
+        let slot = self.slots.get_mut(token.slot as usize)?;
+        if slot.gen != token.gen {
+            return None;
+        }
+        slot.payload.as_mut()
+    }
+
     /// Moves a scheduled event to a new completion instant, keeping its
     /// payload in place. Returns the replacement token, or `None` if
     /// the original token is stale. The event's FIFO rank among ties is
@@ -435,36 +445,52 @@ mod tests {
     fn interleaved_keyed_ops_match_a_model() {
         crate::prop::forall("event-queue-keyed-ops", 64, |rng| {
             let mut q = EventQueue::new();
-            // Model: live events as (at, seq, id), popped in (at, seq).
-            let mut model: Vec<(u64, u64, u64)> = Vec::new();
+            // Model: live events as (at, seq, id, edits), popped in
+            // (at, seq); the payload is (id, edits).
+            let mut model: Vec<(u64, u64, u64, u64)> = Vec::new();
             let mut tokens: Vec<(EventToken, u64)> = Vec::new();
             let mut next_seq = 0u64;
             let mut next_id = 0u64;
             for _ in 0..300 {
-                match rng.gen_index(4) {
+                match rng.gen_index(5) {
                     0 | 1 => {
                         let at = rng.gen_index(50);
                         let id = next_id;
                         next_id += 1;
-                        let (_, tok) = q.push_keyed(SimInstant::from_nanos(at), id);
-                        model.push((at, next_seq, id));
+                        let (_, tok) = q.push_keyed(SimInstant::from_nanos(at), (id, 0));
+                        model.push((at, next_seq, id, 0));
                         next_seq += 1;
                         tokens.push((tok, id));
                     }
                     2 if !tokens.is_empty() => {
                         let k = rng.gen_index(tokens.len() as u64) as usize;
                         let (tok, id) = tokens.swap_remove(k);
-                        let live = model.iter().any(|&(_, _, i)| i == id);
+                        let live = model.iter().any(|&(_, _, i, _)| i == id);
                         assert_eq!(q.cancel(tok).is_some(), live);
-                        model.retain(|&(_, _, i)| i != id);
+                        model.retain(|&(_, _, i, _)| i != id);
+                    }
+                    3 if !tokens.is_empty() => {
+                        // An in-place edit reaches exactly the live event
+                        // the token names and moves nothing.
+                        let (tok, id) = tokens[rng.gen_index(tokens.len() as u64) as usize];
+                        let entry = model.iter_mut().find(|e| e.2 == id);
+                        match (q.get_mut(tok), entry) {
+                            (Some(payload), Some(entry)) => {
+                                assert_eq!(*payload, (id, entry.3));
+                                payload.1 += 1;
+                                entry.3 += 1;
+                            }
+                            (None, None) => {}
+                            (got, want) => panic!("get_mut {got:?} vs model {want:?}"),
+                        }
                     }
                     _ => {
                         model.sort();
                         let expect = if model.is_empty() {
                             None
                         } else {
-                            let (at, _, id) = model.remove(0);
-                            Some((SimInstant::from_nanos(at), id))
+                            let (at, _, id, edits) = model.remove(0);
+                            Some((SimInstant::from_nanos(at), (id, edits)))
                         };
                         assert_eq!(q.pop_next(), expect);
                     }
@@ -472,8 +498,11 @@ mod tests {
                 assert_eq!(q.len(), model.len());
             }
             model.sort();
-            for (at, _, id) in model {
-                assert_eq!(q.pop_next(), Some((SimInstant::from_nanos(at), id)));
+            for (at, _, id, edits) in model {
+                assert_eq!(
+                    q.pop_next(),
+                    Some((SimInstant::from_nanos(at), (id, edits)))
+                );
             }
             assert_eq!(q.pop_next(), None);
         });

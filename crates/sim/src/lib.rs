@@ -59,7 +59,7 @@ mod trace;
 
 pub use clock::SimClock;
 pub use dist::LatencyModel;
-pub use event::EventQueue;
+pub use event::{EventQueue, EventToken};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultPlanStats};
 pub use hash::{FastBuildHasher, FastHasher, FastMap, FastSet};
 pub use rng::SimRng;

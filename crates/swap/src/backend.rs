@@ -81,8 +81,6 @@ pub struct SwapBackedMemory {
     /// File-backed pages' filesystem blocks.
     fs_blocks: HashMap<Vpn, u64>,
     next_fs_block: u64,
-    /// Whether faults carry KVM vCPU exit costs.
-    from_vm: bool,
     label: String,
     counters: AccessCounters,
     stats: SwapCounters,
@@ -118,16 +116,10 @@ impl SwapBackedMemory {
             swap_cache_order: VecDeque::new(),
             fs_blocks: HashMap::new(),
             next_fs_block: 0,
-            from_vm: true,
             label,
             counters: AccessCounters::default(),
             stats: SwapCounters::default(),
         }
-    }
-
-    /// Disables per-fault KVM exit costs (for bare-process baselines).
-    pub fn set_from_vm(&mut self, from_vm: bool) {
-        self.from_vm = from_vm;
     }
 
     /// Swap-subsystem counters.
@@ -148,11 +140,6 @@ impl SwapBackedMemory {
         &self.config
     }
 
-    /// Pages currently written out to the swap device.
-    pub fn swapped_out_pages(&self) -> u64 {
-        self.swapped_out.len() as u64
-    }
-
     fn class_of(&self, vpn: Vpn) -> PageClass {
         let (_, region) = self
             .regions
@@ -169,10 +156,9 @@ impl SwapBackedMemory {
     }
 
     fn charge_fault_entry(&mut self) {
-        let mut d = self.config.costs.fault_entry.sample(&mut self.rng);
-        if self.from_vm {
-            d += self.config.costs.vm_exit.sample(&mut self.rng);
-        }
+        // Every fault is a guest fault: the trap plus the KVM vCPU exit.
+        let d = self.config.costs.fault_entry.sample(&mut self.rng)
+            + self.config.costs.vm_exit.sample(&mut self.rng);
         self.clock.advance(d);
     }
 

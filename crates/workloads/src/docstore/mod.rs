@@ -58,11 +58,6 @@ impl DocStoreConfig {
     pub fn leaf_pages(&self) -> u64 {
         (self.records_per_leaf * self.record_bytes).div_ceil(PAGE_SIZE as u64)
     }
-
-    /// Number of leaf images in the record set.
-    pub fn leaf_count(&self) -> u64 {
-        self.record_count.div_ceil(self.records_per_leaf)
-    }
 }
 
 /// The document store: records on a simulated disk, hot records in a
@@ -125,11 +120,6 @@ impl DocumentStore {
     /// Cache hits so far.
     pub fn cache_hits(&self) -> u64 {
         self.cache.hits()
-    }
-
-    /// Cache misses so far.
-    pub fn cache_misses(&self) -> u64 {
-        self.cache.misses()
     }
 
     /// Disk reads issued so far.

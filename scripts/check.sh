@@ -5,6 +5,33 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Runs a bench bin twice with `--smoke` and the given extra flags, and
+# fails unless both runs' stdout and both `--json` files are
+# byte-identical and the JSON holds a record of the named bench. The
+# first run's JSON is left at $smoke_json for the caller's own checks
+# (and removal).
+#   run_twice_cmp <label> <bin> <bench record> [flag...]
+run_twice_cmp() {
+    label=$1
+    bin=$2
+    record=$3
+    shift 3
+    out_a="$(mktemp)"
+    out_b="$(mktemp)"
+    smoke_json="$(mktemp)"
+    json_b="$(mktemp)"
+    cargo run -q --release -p fluidmem-bench --bin "$bin" -- --smoke "$@" --json "$smoke_json" > "$out_a"
+    cargo run -q --release -p fluidmem-bench --bin "$bin" -- --smoke "$@" --json "$json_b" > "$out_b"
+    test -s "$smoke_json" || { echo "$label: empty JSON output" >&2; exit 1; }
+    cmp "$out_a" "$out_b" || { echo "$label: stdout not deterministic" >&2; exit 1; }
+    cmp "$smoke_json" "$json_b" || { echo "$label: JSON output not deterministic" >&2; exit 1; }
+    grep -q "\"bench\":\"$record\"" "$smoke_json" || {
+        echo "$label: $record records missing" >&2
+        exit 1
+    }
+    rm -f "$out_a" "$out_b" "$json_b"
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -40,45 +67,15 @@ grep -q '"kv.read.flight"' "$trace_file" || {
 }
 rm -f "$trace_file"
 
-echo "==> multi-VM smoke: scaling --smoke (twice, JSON must be byte-identical)"
-scaling_a="$(mktemp)"
-scaling_b="$(mktemp)"
-cargo run -q --release -p fluidmem-bench --bin scaling -- --smoke --json "$scaling_a" > /dev/null
-cargo run -q --release -p fluidmem-bench --bin scaling -- --smoke --json "$scaling_b" > /dev/null
-test -s "$scaling_a" || { echo "scaling smoke: empty JSON output" >&2; exit 1; }
-cmp "$scaling_a" "$scaling_b" || {
-    echo "scaling smoke: JSON output not deterministic" >&2
-    exit 1
-}
-grep -q '"bench":"scaling_policy"' "$scaling_a" || {
-    echo "scaling smoke: policy face-off records missing" >&2
-    exit 1
-}
-rm -f "$scaling_a" "$scaling_b"
+echo "==> multi-VM smoke: scaling --smoke (twice, byte-identical)"
+run_twice_cmp "scaling smoke" scaling scaling_policy
+rm -f "$smoke_json"
 
 echo "==> big-fleet smoke: scaling --big --smoke (twice, byte-identical, floor intact, flat per-VM rate)"
-big_out_a="$(mktemp)"
-big_out_b="$(mktemp)"
-big_json_a="$(mktemp)"
-big_json_b="$(mktemp)"
-cargo run -q --release -p fluidmem-bench --bin scaling -- --big --smoke --json "$big_json_a" > "$big_out_a"
-cargo run -q --release -p fluidmem-bench --bin scaling -- --big --smoke --json "$big_json_b" > "$big_out_b"
-test -s "$big_json_a" || { echo "big-fleet smoke: empty JSON output" >&2; exit 1; }
-cmp "$big_out_a" "$big_out_b" || {
-    echo "big-fleet smoke: stdout not deterministic" >&2
-    exit 1
-}
-cmp "$big_json_a" "$big_json_b" || {
-    echo "big-fleet smoke: JSON output not deterministic" >&2
-    exit 1
-}
-grep -q '"bench":"scaling_big"' "$big_json_a" || {
-    echo "big-fleet smoke: sweep records missing" >&2
-    exit 1
-}
+run_twice_cmp "big-fleet smoke" scaling scaling_big --big
 # The slo_guarded floor guarantee: throttling a donor VM below the
 # progress floor is a gate failure at any fleet size.
-if grep '"bench":"scaling_big"' "$big_json_a" | grep -qv '"floor_misses":0'; then
+if grep '"bench":"scaling_big"' "$smoke_json" | grep -qv '"floor_misses":0'; then
     echo "big-fleet smoke: a VM was throttled below the progress floor" >&2
     exit 1
 fi
@@ -86,9 +83,9 @@ fi
 # plane must keep the N-core-normalized per-VM rate roughly flat:
 # N=64 falling below half the N=16 rate means something superlinear
 # crept back into the fault path.
-tpv16="$(grep '"bench":"scaling_big"' "$big_json_a" | grep '"n_vms":16,' \
+tpv16="$(grep '"bench":"scaling_big"' "$smoke_json" | grep '"n_vms":16,' \
     | sed 's/.*"throughput_per_vm_ops_s":\([0-9.eE+-]*\).*/\1/')"
-tpv64="$(grep '"bench":"scaling_big"' "$big_json_a" | grep '"n_vms":64,' \
+tpv64="$(grep '"bench":"scaling_big"' "$smoke_json" | grep '"n_vms":64,' \
     | sed 's/.*"throughput_per_vm_ops_s":\([0-9.eE+-]*\).*/\1/')"
 test -n "$tpv16" && test -n "$tpv64" || {
     echo "big-fleet smoke: throughput fields missing from JSON" >&2
@@ -98,7 +95,7 @@ awk -v small="$tpv16" -v big="$tpv64" 'BEGIN { exit (big >= 0.5 * small) ? 0 : 1
     echo "big-fleet smoke: per-VM throughput at N=64 ($tpv64) fell below half of N=16 ($tpv16)" >&2
     exit 1
 }
-rm -f "$big_out_a" "$big_out_b" "$big_json_a" "$big_json_b"
+rm -f "$smoke_json"
 
 echo "==> lint: unordered-container iteration in output-producing crates"
 # Bench tables and telemetry exports are pinned byte-for-byte by the
@@ -114,13 +111,13 @@ if [ -n "$lint_hits" ]; then
 fi
 
 echo "==> lint: default-hasher maps on the per-page paths"
-# The per-page maps of mem, core, uffd and the RAMCloud index hash
+# The per-page maps of mem, core, uffd, block and the RAMCloud index hash
 # simulator-generated integers; std's SipHash there cost a fifth of
 # fleet-scale host time (DESIGN.md §17). Use fluidmem_sim::FastMap /
 # FastSet, or mark a map that is genuinely off the per-page path with
 # '// lint: cold-path'. Test modules (and monitor/tests.rs) are exempt.
 hasher_hits=""
-for f in $(find crates/mem/src crates/core/src crates/uffd/src -name '*.rs' ! -name 'tests.rs') \
+for f in $(find crates/mem/src crates/core/src crates/uffd/src crates/block/src -name '*.rs' ! -name 'tests.rs') \
     crates/kv/src/ramcloud.rs; do
     hasher_hits="$hasher_hits$(awk -v f="$f" '
         /^#\[cfg\(test\)\]/ { exit }
@@ -185,78 +182,42 @@ if [ -n "$adopt_hits" ]; then
 fi
 
 echo "==> cluster smoke: scaling --smoke --cluster (twice, byte-identical, zero lost pages)"
-cluster_out_a="$(mktemp)"
-cluster_out_b="$(mktemp)"
-cluster_json_a="$(mktemp)"
-cluster_json_b="$(mktemp)"
-cargo run -q --release -p fluidmem-bench --bin scaling -- --smoke --cluster --json "$cluster_json_a" > "$cluster_out_a"
-cargo run -q --release -p fluidmem-bench --bin scaling -- --smoke --cluster --json "$cluster_json_b" > "$cluster_out_b"
-test -s "$cluster_json_a" || { echo "cluster smoke: empty JSON output" >&2; exit 1; }
-cmp "$cluster_out_a" "$cluster_out_b" || {
-    echo "cluster smoke: stdout not deterministic" >&2
-    exit 1
-}
-cmp "$cluster_json_a" "$cluster_json_b" || {
-    echo "cluster smoke: JSON output not deterministic" >&2
-    exit 1
-}
-grep -q '"bench":"scaling_cluster"' "$cluster_json_a" || {
-    echo "cluster smoke: cluster sweep records missing" >&2
-    exit 1
-}
+run_twice_cmp "cluster smoke" scaling scaling_cluster --cluster
 # Every cell churns membership mid-run (a join and a graceful leave);
 # the shadow-accounting audit must find no lost or duplicated page.
-if grep '"bench":"scaling_cluster"' "$cluster_json_a" | grep -qv '"lost_pages":0'; then
+if grep '"bench":"scaling_cluster"' "$smoke_json" | grep -qv '"lost_pages":0'; then
     echo "cluster smoke: pages lost during migration chaos" >&2
     exit 1
 fi
-if grep '"bench":"scaling_cluster"' "$cluster_json_a" | grep -qv '"duplicated_pages":0'; then
+if grep '"bench":"scaling_cluster"' "$smoke_json" | grep -qv '"duplicated_pages":0'; then
     echo "cluster smoke: pages duplicated during migration chaos" >&2
     exit 1
 fi
-rm -f "$cluster_out_a" "$cluster_out_b" "$cluster_json_a" "$cluster_json_b"
+rm -f "$smoke_json"
 
 echo "==> pipeline smoke: depth sweep (twice, stdout + JSON must be byte-identical)"
-pipe_out_a="$(mktemp)"
-pipe_out_b="$(mktemp)"
-pipe_json_a="$(mktemp)"
-pipe_json_b="$(mktemp)"
-cargo run -q --release -p fluidmem-bench --bin pipeline -- --smoke --json "$pipe_json_a" > "$pipe_out_a"
-cargo run -q --release -p fluidmem-bench --bin pipeline -- --smoke --json "$pipe_json_b" > "$pipe_out_b"
-test -s "$pipe_json_a" || { echo "pipeline smoke: empty JSON output" >&2; exit 1; }
-cmp "$pipe_out_a" "$pipe_out_b" || {
-    echo "pipeline smoke: stdout not deterministic" >&2
-    exit 1
-}
-cmp "$pipe_json_a" "$pipe_json_b" || {
-    echo "pipeline smoke: JSON output not deterministic" >&2
-    exit 1
-}
-grep -q '"depth":16' "$pipe_json_a" || {
+run_twice_cmp "pipeline smoke" pipeline pipeline_reclaim
+grep -q '"depth":16' "$smoke_json" || {
     echo "pipeline smoke: depth sweep incomplete" >&2
-    exit 1
-}
-grep -q '"bench":"pipeline_reclaim"' "$pipe_json_a" || {
-    echo "pipeline smoke: background-reclaim sweep records missing" >&2
     exit 1
 }
 # At default watermarks the background evictor must absorb the entire
 # eviction load: any direct (inline, on-fault-path) reclaim is a gate
 # failure.
-if grep '"bench":"pipeline_reclaim"' "$pipe_json_a" | grep -qv '"direct_reclaims":0'; then
+if grep '"bench":"pipeline_reclaim"' "$smoke_json" | grep -qv '"direct_reclaims":0'; then
     echo "pipeline smoke: direct reclaims at default watermarks (evictor fell behind)" >&2
     exit 1
 fi
 # Deep pipelines are where inline eviction hurts: reclaim must win the
 # p99 tail at every depth >= 4.
-if grep '"bench":"pipeline_reclaim"' "$pipe_json_a" | grep -E '"depth":(4|8|16),' | grep -q '"tail_win":false'; then
+if grep '"bench":"pipeline_reclaim"' "$smoke_json" | grep -E '"depth":(4|8|16),' | grep -q '"tail_win":false'; then
     echo "pipeline smoke: background reclaim lost the p99 tail at depth >= 4" >&2
     exit 1
 fi
 # A landed read is finished by the next monitor entry, not when the
 # driver collects it: fault latency must not scale with the depth bound.
 pipe_p99() {
-    grep '"bench":"pipeline"' "$pipe_json_a" | grep "\"depth\":$1," \
+    grep '"bench":"pipeline"' "$smoke_json" | grep "\"depth\":$1," \
         | sed 's/.*"fault_p99_us":\([0-9.eE+-]*\).*/\1/'
 }
 p99_d2="$(pipe_p99 2)"
@@ -269,91 +230,37 @@ awk -v shallow="$p99_d2" -v deep="$p99_d16" 'BEGIN { exit (deep <= 2 * shallow) 
     echo "pipeline smoke: fault p99 at depth 16 ($p99_d16 us) is over 2x depth 2 ($p99_d2 us)" >&2
     exit 1
 }
-rm -f "$pipe_out_a" "$pipe_out_b" "$pipe_json_a" "$pipe_json_b"
+rm -f "$smoke_json"
 
 echo "==> workingset smoke: WSS sweep (twice, stdout + JSON must be byte-identical)"
-ws_out_a="$(mktemp)"
-ws_out_b="$(mktemp)"
-ws_json_a="$(mktemp)"
-ws_json_b="$(mktemp)"
-cargo run -q --release -p fluidmem-bench --bin workingset -- --smoke --json "$ws_json_a" > "$ws_out_a"
-cargo run -q --release -p fluidmem-bench --bin workingset -- --smoke --json "$ws_json_b" > "$ws_out_b"
-test -s "$ws_json_a" || { echo "workingset smoke: empty JSON output" >&2; exit 1; }
-cmp "$ws_out_a" "$ws_out_b" || {
-    echo "workingset smoke: stdout not deterministic" >&2
-    exit 1
-}
-cmp "$ws_json_a" "$ws_json_b" || {
-    echo "workingset smoke: JSON output not deterministic" >&2
-    exit 1
-}
-grep -q '"bench":"workingset"' "$ws_json_a" || {
-    echo "workingset smoke: sweep records missing" >&2
-    exit 1
-}
-rm -f "$ws_out_a" "$ws_out_b" "$ws_json_a" "$ws_json_b"
+run_twice_cmp "workingset smoke" workingset workingset
+rm -f "$smoke_json"
 
 echo "==> tiering smoke: compressibility sweep (twice, stdout + JSON must be byte-identical)"
-tier_out_a="$(mktemp)"
-tier_out_b="$(mktemp)"
-tier_json_a="$(mktemp)"
-tier_json_b="$(mktemp)"
-cargo run -q --release -p fluidmem-bench --bin tiering -- --smoke --json "$tier_json_a" > "$tier_out_a"
-cargo run -q --release -p fluidmem-bench --bin tiering -- --smoke --json "$tier_json_b" > "$tier_out_b"
-test -s "$tier_json_a" || { echo "tiering smoke: empty JSON output" >&2; exit 1; }
-cmp "$tier_out_a" "$tier_out_b" || {
-    echo "tiering smoke: stdout not deterministic" >&2
-    exit 1
-}
-cmp "$tier_json_a" "$tier_json_b" || {
-    echo "tiering smoke: JSON output not deterministic" >&2
-    exit 1
-}
-grep -q '"bench":"tiering"' "$tier_json_a" || {
-    echo "tiering smoke: sweep records missing" >&2
-    exit 1
-}
+run_twice_cmp "tiering smoke" tiering tiering
 # Every cell audits the pool against the page tracker: each tracked
 # page must be found in exactly one place (DRAM, pool, write list, or
 # store), with the compressed-byte accounting balanced.
-if grep '"bench":"tiering"' "$tier_json_a" | grep -qv '"lost_pages":0'; then
+if grep '"bench":"tiering"' "$smoke_json" | grep -qv '"lost_pages":0'; then
     echo "tiering smoke: pages lost between the pool and the store" >&2
     exit 1
 fi
-if grep '"bench":"tiering"' "$tier_json_a" | grep -qv '"duplicated_pages":0'; then
+if grep '"bench":"tiering"' "$smoke_json" | grep -qv '"duplicated_pages":0'; then
     echo "tiering smoke: pages duplicated between the pool and the store" >&2
     exit 1
 fi
-rm -f "$tier_out_a" "$tier_out_b" "$tier_json_a" "$tier_json_b"
+rm -f "$smoke_json"
 
 echo "==> prefetch smoke: phase sweep (twice, byte-identical, strided hit rate, zero fatal errors)"
-pf_out_a="$(mktemp)"
-pf_out_b="$(mktemp)"
-pf_json_a="$(mktemp)"
-pf_json_b="$(mktemp)"
-cargo run -q --release -p fluidmem-bench --bin prefetch -- --smoke --json "$pf_json_a" > "$pf_out_a"
-cargo run -q --release -p fluidmem-bench --bin prefetch -- --smoke --json "$pf_json_b" > "$pf_out_b"
-test -s "$pf_json_a" || { echo "prefetch smoke: empty JSON output" >&2; exit 1; }
-cmp "$pf_out_a" "$pf_out_b" || {
-    echo "prefetch smoke: stdout not deterministic" >&2
-    exit 1
-}
-cmp "$pf_json_a" "$pf_json_b" || {
-    echo "prefetch smoke: JSON output not deterministic" >&2
-    exit 1
-}
-grep -q '"bench":"prefetch_gate"' "$pf_json_a" || {
-    echo "prefetch smoke: gate record missing" >&2
-    exit 1
-}
+run_twice_cmp "prefetch smoke" prefetch prefetch_gate
 # Speculation must never panic the monitor on a store error.
-if grep '"bench":"prefetch_gate"' "$pf_json_a" | grep -qv '"fatal_errors":0'; then
+if grep '"bench":"prefetch_gate"' "$smoke_json" | grep -qv '"fatal_errors":0'; then
     echo "prefetch smoke: fatal store errors surfaced on the prefetch path" >&2
     exit 1
 fi
 # The detector must cover at least half the strided phase's accesses;
 # below that the trend prefetcher is not working.
-pf_hit="$(grep '"bench":"prefetch_gate"' "$pf_json_a" \
+pf_hit="$(grep '"bench":"prefetch_gate"' "$smoke_json" \
     | sed 's/.*"strided_hit_rate":\([0-9.eE+-]*\).*/\1/')"
 test -n "$pf_hit" || {
     echo "prefetch smoke: strided_hit_rate missing from gate record" >&2
@@ -363,6 +270,6 @@ awk -v hit="$pf_hit" 'BEGIN { exit (hit >= 0.5) ? 0 : 1 }' || {
     echo "prefetch smoke: strided-phase hit rate ($pf_hit) fell below 0.5" >&2
     exit 1
 }
-rm -f "$pf_out_a" "$pf_out_b" "$pf_json_a" "$pf_json_b"
+rm -f "$smoke_json"
 
 echo "==> all checks passed"

@@ -152,14 +152,6 @@ impl Testbed {
         }
     }
 
-    /// Builds all six configurations with the same seed.
-    pub fn build_all(&self, seed: u64) -> Vec<Box<dyn MemoryBackend>> {
-        BackendKind::ALL
-            .iter()
-            .map(|&k| self.build(k, seed))
-            .collect()
-    }
-
     fn fluidmem(
         &self,
         store: Box<dyn fluidmem_kv::KeyValueStore>,

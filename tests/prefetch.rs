@@ -363,3 +363,42 @@ fn headroom_gate_suppresses_until_capacity_grows() {
     assert!(after.prefetch_issued > 0, "{after:?}");
     assert!(after.prefetched_pages > 0, "{after:?}");
 }
+
+/// Speculative reads still in flight for a region die with it: left
+/// on the queue they would land against an unregistered range and a
+/// deleted key and be booked as copy skips or misses.
+#[test]
+fn unregistering_a_region_cancels_its_speculative_reads() {
+    let clock = SimClock::new();
+    let store = RamCloudStore::new(1 << 26, clock.clone(), SimRng::seed_from_u64(21));
+    let mut vm = FluidMemMemory::new(
+        MonitorConfig::new(16).prefetch(PrefetchPolicy::Sequential { window: 4 }),
+        Box::new(store),
+        PartitionId::new(0),
+        clock,
+        SimRng::seed_from_u64(22),
+    );
+    let region = vm.map_region(64, PageClass::Anonymous);
+    for p in 0..64 {
+        vm.write_page(region.page(p), PageContents::Token(p));
+    }
+    vm.drain_writes();
+    vm.set_local_capacity(32).unwrap();
+
+    let _ = vm.read_page(region.page(0));
+    let flights = vm.monitor().inflight_prefetch_len() as u64;
+    assert_eq!(flights, 4, "pages 1..=4 are being read ahead");
+    let before = vm.monitor().stats();
+
+    vm.unregister_region(&region);
+    assert_eq!(vm.monitor().inflight_prefetch_len(), 0);
+    assert_eq!(vm.monitor().next_completion_at(), None);
+    // Nothing is left to land, however long the guest runs on.
+    vm.clock().advance(SimDuration::from_micros(100));
+    vm.poll_ready_completions();
+    let after = vm.monitor().stats();
+    assert_eq!(after.prefetch_wasted - before.prefetch_wasted, flights);
+    assert_eq!(after.prefetch_copy_skips, before.prefetch_copy_skips);
+    assert_eq!(after.prefetch_misses, before.prefetch_misses);
+    assert_eq!(after.prefetched_pages, before.prefetched_pages);
+}
