@@ -202,10 +202,11 @@ impl CoordCluster {
         // Client → leader.
         self.charge_rtt();
 
-        // Validate against the leader's current state without mutating it,
-        // as ZooKeeper's PrepRequestProcessor does.
-        let mut scratch = self.replicas[leader].tree.clone();
-        let result = op.apply(&mut scratch)?;
+        // Validate by applying to the leader's tree in place: every op
+        // either succeeds or fails without mutating, so a refused op
+        // leaves no trace. The quorum was checked above, so an accepted
+        // op commits; the followers apply it from the log below.
+        let result = op.apply(&mut self.replicas[leader].tree)?;
 
         // Append to the leader's log and replicate; one parallel round
         // trip to the followers (charge the slowest).
@@ -216,26 +217,26 @@ impl CoordCluster {
             op,
         };
         let mut slowest = fluidmem_sim::SimDuration::ZERO;
-        let follower_ids: Vec<usize> = (0..self.replicas.len())
+        let followers = (0..self.replicas.len())
             .filter(|&i| i != leader && self.replicas[i].alive)
-            .collect();
-        for _ in &follower_ids {
+            .count();
+        for _ in 0..followers {
             let rtt = self.rpc.sample(&mut self.rng) + self.rpc.sample(&mut self.rng);
             slowest = slowest.max(rtt);
         }
         self.clock.advance(slowest);
 
-        for &i in &follower_ids {
-            self.replicas[i].log.push(entry.clone());
-        }
-        self.replicas[leader].log.push(entry.clone());
-
         // Quorum reached (leader + live followers >= quorum was checked):
-        // commit and apply everywhere alive.
-        for i in 0..self.replicas.len() {
-            if self.replicas[i].alive {
-                let r = &mut self.replicas[i];
-                debug_assert_eq!(r.committed, index, "replicas must commit in order");
+        // commit everywhere alive. The leader already applied the op.
+        for (i, r) in self.replicas.iter_mut().enumerate() {
+            if !r.alive {
+                continue;
+            }
+            debug_assert_eq!(r.committed, index, "replicas must commit in order");
+            r.log.push(entry.clone());
+            if i == leader {
+                r.committed += 1;
+            } else {
                 r.op_apply_committed();
             }
         }
@@ -434,8 +435,7 @@ impl Replica {
     /// trees in lock-step.
     fn op_apply_committed(&mut self) {
         let idx = self.committed as usize;
-        let op = self.log[idx].op.clone();
-        let _ = op.apply(&mut self.tree);
+        let _ = self.log[idx].op.apply(&mut self.tree);
         self.committed += 1;
     }
 }
@@ -555,6 +555,42 @@ mod tests {
         });
         assert!(err.is_err());
         assert_eq!(c.committed_len(), before, "failed op must not append");
+    }
+
+    #[test]
+    fn a_failed_sequential_create_leaves_every_replica_equal() {
+        // The leader validates by applying in place; a refused op must
+        // not leave the leader's tree ahead of its followers'.
+        let mut c = cluster(3);
+        c.propose(create("/q")).unwrap();
+        c.propose(create("/q/n-0000000000")).unwrap();
+        let before = c.committed_len();
+        let seq = WriteOp::CreateSequential {
+            prefix: "/q/n-".into(),
+            data: vec![],
+            ephemeral_owner: None,
+        };
+        assert!(matches!(c.propose(seq), Err(CoordError::NodeExists(_))));
+        assert_eq!(c.committed_len(), before, "a refused op must not commit");
+        let leader = c.replica_tree(ReplicaId(0)).clone();
+        for i in 1..3 {
+            assert_eq!(c.replica_tree(ReplicaId(i)), &leader, "replica {i}");
+        }
+        // And the counter did not move: the next sequential name is the
+        // same one, once it is free.
+        c.propose(WriteOp::Delete {
+            path: "/q/n-0000000000".into(),
+        })
+        .unwrap();
+        let seq = WriteOp::CreateSequential {
+            prefix: "/q/n-".into(),
+            data: vec![],
+            ephemeral_owner: None,
+        };
+        assert_eq!(
+            c.propose(seq).unwrap(),
+            OpResult::Created("/q/n-0000000000".into())
+        );
     }
 
     #[test]

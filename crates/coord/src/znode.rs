@@ -116,18 +116,19 @@ impl ZnodeTree {
         ephemeral_owner: Option<u64>,
     ) -> Result<String, CoordError> {
         Self::validate_path(prefix)?;
-        let parent = Self::parent_of(prefix).to_string();
-        let seq = {
-            let p = self
-                .nodes
-                .get_mut(&parent)
-                .ok_or_else(|| CoordError::NoParent(prefix.to_string()))?;
-            let s = p.seq_counter;
-            p.seq_counter += 1;
-            s
-        };
+        let parent = Self::parent_of(prefix);
+        let seq = self
+            .nodes
+            .get(parent)
+            .ok_or_else(|| CoordError::NoParent(prefix.to_string()))?
+            .seq_counter;
         let path = format!("{prefix}{seq:010}");
         self.create(&path, data, ephemeral_owner)?;
+        // Bumped only once the create succeeded: a failed op must leave
+        // the tree untouched, because the leader applies it in place.
+        if let Some(p) = self.nodes.get_mut(parent) {
+            p.seq_counter += 1;
+        }
         Ok(path)
     }
 
@@ -300,6 +301,20 @@ mod tests {
         t.delete(&a).unwrap();
         let c = t.create_sequential("/q/n-", vec![], None).unwrap();
         assert_eq!(c, "/q/n-0000000002");
+    }
+
+    #[test]
+    fn a_failed_sequential_create_leaves_the_tree_untouched() {
+        let mut t = ZnodeTree::new();
+        t.create("/q", vec![], None).unwrap();
+        // The next sequential name is already taken.
+        t.create("/q/n-0000000000", vec![], None).unwrap();
+        let before = t.clone();
+        assert_eq!(
+            t.create_sequential("/q/n-", vec![], None),
+            Err(CoordError::NodeExists("/q/n-0000000000".into()))
+        );
+        assert_eq!(t, before, "the parent's counter must not move");
     }
 
     #[test]

@@ -375,8 +375,8 @@ impl FluidMemMemory {
     /// reclaim work whose instant has already passed (see
     /// [`Monitor::poll_ready`]). Every access does this on entry, so a
     /// driver only needs it to let the monitor catch up at an instant
-    /// when no vCPU touches memory. Never waits: the clock moves only by
-    /// the bottom halves' own CPU cost.
+    /// when no vCPU touches memory. Never waits and never moves the
+    /// clock: the bottom halves run on the monitor's handler timeline.
     pub fn poll_ready_completions(&mut self) {
         self.monitor
             .poll_ready(&mut self.uffd, &mut self.pt, &mut self.pm);

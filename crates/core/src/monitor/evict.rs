@@ -197,10 +197,15 @@ impl Monitor {
         if batch.is_empty() {
             return;
         }
-        let retained = batch.clone();
+        // The store takes the batch; the write list keeps a copy to steal
+        // from (and to requeue on failure). Both buffers are recycled, so
+        // a flush allocates nothing once the pool is warm.
+        let mut retained = self.write_list.spare_batch();
+        retained.extend_from_slice(&batch);
         match self.store.begin_multi_write(batch) {
             Ok(pending) => {
                 let completes_at = pending.completes_at();
+                self.write_list.recycle(pending.into_batch());
                 // The flusher thread owns the bottom half; the critical
                 // path only remembers the batch for stealing.
                 self.write_list.mark_inflight(retained, completes_at);

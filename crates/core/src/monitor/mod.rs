@@ -7,7 +7,8 @@
 //! [`EventQueue`](fluidmem_sim::EventQueue) until the flight lands.
 //! Landed flights retire in event order — bottom half, placement, wake
 //! and post-wake work — at the next monitor entry
-//! ([`Monitor::poll_ready`], which every guest access runs), and
+//! ([`Monitor::poll_ready`], which every guest access runs), on the
+//! response handler's own timeline rather than the guest clock, and
 //! [`Monitor::complete_next`] reports the finished faults in wake order,
 //! waiting for the earliest flight only when none has landed.
 //! [`Monitor::handle_fault`] is submit and complete back to back, and
@@ -34,7 +35,7 @@ pub use pipeline::{CompletedFault, SubmitOutcome};
 use fluidmem_coord::PartitionId;
 use fluidmem_kv::{ExternalKey, KeyValueStore};
 use fluidmem_mem::{PageTable, PhysicalMemory, Region, Vpn};
-use fluidmem_sim::{SimClock, SimDuration, SimInstant, SimRng, Tracer};
+use fluidmem_sim::{FastMap, SimClock, SimDuration, SimInstant, SimRng, Tracer};
 use fluidmem_uffd::Userfaultfd;
 
 use crate::config::{MonitorConfig, PrefetchPolicy};
@@ -145,7 +146,7 @@ pub struct Monitor {
     /// mapped to their issue instant: the accuracy panel's ledger. A
     /// first guest touch resolves to a hit (and a timeliness sample); an
     /// eviction or region removal first resolves to a waste.
-    pub(in crate::monitor) prefetch_pending_touch: std::collections::BTreeMap<Vpn, SimInstant>,
+    pub(in crate::monitor) prefetch_pending_touch: FastMap<Vpn, SimInstant>,
     pub(in crate::monitor) tracer: Tracer,
     pub(in crate::monitor) clock: SimClock,
     pub(in crate::monitor) rng: SimRng,
@@ -186,7 +187,7 @@ impl Monitor {
             scan_buf: Vec::new(),
             prefetch_candidates: Vec::new(),
             stride,
-            prefetch_pending_touch: std::collections::BTreeMap::new(),
+            prefetch_pending_touch: FastMap::default(),
             tracer: Tracer::disabled(),
             clock,
             rng,

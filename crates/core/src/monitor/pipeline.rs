@@ -14,15 +14,17 @@
 //! nothing stale is ever left to pop.
 //!
 //! The engine, not the driver, owns event order: the paper's monitor
-//! (§V-B) handles a read's bottom half when the response lands, so
-//! [`Monitor::poll_ready`] — run on every guest access — retires every
-//! event whose instant has passed, demand completions included, in
-//! `(completes_at, seq)` order. A fault finished that way has already
-//! installed its page and woken its vCPU; its [`CompletedFault`] waits
-//! in a small FIFO until the driver asks for it.
-//! [`Monitor::complete_next`] hands those out first, in wake order, and
-//! only then waits: it retires events off the queue, in the same order
-//! through the same routine, until one of them finishes a fault.
+//! (§V-B) handles a read's bottom half when the response lands, on its
+//! own thread, so [`Monitor::poll_ready`] — run on every guest access —
+//! retires every event that has landed, demand completions included, in
+//! `(completes_at, seq)` order, on the response handler's own timeline
+//! (`InflightTable::handler`): the guest clock does not pay for it. A
+//! fault finished that way has already installed its page and woken its
+//! vCPU; its [`CompletedFault`] waits in a small FIFO until the driver
+//! asks for it. [`Monitor::complete_next`] hands those out first, in
+//! wake order, and only then waits — for the handler, then for events
+//! to retire off the queue, in the same order through the same routine,
+//! until one of them finishes a fault.
 //!
 //! Determinism: seq is submission order, so the schedule is a pure
 //! function of the seed — two runs with the same seed interleave
@@ -95,7 +97,8 @@ struct InflightFault {
     /// From when the operation is only waiting to be picked up: its
     /// completion instant, or the end of its own issue stage if the
     /// store answered before the monitor finished the work it overlaps
-    /// with the flight.
+    /// with the flight, or the admission of its latest coalesced waiter
+    /// (the handler cannot wake a fault it has not yet admitted).
     ripe_at: SimInstant,
     span: SpanId,
     stage: FaultStage,
@@ -135,6 +138,10 @@ pub(in crate::monitor) struct InflightTable {
     /// Faults already finished (page installed, vCPUs woken) that the
     /// driver has not collected yet, in wake order.
     unreported: VecDeque<CompletedFault>,
+    /// The response handler's timeline: where the CPU of the retires
+    /// [`Monitor::poll_ready`] ran has reached. A retire starts at
+    /// `handler.max(ripe)`; the guest clock does not pay for it.
+    handler: SimInstant,
 }
 
 impl InflightTable {
@@ -147,6 +154,7 @@ impl InflightTable {
             next_id: 0,
             waiter_pool: Vec::with_capacity(depth),
             unreported: VecDeque::with_capacity(depth),
+            handler: SimInstant::EPOCH,
         }
     }
 
@@ -339,6 +347,7 @@ impl Monitor {
         // a duplicate read.
         if let Some(op) = self.inflight.parked_fault_mut(vpn) {
             let id = op.id;
+            op.ripe_at = op.ripe_at.max(intake.t0);
             op.waiters.push(Waiter {
                 t0: intake.t0,
                 span: intake.span,
@@ -422,9 +431,11 @@ impl Monitor {
 
     /// The next finished fault, in wake order. One that already landed
     /// and was retired by [`Monitor::poll_ready`] is handed out without
-    /// touching the clock; otherwise this waits — events retire off the
-    /// queue, in order, until one of them finishes a fault. Returns
-    /// `None` when nothing is parked, unreported, or queued.
+    /// touching the clock; otherwise this waits — for the handler to be
+    /// done with what it already took on, then for events to retire off
+    /// the queue, in order, on the shared clock, until one of them
+    /// finishes a fault. Returns `None` when nothing is parked,
+    /// unreported, or queued.
     pub fn complete_next(
         &mut self,
         uffd: &mut Userfaultfd,
@@ -436,32 +447,44 @@ impl Monitor {
                 return Some(done);
             }
             let (_, op) = self.inflight.queue.pop_next()?;
+            self.clock.advance_to(self.inflight.handler);
             self.retire(uffd, pt, pm, op);
+            self.inflight.handler = self.clock.now();
         }
     }
 
-    /// Retires every event whose instant has passed, in `(time, seq)`
-    /// order: landed demand reads run their bottom half, install and
-    /// wake (the [`CompletedFault`] then waits for
+    /// Retires every event that has landed by the guest's `now`, in
+    /// `(time, seq)` order: landed demand reads run their bottom half,
+    /// install and wake (the [`CompletedFault`] then waits for
     /// [`Monitor::complete_next`]), landed speculative reads install or
-    /// are discarded, due reclaim activations run. Retiring an event
-    /// costs CPU, which can ripen the next one; the loop runs until the
-    /// head of the queue is in the future.
+    /// are discarded, due reclaim activations run.
     ///
-    /// This is the monitor's handler threads picking responses up as
-    /// they land (§V-B), independent of what the driver does next: no
-    /// blocked vCPU and no landed prefetch waits for a `complete_next`
-    /// call. Never waits: the clock only moves by the CPU the bottom
-    /// halves themselves cost.
+    /// This is the monitor's response handler picking responses up as
+    /// they land (§V-B), on its own thread: each retire runs on the
+    /// handler's timeline from `max(handler, ripe)`, so a vCPU's wake
+    /// does not wait for the driver and the guest clock does not pay for
+    /// the handler's CPU. Never waits and never moves the guest clock.
     pub fn poll_ready(
         &mut self,
         uffd: &mut Userfaultfd,
         pt: &mut PageTable,
         pm: &mut PhysicalMemory,
     ) {
-        while let Some((_, op)) = self.inflight.queue.pop_ready(self.clock.now()) {
-            self.retire(uffd, pt, pm, op);
+        let now = self.clock.now();
+        if self.inflight.queue.peek_time().is_none_or(|at| at > now) {
+            return;
         }
+        let clock = self.clock.clone();
+        let mut handler = self.inflight.handler;
+        while let Some((at, op)) = self.inflight.queue.pop_ready(now) {
+            let ripe = match &op {
+                Op::Fault(fault) => fault.ripe_at,
+                Op::Prefetch(_) | Op::Reclaim => at,
+            };
+            handler = handler.max(ripe);
+            clock.on_timeline(&mut handler, || self.retire(uffd, pt, pm, op));
+        }
+        self.inflight.handler = handler;
     }
 
     /// Runs one operation popped off the completion queue.

@@ -95,9 +95,10 @@ impl Monitor {
 
     /// Records how long an operation that was `ripe_at` some instant —
     /// its response landed and the monitor done with its issue stage —
-    /// sat before its bottom half started. One the monitor was waiting
-    /// for is picked up at that instant and records nothing: the
-    /// histogram counts late pickups only, so a blocking driver — whose
+    /// sat before its bottom half started: on the handler's timeline,
+    /// the time it queued behind retires the handler was still busy
+    /// with. One picked up as it ripened records nothing: the histogram
+    /// counts late pickups only, so a blocking driver — whose
     /// completions are never late — pays nothing for the instrument.
     pub(in crate::monitor) fn note_completion_lag(&self, lag: &Histogram, ripe_at: SimInstant) {
         let late_by = self.clock.now().saturating_since(ripe_at);

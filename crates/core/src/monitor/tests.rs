@@ -852,17 +852,179 @@ fn handle_fault_with_an_uncollected_completion_panics() {
 }
 
 #[test]
-fn completion_lag_counts_only_late_pickups() {
+fn completion_lag_counts_only_handler_queueing() {
     let mut r = spilled_rig(MonitorConfig::new(16).inflight(2), 8);
+    let lag = |r: &Rig| r.monitor.stats.demand_completion_lag.snapshot();
     // A fault the monitor waits for is picked up as it lands.
     fault(&mut r, 0, false);
-    assert_eq!(r.monitor.stats.demand_completion_lag.snapshot().count, 0);
-    // One that landed 60 µs before anyone looked is late by that much.
+    assert_eq!(lag(&r).count, 0);
+    // So is one that landed 60 µs before anyone looked: the handler was
+    // idle, so its bottom half ran at the landing, not at the poll.
     pipelined_fault(&mut r, 1, false);
     let landed = r.monitor.next_completion_at().unwrap();
     r.clock.advance_to(landed + SimDuration::from_micros(60));
     r.monitor.poll_ready(&mut r.uffd, &mut r.pt, &mut r.pm);
-    let lag = r.monitor.stats.demand_completion_lag.snapshot();
-    assert_eq!(lag.count, 1);
-    assert!((lag.max_us - 60.0).abs() < 1e-9, "{lag:?}");
+    assert_eq!(lag(&r).count, 0);
+    let done = r.monitor.complete_next(&mut r.uffd, &mut r.pt, &mut r.pm);
+    assert!(done.is_some_and(|d| d.wake_at < landed + SimDuration::from_micros(20)));
+    // Two reads landing a few µs apart: the second queues behind the
+    // first's retire, and only that wait is lag.
+    let [a, b] = [2, 3].map(|i| pipelined_fault(&mut r, i, false));
+    assert!(matches!(
+        (a, b),
+        (SubmitOutcome::Parked(_), SubmitOutcome::Parked(_))
+    ));
+    r.clock.advance(SimDuration::from_micros(100));
+    r.monitor.poll_ready(&mut r.uffd, &mut r.pt, &mut r.pm);
+    let done = r.monitor.drain_inflight(&mut r.uffd, &mut r.pt, &mut r.pm);
+    let queued = lag(&r);
+    assert_eq!(queued.count, 1, "{queued:?}");
+    assert!(queued.max_us > 0.0 && queued.max_us < 20.0, "{queued:?}");
+    assert!(done[1].wake_at > done[0].wake_at);
+}
+
+#[test]
+fn poll_ready_retires_a_landed_burst_on_the_handler_timeline() {
+    let mut r = spilled_rig(MonitorConfig::new(16).inflight(4), 8);
+    for i in 0..4 {
+        assert!(matches!(
+            pipelined_fault(&mut r, i, false),
+            SubmitOutcome::Parked(_)
+        ));
+    }
+    // Long after every read landed.
+    r.clock.advance(SimDuration::from_micros(100));
+    let now = r.clock.now();
+    r.monitor.poll_ready(&mut r.uffd, &mut r.pt, &mut r.pm);
+    assert_eq!(r.clock.now(), now, "the guest clock pays for no retire");
+    assert_eq!(r.monitor.unreported_completions(), 4);
+    assert!((0..4).all(|i| mapped(&r, i)));
+    let done = r.monitor.drain_inflight(&mut r.uffd, &mut r.pt, &mut r.pm);
+    assert_eq!(
+        r.clock.now(),
+        now,
+        "collecting finished faults waits for nothing"
+    );
+    assert!(done.windows(2).all(|w| w[0].wake_at <= w[1].wake_at));
+    // The burst ran back to back on the handler, well before the poll.
+    assert!(done
+        .iter()
+        .all(|d| d.submitted_at <= d.wake_at && d.wake_at < now));
+}
+
+/// One step of a pipelined driver: a guest access after some think
+/// time, or collecting the next finished fault.
+#[derive(Debug, Clone)]
+enum DriverOp {
+    Access {
+        page: u64,
+        write: bool,
+        think_us: u64,
+    },
+    Collect,
+}
+
+fn driver_ops(rng: &mut SimRng) -> Vec<DriverOp> {
+    let mut last = 0;
+    fluidmem_sim::prop::vec_of(rng, 50, 400, |r| {
+        if r.gen_index(6) == 0 {
+            return DriverOp::Collect;
+        }
+        // Often the page another vCPU just touched, so faults coalesce
+        // onto reads in flight (and land around their admissions);
+        // otherwise a short walk or a jump, so prefetches land and get
+        // adopted.
+        last = match r.gen_index(3) {
+            0 => last,
+            1 => (last + 1) % 48,
+            _ => r.gen_index(48),
+        };
+        DriverOp::Access {
+            page: last,
+            write: r.gen_bool(0.3),
+            think_us: r.gen_index(8),
+        }
+    })
+}
+
+/// Checks a finished fault's wake against its own submission and the
+/// admissions of the waiters that joined it.
+fn woke_after_admissions(
+    done: Option<CompletedFault>,
+    joined: &mut std::collections::BTreeMap<u64, Vec<SimInstant>>,
+) -> Result<(), String> {
+    let Some(done) = done else { return Ok(()) };
+    let waiters = joined.remove(&done.id).into_iter().flatten();
+    match waiters.chain([done.submitted_at]).max() {
+        Some(t) if t > done.wake_at => Err(format!("{done:?} woke before an admission at {t:?}")),
+        _ => Ok(()),
+    }
+}
+
+/// Replays `ops` on a pipelined monitor with speculative reads and
+/// background reclaim, checking every wake against the admissions it
+/// ends: a vCPU is never woken before its fault was submitted, nor a
+/// coalesced waiter before it joined.
+fn wakes_follow_admissions(ops: &[DriverOp]) -> Result<(), String> {
+    let config = MonitorConfig::new(24)
+        .inflight(4)
+        .prefetch(crate::PrefetchPolicy::Sequential { window: 2 })
+        .reclaim(crate::ReclaimConfig::kswapd());
+    let mut r = spilled_rig(config, 48);
+    let mut joined = std::collections::BTreeMap::new();
+    for op in ops {
+        match *op {
+            DriverOp::Collect => {
+                let done = r.monitor.complete_next(&mut r.uffd, &mut r.pt, &mut r.pm);
+                woke_after_admissions(done, &mut joined)?;
+            }
+            DriverOp::Access {
+                page,
+                write,
+                think_us,
+            } => {
+                r.clock.advance(SimDuration::from_micros(think_us));
+                r.monitor.poll_ready(&mut r.uffd, &mut r.pt, &mut r.pm);
+                while r.monitor.inflight_len() >= r.monitor.config().max_inflight {
+                    let done = r.monitor.complete_next(&mut r.uffd, &mut r.pt, &mut r.pm);
+                    woke_after_admissions(done, &mut joined)?;
+                }
+                if mapped(&r, page) {
+                    continue; // a hit never reaches the monitor
+                }
+                // The trap and its delivery to the monitor take time, so
+                // a read can land between the poll and the admission.
+                let addr = r.region.page(page);
+                let from_vm = r.monitor.config().from_vm;
+                r.uffd.raise_fault(addr, write, 9_000, from_vm).unwrap();
+                r.uffd.poll().unwrap();
+                let vpn = addr.vpn();
+                let admitted = r.clock.now();
+                match r
+                    .monitor
+                    .submit_fault(&mut r.uffd, &mut r.pt, &mut r.pm, vpn, write)
+                {
+                    SubmitOutcome::Coalesced(id) => joined.entry(id).or_default().push(admitted),
+                    SubmitOutcome::Completed(res) if res.wake_at < admitted => {
+                        return Err(format!("{vpn} resolved inline before its admission"));
+                    }
+                    SubmitOutcome::Parked(_) | SubmitOutcome::Completed(_) => {}
+                }
+            }
+        }
+    }
+    while let Some(done) = r.monitor.complete_next(&mut r.uffd, &mut r.pt, &mut r.pm) {
+        woke_after_admissions(Some(done), &mut joined)?;
+    }
+    Ok(())
+}
+
+#[test]
+fn pipelined_wakes_never_precede_their_admissions() {
+    fluidmem_sim::prop::forall_sequences(
+        "pipelined-wakes-follow-admissions",
+        8,
+        driver_ops,
+        wakes_follow_admissions,
+    );
 }

@@ -90,6 +90,10 @@ pub struct WriteList {
     ready: BinaryHeap<Reverse<(SimInstant, ExternalKey)>>,
     next_seq: u64,
     inflight: Vec<InflightBatch>,
+    /// Emptied batch buffers — retired in-flight batches and whatever
+    /// the flusher hands back — for the next flush to fill, so a
+    /// steady flush rate allocates nothing.
+    spare: Vec<Vec<(ExternalKey, PageContents)>>,
 }
 
 impl WriteList {
@@ -203,10 +207,10 @@ impl WriteList {
     /// are not ready yet. Returns an empty vector if nothing is
     /// flushable.
     pub fn take_batch(&mut self, max: usize, now: SimInstant) -> Vec<(ExternalKey, PageContents)> {
-        let mut batch = Vec::new();
         if self.oldest_pending().is_none_or(|at| at > now) {
-            return batch;
+            return Vec::new();
         }
+        let mut batch = self.spare_batch();
         for &(seq, key) in &self.order {
             if batch.len() >= max {
                 break;
@@ -235,9 +239,34 @@ impl WriteList {
         });
     }
 
+    /// An empty batch buffer, recycled when one is spare.
+    pub(crate) fn spare_batch(&mut self) -> Vec<(ExternalKey, PageContents)> {
+        self.spare.pop().unwrap_or_default()
+    }
+
+    /// Takes back a batch buffer the caller is done with (a flushed
+    /// batch the store handed back, a copy that was not needed) for a
+    /// later [`take_batch`](Self::take_batch) or
+    /// [`spare_batch`](Self::spare_batch).
+    pub(crate) fn recycle(&mut self, mut batch: Vec<(ExternalKey, PageContents)>) {
+        if batch.capacity() > 0 {
+            batch.clear();
+            self.spare.push(batch);
+        }
+    }
+
     /// Drops batches whose writes have completed.
     pub fn retire(&mut self, now: SimInstant) {
-        self.inflight.retain(|b| b.completes_at > now);
+        let spare = &mut self.spare;
+        self.inflight.retain_mut(|b| {
+            let live = b.completes_at > now;
+            if !live {
+                let mut pages = std::mem::take(&mut b.pages);
+                pages.clear();
+                spare.push(pages);
+            }
+            live
+        });
     }
 
     /// Whether a key is pending or in flight (its store copy is stale or
@@ -270,12 +299,13 @@ impl WriteList {
     /// again). A key the VM re-evicted with *newer* contents while the
     /// batch was forming or on the wire keeps its pending copy: the
     /// stale batch copy is dropped for that key instead of clobbering it.
-    pub fn requeue(&mut self, batch: Vec<(ExternalKey, PageContents)>, now: SimInstant) {
-        for (key, contents) in batch {
+    pub fn requeue(&mut self, mut batch: Vec<(ExternalKey, PageContents)>, now: SimInstant) {
+        for (key, contents) in batch.drain(..) {
             if !self.is_pending(key) {
                 self.push(key, contents, now);
             }
         }
+        self.recycle(batch);
     }
 }
 

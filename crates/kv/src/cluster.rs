@@ -714,7 +714,7 @@ impl ClusterStore {
                 return true;
             }
             for (_, p) in inner {
-                shadow.extend(p.keys.iter().map(|k| k.raw()));
+                shadow.extend(p.keys().map(|k| k.raw()));
             }
             false
         });
@@ -726,7 +726,7 @@ impl ClusterStore {
     fn unacknowledge(&mut self, gone: impl Fn(u64) -> bool) {
         for (_, inner) in &mut self.inflight_writes {
             for (_, p) in inner {
-                p.keys.retain(|k| !gone(k.raw()));
+                p.batch.retain(|&(k, _)| !gone(k.raw()));
             }
         }
     }
@@ -839,17 +839,16 @@ impl KeyValueStore for ClusterStore {
         &mut self,
         batch: Vec<(ExternalKey, PageContents)>,
     ) -> Result<PendingWrite, KvError> {
-        let keys: Vec<ExternalKey> = batch.iter().map(|&(k, _)| k).collect();
-        for &k in &keys {
+        for &(k, _) in &batch {
             self.note_write(k);
         }
         // Split by owning node, preserving batch order within each shard.
         let mut shards: Vec<(usize, Vec<(ExternalKey, PageContents)>)> = Vec::new();
-        for (k, v) in batch {
+        for &(k, ref v) in &batch {
             let idx = self.route(k)?;
             match shards.iter_mut().find(|(i, _)| *i == idx) {
-                Some((_, shard)) => shard.push((k, v)),
-                None => shards.push((idx, vec![(k, v)])),
+                Some((_, shard)) => shard.push((k, v.clone())),
+                None => shards.push((idx, vec![(k, v.clone())])),
             }
         }
         let now = self.clock.now();
@@ -858,7 +857,7 @@ impl KeyValueStore for ClusterStore {
         for (idx, shard) in shards {
             match self.nodes[idx].store.begin_multi_write(shard) {
                 Ok(p) => {
-                    self.nodes[idx].ops.puts.add(p.keys.len() as u64);
+                    self.nodes[idx].ops.puts.add(p.batch.len() as u64);
                     inner.push((idx, p));
                 }
                 Err(e) => {
@@ -878,18 +877,18 @@ impl KeyValueStore for ClusterStore {
             .map(|(_, p)| p.completes_at)
             .max()
             .unwrap_or(now);
-        if let Some(&first) = keys.first() {
+        if let Some(&(first, _)) = batch.first() {
             self.inflight_writes.push((first.raw(), inner));
         }
         Ok(PendingWrite {
-            keys,
+            batch,
             issued_at,
             completes_at,
         })
     }
 
     fn finish_write(&mut self, pending: PendingWrite) {
-        let Some(&first) = pending.keys.first() else {
+        let Some(first) = pending.keys().next() else {
             return;
         };
         let Some(pos) = self
@@ -901,9 +900,7 @@ impl KeyValueStore for ClusterStore {
         };
         let (_, inner) = self.inflight_writes.remove(pos);
         for (idx, p) in inner {
-            for &k in &p.keys {
-                self.shadow.insert(k.raw());
-            }
+            self.shadow.extend(p.keys().map(|k| k.raw()));
             self.nodes[idx].store.finish_write(p);
         }
     }

@@ -167,17 +167,15 @@ impl<E: StorageEngine> KeyValueStore for LeafStore<E> {
         let flight =
             self.transport
                 .sample_batch_flight(&mut self.rng, count, count * E::OBJECT_BYTES);
-        let mut keys = Vec::with_capacity(count);
-        for (key, value) in batch {
+        for (key, value) in &batch {
             // A batch refused half way keeps what already landed and
             // the top half it was charged.
-            self.engine.insert(key, value, &self.stats)?;
-            keys.push(key);
+            self.engine.insert(*key, value.clone(), &self.stats)?;
         }
         self.stats.batched_puts.add(count as u64);
         self.stats.multi_writes.inc();
         Ok(PendingWrite {
-            keys,
+            batch,
             issued_at,
             completes_at: self.clock.now() + flight,
         })

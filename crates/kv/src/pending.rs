@@ -60,18 +60,28 @@ impl PendingGet {
 }
 
 /// An in-flight asynchronous (multi-)write.
+///
+/// It carries the batch it was issued with (as it went on the wire), so
+/// a caller that flushes often can take the buffer back with
+/// [`into_batch`](PendingWrite::into_batch) instead of allocating a new
+/// one per flush.
 #[derive(Debug)]
 #[must_use = "an issued write must be finished with KeyValueStore::finish_write"]
 pub struct PendingWrite {
-    pub(crate) keys: Vec<ExternalKey>,
+    pub(crate) batch: Vec<(ExternalKey, PageContents)>,
     pub(crate) issued_at: SimInstant,
     pub(crate) completes_at: SimInstant,
 }
 
 impl PendingWrite {
-    /// The keys being written.
-    pub fn keys(&self) -> &[ExternalKey] {
-        &self.keys
+    /// The keys being written, in batch order.
+    pub fn keys(&self) -> impl Iterator<Item = ExternalKey> + '_ {
+        self.batch.iter().map(|&(key, _)| key)
+    }
+
+    /// The batch this write was issued with, for the caller to reuse.
+    pub fn into_batch(self) -> Vec<(ExternalKey, PageContents)> {
+        self.batch
     }
 
     /// When the batch was issued (the top half's start).

@@ -73,6 +73,21 @@ impl SimClock {
         }
     }
 
+    /// Runs `f` on another component's timeline. While `f` runs the
+    /// clock reads `*cursor`, so whatever `f` charges through any handle
+    /// lands there; the instant `f` ends at is stored back in `*cursor`,
+    /// and the clock returns to where it was. This is how a component
+    /// with its own thread of work (DRackSim's queue-and-time per
+    /// component) spends CPU without stalling everyone who shares the
+    /// clock.
+    pub fn on_timeline<R>(&self, cursor: &mut SimInstant, f: impl FnOnce() -> R) -> R {
+        let home = self.now_ns.swap(cursor.as_nanos(), Ordering::Relaxed);
+        let out = f();
+        *cursor = self.now();
+        self.now_ns.store(home, Ordering::Relaxed);
+        out
+    }
+
     /// Virtual time elapsed since `start`.
     #[inline]
     pub fn elapsed_since(&self, start: SimInstant) -> SimDuration {
@@ -130,6 +145,25 @@ mod tests {
         let start = c.now();
         c.advance(SimDuration::from_micros(7));
         assert_eq!(c.elapsed_since(start), SimDuration::from_micros(7));
+    }
+
+    #[test]
+    fn on_timeline_charges_the_cursor_and_restores_the_clock() {
+        let c = SimClock::new();
+        let view = c.clone();
+        c.advance(SimDuration::from_micros(10));
+        // A cursor behind the clock, then one ahead of it.
+        for start_us in [4, 25] {
+            let mut cursor = SimInstant::from_nanos(start_us * 1_000);
+            let seen = c.on_timeline(&mut cursor, || {
+                let at = view.now();
+                view.advance(SimDuration::from_micros(3));
+                at
+            });
+            assert_eq!(seen.as_nanos(), start_us * 1_000, "f runs at the cursor");
+            assert_eq!(cursor.as_nanos(), (start_us + 3) * 1_000);
+            assert_eq!(c.now().as_nanos(), 10_000, "the clock did not move");
+        }
     }
 
     #[test]

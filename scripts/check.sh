@@ -167,6 +167,32 @@ if [ -n "$wire_hits" ]; then
     exit 1
 fi
 
+echo "==> lint: one component runs on a timeline of its own via the clock"
+# SimClock::on_timeline moves every handle of the shared clock onto
+# another timeline while a closure runs. The monitor's response handler
+# (crates/core/src/monitor/pipeline.rs) is the one component that works
+# that way (DESIGN.md §12); a second caller is a second private timeline
+# the guest clock never accounts for. The sim crate's own tests may call
+# it. Comments and the definition itself are exempt.
+swap_hits=""
+for f in $(grep -rl 'on_timeline' crates src tests examples --include='*.rs'); do
+    case "$f" in
+        crates/core/src/monitor/pipeline.rs) continue ;;
+        crates/sim/src/*) in_sim=1 ;;
+        *) in_sim=0 ;;
+    esac
+    swap_hits="$swap_hits$(awk -v f="$f" -v in_sim="$in_sim" '
+        in_sim && /^#\[cfg\(test\)\]/ { exit }
+        /^[[:space:]]*\/\// || /pub fn on_timeline/ { next }
+        /on_timeline/ { print f ":" FNR ": " $0 }
+    ' "$f")"
+done
+if [ -n "$swap_hits" ]; then
+    echo "SimClock::on_timeline called outside the monitor's response handler:" >&2
+    echo "$swap_hits" >&2
+    exit 1
+fi
+
 echo "==> lint: instruments are declared, not hand-registered"
 # A layer states its counters, gauges and histograms once, in a
 # fluidmem_telemetry::instrument_set! list; the snapshot struct, the

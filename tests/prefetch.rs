@@ -71,7 +71,9 @@ fn run_pipelined(seed: u64, policy: PrefetchPolicy, depth: usize) -> RunFingerpr
         if let PipelineSubmit::Pending(_) =
             vm.submit_access(9_000 + i as u64, region.page(page), write)
         {
-            if vm.inflight_len() >= depth {
+            // One call may hand out a fault that already finished and
+            // free no slot: keep collecting until one is free.
+            while vm.inflight_len() >= depth {
                 vm.complete_next_access();
             }
         }
