@@ -20,13 +20,13 @@ use crate::monitor::{CompletedFault, Monitor, SubmitOutcome};
 /// The outcome of [`FluidMemMemory::submit_access`].
 #[derive(Debug, Clone, Copy)]
 pub enum PipelineSubmit {
-    /// The access resolved inline — a mapped-page hit, a CoW break, or a
-    /// fault the monitor completed without parking (first touch,
-    /// write-list steal, compressed-tier hit, synchronous read). The
-    /// report is final and already counted.
+    /// The access never reached the monitor — a mapped-page hit or a
+    /// kernel-side CoW break. The report is final and already counted.
     Ready(AccessReport),
-    /// The access parked (or coalesced) in the monitor's in-flight
-    /// table; [`FluidMemMemory::complete_next_access`] finishes it.
+    /// The access faulted: the fault parked (or coalesced) in the
+    /// monitor's in-flight table, or its vCPU's handler thread already
+    /// resolved it locally. Either way the vCPU is blocked until
+    /// [`FluidMemMemory::complete_next_access`] reports the wake.
     Pending(SubmitOutcome),
 }
 
@@ -266,11 +266,14 @@ impl FluidMemMemory {
     /// speculative ones alike — are finished first, in landing order
     /// (see [`Monitor::poll_ready`]), so a page whose read already
     /// arrived is mapped by the time the access looks. Hits and CoW
-    /// breaks resolve inline, as do faults the monitor completes without
-    /// parking (first touch, write-list steal, compressed-tier hit); a
-    /// fault that must wait on the store parks in the in-flight table —
-    /// the vCPU stays blocked in the (simulated) userfaultfd until its
-    /// read lands, and [`FluidMemMemory::complete_next_access`] reports
+    /// breaks resolve inline. A fault runs on the monitor's handler
+    /// thread for the vCPU `vcpu_pid` names, from the later of the
+    /// guest's `now` and where that thread has reached: one it resolves
+    /// locally (first touch, write-list steal, compressed-tier hit)
+    /// finishes there without moving the guest clock, and one that must
+    /// wait on the store parks in the in-flight table until its read
+    /// lands. Either way the vCPU stays blocked in the (simulated)
+    /// userfaultfd, and [`FluidMemMemory::complete_next_access`] reports
     /// the wake.
     ///
     /// The caller is responsible for keeping the submission depth within
@@ -278,7 +281,7 @@ impl FluidMemMemory {
     /// [`FluidMemMemory::inflight_len`] is the depth in use.
     pub fn submit_access(&mut self, vcpu_pid: u64, addr: VirtAddr, write: bool) -> PipelineSubmit {
         self.poll_ready_completions();
-        let submit = self.touch(vcpu_pid, addr, write);
+        let submit = self.touch(vcpu_pid, addr, write, true);
         if let PipelineSubmit::Ready(report) = &submit {
             self.counters.record(report.outcome);
         }
@@ -287,15 +290,24 @@ impl FluidMemMemory {
 
     /// The access itself. A mapped page is a hit (or a kernel-side CoW
     /// break); an unmapped one faults to the monitor, which either
-    /// resolves it before returning or parks it.
-    fn touch(&mut self, pid: u64, addr: VirtAddr, write: bool) -> PipelineSubmit {
+    /// resolves it before returning or parks it. With `on_vcpu_thread`
+    /// the fault runs on the faulting vCPU's handler thread (see
+    /// [`Monitor::submit_on_vcpu_thread`]); without, on the guest clock.
+    fn touch(
+        &mut self,
+        pid: u64,
+        addr: VirtAddr,
+        write: bool,
+        on_vcpu_thread: bool,
+    ) -> PipelineSubmit {
         let vpn = addr.vpn();
         if let Some(entry) = self.pt.get_mut(vpn) {
             if write && entry.flags.contains(PteFlags::ZERO_PAGE) {
                 // Kernel-side copy-on-write break (footnote 1 of the
                 // paper): a regular minor fault, invisible to the
                 // monitor.
-                return PipelineSubmit::Ready(self.break_cow(vpn));
+                let (uffd, pt, pm) = (&mut self.uffd, &mut self.pt, &mut self.pm);
+                return PipelineSubmit::Ready(break_cow(&self.clock, uffd, pt, pm, vpn));
             }
             entry.flags.insert(PteFlags::REFERENCED);
             if write {
@@ -312,47 +324,43 @@ impl FluidMemMemory {
         }
 
         let t0 = self.clock.now();
-        self.uffd
-            .raise_fault(addr, write, pid, self.monitor.config().from_vm)
-            .unwrap_or_else(|e| panic!("access to unregistered address {addr}: {e}"));
-        let _event = self.uffd.poll().expect("fault was queued");
-        match self
-            .monitor
-            .submit_fault(&mut self.uffd, &mut self.pt, &mut self.pm, vpn, write)
-        {
-            SubmitOutcome::Completed(res) => {
-                let mut report = AccessReport {
-                    outcome: res.resolution.outcome(),
-                    latency: res.wake_at - t0,
-                };
+        let (clock, uffd, pt, pm) = (&self.clock, &mut self.uffd, &mut self.pt, &mut self.pm);
+        let mut fault = |monitor: &mut Monitor| {
+            uffd.raise_fault(addr, write, pid, monitor.config().from_vm)
+                .unwrap_or_else(|e| panic!("access to unregistered address {addr}: {e}"));
+            let _event = uffd.poll().expect("fault was queued");
+            match monitor.submit_fault(uffd, pt, pm, vpn, write) {
                 // A *write* that was resolved with the zero page
                 // immediately breaks CoW when the guest retries the
-                // instruction.
-                if write && self.pt.has_flags(vpn, PteFlags::ZERO_PAGE) {
-                    report.latency += self.break_cow(vpn).latency;
+                // instruction; the vCPU runs on once that is done.
+                SubmitOutcome::Completed(mut res)
+                    if write && pt.has_flags(vpn, PteFlags::ZERO_PAGE) =>
+                {
+                    res.wake_at += break_cow(clock, uffd, pt, pm, vpn).latency;
+                    SubmitOutcome::Completed(res)
                 }
-                PipelineSubmit::Ready(report)
+                outcome => outcome,
             }
-            parked => PipelineSubmit::Pending(parked),
-        }
-    }
-
-    fn break_cow(&mut self, vpn: Vpn) -> AccessReport {
-        let t0 = self.clock.now();
-        self.uffd
-            .break_cow(&mut self.pt, &mut self.pm, vpn)
-            .expect("zero-page mapping breaks cleanly");
-        AccessReport {
-            outcome: AccessOutcome::MinorFault,
-            latency: self.clock.now() - t0,
+        };
+        let outcome = if on_vcpu_thread {
+            self.monitor.submit_on_vcpu_thread(pid, vpn, fault)
+        } else {
+            fault(&mut self.monitor)
+        };
+        match outcome {
+            SubmitOutcome::Completed(res) => PipelineSubmit::Ready(AccessReport {
+                outcome: res.resolution.outcome(),
+                latency: res.wake_at - t0,
+            }),
+            waiting => PipelineSubmit::Pending(waiting),
         }
     }
 
     /// The next finished access, in wake order: one the monitor already
-    /// finished when its read landed, or else the earliest one still in
-    /// flight, waited for. Records one access outcome per fault sharing
-    /// the operation (the submitter plus any coalesced waiters). Returns
-    /// `None` when nothing is in flight or waiting to be collected.
+    /// finished, or else the earliest one still in flight, waited for.
+    /// Records one access outcome per fault sharing the operation (the
+    /// submitter plus any coalesced waiters). Returns `None` when
+    /// nothing is in flight or waiting to be collected.
     pub fn complete_next_access(&mut self) -> Option<CompletedFault> {
         let done = self
             .monitor
@@ -376,10 +384,28 @@ impl FluidMemMemory {
     /// [`Monitor::poll_ready`]). Every access does this on entry, so a
     /// driver only needs it to let the monitor catch up at an instant
     /// when no vCPU touches memory. Never waits and never moves the
-    /// clock: the bottom halves run on the monitor's handler timeline.
+    /// clock: the bottom halves run on the monitor's own threads.
     pub fn poll_ready_completions(&mut self) {
         self.monitor
             .poll_ready(&mut self.uffd, &mut self.pt, &mut self.pm);
+    }
+}
+
+/// The kernel's copy-on-write break of a zero-page mapping: a minor
+/// fault the monitor never sees.
+fn break_cow(
+    clock: &SimClock,
+    uffd: &mut Userfaultfd,
+    pt: &mut PageTable,
+    pm: &mut PhysicalMemory,
+    vpn: Vpn,
+) -> AccessReport {
+    let t0 = clock.now();
+    uffd.break_cow(pt, pm, vpn)
+        .expect("zero-page mapping breaks cleanly");
+    AccessReport {
+        outcome: AccessOutcome::MinorFault,
+        latency: clock.now() - t0,
     }
 }
 
@@ -406,7 +432,7 @@ impl MemoryBackend for FluidMemMemory {
         self.monitor.assert_no_fault_outstanding("blocking access");
         self.poll_ready_completions();
         let t0 = self.clock.now();
-        let report = match self.touch(self.pid, addr, write) {
+        let report = match self.touch(self.pid, addr, write, false) {
             PipelineSubmit::Ready(report) => report,
             PipelineSubmit::Pending(_) => {
                 let done = self

@@ -7,10 +7,13 @@
 //! [`EventQueue`](fluidmem_sim::EventQueue) until the flight lands.
 //! Landed flights retire in event order — bottom half, placement, wake
 //! and post-wake work — at the next monitor entry
-//! ([`Monitor::poll_ready`], which every guest access runs), on the
-//! response handler's own timeline rather than the guest clock, and
+//! ([`Monitor::poll_ready`], which every guest access runs), and
 //! [`Monitor::complete_next`] reports the finished faults in wake order,
-//! waiting for the earliest flight only when none has landed.
+//! waiting for the earliest flight only when none has landed. Driven
+//! through [`Monitor::submit_on_vcpu_thread`], each faulting vCPU has a
+//! handler thread with a timeline of its own, and the response handler
+//! has another: only store admissions and the driver's waits move the
+//! guest clock.
 //! [`Monitor::handle_fault`] is submit and complete back to back, and
 //! [`MonitorConfig::max_inflight`] only bounds how many faults may be
 //! parked at once — it never selects a different path.

@@ -13,18 +13,24 @@
 //! fault, or one whose region is removed — is cancelled by its token, so
 //! nothing stale is ever left to pop.
 //!
-//! The engine, not the driver, owns event order: the paper's monitor
-//! (§V-B) handles a read's bottom half when the response lands, on its
-//! own thread, so [`Monitor::poll_ready`] — run on every guest access —
-//! retires every event that has landed, demand completions included, in
-//! `(completes_at, seq)` order, on the response handler's own timeline
-//! (`InflightTable::handler`): the guest clock does not pay for it. A
-//! fault finished that way has already installed its page and woken its
-//! vCPU; its [`CompletedFault`] waits in a small FIFO until the driver
-//! asks for it. [`Monitor::complete_next`] hands those out first, in
-//! wake order, and only then waits — for the handler, then for events
-//! to retire off the queue, in the same order through the same routine,
-//! until one of them finishes a fault.
+//! The engine, not the driver, owns event order and whose time each
+//! piece of work runs on (DRackSim's queue-and-time per component). The
+//! paper's monitor gives each faulting vCPU a handler thread and picks a
+//! response up when it lands (§V-B), while the vCPUs keep running. So
+//! every vCPU that faults gets a handler thread of its own — a cursor
+//! keyed by the pid its uffd events carry
+//! ([`Monitor::submit_on_vcpu_thread`]) — and the response handler,
+//! which sends speculative reads out and lands them, keeps another
+//! (`InflightTable::handler`). A fault resolved on its thread there and
+//! then costs the guest clock nothing and is reported like a finished
+//! read. [`Monitor::poll_ready`] — run on every guest access — retires
+//! every event that has landed, in `(completes_at, seq)` order, each on
+//! its owner's timeline: a demand bottom half on its vCPU's thread,
+//! everything else on the response handler. A finished fault has
+//! already installed its page and woken its vCPU; its [`CompletedFault`]
+//! waits, in wake order, until the driver asks for it.
+//! [`Monitor::complete_next`] hands out the earliest wake unless a queued
+//! event lands first; otherwise it retires that event and looks again.
 //!
 //! Determinism: seq is submission order, so the schedule is a pure
 //! function of the seed — two runs with the same seed interleave
@@ -93,6 +99,9 @@ struct InflightFault {
     id: u64,
     vpn: Vpn,
     write: bool,
+    /// The monitor's intake, where the fault's latency histogram starts.
+    admitted_at: SimInstant,
+    /// See [`CompletedFault::submitted_at`].
     submitted_at: SimInstant,
     /// From when the operation is only waiting to be picked up: its
     /// completion instant, or the end of its own issue stage if the
@@ -100,6 +109,9 @@ struct InflightFault {
     /// with the flight, or the admission of its latest coalesced waiter
     /// (the handler cannot wake a fault it has not yet admitted).
     ripe_at: SimInstant,
+    /// The handler thread of the vCPU that raised the fault, which runs
+    /// its bottom half; `None` for a fault submitted without one.
+    owner: Option<usize>,
     span: SpanId,
     stage: FaultStage,
     waiters: Vec<Waiter>,
@@ -112,6 +124,34 @@ enum Op {
     Fault(InflightFault),
     Prefetch(PrefetchFlight),
     Reclaim,
+}
+
+impl Op {
+    /// The timeline that retires the operation, and the instant its
+    /// retire may start: a parked fault runs on its vCPU's handler
+    /// thread once ripe, everything else on the response handler once
+    /// landed.
+    fn retired_on(&self, at: SimInstant) -> (Timeline, SimInstant) {
+        match self {
+            Op::Fault(fault) => (
+                fault.owner.map_or(Timeline::Handler, Timeline::Vcpu),
+                fault.ripe_at,
+            ),
+            Op::Prefetch(_) | Op::Reclaim => (Timeline::Handler, at),
+        }
+    }
+}
+
+/// Whose CPU a piece of monitor work runs on.
+#[derive(Clone, Copy)]
+enum Timeline {
+    /// The response handler: speculative reads sent out and landed,
+    /// reclaim activations, and the bottom halves of faults no vCPU
+    /// thread owns.
+    Handler,
+    /// The handler thread of the vCPU at this index of
+    /// `InflightTable::vcpus`.
+    Vcpu(usize),
 }
 
 /// Where the queue holds the one operation in flight for a page.
@@ -136,12 +176,15 @@ pub(in crate::monitor) struct InflightTable {
     next_id: u64,
     waiter_pool: Vec<Vec<Waiter>>,
     /// Faults already finished (page installed, vCPUs woken) that the
-    /// driver has not collected yet, in wake order.
-    unreported: VecDeque<CompletedFault>,
-    /// The response handler's timeline: where the CPU of the retires
-    /// [`Monitor::poll_ready`] ran has reached. A retire starts at
-    /// `handler.max(ripe)`; the guest clock does not pay for it.
+    /// driver has not collected yet, sorted by wake instant.
+    finished: VecDeque<CompletedFault>,
+    /// The response handler's timeline: where its CPU has reached. Its
+    /// work starts at `handler.max(ripe)`; the guest clock does not pay
+    /// for it.
     handler: SimInstant,
+    /// One handler thread per faulting vCPU, in first-fault order: the
+    /// pid its uffd events carry and where the thread's CPU has reached.
+    vcpus: Vec<(u64, SimInstant)>,
 }
 
 impl InflightTable {
@@ -153,9 +196,43 @@ impl InflightTable {
             parked: Vec::with_capacity(depth),
             next_id: 0,
             waiter_pool: Vec::with_capacity(depth),
-            unreported: VecDeque::with_capacity(depth),
+            finished: VecDeque::with_capacity(depth),
             handler: SimInstant::EPOCH,
+            vcpus: Vec::new(),
         }
+    }
+
+    fn take_id(&mut self) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        id
+    }
+
+    /// The handler thread of the vCPU with `pid`, started at its first
+    /// fault.
+    fn vcpu(&mut self, pid: u64) -> usize {
+        match self.vcpus.iter().position(|&(p, _)| p == pid) {
+            Some(i) => i,
+            None => {
+                self.vcpus.push((pid, SimInstant::EPOCH));
+                self.vcpus.len() - 1
+            }
+        }
+    }
+
+    /// Where `timeline`'s CPU has reached.
+    fn cursor(&mut self, timeline: Timeline) -> &mut SimInstant {
+        match timeline {
+            Timeline::Handler => &mut self.handler,
+            Timeline::Vcpu(i) => &mut self.vcpus[i].1,
+        }
+    }
+
+    /// Files a finished fault for the driver, behind every wake at or
+    /// before its own.
+    fn report(&mut self, done: CompletedFault) {
+        let at = self.finished.partition_point(|d| d.wake_at <= done.wake_at);
+        self.finished.insert(at, done);
     }
 
     /// Live (parked) operations: faults whose vCPU is still blocked.
@@ -176,6 +253,12 @@ impl InflightTable {
         self.queue.slab_slots()
     }
 
+    /// Where each vCPU's handler thread has reached, in first-fault order.
+    #[cfg(test)]
+    pub(in crate::monitor) fn vcpu_cursors(&self) -> Vec<SimInstant> {
+        self.vcpus.iter().map(|&(_, at)| at).collect()
+    }
+
     /// Puts `op`, the one operation in flight for `vpn`, on the queue.
     fn enqueue(&mut self, at: SimInstant, vpn: Vpn, op: Op) {
         let demand = matches!(op, Op::Fault(_));
@@ -193,15 +276,16 @@ impl InflightTable {
         stage: FaultStage,
         now: SimInstant,
     ) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
+        let id = self.take_id();
         let completes_at = stage.completes_at();
         let op = InflightFault {
             id,
             vpn,
             write,
+            admitted_at: intake.t0,
             submitted_at: intake.t0,
             ripe_at: completes_at.max(now),
+            owner: None,
             span: intake.span,
             stage,
             waiters: self.waiter_pool.pop().unwrap_or_default(),
@@ -221,7 +305,7 @@ impl InflightTable {
     /// first).
     pub(in crate::monitor) fn park_prefetch(&mut self, flight: PrefetchFlight) {
         // Speculative reads draw from the same id sequence as faults.
-        self.next_id += 1;
+        self.take_id();
         let at = flight.pending.completes_at();
         self.enqueue(at, flight.vpn, Op::Prefetch(flight));
     }
@@ -288,9 +372,9 @@ pub enum SubmitOutcome {
     /// compressed-tier hit, synchronous read) without parking; the guest
     /// is already woken.
     Completed(FaultResolution),
-    /// The fault parked in the in-flight table with this operation id;
-    /// it finishes when its wait is over and a later
-    /// [`Monitor::complete_next`] reports it.
+    /// The fault parked in the in-flight table with this operation id —
+    /// or, submitted on its vCPU's handler thread, already finished
+    /// there — and a later [`Monitor::complete_next`] reports it.
     Parked(u64),
     /// The fault attached as a waiter to the already-in-flight operation
     /// with this id (same page, fetch still pending).
@@ -306,7 +390,9 @@ pub struct CompletedFault {
     pub vpn: Vpn,
     /// How the fault was resolved.
     pub resolution: Resolution,
-    /// When the fault was submitted.
+    /// When the fault trapped: the guest's instant at the access for a
+    /// fault submitted on its vCPU's handler thread, the monitor's
+    /// intake otherwise.
     pub submitted_at: SimInstant,
     /// When the guest vCPU was woken.
     pub wake_at: SimInstant,
@@ -366,8 +452,10 @@ impl Monitor {
         }
         self.trace(|| format!("pagetracker: {vpn} seen before -> read path"));
         // A refault, and not a coalesced one (those returned above):
-        // measure it against the shadow table exactly once.
+        // measure it against the shadow table exactly once, and read
+        // ahead of it.
         self.note_refault(vpn);
+        self.issue_prefetch_window(uffd, pt, vpn);
         let key = self.key(vpn);
         // Either the page's contents are at hand (the fault resolves
         // before this call returns) or the fault must wait on the store.
@@ -409,12 +497,98 @@ impl Monitor {
             }
         };
         let wake_at = self.stage_place_and_wake(uffd, pt, pm, vpn, write, contents);
-        self.stage_post_wake(uffd, pt, pm, vpn);
+        self.stage_post_wake(uffd, pt, pm);
         self.finalize_fault(intake.span, intake.t0, resolution, wake_at);
         SubmitOutcome::Completed(FaultResolution {
             resolution,
             wake_at,
         })
+    }
+
+    /// Submits one fault on the handler thread of the vCPU with `pid`.
+    /// `fault` is the whole fault from the trap on: it raises and
+    /// delivers the uffd event and calls [`Monitor::submit_fault`] for
+    /// `vpn`. It runs on that vCPU's thread from the later of where the
+    /// thread has reached and the guest's `now`, the trap instant.
+    ///
+    /// A fault the monitor resolves there and then (first touch,
+    /// write-list steal, compressed-tier hit) costs the guest clock
+    /// nothing: it is reported like a finished read, as
+    /// [`SubmitOutcome::Parked`] with its [`CompletedFault`] waiting for
+    /// [`Monitor::complete_next`]. A fault that must wait on the store
+    /// keeps its admission on the guest clock, which catches up to the
+    /// end of its issue stage, and its bottom half runs on this thread
+    /// once the wait is over.
+    pub(crate) fn submit_on_vcpu_thread(
+        &mut self,
+        pid: u64,
+        vpn: Vpn,
+        fault: impl FnOnce(&mut Monitor) -> SubmitOutcome,
+    ) -> SubmitOutcome {
+        let trap_at = self.clock.now();
+        let vcpu = self.inflight.vcpu(pid);
+        let thread = Timeline::Vcpu(vcpu);
+        match self.run_on(thread, trap_at, fault) {
+            SubmitOutcome::Completed(res) => {
+                let id = self.inflight.take_id();
+                self.inflight.report(CompletedFault {
+                    id,
+                    vpn,
+                    resolution: res.resolution,
+                    submitted_at: trap_at,
+                    wake_at: res.wake_at,
+                    waiters: 0,
+                });
+                SubmitOutcome::Parked(id)
+            }
+            waiting => {
+                if let SubmitOutcome::Parked(_) = waiting {
+                    let op = self.inflight.parked_fault_mut(vpn);
+                    let op = op.expect("the fault just parked");
+                    op.owner = Some(vcpu);
+                    op.submitted_at = trap_at;
+                }
+                let admitted = *self.inflight.cursor(thread);
+                self.clock.advance_to(admitted);
+                waiting
+            }
+        }
+    }
+
+    /// Runs `work` on `timeline` from the later of where that timeline
+    /// has reached and `from`: while it runs every handle of the clock
+    /// reads the timeline's instant, and the timeline keeps where the
+    /// work ended. The guest clock does not move.
+    fn run_on<R>(
+        &mut self,
+        timeline: Timeline,
+        from: SimInstant,
+        work: impl FnOnce(&mut Monitor) -> R,
+    ) -> R {
+        let mut cursor = (*self.inflight.cursor(timeline)).max(from);
+        let clock = self.clock.clone();
+        let out = clock.on_timeline(&mut cursor, || work(self));
+        *self.inflight.cursor(timeline) = cursor;
+        out
+    }
+
+    /// Sends the prefetch window for a refault of `vpn` out as the fault
+    /// is admitted, on the response handler's timeline: neither the
+    /// guest nor the fault's own handler thread waits for the
+    /// speculative reads' top halves, and they leave as early as the
+    /// fault that predicts them.
+    fn issue_prefetch_window(&mut self, uffd: &Userfaultfd, pt: &PageTable, vpn: Vpn) {
+        // A pooled buffer: the window is chosen on every refault.
+        let mut window = std::mem::take(&mut self.prefetch_candidates);
+        debug_assert!(window.is_empty());
+        self.prefetch_candidates_for(uffd, pt, vpn, &mut window);
+        if !window.is_empty() {
+            let admitted = self.clock.now();
+            self.run_on(Timeline::Handler, admitted, |m| {
+                m.issue_speculative_reads(&mut window);
+            });
+        }
+        self.prefetch_candidates = window;
     }
 
     /// Parks a fault at the end of its issue stage.
@@ -429,13 +603,17 @@ impl Monitor {
         SubmitOutcome::Parked(self.inflight.park(vpn, write, intake, stage, now))
     }
 
-    /// The next finished fault, in wake order. One that already landed
-    /// and was retired by [`Monitor::poll_ready`] is handed out without
-    /// touching the clock; otherwise this waits — for the handler to be
-    /// done with what it already took on, then for events to retire off
-    /// the queue, in order, on the shared clock, until one of them
-    /// finishes a fault. Returns `None` when nothing is parked,
-    /// unreported, or queued.
+    /// The next finished fault, in wake order: the earliest wake already
+    /// finished, unless an event still queued lands before it. Then that
+    /// event is retired first and the choice is made again. A demand
+    /// fault retires on its vCPU's handler thread and the guest clock
+    /// waits for the end of that retire, post-wake work included; a
+    /// speculative read lands on the response handler and the guest
+    /// clock does not move; a reclaim activation waits for the response
+    /// handler and runs on the guest clock; and a fault no vCPU thread
+    /// owns (a blocking driver's) retires on the guest clock straight
+    /// away. Returns `None` when nothing is parked, unreported, or
+    /// queued.
     pub fn complete_next(
         &mut self,
         uffd: &mut Userfaultfd,
@@ -443,13 +621,27 @@ impl Monitor {
         pm: &mut PhysicalMemory,
     ) -> Option<CompletedFault> {
         loop {
-            if let Some(done) = self.inflight.unreported.pop_front() {
-                return Some(done);
+            let next = self.inflight.queue.peek_time();
+            let earliest = self.inflight.finished.front().map(|done| done.wake_at);
+            if earliest.is_some_and(|wake| next.is_none_or(|at| wake <= at)) {
+                return self.inflight.finished.pop_front();
             }
-            let (_, op) = self.inflight.queue.pop_next()?;
-            self.clock.advance_to(self.inflight.handler);
-            self.retire(uffd, pt, pm, op);
-            self.inflight.handler = self.clock.now();
+            let (at, op) = self.inflight.queue.pop_next()?;
+            match &op {
+                Op::Reclaim => {
+                    self.clock.advance_to(self.inflight.handler);
+                    self.retire(uffd, pt, pm, op);
+                    self.inflight.handler = self.clock.now();
+                }
+                Op::Fault(fault) if fault.owner.is_none() => self.retire(uffd, pt, pm, op),
+                Op::Fault(_) => {
+                    let end = self.retire_in_turn(uffd, pt, pm, at, op);
+                    self.clock.advance_to(end);
+                }
+                Op::Prefetch(_) => {
+                    self.retire_in_turn(uffd, pt, pm, at, op);
+                }
+            }
         }
     }
 
@@ -459,11 +651,13 @@ impl Monitor {
     /// [`Monitor::complete_next`]), landed speculative reads install or
     /// are discarded, due reclaim activations run.
     ///
-    /// This is the monitor's response handler picking responses up as
-    /// they land (§V-B), on its own thread: each retire runs on the
-    /// handler's timeline from `max(handler, ripe)`, so a vCPU's wake
-    /// does not wait for the driver and the guest clock does not pay for
-    /// the handler's CPU. Never waits and never moves the guest clock.
+    /// This is the monitor picking responses up as they land (§V-B),
+    /// each on its owner's thread: a demand bottom half on its vCPU's
+    /// handler thread, the rest on the response handler, each from the
+    /// later of where that thread has reached and the event's ripe
+    /// instant. So a vCPU's wake does not wait for the driver, and the
+    /// guest clock pays for none of it. Never waits and never moves the
+    /// guest clock.
     pub fn poll_ready(
         &mut self,
         uffd: &mut Userfaultfd,
@@ -471,20 +665,24 @@ impl Monitor {
         pm: &mut PhysicalMemory,
     ) {
         let now = self.clock.now();
-        if self.inflight.queue.peek_time().is_none_or(|at| at > now) {
-            return;
-        }
-        let clock = self.clock.clone();
-        let mut handler = self.inflight.handler;
         while let Some((at, op)) = self.inflight.queue.pop_ready(now) {
-            let ripe = match &op {
-                Op::Fault(fault) => fault.ripe_at,
-                Op::Prefetch(_) | Op::Reclaim => at,
-            };
-            handler = handler.max(ripe);
-            clock.on_timeline(&mut handler, || self.retire(uffd, pt, pm, op));
+            self.retire_in_turn(uffd, pt, pm, at, op);
         }
-        self.inflight.handler = handler;
+    }
+
+    /// Retires an operation popped at `at` on the timeline that owns it
+    /// (see [`Op::retired_on`]) and returns where that timeline ended.
+    fn retire_in_turn(
+        &mut self,
+        uffd: &mut Userfaultfd,
+        pt: &mut PageTable,
+        pm: &mut PhysicalMemory,
+        at: SimInstant,
+        op: Op,
+    ) -> SimInstant {
+        let (timeline, from) = op.retired_on(at);
+        self.run_on(timeline, from, |m| m.retire(uffd, pt, pm, op));
+        *self.inflight.cursor(timeline)
     }
 
     /// Runs one operation popped off the completion queue.
@@ -504,7 +702,7 @@ impl Monitor {
             Op::Fault(op) => {
                 self.inflight.unpark(op.vpn);
                 let done = self.finish(uffd, pt, pm, op);
-                self.inflight.unreported.push_back(done);
+                self.inflight.report(done);
             }
         }
     }
@@ -523,11 +721,13 @@ impl Monitor {
             id,
             vpn,
             write,
+            admitted_at,
             submitted_at,
             ripe_at,
             span,
             stage,
             waiters,
+            ..
         } = op;
 
         self.note_completion_lag(&self.stats.demand_completion_lag, ripe_at);
@@ -549,9 +749,9 @@ impl Monitor {
         for _ in &waiters {
             uffd.wake_page(vpn);
         }
-        self.stage_post_wake(uffd, pt, pm, vpn);
+        self.stage_post_wake(uffd, pt, pm);
 
-        self.finalize_fault(span, submitted_at, resolution, wake_at);
+        self.finalize_fault(span, admitted_at, resolution, wake_at);
         for w in &waiters {
             self.finalize_fault(w.span, w.t0, resolution, wake_at);
         }
@@ -594,7 +794,7 @@ impl Monitor {
     /// [`CompletedFault`] the driver has not collected with
     /// [`Monitor::complete_next`] yet.
     pub fn unreported_completions(&self) -> usize {
-        self.inflight.unreported.len()
+        self.inflight.finished.len()
     }
 
     /// Panics unless no fault is parked and none is finished but
@@ -607,7 +807,7 @@ impl Monitor {
             "{caller} with demand faults parked; complete them first"
         );
         assert_eq!(
-            self.inflight.unreported.len(),
+            self.inflight.finished.len(),
             0,
             "{caller} with completions unreported; collect them first"
         );

@@ -306,13 +306,12 @@ impl Monitor {
     }
 
     /// Post-wake work on the read path: honor the capacity budget, then
-    /// prefetch and flush.
+    /// flush. (The fault's prefetch window went out at its admission.)
     pub(in crate::monitor) fn stage_post_wake(
         &mut self,
         uffd: &mut Userfaultfd,
         pt: &mut PageTable,
         pm: &mut PhysicalMemory,
-        vpn: Vpn,
     ) {
         // Adaptive working-set sizing (off in the default passive mode):
         // any shrink it sets up is carried out by the eviction below.
@@ -322,25 +321,17 @@ impl Monitor {
         // with no later fault guaranteed to correct it. A no-op whenever
         // the buffer is within capacity.
         self.evict_to_capacity(uffd, pt, pm);
-        // Post-wake proactive work: prefetch successors of the faulting
-        // page (overlapping asynchronous reads), then flush.
-        self.maybe_prefetch(uffd, pt, vpn);
         self.maybe_flush();
     }
 
-    /// Proactive prefetch after a refault wake: issues reads for the
-    /// pages the guest is predicted to touch next. Each read parks as a
-    /// real in-flight operation on the completion queue: it installs
-    /// when it lands (see [`Monitor::complete_prefetch`]) without waking
-    /// anyone, and a demand fault arriving mid-flight adopts it instead
-    /// of re-issuing the read.
-    fn maybe_prefetch(&mut self, uffd: &Userfaultfd, pt: &PageTable, vpn: Vpn) {
-        // The candidate list is a pooled buffer: prefetch runs after
-        // every remote fault, and per-call Vec churn at 256 VMs adds up.
-        let mut candidates = std::mem::take(&mut self.prefetch_candidates);
-        debug_assert!(candidates.is_empty());
-        self.prefetch_candidates_for(uffd, pt, vpn, &mut candidates);
-        for candidate in candidates.drain(..) {
+    /// Sends out a speculative read for every page of `window`, draining
+    /// it. Each read parks as a real in-flight operation on the
+    /// completion queue: it installs when it lands (see
+    /// [`Monitor::complete_prefetch`]) without waking anyone, and a
+    /// demand fault arriving mid-flight adopts it instead of re-issuing
+    /// the read.
+    pub(in crate::monitor) fn issue_speculative_reads(&mut self, window: &mut Vec<Vpn>) {
+        for candidate in window.drain(..) {
             let key = self.key(candidate);
             self.stats.prefetch_issued.inc();
             let pending = self.issue_read(key);
@@ -350,7 +341,6 @@ impl Monitor {
                 pending,
             });
         }
-        self.prefetch_candidates = candidates;
     }
 
     /// Fills `out` with the pages worth fetching ahead of a fault on
@@ -362,7 +352,7 @@ impl Monitor {
     /// gated by the working-set estimator: a thrash-flagged VM (working
     /// set over capacity) or one whose free headroom is below the depth
     /// gets no speculation.
-    fn prefetch_candidates_for(
+    pub(in crate::monitor) fn prefetch_candidates_for(
         &mut self,
         uffd: &Userfaultfd,
         pt: &PageTable,

@@ -310,10 +310,11 @@ fn sequential_prefetch_pulls_successors() {
     // Grow the buffer so there is headroom: prefetch is capped at current
     // headroom (issuing into a full buffer would just churn the LRU).
     monitor.resize(&mut uffd, &mut pt, &mut pm, 32);
-    // Refault page 0: pages 1..=4 are read ahead; the flights land
-    // while the guest computes and the monitor's poll installs them.
+    // Refault page 0: pages 1..=4 are read ahead as it is admitted; the
+    // flights land while its own read flies or while the guest computes,
+    // and the monitor installs them.
     monitor.handle_fault(&mut uffd, &mut pt, &mut pm, region.page(0).vpn(), false);
-    assert_eq!(monitor.inflight_prefetch_len(), 4);
+    assert_eq!(monitor.stats().prefetch_issued, 4);
     clock.advance(SimDuration::from_micros(100));
     monitor.poll_ready(&mut uffd, &mut pt, &mut pm);
     assert!(
@@ -715,44 +716,44 @@ fn poll_retires_landed_demand_and_speculative_reads_in_event_order() {
         .inflight(4)
         .prefetch(crate::PrefetchPolicy::Sequential { window: 2 });
     let mut r = spilled_rig(config, 48);
-    let poll = |r: &mut Rig| r.monitor.poll_ready(&mut r.uffd, &mut r.pt, &mut r.pm);
-
-    // A speculative read ahead of a demand completion: the refault of
-    // page 0 reads 1 and 2 ahead, then page 20 faults and parks behind
-    // them on the queue.
-    fault(&mut r, 0, false);
-    assert_eq!(r.monitor.inflight_prefetch_len(), 2);
-    let SubmitOutcome::Parked(late) = pipelined_fault(&mut r, 20, false) else {
-        panic!("page 20 should park on its store read");
+    let parked = |outcome| match outcome {
+        SubmitOutcome::Parked(id) => id,
+        other => panic!("expected a parked read, got {other:?}"),
     };
-    r.clock.advance(SimDuration::from_micros(100));
-    poll(&mut r);
-    assert!(mapped(&r, 1) && mapped(&r, 2), "landed prefetches install");
-    assert!(mapped(&r, 20), "the landed demand read installs too");
-    assert_eq!(r.monitor.inflight_len(), 0, "its vCPU is no longer blocked");
-    let done = r
-        .monitor
-        .complete_next(&mut r.uffd, &mut r.pt, &mut r.pm)
-        .expect("the finished fault is waiting to be collected");
-    assert_eq!(done.id, late);
 
-    // A demand completion ahead of speculative reads: page 40's finish
-    // issues reads of 41 and 42 that land after page 30's demand read.
-    // Nothing queues behind the parked fault at the head.
-    r.monitor.drain_inflight(&mut r.uffd, &mut r.pt, &mut r.pm);
-    let a = pipelined_fault(&mut r, 40, false);
-    let b = pipelined_fault(&mut r, 30, false);
-    assert!(matches!(a, SubmitOutcome::Parked(_)) && matches!(b, SubmitOutcome::Parked(_)));
-    r.monitor.complete_next(&mut r.uffd, &mut r.pt, &mut r.pm);
-    assert!(mapped(&r, 40) && !mapped(&r, 30));
-    assert_eq!(r.monitor.inflight_prefetch_len(), 2);
+    // Each refault sends its window out as it is admitted, ahead of its
+    // own read: page 0's reads of 1 and 2 and page 20's of 21 and 22
+    // interleave with the two demand reads on the queue.
+    let ids = [0, 20].map(|i| parked(pipelined_fault(&mut r, i, false)));
+    assert_eq!(r.monitor.inflight_prefetch_len(), 4);
+    assert_eq!(r.monitor.inflight_len(), 2);
     r.clock.advance(SimDuration::from_micros(100));
-    poll(&mut r);
-    assert!(mapped(&r, 30), "the demand read at the head retires");
+    let now = r.clock.now();
+    r.monitor.poll_ready(&mut r.uffd, &mut r.pt, &mut r.pm);
+    assert_eq!(r.clock.now(), now, "the guest clock pays for no retire");
+    // Neither kind holds the other back: every landed event retired.
     assert!(
-        mapped(&r, 41) && mapped(&r, 42),
-        "and so do the speculative reads behind it"
+        [1, 2, 21, 22].iter().all(|&i| mapped(&r, i)),
+        "landed prefetches install"
     );
+    assert!(
+        mapped(&r, 0) && mapped(&r, 20),
+        "landed demand reads install"
+    );
+    assert_eq!(r.monitor.inflight_prefetch_len(), 0);
+    assert_eq!(
+        r.monitor.inflight_len(),
+        0,
+        "their vCPUs are no longer blocked"
+    );
+    let done = r.monitor.drain_inflight(&mut r.uffd, &mut r.pt, &mut r.pm);
+    let mut reported: Vec<u64> = done.iter().map(|d| d.id).collect();
+    reported.sort_unstable();
+    assert_eq!(
+        reported, ids,
+        "each finished fault is waiting to be collected"
+    );
+    assert!(done.windows(2).all(|w| w[0].wake_at <= w[1].wake_at));
 }
 
 #[test]
@@ -761,28 +762,31 @@ fn an_adopted_speculative_read_leaves_nothing_on_the_queue() {
         .inflight(4)
         .prefetch(crate::PrefetchPolicy::Sequential { window: 1 });
     let mut r = spilled_rig(config, 2);
-    // The refault of page 0 reads page 1 ahead; page 1 then faults with
-    // that read still in flight and adopts it.
-    fault(&mut r, 0, false);
+    // The refault of page 0 reads page 1 ahead as it is admitted; page 1
+    // then faults with that read still in flight and adopts it.
+    let SubmitOutcome::Parked(first) = pipelined_fault(&mut r, 0, false) else {
+        panic!("page 0 should park on its store read");
+    };
     assert_eq!(r.monitor.inflight_prefetch_len(), 1);
     let landing = r.monitor.next_completion_at();
     let SubmitOutcome::Parked(id) = pipelined_fault(&mut r, 1, false) else {
         panic!("page 1 should park on the adopted read");
     };
     assert_eq!(r.monitor.inflight_prefetch_len(), 0);
-    assert_eq!(r.monitor.inflight_len(), 1);
+    assert_eq!(r.monitor.inflight_len(), 2);
     assert_eq!(r.monitor.next_completion_at(), landing);
     assert_eq!(
         r.monitor.inflight.pool_slots(),
-        1,
+        2,
         "the read's event was cancelled, not left dead beside the fault's"
     );
 
-    let done = r
-        .monitor
-        .complete_next(&mut r.uffd, &mut r.pt, &mut r.pm)
+    let done = r.monitor.drain_inflight(&mut r.uffd, &mut r.pt, &mut r.pm);
+    let adopter = (done.iter())
+        .find(|d| d.id == id)
         .expect("the adopting fault finishes");
-    assert_eq!((done.id, done.resolution), (id, Resolution::RemoteRead));
+    assert_eq!(adopter.resolution, Resolution::RemoteRead);
+    assert!(done.iter().any(|d| d.id == first));
     assert_eq!(r.monitor.stats().prefetch_hits, 1);
     assert_eq!(r.monitor.store().stats().gets, 2, "no duplicate read");
     assert_eq!(r.monitor.inflight_len(), 0);
@@ -1026,5 +1030,132 @@ fn pipelined_wakes_never_precede_their_admissions() {
         8,
         driver_ops,
         wakes_follow_admissions,
+    );
+}
+
+/// One access of a closed-loop vCPU stream: after `think_us` of compute
+/// the vCPU that is ready first touches `page`.
+#[derive(Debug, Clone)]
+struct StreamOp {
+    page: u64,
+    write: bool,
+    think_us: u64,
+}
+
+fn stream_ops(rng: &mut SimRng) -> Vec<StreamOp> {
+    fluidmem_sim::prop::vec_of(rng, 50, 300, |r| StreamOp {
+        // 48 spilled pages refault (steals, tier hits, store reads,
+        // in-flight waits, coalescing); the 16 above them are first
+        // touches.
+        page: r.gen_index(64),
+        write: r.gen_bool(0.3),
+        think_us: r.gen_index(4),
+    })
+}
+
+/// Replays `ops` as three closed-loop vCPU streams, each fault submitted
+/// on its vCPU's handler thread, collecting only when no vCPU is ready.
+/// Finished faults must come out in wake order, each woken at or after
+/// its trap, and no thread's cursor may ever move back.
+fn vcpu_threads_keep_time(ops: &[StreamOp]) -> Result<(), String> {
+    const VCPUS: usize = 3;
+    // A small pool and two-page flushes: evictions demote through the
+    // write list and flush after wakes, so a vCPU's thread is sometimes
+    // still busy when that vCPU traps again.
+    let config = MonitorConfig::new(24)
+        .inflight(VCPUS)
+        .write_batch(2)
+        .tier(crate::TierConfig::pool(4 * fluidmem_mem::PAGE_SIZE))
+        .prefetch(crate::PrefetchPolicy::Sequential { window: 2 })
+        .reclaim(crate::ReclaimConfig::kswapd());
+    let mut r = spilled_rig(config, 48);
+    let mut ready = vec![Some(r.clock.now()); VCPUS];
+    let mut blocked: Vec<(u64, usize)> = Vec::new();
+    let mut last_wake = SimInstant::EPOCH;
+    let mut cursors: Vec<SimInstant> = Vec::new();
+    let mut collect =
+        |r: &mut Rig, ready: &mut Vec<Option<SimInstant>>, blocked: &mut Vec<(u64, usize)>| {
+            let done = r
+                .monitor
+                .complete_next(&mut r.uffd, &mut r.pt, &mut r.pm)
+                .ok_or("blocked vCPUs but nothing to collect")?;
+            if done.wake_at < last_wake {
+                return Err(format!(
+                    "{done:?} woke before {last_wake:?}, handed out earlier"
+                ));
+            }
+            if done.wake_at < done.submitted_at {
+                return Err(format!("{done:?} woke before its trap"));
+            }
+            last_wake = done.wake_at;
+            blocked.retain(|&(id, vcpu)| {
+                if id == done.id {
+                    ready[vcpu] = Some(done.wake_at);
+                }
+                id != done.id
+            });
+            Ok::<_, String>(())
+        };
+    let mut check_cursors = |r: &Rig| {
+        let now = r.monitor.inflight.vcpu_cursors();
+        if now.iter().zip(&cursors).any(|(now, before)| now < before) {
+            return Err(format!("a vCPU thread went back: {cursors:?} -> {now:?}"));
+        }
+        cursors = now;
+        Ok(())
+    };
+    for op in ops {
+        let (at, vcpu) = loop {
+            let next = (ready.iter().enumerate())
+                .filter_map(|(vcpu, at)| at.map(|at| (at, vcpu)))
+                .min();
+            match next {
+                Some(next) => break next,
+                None => collect(&mut r, &mut ready, &mut blocked)?,
+            }
+        };
+        r.clock
+            .advance_to(at + SimDuration::from_micros(op.think_us));
+        r.monitor.poll_ready(&mut r.uffd, &mut r.pt, &mut r.pm);
+        if mapped(&r, op.page) {
+            ready[vcpu] = Some(r.clock.now()); // a hit never reaches the monitor
+            continue;
+        }
+        let addr = r.region.page(op.page);
+        let pid = 9_000 + vcpu as u64;
+        let Rig {
+            uffd,
+            pt,
+            pm,
+            monitor,
+            ..
+        } = &mut r;
+        let outcome = monitor.submit_on_vcpu_thread(pid, addr.vpn(), |m| {
+            uffd.raise_fault(addr, op.write, pid, m.config().from_vm)
+                .unwrap();
+            uffd.poll().unwrap();
+            m.submit_fault(uffd, pt, pm, addr.vpn(), op.write)
+        });
+        match outcome {
+            SubmitOutcome::Parked(id) | SubmitOutcome::Coalesced(id) => blocked.push((id, vcpu)),
+            SubmitOutcome::Completed(_) => return Err("a threaded fault completed inline".into()),
+        }
+        ready[vcpu] = None;
+        check_cursors(&r)?;
+    }
+    while !blocked.is_empty() {
+        collect(&mut r, &mut ready, &mut blocked)?;
+        check_cursors(&r)?;
+    }
+    Ok(())
+}
+
+#[test]
+fn vcpu_thread_streams_report_wakes_in_order_after_their_traps() {
+    fluidmem_sim::prop::forall_sequences(
+        "vcpu-threads-keep-time",
+        8,
+        stream_ops,
+        vcpu_threads_keep_time,
     );
 }

@@ -5,14 +5,16 @@
 //! the kernel while a handler thread resolves its page, so several
 //! store round trips are in flight at once. [`VcpuSet`] reproduces that
 //! shape deterministically: each vCPU issues accesses from its own
-//! workload stream; a vCPU whose access faults to the store parks until
-//! the monitor completes its operation, and the set keeps submitting
-//! from other ready vCPUs up to the monitor's
+//! workload stream, and every access that faults blocks its vCPU until
+//! the set collects the finished fault. A fault the monitor resolves
+//! locally runs on the vCPU's own handler thread without stopping the
+//! others; one that waits on the store parks, and the set keeps
+//! submitting from other ready vCPUs up to the monitor's
 //! [`max_inflight`](fluidmem_core::MonitorConfig::max_inflight) depth.
 //! The monitor finishes each read when it lands — every submitted
 //! access lets it catch up first — so a fault's latency does not depend
 //! on when the set gets round to collecting it, and a finished fault
-//! frees its depth slot at once. Everything runs on the shared virtual
+//! frees its depth slot at once. Everything is a function of the virtual
 //! clock — two runs with the same seeds are bit-identical.
 
 use std::collections::BTreeMap;
@@ -29,13 +31,15 @@ pub struct PipelineRunStats {
     pub ops: u64,
     /// Accesses that faulted to the monitor.
     pub faults: u64,
-    /// Faults that parked on a store operation (overlappable work).
+    /// Faults that parked on a store operation (overlappable work):
+    /// the major faults. Faults the monitor resolved on the vCPU's
+    /// handler thread block the vCPU too, but are not counted here.
     pub parked: u64,
     /// Faults that coalesced onto an in-flight operation.
     pub coalesced: u64,
     /// Virtual time the window took.
     pub elapsed: SimDuration,
-    /// Guest-observed fault latencies, in µs.
+    /// Guest-observed fault latencies, from the trap to the wake, in µs.
     pub fault_latency: Sample,
 }
 
@@ -103,10 +107,10 @@ impl VcpuSet {
     }
 
     /// Drives `ops` accesses across the vCPUs: ready vCPUs issue in
-    /// ready-time order; faults that park on the store block their vCPU
-    /// until the set collects the completion (it re-enters the ready
-    /// list at its wake instant, however late it is collected). The
-    /// pipeline depth is whatever the monitor's config allows.
+    /// ready-time order; a fault blocks its vCPU until the set collects
+    /// the completion (it re-enters the ready list at its wake instant,
+    /// however late it is collected). The pipeline depth is whatever
+    /// the monitor's config allows.
     pub fn run(&mut self, ops: u64) -> PipelineRunStats {
         // Only ever compared as `inflight_len() >= depth`: a bound on parked
         // faults, not a mode switch.
@@ -155,7 +159,6 @@ impl VcpuSet {
             }
             PipelineSubmit::Pending(SubmitOutcome::Parked(id)) => {
                 stats.faults += 1;
-                stats.parked += 1;
                 self.blocked.entry(id).or_default().push(vcpu);
             }
             PipelineSubmit::Pending(SubmitOutcome::Coalesced(id)) => {
@@ -178,6 +181,9 @@ impl VcpuSet {
             .blocked
             .remove(&done.id)
             .expect("completed operation had submitters");
+        if done.resolution.outcome() == AccessOutcome::MajorFault {
+            stats.parked += 1;
+        }
         stats
             .fault_latency
             .record_duration(done.wake_at - done.submitted_at);

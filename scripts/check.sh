@@ -167,13 +167,15 @@ if [ -n "$wire_hits" ]; then
     exit 1
 fi
 
-echo "==> lint: one component runs on a timeline of its own via the clock"
+echo "==> lint: the monitor's threads are the one user of the clock's timelines"
 # SimClock::on_timeline moves every handle of the shared clock onto
-# another timeline while a closure runs. The monitor's response handler
-# (crates/core/src/monitor/pipeline.rs) is the one component that works
-# that way (DESIGN.md §12); a second caller is a second private timeline
-# the guest clock never accounts for. The sim crate's own tests may call
-# it. Comments and the definition itself are exempt.
+# another timeline while a closure runs. The monitor's threads — its
+# response handler and one handler thread per faulting vCPU — are the
+# one component that works that way, through one wrapper in
+# crates/core/src/monitor/pipeline.rs (DESIGN.md §12); a caller anywhere
+# else is a private timeline the guest clock never accounts for. The sim
+# crate's own tests may call it. Comments and the definition itself are
+# exempt.
 swap_hits=""
 for f in $(grep -rl 'on_timeline' crates src tests examples --include='*.rs'); do
     case "$f" in
@@ -188,7 +190,7 @@ for f in $(grep -rl 'on_timeline' crates src tests examples --include='*.rs'); d
     ' "$f")"
 done
 if [ -n "$swap_hits" ]; then
-    echo "SimClock::on_timeline called outside the monitor's response handler:" >&2
+    echo "SimClock::on_timeline called outside the monitor's thread wrapper:" >&2
     echo "$swap_hits" >&2
     exit 1
 fi

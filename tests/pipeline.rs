@@ -192,6 +192,56 @@ fn a_landed_read_wakes_its_vcpu_while_other_vcpus_keep_running() {
     assert_eq!(lag.count, 0, "{lag:?}");
 }
 
+/// Each faulting vCPU has a handler thread of its own. A fault the
+/// monitor resolves locally — here a compressed-tier hit — runs on the
+/// faulting vCPU's thread and leaves the guest clock where it was, so a
+/// second vCPU faulting at the same instant is served from that instant
+/// too, not after the first fault's service.
+#[test]
+fn a_tier_hit_on_one_vcpu_does_not_delay_another_vcpus_fault() {
+    let config = MonitorConfig::new(16)
+        .inflight(4)
+        .tier(TierConfig::pool(64 * PAGE_SIZE));
+    let (_telemetry, mut vm) = traced_vm(9, config);
+    // Pages 0..16 are evicted into the pool as 16..32 arrive.
+    let region = vm.map_region(32, PageClass::Anonymous);
+    for p in 0..32 {
+        vm.write_page(region.page(p), PageContents::from_byte_fill(p as u8 + 1));
+    }
+    let t = vm.clock().now();
+    let tier_hits = vm.monitor().stats().tier_hits;
+    let mut ids = Vec::new();
+    for (vcpu, page) in [(9_000, 0), (9_001, 1)] {
+        match vm.submit_access(vcpu, region.page(page), false) {
+            PipelineSubmit::Pending(SubmitOutcome::Parked(id)) => ids.push(id),
+            other => panic!("page {page}: a local fault is reported as finished: {other:?}"),
+        }
+        assert_eq!(
+            vm.clock().now(),
+            t,
+            "a tier hit does not move the guest clock"
+        );
+        assert_eq!(vm.inflight_len(), 0, "nothing parked on the store");
+    }
+    let [a, b] = [(); 2].map(|_| vm.complete_next_access().expect("both finished"));
+    assert_eq!(vm.clock().now(), t, "collecting them waits for nothing");
+    let mut reported = vec![a.id, b.id];
+    reported.sort_unstable();
+    assert_eq!(reported, ids);
+    assert_eq!(vm.monitor().stats().tier_hits, tier_hits + 2);
+    for done in [a, b] {
+        assert_eq!(done.resolution.outcome(), AccessOutcome::MinorFault);
+        assert_eq!(done.submitted_at, t, "both trapped at the same instant");
+    }
+    // Queued behind the first fault's service, the second would wake a
+    // whole fault after it.
+    let (first, second) = (a.wake_at - t, b.wake_at - t);
+    assert!(
+        second < first + first / 2,
+        "the second wake came {second:?} after the trap, the first {first:?}"
+    );
+}
+
 /// Four vCPU streams over a chaotic store with reads, speculative reads
 /// and reclaim activations all riding the completion queue. Whatever the
 /// interleaving, the driver hears of every fault exactly once and in

@@ -219,18 +219,19 @@ fn chaotic_store_with_pipelined_prefetch_loses_nothing() {
 
 /// A *non-retryable* store error on a speculative read must be dropped
 /// and counted, never panicked on — the page is exactly where it was,
-/// and the demand path still serves it (bugfix: `maybe_prefetch` used
+/// and the demand path still serves it (bugfix: the prefetch path used
 /// to unwrap the store result like the demand path does).
 #[test]
 fn fatal_store_error_on_a_prefetch_read_degrades_instead_of_panicking() {
     let clock = SimClock::new();
     let inner = RamCloudStore::new(1 << 26, clock.clone(), SimRng::seed_from_u64(7));
     // Op 0 is the drain's single multi-write (the long flush interval
-    // and huge batch keep the flusher quiet before it), op 1 the demand
-    // read of page 0; the first speculative read is op 2 — poison
+    // and huge batch keep the flusher quiet before it). The refault of
+    // page 0 sends its window out as it is admitted, before its own
+    // read, so the first speculative read — of page 1 — is op 1: poison
     // exactly that one.
     let plan = FaultPlan::new(SimRng::seed_from_u64(0)).script(FaultEvent {
-        at_op: 2,
+        at_op: 1,
         kind: FaultKind::Fatal,
     });
     let store = FaultInjectingStore::new(Box::new(inner), plan, clock.clone());
@@ -373,21 +374,32 @@ fn headroom_gate_suppresses_until_capacity_grows() {
 fn unregistering_a_region_cancels_its_speculative_reads() {
     let clock = SimClock::new();
     let store = RamCloudStore::new(1 << 26, clock.clone(), SimRng::seed_from_u64(21));
+    let mut config = MonitorConfig::new(16)
+        .write_batch(1000)
+        .prefetch(PrefetchPolicy::Sequential { window: 4 });
+    config.flush_interval = SimDuration::from_secs(1);
     let mut vm = FluidMemMemory::new(
-        MonitorConfig::new(16).prefetch(PrefetchPolicy::Sequential { window: 4 }),
+        config,
         Box::new(store),
         PartitionId::new(0),
         clock,
         SimRng::seed_from_u64(22),
     );
+    // Pages 1..=63 go out to the store; page 0, touched last, waits on
+    // the (unflushed) write list, so its refault is a steal that
+    // resolves before any read it sends ahead can land.
     let region = vm.map_region(64, PageClass::Anonymous);
-    for p in 0..64 {
+    for p in 1..64 {
         vm.write_page(region.page(p), PageContents::Token(p));
     }
     vm.drain_writes();
+    vm.write_page(region.page(0), PageContents::Token(0));
+    vm.set_local_capacity(0).unwrap();
     vm.set_local_capacity(32).unwrap();
 
-    let _ = vm.read_page(region.page(0));
+    let (contents, _) = vm.read_page(region.page(0));
+    assert_eq!(contents, PageContents::Token(0));
+    assert_eq!(vm.monitor().stats().write_list_steals, 1);
     let flights = vm.monitor().inflight_prefetch_len() as u64;
     assert_eq!(flights, 4, "pages 1..=4 are being read ahead");
     let before = vm.monitor().stats();
