@@ -604,6 +604,37 @@ mod tests {
         }
     }
 
+    /// A pool quota smaller than one compressed page (the host hands a
+    /// small VM such a sub-page share) turns a compressible page away as
+    /// oversize, not as incompressible.
+    #[test]
+    fn page_over_the_tier_budget_bypasses_as_oversize() {
+        let clock = SimClock::new();
+        let store = DramStore::new(1 << 24, clock.clone(), SimRng::seed_from_u64(1));
+        let tier = crate::TierConfig {
+            thrash_gate: false,
+            ..crate::TierConfig::pool(16)
+        };
+        let mut vm = FluidMemMemory::new(
+            MonitorConfig::new(1).tier(tier),
+            Box::new(store),
+            PartitionId::new(0),
+            clock,
+            SimRng::seed_from_u64(2),
+        );
+        let r = vm.map_region(2, PageClass::Anonymous);
+        // The uniform page compresses to 35 bytes; writing the second
+        // page evicts it.
+        vm.write_page(r.page(0), PageContents::from_byte_fill(7));
+        vm.write_page(r.page(1), PageContents::from_byte_fill(8));
+        let stats = vm.monitor().stats();
+        assert_eq!(stats.tier_bypass_oversize, 1);
+        assert_eq!(stats.tier_bypass_incompressible, 0);
+        assert_eq!(stats.tier_admits, 0);
+        assert_eq!(vm.monitor().tier_bytes(), 0);
+        assert_eq!(vm.read_page(r.page(0)).0, PageContents::from_byte_fill(7));
+    }
+
     #[test]
     fn resize_to_near_zero_and_back() {
         let mut vm = backend(4096);

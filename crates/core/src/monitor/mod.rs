@@ -438,9 +438,9 @@ impl Monitor {
     /// Returns `None` if the tier absorbed it (the caller is done — no
     /// write-list push) or `Some(contents)` if the page must take the
     /// ordinary writeback path: tier inactive, the thrash gate tripped,
-    /// or the page is incompressible (the zswap
-    /// `reject_compress_poor` bypass — a full page of pool for zero win
-    /// is worse than going remote).
+    /// the page is incompressible (the zswap `reject_compress_poor`
+    /// bypass — a full page of pool for zero win is worse than going
+    /// remote), or its compressed size exceeds the whole pool budget.
     ///
     /// `background` carries the background evictor's private timeline
     /// when admission happens off the fault path; CPU costs (the
@@ -473,13 +473,16 @@ impl Monitor {
         // admits (zram's reject path, satellite fix #2).
         let cost = self.config.tier.compress.sample(&mut self.rng);
         self.charge_to(background.as_deref_mut(), cost);
-        let compressed = fluidmem_kv::stored_page_size(&contents)
-            .filter(|&bytes| bytes <= self.config.tier.max_bytes);
-        let Some(bytes) = compressed else {
+        let Some(bytes) = fluidmem_kv::stored_page_size(&contents) else {
             self.stats.tier_bypass_incompressible.inc();
             self.trace(|| format!("tier: {key} bypassed (incompressible)"));
             return Some(contents);
         };
+        if bytes > self.config.tier.max_bytes {
+            self.stats.tier_bypass_oversize.inc();
+            self.trace(|| format!("tier: {key} bypassed ({bytes} compressed bytes over budget)"));
+            return Some(contents);
+        }
         self.tier.admit(key, contents, bytes);
         self.stats.tier_admits.inc();
         self.trace(|| format!("tier: {key} admitted ({bytes} compressed bytes)"));

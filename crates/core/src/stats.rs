@@ -103,6 +103,9 @@ instrument_set! {
             tier_bypass_incompressible: MONITOR_EVENTS[LABEL_EVENT = "tier_bypass_incompressible"],
                 "Evicted pages that bypassed the compressed tier because they would not \
                  compress (RLE yields no win).";
+            tier_bypass_oversize: MONITOR_EVENTS[LABEL_EVENT = "tier_bypass_oversize"],
+                "Evicted pages that compress but bypassed the compressed tier because their \
+                 compressed size exceeds the VM's whole pool budget (a sub-page host quota).";
             tier_bypass_thrash: MONITOR_EVENTS[LABEL_EVENT = "tier_bypass_thrash"],
                 "Evicted pages that bypassed the compressed tier because the refault-distance \
                  thrash gate tripped (working set exceeds DRAM plus the pool).";

@@ -279,6 +279,21 @@ if grep '"bench":"tiering"' "$smoke_json" | grep -qv '"duplicated_pages":0'; the
 fi
 rm -f "$smoke_json"
 
+echo "==> ablations --scale 64 (twice, byte-identical, compressed framing round-trips)"
+# The one harness that drives CompressedStore's frames and ZramDevice end
+# to end (ablations 6 and 8). Ablation 6 reads every adversarial page
+# back and counts the pages that did not round-trip.
+abl_a="$(mktemp)"
+abl_b="$(mktemp)"
+cargo run -q --release -p fluidmem-bench --bin ablations -- --scale 64 > "$abl_a"
+cargo run -q --release -p fluidmem-bench --bin ablations -- --scale 64 > "$abl_b"
+cmp "$abl_a" "$abl_b" || { echo "ablations: stdout not deterministic" >&2; exit 1; }
+grep -q '^adversarial framing check: .*(0 mismatches)$' "$abl_a" || {
+    echo "ablations: ablation 6 framing check missing or not at 0 mismatches" >&2
+    exit 1
+}
+rm -f "$abl_a" "$abl_b"
+
 echo "==> prefetch smoke: phase sweep (twice, byte-identical, strided hit rate, zero fatal errors)"
 run_twice_cmp "prefetch smoke" prefetch prefetch_gate
 # Speculation must never panic the monitor on a store error.

@@ -31,6 +31,7 @@ fn default_config_moves_no_tier_counter() {
         assert_eq!(stats.tier_misses, 0, "seed {seed}");
         assert_eq!(stats.tier_demotions, 0, "seed {seed}");
         assert_eq!(stats.tier_bypass_incompressible, 0, "seed {seed}");
+        assert_eq!(stats.tier_bypass_oversize, 0, "seed {seed}");
         assert_eq!(stats.tier_bypass_thrash, 0, "seed {seed}");
     }
 }
