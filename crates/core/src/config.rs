@@ -108,8 +108,9 @@ pub enum PrefetchPolicy {
 /// watermark and evicts in batches — on its own virtual timeline, off
 /// the fault critical path — until headroom reaches the high watermark,
 /// mirroring `fluidmem-swap`'s `kswapd()`. An arriving fault only falls
-/// back to inline "direct reclaim" (`evict_while_full`, the analogue of
-/// `SwapBackend::ensure_frames`) when the evictor has fallen behind.
+/// back to inline "direct reclaim" (the monitor's one eviction loop,
+/// `make_room`, the analogue of `SwapBackend::ensure_frames`) when the
+/// evictor has fallen behind.
 ///
 /// Off by default, and a no-op without
 /// [`Optimizations::async_write`] (background batches stage onto the
@@ -164,12 +165,15 @@ impl ReclaimConfig {
         ((capacity as f64 * self.watermark_high).ceil() as u64).max(self.low_pages(capacity) + 1)
     }
 
-    /// Checks the watermark fractions are ordered and sane.
+    /// Checks the watermark fractions are ordered and sane, and that an
+    /// activation can evict at all.
     ///
     /// # Panics
     ///
-    /// Panics unless `0 < watermark_low < watermark_high <= 1`.
+    /// Panics unless `0 < watermark_low < watermark_high <= 1` and
+    /// `batch > 0` (an evictor that never evicts never sleeps either).
     pub fn validate(&self) {
+        assert!(self.batch > 0, "reclaim batch must be at least 1 page");
         assert!(
             self.watermark_low > 0.0,
             "watermark_low must be positive (got {})",
@@ -406,7 +410,8 @@ impl MonitorConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` is enabled with unordered watermark fractions.
+    /// Panics if `cfg` is enabled with unordered watermark fractions or
+    /// an empty batch.
     pub fn reclaim(mut self, cfg: ReclaimConfig) -> Self {
         if cfg.enabled {
             cfg.validate();
@@ -490,6 +495,16 @@ mod tests {
             watermark_low: 0.5,
             watermark_high: 0.5,
             batch: 32,
+        };
+        let _ = MonitorConfig::new(256).reclaim(bad);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch")]
+    fn reclaim_builder_rejects_an_empty_batch() {
+        let bad = ReclaimConfig {
+            batch: 0,
+            ..ReclaimConfig::kswapd()
         };
         let _ = MonitorConfig::new(256).reclaim(bad);
     }

@@ -15,45 +15,26 @@ use crate::config::EvictionMechanism;
 use crate::profile::CodePath;
 
 impl Monitor {
-    /// Evicts while the buffer is at/over capacity ("triggered ... when
-    /// the number of pages reaches the configured maximum size and
-    /// another page fault arrives").
+    /// Evicts until `incoming` more pages fit under capacity: 1 before a
+    /// faulted page is inserted ("triggered ... when the number of pages
+    /// reaches the configured maximum size and another page fault
+    /// arrives"), 0 after an insert or a resize.
     ///
-    /// Runs *before* the faulted page is inserted, so it compares with
-    /// `>=`: an at-capacity buffer makes room for the incoming page. The
-    /// capacity is intentionally not clamped to 1 — a zero-page quota
+    /// The capacity is intentionally not clamped to 1 — a zero-page quota
     /// (capability-style revocation, §VI-E) must drain the buffer
     /// completely rather than pinning one resident page forever.
-    pub(in crate::monitor) fn evict_while_full(
+    pub(in crate::monitor) fn make_room(
         &mut self,
         uffd: &mut Userfaultfd,
         pt: &mut PageTable,
         pm: &mut PhysicalMemory,
+        incoming: u64,
     ) {
         // Background-first: give the watermark evictor a chance to have
         // made (or make) room, so the inline loop below is a fallback.
         self.maybe_background_reclaim(uffd, pt, pm);
-        while self.lru.len() >= self.lru.capacity() {
-            if !self.evict_one(uffd, pt, pm, None) {
-                break;
-            }
-            if self.reclaim_active() {
-                self.stats.direct_reclaims.inc();
-            }
-        }
-    }
-
-    /// Evicts until the buffer is back under capacity (post-resize or
-    /// post-insert).
-    pub fn evict_to_capacity(
-        &mut self,
-        uffd: &mut Userfaultfd,
-        pt: &mut PageTable,
-        pm: &mut PhysicalMemory,
-    ) {
-        self.maybe_background_reclaim(uffd, pt, pm);
-        while self.lru.over_capacity() {
-            if !self.evict_one(uffd, pt, pm, None) {
+        while self.lru.len() + incoming > self.lru.capacity() {
+            if !self.evict_one(uffd, pt, pm, false) {
                 break;
             }
             if self.reclaim_active() {
@@ -84,40 +65,34 @@ impl Monitor {
     }
 
     /// Evicts one page from the top of the LRU; returns `false` if the
-    /// buffer is empty. The state changes (page-table unmap, frame free,
-    /// staging) happen now either way; `timeline` says who pays the CPU.
-    /// `None` is the inline / direct-reclaim entry: the shared clock
-    /// pays, and the eviction shows as a `UFFD_REMAP` span and Table I
-    /// row. `Some` is the background evictor's private cursor: the
-    /// shared clock does not move, and the shootdown handle and the
-    /// write-list `ready_at` are stamped from the cursor, so the page
-    /// stays unflushable until its shootdown genuinely completes.
+    /// buffer is empty. The CPU is charged to whichever timeline runs
+    /// it, and the shootdown handle and the write-list `ready_at` are
+    /// stamped from that timeline, so the page stays unflushable until
+    /// its shootdown genuinely completes. Only an inline (not
+    /// `background`) eviction shows as a `UFFD_REMAP` span and Table I
+    /// row.
     pub(in crate::monitor) fn evict_one(
         &mut self,
         uffd: &mut Userfaultfd,
         pt: &mut PageTable,
         pm: &mut PhysicalMemory,
-        mut timeline: Option<&mut SimInstant>,
+        background: bool,
     ) -> bool {
         let Some(victim) = self.pop_victim_for_eviction() else {
             return false;
         };
         let key = self.key(victim);
 
-        let t0 = match timeline.as_deref() {
-            Some(t) => *t,
-            None => self.clock.now(),
-        };
-        let span = timeline.is_none().then(|| {
+        let t0 = self.clock.now();
+        let span = (!background).then(|| {
             self.telemetry
                 .begin_with(consts::TRACK_MONITOR, "UFFD_REMAP", || {
                     vec![("vpn", format!("{victim}"))]
                 })
         });
-        let (contents, handle, cpu) = uffd
-            .remap_detached(pt, pm, victim, t0)
+        let (contents, handle) = uffd
+            .remap(pt, pm, victim)
             .expect("LRU pages are mapped in the VM");
-        self.charge_to(timeline.as_deref_mut(), cpu);
         if self.config.eviction == EvictionMechanism::Remap {
             // The cross-CPU TLB shootdown completes in the background.
             self.telemetry.record_span(
@@ -133,7 +108,7 @@ impl Monitor {
                 // Zero-copy ablation: UFFD_COPY-style eviction copies the
                 // page out instead; no cross-CPU wait, but a 4 KB copy.
                 let copy_cost = uffd.costs().copy.sample(&mut self.rng);
-                self.charge_to(timeline.as_deref_mut(), copy_cost)
+                self.clock.advance(copy_cost)
             }
         };
         if !self.config.optimizations.async_write
@@ -154,9 +129,8 @@ impl Monitor {
             // The compressed tier gets first refusal; only bypassed pages
             // (tier off, thrash gate, incompressible) stage for writeback
             // and stay stealable until the batch flush retires them.
-            if let Some(contents) = self.tier_try_admit(key, contents, timeline.as_deref_mut()) {
-                let push = self.config.costs.write_list_push.sample(&mut self.rng);
-                self.charge_to(timeline, push);
+            if let Some(contents) = self.tier_try_admit(key, contents) {
+                self.charge(|c| &c.costs.write_list_push);
                 self.write_list.push(key, contents, ready_at);
                 self.trace(|| format!("{} queued on the write list", key));
             }

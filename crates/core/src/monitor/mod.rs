@@ -38,7 +38,7 @@ pub use pipeline::{CompletedFault, SubmitOutcome};
 use fluidmem_coord::PartitionId;
 use fluidmem_kv::{ExternalKey, KeyValueStore};
 use fluidmem_mem::{PageTable, PhysicalMemory, Region, Vpn};
-use fluidmem_sim::{FastMap, SimClock, SimDuration, SimInstant, SimRng, Tracer};
+use fluidmem_sim::{FastMap, SimClock, SimInstant, SimRng, Tracer};
 use fluidmem_uffd::Userfaultfd;
 
 use crate::config::{MonitorConfig, PrefetchPolicy};
@@ -335,7 +335,7 @@ impl Monitor {
     }
 
     /// Applies a pending adaptive-capacity decision; a no-op in passive
-    /// mode. The caller's following `evict_to_capacity` performs any
+    /// mode. The caller's following `make_room` performs any
     /// shrink this sets up.
     pub(in crate::monitor) fn maybe_adapt(&mut self) {
         let Some(target) = self
@@ -400,23 +400,6 @@ impl Monitor {
         self.clock.advance(d);
     }
 
-    /// Charges `cost` to whoever is paying — the background evictor's
-    /// private `timeline`, or the shared clock when there is none — and
-    /// returns the instant the payer has reached.
-    pub(in crate::monitor) fn charge_to(
-        &self,
-        timeline: Option<&mut SimInstant>,
-        cost: SimDuration,
-    ) -> SimInstant {
-        match timeline {
-            Some(t) => {
-                *t += cost;
-                *t
-            }
-            None => self.clock.advance(cost),
-        }
-    }
-
     // --- the compressed local tier ------------------------------------
 
     /// Whether the compressed tier participates in eviction/refault. Like
@@ -441,16 +424,10 @@ impl Monitor {
     /// the page is incompressible (the zswap `reject_compress_poor`
     /// bypass — a full page of pool for zero win is worse than going
     /// remote), or its compressed size exceeds the whole pool budget.
-    ///
-    /// `background` carries the background evictor's private timeline
-    /// when admission happens off the fault path; CPU costs (the
-    /// compression attempt, demotion write-list pushes) are charged
-    /// there instead of the caller's clock.
     pub(in crate::monitor) fn tier_try_admit(
         &mut self,
         key: ExternalKey,
         contents: fluidmem_mem::PageContents,
-        mut background: Option<&mut SimInstant>,
     ) -> Option<fluidmem_mem::PageContents> {
         if !self.tier_active() {
             return Some(contents);
@@ -471,8 +448,7 @@ impl Monitor {
         // The compression attempt is how incompressibility is
         // discovered: its CPU cost is charged whether or not the page
         // admits (zram's reject path, satellite fix #2).
-        let cost = self.config.tier.compress.sample(&mut self.rng);
-        self.charge_to(background.as_deref_mut(), cost);
+        self.charge(|c| &c.tier.compress);
         let Some(bytes) = fluidmem_kv::stored_page_size(&contents) else {
             self.stats.tier_bypass_incompressible.inc();
             self.trace(|| format!("tier: {key} bypassed (incompressible)"));
@@ -490,7 +466,7 @@ impl Monitor {
         // down to the low mark, not one page per admission.
         if self.tier.bytes() > self.config.tier.high_bytes() {
             let target = self.config.tier.low_bytes();
-            self.tier_demote_excess(target, background);
+            self.tier_demote_excess(target);
         }
         None
     }
@@ -498,18 +474,13 @@ impl Monitor {
     /// Demotes oldest-first until the pool holds at most `target_bytes`,
     /// staging each demoted page onto the write list (it flows to the
     /// remote store through the ordinary batched flush path).
-    pub(in crate::monitor) fn tier_demote_excess(
-        &mut self,
-        target_bytes: usize,
-        mut background: Option<&mut SimInstant>,
-    ) {
+    pub(in crate::monitor) fn tier_demote_excess(&mut self, target_bytes: usize) {
         while self.tier.bytes() > target_bytes {
             let Some((key, contents)) = self.tier.pop_oldest() else {
                 break;
             };
-            let push = self.config.costs.write_list_push.sample(&mut self.rng);
-            let ready_at = self.charge_to(background.as_deref_mut(), push);
-            self.write_list.push(key, contents, ready_at);
+            self.charge(|c| &c.costs.write_list_push);
+            self.write_list.push(key, contents, self.clock.now());
             self.stats.tier_demotions.inc();
             self.trace(|| format!("tier: {key} demoted to the write list"));
         }
@@ -551,7 +522,7 @@ impl Monitor {
             return;
         }
         if self.tier.bytes() > self.config.tier.max_bytes {
-            self.tier_demote_excess(self.config.tier.low_bytes(), None);
+            self.tier_demote_excess(self.config.tier.low_bytes());
             self.maybe_flush();
         }
         self.update_gauges();
@@ -634,20 +605,13 @@ impl Monitor {
     ) {
         self.lru.set_capacity(capacity);
         self.stats.resizes.inc();
-        if self.reclaim_active() {
-            // A shrink leaves headroom at 0 (below any low watermark), so
-            // the evictor runs batch after batch until the buffer is back
-            // under capacity — or nothing is evictable (it went to sleep
-            // without making progress).
-            while self.lru.over_capacity() {
-                let before = self.lru.len();
-                self.maybe_background_reclaim(uffd, pt, pm);
-                if self.lru.len() == before {
-                    break;
-                }
-            }
-        } else {
-            self.evict_to_capacity(uffd, pt, pm);
+        // A shrink below residency leaves headroom at 0 (below any low
+        // watermark), so an active evictor runs until the buffer is back
+        // under capacity or nothing is evictable, leaving the inline loop
+        // nothing to do. A resize that leaves the buffer within capacity
+        // wakes nobody.
+        if self.lru.over_capacity() {
+            self.make_room(uffd, pt, pm, 0);
         }
         self.maybe_flush();
         self.update_gauges();

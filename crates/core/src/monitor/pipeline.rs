@@ -144,14 +144,16 @@ impl Op {
 
 /// Whose CPU a piece of monitor work runs on.
 #[derive(Clone, Copy)]
-enum Timeline {
+pub(in crate::monitor) enum Timeline {
     /// The response handler: speculative reads sent out and landed,
-    /// reclaim activations, and the bottom halves of faults no vCPU
-    /// thread owns.
+    /// queued reclaim activations handed to the evictor, and the bottom
+    /// halves of faults no vCPU thread owns.
     Handler,
     /// The handler thread of the vCPU at this index of
     /// `InflightTable::vcpus`.
     Vcpu(usize),
+    /// The background evictor: watermark reclaim batches.
+    Evictor,
 }
 
 /// Where the queue holds the one operation in flight for a page.
@@ -185,6 +187,8 @@ pub(in crate::monitor) struct InflightTable {
     /// One handler thread per faulting vCPU, in first-fault order: the
     /// pid its uffd events carry and where the thread's CPU has reached.
     vcpus: Vec<(u64, SimInstant)>,
+    /// The background evictor's timeline.
+    evictor: SimInstant,
 }
 
 impl InflightTable {
@@ -199,6 +203,7 @@ impl InflightTable {
             finished: VecDeque::with_capacity(depth),
             handler: SimInstant::EPOCH,
             vcpus: Vec::new(),
+            evictor: SimInstant::EPOCH,
         }
     }
 
@@ -225,6 +230,7 @@ impl InflightTable {
         match timeline {
             Timeline::Handler => &mut self.handler,
             Timeline::Vcpu(i) => &mut self.vcpus[i].1,
+            Timeline::Evictor => &mut self.evictor,
         }
     }
 
@@ -257,6 +263,12 @@ impl InflightTable {
     #[cfg(test)]
     pub(in crate::monitor) fn vcpu_cursors(&self) -> Vec<SimInstant> {
         self.vcpus.iter().map(|&(_, at)| at).collect()
+    }
+
+    /// Where the background evictor has reached.
+    #[cfg(test)]
+    pub(in crate::monitor) fn evictor_cursor(&self) -> SimInstant {
+        self.evictor
     }
 
     /// Puts `op`, the one operation in flight for `vpn`, on the queue.
@@ -463,7 +475,7 @@ impl Monitor {
             StealOutcome::Stolen(contents) => {
                 self.stats.write_list_steals.inc();
                 // Make room (the page is coming back in).
-                self.evict_while_full(uffd, pt, pm);
+                self.make_room(uffd, pt, pm, 1);
                 (contents, Resolution::WriteListSteal)
             }
             StealOutcome::WaitInflight { until, contents } => {
@@ -475,7 +487,7 @@ impl Monitor {
                 // and the remote store: a pool hit resolves for a
                 // decompress, no network round trip, no flight to park.
                 if let Some(contents) = self.tier_try_promote(key) {
-                    self.evict_while_full(uffd, pt, pm);
+                    self.make_room(uffd, pt, pm, 1);
                     (contents, Resolution::CompressedHit)
                 } else if let Some(pf) = self.inflight.adopt_prefetch(vpn) {
                     // Its speculative read is still in flight: adopt it
@@ -559,7 +571,7 @@ impl Monitor {
     /// has reached and `from`: while it runs every handle of the clock
     /// reads the timeline's instant, and the timeline keeps where the
     /// work ended. The guest clock does not move.
-    fn run_on<R>(
+    pub(in crate::monitor) fn run_on<R>(
         &mut self,
         timeline: Timeline,
         from: SimInstant,

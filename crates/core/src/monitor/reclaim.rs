@@ -2,8 +2,8 @@
 //!
 //! FluidMem's real monitor is multi-threaded: a dedicated evictor keeps
 //! the LRU below capacity while fault handlers block in store reads.
-//! Inline eviction (`evict_while_full` on the fault path) serializes
-//! that work onto the fault handler's timeline instead — every fault at
+//! Inline eviction (`make_room` on the fault path) serializes that work
+//! onto the fault handler's timeline instead — every fault at
 //! a full buffer pays `UFFD_REMAP` CPU plus write-list staging before
 //! its read can complete. This module models the evictor as its own
 //! virtual thread, exactly like `fluidmem-swap`'s `kswapd()` models the
@@ -14,14 +14,18 @@
 //!   low watermark and stays awake — evicting in batches — until
 //!   headroom reaches the high watermark or nothing is evictable, then
 //!   sleeps.
-//! * **A private timeline.** Background eviction performs its state
-//!   changes (page-table unmap, frame free, write-list staging)
-//!   immediately but accounts the CPU it spends on a private cursor
-//!   that never advances the shared clock: the work happens *while
-//!   vCPUs are suspended on read flights*, which is precisely the §V-B
-//!   window the paper hides eviction in. The TLB-shootdown handle and
-//!   the write-list `ready_at` are stamped from that cursor, so the
-//!   pages stay unflushable until their shootdowns genuinely complete.
+//! * **Its own thread.** An activation runs on
+//!   [`Timeline::Evictor`] through `Monitor::run_on`, like the response
+//!   handler and the vCPU handler threads: it performs its state changes
+//!   (page-table unmap, frame free, write-list staging) immediately, but
+//!   the CPU it spends lands on the evictor's timeline and never
+//!   advances the guest clock — the work happens *while vCPUs are
+//!   suspended on read flights*, which is precisely the §V-B window the
+//!   paper hides eviction in. The TLB-shootdown handle and the
+//!   write-list `ready_at` are stamped from that timeline, so the pages
+//!   stay unflushable until their shootdowns genuinely complete. An
+//!   activation starts at the later of where the evictor has reached
+//!   and where its caller's thread is.
 //! * **Deterministic scheduling.** When faults are parked in the
 //!   in-flight table, an activation is enqueued on the same
 //!   [`EventQueue`](fluidmem_sim::EventQueue) that orders fault
@@ -39,18 +43,16 @@
 //! span differs from a monitor built without it.
 
 use fluidmem_mem::{PageTable, PhysicalMemory};
-use fluidmem_sim::SimInstant;
 use fluidmem_telemetry::consts;
 use fluidmem_uffd::Userfaultfd;
 
+use super::pipeline::Timeline;
 use super::Monitor;
 
-/// The background evictor's thread state.
+/// The background evictor's thread state. Its timeline is
+/// [`Timeline::Evictor`], kept with the monitor's other threads.
 #[derive(Debug)]
 pub(in crate::monitor) struct ReclaimState {
-    /// The evictor thread's private timeline: where its CPU accounting
-    /// has reached. Activations start at `cursor.max(now)`.
-    cursor: SimInstant,
     /// Whether the evictor is awake (woken below the low watermark, not
     /// yet back above the high one).
     awake: bool,
@@ -62,7 +64,6 @@ pub(in crate::monitor) struct ReclaimState {
 impl ReclaimState {
     pub(in crate::monitor) fn new() -> Self {
         ReclaimState {
-            cursor: SimInstant::EPOCH,
             awake: false,
             scheduled: false,
         }
@@ -160,10 +161,10 @@ impl Monitor {
         }
     }
 
-    /// One evictor activation: evicts up to one batch on the private
-    /// timeline, staging onto the write list, until headroom reaches
-    /// the high watermark or the LRU runs dry — then sleeps. Flushes
-    /// through the ordinary batched `begin_multi_write` path.
+    /// One evictor activation: evicts up to one batch on
+    /// [`Timeline::Evictor`], staging onto the write list, until headroom
+    /// reaches the high watermark or the LRU runs dry — then sleeps.
+    /// Flushes through the ordinary batched `begin_multi_write` path.
     pub(in crate::monitor) fn run_background_reclaim(
         &mut self,
         uffd: &mut Userfaultfd,
@@ -171,35 +172,40 @@ impl Monitor {
         pm: &mut PhysicalMemory,
     ) {
         let high = self.config.reclaim.high_pages(self.lru.capacity());
-        let start = self.reclaim.cursor.max(self.clock.now());
-        let mut thread_now = start;
-        let mut evicted = 0usize;
-        while evicted < self.config.reclaim.batch && self.headroom() < high {
-            if !self.evict_one(uffd, pt, pm, Some(&mut thread_now)) {
-                // Nothing evictable: sleep rather than spin awake.
-                self.reclaim.awake = false;
-                break;
-            }
-            self.stats.background_reclaims.inc();
-            evicted += 1;
+        // Nothing to do: sleep without touching the evictor's timeline.
+        if self.lru.is_empty() || self.headroom() >= high {
+            self.reclaim.awake = false;
+            return;
         }
+        let now = self.clock.now();
+        let evicted = self.run_on(Timeline::Evictor, now, |m| {
+            let start = m.clock.now();
+            let mut evicted = 0usize;
+            while evicted < m.config.reclaim.batch && m.headroom() < high {
+                if !m.evict_one(uffd, pt, pm, true) {
+                    // Nothing evictable: sleep rather than spin awake.
+                    m.reclaim.awake = false;
+                    break;
+                }
+                m.stats.background_reclaims.inc();
+                evicted += 1;
+            }
+            m.telemetry
+                .record_span(consts::TRACK_MONITOR, "reclaim", start, m.clock.now());
+            evicted
+        });
         if self.headroom() >= high {
             self.reclaim.awake = false;
         }
-        if evicted > 0 {
-            self.telemetry
-                .record_span(consts::TRACK_MONITOR, "reclaim", start, thread_now);
-            self.reclaim.cursor = thread_now;
-            let headroom = self.headroom();
-            let asleep = !self.reclaim.awake;
-            self.trace(|| {
-                format!(
-                    "reclaim: batch of {evicted} evicted (headroom {headroom}, high {high}{})",
-                    if asleep { "; sleeping" } else { "" }
-                )
-            });
-            self.maybe_flush();
-            self.update_gauges();
-        }
+        let headroom = self.headroom();
+        let asleep = !self.reclaim.awake;
+        self.trace(|| {
+            format!(
+                "reclaim: batch of {evicted} evicted (headroom {headroom}, high {high}{})",
+                if asleep { "; sleeping" } else { "" }
+            )
+        });
+        self.maybe_flush();
+        self.update_gauges();
     }
 }

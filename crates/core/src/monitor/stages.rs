@@ -146,7 +146,7 @@ impl Monitor {
         self.stats.zero_fills.inc();
 
         // Asynchronous (post-wake) eviction — the blue path of Figure 2.
-        self.evict_to_capacity(uffd, pt, pm);
+        self.make_room(uffd, pt, pm, 0);
         self.maybe_flush();
         FaultResolution {
             resolution: Resolution::ZeroFill,
@@ -177,7 +177,7 @@ impl Monitor {
         self.clock.advance_to(until);
         self.write_list.retire(self.clock.now());
         self.stats.inflight_waits.inc();
-        self.evict_while_full(uffd, pt, pm);
+        self.make_room(uffd, pt, pm, 1);
     }
 
     /// The one place a store read is submitted: issues the asynchronous
@@ -205,7 +205,7 @@ impl Monitor {
         pt: &mut PageTable,
         pm: &mut PhysicalMemory,
     ) {
-        self.evict_while_full(uffd, pt, pm);
+        self.make_room(uffd, pt, pm, 1);
         let t0 = self.clock.now();
         let span = self
             .telemetry
@@ -320,7 +320,7 @@ impl Monitor {
         // too: the refault insert may have pushed the buffer over budget
         // with no later fault guaranteed to correct it. A no-op whenever
         // the buffer is within capacity.
-        self.evict_to_capacity(uffd, pt, pm);
+        self.make_room(uffd, pt, pm, 0);
         self.maybe_flush();
     }
 

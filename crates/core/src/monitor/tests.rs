@@ -533,7 +533,7 @@ fn one_evictor_body_charges_whichever_timeline_it_is_given() {
     inline.monitor.lru.set_capacity(64 - batch);
     inline
         .monitor
-        .evict_to_capacity(&mut inline.uffd, &mut inline.pt, &mut inline.pm);
+        .make_room(&mut inline.uffd, &mut inline.pt, &mut inline.pm, 0);
     background.monitor.lru.set_capacity(64);
     background.monitor.run_background_reclaim(
         &mut background.uffd,
@@ -565,6 +565,101 @@ fn one_evictor_body_charges_whichever_timeline_it_is_given() {
     let ready_at = background.monitor.write_list.oldest_pending();
     assert_eq!(ready_at, inline.monitor.write_list.oldest_pending());
     assert!(ready_at.is_some_and(|at| at > t0));
+}
+
+/// A reclaim-on rig holding `pages` faulted pages at a capacity of 4096.
+fn reclaim_rig(pages: u64) -> Rig {
+    let config = MonitorConfig::new(4096).reclaim(crate::ReclaimConfig::kswapd());
+    let mut r = rig(4096, Some(config));
+    for i in 0..pages {
+        fault(&mut r, i, true);
+    }
+    r
+}
+
+#[test]
+fn an_idle_evictor_activation_leaves_every_timeline_alone() {
+    // Headroom already at the high mark, then an empty LRU: either way
+    // the activation has nothing to evict, and its timeline must not
+    // catch up to the guest clock it never ran on.
+    let mut full_headroom = reclaim_rig(64);
+    let mut empty = reclaim_rig(0);
+    empty.clock.advance(SimDuration::from_millis(1));
+    empty.monitor.lru.set_capacity(0);
+    for r in [&mut full_headroom, &mut empty] {
+        let (now, stats) = (r.clock.now(), r.monitor.stats());
+        assert!(now > SimInstant::EPOCH);
+        r.monitor
+            .run_background_reclaim(&mut r.uffd, &mut r.pt, &mut r.pm);
+        assert_eq!(r.monitor.inflight.evictor_cursor(), SimInstant::EPOCH);
+        assert_eq!(r.clock.now(), now);
+        assert_eq!(r.monitor.stats(), stats);
+    }
+}
+
+#[test]
+fn an_evictor_activation_starts_where_its_caller_or_the_evictor_is() {
+    // Twin rigs: one reaches the evictor from a vCPU handler thread
+    // whose cursor runs ahead of the guest clock, the other from the
+    // guest clock moved to that same instant. Same cost draws, so equal
+    // evictor cursors mean equal start instants.
+    let mut threaded = reclaim_rig(64);
+    let mut direct = reclaim_rig(64);
+    let t0 = threaded.clock.now();
+    let ahead = SimDuration::from_millis(1);
+    let activate = |r: &mut Rig, think: SimDuration| {
+        let Rig {
+            uffd,
+            pt,
+            pm,
+            monitor,
+            region,
+            ..
+        } = r;
+        monitor.submit_on_vcpu_thread(9_000, region.page(0).vpn(), |m| {
+            m.clock.advance(think);
+            m.run_background_reclaim(uffd, pt, pm);
+            let wake_at = m.clock.now();
+            SubmitOutcome::Completed(FaultResolution {
+                resolution: Resolution::ZeroFill,
+                wake_at,
+            })
+        });
+    };
+
+    // The thread is ahead of the evictor: the activation starts there.
+    threaded.monitor.lru.set_capacity(64);
+    activate(&mut threaded, ahead);
+    direct.monitor.lru.set_capacity(64);
+    direct.clock.advance(ahead);
+    direct
+        .monitor
+        .run_background_reclaim(&mut direct.uffd, &mut direct.pt, &mut direct.pm);
+    let evictor = threaded.monitor.inflight.evictor_cursor();
+    assert!(evictor > t0 + ahead);
+    assert_eq!(evictor, direct.monitor.inflight.evictor_cursor());
+    assert_eq!(threaded.clock.now(), t0, "the guest clock does not move");
+    assert_eq!(threaded.monitor.inflight.vcpu_cursors(), [t0 + ahead]);
+
+    // The evictor is ahead of the thread: the activation starts there.
+    let resident = threaded.monitor.resident_pages();
+    threaded.monitor.lru.set_capacity(resident);
+    activate(&mut threaded, SimDuration::ZERO);
+    direct.monitor.lru.set_capacity(resident);
+    direct
+        .monitor
+        .run_background_reclaim(&mut direct.uffd, &mut direct.pt, &mut direct.pm);
+    assert!(threaded.monitor.inflight.evictor_cursor() > evictor);
+    assert_eq!(
+        threaded.monitor.inflight.evictor_cursor(),
+        direct.monitor.inflight.evictor_cursor()
+    );
+    assert_eq!(threaded.clock.now(), t0, "the guest clock does not move");
+    let second = crate::ReclaimConfig::kswapd().high_pages(resident);
+    assert_eq!(
+        threaded.monitor.stats().background_reclaims,
+        64 - resident + second
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -272,6 +272,9 @@ impl Userfaultfd {
     /// Zero-page mappings are "moved" as [`PageContents::Zero`] without
     /// freeing anything (the zero page is shared).
     ///
+    /// The remap's CPU is charged to the clock, and the shootdown
+    /// completes that long after the CPU work ends.
+    ///
     /// # Errors
     ///
     /// Fails if `vpn` is unregistered or has no mapping.
@@ -281,29 +284,6 @@ impl Userfaultfd {
         pm: &mut PhysicalMemory,
         vpn: Vpn,
     ) -> Result<(PageContents, RemapHandle), UffdError> {
-        let at = self.clock.now();
-        let (contents, handle, cpu) = self.remap_detached(pt, pm, vpn, at)?;
-        self.clock.advance(cpu);
-        Ok((contents, handle))
-    }
-
-    /// [`Userfaultfd::remap`] for a caller running on its *own* virtual
-    /// timeline (a background evictor thread): performs the page-table
-    /// and frame state changes immediately but does **not** advance the
-    /// shared clock. Costs are sampled as usual; the caller accounts the
-    /// returned CPU time on its private timeline, and the shootdown
-    /// handle completes at `at + cpu + shootdown`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `vpn` is unregistered or has no mapping.
-    pub fn remap_detached(
-        &mut self,
-        pt: &mut PageTable,
-        pm: &mut PhysicalMemory,
-        vpn: Vpn,
-        at: SimInstant,
-    ) -> Result<(PageContents, RemapHandle, SimDuration), UffdError> {
         self.check_registered(vpn)?;
         let entry = pt.unmap(vpn).ok_or(UffdError::NotMapped(vpn))?;
         let cpu = self.costs.remap_cpu.sample(&mut self.rng);
@@ -314,9 +294,9 @@ impl Userfaultfd {
         };
         let shootdown = self.tlb.shootdown(&mut self.rng);
         let handle = RemapHandle {
-            completes_at: at + cpu + shootdown,
+            completes_at: self.clock.advance(cpu) + shootdown,
         };
-        Ok((contents, handle, cpu))
+        Ok((contents, handle))
     }
 
     /// Blocks (in virtual time) until a remap's TLB shootdown finishes;

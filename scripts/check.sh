@@ -170,9 +170,10 @@ fi
 echo "==> lint: the monitor's threads are the one user of the clock's timelines"
 # SimClock::on_timeline moves every handle of the shared clock onto
 # another timeline while a closure runs. The monitor's threads — its
-# response handler and one handler thread per faulting vCPU — are the
-# one component that works that way, through one wrapper in
-# crates/core/src/monitor/pipeline.rs (DESIGN.md §12); a caller anywhere
+# response handler, one handler thread per faulting vCPU, and the
+# background evictor — are the one component that works that way,
+# through one wrapper in crates/core/src/monitor/pipeline.rs
+# (DESIGN.md §12); a caller anywhere
 # else is a private timeline the guest clock never accounts for. The sim
 # crate's own tests may call it. Comments and the definition itself are
 # exempt.
@@ -192,6 +193,24 @@ done
 if [ -n "$swap_hits" ]; then
     echo "SimClock::on_timeline called outside the monitor's thread wrapper:" >&2
     echo "$swap_hits" >&2
+    exit 1
+fi
+
+echo "==> lint: no timeline is passed by hand"
+# An Option<&mut SimInstant> parameter is a private cursor threaded
+# through calls so that some of them charge it instead of the clock — a
+# timeline the monitor's Timeline table does not know. Run the work with
+# Monitor::run_on instead. Comments, test modules and tests.rs are exempt.
+cursor_hits="$(find crates/core/src crates/uffd/src -name '*.rs' ! -name 'tests.rs' -print0 \
+    | xargs -0 awk '
+        in_test && /^mod [a-z_]+ \{/ { nextfile }
+        { in_test = /^#\[cfg\(test\)\]/ }
+        /^[[:space:]]*\/\// { next }
+        /Option<&mut SimInstant>/ { print FILENAME ":" FNR ": " $0 }
+    ')"
+if [ -n "$cursor_hits" ]; then
+    echo "a private timeline passed by hand (add a Timeline and use Monitor::run_on):" >&2
+    echo "$cursor_hits" >&2
     exit 1
 fi
 

@@ -278,8 +278,8 @@ fn fatal_store_error_on_a_prefetch_read_degrades_instead_of_panicking() {
 /// Regression for the capacity-churn bug: a buffer with zero headroom
 /// gets *no* speculation — zero issued reads, exactly one eviction per
 /// demand load — and the suppression counters say why. (The old code
-/// issued into the full buffer and let `evict_to_capacity` churn warm
-/// pages back out.)
+/// issued into the full buffer and let the post-insert eviction churn
+/// warm pages back out.)
 #[test]
 fn prefetch_at_capacity_issues_nothing_and_churns_nothing() {
     let clock = SimClock::new();
