@@ -3,8 +3,8 @@
 //!
 //! The paper's monitor is multi-threaded: each faulting vCPU blocks in
 //! the kernel while a handler resolves its page, so several store round
-//! trips overlap each other and the evictor. `Monitor::submit_fault` /
-//! `Monitor::complete_next` model that overlap on a deterministic event
+//! trips overlap each other and the evictor. `FluidMemMemory::submit_access`
+//! / `complete_next_access` model that overlap on a deterministic event
 //! queue, bounded by `MonitorConfig::max_inflight`; a read is finished
 //! when it lands (the next access lets the monitor catch up), not when
 //! the vCPU set collects it. This harness measures what depth buys:
@@ -16,8 +16,8 @@
 //! * per-depth throughput (accesses per virtual ms), speedup over depth
 //!   1, fault mix (parked / coalesced), and fault-latency p50/p99.
 //!
-//! Depth 1 completes each fault before admitting the next (what
-//! `handle_fault` does); depth ≥ 4 must beat it on throughput — the §V-B
+//! Depth 1 completes each fault before admitting the next (what a
+//! blocking `access` does); depth ≥ 4 must beat it on throughput — the §V-B
 //! asynchrony argument, extended from one overlapped read to many — and
 //! fault latency must not scale with the bound: past the depth the
 //! monitor's CPU can keep busy, the rows stop changing.

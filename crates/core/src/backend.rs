@@ -264,9 +264,9 @@ impl FluidMemMemory {
     /// Submits one guest access from `vcpu_pid` to the monitor. Reads
     /// that landed before this instant — other vCPUs' demand faults and
     /// speculative ones alike — are finished first, in landing order
-    /// (see [`Monitor::poll_ready`]), so a page whose read already
-    /// arrived is mapped by the time the access looks. Hits and CoW
-    /// breaks resolve inline. A fault runs on the monitor's handler
+    /// (see [`FluidMemMemory::poll_ready_completions`]), so a page whose
+    /// read already arrived is mapped by the time the access looks. Hits
+    /// and CoW breaks resolve inline. A fault runs on the monitor's handler
     /// thread for the vCPU `vcpu_pid` names, from the later of the
     /// guest's `now` and where that thread has reached: one it resolves
     /// locally (first touch, write-list steal, compressed-tier hit)
@@ -277,11 +277,11 @@ impl FluidMemMemory {
     /// the wake.
     ///
     /// The caller is responsible for keeping the submission depth within
-    /// [`MonitorConfig::max_inflight`] (see [`Monitor::submit_fault`]);
+    /// [`MonitorConfig::max_inflight`], which the monitor asserts;
     /// [`FluidMemMemory::inflight_len`] is the depth in use.
     pub fn submit_access(&mut self, vcpu_pid: u64, addr: VirtAddr, write: bool) -> PipelineSubmit {
         self.poll_ready_completions();
-        let submit = self.touch(vcpu_pid, addr, write, true);
+        let submit = self.touch(vcpu_pid, addr, write);
         if let PipelineSubmit::Ready(report) = &submit {
             self.counters.record(report.outcome);
         }
@@ -289,17 +289,9 @@ impl FluidMemMemory {
     }
 
     /// The access itself. A mapped page is a hit (or a kernel-side CoW
-    /// break); an unmapped one faults to the monitor, which either
-    /// resolves it before returning or parks it. With `on_vcpu_thread`
-    /// the fault runs on the faulting vCPU's handler thread (see
-    /// [`Monitor::submit_on_vcpu_thread`]); without, on the guest clock.
-    fn touch(
-        &mut self,
-        pid: u64,
-        addr: VirtAddr,
-        write: bool,
-        on_vcpu_thread: bool,
-    ) -> PipelineSubmit {
+    /// break); an unmapped one faults to the monitor, on the faulting
+    /// vCPU's handler thread (see [`Monitor::submit_on_vcpu_thread`]).
+    fn touch(&mut self, pid: u64, addr: VirtAddr, write: bool) -> PipelineSubmit {
         let vpn = addr.vpn();
         if let Some(entry) = self.pt.get_mut(vpn) {
             if write && entry.flags.contains(PteFlags::ZERO_PAGE) {
@@ -323,13 +315,12 @@ impl FluidMemMemory {
             });
         }
 
-        let t0 = self.clock.now();
         let (clock, uffd, pt, pm) = (&self.clock, &mut self.uffd, &mut self.pt, &mut self.pm);
-        let mut fault = |monitor: &mut Monitor| {
+        let fault = |monitor: &mut Monitor, thread| {
             uffd.raise_fault(addr, write, pid, monitor.config().from_vm)
                 .unwrap_or_else(|e| panic!("access to unregistered address {addr}: {e}"));
             let _event = uffd.poll().expect("fault was queued");
-            match monitor.submit_fault(uffd, pt, pm, vpn, write) {
+            match monitor.submit_fault(uffd, pt, pm, vpn, write, thread) {
                 // A *write* that was resolved with the zero page
                 // immediately breaks CoW when the guest retries the
                 // instruction; the vCPU runs on once that is done.
@@ -342,18 +333,7 @@ impl FluidMemMemory {
                 outcome => outcome,
             }
         };
-        let outcome = if on_vcpu_thread {
-            self.monitor.submit_on_vcpu_thread(pid, vpn, fault)
-        } else {
-            fault(&mut self.monitor)
-        };
-        match outcome {
-            SubmitOutcome::Completed(res) => PipelineSubmit::Ready(AccessReport {
-                outcome: res.resolution.outcome(),
-                latency: res.wake_at - t0,
-            }),
-            waiting => PipelineSubmit::Pending(waiting),
-        }
+        PipelineSubmit::Pending(self.monitor.submit_on_vcpu_thread(pid, vpn, fault))
     }
 
     /// The next finished access, in wake order: one the monitor already
@@ -380,11 +360,12 @@ impl FluidMemMemory {
     }
 
     /// Finishes every read — demand or speculative — and runs any
-    /// reclaim work whose instant has already passed (see
-    /// [`Monitor::poll_ready`]). Every access does this on entry, so a
-    /// driver only needs it to let the monitor catch up at an instant
-    /// when no vCPU touches memory. Never waits and never moves the
-    /// clock: the bottom halves run on the monitor's own threads.
+    /// reclaim work whose instant has already passed, in landing order,
+    /// each on the monitor thread that owns it. Every access does this
+    /// on entry, so a driver only needs it to let the monitor catch up at
+    /// an instant when no vCPU touches memory. Never waits and never
+    /// moves the clock: the bottom halves run on the monitor's own
+    /// threads.
     pub fn poll_ready_completions(&mut self) {
         self.monitor
             .poll_ready(&mut self.uffd, &mut self.pt, &mut self.pm);
@@ -417,9 +398,12 @@ impl MemoryBackend for FluidMemMemory {
         region
     }
 
-    /// One blocking access: [`FluidMemMemory::submit_access`] and, if the
-    /// fault parked, its completion. The guest-observed latency starts
-    /// once the monitor has caught up, at the access itself.
+    /// One blocking access: a vCPU that waits for its own handler
+    /// thread. [`FluidMemMemory::submit_access`], then — if the access
+    /// faulted — its completion, and the guest clock moves on to where
+    /// the thread goes idle, so the post-wake eviction and flush work is
+    /// behind the guest before it runs on. The guest-observed latency
+    /// starts once the monitor has caught up, at the access itself.
     ///
     /// # Panics
     ///
@@ -430,23 +414,18 @@ impl MemoryBackend for FluidMemMemory {
     /// first.
     fn access(&mut self, addr: VirtAddr, write: bool) -> AccessReport {
         self.monitor.assert_no_fault_outstanding("blocking access");
-        self.poll_ready_completions();
         let t0 = self.clock.now();
-        let report = match self.touch(self.pid, addr, write, false) {
+        match self.submit_access(self.pid, addr, write) {
             PipelineSubmit::Ready(report) => report,
             PipelineSubmit::Pending(_) => {
-                let done = self
-                    .monitor
-                    .complete_next(&mut self.uffd, &mut self.pt, &mut self.pm)
-                    .expect("the fault just parked");
+                let done = self.complete_next_access().expect("the fault is its own");
+                self.clock.advance_to(self.monitor.vcpu_idle_at(self.pid));
                 AccessReport {
                     outcome: done.resolution.outcome(),
                     latency: done.wake_at - t0,
                 }
             }
-        };
-        self.counters.record(report.outcome);
-        report
+        }
     }
 
     fn write_page(&mut self, addr: VirtAddr, contents: PageContents) -> AccessReport {
@@ -768,6 +747,38 @@ mod tests {
         assert!(vm.complete_next_access().is_none());
         assert_eq!(vm.counters().major_faults, before.major_faults + 2);
         assert_eq!(vm.counters().total(), before.total() + 3);
+    }
+
+    /// A blocking first touch that evicts after its wake, next to the
+    /// same fault submitted and collected: the vCPU's thread runs it the
+    /// same way, the latency runs from the trap to the wake, and only
+    /// the blocking guest waits for the eviction.
+    #[test]
+    fn a_blocking_fault_waits_for_its_thread_and_times_trap_to_wake() {
+        let (mut blocking, mut pipelined) = (backend(2), backend(2));
+        let r = blocking.map_region(8, PageClass::Anonymous);
+        assert_eq!(pipelined.map_region(8, PageClass::Anonymous), r);
+        for vm in [&mut blocking, &mut pipelined] {
+            vm.access(r.page(0), false);
+            vm.access(r.page(1), false);
+        }
+        let trap = blocking.clock().now();
+        assert_eq!(pipelined.clock().now(), trap);
+
+        let report = blocking.access(r.page(2), false);
+        let pid = blocking.pid;
+        let pending = pipelined.submit_access(pid, r.page(2), false);
+        assert!(matches!(pending, PipelineSubmit::Pending(_)));
+        let done = pipelined.complete_next_access().expect("resolved locally");
+        assert_eq!(done.submitted_at, trap);
+        assert_eq!(report.outcome, done.resolution.outcome());
+        assert_eq!(report.latency, done.wake_at - trap);
+
+        let idle = blocking.monitor().vcpu_idle_at(pid);
+        assert!(idle > done.wake_at, "the eviction runs after the wake");
+        assert_eq!(pipelined.monitor().vcpu_idle_at(pid), idle);
+        assert_eq!(blocking.clock().now(), idle);
+        assert_eq!(pipelined.clock().now(), trap);
     }
 
     #[test]

@@ -307,7 +307,7 @@ pub struct MonitorConfig {
     /// clock, so retried faults honestly extend the observed latency.
     pub retry: RetryPolicy,
     /// How many demand faults may be parked in the monitor's in-flight
-    /// table at once ([`Monitor::submit_fault`](crate::Monitor::submit_fault)
+    /// table at once ([`FluidMemMemory::submit_access`](crate::FluidMemMemory::submit_access)
     /// panics beyond it). A bound, not a mode: at `1` (the default) each
     /// fault completes before the next is admitted; larger values model
     /// FluidMem's multi-threaded monitor, where several store round

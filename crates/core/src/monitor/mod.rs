@@ -1,20 +1,20 @@
 //! The monitor process: FluidMem's user-space page-fault handler.
 //!
-//! There is one fault engine. [`Monitor::submit_fault`] runs a fault's
-//! intake and either resolves it on the spot (first touch, write-list
-//! steal, compressed-tier hit, synchronous read) or issues the §V-B
-//! asynchronous read's top half and parks the fault on a deterministic
-//! [`EventQueue`](fluidmem_sim::EventQueue) until the flight lands.
-//! Landed flights retire in event order — bottom half, placement, wake
-//! and post-wake work — at the next monitor entry
-//! ([`Monitor::poll_ready`], which every guest access runs), and
-//! [`Monitor::complete_next`] reports the finished faults in wake order,
-//! waiting for the earliest flight only when none has landed. Driven
-//! through [`Monitor::submit_on_vcpu_thread`], each faulting vCPU has a
-//! handler thread with a timeline of its own, and the response handler
-//! has another: only store admissions and the driver's waits move the
-//! guest clock.
-//! [`Monitor::handle_fault`] is submit and complete back to back, and
+//! There is one fault engine and one way in. Every fault runs on the
+//! handler thread of the vCPU that raised it
+//! ([`Monitor::submit_on_vcpu_thread`]), a timeline of its own beside the
+//! response handler's and the evictor's. There [`Monitor::submit_fault`]
+//! runs the fault's intake and either resolves it on the spot (first
+//! touch, write-list steal, compressed-tier hit, synchronous read) or
+//! issues the §V-B asynchronous read's top half and parks the fault on a
+//! deterministic [`EventQueue`](fluidmem_sim::EventQueue) until the
+//! flight lands. Landed flights retire in event order, on their owner's
+//! thread — bottom half, placement, wake and post-wake work — at the next
+//! monitor entry ([`Monitor::poll_ready`], which every guest access
+//! runs), and [`Monitor::complete_next`] reports the finished faults in
+//! wake order, waiting for the earliest flight only when none has
+//! landed. Only store admissions and the driver's waits move the guest
+//! clock. A blocking access is a vCPU that waits for its own thread, and
 //! [`MonitorConfig::max_inflight`] only bounds how many faults may be
 //! parked at once — it never selects a different path.
 //!
@@ -85,7 +85,7 @@ impl Resolution {
     }
 }
 
-/// The outcome of [`Monitor::handle_fault`].
+/// A fault the monitor resolved: how, and when its vCPU woke.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultResolution {
     /// How the fault was resolved.
@@ -552,40 +552,6 @@ impl Monitor {
             lost_pages,
             duplicated_pages,
             balanced: self.tier.accounting_balances(),
-        }
-    }
-
-    /// Handles one page fault for `vpn` and returns once the guest is
-    /// woken: [`Monitor::submit_fault`], then — if the fault parked on
-    /// the store — [`Monitor::complete_next`]. The caller (the backend)
-    /// has already charged fault-trap and event-delivery costs via the
-    /// userfaultfd object.
-    ///
-    /// # Panics
-    ///
-    /// Panics if demand faults are already parked, or finished ones not
-    /// yet collected: the completion this call waits for must be its
-    /// own, so drain with [`Monitor::complete_next`] first.
-    pub fn handle_fault(
-        &mut self,
-        uffd: &mut Userfaultfd,
-        pt: &mut PageTable,
-        pm: &mut PhysicalMemory,
-        vpn: Vpn,
-        write: bool,
-    ) -> FaultResolution {
-        self.assert_no_fault_outstanding("handle_fault");
-        match self.submit_fault(uffd, pt, pm, vpn, write) {
-            SubmitOutcome::Completed(res) => res,
-            SubmitOutcome::Parked(_) | SubmitOutcome::Coalesced(_) => {
-                let done = self
-                    .complete_next(uffd, pt, pm)
-                    .expect("the fault just parked");
-                FaultResolution {
-                    resolution: done.resolution,
-                    wake_at: done.wake_at,
-                }
-            }
         }
     }
 

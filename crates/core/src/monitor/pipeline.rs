@@ -1,42 +1,41 @@
 //! The fault engine's entry points: explicit in-flight operations on a
 //! deterministic event queue.
 //!
-//! FluidMem's real monitor is multi-threaded: several fault handlers
-//! block in store reads while the evictor drains the write list. This
-//! module models that overlap without threads. [`Monitor::submit_fault`]
-//! runs a fault's intake and issue stages and, if the fault needs to
-//! wait on the store (or on an in-flight write), parks it: the fault
-//! itself becomes an event on the [`InflightTable`]'s [`EventQueue`],
-//! due at its completion instant. Speculative reads and
-//! background-reclaim activations are events on the same queue, and an
-//! operation that ends early — a speculative read adopted by a demand
-//! fault, or one whose region is removed — is cancelled by its token, so
-//! nothing stale is ever left to pop.
+//! FluidMem's real monitor is multi-threaded: each faulting vCPU sleeps
+//! while a handler thread resolves its fault, and the response handler
+//! and the evictor run beside them (§V-B). Here every such thread is a
+//! [`Timeline`] — a cursor the shared clock reads while the thread's
+//! work runs ([`Monitor::run_on`]) — and the threads exchange work only
+//! through the [`InflightTable`]'s [`EventQueue`] (DRackSim's
+//! queue-and-time per component).
 //!
-//! The engine, not the driver, owns event order and whose time each
-//! piece of work runs on (DRackSim's queue-and-time per component). The
-//! paper's monitor gives each faulting vCPU a handler thread and picks a
-//! response up when it lands (§V-B), while the vCPUs keep running. So
-//! every vCPU that faults gets a handler thread of its own — a cursor
-//! keyed by the pid its uffd events carry
-//! ([`Monitor::submit_on_vcpu_thread`]) — and the response handler,
-//! which sends speculative reads out and lands them, keeps another
-//! (`InflightTable::handler`). A fault resolved on its thread there and
-//! then costs the guest clock nothing and is reported like a finished
-//! read. [`Monitor::poll_ready`] — run on every guest access — retires
-//! every event that has landed, in `(completes_at, seq)` order, each on
-//! its owner's timeline: a demand bottom half on its vCPU's thread,
-//! everything else on the response handler. A finished fault has
-//! already installed its page and woken its vCPU; its [`CompletedFault`]
-//! waits, in wake order, until the driver asks for it.
-//! [`Monitor::complete_next`] hands out the earliest wake unless a queued
-//! event lands first; otherwise it retires that event and looks again.
+//! Every fault enters through [`Monitor::submit_on_vcpu_thread`], which
+//! runs it on the handler thread of the vCPU that trapped — one per
+//! faulting pid, started at its first fault. There
+//! [`Monitor::submit_fault`] runs the intake and issue stages and either
+//! resolves the fault (reported like a finished read, at no cost to the
+//! guest clock) or parks it: the fault becomes an event on the queue,
+//! due at its completion instant and owned by its thread. Speculative
+//! reads and background-reclaim activations are events on the same
+//! queue, and an operation that ends early — a speculative read adopted
+//! by a demand fault, or one whose region is removed — is cancelled by
+//! its token, so nothing stale is ever left to pop.
+//!
+//! One rule retires every event, in `(completes_at, seq)` order, on the
+//! timeline that owns it: a demand bottom half on its vCPU's thread,
+//! everything else on the response handler. [`Monitor::poll_ready`] —
+//! run on every guest access — retires what has landed by the guest's
+//! `now`; [`Monitor::complete_next`] hands out the earliest finished
+//! wake unless a queued event lands first, and otherwise retires that
+//! event and looks again. A finished fault has already installed its
+//! page and woken its vCPU; its [`CompletedFault`] waits, in wake order,
+//! until the driver asks for it.
 //!
 //! Determinism: seq is submission order, so the schedule is a pure
 //! function of the seed — two runs with the same seed interleave
-//! identically. A driver that completes each fault before submitting
-//! the next (what [`Monitor::handle_fault`] does) is the blocking,
-//! one-at-a-time monitor; nothing else distinguishes it.
+//! identically. A vCPU that waits for each fault before it faults again
+//! is the blocking, one-at-a-time monitor; nothing else distinguishes
+//! it.
 
 use std::collections::VecDeque;
 
@@ -101,7 +100,7 @@ struct InflightFault {
     write: bool,
     /// The monitor's intake, where the fault's latency histogram starts.
     admitted_at: SimInstant,
-    /// See [`CompletedFault::submitted_at`].
+    /// When the fault trapped: see [`CompletedFault::submitted_at`].
     submitted_at: SimInstant,
     /// From when the operation is only waiting to be picked up: its
     /// completion instant, or the end of its own issue stage if the
@@ -110,8 +109,8 @@ struct InflightFault {
     /// (the handler cannot wake a fault it has not yet admitted).
     ripe_at: SimInstant,
     /// The handler thread of the vCPU that raised the fault, which runs
-    /// its bottom half; `None` for a fault submitted without one.
-    owner: Option<usize>,
+    /// its bottom half.
+    owner: usize,
     span: SpanId,
     stage: FaultStage,
     waiters: Vec<Waiter>,
@@ -133,10 +132,7 @@ impl Op {
     /// landed.
     fn retired_on(&self, at: SimInstant) -> (Timeline, SimInstant) {
         match self {
-            Op::Fault(fault) => (
-                fault.owner.map_or(Timeline::Handler, Timeline::Vcpu),
-                fault.ripe_at,
-            ),
+            Op::Fault(fault) => (Timeline::Vcpu(fault.owner), fault.ripe_at),
             Op::Prefetch(_) | Op::Reclaim => (Timeline::Handler, at),
         }
     }
@@ -145,15 +141,23 @@ impl Op {
 /// Whose CPU a piece of monitor work runs on.
 #[derive(Clone, Copy)]
 pub(in crate::monitor) enum Timeline {
-    /// The response handler: speculative reads sent out and landed,
-    /// queued reclaim activations handed to the evictor, and the bottom
-    /// halves of faults no vCPU thread owns.
+    /// The response handler: speculative reads sent out and landed, and
+    /// queued reclaim activations handed to the evictor.
     Handler,
     /// The handler thread of the vCPU at this index of
     /// `InflightTable::vcpus`.
     Vcpu(usize),
     /// The background evictor: watermark reclaim batches.
     Evictor,
+}
+
+/// The vCPU handler thread a fault runs on, and the instant its vCPU
+/// trapped; [`Monitor::submit_on_vcpu_thread`] hands it to the fault.
+#[derive(Clone, Copy)]
+pub(crate) struct VcpuThread {
+    /// Index of the thread in `InflightTable::vcpus`.
+    vcpu: usize,
+    trap_at: SimInstant,
 }
 
 /// Where the queue holds the one operation in flight for a page.
@@ -278,8 +282,8 @@ impl InflightTable {
         self.parked.push(Parked { vpn, token, demand });
     }
 
-    /// Parks a fault whose issue stage ended at `now`, due when its
-    /// stage's wait is over.
+    /// Parks a fault `thread` raised whose issue stage ended at `now`,
+    /// due when its stage's wait is over.
     fn park(
         &mut self,
         vpn: Vpn,
@@ -287,6 +291,7 @@ impl InflightTable {
         intake: FaultIntake,
         stage: FaultStage,
         now: SimInstant,
+        thread: VcpuThread,
     ) -> u64 {
         let id = self.take_id();
         let completes_at = stage.completes_at();
@@ -295,9 +300,9 @@ impl InflightTable {
             vpn,
             write,
             admitted_at: intake.t0,
-            submitted_at: intake.t0,
+            submitted_at: thread.trap_at,
             ripe_at: completes_at.max(now),
-            owner: None,
+            owner: thread.vcpu,
             span: intake.span,
             stage,
             waiters: self.waiter_pool.pop().unwrap_or_default(),
@@ -377,23 +382,26 @@ impl InflightTable {
     }
 }
 
-/// What [`Monitor::submit_fault`] did with the fault.
+/// What the monitor did with a submitted fault.
 #[derive(Debug, Clone, Copy)]
 pub enum SubmitOutcome {
     /// The fault resolved inline (first touch, write-list steal,
     /// compressed-tier hit, synchronous read) without parking; the guest
-    /// is already woken.
+    /// is already woken. Only the monitor's own stages see this: its
+    /// vCPU's handler thread reports such a fault as finished.
     Completed(FaultResolution),
     /// The fault parked in the in-flight table with this operation id —
-    /// or, submitted on its vCPU's handler thread, already finished
-    /// there — and a later [`Monitor::complete_next`] reports it.
+    /// or its vCPU's handler thread already finished it — and a later
+    /// [`FluidMemMemory::complete_next_access`](crate::FluidMemMemory::complete_next_access)
+    /// reports it.
     Parked(u64),
     /// The fault attached as a waiter to the already-in-flight operation
     /// with this id (same page, fetch still pending).
     Coalesced(u64),
 }
 
-/// A finished fault operation, reported by [`Monitor::complete_next`].
+/// A finished fault operation, reported by
+/// [`FluidMemMemory::complete_next_access`](crate::FluidMemMemory::complete_next_access).
 #[derive(Debug, Clone, Copy)]
 pub struct CompletedFault {
     /// The operation id [`SubmitOutcome::Parked`] returned.
@@ -402,9 +410,7 @@ pub struct CompletedFault {
     pub vpn: Vpn,
     /// How the fault was resolved.
     pub resolution: Resolution,
-    /// When the fault trapped: the guest's instant at the access for a
-    /// fault submitted on its vCPU's handler thread, the monitor's
-    /// intake otherwise.
+    /// When the fault trapped: the guest's instant at the access.
     pub submitted_at: SimInstant,
     /// When the guest vCPU was woken.
     pub wake_at: SimInstant,
@@ -413,25 +419,28 @@ pub struct CompletedFault {
 }
 
 impl Monitor {
-    /// Submits one page fault. Faults whose page is at hand (first touch,
-    /// write-list steal, compressed-tier hit) — and every remote read
-    /// when `optimizations.async_read` is off — complete before
-    /// returning; faults that must wait on a read flight or on an
-    /// in-flight write park in the in-flight table and are finished by
-    /// [`Monitor::complete_next`] in completion order.
+    /// Submits one page fault that `thread`'s vCPU raised; it runs inside
+    /// [`Monitor::submit_on_vcpu_thread`], which hands `thread` out.
+    /// Faults whose page is at hand (first touch, write-list steal,
+    /// compressed-tier hit) — and every remote read when
+    /// `optimizations.async_read` is off — complete before returning;
+    /// faults that must wait on a read flight or on an in-flight write
+    /// park in the in-flight table, owned by `thread`, and retire in
+    /// completion order.
     ///
     /// # Panics
     ///
     /// Panics if the in-flight table is already at
     /// [`MonitorConfig::max_inflight`](crate::MonitorConfig::max_inflight)
     /// — drain with [`Monitor::complete_next`] first.
-    pub fn submit_fault(
+    pub(crate) fn submit_fault(
         &mut self,
         uffd: &mut Userfaultfd,
         pt: &mut PageTable,
         pm: &mut PhysicalMemory,
         vpn: Vpn,
         write: bool,
+        thread: VcpuThread,
     ) -> SubmitOutcome {
         let depth = self.config.max_inflight.max(1);
         assert!(
@@ -480,7 +489,7 @@ impl Monitor {
             }
             StealOutcome::WaitInflight { until, contents } => {
                 let stage = FaultStage::WaitWrite { until, contents };
-                return self.park(vpn, write, intake, stage);
+                return self.park(vpn, write, intake, stage, thread);
             }
             StealOutcome::Miss => {
                 // The compressed local tier sits between the write list
@@ -494,10 +503,10 @@ impl Monitor {
                     // instead of issuing a duplicate. The guest pays only
                     // the flight's remaining time.
                     let flight = self.stage_adopt_prefetch(uffd, pt, pm, key, pf);
-                    return self.park(vpn, write, intake, FaultStage::Fetch(flight));
+                    return self.park(vpn, write, intake, FaultStage::Fetch(flight), thread);
                 } else if self.config.optimizations.async_read {
                     let flight = self.stage_issue_read(uffd, pt, pm, key);
-                    return self.park(vpn, write, intake, FaultStage::Fetch(flight));
+                    return self.park(vpn, write, intake, FaultStage::Fetch(flight), thread);
                 } else {
                     // Table II "Default": with the asynchronous read off
                     // the whole store round trip sits on the critical
@@ -517,10 +526,11 @@ impl Monitor {
         })
     }
 
-    /// Submits one fault on the handler thread of the vCPU with `pid`.
-    /// `fault` is the whole fault from the trap on: it raises and
-    /// delivers the uffd event and calls [`Monitor::submit_fault`] for
-    /// `vpn`. It runs on that vCPU's thread from the later of where the
+    /// Submits one fault on the handler thread of the vCPU with `pid`:
+    /// the one way a fault enters the monitor. `fault` is the whole fault
+    /// from the trap on: it raises and delivers the uffd event and calls
+    /// [`Monitor::submit_fault`] for `vpn` with the [`VcpuThread`] it is
+    /// given. It runs on that vCPU's thread from the later of where the
     /// thread has reached and the guest's `now`, the trap instant.
     ///
     /// A fault the monitor resolves there and then (first touch,
@@ -535,12 +545,13 @@ impl Monitor {
         &mut self,
         pid: u64,
         vpn: Vpn,
-        fault: impl FnOnce(&mut Monitor) -> SubmitOutcome,
+        fault: impl FnOnce(&mut Monitor, VcpuThread) -> SubmitOutcome,
     ) -> SubmitOutcome {
         let trap_at = self.clock.now();
         let vcpu = self.inflight.vcpu(pid);
-        let thread = Timeline::Vcpu(vcpu);
-        match self.run_on(thread, trap_at, fault) {
+        let timeline = Timeline::Vcpu(vcpu);
+        let thread = VcpuThread { vcpu, trap_at };
+        match self.run_on(timeline, trap_at, |m| fault(m, thread)) {
             SubmitOutcome::Completed(res) => {
                 let id = self.inflight.take_id();
                 self.inflight.report(CompletedFault {
@@ -554,17 +565,20 @@ impl Monitor {
                 SubmitOutcome::Parked(id)
             }
             waiting => {
-                if let SubmitOutcome::Parked(_) = waiting {
-                    let op = self.inflight.parked_fault_mut(vpn);
-                    let op = op.expect("the fault just parked");
-                    op.owner = Some(vcpu);
-                    op.submitted_at = trap_at;
-                }
-                let admitted = *self.inflight.cursor(thread);
+                let admitted = *self.inflight.cursor(timeline);
                 self.clock.advance_to(admitted);
                 waiting
             }
         }
+    }
+
+    /// Where the handler thread of the vCPU with `pid` has reached: the
+    /// instant it goes idle once the work it has run is done. The epoch
+    /// for a vCPU that never faulted.
+    pub(crate) fn vcpu_idle_at(&self, pid: u64) -> SimInstant {
+        (self.inflight.vcpus.iter())
+            .find(|&&(p, _)| p == pid)
+            .map_or(SimInstant::EPOCH, |&(_, at)| at)
     }
 
     /// Runs `work` on `timeline` from the later of where that timeline
@@ -610,23 +624,20 @@ impl Monitor {
         write: bool,
         intake: FaultIntake,
         stage: FaultStage,
+        thread: VcpuThread,
     ) -> SubmitOutcome {
         let now = self.clock.now();
-        SubmitOutcome::Parked(self.inflight.park(vpn, write, intake, stage, now))
+        SubmitOutcome::Parked(self.inflight.park(vpn, write, intake, stage, now, thread))
     }
 
     /// The next finished fault, in wake order: the earliest wake already
     /// finished, unless an event still queued lands before it. Then that
-    /// event is retired first and the choice is made again. A demand
-    /// fault retires on its vCPU's handler thread and the guest clock
-    /// waits for the end of that retire, post-wake work included; a
-    /// speculative read lands on the response handler and the guest
-    /// clock does not move; a reclaim activation waits for the response
-    /// handler and runs on the guest clock; and a fault no vCPU thread
-    /// owns (a blocking driver's) retires on the guest clock straight
-    /// away. Returns `None` when nothing is parked, unreported, or
-    /// queued.
-    pub fn complete_next(
+    /// event is retired first, on its owner's timeline as
+    /// [`Monitor::poll_ready`] would, and the choice is made again. The
+    /// guest is waiting, so after a demand fault's retire its clock
+    /// advances to the end of that retire, post-wake work included.
+    /// Returns `None` when nothing is parked, unreported, or queued.
+    pub(crate) fn complete_next(
         &mut self,
         uffd: &mut Userfaultfd,
         pt: &mut PageTable,
@@ -639,20 +650,10 @@ impl Monitor {
                 return self.inflight.finished.pop_front();
             }
             let (at, op) = self.inflight.queue.pop_next()?;
-            match &op {
-                Op::Reclaim => {
-                    self.clock.advance_to(self.inflight.handler);
-                    self.retire(uffd, pt, pm, op);
-                    self.inflight.handler = self.clock.now();
-                }
-                Op::Fault(fault) if fault.owner.is_none() => self.retire(uffd, pt, pm, op),
-                Op::Fault(_) => {
-                    let end = self.retire_in_turn(uffd, pt, pm, at, op);
-                    self.clock.advance_to(end);
-                }
-                Op::Prefetch(_) => {
-                    self.retire_in_turn(uffd, pt, pm, at, op);
-                }
+            let demand = matches!(op, Op::Fault(_));
+            let end = self.retire_in_turn(uffd, pt, pm, at, op);
+            if demand {
+                self.clock.advance_to(end);
             }
         }
     }
@@ -670,7 +671,7 @@ impl Monitor {
     /// instant. So a vCPU's wake does not wait for the driver, and the
     /// guest clock pays for none of it. Never waits and never moves the
     /// guest clock.
-    pub fn poll_ready(
+    pub(crate) fn poll_ready(
         &mut self,
         uffd: &mut Userfaultfd,
         pt: &mut PageTable,
@@ -779,32 +780,16 @@ impl Monitor {
         }
     }
 
-    /// Collects every finished fault and finishes every in-flight
-    /// operation, in wake order.
-    pub fn drain_inflight(
-        &mut self,
-        uffd: &mut Userfaultfd,
-        pt: &mut PageTable,
-        pm: &mut PhysicalMemory,
-    ) -> Vec<CompletedFault> {
-        let mut done = Vec::new();
-        while let Some(c) = self.complete_next(uffd, pt, pm) {
-            done.push(c);
-        }
-        done
-    }
-
     /// Faults currently parked in the in-flight table — vCPUs still
     /// blocked, the quantity [`MonitorConfig::max_inflight`](crate::MonitorConfig::max_inflight)
-    /// bounds. A fault [`Monitor::poll_ready`] already finished frees its
-    /// slot at once, whether or not the driver has collected it.
+    /// bounds. A fault the monitor already finished frees its slot at
+    /// once, whether or not the driver has collected it.
     pub fn inflight_len(&self) -> usize {
         self.inflight.len()
     }
 
-    /// Faults already finished by [`Monitor::poll_ready`] whose
-    /// [`CompletedFault`] the driver has not collected with
-    /// [`Monitor::complete_next`] yet.
+    /// Faults the monitor already finished whose [`CompletedFault`] the
+    /// driver has not collected yet.
     pub fn unreported_completions(&self) -> usize {
         self.inflight.finished.len()
     }
@@ -827,8 +812,9 @@ impl Monitor {
 
     /// Speculative (prefetch) reads currently in flight. Not counted by
     /// [`Monitor::inflight_len`]: the depth bound applies to faults
-    /// holding vCPUs, and nothing blocks on these. They land in
-    /// [`Monitor::poll_ready`] or while [`Monitor::complete_next`] waits.
+    /// holding vCPUs, and nothing blocks on these. They land on the next
+    /// guest access after their instant, or while the driver waits for a
+    /// completion.
     pub fn inflight_prefetch_len(&self) -> usize {
         self.inflight.prefetch_len()
     }

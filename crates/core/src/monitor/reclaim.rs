@@ -29,9 +29,11 @@
 //! * **Deterministic scheduling.** When faults are parked in the
 //!   in-flight table, an activation is enqueued on the same
 //!   [`EventQueue`](fluidmem_sim::EventQueue) that orders fault
-//!   completions and runs in event order with them (the next
-//!   [`Monitor::poll_ready`] or [`Monitor::complete_next`] reaches it);
-//!   with nothing in flight the activation runs on the spot. Either
+//!   completions and runs in event order with them, handed to the
+//!   evictor by the response handler (the next [`Monitor::poll_ready`]
+//!   or [`Monitor::complete_next`] reaches it, and the guest clock never
+//!   waits for it); with nothing in flight the activation runs on the
+//!   spot. Either
 //!   way the schedule is a pure function of the seed.
 //! * **Direct reclaim as fallback.** If the evictor falls behind and a
 //!   fault still finds the buffer full, the fault runs the same

@@ -44,10 +44,62 @@ fn rig_over(config: MonitorConfig, store: impl FnOnce(SimClock) -> Box<dyn KeyVa
     }
 }
 
+/// The vCPU whose handler thread blocking faults run on.
+const BLOCKING_PID: u64 = 4242;
+
+/// Submits a fault for `vpn`, already trapped and delivered, on the
+/// handler thread of the vCPU `pid`.
+fn submit_on(
+    monitor: &mut Monitor,
+    uffd: &mut Userfaultfd,
+    pt: &mut PageTable,
+    pm: &mut PhysicalMemory,
+    pid: u64,
+    vpn: Vpn,
+    write: bool,
+) -> SubmitOutcome {
+    monitor.submit_on_vcpu_thread(pid, vpn, |m, thread| {
+        m.submit_fault(uffd, pt, pm, vpn, write, thread)
+    })
+}
+
+/// One blocking fault, as `FluidMemMemory::access` takes it: submitted
+/// on [`BLOCKING_PID`]'s thread and waited for, with the guest clock
+/// moved on to where that thread goes idle.
+fn handle_fault(
+    monitor: &mut Monitor,
+    uffd: &mut Userfaultfd,
+    pt: &mut PageTable,
+    pm: &mut PhysicalMemory,
+    vpn: Vpn,
+    write: bool,
+) -> FaultResolution {
+    monitor.assert_no_fault_outstanding("handle_fault");
+    submit_on(monitor, uffd, pt, pm, BLOCKING_PID, vpn, write);
+    let done = monitor.complete_next(uffd, pt, pm).expect("its own fault");
+    monitor.clock.advance_to(monitor.vcpu_idle_at(BLOCKING_PID));
+    FaultResolution {
+        resolution: done.resolution,
+        wake_at: done.wake_at,
+    }
+}
+
 fn fault(r: &mut Rig, i: u64, write: bool) -> FaultResolution {
     let vpn = r.region.page(i).vpn();
-    r.monitor
-        .handle_fault(&mut r.uffd, &mut r.pt, &mut r.pm, vpn, write)
+    handle_fault(
+        &mut r.monitor,
+        &mut r.uffd,
+        &mut r.pt,
+        &mut r.pm,
+        vpn,
+        write,
+    )
+}
+
+/// Collects every finished fault and finishes every in-flight
+/// operation, in wake order.
+fn drain_inflight(r: &mut Rig) -> Vec<CompletedFault> {
+    std::iter::from_fn(|| r.monitor.complete_next(&mut r.uffd, &mut r.pt, &mut r.pm)).collect()
 }
 
 #[test]
@@ -154,10 +206,10 @@ fn data_round_trips_through_store() {
     assert_eq!(r.pm.load(entry.frame), &PageContents::from_byte_fill(0x7E));
 }
 
-/// Table II "Default" vs "Async Read" through the staged entry points:
-/// with `async_read` off a refault resolves inside `submit_fault` — the
-/// whole store round trip sits before `wake_at` and nothing parks — so
-/// it is slower than the split read by the overlapped work.
+/// Table II "Default" vs "Async Read": with `async_read` off a refault
+/// resolves inside `submit_fault` — the whole store round trip sits
+/// before `wake_at` and nothing parks — so it is slower than the split
+/// read by the overlapped work.
 #[test]
 fn async_read_is_faster_than_sync() {
     let run = |opts: crate::Optimizations| {
@@ -179,7 +231,8 @@ fn async_read_is_faster_than_sync() {
         let mut pm = PhysicalMemory::new(1 << 20);
         // Warm: touch 256 pages (cap 64) then measure refaults.
         for i in 0..256 {
-            monitor.handle_fault(&mut uffd, &mut pt, &mut pm, region.page(i).vpn(), true);
+            let vpn = region.page(i).vpn();
+            handle_fault(&mut monitor, &mut uffd, &mut pt, &mut pm, vpn, true);
         }
         monitor.drain_writes();
         let mut total = fluidmem_sim::SimDuration::ZERO;
@@ -187,19 +240,20 @@ fn async_read_is_faster_than_sync() {
         for i in 0..128 {
             let t0 = clock.now();
             let vpn = region.page(i).vpn();
-            let wake_at = match monitor.submit_fault(&mut uffd, &mut pt, &mut pm, vpn, false) {
-                SubmitOutcome::Completed(res) => {
-                    assert_eq!(res.resolution, Resolution::RemoteRead);
-                    res.wake_at
-                }
-                _ => {
-                    parked += 1;
-                    let done = monitor.complete_next(&mut uffd, &mut pt, &mut pm).unwrap();
-                    assert_eq!(done.resolution, Resolution::RemoteRead);
-                    done.wake_at
-                }
-            };
-            total += wake_at - t0;
+            submit_on(
+                &mut monitor,
+                &mut uffd,
+                &mut pt,
+                &mut pm,
+                BLOCKING_PID,
+                vpn,
+                false,
+            );
+            parked += monitor.inflight_len() as u32;
+            let done = monitor.complete_next(&mut uffd, &mut pt, &mut pm).unwrap();
+            assert_eq!(done.resolution, Resolution::RemoteRead);
+            total += done.wake_at - t0;
+            clock.advance_to(monitor.vcpu_idle_at(BLOCKING_PID));
         }
         (total.as_micros_f64() / 128.0, parked)
     };
@@ -271,13 +325,15 @@ fn lost_page_detected_as_zero_fill() {
     let mut pt = PageTable::new();
     let mut pm = PhysicalMemory::new(1 << 20);
     for i in 0..256 {
-        monitor.handle_fault(&mut uffd, &mut pt, &mut pm, region.page(i).vpn(), true);
+        let vpn = region.page(i).vpn();
+        handle_fault(&mut monitor, &mut uffd, &mut pt, &mut pm, vpn, true);
     }
     monitor.drain_writes();
     // 248 pages went to a 40-page cache: most are gone.
     let mut lost_seen = false;
     for i in 0..64 {
-        monitor.handle_fault(&mut uffd, &mut pt, &mut pm, region.page(i).vpn(), false);
+        let vpn = region.page(i).vpn();
+        handle_fault(&mut monitor, &mut uffd, &mut pt, &mut pm, vpn, false);
         if monitor.stats().lost_pages > 0 {
             lost_seen = true;
             break;
@@ -304,7 +360,8 @@ fn sequential_prefetch_pulls_successors() {
     let mut pm = PhysicalMemory::new(1 << 20);
     // Populate and spill 64 pages, then drain so the store has them.
     for i in 0..64 {
-        monitor.handle_fault(&mut uffd, &mut pt, &mut pm, region.page(i).vpn(), true);
+        let vpn = region.page(i).vpn();
+        handle_fault(&mut monitor, &mut uffd, &mut pt, &mut pm, vpn, true);
     }
     monitor.drain_writes();
     // Grow the buffer so there is headroom: prefetch is capped at current
@@ -313,7 +370,8 @@ fn sequential_prefetch_pulls_successors() {
     // Refault page 0: pages 1..=4 are read ahead as it is admitted; the
     // flights land while its own read flies or while the guest computes,
     // and the monitor installs them.
-    monitor.handle_fault(&mut uffd, &mut pt, &mut pm, region.page(0).vpn(), false);
+    let vpn = region.page(0).vpn();
+    handle_fault(&mut monitor, &mut uffd, &mut pt, &mut pm, vpn, false);
     assert_eq!(monitor.stats().prefetch_issued, 4);
     clock.advance(SimDuration::from_micros(100));
     monitor.poll_ready(&mut uffd, &mut pt, &mut pm);
@@ -616,7 +674,7 @@ fn an_evictor_activation_starts_where_its_caller_or_the_evictor_is() {
             region,
             ..
         } = r;
-        monitor.submit_on_vcpu_thread(9_000, region.page(0).vpn(), |m| {
+        monitor.submit_on_vcpu_thread(BLOCKING_PID, region.page(0).vpn(), |m, _| {
             m.clock.advance(think);
             m.run_background_reclaim(uffd, pt, pm);
             let wake_at = m.clock.now();
@@ -663,18 +721,32 @@ fn an_evictor_activation_starts_where_its_caller_or_the_evictor_is() {
 }
 
 // ---------------------------------------------------------------------------
-// Staged pipeline (submit_fault / complete_next) and the capacity clamp.
+// Staged pipeline (submit / complete_next) and the capacity clamp.
 // ---------------------------------------------------------------------------
 
-/// Drives one fault through the staged pipeline, completing parked
-/// operations first whenever the in-flight table is at depth.
-fn pipelined_fault(r: &mut Rig, i: u64, write: bool) -> SubmitOutcome {
+/// Submits one fault on `pid`'s thread without waiting for it,
+/// completing parked operations first whenever the in-flight table is at
+/// depth.
+fn pipelined_fault_on(r: &mut Rig, pid: u64, i: u64, write: bool) -> SubmitOutcome {
     let vpn = r.region.page(i).vpn();
     while r.monitor.inflight_len() >= r.monitor.config().max_inflight {
         r.monitor.complete_next(&mut r.uffd, &mut r.pt, &mut r.pm);
     }
-    r.monitor
-        .submit_fault(&mut r.uffd, &mut r.pt, &mut r.pm, vpn, write)
+    submit_on(
+        &mut r.monitor,
+        &mut r.uffd,
+        &mut r.pt,
+        &mut r.pm,
+        pid,
+        vpn,
+        write,
+    )
+}
+
+/// [`pipelined_fault_on`] the blocking vCPU's thread: its faults queue
+/// behind each other there.
+fn pipelined_fault(r: &mut Rig, i: u64, write: bool) -> SubmitOutcome {
+    pipelined_fault_on(r, BLOCKING_PID, i, write)
 }
 
 #[test]
@@ -723,7 +795,7 @@ fn deeper_pipeline_overlaps_store_reads() {
     assert_eq!(r.monitor.inflight_len(), 3, "three reads in flight at once");
     assert!(r.monitor.next_completion_at().is_some());
 
-    let done = r.monitor.drain_inflight(&mut r.uffd, &mut r.pt, &mut r.pm);
+    let done = drain_inflight(&mut r);
     assert_eq!(done.len(), 3);
     assert!(done.iter().all(|c| c.resolution == Resolution::RemoteRead));
     // Completion order is completion-time order: wakes never go backwards.
@@ -735,7 +807,7 @@ fn deeper_pipeline_overlaps_store_reads() {
     assert_eq!(r.monitor.inflight.pool_slots(), 3);
     let d = pipelined_fault(&mut r, 3, false);
     assert!(matches!(d, SubmitOutcome::Parked(_)));
-    r.monitor.drain_inflight(&mut r.uffd, &mut r.pt, &mut r.pm);
+    drain_inflight(&mut r);
     assert_eq!(
         r.monitor.inflight.pool_slots(),
         3,
@@ -760,12 +832,12 @@ fn fault_on_inflight_page_coalesces_onto_the_pending_read() {
     };
     // A second vCPU touches the same page while the fetch is in flight —
     // and with a write, so the shared completion must dirty the page.
-    let second = pipelined_fault(&mut r, 0, true);
+    let second = pipelined_fault_on(&mut r, 9_001, 0, true);
     assert!(matches!(second, SubmitOutcome::Coalesced(got) if got == id));
     assert_eq!(r.monitor.stats().coalesced_faults, 1);
     assert_eq!(r.monitor.inflight_len(), 1, "no duplicate read was issued");
 
-    let done = r.monitor.drain_inflight(&mut r.uffd, &mut r.pt, &mut r.pm);
+    let done = drain_inflight(&mut r);
     assert_eq!(done.len(), 1);
     assert_eq!(done[0].waiters, 1);
     assert_eq!(r.monitor.stats().remote_reads, 1);
@@ -841,7 +913,7 @@ fn poll_retires_landed_demand_and_speculative_reads_in_event_order() {
         0,
         "their vCPUs are no longer blocked"
     );
-    let done = r.monitor.drain_inflight(&mut r.uffd, &mut r.pt, &mut r.pm);
+    let done = drain_inflight(&mut r);
     let mut reported: Vec<u64> = done.iter().map(|d| d.id).collect();
     reported.sort_unstable();
     assert_eq!(
@@ -876,7 +948,7 @@ fn an_adopted_speculative_read_leaves_nothing_on_the_queue() {
         "the read's event was cancelled, not left dead beside the fault's"
     );
 
-    let done = r.monitor.drain_inflight(&mut r.uffd, &mut r.pt, &mut r.pm);
+    let done = drain_inflight(&mut r);
     let adopter = (done.iter())
         .find(|d| d.id == id)
         .expect("the adopting fault finishes");
@@ -914,17 +986,11 @@ fn finished_faults_free_their_slots_and_are_reported_once_in_wake_order() {
     assert_eq!(r.monitor.stats().remote_reads, 2);
 
     // So two more faults fit under depth 2 before anything is collected.
-    let second = [2, 3].map(|i| {
-        let vpn = r.region.page(i).vpn();
-        parked(
-            r.monitor
-                .submit_fault(&mut r.uffd, &mut r.pt, &mut r.pm, vpn, false),
-        )
-    });
+    let second = [2, 3].map(|i| parked(pipelined_fault(&mut r, i, false)));
     assert_eq!(r.monitor.inflight_len(), 2);
     assert_eq!(r.monitor.unreported_completions(), 2);
 
-    let done = r.monitor.drain_inflight(&mut r.uffd, &mut r.pt, &mut r.pm);
+    let done = drain_inflight(&mut r);
     let ids: Vec<u64> = done.iter().map(|c| c.id).collect();
     assert_eq!(
         ids,
@@ -975,7 +1041,7 @@ fn completion_lag_counts_only_handler_queueing() {
     ));
     r.clock.advance(SimDuration::from_micros(100));
     r.monitor.poll_ready(&mut r.uffd, &mut r.pt, &mut r.pm);
-    let done = r.monitor.drain_inflight(&mut r.uffd, &mut r.pt, &mut r.pm);
+    let done = drain_inflight(&mut r);
     let queued = lag(&r);
     assert_eq!(queued.count, 1, "{queued:?}");
     assert!(queued.max_us > 0.0 && queued.max_us < 20.0, "{queued:?}");
@@ -983,7 +1049,66 @@ fn completion_lag_counts_only_handler_queueing() {
 }
 
 #[test]
-fn poll_ready_retires_a_landed_burst_on_the_handler_timeline() {
+fn a_reclaim_activation_met_while_waiting_runs_on_the_response_handler() {
+    // 96 of 100 pages resident: kswapd's low watermark is 4 free pages,
+    // its high one 8.
+    let config = MonitorConfig::new(100)
+        .inflight(2)
+        .reclaim(crate::ReclaimConfig::kswapd());
+    let mut r = spilled_rig(config, 8);
+    for i in 8..104 {
+        fault(&mut r, i, true);
+    }
+    assert_eq!(r.monitor.headroom(), 4);
+    let reclaimed = |r: &Rig| r.monitor.stats().background_reclaims;
+    let before = reclaimed(&r);
+    // Page 0's read parks on one vCPU's thread. A first touch on another
+    // takes the fourth free page and wakes the evictor with a fault
+    // parked, so its activation is queued rather than run.
+    let outcomes =
+        [(9_000, 0), (9_001, 200)].map(|(pid, i)| pipelined_fault_on(&mut r, pid, i, true));
+    assert!(outcomes
+        .iter()
+        .all(|o| matches!(o, SubmitOutcome::Parked(_))));
+    assert_eq!(r.monitor.inflight_len(), 1);
+    assert_eq!(reclaimed(&r), before);
+    // The response handler is far ahead of the guest, as behind a
+    // backlog of speculative landings.
+    let far = r.clock.now() + SimDuration::from_millis(1);
+    r.monitor
+        .run_on(super::pipeline::Timeline::Handler, far, |_| ());
+
+    assert_eq!(drain_inflight(&mut r).len(), 2);
+    // The activation ran on the handler, which handed the evictor its
+    // instant; the guest waited for the read's retire and nothing else.
+    assert!(reclaimed(&r) > before);
+    assert!(r.monitor.inflight.evictor_cursor() > far);
+    let reader_idle = r.monitor.vcpu_idle_at(9_000);
+    assert!(reader_idle < far);
+    assert_eq!(r.clock.now(), reader_idle);
+}
+
+#[test]
+fn every_completed_fault_is_stamped_with_its_trap() {
+    let mut r = spilled_rig(MonitorConfig::new(16).inflight(4), 8);
+    // Two first touches and a store read trap at one instant on one
+    // vCPU: the thread serves them one after another, admitting each
+    // later than the trap, and only the read's admission moves the guest
+    // clock.
+    let trap = r.clock.now();
+    let outcomes = [9, 10, 0].map(|i| pipelined_fault(&mut r, i, false));
+    assert!(outcomes
+        .iter()
+        .all(|o| matches!(o, SubmitOutcome::Parked(_))));
+    assert!(r.clock.now() > trap);
+    let done = drain_inflight(&mut r);
+    assert_eq!(done.len(), 3);
+    assert!(done.iter().all(|d| d.submitted_at == trap), "{done:?}");
+    assert!(done.windows(2).all(|w| w[0].wake_at < w[1].wake_at));
+}
+
+#[test]
+fn poll_ready_retires_a_landed_burst_on_its_vcpu_thread() {
     let mut r = spilled_rig(MonitorConfig::new(16).inflight(4), 8);
     for i in 0..4 {
         assert!(matches!(
@@ -998,14 +1123,15 @@ fn poll_ready_retires_a_landed_burst_on_the_handler_timeline() {
     assert_eq!(r.clock.now(), now, "the guest clock pays for no retire");
     assert_eq!(r.monitor.unreported_completions(), 4);
     assert!((0..4).all(|i| mapped(&r, i)));
-    let done = r.monitor.drain_inflight(&mut r.uffd, &mut r.pt, &mut r.pm);
+    let done = drain_inflight(&mut r);
     assert_eq!(
         r.clock.now(),
         now,
         "collecting finished faults waits for nothing"
     );
     assert!(done.windows(2).all(|w| w[0].wake_at <= w[1].wake_at));
-    // The burst ran back to back on the handler, well before the poll.
+    // The burst ran back to back on its vCPU's thread, well before the
+    // poll.
     assert!(done
         .iter()
         .all(|d| d.submitted_at <= d.wake_at && d.wake_at < now));
@@ -1097,17 +1223,21 @@ fn wakes_follow_admissions(ops: &[DriverOp]) -> Result<(), String> {
                 let from_vm = r.monitor.config().from_vm;
                 r.uffd.raise_fault(addr, write, 9_000, from_vm).unwrap();
                 r.uffd.poll().unwrap();
-                let vpn = addr.vpn();
                 let admitted = r.clock.now();
-                match r
-                    .monitor
-                    .submit_fault(&mut r.uffd, &mut r.pt, &mut r.pm, vpn, write)
-                {
+                match submit_on(
+                    &mut r.monitor,
+                    &mut r.uffd,
+                    &mut r.pt,
+                    &mut r.pm,
+                    9_000,
+                    addr.vpn(),
+                    write,
+                ) {
                     SubmitOutcome::Coalesced(id) => joined.entry(id).or_default().push(admitted),
-                    SubmitOutcome::Completed(res) if res.wake_at < admitted => {
-                        return Err(format!("{vpn} resolved inline before its admission"));
+                    SubmitOutcome::Parked(_) => {}
+                    SubmitOutcome::Completed(_) => {
+                        return Err(format!("{addr:?} completed off its vCPU thread"));
                     }
-                    SubmitOutcome::Parked(_) | SubmitOutcome::Completed(_) => {}
                 }
             }
         }
@@ -1225,11 +1355,11 @@ fn vcpu_threads_keep_time(ops: &[StreamOp]) -> Result<(), String> {
             monitor,
             ..
         } = &mut r;
-        let outcome = monitor.submit_on_vcpu_thread(pid, addr.vpn(), |m| {
+        let outcome = monitor.submit_on_vcpu_thread(pid, addr.vpn(), |m, thread| {
             uffd.raise_fault(addr, op.write, pid, m.config().from_vm)
                 .unwrap();
             uffd.poll().unwrap();
-            m.submit_fault(uffd, pt, pm, addr.vpn(), op.write)
+            m.submit_fault(uffd, pt, pm, addr.vpn(), op.write, thread)
         });
         match outcome {
             SubmitOutcome::Parked(id) | SubmitOutcome::Coalesced(id) => blocked.push((id, vcpu)),

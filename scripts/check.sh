@@ -334,4 +334,23 @@ awk -v hit="$pf_hit" 'BEGIN { exit (hit >= 0.5) ? 0 : 1 }' || {
 }
 rm -f "$smoke_json"
 
+echo "==> paper-shape outputs: results/ and BENCH_scaling.json regenerate byte-identical"
+# The committed tables and figures are the reproduction's record. A change
+# that moves one either regenerates it with a diff table in
+# EXPERIMENTS.md or is a regression.
+shape_out="$(mktemp)"
+for bin in table1 table2 table3 fig2 fig3 fig4 fig5 timeouts ablations prefetch; do
+    cargo run -q --release -p fluidmem-bench --bin "$bin" > "$shape_out"
+    cmp "$shape_out" "results/$bin.txt" || {
+        echo "paper-shape outputs: $bin no longer matches results/$bin.txt" >&2
+        exit 1
+    }
+done
+cargo run -q --release -p fluidmem-bench --bin scaling -- --big --json "$shape_out" > /dev/null
+cmp "$shape_out" BENCH_scaling.json || {
+    echo "paper-shape outputs: scaling --big no longer matches BENCH_scaling.json" >&2
+    exit 1
+}
+rm -f "$shape_out"
+
 echo "==> all checks passed"

@@ -10,7 +10,7 @@ use fluidmem::core::{
     CompletedFault, FluidMemMemory, MonitorConfig, MonitorStats, PipelineSubmit, SubmitOutcome,
 };
 use fluidmem::kv::{FaultInjectingStore, RamCloudStore};
-use fluidmem::mem::{MemoryBackend, PageClass, VirtAddr};
+use fluidmem::mem::{MemoryBackend, PageClass, PageContents, VirtAddr};
 use fluidmem::sim::{FaultPlan, SimClock, SimDuration, SimInstant, SimRng};
 use fluidmem::telemetry::Telemetry;
 
@@ -141,8 +141,9 @@ impl VcpuStreams {
         self.completed.push(done);
     }
 
-    /// Issues one access on the vCPU that is ready first.
-    pub fn access(&mut self, vm: &mut FluidMemMemory, addr: VirtAddr, write: bool) {
+    /// Moves the clock to the vCPU that is ready first, collecting
+    /// finished accesses until one is, and returns it.
+    fn next_ready(&mut self, vm: &mut FluidMemMemory) -> usize {
         let (at, vcpu) = loop {
             let next = (self.ready.iter().enumerate())
                 .filter_map(|(vcpu, at)| at.map(|at| (at, vcpu)))
@@ -154,6 +155,12 @@ impl VcpuStreams {
         };
         vm.clock().advance_to(at);
         self.issued += 1;
+        vcpu
+    }
+
+    /// Issues one access on the vCPU that is ready first.
+    pub fn access(&mut self, vm: &mut FluidMemMemory, addr: VirtAddr, write: bool) {
+        let vcpu = self.next_ready(vm);
         match vm.submit_access(9_000 + vcpu as u64, addr, write) {
             PipelineSubmit::Ready(_) => self.ready[vcpu] = Some(vm.clock().now() + self.think),
             PipelineSubmit::Pending(outcome) => {
@@ -170,6 +177,20 @@ impl VcpuStreams {
                 self.ready[vcpu] = None;
             }
         }
+    }
+
+    /// Reads `addr` back with one blocking access on the vCPU that is
+    /// ready next, once every outstanding access is collected. Speculative
+    /// reads and reclaim activations stay queued, so the read-back's own
+    /// fault may wait behind them.
+    pub fn read_back(&mut self, vm: &mut FluidMemMemory, addr: VirtAddr) -> PageContents {
+        while !self.blocked.is_empty() {
+            self.collect_one(vm);
+        }
+        let vcpu = self.next_ready(vm);
+        let (contents, _) = vm.read_page(addr);
+        self.ready[vcpu] = Some(vm.clock().now() + self.think);
+        contents
     }
 
     /// Collects every outstanding access, then lets trailing speculative

@@ -322,9 +322,11 @@ fn chaotic_streams_report_every_fault_once_in_wake_order() {
 /// prefetcher and adaptive capacity over a shadow table of a sixteenth
 /// of the buffer, four vCPU streams with think time through sequential,
 /// strided and hot-set phases over real 4 KB pages — with debug
-/// assertions on, as this test profile has them. No assertion in the
-/// monitor fires (a "double shadow entry" once did under this profile)
-/// and the page audit is clean.
+/// assertions on, as this test profile has them. Every 64th access is a
+/// blocking read-back checked against what set-up wrote, so some of
+/// those faults wait behind queued reclaim activations and speculative
+/// reads. No assertion in the monitor fires, no read-back differs, and
+/// the page audit is clean after a drain.
 #[test]
 fn tuned_profile_streams_hold_every_debug_assertion_and_audit_clean() {
     const REGION: u64 = 4_096;
@@ -363,6 +365,7 @@ fn tuned_profile_streams_hold_every_debug_assertion_and_audit_clean() {
 
     let mut streams = VcpuStreams::new(&vm, 4, THINK);
     let mut rng = SimRng::seed_from_u64(0x7A6E);
+    let (mut read_backs, mut mismatches) = (0, Vec::new());
     for _cycle in 0..9 {
         let seq = HOT + rng.gen_index(REGION - HOT - PHASE_OPS);
         let strided = HOT + rng.gen_index(REGION - HOT - 7 * PHASE_OPS);
@@ -374,12 +377,24 @@ fn tuned_profile_streams_hold_every_debug_assertion_and_audit_clean() {
                     _ => rng.gen_index(HOT),
                 };
                 let write = rng.gen_bool(0.25);
-                streams.access(&mut vm, region.page(page), write);
+                if streams.issued % 64 == 63 {
+                    read_backs += 1;
+                    if streams.read_back(&mut vm, region.page(page)) != contents(page) {
+                        mismatches.push(page);
+                    }
+                } else {
+                    streams.access(&mut vm, region.page(page), write);
+                }
             }
         }
     }
     streams.quiesce(&mut vm);
 
+    assert!(read_backs > 100);
+    assert!(
+        mismatches.is_empty(),
+        "pages read back wrong: {mismatches:?}"
+    );
     let stats = vm.monitor().stats();
     assert!(stats.prefetch_hits > 0 && stats.tier_hits > 0 && stats.background_reclaims > 0);
     assert!(stats.adaptive_grows + stats.adaptive_shrinks > 0);
