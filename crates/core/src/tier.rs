@@ -20,7 +20,10 @@
 //! stand-ins cost a nominal slot, full pages cost their exact RLE
 //! length — and incompressible pages **bypass** the tier straight to
 //! the remote store rather than occupying a full page of pool for no
-//! win (the zswap `reject_compress_poor` path).
+//! win (the zswap `reject_compress_poor` path). A byte page is scanned
+//! once per version: the size is remembered in its shared
+//! [`PageBuf`](fluidmem_mem::PageBuf), so re-admitting a page the guest
+//! has not rewritten costs a load, not a 4 KB scan.
 
 use std::collections::VecDeque;
 

@@ -196,12 +196,21 @@ pub fn rle_len(page: &[u8]) -> Option<usize> {
 /// full pages go through RLE (the decoder validates decoded length
 /// against `PAGE_SIZE`). `None` means incompressible — callers store
 /// raw (zram) or bypass the compressed tier entirely (the monitor).
+///
+/// A byte page is scanned once per buffer: the answer is memoized in
+/// the [`PageBuf`](fluidmem_mem::PageBuf), which every clone of that
+/// page version shares, and this is the memo's only writer.
 pub fn stored_page_size(contents: &PageContents) -> Option<usize> {
     match contents {
         PageContents::Zero => Some(0),
         PageContents::Token(_) => Some(TOKEN_STORED_BYTES),
-        PageContents::Bytes(b) if b.len() == PAGE_SIZE => rle_len(b),
-        PageContents::Bytes(_) => None,
+        PageContents::Bytes(b) => b.stored_len(|bytes| {
+            if bytes.len() == PAGE_SIZE {
+                rle_len(bytes)
+            } else {
+                None
+            }
+        }),
     }
 }
 
@@ -250,12 +259,12 @@ fn compress_contents(contents: &PageContents) -> (PageContents, bool) {
                 None
             };
             match compressed {
-                Some(c) => (PageContents::Bytes(c.into()), true),
+                Some(c) => (PageContents::bytes(c), true),
                 None => {
                     let mut framed = Vec::with_capacity(b.len() + 1);
                     framed.push(RAW_MAGIC);
                     framed.extend_from_slice(b);
-                    (PageContents::Bytes(framed.into()), false)
+                    (PageContents::bytes(framed), false)
                 }
             }
         }
@@ -270,9 +279,9 @@ fn decompress_contents(contents: PageContents) -> Result<PageContents, KvError> 
                 if decoded.len() != PAGE_SIZE {
                     return Err(KvError::Corruption("RLE page decoded to a non-page length"));
                 }
-                Ok(PageContents::Bytes(decoded.into()))
+                Ok(PageContents::bytes(decoded))
             }
-            Some(&RAW_MAGIC) => Ok(PageContents::Bytes(b[1..].into())),
+            Some(&RAW_MAGIC) => Ok(PageContents::bytes(&b[1..])),
             _ => Err(KvError::Corruption("unknown page frame tag")),
         },
         other => Ok(other),
@@ -673,13 +682,13 @@ mod tests {
         let mut inner = DramStore::new(1 << 24, clock.clone(), SimRng::seed_from_u64(1));
         // Truncated RLE frame, an untagged payload, and a short decode.
         inner
-            .put(key(1), PageContents::Bytes(vec![RLE_MAGIC, 9].into()))
+            .put(key(1), PageContents::bytes(vec![RLE_MAGIC, 9]))
             .unwrap();
         inner
-            .put(key(2), PageContents::Bytes(vec![0x01, 0x02, 0x03].into()))
+            .put(key(2), PageContents::bytes(vec![0x01, 0x02, 0x03]))
             .unwrap();
         inner
-            .put(key(3), PageContents::Bytes(vec![RLE_MAGIC, 4, 7].into()))
+            .put(key(3), PageContents::bytes(vec![RLE_MAGIC, 4, 7]))
             .unwrap();
         let mut s = CompressedStore::new(Box::new(inner), clock, SimRng::seed_from_u64(2));
         for k in [key(1), key(2), key(3)] {
@@ -748,7 +757,10 @@ mod tests {
     /// The allocation-free sizer must agree with the real compressor on
     /// every buffer: same `None` (incompressible) verdicts, same output
     /// lengths. Random and adversarial shapes, including the non-page
-    /// sizes zram used to mis-size.
+    /// sizes zram used to mis-size. The size `stored_page_size`
+    /// memoizes in the buffer is the bytewise oracle's and the length
+    /// of the frame `CompressedStore` writes, on a fresh buffer, its
+    /// clones and every repeated call.
     #[test]
     fn prop_rle_len_matches_rle_compress() {
         fluidmem_sim::prop::forall("rle-len-matches-compress", 256, |rng| {
@@ -783,6 +795,22 @@ mod tests {
                 "sizer diverged from compressor on a {}-byte buffer",
                 page.len()
             );
+            // Only exact pages take the RLE path (`stored_page_size`).
+            let expect = if page.len() == PAGE_SIZE {
+                rle_len_bytewise(&page)
+            } else {
+                None
+            };
+            let contents = PageContents::bytes(page);
+            let framed = match compress_contents(&contents) {
+                (PageContents::Bytes(frame), true) => Some(frame.len()),
+                _ => None,
+            };
+            assert_eq!(framed, expect, "store frame and oracle disagree");
+            let clone = contents.clone();
+            for c in [&contents, &clone, &contents] {
+                assert_eq!(stored_page_size(c), expect);
+            }
         });
     }
 
@@ -805,10 +833,7 @@ mod tests {
         // Sub-page payloads never take the RLE path, however repetitive:
         // `CompressedStore` frames them raw, so pools must charge raw too.
         // (`from_bytes` pads to a full page, so build the payload raw.)
-        assert_eq!(
-            stored_page_size(&PageContents::Bytes(vec![5u8; 512].into())),
-            None
-        );
+        assert_eq!(stored_page_size(&PageContents::bytes(vec![5u8; 512])), None);
     }
 
     /// Truncating a valid compressed frame anywhere must yield an error
@@ -820,7 +845,7 @@ mod tests {
             let page = vec![fill; PAGE_SIZE];
             let c = rle_compress(&page).expect("uniform page compresses");
             let cut = rng.gen_range(0, c.len() as u64) as usize;
-            match decompress_contents(PageContents::Bytes(c[..cut].to_vec().into())) {
+            match decompress_contents(PageContents::bytes(&c[..cut])) {
                 Err(KvError::Corruption(_)) => {}
                 Ok(decoded) => panic!("truncation at {cut} decoded silently: {decoded:?}"),
                 Err(e) => panic!("unexpected error kind: {e}"),

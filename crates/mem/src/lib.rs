@@ -32,7 +32,7 @@ mod tlb;
 pub use addr::{Region, VirtAddr, Vpn};
 pub use backend::{AccessCounters, AccessOutcome, AccessReport, CapacityError, MemoryBackend};
 pub use frame::{FrameId, PhysicalMemory};
-pub use page::{PageContents, PAGE_SIZE};
+pub use page::{PageBuf, PageContents, PAGE_SIZE};
 pub use page_class::{PageClass, WritebackTarget};
 pub use page_table::{PageTable, PageTableEntry};
 pub use pte::PteFlags;

@@ -1,10 +1,59 @@
 //! Page size and page contents.
+//!
+//! A byte-level page lives in a [`PageBuf`]: an immutable buffer shared
+//! by every copy of one page version, which also remembers the size the
+//! compressed tier, zram and `CompressedStore` charge for it, so each
+//! version is sized once however often it is evicted.
 
 use std::fmt;
-use std::sync::Arc;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 /// The page size used throughout the reproduction (4 KB, as in the paper).
 pub const PAGE_SIZE: usize = 4096;
+
+/// The immutable bytes of one page version, plus a memo of their
+/// compressed size.
+///
+/// The bytes are fixed at construction and only ever read (through
+/// `Deref<Target = [u8]>`); a guest write builds a new buffer. So the
+/// size a compression policy computes for them is fixed too, and
+/// [`stored_len`](PageBuf::stored_len) keeps the first answer.
+/// `fluidmem_kv::stored_page_size` is the memo's one writer.
+///
+/// Shared through an `Arc`, not an `Rc`, and memoized in a `OnceLock`,
+/// not a `Cell`: [`PageContents`] stays `Send + Sync`.
+pub struct PageBuf {
+    bytes: Box<[u8]>,
+    stored_len: OnceLock<Option<usize>>,
+}
+
+impl PageBuf {
+    /// The compressed size of these bytes: `size(bytes)` on the first
+    /// call, the remembered answer on every later one. `size` must be a
+    /// pure function of the bytes — and the same one on every call,
+    /// which is why `fluidmem_kv::stored_page_size` is the only caller.
+    pub fn stored_len(&self, size: impl FnOnce(&[u8]) -> Option<usize>) -> Option<usize> {
+        *self.stored_len.get_or_init(|| size(&self.bytes))
+    }
+}
+
+impl Deref for PageBuf {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes
+    }
+}
+
+/// Buffers are equal when their bytes are; the memo is derived data.
+impl PartialEq for PageBuf {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes == other.bytes
+    }
+}
+
+impl Eq for PageBuf {}
 
 /// The contents of one 4 KB page.
 ///
@@ -18,13 +67,12 @@ pub const PAGE_SIZE: usize = 4096;
 ///   Workload drivers use tokens; the *data path* (monitor → key-value
 ///   store → monitor) is identical to real bytes, so eviction/refault
 ///   round-trips are still integrity-checked.
-/// * [`Bytes`](PageContents::Bytes) — a real 4 KB buffer, used by the
-///   byte-level integrity tests. The buffer is immutable and shared:
-///   a page is never modified in place (a guest write stores a new
-///   page), so the copies the data path holds of one page — frame,
-///   write list, in-flight batch, store log, replicas — are clones of
-///   one handle, not 4 KB copies. (`Arc`, not `Rc`: the type stays
-///   `Send + Sync`.)
+/// * [`Bytes`](PageContents::Bytes) — a real buffer in a shared
+///   [`PageBuf`], used by the byte-level integrity tests and, as
+///   compressed frames, by `CompressedStore`. A page is never modified
+///   in place (a guest write stores a new page), so the copies the data
+///   path holds of one page — frame, write list, in-flight batch, store
+///   log, replicas — are clones of one handle, not 4 KB copies.
 ///
 /// # Example
 ///
@@ -42,22 +90,32 @@ pub enum PageContents {
     Zero,
     /// A compact stand-in carrying a 64-bit payload.
     Token(u64),
-    /// A literal 4 KB buffer, shared between clones.
-    Bytes(Arc<[u8]>),
+    /// A literal buffer, shared between clones.
+    Bytes(Arc<PageBuf>),
 }
 
 impl PageContents {
+    /// A byte-level page holding exactly `bytes` (of any length: a
+    /// `CompressedStore` frame is shorter or longer than a page). Every
+    /// byte page is built here.
+    pub fn bytes(bytes: impl Into<Box<[u8]>>) -> Self {
+        PageContents::Bytes(Arc::new(PageBuf {
+            bytes: bytes.into(),
+            stored_len: OnceLock::new(),
+        }))
+    }
+
     /// A page filled with one repeated byte.
     pub fn from_byte_fill(byte: u8) -> Self {
-        PageContents::Bytes([byte; PAGE_SIZE][..].into())
+        PageContents::bytes(vec![byte; PAGE_SIZE])
     }
 
     /// A page holding the given bytes, zero-padded or truncated to 4 KB.
     pub fn from_bytes(data: &[u8]) -> Self {
-        let mut buf = [0u8; PAGE_SIZE];
+        let mut buf = vec![0u8; PAGE_SIZE];
         let n = data.len().min(PAGE_SIZE);
         buf[..n].copy_from_slice(&data[..n]);
-        PageContents::Bytes(buf[..].into())
+        PageContents::bytes(buf)
     }
 
     /// The raw bytes, if this is a byte-level page.
@@ -98,12 +156,12 @@ impl PageContents {
 
     /// The number of bytes this representation costs the *simulator's*
     /// host (not the simulated machine): tokens are 8 bytes, real buffers
-    /// are 4 KB.
+    /// their length (4 KB for a page, 3 to 4 097 for a compressed frame).
     pub fn host_cost_bytes(&self) -> usize {
         match self {
             PageContents::Zero => 0,
             PageContents::Token(_) => 8,
-            PageContents::Bytes(_) => PAGE_SIZE,
+            PageContents::Bytes(b) => b.len(),
         }
     }
 }
@@ -177,6 +235,55 @@ mod tests {
         assert_eq!(PageContents::Token(42).host_cost_bytes(), 8);
         assert_eq!(PageContents::from_byte_fill(1).host_cost_bytes(), PAGE_SIZE);
         assert_eq!(PageContents::Zero.host_cost_bytes(), 0);
+        // Compressed frames are byte buffers too, from a 3-byte RLE
+        // frame to a 4 097-byte raw one.
+        assert_eq!(PageContents::bytes(vec![0xC7, 9, 1]).host_cost_bytes(), 3);
+        let raw = vec![7u8; PAGE_SIZE + 1];
+        assert_eq!(PageContents::bytes(raw).host_cost_bytes(), PAGE_SIZE + 1);
+    }
+
+    /// The type doc promises a `Send + Sync` page: a `Cell` memo or an
+    /// `Rc` buffer would stop this compiling.
+    const _: () = {
+        const fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<PageContents>();
+    };
+
+    /// A thin `Arc` keeps a page handle at two words, tag included.
+    #[test]
+    fn page_contents_is_two_words() {
+        assert_eq!(std::mem::size_of::<PageContents>(), 16);
+    }
+
+    /// Each buffer runs its sizing closure once; its clones share the
+    /// answer.
+    #[test]
+    fn stored_len_runs_its_closure_once() {
+        let p = PageContents::from_byte_fill(3);
+        let q = p.clone();
+        let (PageContents::Bytes(a), PageContents::Bytes(b)) = (&p, &q) else {
+            unreachable!()
+        };
+        assert_eq!(a.stored_len(|b| Some(b.len() / 2)), Some(PAGE_SIZE / 2));
+        let again = a.stored_len(|_| panic!("a sized buffer was scanned again"));
+        assert_eq!(again, Some(PAGE_SIZE / 2));
+        let shared = b.stored_len(|_| panic!("a clone of a sized buffer was scanned"));
+        assert_eq!(shared, Some(PAGE_SIZE / 2));
+    }
+
+    #[test]
+    fn equality_compares_bytes_only() {
+        let sized = PageContents::from_byte_fill(5);
+        let fresh = PageContents::from_byte_fill(5);
+        if let PageContents::Bytes(b) = &sized {
+            b.stored_len(|_| Some(35));
+        }
+        assert_eq!(sized, fresh);
+        assert_ne!(sized, PageContents::from_byte_fill(6));
+        assert_ne!(
+            PageContents::bytes(vec![5u8; 16]),
+            PageContents::bytes(vec![5u8; 17])
+        );
     }
 
     #[test]

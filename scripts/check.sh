@@ -228,6 +228,28 @@ if [ -n "$adopt_hits" ]; then
     exit 1
 fi
 
+echo "==> lint: pages are sized through their buffer"
+# A page version's compressed size is computed once, by
+# fluidmem_kv::stored_page_size, and remembered in the page's PageBuf,
+# which every clone of that version shares (DESIGN.md §16). A raw
+# rle_len / scan_runs call, or a PageBuf::stored_len call, anywhere but
+# crates/kv/src/compress.rs re-scans bytes whose size is already known
+# (or memoizes a second policy). Mark a deliberate raw scan with
+# '// lint: raw-scan'. Comments and test modules are exempt.
+scan_hits=""
+for f in $(find crates src examples -name '*.rs' ! -path crates/kv/src/compress.rs ! -name 'tests.rs'); do
+    scan_hits="$scan_hits$(awk -v f="$f" '
+        /^#\[cfg\(test\)\]/ { exit }
+        /^[[:space:]]*\/\// || /lint: raw-scan/ { next }
+        /(^|[^a-z_])rle_len\(|scan_runs\(|\.stored_len\(/ { print f ":" FNR ": " $0 }
+    ' "$f")"
+done
+if [ -n "$scan_hits" ]; then
+    echo "page bytes sized outside fluidmem_kv::stored_page_size (call it, or mark '// lint: raw-scan'):" >&2
+    echo "$scan_hits" >&2
+    exit 1
+fi
+
 echo "==> cluster smoke: scaling --smoke --cluster (twice, byte-identical, zero lost pages)"
 run_twice_cmp "cluster smoke" scaling scaling_cluster --cluster
 # Every cell churns membership mid-run (a join and a graceful leave);

@@ -184,3 +184,54 @@ fn chaotic_tier_runs_are_deterministic() {
         assert_eq!(a, b, "seed {seed}: chaos + tier must stay deterministic");
     }
 }
+
+/// A page whose RLE frame is `1 + 2 * runs` bytes: `runs` alternating
+/// runs of `fill` and `fill + 1`.
+fn page_of_runs(runs: usize, fill: u8) -> PageContents {
+    let run = PAGE_SIZE / runs;
+    let bytes: Vec<u8> = (0..PAGE_SIZE)
+        .map(|i| fill.wrapping_add(((i / run) % 2) as u8))
+        .collect();
+    PageContents::from_bytes(&bytes)
+}
+
+/// The pool charges each *version* of a page its own compressed size:
+/// page P is admitted, promoted, rewritten with bytes of a different
+/// RLE length, and evicted again, and the second admission charges the
+/// new bytes. A size remembered per page or per store key, rather than
+/// per buffer, would charge the first version's length twice.
+#[test]
+fn a_rewritten_page_is_charged_its_new_size() {
+    let config = MonitorConfig::new(1).tier(TierConfig {
+        thrash_gate: false,
+        ..TierConfig::pool(1 << 20)
+    });
+    let (_telemetry, mut vm) = common::traced_vm(5, config);
+    let region = vm.map_region(2, PageClass::Anonymous);
+    let (p, q) = (region.page(0), region.page(1));
+    let (v1, v2) = (page_of_runs(32, 1), page_of_runs(64, 9));
+    let size = |c: &PageContents| {
+        fluidmem::kv::rle_compress(c.as_bytes().unwrap())
+            .unwrap()
+            .len()
+    };
+    assert_eq!((size(&v1), size(&v2)), (65, 129));
+
+    // Touching Q evicts P (one-page buffer) into the pool.
+    vm.write_page(p, v1.clone());
+    vm.write_page(q, PageContents::Token(7));
+    assert_eq!(vm.monitor().tier_bytes(), size(&v1));
+    // Reading P promotes it and admits Q in its place.
+    assert_eq!(vm.read_page(p).0, v1);
+    assert_eq!(vm.monitor().tier_bytes(), fluidmem::kv::TOKEN_STORED_BYTES);
+    // A new version of P, evicted by promoting Q.
+    vm.write_page(p, v2.clone());
+    assert_eq!(vm.read_page(q).0, PageContents::Token(7));
+    assert_eq!(vm.monitor().tier_bytes(), size(&v2));
+
+    let stats = vm.monitor().stats();
+    assert_eq!((stats.tier_admits, stats.tier_hits), (3, 2));
+    let audit = vm.monitor().tier_audit();
+    assert!(audit.is_clean(), "{audit:?}");
+    assert_eq!(vm.read_page(p).0, v2);
+}
