@@ -161,7 +161,7 @@ fn run_config(sizes: &Sizes, seed: u64, policy: PrefetchPolicy) -> RunResult {
                 }
                 None => {
                     hits += 1;
-                    access_latencies.record(0.0);
+                    access_latencies.record_duration(SimDuration::ZERO);
                 }
             }
         }

@@ -957,9 +957,7 @@ impl HostAgent {
     pub fn aggregate_access_percentile(&mut self, p: f64) -> f64 {
         let mut merged = Sample::new();
         for slot in &self.slots {
-            for &v in slot.access_lat.values() {
-                merged.record(v);
-            }
+            merged.merge(&slot.access_lat);
         }
         merged.percentile(p)
     }
@@ -968,9 +966,7 @@ impl HostAgent {
     pub fn aggregate_fault_percentile(&mut self, p: f64) -> f64 {
         let mut merged = Sample::new();
         for slot in &self.slots {
-            for &v in slot.fault_lat.values() {
-                merged.record(v);
-            }
+            merged.merge(&slot.fault_lat);
         }
         merged.percentile(p)
     }
@@ -1217,6 +1213,43 @@ mod tests {
             a.aggregate_access_percentile(0.999).to_bits(),
             b.aggregate_access_percentile(0.999).to_bits()
         );
+    }
+
+    #[test]
+    fn aggregate_percentiles_equal_the_f64_percentile_of_every_vm_value() {
+        let mut agent = host(HostConfig::new(256).min_pages(8).rebalance_interval(128), 5);
+        for i in 0..4 {
+            agent.add_vm(VmSpec::new(format!("vm{i}"), 96));
+        }
+        agent.run(2_000);
+        agent.reset_measurements();
+        agent.run(3_000);
+        // Sorts VM 1's sample in place; the others stay in arrival order.
+        assert!(agent.vm_fault_percentile(1, 0.5) > 0.0);
+        // The oracle: every VM's values, concatenated as raw floats.
+        let mut faults: Sample = agent
+            .slots
+            .iter()
+            .flat_map(|s| s.fault_lat.iter())
+            .collect();
+        let mut accesses: Sample = agent
+            .slots
+            .iter()
+            .flat_map(|s| s.access_lat.iter())
+            .collect();
+        assert!(faults.count() > 100 && accesses.count() > faults.count());
+        for p in [0.0, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0] {
+            assert_eq!(
+                agent.aggregate_fault_percentile(p).to_bits(),
+                faults.percentile(p).to_bits(),
+                "fault p{p}"
+            );
+            assert_eq!(
+                agent.aggregate_access_percentile(p).to_bits(),
+                accesses.percentile(p).to_bits(),
+                "access p{p}"
+            );
+        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //!
 //! * [`Summary`] — constant-space streaming mean/stdev/min/max (Welford),
 //!   used by the monitor's per-code-path profiler (Table I).
-//! * [`Sample`] — a full sample retaining every value, for exact
-//!   percentiles and harmonic means (Tables I–II, Figure 4).
+//! * [`Sample`] — a full sample retaining every value (4 bytes per
+//!   duration), for exact percentiles and harmonic means (Tables I–II,
+//!   Figure 4).
 //! * [`LatencyHistogram`] — log-spaced buckets from 100 ns to 10 s,
 //!   producing the latency CDFs of Figure 3.
 
@@ -126,6 +127,16 @@ impl Summary {
 
 /// A sample that retains all observations for exact order statistics.
 ///
+/// Durations are stored as whole nanoseconds: a `u32` each while every
+/// value is below 2³² ns (4.29 s), a `u64` each from the first one that
+/// is not. They become microseconds only when read, through the same
+/// [`SimDuration::as_micros_f64`] that recording them as floats would
+/// have used. That conversion is monotone, so sorting the integers sorts
+/// the floats, and every count, mean, deviation and percentile is
+/// bit-identical to a sample of `f64`s, at half the bytes while the
+/// values fit in 32 bits. A raw [`record`](Sample::record) moves the
+/// sample to an `f64` store, which [`clear`](Sample::clear) keeps.
+///
 /// # Example
 ///
 /// ```
@@ -138,66 +149,147 @@ impl Summary {
 /// assert_eq!(s.percentile(0.5), 50.5);
 /// assert!((s.percentile(0.99) - 99.01).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Sample {
-    values: Vec<f64>,
+    store: Store,
     sorted: bool,
+}
+
+/// The observations of a [`Sample`], in the narrowest form that holds
+/// them all.
+#[derive(Debug, Clone)]
+enum Store {
+    /// Durations in nanoseconds, each below 2³².
+    Nanos32(Vec<u32>),
+    /// Durations in nanoseconds.
+    Nanos64(Vec<u64>),
+    /// Raw values.
+    Raw(Vec<f64>),
+}
+
+/// A stored duration as the microseconds it is read as.
+fn micros(ns: u64) -> f64 {
+    SimDuration::from_nanos(ns).as_micros_f64()
+}
+
+/// Converts `narrow` element by element into a vector of the same
+/// capacity, so the wider store grows at the lengths the narrow one
+/// would have.
+fn widen<T, U>(narrow: Vec<T>, f: impl FnMut(T) -> U) -> Vec<U> {
+    let mut wide = Vec::with_capacity(narrow.capacity());
+    wide.extend(narrow.into_iter().map(f));
+    wide
+}
+
+impl Default for Sample {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Sample {
     /// Creates an empty sample.
     pub fn new() -> Self {
         Sample {
-            values: Vec::new(),
+            store: Store::Nanos32(Vec::new()),
             sorted: true,
         }
     }
 
-    /// Records one observation.
+    /// Records one raw observation, moving the sample to its `f64`
+    /// store. Record a latency with
+    /// [`record_duration`](Sample::record_duration) instead.
     pub fn record(&mut self, value: f64) {
-        self.values.push(value);
+        match &mut self.store {
+            Store::Raw(v) => v.push(value),
+            _ => {
+                self.widen_to_raw();
+                return self.record(value);
+            }
+        }
         self.sorted = false;
     }
 
     /// Drops every observation but keeps the allocation, for samples
     /// that are refilled window after window.
     pub fn clear(&mut self) {
-        self.values.clear();
+        match &mut self.store {
+            Store::Nanos32(v) => v.clear(),
+            Store::Nanos64(v) => v.clear(),
+            Store::Raw(v) => v.clear(),
+        }
         self.sorted = true;
     }
 
-    /// Records a duration, in microseconds.
+    /// Records a duration, read back in microseconds.
     pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_micros_f64());
+        let ns = d.as_nanos();
+        match (&mut self.store, u32::try_from(ns)) {
+            (Store::Nanos32(v), Ok(n)) => v.push(n),
+            (Store::Nanos32(_), Err(_)) => {
+                self.widen_to_nanos64();
+                return self.record_duration(d);
+            }
+            (Store::Nanos64(v), _) => v.push(ns),
+            (Store::Raw(v), _) => v.push(d.as_micros_f64()),
+        }
+        self.sorted = false;
+    }
+
+    /// Appends every observation of `other`, in the narrowest store
+    /// that holds both samples.
+    pub fn merge(&mut self, other: &Sample) {
+        if other.is_empty() {
+            return;
+        }
+        match (&mut self.store, &other.store) {
+            (Store::Nanos32(a), Store::Nanos32(b)) => a.extend_from_slice(b),
+            (Store::Nanos64(a), Store::Nanos32(b)) => a.extend(b.iter().map(|&n| u64::from(n))),
+            (Store::Nanos64(a), Store::Nanos64(b)) => a.extend_from_slice(b),
+            (Store::Raw(a), _) => a.extend(other.iter()),
+            (_, Store::Nanos64(_)) => {
+                self.widen_to_nanos64();
+                return self.merge(other);
+            }
+            (_, Store::Raw(_)) => {
+                self.widen_to_raw();
+                return self.merge(other);
+            }
+        }
+        self.sorted = false;
     }
 
     /// Number of observations.
     pub fn count(&self) -> usize {
-        self.values.len()
+        match &self.store {
+            Store::Nanos32(v) => v.len(),
+            Store::Nanos64(v) => v.len(),
+            Store::Raw(v) => v.len(),
+        }
     }
 
     /// Whether the sample is empty.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.count() == 0
     }
 
     /// Arithmetic mean (0 if empty).
     pub fn mean(&self) -> f64 {
-        if self.values.is_empty() {
+        if self.is_empty() {
             0.0
         } else {
-            self.values.iter().sum::<f64>() / self.values.len() as f64
+            self.iter().sum::<f64>() / self.count() as f64
         }
     }
 
     /// Sample standard deviation (0 if fewer than two observations).
     pub fn stdev(&self) -> f64 {
-        let n = self.values.len();
+        let n = self.count();
         if n < 2 {
             return 0.0;
         }
         let mean = self.mean();
-        let ss: f64 = self.values.iter().map(|v| (v - mean) * (v - mean)).sum();
+        let ss: f64 = self.iter().map(|v| (v - mean) * (v - mean)).sum();
         (ss / (n - 1) as f64).sqrt()
     }
 
@@ -205,42 +297,78 @@ impl Sample {
     /// TEPS across BFS roots (0 if empty; requires strictly positive
     /// observations to be meaningful).
     pub fn harmonic_mean(&self) -> f64 {
-        if self.values.is_empty() {
+        if self.is_empty() {
             return 0.0;
         }
-        let recip: f64 = self.values.iter().map(|v| 1.0 / v).sum();
-        self.values.len() as f64 / recip
+        let recip: f64 = self.iter().map(|v| 1.0 / v).sum();
+        self.count() as f64 / recip
     }
 
     /// Exact percentile by nearest-rank interpolation. `p` is in `[0, 1]`.
     ///
     /// Returns 0 for an empty sample.
     pub fn percentile(&mut self, p: f64) -> f64 {
-        if self.values.is_empty() {
+        if self.is_empty() {
             return 0.0;
         }
         self.ensure_sorted();
         let p = p.clamp(0.0, 1.0);
-        let rank = p * (self.values.len() - 1) as f64;
+        let rank = p * (self.count() - 1) as f64;
         let lo = rank.floor() as usize;
         let hi = rank.ceil() as usize;
         if lo == hi {
-            self.values[lo]
+            self.value(lo)
         } else {
             let frac = rank - lo as f64;
-            self.values[lo] * (1.0 - frac) + self.values[hi] * frac
+            self.value(lo) * (1.0 - frac) + self.value(hi) * frac
         }
     }
 
-    /// The raw observations, in insertion order if never sorted.
-    pub fn values(&self) -> &[f64] {
-        &self.values
+    /// The observations in microseconds, in insertion order if never
+    /// sorted.
+    pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
+        let (nanos32, nanos64, raw): (&[u32], &[u64], &[f64]) = match &self.store {
+            Store::Nanos32(v) => (v, &[], &[]),
+            Store::Nanos64(v) => (&[], v, &[]),
+            Store::Raw(v) => (&[], &[], v),
+        };
+        nanos32
+            .iter()
+            .map(|&n| micros(n.into()))
+            .chain(nanos64.iter().map(|&n| micros(n)))
+            .chain(raw.iter().copied())
+    }
+
+    fn value(&self, i: usize) -> f64 {
+        match &self.store {
+            Store::Nanos32(v) => micros(v[i].into()),
+            Store::Nanos64(v) => micros(v[i]),
+            Store::Raw(v) => v[i],
+        }
+    }
+
+    fn widen_to_nanos64(&mut self) {
+        if let Store::Nanos32(v) = &mut self.store {
+            self.store = Store::Nanos64(widen(std::mem::take(v), u64::from));
+        }
+    }
+
+    fn widen_to_raw(&mut self) {
+        let raw = match &mut self.store {
+            Store::Nanos32(v) => widen(std::mem::take(v), |n| micros(n.into())),
+            Store::Nanos64(v) => widen(std::mem::take(v), micros),
+            Store::Raw(_) => return,
+        };
+        self.store = Store::Raw(raw);
     }
 
     fn ensure_sorted(&mut self) {
         if !self.sorted {
-            self.values
-                .sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample"));
+            match &mut self.store {
+                Store::Nanos32(v) => v.sort_unstable(),
+                Store::Nanos64(v) => v.sort_unstable(),
+                Store::Raw(v) => v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample")),
+            }
             self.sorted = true;
         }
     }
@@ -521,6 +649,212 @@ mod tests {
         s.record(9.0);
         s.record(4.0);
         assert_eq!(s.percentile(0.0), 4.0);
+    }
+
+    /// The `f64` sample [`Sample`] replaced, kept as the oracle its
+    /// integer stores must match bit for bit.
+    struct OracleSample {
+        values: Vec<f64>,
+        sorted: bool,
+    }
+
+    impl OracleSample {
+        fn new() -> Self {
+            OracleSample {
+                values: Vec::new(),
+                sorted: true,
+            }
+        }
+
+        fn record(&mut self, value: f64) {
+            self.values.push(value);
+            self.sorted = false;
+        }
+
+        fn clear(&mut self) {
+            self.values.clear();
+            self.sorted = true;
+        }
+
+        fn record_duration(&mut self, d: SimDuration) {
+            self.record(d.as_micros_f64());
+        }
+
+        fn mean(&self) -> f64 {
+            if self.values.is_empty() {
+                0.0
+            } else {
+                self.values.iter().sum::<f64>() / self.values.len() as f64
+            }
+        }
+
+        fn stdev(&self) -> f64 {
+            let n = self.values.len();
+            if n < 2 {
+                return 0.0;
+            }
+            let mean = self.mean();
+            let ss: f64 = self.values.iter().map(|v| (v - mean) * (v - mean)).sum();
+            (ss / (n - 1) as f64).sqrt()
+        }
+
+        fn harmonic_mean(&self) -> f64 {
+            if self.values.is_empty() {
+                return 0.0;
+            }
+            let recip: f64 = self.values.iter().map(|v| 1.0 / v).sum();
+            self.values.len() as f64 / recip
+        }
+
+        fn percentile(&mut self, p: f64) -> f64 {
+            if self.values.is_empty() {
+                return 0.0;
+            }
+            if !self.sorted {
+                self.values
+                    .sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample"));
+                self.sorted = true;
+            }
+            let p = p.clamp(0.0, 1.0);
+            let rank = p * (self.values.len() - 1) as f64;
+            let lo = rank.floor() as usize;
+            let hi = rank.ceil() as usize;
+            if lo == hi {
+                self.values[lo]
+            } else {
+                let frac = rank - lo as f64;
+                self.values[lo] * (1.0 - frac) + self.values[hi] * frac
+            }
+        }
+    }
+
+    #[derive(Clone, Debug)]
+    enum SampleOp {
+        Duration(u64),
+        Raw(f64),
+        Clear,
+        Percentile(f64),
+    }
+
+    fn gen_sample_op(rng: &mut crate::SimRng) -> SampleOp {
+        const TWO_32: u64 = 1 << 32;
+        match rng.gen_index(100) {
+            0..=4 => SampleOp::Duration(0),
+            5..=54 => SampleOp::Duration(rng.gen_range(1, 200_000)),
+            // Repeats, so ties meet in the sort.
+            55..=59 => SampleOp::Duration(1_000 * rng.gen_range(1, 4)),
+            60..=62 => SampleOp::Duration(rng.gen_range(TWO_32 - 3, TWO_32 + 3)),
+            // Above 2^53 ns, neighbours round to one f64.
+            63..=64 => SampleOp::Duration(rng.gen_range(1 << 53, (1 << 53) + 64)),
+            65..=66 => SampleOp::Duration(rng.gen_u64()),
+            67 => SampleOp::Raw(-0.0),
+            68 => SampleOp::Raw((rng.gen_f64() - 0.25) * 1e6),
+            69..=71 => SampleOp::Clear,
+            72..=74 => SampleOp::Percentile(rng.gen_index(2) as f64),
+            _ => SampleOp::Percentile(rng.gen_f64()),
+        }
+    }
+
+    #[test]
+    fn prop_sample_matches_the_f64_oracle_bit_for_bit() {
+        crate::prop::forall_sequences(
+            "sample-matches-f64-oracle",
+            96,
+            |rng| crate::prop::vec_of(rng, 1, 300, gen_sample_op),
+            |ops| {
+                let mut sample = Sample::new();
+                let mut oracle = OracleSample::new();
+                for (i, op) in ops.iter().enumerate() {
+                    match *op {
+                        SampleOp::Duration(ns) => {
+                            sample.record_duration(SimDuration::from_nanos(ns));
+                            oracle.record_duration(SimDuration::from_nanos(ns));
+                        }
+                        SampleOp::Raw(v) => {
+                            sample.record(v);
+                            oracle.record(v);
+                        }
+                        SampleOp::Clear => {
+                            sample.clear();
+                            oracle.clear();
+                        }
+                        SampleOp::Percentile(p) => {
+                            let (got, want) = (sample.percentile(p), oracle.percentile(p));
+                            if got.to_bits() != want.to_bits() {
+                                return Err(format!("op {i}: p{p} {got} != {want}"));
+                            }
+                        }
+                    }
+                    let checks = [
+                        ("count", sample.count() as f64, oracle.values.len() as f64),
+                        ("mean", sample.mean(), oracle.mean()),
+                        ("stdev", sample.stdev(), oracle.stdev()),
+                        (
+                            "harmonic mean",
+                            sample.harmonic_mean(),
+                            oracle.harmonic_mean(),
+                        ),
+                    ];
+                    for (what, got, want) in checks {
+                        if got.to_bits() != want.to_bits() {
+                            return Err(format!("op {i}: {what} {got} != {want}"));
+                        }
+                    }
+                }
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn sample_keeps_the_narrowest_store() {
+        let mut s = Sample::new();
+        s.record_duration(SimDuration::from_nanos(u64::from(u32::MAX)));
+        s.record_duration(SimDuration::from_nanos(7));
+        assert!(matches!(s.store, Store::Nanos32(_)));
+        s.record_duration(SimDuration::from_nanos(1 << 32));
+        assert!(matches!(s.store, Store::Nanos64(_)));
+        assert_eq!(s.percentile(0.0), 0.007);
+        s.clear();
+        s.record(1.5);
+        assert!(matches!(s.store, Store::Raw(_)));
+        s.clear();
+        s.record_duration(SimDuration::from_nanos(2_500));
+        assert!(matches!(s.store, Store::Raw(_)), "clear keeps the store");
+        assert_eq!(s.percentile(0.5), 2.5);
+    }
+
+    #[test]
+    fn merge_keeps_the_integer_store_and_every_value() {
+        let durations = |ns: &[u64]| {
+            let mut s = Sample::new();
+            for &n in ns {
+                s.record_duration(SimDuration::from_nanos(n));
+            }
+            s
+        };
+        let mut a = durations(&[30_000, 10_000]);
+        assert_eq!(a.percentile(0.0), 10.0); // `a` is now sorted in place.
+        let mut merged = Sample::new();
+        merged.merge(&a);
+        merged.merge(&durations(&[5_000, 20_000]));
+        merged.merge(&Sample::new());
+        assert!(matches!(merged.store, Store::Nanos32(_)));
+        assert_eq!(merged.count(), 4);
+        assert_eq!(merged.percentile(0.0), 5.0);
+        assert_eq!(merged.percentile(1.0), 30.0);
+
+        merged.merge(&durations(&[1 << 33]));
+        assert!(matches!(merged.store, Store::Nanos64(_)));
+        let raw: Sample = [0.5].into_iter().collect();
+        merged.merge(&raw);
+        assert!(matches!(merged.store, Store::Raw(_)));
+        assert_eq!(merged.percentile(0.0), 0.5);
+        assert_eq!(
+            merged.percentile(1.0),
+            SimDuration::from_nanos(1 << 33).as_micros_f64()
+        );
+        assert_eq!(merged.count(), 6);
     }
 
     #[test]

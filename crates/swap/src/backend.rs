@@ -1,13 +1,13 @@
 //! `SwapBackedMemory`: the swap-based `MemoryBackend`.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use fluidmem_block::BlockDevice;
 use fluidmem_mem::{
     AccessCounters, AccessOutcome, AccessReport, CapacityError, FrameId, MemoryBackend, PageClass,
     PageContents, PageTable, PhysicalMemory, PteFlags, Region, VirtAddr, Vpn,
 };
-use fluidmem_sim::{SimClock, SimDuration, SimInstant, SimRng};
+use fluidmem_sim::{FastMap, SimClock, SimDuration, SimInstant, SimRng};
 
 use crate::config::{DiskCacheMode, SwapConfig};
 use crate::lru::TwoListLru;
@@ -72,14 +72,14 @@ pub struct SwapBackedMemory {
     lru: TwoListLru,
     slots: SlotAllocator,
     /// Anonymous pages currently on the swap device.
-    swapped_out: HashMap<Vpn, SwappedInfo>,
+    swapped_out: FastMap<Vpn, SwappedInfo>,
     /// Resident pages whose swap-slot copy is still valid (clean).
-    clean_slot: HashMap<Vpn, u64>,
+    clean_slot: FastMap<Vpn, u64>,
     /// Readahead pages: resident in a frame but not yet mapped.
-    swap_cache: HashMap<Vpn, FrameId>,
+    swap_cache: FastMap<Vpn, FrameId>,
     swap_cache_order: VecDeque<Vpn>,
     /// File-backed pages' filesystem blocks.
-    fs_blocks: HashMap<Vpn, u64>,
+    fs_blocks: FastMap<Vpn, u64>,
     next_fs_block: u64,
     label: String,
     counters: AccessCounters,
@@ -110,11 +110,11 @@ impl SwapBackedMemory {
             regions: BTreeMap::new(),
             next_vpn: 0x10_000,
             lru: TwoListLru::new(),
-            swapped_out: HashMap::new(),
-            clean_slot: HashMap::new(),
-            swap_cache: HashMap::new(),
+            swapped_out: FastMap::default(),
+            clean_slot: FastMap::default(),
+            swap_cache: FastMap::default(),
             swap_cache_order: VecDeque::new(),
-            fs_blocks: HashMap::new(),
+            fs_blocks: FastMap::default(),
             next_fs_block: 0,
             label,
             counters: AccessCounters::default(),

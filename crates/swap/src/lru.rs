@@ -1,8 +1,9 @@
 //! The kernel's two-list (active/inactive) page LRU.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use fluidmem_mem::Vpn;
+use fluidmem_sim::FastMap;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ListKind {
@@ -47,7 +48,7 @@ pub struct TwoListLru {
     active: VecDeque<Vpn>,
     inactive: VecDeque<Vpn>,
     /// Source of truth; deque entries not matching are stale and skipped.
-    membership: HashMap<Vpn, ListKind>,
+    membership: FastMap<Vpn, ListKind>,
     active_count: usize,
     inactive_count: usize,
 }

@@ -1,8 +1,7 @@
 //! Swap-slot allocation.
 
-use std::collections::HashMap;
-
 use fluidmem_mem::Vpn;
+use fluidmem_sim::FastMap;
 
 /// Allocates 4 KB slots on the swap device and remembers which page owns
 /// which slot.
@@ -30,8 +29,8 @@ pub struct SlotAllocator {
     capacity: u64,
     next: u64,
     free_list: Vec<u64>,
-    by_vpn: HashMap<Vpn, u64>,
-    by_slot: HashMap<u64, Vpn>,
+    by_vpn: FastMap<Vpn, u64>,
+    by_slot: FastMap<u64, Vpn>,
 }
 
 impl SlotAllocator {

@@ -157,10 +157,10 @@ impl Histogram {
         self.observe(SimDuration::from_nanos(v));
     }
 
-    /// A point-in-time copy of the histogram's statistics.
+    /// A point-in-time copy of the histogram's statistics. The
+    /// percentile subsample is sorted in place, under the lock.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let c = self.0.lock().expect("histogram lock");
-        let mut sample = c.sample.clone();
+        let mut c = self.0.lock().expect("histogram lock");
         HistogramSnapshot {
             count: c.summary.count(),
             sum_us: c.summary.mean() * c.summary.count() as f64,
@@ -168,8 +168,8 @@ impl Histogram {
             stdev_us: c.summary.stdev(),
             min_us: c.summary.min(),
             max_us: c.summary.max(),
-            p50_us: sample.percentile(0.5),
-            p99_us: sample.percentile(0.99),
+            p50_us: c.sample.percentile(0.5),
+            p99_us: c.sample.percentile(0.99),
             buckets: c.buckets.to_vec(),
         }
     }
@@ -407,6 +407,23 @@ mod tests {
         assert!((s.sum_us - 60.0).abs() < 1e-9);
         assert_eq!(s.min_us, 10.0);
         assert_eq!(s.max_us, 30.0);
+    }
+
+    #[test]
+    fn percentiles_hold_across_snapshots_and_later_observations() {
+        let h = Histogram::new();
+        for us in [30u64, 10, 20] {
+            h.observe(SimDuration::from_micros(us));
+        }
+        assert_eq!(h.snapshot().p50_us, 20.0);
+        // The first snapshot sorted the subsample in place; these land
+        // after it, out of order.
+        for us in [5u64, 1] {
+            h.observe(SimDuration::from_micros(us));
+        }
+        let s = h.snapshot();
+        assert_eq!((s.p50_us, s.count), (10.0, 5));
+        assert!((s.p99_us - 29.6).abs() < 1e-9, "{}", s.p99_us);
     }
 
     #[test]

@@ -111,13 +111,13 @@ if [ -n "$lint_hits" ]; then
 fi
 
 echo "==> lint: default-hasher maps on the per-page paths"
-# The per-page maps of mem, core, uffd, block and the RAMCloud index hash
-# simulator-generated integers; std's SipHash there cost a fifth of
-# fleet-scale host time (DESIGN.md §17). Use fluidmem_sim::FastMap /
+# The per-page maps of mem, core, uffd, block, swap and the RAMCloud
+# index hash simulator-generated integers; std's SipHash there cost a
+# fifth of fleet-scale host time (DESIGN.md §17). Use fluidmem_sim::FastMap /
 # FastSet, or mark a map that is genuinely off the per-page path with
 # '// lint: cold-path'. Test modules (and monitor/tests.rs) are exempt.
 hasher_hits=""
-for f in $(find crates/mem/src crates/core/src crates/uffd/src crates/block/src -name '*.rs' ! -name 'tests.rs') \
+for f in $(find crates/mem/src crates/core/src crates/uffd/src crates/block/src crates/swap/src -name '*.rs' ! -name 'tests.rs') \
     crates/kv/src/ramcloud.rs; do
     hasher_hits="$hasher_hits$(awk -v f="$f" '
         /^#\[cfg\(test\)\]/ { exit }
@@ -247,6 +247,28 @@ done
 if [ -n "$scan_hits" ]; then
     echo "page bytes sized outside fluidmem_kv::stored_page_size (call it, or mark '// lint: raw-scan'):" >&2
     echo "$scan_hits" >&2
+    exit 1
+fi
+
+echo "==> lint: durations are recorded as durations"
+# A Sample keeps a recorded duration as integer nanoseconds, four bytes
+# each (DESIGN.md §10). Recording one as a float, `.record(d.as_micros_f64())`,
+# reads back the same but silently moves the whole sample to its
+# eight-byte f64 store: call `record_duration(d)` instead, or mark a
+# deliberate raw value with '// lint: raw-sample'. The collectors'
+# definitions (crates/sim/src/stats.rs), comments and test modules are
+# exempt.
+sample_hits=""
+for f in $(find crates src examples -name '*.rs' ! -path crates/sim/src/stats.rs ! -name 'tests.rs'); do
+    sample_hits="$sample_hits$(awk -v f="$f" '
+        /^#\[cfg\(test\)\]/ { exit }
+        /^[[:space:]]*\/\// || /lint: raw-sample/ { next }
+        /\.record\([^,]*\.as_micros_f64\(\)\)/ { print f ":" FNR ": " $0 }
+    ' "$f")"
+done
+if [ -n "$sample_hits" ]; then
+    echo "a duration recorded as a raw float (call record_duration, or mark '// lint: raw-sample'):" >&2
+    echo "$sample_hits" >&2
     exit 1
 fi
 
