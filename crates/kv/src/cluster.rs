@@ -49,7 +49,7 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use fluidmem_coord::PartitionId;
 use fluidmem_mem::PageContents;
-use fluidmem_sim::{EventQueue, EventToken, FastMap, SimClock, SimInstant, SimRng};
+use fluidmem_sim::{EventQueue, EventToken, FastMap, FastSet, SimClock, SimInstant, SimRng};
 use fluidmem_telemetry::{consts, instrument_set, Registry, Telemetry};
 
 use crate::error::KvError;
@@ -153,6 +153,9 @@ struct Migration {
     activation: Option<EventToken>,
 }
 
+/// One node's part of a multi-write: the node's index and its pages.
+type Shard = (usize, Vec<(ExternalKey, PageContents)>);
+
 /// A sharded store routing partitions across N nodes (see module docs).
 pub struct ClusterStore {
     nodes: Vec<ClusterNode>,
@@ -171,7 +174,7 @@ pub struct ClusterStore {
     /// Copier-only randomness; the data path never draws from it.
     rng: SimRng,
     /// Every key acknowledged as written and not deleted since.
-    shadow: BTreeSet<u64>,
+    shadow: FastSet<u64>,
     /// Inner pendings of in-flight multi-writes, keyed by lead key. A
     /// flight leaves through `finish_write`, or — for callers that
     /// retire their batches by time and never finish them — through
@@ -207,7 +210,7 @@ impl ClusterStore {
             transport,
             clock,
             rng,
-            shadow: BTreeSet::new(),
+            shadow: FastSet::default(),
             inflight_writes: Vec::new(),
             telemetry: None,
             counters: ClusterCounters::default(),
@@ -558,6 +561,9 @@ impl ClusterStore {
                 None => report.missing.push(raw),
             }
         }
+        // The shadow set iterates in hash order; report in key order.
+        report.missing.sort_unstable();
+        report.duplicated.sort_unstable();
         report
     }
 
@@ -698,6 +704,23 @@ impl ClusterStore {
                 self.schedule(p);
             }
         }
+    }
+
+    /// Splits a batch that spans nodes into per-node shards, preserving
+    /// batch order within each shard.
+    fn split_by_node(
+        &mut self,
+        batch: &[(ExternalKey, PageContents)],
+    ) -> Result<Vec<Shard>, KvError> {
+        let mut shards: Vec<Shard> = Vec::new();
+        for &(k, ref v) in batch {
+            let idx = self.route(k)?;
+            match shards.iter_mut().find(|(i, _)| *i == idx) {
+                Some((_, shard)) => shard.push((k, v.clone())),
+                None => shards.push((idx, vec![(k, v.clone())])),
+            }
+        }
+        Ok(shards)
     }
 
     /// Settles every multi-write whose shards have all landed by `now`
@@ -842,19 +865,28 @@ impl KeyValueStore for ClusterStore {
         for &(k, _) in &batch {
             self.note_write(k);
         }
-        // Split by owning node, preserving batch order within each shard.
-        let mut shards: Vec<(usize, Vec<(ExternalKey, PageContents)>)> = Vec::new();
-        for &(k, ref v) in &batch {
+        // Route every key before issuing anything: one unroutable key
+        // fails the whole batch. A monitor's flush carries one partition,
+        // so it routes to one node, which gets one exact-size copy of the
+        // batch; only a batch that spans nodes is split into shards.
+        let mut lead_node = None;
+        let mut one_node = true;
+        for &(k, _) in &batch {
             let idx = self.route(k)?;
-            match shards.iter_mut().find(|(i, _)| *i == idx) {
-                Some((_, shard)) => shard.push((k, v.clone())),
-                None => shards.push((idx, vec![(k, v.clone())])),
-            }
+            one_node &= *lead_node.get_or_insert(idx) == idx;
         }
+        let mut shards = Vec::new();
+        let whole = match lead_node {
+            Some(idx) if one_node => Some((idx, batch.clone())),
+            _ => {
+                shards = self.split_by_node(&batch)?;
+                None
+            }
+        };
         let now = self.clock.now();
         self.retire_landed_writes(now);
-        let mut inner: Vec<(usize, PendingWrite)> = Vec::with_capacity(shards.len());
-        for (idx, shard) in shards {
+        let mut inner: Vec<(usize, PendingWrite)> = Vec::with_capacity(shards.len().max(1));
+        for (idx, shard) in whole.into_iter().chain(shards) {
             match self.nodes[idx].store.begin_multi_write(shard) {
                 Ok(p) => {
                     self.nodes[idx].ops.puts.add(p.batch.len() as u64);

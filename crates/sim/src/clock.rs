@@ -14,6 +14,18 @@ use crate::{SimDuration, SimInstant};
 /// remembering a completion [`SimInstant`] and calling
 /// [`advance_to`](SimClock::advance_to) when the critical path must wait.
 ///
+/// # One writer
+///
+/// A clock has one writer at a time: the thread that runs its simulated
+/// world. Every write is therefore a plain relaxed load and store, not a
+/// locked read-modify-write, which matters because every charged
+/// nanosecond of every simulated access passes through
+/// [`advance`](SimClock::advance). The type stays `Send + Sync`, so a
+/// world (or a reader of its time) may move to or be watched from
+/// another thread, but two threads that advance the same clock at once
+/// lose charges. Nothing in the reproduction does: each world runs on
+/// one thread.
+///
 /// # Example
 ///
 /// ```
@@ -54,7 +66,8 @@ impl SimClock {
     /// Charges `cost` to the clock, returning the new time.
     #[inline]
     pub fn advance(&self, cost: SimDuration) -> SimInstant {
-        let ns = self.now_ns.fetch_add(cost.as_nanos(), Ordering::Relaxed) + cost.as_nanos();
+        let ns = self.now_ns.load(Ordering::Relaxed) + cost.as_nanos();
+        self.now_ns.store(ns, Ordering::Relaxed);
         SimInstant::from_nanos(ns)
     }
 
@@ -81,7 +94,8 @@ impl SimClock {
     /// component) spends CPU without stalling everyone who shares the
     /// clock.
     pub fn on_timeline<R>(&self, cursor: &mut SimInstant, f: impl FnOnce() -> R) -> R {
-        let home = self.now_ns.swap(cursor.as_nanos(), Ordering::Relaxed);
+        let home = self.now_ns.load(Ordering::Relaxed);
+        self.now_ns.store(cursor.as_nanos(), Ordering::Relaxed);
         let out = f();
         *cursor = self.now();
         self.now_ns.store(home, Ordering::Relaxed);

@@ -84,7 +84,10 @@ pub struct BfsResult {
 /// 3. tree levels differ by exactly one across parent links;
 /// 4. every vertex in the root's connected component was visited.
 ///
-/// Returns the number of visited vertices.
+/// Returns the number of visited vertices. Runs in O(V + E): each parent
+/// link is looked up once, on the child's own adjacency list (the CSR is
+/// symmetric), and the only allocations are the level array and one
+/// chain buffer.
 ///
 /// # Errors
 ///
@@ -105,13 +108,14 @@ pub fn validate_bfs(graph: &CsrGraph, root: u32, parent: &[i64]) -> Result<u64, 
     let mut level = vec![-1i64; n];
     level[root as usize] = 0;
     let mut visited = 0u64;
+    let mut chain = Vec::new();
     for v in 0..n {
         if parent[v] < 0 {
             continue;
         }
         visited += 1;
         // Chase to a vertex with known level.
-        let mut chain = Vec::new();
+        chain.clear();
         let mut cur = v;
         while level[cur] < 0 {
             chain.push(cur);
@@ -122,10 +126,10 @@ pub fn validate_bfs(graph: &CsrGraph, root: u32, parent: &[i64]) -> Result<u64, 
                 ));
             }
             let p = p as usize;
-            // Parent link must be a real edge.
-            let s = graph.xoff[p] as usize;
-            let e = graph.xoff[p + 1] as usize;
-            if !graph.adj[s..e].contains(&(cur as u32)) {
+            // Parent link must be a real edge: `p` on the child's list,
+            // which holds it exactly when `p`'s list holds the child. A
+            // hub parent's list can be tens of thousands long.
+            if !graph.neighbors(cur as u32).contains(&(p as u32)) {
                 return Err(format!("parent link {p} -> {cur} is not a graph edge"));
             }
             if chain.len() > n {
@@ -155,9 +159,7 @@ pub fn validate_bfs(graph: &CsrGraph, root: u32, parent: &[i64]) -> Result<u64, 
         if parent[v] < 0 {
             continue;
         }
-        let s = graph.xoff[v] as usize;
-        let e = graph.xoff[v + 1] as usize;
-        for &w in &graph.adj[s..e] {
+        for &w in graph.neighbors(v as u32) {
             if parent[w as usize] < 0 {
                 return Err(format!(
                     "vertex {w} is adjacent to visited {v} but was not visited"
@@ -229,6 +231,9 @@ pub fn run_benchmark(
         }
     }
 
+    // One handle for the traversal's CPU charges: a clone shares the
+    // backend's clock, and saves a virtual call per vertex and per edge.
+    let clock = backend.clock().clone();
     let mut parents = vec![-1i64; n as usize];
     let mut q: Vec<u32> = Vec::with_capacity(n as usize);
     let mut runs = Vec::with_capacity(roots.len());
@@ -242,7 +247,7 @@ pub fn run_benchmark(
             backend.access(parent.region.page(page), true);
         }
 
-        let start = backend.clock().now();
+        let start = clock.now();
         let mut traversed_adjacency = 0u64;
 
         q.clear();
@@ -258,7 +263,7 @@ pub fn run_benchmark(
             let u = q[head];
             queue.touch(backend, head as u64, false);
             head += 1;
-            backend.clock().advance(config.cpu_per_vertex);
+            clock.advance(config.cpu_per_vertex);
 
             xoff.reset();
             xoff.touch(backend, u64::from(u), false);
@@ -267,7 +272,7 @@ pub fn run_benchmark(
             let e = graph.xoff[u as usize + 1];
             adj.reset();
             for k in s..e {
-                backend.clock().advance(config.cpu_per_edge);
+                clock.advance(config.cpu_per_edge);
                 adj.touch(backend, k, false);
                 let v = graph.adj[k as usize];
                 traversed_adjacency += 1;
@@ -283,7 +288,7 @@ pub fn run_benchmark(
             }
         }
 
-        let elapsed = backend.clock().now() - start;
+        let elapsed = clock.now() - start;
         // Kernel 2 validation, per the Graph500 spec (outside the timed
         // section, as in the reference implementation).
         if config.validate {
@@ -418,6 +423,187 @@ mod tests {
         assert!(super::validate_bfs(&g, 0, &parent)
             .unwrap_err()
             .contains("not visited"));
+    }
+
+    /// A validator that checks each link on the *parent's* list,
+    /// O(degree) per child: the oracle the O(E) kernel must agree with,
+    /// error strings included.
+    fn validate_bfs_oracle(graph: &CsrGraph, root: u32, parent: &[i64]) -> Result<u64, String> {
+        let n = graph.vertices() as usize;
+        if parent.len() != n {
+            return Err(format!(
+                "parent array has {} entries for {} vertices",
+                parent.len(),
+                n
+            ));
+        }
+        if parent[root as usize] != i64::from(root) {
+            return Err(format!("root {root} is not its own parent"));
+        }
+        // Compute levels by chasing parents (with cycle detection).
+        let mut level = vec![-1i64; n];
+        level[root as usize] = 0;
+        let mut visited = 0u64;
+        for v in 0..n {
+            if parent[v] < 0 {
+                continue;
+            }
+            visited += 1;
+            // Chase to a vertex with known level.
+            let mut chain = Vec::new();
+            let mut cur = v;
+            while level[cur] < 0 {
+                chain.push(cur);
+                let p = parent[cur];
+                if p < 0 {
+                    return Err(format!(
+                        "vertex {cur} visited but its parent chain leaves the tree"
+                    ));
+                }
+                let p = p as usize;
+                // Parent link must be a real edge.
+                let s = graph.xoff[p] as usize;
+                let e = graph.xoff[p + 1] as usize;
+                if !graph.adj[s..e].contains(&(cur as u32)) {
+                    return Err(format!("parent link {p} -> {cur} is not a graph edge"));
+                }
+                if chain.len() > n {
+                    return Err("cycle in parent tree".to_string());
+                }
+                cur = p;
+            }
+            let base = level[cur];
+            for (i, &u) in chain.iter().rev().enumerate() {
+                level[u] = base + i as i64 + 1;
+            }
+        }
+        // Level consistency: each tree edge spans exactly one level.
+        for v in 0..n {
+            if parent[v] >= 0 && v != root as usize {
+                let p = parent[v] as usize;
+                if level[v] != level[p] + 1 {
+                    return Err(format!(
+                        "tree edge {p} -> {v} spans levels {} -> {}",
+                        level[p], level[v]
+                    ));
+                }
+            }
+        }
+        // Completeness: every neighbor of a visited vertex is visited.
+        for v in 0..n {
+            if parent[v] < 0 {
+                continue;
+            }
+            let s = graph.xoff[v] as usize;
+            let e = graph.xoff[v + 1] as usize;
+            for &w in &graph.adj[s..e] {
+                if parent[w as usize] < 0 {
+                    return Err(format!(
+                        "vertex {w} is adjacent to visited {v} but was not visited"
+                    ));
+                }
+            }
+        }
+        Ok(visited)
+    }
+
+    /// One step of a validator-oracle case: an input edge, or a
+    /// corruption applied (in order) to the true BFS tree from vertex 0.
+    #[derive(Debug, Clone, Copy)]
+    enum TreeOp {
+        Edge(u32, u32),
+        /// `parent[v] = p`, edge or not.
+        FakeEdge(u32, u32),
+        /// `parent[0] = p`.
+        BadRoot(u32),
+        /// `parent[a] = b` and `parent[b] = a`.
+        Cycle(u32, u32),
+        /// `parent[v]` = its grandparent, skipping a level.
+        LevelSkip(u32),
+        /// `parent[v] = -1`, leaving its neighbours visited.
+        Unvisit(u32),
+    }
+
+    const ORACLE_VERTICES: u32 = 10;
+
+    fn gen_tree_op(rng: &mut SimRng) -> TreeOp {
+        let mut vertex = || rng.gen_index(u64::from(ORACLE_VERTICES)) as u32;
+        let (a, b) = (vertex(), vertex());
+        match rng.gen_index(20) {
+            0..=14 => TreeOp::Edge(a, b),
+            15 => TreeOp::FakeEdge(a, b),
+            16 => TreeOp::BadRoot(a),
+            17 => TreeOp::Cycle(a, b),
+            18 => TreeOp::LevelSkip(a),
+            _ => TreeOp::Unvisit(a),
+        }
+    }
+
+    /// The true BFS parent array from `root`.
+    fn bfs_tree(graph: &CsrGraph, root: u32) -> Vec<i64> {
+        let mut parent = vec![-1i64; graph.vertices() as usize];
+        parent[root as usize] = i64::from(root);
+        let mut queue = std::collections::VecDeque::from([root]);
+        while let Some(u) = queue.pop_front() {
+            for &v in graph.neighbors(u) {
+                if parent[v as usize] < 0 {
+                    parent[v as usize] = i64::from(u);
+                    queue.push_back(v);
+                }
+            }
+        }
+        parent
+    }
+
+    #[test]
+    fn prop_validation_matches_the_parent_list_oracle() {
+        fluidmem_sim::prop::forall_sequences(
+            "validate-bfs-matches-oracle",
+            256,
+            |rng| fluidmem_sim::prop::vec_of(rng, 1, 40, gen_tree_op),
+            |ops| {
+                let edges: Vec<(u32, u32)> = ops
+                    .iter()
+                    .filter_map(|op| match *op {
+                        TreeOp::Edge(u, v) => Some((u, v)),
+                        _ => None,
+                    })
+                    .collect();
+                let graph = CsrGraph::build(u64::from(ORACLE_VERTICES), &edges);
+                let mut parent = bfs_tree(&graph, 0);
+                let mut corrupted = false;
+                for op in ops {
+                    corrupted |= !matches!(op, TreeOp::Edge(..));
+                    match *op {
+                        TreeOp::Edge(..) => {}
+                        TreeOp::FakeEdge(v, p) => parent[v as usize] = i64::from(p),
+                        TreeOp::BadRoot(p) => parent[0] = i64::from(p),
+                        TreeOp::Cycle(a, b) => {
+                            parent[a as usize] = i64::from(b);
+                            parent[b as usize] = i64::from(a);
+                        }
+                        TreeOp::LevelSkip(v) => {
+                            let p = parent[v as usize];
+                            if p >= 0 {
+                                parent[v as usize] = parent[p as usize];
+                            }
+                        }
+                        TreeOp::Unvisit(v) => parent[v as usize] = -1,
+                    }
+                }
+                let got = validate_bfs(&graph, 0, &parent);
+                let want = validate_bfs_oracle(&graph, 0, &parent);
+                if got != want {
+                    return Err(format!(
+                        "parent {parent:?}: kernel {got:?}, oracle {want:?}"
+                    ));
+                }
+                if !corrupted && got.is_err() {
+                    return Err(format!("a true BFS tree was rejected: {got:?}"));
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -3,7 +3,10 @@
 /// The symmetrized CSR representation the reference BFS traverses.
 ///
 /// Self-loops are dropped (as in the reference kernel); each remaining
-/// input edge appears in both endpoints' adjacency lists.
+/// input edge appears in both endpoints' adjacency lists. The graph is
+/// therefore symmetric by construction: `v` is on `u`'s list exactly as
+/// often as `u` is on `v`'s, which [`validate_bfs`](super::validate_bfs)
+/// relies on to check a tree link from the child's side.
 #[derive(Debug, Clone)]
 pub struct CsrGraph {
     /// `xoff[v]..xoff[v+1]` indexes `adj` for vertex `v`.
@@ -56,6 +59,11 @@ impl CsrGraph {
     /// Degree of a vertex.
     pub fn degree(&self, v: u32) -> u64 {
         self.xoff[v as usize + 1] - self.xoff[v as usize]
+    }
+
+    /// The adjacency list of a vertex.
+    pub fn neighbors(&self, v: u32) -> &[u32] {
+        &self.adj[self.xoff[v as usize] as usize..self.xoff[v as usize + 1] as usize]
     }
 
     /// Total adjacency entries (2 × input edges).

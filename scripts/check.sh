@@ -196,6 +196,23 @@ if [ -n "$swap_hits" ]; then
     exit 1
 fi
 
+echo "==> lint: the clock has one writer"
+# A world runs on one thread, so SimClock has one writer at a time and
+# every write is a relaxed load plus store (the rule is on the type's
+# rustdoc). A locked read-modify-write there costs every charged
+# nanosecond of every simulated access; it was a tenth of graph500-vm's
+# host profile (DESIGN.md §17). Comments and the test module are exempt.
+clock_hits="$(awk '
+    /^#\[cfg\(test\)\]/ { exit }
+    /^[[:space:]]*\/\// { next }
+    /fetch_add|fetch_sub|fetch_update|compare_exchange|swap\(/ { print FILENAME ":" FNR ": " $0 }
+' crates/sim/src/clock.rs)"
+if [ -n "$clock_hits" ]; then
+    echo "a read-modify-write on the single-writer clock (use a relaxed load and store):" >&2
+    echo "$clock_hits" >&2
+    exit 1
+fi
+
 echo "==> lint: no timeline is passed by hand"
 # An Option<&mut SimInstant> parameter is a private cursor threaded
 # through calls so that some of them charge it instead of the clock — a
