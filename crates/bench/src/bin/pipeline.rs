@@ -23,7 +23,7 @@
 //! monitor's CPU can keep busy, the rows stop changing.
 //!
 //! Runs are fully deterministic: a fixed `--seed` reproduces the output
-//! byte for byte (the check.sh gate runs the smoke sweep twice and
+//! byte for byte (the `gate` bin runs the smoke sweep twice and
 //! `cmp`s).
 //!
 //! Usage: `pipeline [--smoke] [--seed N] [--json FILE]`

@@ -25,7 +25,7 @@
 //! decay and stop issuing within one window.
 //!
 //! Runs are fully deterministic: a fixed `--seed` reproduces the output
-//! byte for byte (the check.sh gate runs the smoke sweep twice and
+//! byte for byte (the `gate` bin runs the smoke sweep twice and
 //! `cmp`s, then checks the gate record's hit rate and fatal counter).
 //!
 //! Usage: `prefetch [--smoke] [--seed N] [--json FILE]`

@@ -592,7 +592,7 @@ fn main() {
     }
     if args.cluster {
         // A separate mode, not an extra section: the default output is
-        // pinned byte-for-byte by the determinism gate in check.sh.
+        // pinned byte-for-byte by the `gate` bin's determinism check.
         cluster_sweep(&args, dram, interval);
         return;
     }

@@ -26,8 +26,8 @@
 //!   the tier buys nothing but costs nothing.
 //!
 //! Runs are fully deterministic: a fixed `--seed` reproduces the output
-//! byte for byte (the check.sh gate runs the smoke sweep twice and
-//! `cmp`s, then greps the audit fields).
+//! byte for byte (the `gate` bin runs the smoke sweep twice and
+//! `cmp`s, then checks the audit fields).
 //!
 //! Usage: `tiering [--smoke] [--seed N] [--json FILE]`
 

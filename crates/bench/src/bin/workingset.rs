@@ -21,7 +21,7 @@
 //!   help.
 //!
 //! Runs are fully deterministic: a fixed `--seed` reproduces the output
-//! byte for byte (the check.sh gate runs the smoke sweep twice and
+//! byte for byte (the `gate` bin runs the smoke sweep twice and
 //! `cmp`s).
 //!
 //! Usage: `workingset [--smoke] [--seed N] [--json FILE]`

@@ -156,6 +156,16 @@ struct Migration {
 /// One node's part of a multi-write: the node's index and its pages.
 type Shard = (usize, Vec<(ExternalKey, PageContents)>);
 
+/// One node's shard of an in-flight multi-write. A batch's shards sit next
+/// to each other in issue order, each with the batch's lead key and shard
+/// count, so the list needs no allocation per batch.
+struct InflightShard {
+    lead: u64,
+    shards: usize,
+    node: usize,
+    write: PendingWrite,
+}
+
 /// A sharded store routing partitions across N nodes (see module docs).
 pub struct ClusterStore {
     nodes: Vec<ClusterNode>,
@@ -175,11 +185,11 @@ pub struct ClusterStore {
     rng: SimRng,
     /// Every key acknowledged as written and not deleted since.
     shadow: FastSet<u64>,
-    /// Inner pendings of in-flight multi-writes, keyed by lead key. A
+    /// Inner pendings of in-flight multi-writes, found by lead key. A
     /// flight leaves through `finish_write`, or — for callers that
     /// retire their batches by time and never finish them — through
     /// [`retire_landed_writes`](Self::retire_landed_writes).
-    inflight_writes: Vec<(u64, Vec<(usize, PendingWrite)>)>,
+    inflight_writes: Vec<InflightShard>,
     telemetry: Option<Telemetry>,
     counters: ClusterCounters,
 }
@@ -731,26 +741,26 @@ impl ClusterStore {
     /// nothing. Pure bookkeeping: no clock charge, no RNG draw, and the
     /// nodes' own `finish_write` (which charges both) is not run.
     fn retire_landed_writes(&mut self, now: SimInstant) {
-        let shadow = &mut self.shadow;
-        self.inflight_writes.retain(|(_, inner)| {
-            if inner.iter().any(|(_, p)| p.completes_at > now) {
-                return true;
+        let mut at = 0;
+        while at < self.inflight_writes.len() {
+            let end = at + self.inflight_writes[at].shards;
+            let batch = &self.inflight_writes[at..end];
+            if batch.iter().any(|s| s.write.completes_at > now) {
+                at = end;
+                continue;
             }
-            for (_, p) in inner {
-                shadow.extend(p.keys().map(|k| k.raw()));
+            for s in self.inflight_writes.drain(at..end) {
+                self.shadow.extend(s.write.keys().map(|k| k.raw()));
             }
-            false
-        });
+        }
     }
 
     /// Drops the keys `gone` selects from every in-flight write's
     /// acknowledgement list: a page deleted while its write is on the
     /// wire must not re-enter the shadow set when the write settles.
     fn unacknowledge(&mut self, gone: impl Fn(u64) -> bool) {
-        for (_, inner) in &mut self.inflight_writes {
-            for (_, p) in inner {
-                p.batch.retain(|&(k, _)| !gone(k.raw()));
-            }
+        for s in &mut self.inflight_writes {
+            s.write.batch.retain(|&(k, _)| !gone(k.raw()));
         }
     }
 
@@ -885,33 +895,35 @@ impl KeyValueStore for ClusterStore {
         };
         let now = self.clock.now();
         self.retire_landed_writes(now);
-        let mut inner: Vec<(usize, PendingWrite)> = Vec::with_capacity(shards.len().max(1));
+        // An empty batch issues no shard, so its lead key is never read.
+        let lead = batch.first().map_or(0, |&(k, _)| k.raw());
+        let shard_count = if whole.is_some() { 1 } else { shards.len() };
+        let start = self.inflight_writes.len();
         for (idx, shard) in whole.into_iter().chain(shards) {
             match self.nodes[idx].store.begin_multi_write(shard) {
-                Ok(p) => {
-                    self.nodes[idx].ops.puts.add(p.batch.len() as u64);
-                    inner.push((idx, p));
+                Ok(write) => {
+                    self.nodes[idx].ops.puts.add(write.batch.len() as u64);
+                    self.inflight_writes.push(InflightShard {
+                        lead,
+                        shards: shard_count,
+                        node: idx,
+                        write,
+                    });
                 }
                 Err(e) => {
                     self.nodes[idx].ops.errors.inc();
                     // Settle the shards already issued before failing, so
                     // no inner flight is silently abandoned.
-                    for (i, p) in inner {
-                        self.nodes[i].store.finish_write(p);
+                    for s in self.inflight_writes.drain(start..) {
+                        self.nodes[s.node].store.finish_write(s.write);
                     }
                     return Err(e);
                 }
             }
         }
-        let issued_at = inner.iter().map(|(_, p)| p.issued_at).min().unwrap_or(now);
-        let completes_at = inner
-            .iter()
-            .map(|(_, p)| p.completes_at)
-            .max()
-            .unwrap_or(now);
-        if let Some(&(first, _)) = batch.first() {
-            self.inflight_writes.push((first.raw(), inner));
-        }
+        let issued = self.inflight_writes[start..].iter().map(|s| &s.write);
+        let issued_at = issued.clone().map(|p| p.issued_at).min().unwrap_or(now);
+        let completes_at = issued.map(|p| p.completes_at).max().unwrap_or(now);
         Ok(PendingWrite {
             batch,
             issued_at,
@@ -923,17 +935,19 @@ impl KeyValueStore for ClusterStore {
         let Some(first) = pending.keys().next() else {
             return;
         };
-        let Some(pos) = self
+        // Every shard carries its batch's lead key, so the first match is
+        // the head of the oldest such batch.
+        let Some(at) = self
             .inflight_writes
             .iter()
-            .position(|(k, _)| *k == first.raw())
+            .position(|s| s.lead == first.raw())
         else {
             return;
         };
-        let (_, inner) = self.inflight_writes.remove(pos);
-        for (idx, p) in inner {
-            self.shadow.extend(p.keys().map(|k| k.raw()));
-            self.nodes[idx].store.finish_write(p);
+        let end = at + self.inflight_writes[at].shards;
+        for s in self.inflight_writes.drain(at..end) {
+            self.shadow.extend(s.write.keys().map(|k| k.raw()));
+            self.nodes[s.node].store.finish_write(s.write);
         }
     }
 
@@ -1078,7 +1092,12 @@ mod tests {
             let _unfinished = c.begin_multi_write(pages).unwrap();
             // The next eviction burst comes a while later.
             clock.advance(SimDuration::from_micros(40));
-            peak = peak.max(c.inflight_writes.len());
+            let batches = c
+                .inflight_writes
+                .iter()
+                .map(|s| s.lead)
+                .collect::<FastSet<_>>();
+            peak = peak.max(batches.len());
         }
         assert!(peak <= 4, "{peak} flights tracked at once: the table leaks");
         // One more write settles the stragglers.
