@@ -23,10 +23,10 @@ use fluidmem_workloads::ycsb::{run_workload_c, WorkloadC};
 fn build_swap(dram_pages: u64, blocks: u64, seed: u64) -> Box<dyn MemoryBackend> {
     let clock = SimClock::new();
     let root = SimRng::seed_from_u64(seed);
-    // Paper §VI-D2: vm.swappiness=100, readahead=0 for the MongoDB runs.
+    // Paper §VI-D2: readahead=0 for the MongoDB runs. Its
+    // vm.swappiness=100 is not modeled (see `SwapConfig`).
     let mut config = SwapConfig::paper_default(dram_pages);
     config.page_cluster = 0;
-    config.swappiness = 100;
     let swap_dev = fluidmem_block::NvmeofDevice::new(blocks, clock.clone(), root.fork("swap"));
     let fs_dev = SsdDevice::new(blocks, clock.clone(), root.fork("fs"));
     Box::new(SwapBackedMemory::new(

@@ -220,7 +220,7 @@ fn reclaim_sweep(args: &HarnessArgs, sizes: &Sizes) {
         "\nThe evictor wakes below {}% free headroom and reclaims to {}%\n\
          on its own timeline; `direct` counts pages a fault still had to\n\
          evict inline (the evictor fell behind).",
-        ReclaimConfig::kswapd().watermark_low * 100.0,
-        ReclaimConfig::kswapd().watermark_high * 100.0,
+        ReclaimConfig::WATERMARK_LOW * 100.0,
+        ReclaimConfig::WATERMARK_HIGH * 100.0,
     );
 }

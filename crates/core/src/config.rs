@@ -1,7 +1,6 @@
-//! Monitor configuration and cost models.
+//! Monitor configuration.
 
-use fluidmem_kv::RetryPolicy;
-use fluidmem_sim::{LatencyModel, SimDuration};
+use fluidmem_sim::SimDuration;
 
 use crate::tier::TierConfig;
 use crate::workingset::WorkingSetConfig;
@@ -105,91 +104,56 @@ pub enum PrefetchPolicy {
 ///
 /// When enabled, a background evictor watches the LRU's free headroom
 /// (`capacity − resident`). It wakes when headroom drops below the low
-/// watermark and evicts in batches — on its own virtual timeline, off
-/// the fault critical path — until headroom reaches the high watermark,
-/// mirroring `fluidmem-swap`'s `kswapd()`. An arriving fault only falls
-/// back to inline "direct reclaim" (the monitor's one eviction loop,
-/// `make_room`, the analogue of `SwapBackend::ensure_frames`) when the
-/// evictor has fallen behind.
+/// watermark (4% of capacity) and evicts in batches of 32 pages — on
+/// its own virtual timeline, off the fault critical path — until
+/// headroom reaches the high watermark (8%), mirroring
+/// `fluidmem-swap`'s `kswapd()`. Each batch stages onto the write list
+/// in one pass and flushes through `begin_multi_write`. An arriving
+/// fault only falls back to inline "direct reclaim" (the monitor's one
+/// eviction loop, `make_room`, the analogue of
+/// `SwapBackend::ensure_frames`) when the evictor has fallen behind.
 ///
 /// Off by default, and a no-op without
 /// [`Optimizations::async_write`] (background batches stage onto the
 /// write list): the default configuration is bit-for-bit identical to a
 /// monitor without the feature.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReclaimConfig {
     /// Master switch. Off by default: eviction stays inline on the
     /// fault path.
     pub enabled: bool,
-    /// The evictor wakes when free headroom drops below this fraction
-    /// of the LRU capacity.
-    pub watermark_low: f64,
-    /// Once awake, the evictor reclaims until headroom reaches this
-    /// fraction.
-    pub watermark_high: f64,
-    /// Maximum pages evicted per activation; each batch stages onto the
-    /// write list in one pass and flushes through `begin_multi_write`.
-    pub batch: usize,
 }
 
 impl ReclaimConfig {
+    /// The background evictor wakes when free headroom drops below this
+    /// fraction of the LRU capacity.
+    pub const WATERMARK_LOW: f64 = 0.04;
+
+    /// Once awake, the background evictor reclaims until headroom
+    /// reaches this fraction of the LRU capacity.
+    pub const WATERMARK_HIGH: f64 = 0.08;
+
     /// Background reclaim off (the default).
     pub fn disabled() -> Self {
-        ReclaimConfig {
-            enabled: false,
-            ..Self::kswapd()
-        }
+        ReclaimConfig { enabled: false }
     }
 
-    /// Background reclaim on with kswapd-shaped defaults: wake below 4%
-    /// headroom, reclaim to 8%, 32 pages per batch.
+    /// Background reclaim on.
     pub fn kswapd() -> Self {
-        ReclaimConfig {
-            enabled: true,
-            watermark_low: 0.04,
-            watermark_high: 0.08,
-            batch: 32,
-        }
+        ReclaimConfig { enabled: true }
     }
 
     /// The low watermark in pages for a given capacity: rounded up and
     /// floored at 1, so small buffers still wake the evictor (the same
     /// truncation bug `SwapConfig`'s watermarks had).
     pub fn low_pages(&self, capacity: u64) -> u64 {
-        ((capacity as f64 * self.watermark_low).ceil() as u64).max(1)
+        ((capacity as f64 * Self::WATERMARK_LOW).ceil() as u64).max(1)
     }
 
     /// The high watermark in pages: strictly above the low watermark so
     /// every wakeup makes progress.
     pub fn high_pages(&self, capacity: u64) -> u64 {
-        ((capacity as f64 * self.watermark_high).ceil() as u64).max(self.low_pages(capacity) + 1)
-    }
-
-    /// Checks the watermark fractions are ordered and sane, and that an
-    /// activation can evict at all.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < watermark_low < watermark_high <= 1` and
-    /// `batch > 0` (an evictor that never evicts never sleeps either).
-    pub fn validate(&self) {
-        assert!(self.batch > 0, "reclaim batch must be at least 1 page");
-        assert!(
-            self.watermark_low > 0.0,
-            "watermark_low must be positive (got {})",
-            self.watermark_low
-        );
-        assert!(
-            self.watermark_high > self.watermark_low,
-            "watermark_high ({}) must exceed watermark_low ({})",
-            self.watermark_high,
-            self.watermark_low
-        );
-        assert!(
-            self.watermark_high <= 1.0,
-            "watermark_high must be at most 1.0 (got {})",
-            self.watermark_high
-        );
+        ((capacity as f64 * Self::WATERMARK_HIGH).ceil() as u64).max(self.low_pages(capacity) + 1)
     }
 }
 
@@ -215,53 +179,6 @@ pub enum LruPolicy {
         /// Sample the referenced bits of this many head pages per fault.
         scan_batch: usize,
     },
-}
-
-/// CPU cost models for the monitor's own code paths, calibrated to the
-/// paper's Table I (units µs, avg / p99):
-///
-/// | Code path | avg | p99 |
-/// |---|---|---|
-/// | `UPDATE_PAGE_CACHE` | 2.56 | 3.32 |
-/// | `INSERT_PAGE_HASH_NODE` | 2.58 | 8.36 |
-/// | `INSERT_LRU_CACHE_NODE` | 2.87 | 3.65 |
-#[derive(Debug, Clone)]
-pub struct MonitorCosts {
-    /// Page-tracker hash lookup on every fault.
-    pub hash_lookup: LatencyModel,
-    /// Updating the monitor's page-cache metadata on the read path
-    /// (Table I `UPDATE_PAGE_CACHE`).
-    pub update_page_cache: LatencyModel,
-    /// Inserting into the page-tracker hash (Table I
-    /// `INSERT_PAGE_HASH_NODE`).
-    pub insert_page_hash: LatencyModel,
-    /// Inserting into the LRU list (Table I `INSERT_LRU_CACHE_NODE`).
-    pub insert_lru: LatencyModel,
-    /// Checking the write list for a stealable copy.
-    pub steal_check: LatencyModel,
-    /// Appending an evicted page to the write list.
-    pub write_list_push: LatencyModel,
-    /// Extra buffer copy on the synchronous write path (the zero-copy
-    /// §V-B discussion: sync writes pay an extra staging copy).
-    pub sync_write_staging: LatencyModel,
-    /// Extra staging/copy cost on the synchronous read path (request
-    /// buffer management that the split top/bottom-half path avoids).
-    pub sync_read_staging: LatencyModel,
-}
-
-impl Default for MonitorCosts {
-    fn default() -> Self {
-        MonitorCosts {
-            hash_lookup: LatencyModel::lognormal_mean_p99_us(1.1, 1.9),
-            update_page_cache: LatencyModel::lognormal_mean_p99_us(2.56, 3.32),
-            insert_page_hash: LatencyModel::lognormal_mean_p99_us(2.58, 8.36),
-            insert_lru: LatencyModel::lognormal_mean_p99_us(2.87, 3.65),
-            steal_check: LatencyModel::normal_us(0.4, 0.08),
-            write_list_push: LatencyModel::normal_us(0.9, 0.15),
-            sync_write_staging: LatencyModel::normal_us(4.5, 0.5),
-            sync_read_staging: LatencyModel::normal_us(4.5, 0.5),
-        }
-    }
 }
 
 /// Full monitor configuration. Construct with [`MonitorConfig::new`] and
@@ -297,15 +214,9 @@ pub struct MonitorConfig {
     pub lru_policy: LruPolicy,
     /// Prefetch policy for the read path.
     pub prefetch: PrefetchPolicy,
-    /// Monitor CPU cost models.
-    pub costs: MonitorCosts,
     /// Whether faults originate from a KVM vCPU (adds VM-exit cost) or a
     /// plain process linked with libuserfault (the Table II setup).
     pub from_vm: bool,
-    /// How store operations that fail retryably (timeouts, transient
-    /// refusals) are retried. Backoff waits are charged to the virtual
-    /// clock, so retried faults honestly extend the observed latency.
-    pub retry: RetryPolicy,
     /// How many demand faults may be parked in the monitor's in-flight
     /// table at once ([`FluidMemMemory::submit_access`](crate::FluidMemMemory::submit_access)
     /// panics beyond it). A bound, not a mode: at `1` (the default) each
@@ -340,9 +251,7 @@ impl MonitorConfig {
             eviction: EvictionMechanism::Remap,
             lru_policy: LruPolicy::FirstTouch,
             prefetch: PrefetchPolicy::None,
-            costs: MonitorCosts::default(),
             from_vm: true,
-            retry: RetryPolicy::default_remote(),
             max_inflight: 1,
             workingset: WorkingSetConfig::default(),
             reclaim: ReclaimConfig::default(),
@@ -387,12 +296,6 @@ impl MonitorConfig {
         self
     }
 
-    /// Sets the store retry policy.
-    pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
-        self
-    }
-
     /// Sets how many demand faults may be parked at once (clamped to at
     /// least 1).
     pub fn inflight(mut self, depth: usize) -> Self {
@@ -407,15 +310,7 @@ impl MonitorConfig {
     }
 
     /// Sets the background-reclaim config.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is enabled with unordered watermark fractions or
-    /// an empty batch.
     pub fn reclaim(mut self, cfg: ReclaimConfig) -> Self {
-        if cfg.enabled {
-            cfg.validate();
-        }
         self.reclaim = cfg;
         self
     }
@@ -424,8 +319,7 @@ impl MonitorConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` is enabled with a zero budget or unordered
-    /// watermark fractions.
+    /// Panics if `cfg` is enabled with a zero budget.
     pub fn tier(mut self, cfg: TierConfig) -> Self {
         if cfg.enabled {
             cfg.validate();
@@ -485,35 +379,5 @@ mod tests {
         assert!(r.high_pages(16) > r.low_pages(16));
         assert_eq!(r.low_pages(256), 11); // ceil(10.24)
         assert_eq!(r.high_pages(256), 21); // ceil(20.48)
-    }
-
-    #[test]
-    #[should_panic(expected = "watermark_high")]
-    fn reclaim_builder_rejects_inverted_watermarks() {
-        let bad = ReclaimConfig {
-            enabled: true,
-            watermark_low: 0.5,
-            watermark_high: 0.5,
-            batch: 32,
-        };
-        let _ = MonitorConfig::new(256).reclaim(bad);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch")]
-    fn reclaim_builder_rejects_an_empty_batch() {
-        let bad = ReclaimConfig {
-            batch: 0,
-            ..ReclaimConfig::kswapd()
-        };
-        let _ = MonitorConfig::new(256).reclaim(bad);
-    }
-
-    #[test]
-    fn cost_calibration_is_table1_shaped() {
-        let c = MonitorCosts::default();
-        assert!((c.update_page_cache.mean_us() - 2.56).abs() < 0.05);
-        assert!((c.insert_page_hash.mean_us() - 2.58).abs() < 0.05);
-        assert!((c.insert_lru.mean_us() - 2.87).abs() < 0.05);
     }
 }

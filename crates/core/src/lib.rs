@@ -58,8 +58,7 @@ mod write_list;
 
 pub use backend::{FluidMemMemory, MigrationImage, PipelineSubmit};
 pub use config::{
-    EvictionMechanism, LruPolicy, MonitorConfig, MonitorCosts, Optimizations, PrefetchPolicy,
-    ReclaimConfig,
+    EvictionMechanism, LruPolicy, MonitorConfig, Optimizations, PrefetchPolicy, ReclaimConfig,
 };
 pub use lru_buffer::LruBuffer;
 pub use monitor::{CompletedFault, Monitor, SubmitOutcome};

@@ -107,7 +107,7 @@ impl Monitor {
             EvictionMechanism::Copy => {
                 // Zero-copy ablation: UFFD_COPY-style eviction copies the
                 // page out instead; no cross-CPU wait, but a 4 KB copy.
-                let copy_cost = uffd.costs().copy.sample(&mut self.rng);
+                let copy_cost = uffd.copy_cost().sample(&mut self.rng);
                 self.clock.advance(copy_cost)
             }
         };
@@ -130,13 +130,13 @@ impl Monitor {
             // (tier off, thrash gate, incompressible) stage for writeback
             // and stay stealable until the batch flush retires them.
             if let Some(contents) = self.tier_try_admit(key, contents) {
-                self.charge(|c| &c.costs.write_list_push);
+                self.charge(|c| &c.write_list_push);
                 self.write_list.push(key, contents, ready_at);
                 self.trace(|| format!("{} queued on the write list", key));
             }
         } else {
             // Inline only: background reclaim requires `async_write`.
-            self.charge(|c| &c.costs.sync_write_staging);
+            self.charge(|c| &c.sync_write_staging);
             let t0 = self.clock.now();
             self.put_with_retries(key, contents);
             self.profile

@@ -51,6 +51,10 @@ use fluidmem_uffd::Userfaultfd;
 use super::pipeline::Timeline;
 use super::Monitor;
 
+/// Maximum pages evicted per activation; each batch stages onto the
+/// write list in one pass and flushes through `begin_multi_write`.
+const RECLAIM_BATCH: usize = 32;
+
 /// The background evictor's thread state. Its timeline is
 /// [`Timeline::Evictor`], kept with the monitor's other threads.
 #[derive(Debug)]
@@ -183,7 +187,7 @@ impl Monitor {
         let evicted = self.run_on(Timeline::Evictor, now, |m| {
             let start = m.clock.now();
             let mut evicted = 0usize;
-            while evicted < m.config.reclaim.batch && m.headroom() < high {
+            while evicted < RECLAIM_BATCH && m.headroom() < high {
                 if !m.evict_one(uffd, pt, pm, true) {
                     // Nothing evictable: sleep rather than spin awake.
                     m.reclaim.awake = false;

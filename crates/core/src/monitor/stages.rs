@@ -69,7 +69,7 @@ impl Monitor {
         let lookup = self
             .telemetry
             .begin(consts::TRACK_MONITOR, "page_hash_lookup");
-        self.charge(|c| &c.costs.hash_lookup);
+        self.charge(|c| &c.hash_lookup);
         let seen = self.tracker.contains(vpn);
         self.telemetry.end(lookup);
         FaultIntake { t0, span, seen }
@@ -126,7 +126,7 @@ impl Monitor {
         let span = self
             .telemetry
             .begin(consts::TRACK_MONITOR, "insert_page_hash");
-        self.charge(|c| &c.costs.insert_page_hash);
+        self.charge(|c| &c.insert_page_hash);
         self.tracker.insert(vpn);
         self.telemetry.end(span);
         self.profile
@@ -134,7 +134,7 @@ impl Monitor {
 
         let t0 = self.clock.now();
         let span = self.telemetry.begin(consts::TRACK_MONITOR, "insert_lru");
-        self.charge(|c| &c.costs.insert_lru);
+        self.charge(|c| &c.insert_lru);
         self.lru.insert(vpn);
         self.telemetry.end(span);
         self.profile
@@ -158,7 +158,7 @@ impl Monitor {
     /// write list ... and shortcut two round trips".
     pub(in crate::monitor) fn stage_steal_check(&mut self, key: ExternalKey) -> StealOutcome {
         let span = self.telemetry.begin(consts::TRACK_MONITOR, "steal_check");
-        self.charge(|c| &c.costs.steal_check);
+        self.charge(|c| &c.steal_check);
         let steal = self.write_list.steal(key, self.clock.now());
         self.telemetry.end(span);
         steal
@@ -210,7 +210,7 @@ impl Monitor {
         let span = self
             .telemetry
             .begin(consts::TRACK_MONITOR, "update_page_cache");
-        self.charge(|c| &c.costs.update_page_cache);
+        self.charge(|c| &c.update_page_cache);
         self.telemetry.end(span);
         self.profile
             .record(CodePath::UpdatePageCache, self.clock.now() - t0);
@@ -256,7 +256,7 @@ impl Monitor {
             Err(e) if e.is_retryable() => {
                 self.stats.read_retries.inc();
                 self.trace(|| format!("async read of {key} failed ({e}); retrying"));
-                let wait = self.config.retry.backoff(0, &mut self.rng);
+                let wait = fluidmem_kv::retry_backoff(0, &mut self.rng);
                 self.clock.advance(wait);
                 self.fetch_with_retries(key, 1)
             }
@@ -293,7 +293,7 @@ impl Monitor {
 
         let t0 = self.clock.now();
         let span = self.telemetry.begin(consts::TRACK_MONITOR, "insert_lru");
-        self.charge(|c| &c.costs.insert_lru);
+        self.charge(|c| &c.insert_lru);
         self.lru.insert(vpn);
         self.telemetry.end(span);
         self.profile
@@ -570,7 +570,7 @@ impl Monitor {
         pm: &mut PhysicalMemory,
         key: ExternalKey,
     ) -> PageContents {
-        self.charge(|c| &c.costs.sync_read_staging);
+        self.charge(|c| &c.sync_read_staging);
         let t0 = self.clock.now();
         let span = self.telemetry.begin(consts::TRACK_MONITOR, "kv.read");
         let contents = self.fetch_with_retries(key, 0);
@@ -582,7 +582,7 @@ impl Monitor {
         contents
     }
 
-    /// Runs one store operation under the configured retry policy via
+    /// Runs one store operation with bounded retries via
     /// [`fluidmem_kv::run_with_retries_from`], bumping the `retries`
     /// counter and tracing `describe(attempt, error)` once per retry.
     /// `prior_attempts` counts tries already spent on this operation
@@ -590,7 +590,7 @@ impl Monitor {
     ///
     /// # Panics
     ///
-    /// Panics, naming `verb`, on a failure the policy gives up on.
+    /// Panics, naming `verb`, on a failure that outlasts the retries.
     pub(in crate::monitor) fn with_store_retries<T>(
         &mut self,
         retries: fn(&MonitorCounters) -> &Counter,
@@ -599,7 +599,6 @@ impl Monitor {
         describe: impl Fn(u32, &KvError) -> String,
         mut op: impl FnMut(&mut dyn KeyValueStore) -> Result<T, KvError>,
     ) -> T {
-        let policy = self.config.retry;
         let mut tries = 0u32;
         let Monitor {
             store,
@@ -612,7 +611,6 @@ impl Monitor {
         let clock = &*clock;
         let retries = retries(stats);
         fluidmem_kv::run_with_retries_from(
-            &policy,
             clock,
             rng,
             prior_attempts,

@@ -1384,3 +1384,11 @@ fn vcpu_thread_streams_report_wakes_in_order_after_their_traps() {
         vcpu_threads_keep_time,
     );
 }
+
+#[test]
+fn cost_calibration_is_table1_shaped() {
+    let c = Costs::calibrated();
+    assert!((c.update_page_cache.mean_us() - 2.56).abs() < 0.05);
+    assert!((c.insert_page_hash.mean_us() - 2.58).abs() < 0.05);
+    assert!((c.insert_lru.mean_us() - 2.87).abs() < 0.05);
+}

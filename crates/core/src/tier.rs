@@ -29,15 +29,35 @@ use std::collections::VecDeque;
 
 use fluidmem_kv::ExternalKey;
 use fluidmem_mem::PageContents;
-use fluidmem_sim::{FastMap, LatencyModel};
+use fluidmem_sim::FastMap;
+
+/// Demotion drains the pool down to this fraction of the budget once
+/// occupancy crosses [`WATERMARK_HIGH`] — hysteresis so pressure demotes
+/// a batch, not one page per admission.
+const WATERMARK_LOW: f64 = 0.75;
+
+/// Demotion to the remote store begins when occupancy exceeds this
+/// fraction of the budget.
+const WATERMARK_HIGH: f64 = 0.90;
+
+/// Expected compressed size of a pooled page (half a KB), used only to
+/// convert the byte budget into an approximate page count for the
+/// refault-distance thrash gate.
+const EXPECTED_PAGE_BYTES: usize = 512;
 
 /// Configuration of the compressed local tier.
+///
+/// The pool demotes above 90% occupancy down to 75% (zswap-shaped), and
+/// a page costs [`fluidmem_kv::compress_cost`] to admit (charged on an
+/// incompressible bypass too — the attempt is how incompressibility is
+/// discovered, exactly like zram's reject path) and
+/// [`fluidmem_kv::decompress_cost`] to promote.
 ///
 /// Off by default, and a no-op without
 /// [`Optimizations::async_write`](crate::Optimizations) (demotions
 /// stage onto the write list): the default configuration is bit-for-bit
 /// identical to a monitor without the feature.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TierConfig {
     /// Master switch. Off by default: evictions go straight to the
     /// remote store as before.
@@ -45,32 +65,14 @@ pub struct TierConfig {
     /// Pool budget in *compressed* bytes (zswap's `max_pool_percent`,
     /// expressed absolutely).
     pub max_bytes: usize,
-    /// Demotion drains the pool down to this fraction of `max_bytes`
-    /// once occupancy crosses `watermark_high` — hysteresis so pressure
-    /// demotes a batch, not one page per admission.
-    pub watermark_low: f64,
-    /// Demotion to the remote store begins when occupancy exceeds this
-    /// fraction of `max_bytes`.
-    pub watermark_high: f64,
     /// Bypass admission when the VM's working-set estimate exceeds what
     /// DRAM plus the pool could hold: a thrashing VM would only churn
     /// the pool (admit, demote, refault from remote anyway), so its
     /// evictions skip straight to the remote store.
     pub thrash_gate: bool,
-    /// CPU cost of one compression attempt (charged on admission *and*
-    /// on incompressible bypass — the attempt is how incompressibility
-    /// is discovered, exactly like zram's reject path).
-    pub compress: LatencyModel,
-    /// CPU cost of decompressing a pool hit on the refault path.
-    pub decompress: LatencyModel,
 }
 
 impl TierConfig {
-    /// Expected compressed size of a pooled page (half a KB), used only
-    /// to convert the byte budget into an approximate page count for
-    /// the refault-distance thrash gate.
-    const EXPECTED_PAGE_BYTES: usize = 512;
-
     /// Compressed tier off (the default).
     pub fn disabled() -> Self {
         TierConfig {
@@ -79,60 +81,37 @@ impl TierConfig {
         }
     }
 
-    /// Compressed tier on with zswap-shaped defaults: demote above 90%
-    /// occupancy down to 75%, LZ-class compress/decompress costs in the
-    /// same band as [`fluidmem_kv::CompressedStore`]'s.
+    /// Compressed tier on with a pool of `max_bytes` compressed bytes.
     pub fn pool(max_bytes: usize) -> Self {
         TierConfig {
             enabled: true,
             max_bytes,
-            watermark_low: 0.75,
-            watermark_high: 0.90,
             thrash_gate: true,
-            compress: LatencyModel::normal_us(1.6, 0.2),
-            decompress: LatencyModel::normal_us(0.8, 0.1),
         }
     }
 
     /// The demotion-stop target in bytes (floor of the hysteresis band).
     pub fn low_bytes(&self) -> usize {
-        (self.max_bytes as f64 * self.watermark_low) as usize
+        (self.max_bytes as f64 * WATERMARK_LOW) as usize
     }
 
     /// The demotion-start threshold in bytes.
     pub fn high_bytes(&self) -> usize {
-        (self.max_bytes as f64 * self.watermark_high) as usize
+        (self.max_bytes as f64 * WATERMARK_HIGH) as usize
     }
 
     /// Approximate pool capacity in pages, for the thrash gate.
     pub fn pool_pages_estimate(&self) -> u64 {
-        (self.max_bytes / Self::EXPECTED_PAGE_BYTES) as u64
+        (self.max_bytes / EXPECTED_PAGE_BYTES) as u64
     }
 
-    /// Checks the watermark fractions and budget are sane.
+    /// Checks the budget is nonzero.
     ///
     /// # Panics
     ///
-    /// Panics unless `0 < watermark_low < watermark_high <= 1` and the
-    /// budget is nonzero.
+    /// Panics if `max_bytes` is 0.
     pub fn validate(&self) {
         assert!(self.max_bytes > 0, "tier max_bytes must be positive");
-        assert!(
-            self.watermark_low > 0.0,
-            "tier watermark_low must be positive (got {})",
-            self.watermark_low
-        );
-        assert!(
-            self.watermark_high > self.watermark_low,
-            "tier watermark_high ({}) must exceed watermark_low ({})",
-            self.watermark_high,
-            self.watermark_low
-        );
-        assert!(
-            self.watermark_high <= 1.0,
-            "tier watermark_high must be at most 1.0 (got {})",
-            self.watermark_high
-        );
     }
 }
 
@@ -316,17 +295,6 @@ mod tests {
         assert_eq!(c.low_bytes(), (1 << 20) * 3 / 4);
         assert!(c.high_bytes() > c.low_bytes());
         assert_eq!(c.pool_pages_estimate(), (1 << 20) / 512);
-    }
-
-    #[test]
-    #[should_panic(expected = "watermark_high")]
-    fn inverted_watermarks_panic() {
-        TierConfig {
-            watermark_low: 0.9,
-            watermark_high: 0.9,
-            ..TierConfig::pool(1 << 20)
-        }
-        .validate();
     }
 
     #[test]

@@ -38,12 +38,13 @@ use fluidmem_vm::Balloon;
 use crate::arbiter::{self, ArbiterConfig, ArbiterPolicy, VmDemand};
 use crate::interleave::Interleave;
 
+/// The hypervisor id, used for partition identities and the coord
+/// membership directory. One agent models one host.
+const HOST_ID: u64 = 1;
+
 /// Host-wide configuration.
 #[derive(Debug, Clone)]
 pub struct HostConfig {
-    /// Hypervisor id, used for partition identities and the coord
-    /// membership directory.
-    pub host_id: u64,
     /// Host DRAM available to VM LRU buffers, in pages.
     pub dram_pages: u64,
     /// Per-VM minimum capacity guarantee (see [`ArbiterConfig`]).
@@ -69,7 +70,6 @@ impl HostConfig {
     /// rebalance every 1024 ops.
     pub fn new(dram_pages: u64) -> Self {
         HostConfig {
-            host_id: 1,
             dram_pages,
             min_pages_per_vm: 16,
             policy: ArbiterPolicy::FaultRateProportional,
@@ -100,12 +100,6 @@ impl HostConfig {
     /// Sets the cluster-maintenance cadence in host ops (`0` disables).
     pub fn cluster_interval(mut self, ops: u64) -> Self {
         self.cluster_interval = ops;
-        self
-    }
-
-    /// Sets the hypervisor id.
-    pub fn host_id(mut self, id: u64) -> Self {
-        self.host_id = id;
         self
     }
 
@@ -226,9 +220,8 @@ struct VmSlot {
     balloon: Balloon,
     /// Signals snapshot at the start of the current rebalance window.
     baseline: VmSignals,
-    /// Latency of every measured access (hits are zero).
-    access_lat: Sample,
-    /// Latency of measured faults only.
+    /// Latency of measured faults. Hits cost zero and are not stored:
+    /// they are `measured_ops − fault_lat.count()`.
     fault_lat: Sample,
     /// Fault latencies in the current rebalance window only (cleared
     /// every round): the arbiter's per-window p99 signal.
@@ -297,7 +290,7 @@ impl HostAgent {
         let mut coord = CoordCluster::new(3, clock.clone(), rng.fork("coord"));
         PartitionTable::init(&mut coord).expect("fresh cluster initializes");
         let directory =
-            HostDirectory::register(&mut coord, config.host_id).expect("fresh cluster registers");
+            HostDirectory::register(&mut coord, HOST_ID).expect("fresh cluster registers");
         directory
             .watch_membership(&mut coord)
             .expect("fresh cluster watches");
@@ -371,7 +364,7 @@ impl HostAgent {
             &mut self.coord,
             VmIdentity {
                 pid,
-                hypervisor: self.config.host_id,
+                hypervisor: HOST_ID,
             },
         )
         .expect("partition allocation on a healthy cluster");
@@ -410,7 +403,6 @@ impl HostAgent {
             region,
             balloon: Balloon::new(),
             baseline,
-            access_lat: Sample::new(),
             fault_lat: Sample::new(),
             window_fault_lat: Sample::new(),
             instruments,
@@ -475,8 +467,9 @@ impl HostAgent {
         let write = slot.workload_rng.gen_bool(slot.spec.write_fraction);
         let report = slot.vm.access(slot.region.page(page), write);
         slot.measured_ops += 1;
-        slot.access_lat.record_duration(report.latency);
-        if report.outcome != AccessOutcome::Hit {
+        if report.outcome == AccessOutcome::Hit {
+            debug_assert!(report.latency.is_zero(), "a hit costs nothing");
+        } else {
             slot.fault_lat.record_duration(report.latency);
             slot.window_fault_lat.record_duration(report.latency);
         }
@@ -594,7 +587,6 @@ impl HostAgent {
     /// a fresh measurement window — call after warm-up.
     pub fn reset_measurements(&mut self) {
         for slot in &mut self.slots {
-            slot.access_lat = Sample::new();
             slot.fault_lat = Sample::new();
             slot.window_fault_lat = Sample::new();
             slot.measured_ops = 0;
@@ -957,9 +949,10 @@ impl HostAgent {
     pub fn aggregate_access_percentile(&mut self, p: f64) -> f64 {
         let mut merged = Sample::new();
         for slot in &self.slots {
-            merged.merge(&slot.access_lat);
+            merged.merge(&slot.fault_lat);
         }
-        merged.percentile(p)
+        let hits = self.total_measured_ops() as usize - merged.count();
+        merged.percentile_with_zeros(p, hits)
     }
 
     /// Percentile over every VM's measured fault latencies, in µs.
@@ -1015,7 +1008,7 @@ impl HostAgent {
 impl std::fmt::Debug for HostAgent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HostAgent")
-            .field("host", &self.config.host_id)
+            .field("host", &HOST_ID)
             .field("vms", &self.slots.len())
             .field("policy", &self.config.policy)
             .field("dram_pages", &self.config.dram_pages)
@@ -1226,7 +1219,8 @@ mod tests {
         agent.run(3_000);
         // Sorts VM 1's sample in place; the others stay in arrival order.
         assert!(agent.vm_fault_percentile(1, 0.5) > 0.0);
-        // The oracle: every VM's values, concatenated as raw floats.
+        // The oracle: every VM's values, concatenated as raw floats, and
+        // a zero for each measured access that did not fault.
         let mut faults: Sample = agent
             .slots
             .iter()
@@ -1235,7 +1229,10 @@ mod tests {
         let mut accesses: Sample = agent
             .slots
             .iter()
-            .flat_map(|s| s.access_lat.iter())
+            .flat_map(|s| {
+                let hits = s.measured_ops as usize - s.fault_lat.count();
+                s.fault_lat.iter().chain(std::iter::repeat_n(0.0, hits))
+            })
             .collect();
         assert!(faults.count() > 100 && accesses.count() > faults.count());
         for p in [0.0, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0] {

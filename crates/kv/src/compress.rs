@@ -13,6 +13,19 @@ use crate::key::ExternalKey;
 use crate::pending::{PendingGet, PendingWrite};
 use crate::store::{forward, KeyValueStore};
 
+/// CPU cost of compressing one page at LZ-class speed (≈1.6 µs), charged
+/// by [`CompressedStore`] and by the monitor's compressed local tier.
+pub fn compress_cost() -> LatencyModel {
+    LatencyModel::normal_us(1.6, 0.2)
+}
+
+/// CPU cost of decompressing one page at LZ-class speed (≈0.8 µs),
+/// charged by [`CompressedStore`] and by the monitor's compressed local
+/// tier.
+pub fn decompress_cost() -> LatencyModel {
+    LatencyModel::normal_us(0.8, 0.1)
+}
+
 /// Frame tag of an RLE-compressed page.
 const RLE_MAGIC: u8 = 0xC7;
 
@@ -319,13 +332,13 @@ pub struct CompressedStore {
 }
 
 impl CompressedStore {
-    /// Wraps a store with default compression costs (≈1.6 µs to
-    /// compress a page, ≈0.8 µs to decompress — LZ-class speeds).
+    /// Wraps a store, charging [`compress_cost`] and
+    /// [`decompress_cost`] per page.
     pub fn new(inner: Box<dyn KeyValueStore>, clock: SimClock, rng: SimRng) -> Self {
         CompressedStore {
             inner,
-            compress_cost: LatencyModel::normal_us(1.6, 0.2),
-            decompress_cost: LatencyModel::normal_us(0.8, 0.1),
+            compress_cost: compress_cost(),
+            decompress_cost: decompress_cost(),
             clock,
             rng,
             pages_compressed: 0,

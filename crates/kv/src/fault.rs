@@ -29,7 +29,7 @@
 //! [`FaultEvent`]: fluidmem_sim::FaultEvent
 
 use fluidmem_mem::PageContents;
-use fluidmem_sim::{FaultKind, FaultPlan, FaultPlanStats, SimClock, SimDuration, SimInstant};
+use fluidmem_sim::{FaultKind, FaultPlan, SimClock, SimDuration, SimInstant};
 
 use crate::error::KvError;
 use crate::key::ExternalKey;
@@ -115,17 +115,6 @@ impl FaultInjectingStore {
     /// The per-op deadline charged for lost requests/responses.
     pub fn deadline(&self) -> SimDuration {
         self.deadline
-    }
-
-    /// Counts of faults injected so far, by kind.
-    pub fn fault_stats(&self) -> FaultPlanStats {
-        self.plan.stats()
-    }
-
-    /// Faultable operations issued so far (the index space scripted
-    /// [`FaultEvent`](fluidmem_sim::FaultEvent)s address).
-    pub fn ops_issued(&self) -> u64 {
-        self.ops
     }
 
     /// Read access to the wrapped store.

@@ -48,7 +48,8 @@ mod transport;
 
 pub use cluster::{AuditReport, ClusterCounters, ClusterHandle, ClusterStore};
 pub use compress::{
-    rle_compress, rle_decompress, rle_len, stored_page_size, CompressedStore, TOKEN_STORED_BYTES,
+    compress_cost, decompress_cost, rle_compress, rle_decompress, rle_len, stored_page_size,
+    CompressedStore, TOKEN_STORED_BYTES,
 };
 pub use dram::DramStore;
 pub use error::KvError;
@@ -59,7 +60,7 @@ pub use memcached::MemcachedStore;
 pub use pending::{PendingGet, PendingWrite};
 pub use ramcloud::RamCloudStore;
 pub use replicated::ReplicatedStore;
-pub use retry::{run_with_retries_from, RetryPolicy};
+pub use retry::{retry_backoff, run_with_retries_from, RETRY_MAX_ATTEMPTS};
 pub use ring::{HashRing, NodeId};
 pub use shared::{Shared, SharedStore};
 pub use stats::{StoreCounters, StoreStats};

@@ -114,8 +114,7 @@ impl TransportModel {
     /// A per-operation deadline suited to this transport: well past the
     /// p99 of a `bytes`-sized read, so only genuinely lost requests or
     /// responses trip it. Used by
-    /// [`FaultInjectingStore`](crate::FaultInjectingStore) and retrying
-    /// clients (see [`RetryPolicy`](crate::RetryPolicy)).
+    /// [`FaultInjectingStore`](crate::FaultInjectingStore).
     pub fn suggested_deadline(&self, bytes: usize) -> SimDuration {
         SimDuration::from_micros_f64(self.mean_read_us(bytes) * 8.0)
     }

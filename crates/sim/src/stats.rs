@@ -308,19 +308,35 @@ impl Sample {
     ///
     /// Returns 0 for an empty sample.
     pub fn percentile(&mut self, p: f64) -> f64 {
-        if self.is_empty() {
+        self.percentile_with_zeros(p, 0)
+    }
+
+    /// [`percentile`](Sample::percentile) of this sample plus `zeros`
+    /// more observations of 0, which are counted rather than stored (a
+    /// latency sample's zero-cost hits). No observation may be negative,
+    /// so the zeros sort first.
+    pub fn percentile_with_zeros(&mut self, p: f64, zeros: usize) -> f64 {
+        let n = self.count() + zeros;
+        if n == 0 {
             return 0.0;
         }
         self.ensure_sorted();
+        let value = |i: usize| {
+            if i < zeros {
+                0.0
+            } else {
+                self.value(i - zeros)
+            }
+        };
         let p = p.clamp(0.0, 1.0);
-        let rank = p * (self.count() - 1) as f64;
+        let rank = p * (n - 1) as f64;
         let lo = rank.floor() as usize;
         let hi = rank.ceil() as usize;
         if lo == hi {
-            self.value(lo)
+            value(lo)
         } else {
             let frac = rank - lo as f64;
-            self.value(lo) * (1.0 - frac) + self.value(hi) * frac
+            value(lo) * (1.0 - frac) + value(hi) * frac
         }
     }
 

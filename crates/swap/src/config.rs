@@ -1,74 +1,19 @@
-//! Swap-subsystem tunables and cost models.
+//! Swap-subsystem tunables.
 
-use fluidmem_sim::LatencyModel;
+/// kswapd wakes when free frames fall below this fraction of DRAM.
+const WATERMARK_LOW: f64 = 0.030;
 
-/// The virtio disk caching mode (libvirt `cache=` attribute).
-///
-/// The paper found this setting *critical for an accurate comparison*
-/// (§VI-D1): with `writeback`, swap writes are buffered a second time in
-/// the hypervisor's page cache, which actually made swapping to DRAM
-/// *slower*; all headline results use `none` (`O_DIRECT`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DiskCacheMode {
-    /// `cache=none`: O_DIRECT, no hypervisor page cache (paper default).
-    #[default]
-    None,
-    /// `cache=writeback`: an extra buffering layer that adds copy cost to
-    /// every request.
-    Writeback,
-}
-
-/// Kernel-path cost models for the swap fault paths.
-///
-/// These cover the guest kernel's CPU work; device time comes from the
-/// [`BlockDevice`](fluidmem_block::BlockDevice) models. Calibrated so the
-/// end-to-end in-VM fault latencies land on the paper's Figure 3
-/// averages: 26.34 µs (DRAM), 41.73 µs (NVMeoF), 106.56 µs (SSD).
-#[derive(Debug, Clone)]
-pub struct SwapCosts {
-    /// Guest fault entry: exception, `handle_mm_fault` down to the swap
-    /// path.
-    pub fault_entry: LatencyModel,
-    /// Swap-cache radix-tree lookup.
-    pub cache_lookup: LatencyModel,
-    /// Frame allocation + cgroup charge + rmap + PTE install + LRU insert
-    /// on the swap-in path.
-    pub swapin_setup: LatencyModel,
-    /// Remaining swap-in bookkeeping (swapcount, memcg, workingset
-    /// accounting) — the "kernel tax" of the paper's more complex swap
-    /// path.
-    pub swapin_overhead: LatencyModel,
-    /// A minor fault that hits the swap cache (map + promote only).
-    pub minor_fault: LatencyModel,
-    /// A first-touch anonymous fault (allocate + zero a frame).
-    pub first_touch: LatencyModel,
-    /// Per-page cost of a direct-reclaim scan iteration.
-    pub reclaim_scan: LatencyModel,
-    /// Extra cost per fault when it happens inside a KVM guest
-    /// (VM exit/entry, nested page walk).
-    pub vm_exit: LatencyModel,
-    /// Extra copy cost per device request under
-    /// [`DiskCacheMode::Writeback`].
-    pub writeback_cache_copy: LatencyModel,
-}
-
-impl Default for SwapCosts {
-    fn default() -> Self {
-        SwapCosts {
-            fault_entry: LatencyModel::normal_us(1.8, 0.3),
-            cache_lookup: LatencyModel::normal_us(0.8, 0.15),
-            swapin_setup: LatencyModel::normal_us(3.6, 0.5),
-            swapin_overhead: LatencyModel::lognormal_mean_p99_us(24.0, 44.0),
-            minor_fault: LatencyModel::lognormal_mean_p99_us(4.5, 8.0),
-            first_touch: LatencyModel::lognormal_mean_p99_us(2.4, 4.5),
-            reclaim_scan: LatencyModel::normal_us(0.35, 0.08),
-            vm_exit: LatencyModel::normal_us(4.0, 0.5),
-            writeback_cache_copy: LatencyModel::normal_us(3.0, 0.5),
-        }
-    }
-}
+/// kswapd reclaims until free frames reach this fraction of DRAM.
+const WATERMARK_HIGH: f64 = 0.060;
 
 /// Configuration of one guest's swap subsystem.
+///
+/// The kswapd watermarks (3% and 6% of DRAM) and the kernel-path cost
+/// models are fixed. Two settings the paper discusses are not modeled:
+/// `vm.swappiness` (§VI-D2 sets 100; reclaim here takes the LRU's victim
+/// whatever its page class, with no anonymous-versus-file bias) and the
+/// virtio disk cache mode (§VI-D1 finds `cache=writeback` slows swap to
+/// DRAM; every run here is `cache=none`, no extra copy per request).
 #[derive(Debug, Clone)]
 pub struct SwapConfig {
     /// Local DRAM allotment in 4 KB pages (the paper's VMs get 1 GB =
@@ -78,35 +23,15 @@ pub struct SwapConfig {
     /// (kernel default 3 → 8 pages). 0 disables readahead, as the paper
     /// sets for the MongoDB runs.
     pub page_cluster: u32,
-    /// `vm.swappiness` (0–200): bias between reclaiming anonymous pages
-    /// vs. file-backed page cache. The paper sets 100 for remote-memory
-    /// swap.
-    pub swappiness: u8,
-    /// kswapd wakes when free frames fall below this fraction of DRAM.
-    pub watermark_low: f64,
-    /// kswapd reclaims until free frames reach this fraction.
-    pub watermark_high: f64,
-    /// Pages reclaimed per kswapd batch.
-    pub kswapd_batch: usize,
-    /// Hypervisor disk-cache mode for the swap device.
-    pub cache_mode: DiskCacheMode,
-    /// Kernel-path cost models.
-    pub costs: SwapCosts,
 }
 
 impl SwapConfig {
-    /// The paper's standard guest: 1 GB DRAM, default readahead,
-    /// swappiness 100, `cache=none`.
+    /// The paper's standard guest: `dram_pages` of DRAM and the
+    /// kernel's default readahead.
     pub fn paper_default(dram_pages: u64) -> Self {
         SwapConfig {
             dram_pages,
             page_cluster: 3,
-            swappiness: 100,
-            watermark_low: 0.030,
-            watermark_high: 0.060,
-            kswapd_batch: 32,
-            cache_mode: DiskCacheMode::None,
-            costs: SwapCosts::default(),
         }
     }
 
@@ -130,46 +55,28 @@ impl SwapConfig {
     /// yield 0 for small `dram_pages`, so kswapd never woke and every
     /// reclaim ran on the fault path.
     pub fn low_watermark_pages(&self) -> u64 {
-        ((self.dram_pages as f64 * self.watermark_low).ceil() as u64).max(1)
+        ((self.dram_pages as f64 * WATERMARK_LOW).ceil() as u64).max(1)
     }
 
     /// The high watermark in pages: kswapd reclaims until free frames
     /// reach this. Always strictly above the low watermark so a wakeup
     /// makes progress.
     pub fn high_watermark_pages(&self) -> u64 {
-        ((self.dram_pages as f64 * self.watermark_high).ceil() as u64)
+        ((self.dram_pages as f64 * WATERMARK_HIGH).ceil() as u64)
             .max(self.low_watermark_pages() + 1)
     }
 
-    /// Checks the watermark fractions are ordered and sane, and the
-    /// readahead exponent is in range.
+    /// Checks the readahead exponent is in range.
     ///
     /// # Panics
     ///
-    /// Panics unless `0 < watermark_low < watermark_high <= 1` and
-    /// `page_cluster <= MAX_PAGE_CLUSTER`.
+    /// Panics unless `page_cluster <= MAX_PAGE_CLUSTER`.
     pub fn validate(&self) {
         assert!(
             self.page_cluster <= Self::MAX_PAGE_CLUSTER,
             "page_cluster ({}) exceeds MAX_PAGE_CLUSTER ({})",
             self.page_cluster,
             Self::MAX_PAGE_CLUSTER
-        );
-        assert!(
-            self.watermark_low > 0.0,
-            "watermark_low must be positive (got {})",
-            self.watermark_low
-        );
-        assert!(
-            self.watermark_high > self.watermark_low,
-            "watermark_high ({}) must exceed watermark_low ({})",
-            self.watermark_high,
-            self.watermark_low
-        );
-        assert!(
-            self.watermark_high <= 1.0,
-            "watermark_high must be at most 1.0 (got {})",
-            self.watermark_high
         );
     }
 }
@@ -183,8 +90,6 @@ mod tests {
         let c = SwapConfig::paper_default(262_144);
         assert_eq!(c.dram_pages, 262_144);
         assert_eq!(c.readahead_pages(), 8);
-        assert_eq!(c.swappiness, 100);
-        assert_eq!(c.cache_mode, DiskCacheMode::None);
     }
 
     #[test]
@@ -236,13 +141,5 @@ mod tests {
     fn validate_accepts_paper_defaults() {
         SwapConfig::paper_default(16).validate();
         SwapConfig::paper_default(262_144).validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "watermark_high")]
-    fn validate_rejects_inverted_watermarks() {
-        let mut c = SwapConfig::paper_default(1024);
-        c.watermark_high = c.watermark_low;
-        c.validate();
     }
 }

@@ -36,7 +36,7 @@ mod slots;
 mod stats;
 
 pub use backend::SwapBackedMemory;
-pub use config::{DiskCacheMode, SwapConfig, SwapCosts};
+pub use config::SwapConfig;
 pub use lru::TwoListLru;
 pub use slots::SlotAllocator;
 pub use stats::{SwapCounters, SwapStats};

@@ -14,41 +14,32 @@ use fluidmem_sim::LatencyModel;
 /// | `UFFD_COPY` | 3.89 | 5.43 |
 ///
 /// [`TlbModel`]: fluidmem_mem::TlbModel
-///
-/// # Example
-///
-/// ```
-/// use fluidmem_uffd::UffdCosts;
-///
-/// let costs = UffdCosts::default();
-/// assert!((costs.zeropage.mean_us() - 2.61).abs() < 0.1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct UffdCosts {
+#[derive(Debug)]
+pub(crate) struct UffdCosts {
     /// Guest halt → hypervisor fault handling → event queued on the fd.
     /// This is the kernel-side trap cost paid before the monitor sees
     /// anything.
-    pub fault_trap: LatencyModel,
+    pub(crate) fault_trap: LatencyModel,
     /// Monitor returning from `poll(2)` and reading the event message.
-    pub event_delivery: LatencyModel,
+    pub(crate) event_delivery: LatencyModel,
     /// The `UFFD_ZEROPAGE` ioctl: map the shared zero page.
-    pub zeropage: LatencyModel,
+    pub(crate) zeropage: LatencyModel,
     /// The `UFFD_COPY` ioctl: allocate a frame and copy 4 KB in.
-    pub copy: LatencyModel,
+    pub(crate) copy: LatencyModel,
     /// The CPU portion of the proposed `UFFD_REMAP` ioctl (page-table
     /// rewriting); the interprocessor-interrupt portion is charged via the
     /// TLB model and can be overlapped with network waits (§V-B).
-    pub remap_cpu: LatencyModel,
+    pub(crate) remap_cpu: LatencyModel,
     /// Waking the faulting vCPU thread.
-    pub wake: LatencyModel,
+    pub(crate) wake: LatencyModel,
     /// The kernel's ordinary copy-on-write break when the guest first
     /// *writes* a zero-page-mapped page (a regular minor fault, not
     /// delivered to userfaultfd).
-    pub cow_break: LatencyModel,
+    pub(crate) cow_break: LatencyModel,
     /// Extra cost per fault when the faulting context is a KVM vCPU
     /// (VM exit / entry); zero when faults come from a plain process
     /// linked against libuserfault (the Table II setup).
-    pub vm_exit: LatencyModel,
+    pub(crate) vm_exit: LatencyModel,
 }
 
 impl Default for UffdCosts {

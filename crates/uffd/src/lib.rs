@@ -27,7 +27,6 @@ mod error;
 mod event;
 mod uffd;
 
-pub use costs::UffdCosts;
 pub use error::UffdError;
 pub use event::{RegionId, UffdEvent};
 pub use uffd::{RemapHandle, Userfaultfd};

@@ -5,9 +5,10 @@ use std::collections::{BTreeMap, VecDeque};
 use fluidmem_mem::{
     FrameId, PageContents, PageTable, PhysicalMemory, PteFlags, Region, TlbModel, VirtAddr, Vpn,
 };
-use fluidmem_sim::{FastMap, SimClock, SimDuration, SimInstant, SimRng};
+use fluidmem_sim::{FastMap, LatencyModel, SimClock, SimDuration, SimInstant, SimRng};
 
-use crate::{RegionId, UffdCosts, UffdError, UffdEvent};
+use crate::costs::UffdCosts;
+use crate::{RegionId, UffdError, UffdEvent};
 
 /// An in-flight `UFFD_REMAP` TLB shootdown.
 ///
@@ -82,29 +83,26 @@ pub struct Userfaultfd {
 }
 
 impl Userfaultfd {
-    /// Creates a userfaultfd with default cost calibration and TLB model.
+    /// Creates a userfaultfd with the Table I cost calibration and the
+    /// default TLB model.
     pub fn new(clock: SimClock, rng: SimRng) -> Self {
-        Self::with_costs(clock, rng, UffdCosts::default(), TlbModel::default())
-    }
-
-    /// Creates a userfaultfd with explicit cost models.
-    pub fn with_costs(clock: SimClock, rng: SimRng, costs: UffdCosts, tlb: TlbModel) -> Self {
         Userfaultfd {
             by_start: BTreeMap::new(),
             by_id: FastMap::default(),
             next_region: 0,
             events: VecDeque::new(),
             blocked: VecDeque::new(),
-            costs,
-            tlb,
+            costs: UffdCosts::default(),
+            tlb: TlbModel::default(),
             clock,
             rng,
         }
     }
 
-    /// The cost models in use.
-    pub fn costs(&self) -> &UffdCosts {
-        &self.costs
+    /// The cost model of one `UFFD_COPY` (allocate a frame, copy 4 KB
+    /// in).
+    pub fn copy_cost(&self) -> &LatencyModel {
+        &self.costs.copy
     }
 
     /// Registers a memory region for userfault handling.

@@ -32,7 +32,7 @@ const STEPS: &[Step] = &[
     }),
     ("telemetry smoke", |_, tmp| {
         let trace = tmp.join("trace.json");
-        let args = "run -q --bin fluidmem -- trace --scenario pmbench --out";
+        let args = "run -q --bin fluidmemctl -- trace --scenario pmbench --out";
         output(Command::new("cargo").args(args.split(' ')).arg(&trace))?;
         let spans = read(&trace)?.contains("\"kv.read.flight\"");
         check(spans, "no kv.read.flight span in the trace")
@@ -104,15 +104,18 @@ const STEPS: &[Step] = &[
     // The reproduction's record: a change that moves it regenerates it
     // with a diff table in EXPERIMENTS.md, or it is a regression.
     ("paper-shape outputs", |_, tmp| {
-        let bins = "table1 table2 table3 fig2 fig3 fig4 fig5 timeouts ablations prefetch";
-        for bin in bins.split(' ') {
-            let same = output(&mut bench(bin))? == read(format!("results/{bin}.txt"))?.as_bytes();
-            check(same, format!("{bin} != results/{bin}.txt"))?;
-        }
         let json = tmp.join("BENCH_scaling.json");
-        output(bench("scaling --big --json").arg(&json))?;
-        let same = read(&json)? == read("BENCH_scaling.json")?;
-        check(same, "scaling --big != BENCH_scaling.json")
+        std::thread::scope(|s| {
+            let big = s.spawn(|| output(bench("scaling --big --json").arg(&json)));
+            let bins = "table1 table2 table3 fig2 fig3 fig4 fig5 timeouts ablations prefetch";
+            for bin in bins.split(' ') {
+                let ok = output(&mut bench(bin))? == read(format!("results/{bin}.txt"))?.as_bytes();
+                check(ok, format!("{bin} != results/{bin}.txt"))?;
+            }
+            big.join().expect("scaling --big panicked")?;
+            let same = read(&json)? == read("BENCH_scaling.json")?;
+            check(same, "scaling --big != BENCH_scaling.json")
+        })
     }),
 ];
 

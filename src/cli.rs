@@ -8,7 +8,7 @@
 //! fluidmemctl pmbench --backend fluidmem-ramcloud --overcommit 4
 //! fluidmemctl graph500 --backend swap-nvmeof --scale 13 --ratio 2.4
 //! fluidmemctl resize --from 4096 --to 180
-//! fluidmem trace --scenario pmbench --out trace.json
+//! fluidmemctl trace --scenario pmbench --out trace.json
 //! ```
 //!
 //! The parser is dependency-free and unit-tested; the binary in
@@ -115,9 +115,6 @@ USAGE:
   fluidmemctl resize   [--from <pages>] [--to <pages>]
   fluidmemctl trace    [--scenario timeline|pmbench] [--backend <name>] [--out <file>] [--seed <n>]
   fluidmemctl help
-
-The `fluidmem` binary is an alias for `fluidmemctl`:
-  fluidmem trace --scenario pmbench --out trace.json
 
 BACKENDS:
   fluidmem-dram | fluidmem-ramcloud | fluidmem-memcached

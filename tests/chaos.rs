@@ -118,9 +118,8 @@ fn no_data_loss_under_chaotic_transport() {
         assert_eq!(stats.lost_pages, 0, "seed {seed}: faults are not data loss");
         // Bounded recovery effort: retries can't exceed the attempt
         // budget for every read plus every flush ever issued.
-        let policy = backend.monitor().config().retry;
-        let ceiling =
-            (stats.remote_reads + stats.flushes + stats.evictions) * u64::from(policy.max_attempts);
+        let ceiling = (stats.remote_reads + stats.flushes + stats.evictions)
+            * u64::from(fluidmem::kv::RETRY_MAX_ATTEMPTS);
         assert!(
             stats.read_retries + stats.write_retries <= ceiling,
             "seed {seed}: retry counts unbounded: {stats:?}"
