@@ -1,7 +1,8 @@
 //! Figure 2 as an executable trace: the first-access critical path
 //! ("red": guest halt → fault event → pagetracker lookup → UFFD_ZEROPAGE
 //! → wake) followed by asynchronous eviction ("blue": UFFD_REMAP → write
-//! list → key-value store), then a refault showing the read path.
+//! list → key-value store), then a refault showing the read path. Each
+//! phase prints the telemetry spans the monitor recorded during it.
 
 use fluidmem_bench::{banner, HarnessArgs};
 use fluidmem_coord::PartitionId;
@@ -9,14 +10,15 @@ use fluidmem_core::{FluidMemMemory, MonitorConfig};
 use fluidmem_kv::RamCloudStore;
 use fluidmem_mem::{MemoryBackend, PageClass};
 use fluidmem_sim::{SimClock, SimRng};
+use fluidmem_telemetry::Telemetry;
 
-fn dump_trace(vm: &FluidMemMemory, since_idx: usize, heading: &str) -> usize {
+/// Prints the spans recorded since the last call, then empties the ring.
+fn dump_spans(telemetry: &Telemetry, heading: &str) {
     println!("\n--- {heading} ---");
-    let events = vm.monitor().tracer().events();
-    for e in events.range(since_idx..) {
-        println!("  {e}");
+    for record in telemetry.spans().records() {
+        println!("  {record}");
     }
-    events.len()
+    telemetry.spans().clear();
 }
 
 fn main() {
@@ -32,17 +34,18 @@ fn main() {
         MonitorConfig::new(2).write_batch(2),
         Box::new(store),
         PartitionId::new(0),
-        clock,
+        clock.clone(),
         SimRng::seed_from_u64(args.seed + 1),
     );
-    vm.monitor_mut().enable_tracing();
+    let telemetry = Telemetry::new(clock);
+    telemetry.enable_spans();
+    vm.attach_telemetry(&telemetry);
     let region = vm.map_region(8, PageClass::Anonymous);
 
     // (1)-(5): first access resolves with the zero page before waking.
     let report = vm.access(region.page(0), false);
-    let mut idx = dump_trace(
-        &vm,
-        0,
+    dump_spans(
+        &telemetry,
         &format!(
             "first access to page 0 ({:?}, {})",
             report.outcome, report.latency
@@ -53,9 +56,8 @@ fn main() {
     vm.access(region.page(1), true);
     vm.access(region.page(2), true);
     vm.access(region.page(3), true);
-    idx = dump_trace(
-        &vm,
-        idx,
+    dump_spans(
+        &telemetry,
         "capacity reached: asynchronous eviction + write list",
     );
 
@@ -63,9 +65,8 @@ fn main() {
     // interleaved under the network wait (§V-B).
     vm.drain_writes();
     let report = vm.access(region.page(0), false);
-    dump_trace(
-        &vm,
-        idx,
+    dump_spans(
+        &telemetry,
         &format!(
             "refault of page 0 ({:?}, {})",
             report.outcome, report.latency

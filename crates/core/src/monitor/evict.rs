@@ -60,7 +60,6 @@ impl Monitor {
         {
             self.stats.prefetch_wasted.inc();
         }
-        self.trace(|| format!("evicting {victim} from the top of the LRU via UFFD_REMAP"));
         Some(victim)
     }
 
@@ -130,9 +129,12 @@ impl Monitor {
             // (tier off, thrash gate, incompressible) stage for writeback
             // and stay stealable until the batch flush retires them.
             if let Some(contents) = self.tier_try_admit(key, contents) {
+                let span = self
+                    .telemetry
+                    .begin(consts::TRACK_MONITOR, "write_list.push");
                 self.charge(|c| &c.write_list_push);
                 self.write_list.push(key, contents, ready_at);
-                self.trace(|| format!("{} queued on the write list", key));
+                self.telemetry.end(span);
             }
         } else {
             // Inline only: background reclaim requires `async_write`.
@@ -179,12 +181,19 @@ impl Monitor {
         match self.store.begin_multi_write(batch) {
             Ok(pending) => {
                 let completes_at = pending.completes_at();
+                // The batch's flight on the kv track, as `issue_read`
+                // records a read's.
+                self.telemetry.record_span(
+                    consts::TRACK_KV,
+                    "kv.write.flight",
+                    pending.issued_at(),
+                    completes_at,
+                );
                 self.write_list.recycle(pending.into_batch());
                 // The flusher thread owns the bottom half; the critical
                 // path only remembers the batch for stealing.
                 self.write_list.mark_inflight(retained, completes_at);
                 self.stats.flushes.inc();
-                self.trace(|| "flusher: batch multi-written to the key-value store".to_string());
             }
             Err(e) if e.is_retryable() => {
                 // The batch goes back on the write list (already past its
@@ -196,7 +205,6 @@ impl Monitor {
                 // re-evicted with newer contents in the meantime rather
                 // than clobbering it with the stale batch copy.
                 self.stats.flush_failures.inc();
-                self.trace(|| format!("flusher: multi-write failed ({e}); batch requeued"));
                 let now = self.clock.now();
                 self.write_list.requeue(retained, now);
             }
@@ -223,12 +231,19 @@ impl Monitor {
             if batch.is_empty() {
                 break;
             }
+            let issued_at = self.clock.now();
             self.with_store_retries(
                 |s| &s.write_retries,
                 "drain",
                 0,
-                |_, e| format!("drain: multi-write failed ({e}); retrying"),
                 |store| store.multi_write(batch.clone()),
+            );
+            // A blocking write: its flight is the whole call.
+            self.telemetry.record_span(
+                consts::TRACK_KV,
+                "kv.write.flight",
+                issued_at,
+                self.clock.now(),
             );
             self.stats.flushes.inc();
         }

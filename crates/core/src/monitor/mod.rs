@@ -38,7 +38,7 @@ pub use pipeline::{CompletedFault, SubmitOutcome};
 use fluidmem_coord::PartitionId;
 use fluidmem_kv::{ExternalKey, KeyValueStore};
 use fluidmem_mem::{PageTable, PhysicalMemory, Region, Vpn};
-use fluidmem_sim::{FastMap, LatencyModel, SimClock, SimInstant, SimRng, Tracer};
+use fluidmem_sim::{FastMap, LatencyModel, SimClock, SimInstant, SimRng};
 use fluidmem_uffd::Userfaultfd;
 
 use crate::config::{MonitorConfig, PrefetchPolicy};
@@ -203,7 +203,6 @@ pub struct Monitor {
     /// first guest touch resolves to a hit (and a timeliness sample); an
     /// eviction or region removal first resolves to a waste.
     pub(in crate::monitor) prefetch_pending_touch: FastMap<Vpn, SimInstant>,
-    pub(in crate::monitor) tracer: Tracer,
     pub(in crate::monitor) clock: SimClock,
     pub(in crate::monitor) rng: SimRng,
 }
@@ -245,7 +244,6 @@ impl Monitor {
             prefetch_candidates: Vec::new(),
             stride,
             prefetch_pending_touch: FastMap::default(),
-            tracer: Tracer::disabled(),
             clock,
             rng,
         };
@@ -302,21 +300,6 @@ impl Monitor {
         g.lru_slab_nodes.set(self.lru.slab_nodes() as i64);
         g.tracker_chunks.set(self.tracker.chunk_count() as i64);
         g.inflight_parked_ops.set(self.inflight.len() as i64);
-    }
-
-    /// Turns on event tracing (for the Figure 2 timeline and debugging).
-    pub fn enable_tracing(&mut self) {
-        self.tracer = Tracer::enabled();
-    }
-
-    /// The recorded trace events.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    pub(in crate::monitor) fn trace(&mut self, message: impl FnOnce() -> String) {
-        let now = self.clock.now();
-        self.tracer.emit(now, "monitor", message);
     }
 
     /// The monitor's configuration.
@@ -398,14 +381,11 @@ impl Monitor {
         else {
             return;
         };
-        let from = self.lru.capacity();
-        let wss = self.workingset.wss_estimate();
-        if target > from {
+        if target > self.lru.capacity() {
             self.stats.adaptive_grows.inc();
         } else {
             self.stats.adaptive_shrinks.inc();
         }
-        self.trace(|| format!("workingset: adaptive capacity {from} -> {target} (wss {wss})"));
         self.lru.set_capacity(target);
     }
 
@@ -492,7 +472,6 @@ impl Monitor {
                 > self.lru.capacity() + self.config.tier.pool_pages_estimate()
         {
             self.stats.tier_bypass_thrash.inc();
-            self.trace(|| format!("tier: {key} bypassed (thrash gate)"));
             return Some(contents);
         }
         // The compression attempt is how incompressibility is
@@ -501,17 +480,14 @@ impl Monitor {
         self.charge(|c| &c.compress);
         let Some(bytes) = fluidmem_kv::stored_page_size(&contents) else {
             self.stats.tier_bypass_incompressible.inc();
-            self.trace(|| format!("tier: {key} bypassed (incompressible)"));
             return Some(contents);
         };
         if bytes > self.config.tier.max_bytes {
             self.stats.tier_bypass_oversize.inc();
-            self.trace(|| format!("tier: {key} bypassed ({bytes} compressed bytes over budget)"));
             return Some(contents);
         }
         self.tier.admit(key, contents, bytes);
         self.stats.tier_admits.inc();
-        self.trace(|| format!("tier: {key} admitted ({bytes} compressed bytes)"));
         // Watermark hysteresis: crossing the high mark demotes a batch
         // down to the low mark, not one page per admission.
         if self.tier.bytes() > self.config.tier.high_bytes() {
@@ -529,10 +505,13 @@ impl Monitor {
             let Some((key, contents)) = self.tier.pop_oldest() else {
                 break;
             };
+            let span = self
+                .telemetry
+                .begin(consts::TRACK_MONITOR, "write_list.push");
             self.charge(|c| &c.write_list_push);
             self.write_list.push(key, contents, self.clock.now());
+            self.telemetry.end(span);
             self.stats.tier_demotions.inc();
-            self.trace(|| format!("tier: {key} demoted to the write list"));
         }
     }
 
@@ -550,7 +529,6 @@ impl Monitor {
             Some(contents) => {
                 self.charge(|c| &c.decompress);
                 self.stats.tier_hits.inc();
-                self.trace(|| format!("tier: {key} promoted to DRAM"));
                 Some(contents)
             }
             None => {

@@ -461,17 +461,14 @@ impl Monitor {
                 write,
             });
             self.stats.coalesced_faults.inc();
-            self.trace(|| format!("fault on {vpn} coalesced onto in-flight op {id}"));
             return SubmitOutcome::Coalesced(id);
         }
 
         if !intake.seen {
-            self.trace(|| format!("pagetracker: {vpn} unseen -> zero-page path"));
             let res = self.handle_first_touch(uffd, pt, pm, vpn);
             self.finalize_fault(intake.span, intake.t0, res.resolution, res.wake_at);
             return SubmitOutcome::Completed(res);
         }
-        self.trace(|| format!("pagetracker: {vpn} seen before -> read path"));
         // A refault, and not a coalesced one (those returned above):
         // measure it against the shadow table exactly once, and read
         // ahead of it.

@@ -110,8 +110,6 @@ impl Monitor {
                 return;
             }
             self.reclaim.awake = true;
-            let headroom = self.headroom();
-            self.trace(|| format!("reclaim: woke (headroom {headroom} < low watermark {low})"));
         }
         // A buffer at (or over) capacity would force the caller's inline
         // loop to evict on the fault path: the evictor preempts and runs
@@ -184,7 +182,7 @@ impl Monitor {
             return;
         }
         let now = self.clock.now();
-        let evicted = self.run_on(Timeline::Evictor, now, |m| {
+        self.run_on(Timeline::Evictor, now, |m| {
             let start = m.clock.now();
             let mut evicted = 0usize;
             while evicted < RECLAIM_BATCH && m.headroom() < high {
@@ -198,19 +196,10 @@ impl Monitor {
             }
             m.telemetry
                 .record_span(consts::TRACK_MONITOR, "reclaim", start, m.clock.now());
-            evicted
         });
         if self.headroom() >= high {
             self.reclaim.awake = false;
         }
-        let headroom = self.headroom();
-        let asleep = !self.reclaim.awake;
-        self.trace(|| {
-            format!(
-                "reclaim: batch of {evicted} evicted (headroom {headroom}, high {high}{})",
-                if asleep { "; sleeping" } else { "" }
-            )
-        });
         self.maybe_flush();
         self.update_gauges();
     }

@@ -65,7 +65,6 @@ impl Monitor {
 
         // "The monitor keeps a list of already seen pages to avoid reads
         // from the remote key-value store for first-time accesses."
-        self.trace(|| format!("userfaultfd event: fault at {vpn} (write={write})"));
         let lookup = self
             .telemetry
             .begin(consts::TRACK_MONITOR, "page_hash_lookup");
@@ -142,7 +141,6 @@ impl Monitor {
 
         uffd.wake_page(vpn);
         let wake_at = self.clock.now();
-        self.trace(|| format!("UFFD_ZEROPAGE resolved {vpn}; guest woken (end of critical path)"));
         self.stats.zero_fills.inc();
 
         // Asynchronous (post-wake) eviction — the blue path of Figure 2.
@@ -226,7 +224,6 @@ impl Monitor {
     ) -> ReadFlight {
         let t0 = self.clock.now();
         let span = self.telemetry.begin(consts::TRACK_MONITOR, "kv.read");
-        self.trace(|| format!("async read top half issued for {key}"));
         let pending = self.issue_read(key);
         self.overlap_flight(uffd, pt, pm);
         ReadFlight {
@@ -255,7 +252,6 @@ impl Monitor {
             }
             Err(e) if e.is_retryable() => {
                 self.stats.read_retries.inc();
-                self.trace(|| format!("async read of {key} failed ({e}); retrying"));
                 let wait = fluidmem_kv::retry_backoff(0, &mut self.rng);
                 self.clock.advance(wait);
                 self.fetch_with_retries(key, 1)
@@ -300,9 +296,7 @@ impl Monitor {
             .record(CodePath::InsertLruCacheNode, self.clock.now() - t0);
 
         uffd.wake_page(vpn);
-        let wake_at = self.clock.now();
-        self.trace(|| format!("{vpn} installed via UFFD_COPY; guest woken (end of critical path)"));
-        wake_at
+        self.clock.now()
     }
 
     /// Post-wake work on the read path: honor the capacity budget, then
@@ -335,7 +329,6 @@ impl Monitor {
             let key = self.key(candidate);
             self.stats.prefetch_issued.inc();
             let pending = self.issue_read(key);
-            self.trace(|| format!("speculative read in flight for {candidate}"));
             self.inflight.park_prefetch(PrefetchFlight {
                 vpn: candidate,
                 pending,
@@ -393,9 +386,6 @@ impl Monitor {
                 let capacity = self.lru.capacity();
                 if wss > capacity {
                     self.stats.prefetch_suppressed_thrash.inc();
-                    self.trace(|| {
-                        format!("prefetch suppressed: thrashing (wss {wss} > capacity {capacity})")
-                    });
                     return;
                 }
                 // Headroom gate: fewer free slots than the depth means
@@ -403,9 +393,6 @@ impl Monitor {
                 let headroom = self.headroom();
                 if headroom < max_depth {
                     self.stats.prefetch_suppressed_headroom.inc();
-                    self.trace(|| {
-                        format!("prefetch suppressed: headroom {headroom} < depth {max_depth}")
-                    });
                     return;
                 }
                 for k in 1..=max_depth {
@@ -474,7 +461,6 @@ impl Monitor {
                     // flight; the fetched copy is redundant, not
                     // lost, but it must not vanish unaccounted.
                     self.stats.prefetch_copy_skips.inc();
-                    self.trace(|| format!("prefetch of {candidate} skipped: page already mapped"));
                 }
             }
             Err(KvError::NotFound(_)) => {
@@ -486,17 +472,13 @@ impl Monitor {
                 // with full retries; here the attempt is just dropped
                 // and counted as transient, not as a miss.
                 self.stats.prefetch_transient_errors.inc();
-                self.trace(|| format!("prefetch of {candidate} hit a transient error ({e})"));
             }
-            Err(e) => {
+            Err(_) => {
                 // Non-retryable (corruption, capacity): dropping the
                 // guess costs nothing — the data is exactly where it
                 // was — so degrade instead of panicking like the demand
                 // read path does.
                 self.stats.prefetch_fatal_errors.inc();
-                self.trace(|| {
-                    format!("prefetch of {candidate} dropped on fatal store error ({e})")
-                });
             }
         }
     }
@@ -523,7 +505,6 @@ impl Monitor {
             // installing now would evict a demand-loaded page for a
             // guess. Drop the fetched copy and count the flight wasted.
             self.stats.prefetch_wasted.inc();
-            self.trace(|| format!("prefetch of {vpn} discarded: no LRU headroom at completion"));
             return;
         }
         self.note_prefetch_result(uffd, pt, pm, vpn, issued_at, result);
@@ -546,12 +527,6 @@ impl Monitor {
         self.stats
             .prefetch_timeliness
             .observe(t0.saturating_since(flight.pending.issued_at()));
-        self.trace(|| {
-            format!(
-                "fault on {} adopted its in-flight speculative read",
-                flight.vpn
-            )
-        });
         self.overlap_flight(uffd, pt, pm);
         ReadFlight {
             t0,
@@ -584,9 +559,8 @@ impl Monitor {
 
     /// Runs one store operation with bounded retries via
     /// [`fluidmem_kv::run_with_retries_from`], bumping the `retries`
-    /// counter and tracing `describe(attempt, error)` once per retry.
-    /// `prior_attempts` counts tries already spent on this operation
-    /// (the async top-half path).
+    /// counter once per retry. `prior_attempts` counts tries already
+    /// spent on this operation (the async top-half path).
     ///
     /// # Panics
     ///
@@ -596,30 +570,19 @@ impl Monitor {
         retries: fn(&MonitorCounters) -> &Counter,
         verb: &str,
         prior_attempts: u32,
-        describe: impl Fn(u32, &KvError) -> String,
         mut op: impl FnMut(&mut dyn KeyValueStore) -> Result<T, KvError>,
     ) -> T {
         let mut tries = 0u32;
-        let Monitor {
-            store,
-            clock,
-            rng,
-            stats,
-            tracer,
-            ..
-        } = self;
-        let clock = &*clock;
-        let retries = retries(stats);
+        let retries = retries(&self.stats);
         fluidmem_kv::run_with_retries_from(
-            clock,
-            rng,
+            &self.clock,
+            &mut self.rng,
             prior_attempts,
-            |attempt, e| {
+            |_, _| {
                 tries += 1;
                 retries.inc();
-                tracer.emit(clock.now(), "monitor", || describe(attempt, e));
             },
-            |_| op(store.as_mut()),
+            |_| op(self.store.as_mut()),
         )
         .unwrap_or_else(|e| panic!("store failure on {verb} after {tries} retries: {e}"))
     }
@@ -635,7 +598,6 @@ impl Monitor {
             |s| &s.read_retries,
             "read",
             prior_attempts,
-            |attempt, e| format!("read of {key} failed ({e}); retry {}", attempt + 1),
             |store| match store.get(key) {
                 Err(KvError::NotFound(_)) => Ok(None),
                 got => got.map(Some),
@@ -657,7 +619,6 @@ impl Monitor {
             |s| &s.write_retries,
             "eviction write",
             0,
-            |attempt, e| format!("write of {key} failed ({e}); retry {}", attempt + 1),
             |store| store.put(key, contents.clone()),
         );
     }

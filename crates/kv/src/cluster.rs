@@ -268,7 +268,9 @@ impl ClusterStore {
         self.counters.node_joins.inc();
         self.update_imbalance();
         if let Some(t) = &self.telemetry {
-            t.instant(consts::TRACK_CLUSTER, &format!("node.join.{id}"));
+            t.instant(consts::TRACK_CLUSTER, "node.join", || {
+                vec![("node", id.to_string())]
+            });
         }
     }
 
@@ -417,10 +419,13 @@ impl ClusterStore {
         );
         self.counters.migrations_started.inc();
         if let Some(t) = &self.telemetry {
-            t.instant(
-                consts::TRACK_CLUSTER,
-                &format!("migration.start.p{p}.{source}to{target}"),
-            );
+            t.instant(consts::TRACK_CLUSTER, "migration.start", || {
+                vec![
+                    ("partition", p.to_string()),
+                    ("from", source.to_string()),
+                    ("to", target.to_string()),
+                ]
+            });
         }
         self.schedule(p);
         true
@@ -440,10 +445,9 @@ impl ClusterStore {
         }
         self.counters.migrations_aborted.inc();
         if let Some(t) = &self.telemetry {
-            t.instant(
-                consts::TRACK_CLUSTER,
-                &format!("migration.abort.p{}", partition.raw()),
-            );
+            t.instant(consts::TRACK_CLUSTER, "migration.abort", || {
+                vec![("partition", partition.raw().to_string())]
+            });
         }
         true
     }
@@ -527,10 +531,13 @@ impl ClusterStore {
         self.counters.pages_recopied.add(mig.pages_recopied);
         self.update_imbalance();
         if let Some(t) = &self.telemetry {
-            t.instant(
-                consts::TRACK_CLUSTER,
-                &format!("migration.flip.p{p}.{}to{}", mig.source, mig.target),
-            );
+            t.instant(consts::TRACK_CLUSTER, "migration.flip", || {
+                vec![
+                    ("partition", p.to_string()),
+                    ("from", mig.source.to_string()),
+                    ("to", mig.target.to_string()),
+                ]
+            });
         }
         Some((mig.source, mig.target))
     }
@@ -664,11 +671,12 @@ impl ClusterStore {
         mig.pages_copied += copied;
         mig.pages_recopied += recopied;
         if let Some(t) = &self.telemetry {
-            t.record_span(
+            t.spans().record_at(
                 consts::TRACK_CLUSTER,
-                &format!("migration.copy.p{p}"),
+                "migration.copy",
                 start,
                 self.cursor,
+                || vec![("partition", p.to_string())],
             );
         }
     }

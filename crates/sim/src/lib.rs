@@ -55,7 +55,6 @@ mod rng;
 mod series;
 pub mod stats;
 mod time;
-mod trace;
 
 pub use clock::SimClock;
 pub use dist::LatencyModel;
@@ -65,4 +64,3 @@ pub use hash::{FastBuildHasher, FastHasher, FastMap, FastSet};
 pub use rng::SimRng;
 pub use series::TimeSeries;
 pub use time::{SimDuration, SimInstant};
-pub use trace::{TraceEvent, Tracer, DEFAULT_TRACE_CAPACITY};

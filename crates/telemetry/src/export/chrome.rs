@@ -79,14 +79,14 @@ pub fn chrome_trace(records: &[SpanRecord]) -> String {
                 events.push(format!(
                     "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"dur\":{dur},\
                      \"name\":\"{}\"{args}}}",
-                    json_escape(&r.name)
+                    json_escape(r.name)
                 ));
             }
             SpanKind::Instant => {
                 events.push(format!(
                     "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"t\",\
                      \"name\":\"{}\"{args}}}",
-                    json_escape(&r.name)
+                    json_escape(r.name)
                 ));
             }
         }
@@ -133,7 +133,7 @@ mod tests {
         r.record_at("monitor", "fault", t(1), t(4), || {
             vec![("vpn", "0x10".to_string())]
         });
-        r.instant("monitor", "wake", t(4));
+        r.instant("monitor", "wake", t(4), Vec::new);
         let json = chrome_trace(&r.records());
         assert_eq!(
             json,

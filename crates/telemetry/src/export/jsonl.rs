@@ -63,7 +63,7 @@ pub fn jsonl(snapshot: &RegistrySnapshot, spans: &[SpanRecord]) -> String {
             out,
             "{{\"type\":\"{kind}\",\"track\":\"{}\",\"name\":\"{}\",\"start_us\":{},\"dur_us\":{}}}",
             json_escape(s.track),
-            json_escape(&s.name),
+            json_escape(s.name),
             fmt_us(s.start.as_nanos() as f64 / 1_000.0),
             fmt_us((s.end.as_nanos() - s.start.as_nanos()) as f64 / 1_000.0),
         );

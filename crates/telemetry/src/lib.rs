@@ -115,14 +115,14 @@ impl Telemetry {
 
     /// Opens a span on `track` starting now.
     #[inline]
-    pub fn begin(&self, track: &'static str, name: &str) -> SpanId {
+    pub fn begin(&self, track: &'static str, name: &'static str) -> SpanId {
         self.spans.begin_at(track, name, self.clock.now(), Vec::new)
     }
 
     /// Opens a span with lazily-built annotations (the closure only runs
     /// when spans are enabled).
     #[inline]
-    pub fn begin_with<F>(&self, track: &'static str, name: &str, args: F) -> SpanId
+    pub fn begin_with<F>(&self, track: &'static str, name: &'static str, args: F) -> SpanId
     where
         F: FnOnce() -> Vec<(&'static str, String)>,
     {
@@ -144,20 +144,29 @@ impl Telemetry {
 
     /// Records a complete span with a known interval (async flights).
     #[inline]
-    pub fn record_span(&self, track: &'static str, name: &str, start: SimInstant, end: SimInstant) {
+    pub fn record_span(
+        &self,
+        track: &'static str,
+        name: &'static str,
+        start: SimInstant,
+        end: SimInstant,
+    ) {
         self.spans.record_at(track, name, start, end, Vec::new);
     }
 
-    /// Records a zero-duration marker now.
+    /// Records a zero-duration marker now, with lazily-built annotations.
     #[inline]
-    pub fn instant(&self, track: &'static str, name: &str) {
-        self.spans.instant(track, name, self.clock.now());
+    pub fn instant<F>(&self, track: &'static str, name: &'static str, args: F)
+    where
+        F: FnOnce() -> Vec<(&'static str, String)>,
+    {
+        self.spans.instant(track, name, self.clock.now(), args);
     }
 
     /// Records a zero-duration marker at an explicit instant.
     #[inline]
-    pub fn instant_at(&self, track: &'static str, name: &str, at: SimInstant) {
-        self.spans.instant(track, name, at);
+    pub fn instant_at(&self, track: &'static str, name: &'static str, at: SimInstant) {
+        self.spans.instant(track, name, at, Vec::new);
     }
 
     /// Renders every registered metric in the Prometheus text format.

@@ -14,6 +14,7 @@
 //! spans instead of growing without limit.
 
 use std::collections::VecDeque;
+use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -51,7 +52,7 @@ pub enum SpanKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
     /// Span name (e.g. `"fault"`, `"UFFD_REMAP"`).
-    pub name: String,
+    pub name: &'static str,
     /// Track (virtual thread) the span belongs to.
     pub track: &'static str,
     /// Start of the interval.
@@ -67,10 +68,25 @@ pub struct SpanRecord {
     pub seq: u64,
 }
 
+/// One line per record, `[start–end] track: name k=v…` (an instant shows
+/// its one time), the text form `fig2` and `fluidmemctl trace` print.
+impl fmt::Display for SpanRecord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.kind {
+            SpanKind::Complete => write!(f, "[{}–{}]", self.start, self.end)?,
+            SpanKind::Instant => write!(f, "[{}]", self.start)?,
+        }
+        write!(f, " {}: {}", self.track, self.name)?;
+        self.args
+            .iter()
+            .try_for_each(|(k, v)| write!(f, " {k}={v}"))
+    }
+}
+
 #[derive(Debug)]
 struct OpenSpan {
     id: u64,
-    name: String,
+    name: &'static str,
     track: &'static str,
     start: SimInstant,
     args: Vec<(&'static str, String)>,
@@ -160,7 +176,13 @@ impl SpanRecorder {
 
     /// Opens a span on `track` starting at `start`. The `args` closure is
     /// only evaluated when recording is enabled.
-    pub fn begin_at<F>(&self, track: &'static str, name: &str, start: SimInstant, args: F) -> SpanId
+    pub fn begin_at<F>(
+        &self,
+        track: &'static str,
+        name: &'static str,
+        start: SimInstant,
+        args: F,
+    ) -> SpanId
     where
         F: FnOnce() -> Vec<(&'static str, String)>,
     {
@@ -172,7 +194,7 @@ impl SpanRecorder {
         core.next_id += 1;
         core.open.push(OpenSpan {
             id,
-            name: name.to_string(),
+            name,
             track,
             start,
             args: args(),
@@ -206,7 +228,7 @@ impl SpanRecorder {
     pub fn record_at<F>(
         &self,
         track: &'static str,
-        name: &str,
+        name: &'static str,
         start: SimInstant,
         end: SimInstant,
         args: F,
@@ -218,7 +240,7 @@ impl SpanRecorder {
         }
         let mut core = self.core.lock().expect("span lock");
         core.push_done(SpanRecord {
-            name: name.to_string(),
+            name,
             track,
             start,
             end: end.max(start),
@@ -228,19 +250,23 @@ impl SpanRecorder {
         });
     }
 
-    /// Records a zero-duration instant marker.
-    pub fn instant(&self, track: &'static str, name: &str, at: SimInstant) {
+    /// Records a zero-duration instant marker. The `args` closure is
+    /// only evaluated when recording is enabled.
+    pub fn instant<F>(&self, track: &'static str, name: &'static str, at: SimInstant, args: F)
+    where
+        F: FnOnce() -> Vec<(&'static str, String)>,
+    {
         if !self.is_enabled() {
             return;
         }
         let mut core = self.core.lock().expect("span lock");
         core.push_done(SpanRecord {
-            name: name.to_string(),
+            name,
             track,
             start: at,
             end: at,
             kind: SpanKind::Instant,
-            args: Vec::new(),
+            args: args(),
             seq: 0,
         });
     }
@@ -323,7 +349,7 @@ mod tests {
         let inner = r.begin_at("monitor", "inner", t(1), Vec::new);
         r.end_at(inner, t(2));
         r.end_at(outer, t(3));
-        let names: Vec<String> = r.records().into_iter().map(|s| s.name).collect();
+        let names: Vec<&str> = r.records().into_iter().map(|s| s.name).collect();
         assert_eq!(names, ["outer", "inner"]);
     }
 
@@ -331,10 +357,28 @@ mod tests {
     fn instant_markers_have_zero_duration() {
         let r = SpanRecorder::new();
         r.enable();
-        r.instant("monitor", "wake", t(7));
+        r.instant("monitor", "wake", t(7), Vec::new);
         let recs = r.records();
         assert_eq!(recs[0].kind, SpanKind::Instant);
         assert_eq!(recs[0].start, recs[0].end);
+    }
+
+    #[test]
+    fn display_prints_one_line_per_record() {
+        let r = SpanRecorder::new();
+        r.enable();
+        r.record_at("kv", "kv.write.flight", t(1), t(3), || {
+            vec![("pages", "2".into())]
+        });
+        r.instant("guest", "wake", t(3), Vec::new);
+        let lines: Vec<String> = r.records().iter().map(ToString::to_string).collect();
+        assert_eq!(
+            lines,
+            [
+                "[t+1.000µs–t+3.000µs] kv: kv.write.flight pages=2",
+                "[t+3.000µs] guest: wake"
+            ]
+        );
     }
 
     #[test]

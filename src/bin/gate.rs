@@ -34,8 +34,8 @@ const STEPS: &[Step] = &[
         let trace = tmp.join("trace.json");
         let args = "run -q --bin fluidmemctl -- trace --scenario pmbench --out";
         output(Command::new("cargo").args(args.split(' ')).arg(&trace))?;
-        let spans = read(&trace)?.contains("\"kv.read.flight\"");
-        check(spans, "no kv.read.flight span in the trace")
+        let flight = |s| read(&trace).map(|t| t.contains(&format!("\"kv.{s}.flight\"")));
+        check(flight("read")? && flight("write")?, "no kv.*.flight span")
     }),
     // The sweep's records, then the policy faceoff's.
     ("scaling --smoke", |line, tmp| {

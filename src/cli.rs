@@ -91,8 +91,9 @@ pub enum CliCommand {
     /// Run a scenario with spans enabled; print a timeline or write a
     /// Chrome trace-event file loadable in Perfetto / `chrome://tracing`.
     Trace {
-        /// What to run: `timeline` (a hand-sized fault sequence printed
-        /// as text) or `pmbench` (the microbenchmark, exported as JSON).
+        /// What to run: `timeline` (a hand-sized fault sequence whose
+        /// spans print one per line) or `pmbench` (the microbenchmark,
+        /// exported as JSON).
         scenario: String,
         /// Which FluidMem configuration to trace.
         backend: BackendKind,
@@ -115,6 +116,10 @@ USAGE:
   fluidmemctl resize   [--from <pages>] [--to <pages>]
   fluidmemctl trace    [--scenario timeline|pmbench] [--backend <name>] [--out <file>] [--seed <n>]
   fluidmemctl help
+
+TRACE SCENARIOS:
+  timeline   a hand-sized fault sequence; prints the span ring, one span per line
+  pmbench    the microbenchmark; writes its spans as Chrome trace JSON (--out)
 
 BACKENDS:
   fluidmem-dram | fluidmem-ramcloud | fluidmem-memcached
@@ -404,15 +409,17 @@ pub fn execute(command: CliCommand) {
             "timeline" => {
                 let clock = SimClock::new();
                 let mut vm = traced_fluidmem(backend, 2, clock, seed);
-                vm.monitor_mut().enable_tracing();
+                let telemetry = Telemetry::new(vm.clock().clone());
+                telemetry.enable_spans();
+                vm.attach_telemetry(&telemetry);
                 let region = vm.map_region(8, PageClass::Anonymous);
                 for i in 0..4 {
                     vm.access(region.page(i), true);
                 }
                 vm.drain_writes();
                 vm.access(region.page(0), false);
-                for event in vm.monitor().tracer().events() {
-                    println!("{event}");
+                for record in telemetry.spans().records() {
+                    println!("{record}");
                 }
             }
             "pmbench" => {

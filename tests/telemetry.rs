@@ -4,8 +4,12 @@
 //! `UFFD_REMAP` on the monitor track.
 
 use fluidmem::coord::PartitionId;
-use fluidmem::core::{FluidMemMemory, MonitorConfig};
+use fluidmem::core::{
+    FluidMemMemory, MonitorConfig, PrefetchPolicy, ReclaimConfig, TierConfig, WorkingSetConfig,
+    WorkingSetMode,
+};
 use fluidmem::kv::RamCloudStore;
+use fluidmem::mem::{MemoryBackend, PageClass, PageContents, PAGE_SIZE};
 use fluidmem::sim::{SimClock, SimDuration, SimRng};
 use fluidmem::telemetry::{consts, validate_chrome_trace, SpanRecord, Telemetry};
 use fluidmem::workloads::pmbench::{self, PmbenchConfig};
@@ -56,7 +60,7 @@ fn exports_are_deterministic_across_runs() {
 
 #[test]
 fn chrome_trace_validates_and_shows_async_overlap() {
-    let (telemetry, _vm) = traced_run(7);
+    let (telemetry, vm) = traced_run(7);
     let json = telemetry.export_chrome_trace();
     let events = validate_chrome_trace(&json).expect("export must be valid Chrome trace JSON");
     assert!(events > 0, "trace must contain events");
@@ -79,6 +83,93 @@ fn chrome_trace_validates_and_shows_async_overlap() {
         overlapping,
         "§V-B: some KV read flight must overlap a UFFD_REMAP span"
     );
+
+    let writes: Vec<&SpanRecord> = records
+        .iter()
+        .filter(|r| r.track == consts::TRACK_KV && r.name == "kv.write.flight")
+        .collect();
+    assert_eq!(
+        writes.len() as u64,
+        vm.monitor().stats().flushes,
+        "every flush records one write flight"
+    );
+    assert!(
+        writes.iter().all(|w| w.end > w.start),
+        "a write flight takes time"
+    );
+}
+
+/// Recording spans only observes: one seeded sequence through the tier,
+/// stride prefetch, watermark reclaim and adaptive capacity, run with
+/// spans on and with them off, reports the same accesses, counters,
+/// Table I rows and final clock. `fig2` prints its spans on this basis.
+#[test]
+fn recording_spans_moves_no_modeled_value() {
+    let run = |spans: bool| {
+        let clock = SimClock::new();
+        let store = RamCloudStore::new(1 << 28, clock.clone(), SimRng::seed_from_u64(5));
+        let config = MonitorConfig::new(128)
+            .reclaim(ReclaimConfig::kswapd())
+            .tier(TierConfig::pool(4 * PAGE_SIZE))
+            .prefetch(PrefetchPolicy::Stride {
+                window: 16,
+                max_depth: 2,
+            })
+            .workingset(WorkingSetConfig::default().shadow_capacity(4).mode(
+                WorkingSetMode::AdaptiveCapacity {
+                    min_pages: 96,
+                    max_pages: 192,
+                    adjust_interval: 1,
+                },
+            ));
+        let mut vm = FluidMemMemory::new(
+            config,
+            Box::new(store),
+            PartitionId::new(0),
+            clock.clone(),
+            SimRng::seed_from_u64(6),
+        );
+        let telemetry = Telemetry::new(clock.clone());
+        if spans {
+            telemetry.enable_spans();
+        }
+        vm.attach_telemetry(&telemetry);
+        let region = vm.map_region(512, PageClass::Anonymous);
+        let mut rng = SimRng::seed_from_u64(7);
+        let mut reports = Vec::new();
+        for i in 0..3_000u64 {
+            let page = match i / 500 % 3 {
+                0 => i % 512,
+                1 => i * 7 % 512,
+                _ => rng.gen_index(160),
+            };
+            let addr = region.page(page);
+            reports.push(if rng.gen_bool(0.3) {
+                // One page in three takes the tier; noise goes remote.
+                let contents = if page % 3 == 0 {
+                    PageContents::from_byte_fill(page as u8 | 1)
+                } else {
+                    let mut noise = SimRng::seed_from_u64(page);
+                    let bytes: Vec<u8> =
+                        (0..PAGE_SIZE).map(|_| noise.gen_index(256) as u8).collect();
+                    PageContents::from_bytes(&bytes)
+                };
+                vm.write_page(addr, contents)
+            } else {
+                vm.access(addr, false)
+            });
+        }
+        vm.drain_writes();
+        assert_eq!(telemetry.spans().records().is_empty(), !spans);
+        // As text, so a NaN column compares equal to itself.
+        let table1 = format!("{:?}", vm.monitor().profile().rows());
+        (reports, vm.monitor().stats(), table1, clock.now())
+    };
+    let (traced, untraced) = (run(true), run(false));
+    let stats = traced.1;
+    assert!(stats.tier_admits > 0 && stats.prefetch_issued > 0 && stats.background_reclaims > 0);
+    assert!(stats.adaptive_grows + stats.adaptive_shrinks > 0);
+    assert!(traced == untraced, "recording spans moved a modeled value");
 }
 
 #[test]
