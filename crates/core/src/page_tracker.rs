@@ -116,32 +116,6 @@ impl PageTracker {
         true
     }
 
-    /// Forgets every page for which `predicate` is true; returns how many
-    /// were removed. Visits every tracked page — prefer
-    /// [`remove_range`](PageTracker::remove_range) when the doomed pages
-    /// form a contiguous region.
-    pub fn remove_where<F: FnMut(Vpn) -> bool>(&mut self, mut predicate: F) -> usize {
-        let mut removed = 0;
-        self.chunks.retain(|&key, chunk| {
-            for word in 0..CHUNK_WORDS {
-                let mut bits = chunk.words[word];
-                while bits != 0 {
-                    let bit = bits.trailing_zeros() as u64;
-                    bits &= bits - 1;
-                    let vpn = Vpn::new(key * CHUNK_PAGES + word as u64 * 64 + bit);
-                    if predicate(vpn) {
-                        chunk.words[word] &= !(1u64 << bit);
-                        chunk.live -= 1;
-                        removed += 1;
-                    }
-                }
-            }
-            chunk.live > 0
-        });
-        self.len -= removed;
-        removed
-    }
-
     /// Forgets every tracked page with `start <= vpn < end` (a region
     /// unregister); returns how many were removed. Interior chunks are
     /// dropped whole; only the two edge chunks are masked bit-by-word —
@@ -194,18 +168,6 @@ impl PageTracker {
         removed
     }
 
-    /// How many chunks a [`remove_range`](PageTracker::remove_range) over
-    /// `start..end` would touch — the deterministic cost model the
-    /// regression tests assert on (no wall-clock timing).
-    pub fn range_cost_chunks(&self, start: Vpn, end: Vpn) -> usize {
-        if start >= end {
-            return 0;
-        }
-        let first_key = start.raw() / CHUNK_PAGES;
-        let last_key = (end.raw() - 1) / CHUNK_PAGES;
-        self.chunks.range(first_key..=last_key).count()
-    }
-
     /// Exports the tracked set (for live migration). Chunks are keyed in
     /// address order, so the export is naturally sorted.
     pub fn export(&self) -> Vec<Vpn> {
@@ -253,19 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_where_scopes_cleanup() {
-        let mut t = PageTracker::new();
-        for n in 0..10 {
-            t.insert(Vpn::new(n));
-        }
-        let removed = t.remove_where(|v| v.raw() < 4);
-        assert_eq!(removed, 4);
-        assert_eq!(t.len(), 6);
-        assert!(!t.contains(Vpn::new(0)));
-        assert!(t.contains(Vpn::new(9)));
-    }
-
-    #[test]
     fn remove_range_handles_chunk_edges() {
         let mut t = PageTracker::new();
         // Pages straddling three chunks: 4000..4100 and 12_000..12_300.
@@ -297,32 +246,6 @@ mod tests {
         assert_eq!(t.remove_range(Vpn::new(9), Vpn::new(9)), 0);
         assert_eq!(t.remove_range(Vpn::new(9), Vpn::new(3)), 0);
         assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn region_removal_cost_ignores_other_regions() {
-        // The satellite regression: unregistering region A must not get
-        // more expensive as region B grows. Cost is measured in chunks
-        // visited (the deterministic unit remove_range works in).
-        let mut t = PageTracker::new();
-        let a_start = Vpn::new(0);
-        let a_end = Vpn::new(8192); // region A: 2 chunks
-        for n in 0..8192 {
-            t.insert(Vpn::new(n));
-        }
-        let sparse_cost = t.range_cost_chunks(a_start, a_end);
-        // Blow region B up to 1M pages, far away in the address space.
-        let b_base = 1 << 30;
-        for n in 0..1_048_576u64 {
-            t.insert(Vpn::new(b_base + n));
-        }
-        assert_eq!(
-            t.range_cost_chunks(a_start, a_end),
-            sparse_cost,
-            "region A's removal cost scaled with region B's population"
-        );
-        assert_eq!(t.remove_range(a_start, a_end), 8192);
-        assert_eq!(t.len(), 1_048_576);
     }
 
     #[test]

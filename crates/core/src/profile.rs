@@ -2,10 +2,9 @@
 //!
 //! The table is a thin view over eight telemetry [`Histogram`]s — one
 //! per instrumented code path. Registering them in a [`Registry`] under
-//! `fluidmem_codepath_latency_us` exports the same data as Prometheus
-//! buckets, so Table I and the metrics endpoint read one source of
-//! truth. The histogram's exact moments and bounded percentile
-//! subsample reproduce the previous profiler's numbers bit for bit.
+//! `fluidmem_codepath_latency_us` puts the same handles in the registry
+//! snapshot, so Table I and the registry read one source of truth: the
+//! histograms' exact moments and bounded percentile subsample.
 
 use std::fmt;
 

@@ -3,9 +3,9 @@
 //! The monitor bumps [`MonitorCounters`] — shared telemetry handles —
 //! on its hot paths, and [`MonitorStats`] is the point-in-time snapshot
 //! of the event counters. Registering the set in a
-//! [`Registry`](fluidmem_telemetry::Registry) makes the *same* handles
-//! exportable (Prometheus / JSONL), so the stats surface and the
-//! telemetry subsystem can never disagree: there is one set.
+//! [`Registry`](fluidmem_telemetry::Registry) puts the *same* handles in
+//! its snapshot, so the stats surface and the telemetry subsystem can
+//! never disagree: there is one set.
 
 use fluidmem_telemetry::{instrument_set, Histogram};
 

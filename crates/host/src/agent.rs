@@ -1582,18 +1582,32 @@ mod tests {
         agent.run(2_000);
         agent.drain();
 
-        let prom = telemetry.export_prometheus();
-        assert!(prom.contains("fluidmem_host_events_total"), "{prom}");
+        let snapshot = telemetry.registry().snapshot();
+        let key = |name: &str, labels: &[(&str, &str)]| {
+            let labels = labels.iter().map(|(k, v)| (k.to_string(), v.to_string()));
+            (name.to_string(), labels.collect::<Vec<_>>())
+        };
         assert!(
-            prom.contains("fluidmem_host_vm_capacity_pages{vm=\"alpha\"}"),
-            "{prom}"
+            snapshot
+                .counters
+                .iter()
+                .any(|((n, _), _)| n == consts::HOST_EVENTS),
+            "{snapshot:?}"
         );
-        assert!(prom.contains("vm=\"beta\""), "{prom}");
+        for vm in ["alpha", "beta"] {
+            let capacity = key(consts::HOST_VM_CAPACITY_PAGES, &[(consts::LABEL_VM, vm)]);
+            let pages = snapshot.gauges.iter().find(|(k, _)| *k == capacity);
+            assert!(pages.is_some_and(|(_, v)| *v > 0), "{vm}: {snapshot:?}");
+        }
         // The monitors' labeled series landed in the same registry.
+        let faults = key(
+            consts::MONITOR_EVENTS,
+            &[(consts::LABEL_EVENT, "fault"), (consts::LABEL_VM, "alpha")],
+        );
+        let count = snapshot.counters.iter().find(|(k, _)| *k == faults);
         assert!(
-            prom.contains("fluidmem_monitor_events_total{event=\"fault\",vm=\"alpha\"}")
-                || prom.contains("vm=\"alpha\",event=\"fault\""),
-            "per-VM monitor series missing: {prom}"
+            count.is_some_and(|(_, v)| *v > 0),
+            "per-VM monitor series missing: {snapshot:?}"
         );
         let trace = telemetry.export_chrome_trace();
         assert!(trace.contains("rebalance"), "{trace}");

@@ -60,8 +60,6 @@ pub enum LatencyModel {
         /// Probability of a spike on any one sample.
         probability: f64,
     },
-    /// The sum of two component distributions.
-    Sum(Box<LatencyModel>, Box<LatencyModel>),
 }
 
 impl LatencyModel {
@@ -148,11 +146,6 @@ impl LatencyModel {
         }
     }
 
-    /// The sum of this distribution and another.
-    pub fn plus(self, other: LatencyModel) -> Self {
-        LatencyModel::Sum(Box::new(self), Box::new(other))
-    }
-
     /// Draws one latency sample.
     pub fn sample(&self, rng: &mut SimRng) -> SimDuration {
         match self {
@@ -198,7 +191,6 @@ impl LatencyModel {
                 }
                 d
             }
-            LatencyModel::Sum(a, b) => a.sample(rng) + b.sample(rng),
         }
     }
 
@@ -216,7 +208,6 @@ impl LatencyModel {
                 spike,
                 probability,
             } => base.mean_us() + probability * spike.mean_us(),
-            LatencyModel::Sum(a, b) => a.mean_us() + b.mean_us(),
         }
     }
 }
@@ -309,14 +300,6 @@ mod tests {
         assert!((s.percentile(0.50) - 2.0).abs() < 1e-6);
         assert!((s.percentile(0.995) - 18.0).abs() < 1e-6);
         assert!((m.mean_us() - 2.32).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sum_adds_means() {
-        let m = LatencyModel::constant_us(3.0).plus(LatencyModel::uniform_us(1.0, 3.0));
-        assert!((m.mean_us() - 5.0).abs() < 1e-9);
-        let s = empirical(&m, 5_000, 8);
-        assert!((s.mean() - 5.0).abs() < 0.1);
     }
 
     #[test]

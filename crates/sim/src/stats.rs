@@ -27,13 +27,21 @@ use crate::SimDuration;
 /// assert!((s.mean() - 2.0).abs() < 1e-12);
 /// assert!((s.stdev() - 1.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     count: u64,
     mean: f64,
     m2: f64,
     min: f64,
     max: f64,
+}
+
+/// The empty summary, as [`Summary::new`]: its first observation sets
+/// `min` and `max`.
+impl Default for Summary {
+    fn default() -> Self {
+        Summary::new()
+    }
 }
 
 impl Summary {
@@ -616,6 +624,14 @@ mod tests {
         assert_eq!(s.stdev(), 0.0);
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
+    }
+
+    #[test]
+    fn default_summary_is_the_empty_summary() {
+        let mut s = Summary::default();
+        assert_eq!(s, Summary::new());
+        s.record(10.0);
+        assert_eq!((s.min(), s.max()), (10.0, 10.0));
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! The single source of truth for metric names, label keys, span track
-//! names, and the histogram bucket scheme.
+//! names, and the registry's retention limits.
 //!
 //! Bench binaries, tests, and the instrumented crates all reference these
 //! constants instead of scattering string-typed metric names — renaming a
-//! metric is a one-line change here, and exporter snapshot tests pin the
-//! wire format.
+//! metric is a one-line change here.
 
 /// Monitor event counter (labeled by [`LABEL_EVENT`]): faults, zero
 /// fills, remote reads, steals, retries, …
@@ -91,8 +90,9 @@ pub const FAULT_LATENCY_US: &str = "fluidmem_fault_latency_us";
 /// Refault-distance histogram: evictions that elapsed between a page
 /// leaving the LRU and faulting back in (shadow-entry tracking). The
 /// distance is a page count, recorded via
-/// [`Histogram::observe_value`](crate::Histogram::observe_value) — the
-/// bucket bounds read as plain counts, not nanoseconds.
+/// [`Histogram::observe_value`](crate::Histogram::observe_value) — one
+/// page per nanosecond, so its `_us` statistics read in thousands of
+/// pages.
 pub const REFAULT_DISTANCE_PAGES: &str = "fluidmem_refault_distance_pages";
 
 /// The monitor's estimated working-set size in pages (gauge), derived
@@ -191,82 +191,10 @@ pub const TRACK_TIDS: [(&str, u64); 6] = [
     (TRACK_CLUSTER, 6),
 ];
 
-/// Number of finite histogram buckets. Bucket `i` has upper bound
-/// [`bucket_bound_ns`]`(i)`; one extra `+Inf` bucket catches the rest.
-pub const HIST_BUCKETS: usize = 40;
-
-/// Upper bound of the first histogram bucket, in nanoseconds. Bounds
-/// double per bucket (250 ns, 500 ns, 1 µs, … ≈ 76 h), so two histograms
-/// recorded under the same scheme merge exactly, bucket by bucket.
-pub const HIST_FIRST_BOUND_NS: u64 = 250;
-
-/// Per-histogram cap on retained percentile samples; past it, spans are
-/// systematically subsampled so memory stays bounded while percentiles
-/// remain representative (the scheme the Table I profiler has always
-/// used).
+/// Per-histogram cap on retained percentile samples; past it,
+/// observations are systematically subsampled so memory stays bounded
+/// while percentiles remain representative.
 pub const HIST_SAMPLE_CAP: u64 = 1 << 18;
 
 /// Default capacity of the span ring buffer (completed spans retained).
 pub const SPAN_RING_CAPACITY: usize = 1 << 16;
-
-/// The inclusive upper bound of histogram bucket `i`, in nanoseconds.
-#[inline]
-pub const fn bucket_bound_ns(i: usize) -> u64 {
-    HIST_FIRST_BOUND_NS << i
-}
-
-/// The bucket index a latency of `ns` nanoseconds falls into;
-/// [`HIST_BUCKETS`] means the `+Inf` overflow bucket.
-#[inline]
-pub fn bucket_index(ns: u64) -> usize {
-    // Bounds are `FIRST << i`, so the bucket is the bit length of
-    // `ceil(ns / FIRST) - 1`: no loop, no data-dependent branch.
-    let units = ns.div_ceil(HIST_FIRST_BOUND_NS);
-    let i = u64::BITS - units.saturating_sub(1).leading_zeros();
-    (i as usize).min(HIST_BUCKETS)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bounds_double() {
-        assert_eq!(bucket_bound_ns(0), 250);
-        assert_eq!(bucket_bound_ns(1), 500);
-        assert_eq!(bucket_bound_ns(2), 1_000);
-        assert_eq!(bucket_bound_ns(12), 1_024_000);
-    }
-
-    #[test]
-    fn index_agrees_with_a_linear_scan_of_the_bounds() {
-        let scan = |ns: u64| {
-            (0..HIST_BUCKETS)
-                .find(|&i| ns <= bucket_bound_ns(i))
-                .unwrap_or(HIST_BUCKETS)
-        };
-        for i in 0..HIST_BUCKETS {
-            let bound = bucket_bound_ns(i);
-            for ns in [bound - 1, bound, bound + 1, bound + bound / 2] {
-                assert_eq!(bucket_index(ns), scan(ns), "ns = {ns}");
-            }
-        }
-        for ns in (0..5_000).chain([u64::MAX - 1, u64::MAX, 1 << 63]) {
-            assert_eq!(bucket_index(ns), scan(ns), "ns = {ns}");
-        }
-    }
-
-    #[test]
-    fn index_is_monotone_and_clamped() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(250), 0);
-        assert_eq!(bucket_index(251), 1);
-        assert_eq!(bucket_index(u64::MAX), HIST_BUCKETS);
-        let mut last = 0;
-        for ns in [1u64, 300, 1_000, 50_000, 10_000_000, 1 << 60] {
-            let i = bucket_index(ns);
-            assert!(i >= last);
-            last = i;
-        }
-    }
-}

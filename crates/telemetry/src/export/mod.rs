@@ -1,14 +1,9 @@
-//! Exporters: Prometheus text exposition, Chrome trace-event JSON, and
-//! JSON-lines records for `results/`.
+//! The span exporter: Chrome trace-event JSON and its validator.
 
 mod chrome;
 mod jsonchk;
-mod jsonl;
-mod prometheus;
 
 pub use chrome::{chrome_trace, validate_chrome_trace};
-pub use jsonl::jsonl;
-pub use prometheus::prometheus_text;
 
 /// Escapes a string for embedding in a JSON string literal.
 pub(crate) fn json_escape(s: &str) -> String {

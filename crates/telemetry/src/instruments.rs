@@ -7,7 +7,7 @@ pub enum InstrumentKind {
     Counter,
     /// A [`Gauge`](crate::Gauge): an instantaneous level.
     Gauge,
-    /// A log-bucketed [`Histogram`](crate::Histogram).
+    /// A latency [`Histogram`](crate::Histogram).
     Histogram,
 }
 

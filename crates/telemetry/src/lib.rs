@@ -6,21 +6,21 @@
 //! structs across crates:
 //!
 //! * a **metrics [`Registry`]** of labeled [`Counter`]s, [`Gauge`]s, and
-//!   log-bucketed virtual-time [`Histogram`]s. Instruments are
-//!   `Arc`-backed handles resolved once at registration, so they are
-//!   cheap enough to live in the fault hot path; the fixed bucket scheme
-//!   (see [`consts`]) makes histogram merges exact;
+//!   virtual-time [`Histogram`]s (exact moments plus a bounded
+//!   percentile subsample). Instruments are `Arc`-backed handles
+//!   resolved once at registration, so they are cheap enough to live in
+//!   the fault hot path. It is read as typed data: a
+//!   [`RegistrySnapshot`] sorted by name and labels;
 //! * **hierarchical [spans](SpanRecorder)** over [`SimClock`] virtual
 //!   time, organized into tracks (`monitor`, `kv`, `kernel`, …) so the
 //!   async-read bottom half visibly overlaps `UFFD_REMAP` — the §V-B
-//!   structure Table II's optimizations exploit;
-//! * **exporters**: Prometheus text exposition
-//!   ([`Telemetry::export_prometheus`]), Chrome trace-event JSON
-//!   ([`Telemetry::export_chrome_trace`], loadable in Perfetto), and
-//!   JSON lines ([`Telemetry::export_jsonl`]) for `results/`.
+//!   structure Table II's optimizations exploit. They are printed one
+//!   line per record ([`SpanRecord`]'s `Display`) or rendered as Chrome
+//!   trace-event JSON ([`Telemetry::export_chrome_trace`], loadable in
+//!   Perfetto).
 //!
-//! All exports are byte-deterministic for a given seed, so traces and
-//! metric dumps can be snapshot-tested and diffed across runs.
+//! For a given seed the registry snapshot compares equal across runs and
+//! the Chrome trace is byte-identical, so both can be tested and diffed.
 //!
 //! # Example
 //!
@@ -40,7 +40,9 @@
 //! clock.advance(SimDuration::from_micros(12));
 //! tele.end(span);
 //!
-//! assert!(tele.export_prometheus().contains("fluidmem_monitor_events_total"));
+//! let snapshot = tele.registry().snapshot();
+//! assert_eq!(snapshot.counters[0].0 .0, consts::MONITOR_EVENTS);
+//! assert_eq!(snapshot.counters[0].1, 1);
 //! assert_eq!(fluidmem_telemetry::validate_chrome_trace(&tele.export_chrome_trace()), Ok(1));
 //! ```
 
@@ -53,7 +55,7 @@ mod instruments;
 mod registry;
 mod span;
 
-pub use export::{chrome_trace, jsonl, prometheus_text, validate_chrome_trace};
+pub use export::{chrome_trace, validate_chrome_trace};
 pub use instruments::{CatalogueRow, InstrumentKind};
 pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricKey, Registry, RegistrySnapshot,
@@ -169,19 +171,9 @@ impl Telemetry {
         self.spans.instant(track, name, at, Vec::new);
     }
 
-    /// Renders every registered metric in the Prometheus text format.
-    pub fn export_prometheus(&self) -> String {
-        prometheus_text(&self.registry.snapshot())
-    }
-
     /// Renders recorded spans as Chrome trace-event JSON.
     pub fn export_chrome_trace(&self) -> String {
         chrome_trace(&self.spans.records())
-    }
-
-    /// Renders metrics and spans as JSON lines.
-    pub fn export_jsonl(&self) -> String {
-        jsonl(&self.registry.snapshot(), &self.spans.records())
     }
 }
 
@@ -216,6 +208,5 @@ mod tests {
         t.end(fault);
         let json = t.export_chrome_trace();
         assert_eq!(validate_chrome_trace(&json), Ok(1));
-        assert!(t.export_jsonl().contains("\"type\":\"span\""));
     }
 }

@@ -1,11 +1,11 @@
-//! The metrics registry: labeled counters, gauges, and log-bucketed
-//! virtual-time histograms.
+//! The metrics registry: labeled counters, gauges, and virtual-time
+//! histograms.
 //!
 //! Instruments are cheap handles (`Arc` underneath) resolved once at
 //! registration time, so hot paths touch an atomic (counters, gauges) or
 //! one short mutex section (histograms) — never a name lookup. The
-//! registry itself only holds the shared handles for export; exporters
-//! iterate a `BTreeMap`, which makes every export byte-deterministic.
+//! registry itself only holds the shared handles; [`Registry::snapshot`]
+//! iterates a `BTreeMap`, so two runs with one seed compare equal.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex};
 use fluidmem_sim::stats::{Sample, Summary};
 use fluidmem_sim::SimDuration;
 
-use crate::consts::{bucket_bound_ns, bucket_index, HIST_BUCKETS, HIST_SAMPLE_CAP};
+use crate::consts::HIST_SAMPLE_CAP;
 
 /// A metric's identity: name plus sorted `(key, value)` labels.
 pub type MetricKey = (String, Vec<(String, String)>);
@@ -92,38 +92,20 @@ impl Gauge {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct HistogramCore {
     /// Exact streaming moments, in microseconds.
     summary: Summary,
     /// Bounded systematic subsample for precise percentiles.
     sample: Sample,
-    /// Total observations ever recorded (drives the subsampling).
-    recorded: u64,
-    /// Log-bucketed counts under the fixed [`crate::consts`] scheme;
-    /// the last slot is the `+Inf` overflow bucket. Inline, so an
-    /// observation touches the handle's one allocation and nothing else.
-    buckets: [u64; HIST_BUCKETS + 1],
-}
-
-impl Default for HistogramCore {
-    fn default() -> Self {
-        HistogramCore {
-            summary: Summary::new(),
-            sample: Sample::new(),
-            recorded: 0,
-            buckets: [0; HIST_BUCKETS + 1],
-        }
-    }
 }
 
 /// A latency histogram over virtual time.
 ///
-/// The bucket scheme is fixed (see [`crate::consts`]) so two histograms
-/// merge exactly; means and standard deviations are exact (streaming
-/// moments), and percentiles come from a bounded systematic subsample —
-/// the same retention scheme the Table I profiler has always used, so a
-/// registry-backed profile reports identical numbers.
+/// Means and standard deviations are exact (streaming moments), and
+/// percentiles come from a subsample bounded by
+/// [`HIST_SAMPLE_CAP`](crate::consts::HIST_SAMPLE_CAP): every
+/// observation up to the cap, then every `1 + n / cap`-th.
 #[derive(Clone, Debug, Default)]
 pub struct Histogram(Arc<Mutex<HistogramCore>>);
 
@@ -137,22 +119,19 @@ impl Histogram {
     pub fn observe(&self, d: SimDuration) {
         let mut c = self.0.lock().expect("histogram lock");
         c.summary.record_duration(d);
-        c.recorded += 1;
-        let n = c.recorded;
+        let n = c.summary.count();
         if n <= HIST_SAMPLE_CAP || n.is_multiple_of(1 + n / HIST_SAMPLE_CAP) {
             c.sample.record_duration(d);
         }
-        let b = bucket_index(d.as_nanos());
-        c.buckets[b] += 1;
     }
 
     /// Records one unit-less observation (a page count, a queue depth).
     ///
-    /// The value lands in the same log-bucketed scheme as latencies, one
-    /// unit per nanosecond slot, so the bucket bounds read as plain
-    /// counts. Metrics recorded this way must say so in their name/docs
-    /// (e.g. [`crate::consts::REFAULT_DISTANCE_PAGES`]); mixing units in
-    /// one histogram would make its summary meaningless.
+    /// The value is recorded as that many nanoseconds, so the snapshot's
+    /// `_us` fields read in thousands of units. Metrics recorded this way
+    /// must say so in their name/docs (e.g.
+    /// [`crate::consts::REFAULT_DISTANCE_PAGES`]); mixing units in one
+    /// histogram would make its summary meaningless.
     pub fn observe_value(&self, v: u64) {
         self.observe(SimDuration::from_nanos(v));
     }
@@ -170,7 +149,6 @@ impl Histogram {
             max_us: c.summary.max(),
             p50_us: c.sample.percentile(0.5),
             p99_us: c.sample.percentile(0.99),
-            buckets: c.buckets.to_vec(),
         }
     }
 
@@ -180,8 +158,10 @@ impl Histogram {
     }
 }
 
-/// A point-in-time view of one [`Histogram`].
-#[derive(Clone, Debug)]
+/// A point-in-time view of one [`Histogram`]. No field is ever NaN
+/// (an empty histogram reads 0 throughout), so snapshots compare with
+/// `==`.
+#[derive(Clone, Debug, PartialEq)]
 pub struct HistogramSnapshot {
     /// Observations recorded.
     pub count: u64,
@@ -199,30 +179,6 @@ pub struct HistogramSnapshot {
     pub p50_us: f64,
     /// 99th percentile from the percentile subsample (µs).
     pub p99_us: f64,
-    /// Per-bucket counts; the last slot is `+Inf`.
-    pub buckets: Vec<u64>,
-}
-
-impl HistogramSnapshot {
-    /// Cumulative bucket counts paired with their upper bounds in
-    /// microseconds (`None` for the `+Inf` bucket), as Prometheus
-    /// exposition wants them.
-    pub fn cumulative_buckets(&self) -> Vec<(Option<f64>, u64)> {
-        let mut cum = 0u64;
-        self.buckets
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                cum += c;
-                let bound = if i < HIST_BUCKETS {
-                    Some(bucket_bound_ns(i) as f64 / 1_000.0)
-                } else {
-                    None
-                };
-                (bound, cum)
-            })
-            .collect()
-    }
 }
 
 #[derive(Debug, Default)]
@@ -342,8 +298,10 @@ impl Registry {
     }
 }
 
-/// A deterministic copy of a [`Registry`]'s contents for export.
-#[derive(Clone, Debug, Default)]
+/// A deterministic copy of a [`Registry`]'s contents: what Table I,
+/// `stats()` views and the benchmark read, and what determinism tests
+/// compare.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RegistrySnapshot {
     /// Counters, sorted by key.
     pub counters: Vec<(MetricKey, u64)>,
@@ -424,30 +382,6 @@ mod tests {
         let s = h.snapshot();
         assert_eq!((s.p50_us, s.count), (10.0, 5));
         assert!((s.p99_us - 29.6).abs() < 1e-9, "{}", s.p99_us);
-    }
-
-    #[test]
-    fn histogram_buckets_accumulate_and_merge_exactly() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        a.observe(SimDuration::from_nanos(100)); // bucket 0
-        a.observe(SimDuration::from_micros(1)); // 1000 ns -> bucket 2
-        b.observe(SimDuration::from_micros(1));
-        let (sa, sb) = (a.snapshot(), b.snapshot());
-        assert_eq!(sa.buckets[0], 1);
-        assert_eq!(sa.buckets[2], 1);
-        assert_eq!(sb.buckets[2], 1);
-        // Fixed scheme: merging is element-wise addition.
-        let merged: Vec<u64> = sa
-            .buckets
-            .iter()
-            .zip(&sb.buckets)
-            .map(|(x, y)| x + y)
-            .collect();
-        assert_eq!(merged[2], 2);
-        let cum = sa.cumulative_buckets();
-        assert_eq!(cum.last().unwrap().1, 2, "+Inf bucket is cumulative total");
-        assert!(cum.last().unwrap().0.is_none());
     }
 
     #[test]

@@ -63,8 +63,10 @@ pub struct SpanRecord {
     pub kind: SpanKind,
     /// Free-form `key=value` annotations.
     pub args: Vec<(&'static str, String)>,
-    /// Monotonic sequence number (records are exported in `(start, seq)`
-    /// order, which makes exports deterministic).
+    /// Sequence number taken when the span opened or was recorded:
+    /// records are exported in `(start, seq)` order, so of two records
+    /// that start at one instant the one begun first comes first (a
+    /// parent before its children).
     pub seq: u64,
 }
 
@@ -85,6 +87,7 @@ impl fmt::Display for SpanRecord {
 
 #[derive(Debug)]
 struct OpenSpan {
+    /// The span's id, which is also its `seq`.
     id: u64,
     name: &'static str,
     track: &'static str,
@@ -94,8 +97,9 @@ struct OpenSpan {
 
 #[derive(Debug)]
 struct RecorderCore {
-    next_id: u64,
-    seq: u64,
+    /// The next span id and record `seq`: one counter, so `seq` follows
+    /// the order in which records were begun.
+    next_seq: u64,
     capacity: usize,
     open: Vec<OpenSpan>,
     done: VecDeque<SpanRecord>,
@@ -105,8 +109,7 @@ struct RecorderCore {
 impl Default for RecorderCore {
     fn default() -> Self {
         RecorderCore {
-            next_id: 1,
-            seq: 0,
+            next_seq: 1,
             capacity: SPAN_RING_CAPACITY,
             open: Vec::new(),
             done: VecDeque::new(),
@@ -116,9 +119,14 @@ impl Default for RecorderCore {
 }
 
 impl RecorderCore {
-    fn push_done(&mut self, mut record: SpanRecord) {
-        record.seq = self.seq;
-        self.seq += 1;
+    fn take_seq(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq - 1
+    }
+
+    /// Appends a completed record, dropping the oldest completed one when
+    /// the ring is full.
+    fn push_done(&mut self, record: SpanRecord) {
         if self.done.len() >= self.capacity {
             self.done.pop_front();
             self.dropped += 1;
@@ -190,8 +198,7 @@ impl SpanRecorder {
             return SpanId::NONE;
         }
         let mut core = self.core.lock().expect("span lock");
-        let id = core.next_id;
-        core.next_id += 1;
+        let id = core.take_seq();
         core.open.push(OpenSpan {
             id,
             name,
@@ -219,7 +226,7 @@ impl SpanRecorder {
             end: end.max(open.start),
             kind: SpanKind::Complete,
             args: open.args,
-            seq: 0,
+            seq: open.id,
         });
     }
 
@@ -239,6 +246,7 @@ impl SpanRecorder {
             return;
         }
         let mut core = self.core.lock().expect("span lock");
+        let seq = core.take_seq();
         core.push_done(SpanRecord {
             name,
             track,
@@ -246,7 +254,7 @@ impl SpanRecorder {
             end: end.max(start),
             kind: SpanKind::Complete,
             args: args(),
-            seq: 0,
+            seq,
         });
     }
 
@@ -260,6 +268,7 @@ impl SpanRecorder {
             return;
         }
         let mut core = self.core.lock().expect("span lock");
+        let seq = core.take_seq();
         core.push_done(SpanRecord {
             name,
             track,
@@ -267,12 +276,13 @@ impl SpanRecorder {
             end: at,
             kind: SpanKind::Instant,
             args: args(),
-            seq: 0,
+            seq,
         });
     }
 
     /// Completed spans sorted by `(start, seq)` — the deterministic
-    /// export order.
+    /// export order, in which a record precedes every record that starts
+    /// at the same instant but was begun after it.
     pub fn records(&self) -> Vec<SpanRecord> {
         let core = self.core.lock().expect("span lock");
         let mut v: Vec<SpanRecord> = core.done.iter().cloned().collect();
@@ -351,6 +361,24 @@ mod tests {
         r.end_at(outer, t(3));
         let names: Vec<&str> = r.records().into_iter().map(|s| s.name).collect();
         assert_eq!(names, ["outer", "inner"]);
+    }
+
+    #[test]
+    fn same_instant_records_keep_the_order_they_were_begun() {
+        let r = SpanRecorder::new();
+        r.enable();
+        // An instant recorded before a span that begins at its instant.
+        r.instant("guest", "wake", t(1), Vec::new);
+        let remap = r.begin_at("monitor", "UFFD_REMAP", t(1), Vec::new);
+        r.end_at(remap, t(3));
+        // A parent and its first child begin at one instant; the child
+        // completes first.
+        let fault = r.begin_at("monitor", "fault", t(4), Vec::new);
+        let lookup = r.begin_at("monitor", "page_hash_lookup", t(4), Vec::new);
+        r.end_at(lookup, t(5));
+        r.end_at(fault, t(9));
+        let names: Vec<&str> = r.records().into_iter().map(|s| s.name).collect();
+        assert_eq!(names, ["wake", "UFFD_REMAP", "fault", "page_hash_lookup"]);
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //! The parser is dependency-free and unit-tested; the binary in
 //! `src/bin/fluidmemctl.rs` is a thin wrapper.
 
+use std::io::{self, Write};
+
 use crate::testbed::{BackendKind, Testbed};
 use fluidmem_coord::PartitionId;
 use fluidmem_core::{FluidMemMemory, MonitorConfig};
@@ -304,13 +306,19 @@ pub fn parse(args: &[String]) -> Result<CliCommand, String> {
     }
 }
 
-/// Executes a parsed command, writing human-readable output to stdout.
-pub fn execute(command: CliCommand) {
+/// Executes a parsed command, writing human-readable output to `out`.
+///
+/// # Errors
+///
+/// The first failed write to `out` (a closed pipe reads as
+/// [`io::ErrorKind::BrokenPipe`]).
+pub fn execute(command: CliCommand, out: &mut impl Write) -> io::Result<()> {
     match command {
-        CliCommand::Help => println!("{USAGE}"),
+        CliCommand::Help => writeln!(out, "{USAGE}")?,
         CliCommand::Backends => {
             for kind in BackendKind::ALL {
-                println!(
+                writeln!(
+                    out,
                     "{:<22} {}",
                     kind.label(),
                     if kind.is_fluidmem() {
@@ -318,7 +326,7 @@ pub fn execute(command: CliCommand) {
                     } else {
                         "partial disaggregation (kernel swap)"
                     }
-                );
+                )?;
             }
         }
         CliCommand::Pmbench {
@@ -338,14 +346,15 @@ pub fn execute(command: CliCommand) {
             };
             let mut rng = SimRng::seed_from_u64(seed);
             let report = pmbench::run(b.as_mut(), &config, &mut rng);
-            println!(
+            writeln!(
+                out,
                 "{}: avg {:.2}µs over {} accesses (hits {:.1}%, p99 {:.1}µs)",
                 backend.label(),
                 report.avg_latency_us(),
                 report.accesses,
                 report.hit_fraction() * 100.0,
                 report.all.percentile_us(0.99),
-            );
+            )?;
         }
         CliCommand::Graph500 {
             backend,
@@ -367,13 +376,14 @@ pub fn execute(command: CliCommand) {
             let mut b = testbed.build(backend, seed);
             let mut rng = SimRng::seed_from_u64(seed);
             let report = run_benchmark(b.as_mut(), &graph, &config, &mut rng);
-            println!(
+            writeln!(
+                out,
                 "{}: {:.2} MTEPS at scale {scale} (WSS {:.0}% of DRAM, {} major faults)",
                 backend.label(),
                 report.harmonic_mean_teps() / 1e6,
                 ratio * 100.0,
                 b.counters().major_faults,
-            );
+            )?;
         }
         CliCommand::Resize { from, to } => {
             let clock = SimClock::new();
@@ -389,21 +399,22 @@ pub fn execute(command: CliCommand) {
             for i in 0..region.pages() {
                 vm.access(region.page(i), true);
             }
-            println!("VM populated: {} pages resident", vm.resident_pages());
+            writeln!(out, "VM populated: {} pages resident", vm.resident_pages())?;
             let t0 = clock.now();
             vm.set_local_capacity(to).unwrap();
-            println!(
+            writeln!(
+                out,
                 "resized {} -> {} pages in {} of virtual time ({} evictions)",
                 from,
                 to,
                 clock.now() - t0,
                 vm.monitor().stats().evictions,
-            );
+            )?;
         }
         CliCommand::Trace {
             scenario,
             backend,
-            out,
+            out: path,
             seed,
         } => match scenario.as_str() {
             "timeline" => {
@@ -419,7 +430,7 @@ pub fn execute(command: CliCommand) {
                 vm.drain_writes();
                 vm.access(region.page(0), false);
                 for record in telemetry.spans().records() {
-                    println!("{record}");
+                    writeln!(out, "{record}")?;
                 }
             }
             "pmbench" => {
@@ -440,22 +451,24 @@ pub fn execute(command: CliCommand) {
                 let json = telemetry.export_chrome_trace();
                 let events = fluidmem_telemetry::validate_chrome_trace(&json)
                     .expect("exported trace must be valid Chrome trace JSON");
-                let path = out.unwrap_or_else(|| "trace.json".to_string());
+                let path = path.unwrap_or_else(|| "trace.json".to_string());
                 if let Err(e) = std::fs::write(&path, &json) {
                     eprintln!("error: cannot write {path}: {e}");
                     std::process::exit(1);
                 }
-                println!(
+                writeln!(
+                    out,
                     "{}: {} accesses traced, avg {:.2}\u{b5}s; {events} spans -> {path}",
                     backend.label(),
                     report.accesses,
                     report.avg_latency_us(),
-                );
-                println!("open in https://ui.perfetto.dev or chrome://tracing");
+                )?;
+                writeln!(out, "open in https://ui.perfetto.dev or chrome://tracing")?;
             }
             other => unreachable!("parser rejects scenario {other:?}"),
         },
     }
+    out.flush()
 }
 
 #[cfg(test)]

@@ -185,8 +185,8 @@ fn chaos_runs_are_byte_identical() {
             );
         }
         assert_eq!(
-            a.telemetry().export_prometheus(),
-            b.telemetry().export_prometheus(),
+            a.telemetry().registry().snapshot(),
+            b.telemetry().registry().snapshot(),
             "seed {seed}: telemetry diverged"
         );
     }

@@ -1,6 +1,6 @@
 //! Helpers shared by the pipeline, reclaim, prefetch and tiering
 //! acceptance tests: a traced VM, the oversubscribed access schedule,
-//! the byte-level run fingerprint, the chaotic store transport, and
+//! the run fingerprint, the chaotic store transport, and
 //! closed-loop vCPU streams over the submit/complete API.
 
 #![allow(dead_code)] // each test binary uses its own subset
@@ -12,7 +12,7 @@ use fluidmem::core::{
 use fluidmem::kv::{FaultInjectingStore, RamCloudStore};
 use fluidmem::mem::{MemoryBackend, PageClass, PageContents, VirtAddr};
 use fluidmem::sim::{FaultPlan, SimClock, SimDuration, SimInstant, SimRng};
-use fluidmem::telemetry::Telemetry;
+use fluidmem::telemetry::{RegistrySnapshot, Telemetry};
 
 pub const SEEDS: [u64; 4] = [3, 17, 271, 65_537];
 
@@ -44,14 +44,14 @@ pub fn schedule(seed: u64) -> Vec<(u64, bool)> {
 }
 
 /// Everything a run leaves behind that must not change by accident:
-/// monitor stats, virtual clock, Prometheus text, Chrome trace.
-pub type RunFingerprint = (MonitorStats, SimInstant, String, String);
+/// monitor stats, virtual clock, registry snapshot, Chrome trace.
+pub type RunFingerprint = (MonitorStats, SimInstant, RegistrySnapshot, String);
 
 pub fn fingerprint(telemetry: &Telemetry, vm: &FluidMemMemory) -> RunFingerprint {
     (
         vm.monitor().stats(),
         vm.clock().now(),
-        telemetry.export_prometheus(),
+        telemetry.registry().snapshot(),
         telemetry.export_chrome_trace(),
     )
 }

@@ -3,7 +3,7 @@
 //! Four properties anchor the feature:
 //!
 //! * **Inertness** — `Stride` with `max_depth = 0` (or no trend) is the
-//!   policy's off switch: byte-identical stats, clock, and telemetry to
+//!   policy's off switch: identical stats, clock, and telemetry to
 //!   `PrefetchPolicy::None`, driven by blocking accesses and with eight
 //!   faults in flight, for several seeds.
 //! * **One engine** — speculative reads ride the completion queue no
@@ -84,8 +84,8 @@ fn run_pipelined(seed: u64, policy: PrefetchPolicy, depth: usize) -> RunFingerpr
 }
 
 /// `Stride { max_depth: 0 }` is the off switch: the detector may watch
-/// the fault stream, but the run must be byte-identical to
-/// `PrefetchPolicy::None` — stats, virtual clock, Prometheus text, and
+/// the fault stream, but the run must be identical to
+/// `PrefetchPolicy::None` — stats, virtual clock, registry snapshot, and
 /// Chrome trace — under blocking accesses and at depth 8.
 #[test]
 fn disabled_stride_is_byte_identical_to_none_across_seeds() {

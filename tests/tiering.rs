@@ -11,7 +11,8 @@
 //!   compressed-byte accounting balances exactly, and the tier audit
 //!   finds every tracked page in exactly one place.
 //! * **Determinism** — the same seeds with the tier enabled produce
-//!   byte-identical stats, clock, and exports, run to run.
+//!   identical stats, clock, registry snapshot, and Chrome trace, run to
+//!   run.
 
 mod common;
 
