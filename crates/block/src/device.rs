@@ -5,7 +5,7 @@ use std::fmt;
 use std::marker::PhantomData;
 
 use fluidmem_mem::PageContents;
-use fluidmem_sim::{FastMap, LatencyModel, SimClock, SimDuration, SimInstant, SimRng};
+use fluidmem_sim::{LatencyModel, SimClock, SimDuration, SimInstant, SimRng};
 use fluidmem_telemetry::{consts, instrument_set, Registry};
 
 /// Errors returned by block devices.
@@ -171,11 +171,32 @@ pub trait DeviceProfile {
     fn write_latency() -> LatencyModel;
 }
 
+/// Bounds every block number a device of `capacity` blocks is given.
+pub(crate) fn check_range(block: u64, capacity: u64) -> Result<(), BlockError> {
+    if block >= capacity {
+        Err(BlockError::OutOfRange { block, capacity })
+    } else {
+        Ok(())
+    }
+}
+
+/// `blocks[block]`, growing `blocks` (geometrically) to reach it: a
+/// device's payloads end at the highest block written, and a block past
+/// their end was never written and reads `T::default()`.
+pub(crate) fn block_entry<T: Clone + Default>(blocks: &mut Vec<T>, block: u64) -> &mut T {
+    let i = block as usize;
+    if i >= blocks.len() {
+        blocks.resize(i + 1, T::default());
+    }
+    &mut blocks[i]
+}
+
 /// The one queued block device: payload storage, a bounded in-flight
 /// window, and service times sampled from its [`DeviceProfile`].
 #[derive(Debug)]
 pub struct QueuedDevice<P> {
-    blocks: FastMap<u64, PageContents>,
+    /// Payloads by block number (see `block_entry`).
+    blocks: Vec<PageContents>,
     capacity: u64,
     queue_depth: usize,
     read_latency: LatencyModel,
@@ -192,7 +213,7 @@ impl<P: DeviceProfile> QueuedDevice<P> {
     /// Creates a device with `capacity_blocks` 4 KB blocks.
     pub fn new(capacity_blocks: u64, clock: SimClock, rng: SimRng) -> Self {
         QueuedDevice {
-            blocks: FastMap::default(),
+            blocks: Vec::new(),
             capacity: capacity_blocks,
             queue_depth: P::QUEUE_DEPTH.max(1),
             read_latency: P::read_latency(),
@@ -202,17 +223,6 @@ impl<P: DeviceProfile> QueuedDevice<P> {
             rng,
             stats: BlockCounters::default(),
             profile: PhantomData,
-        }
-    }
-
-    fn check_range(&self, block: u64) -> Result<(), BlockError> {
-        if block >= self.capacity {
-            Err(BlockError::OutOfRange {
-                block,
-                capacity: self.capacity,
-            })
-        } else {
-            Ok(())
         }
     }
 
@@ -255,11 +265,11 @@ impl<P: DeviceProfile> QueuedDevice<P> {
         data: PageContents,
         submit_cost: SimDuration,
     ) -> Result<Completion, BlockError> {
-        self.check_range(block)?;
+        check_range(block, self.capacity)?;
         let service = self.write_latency.sample(&mut self.rng);
         let at = self.schedule(submit_cost, service);
         self.stats.writes.inc();
-        self.blocks.insert(block, data);
+        *block_entry(&mut self.blocks, block) = data;
         Ok(Completion {
             data: PageContents::Zero,
             at,
@@ -277,15 +287,11 @@ impl<P: DeviceProfile> BlockDevice for QueuedDevice<P> {
     }
 
     fn submit_read(&mut self, block: u64) -> Result<Completion, BlockError> {
-        self.check_range(block)?;
+        check_range(block, self.capacity)?;
         let service = self.read_latency.sample(&mut self.rng);
         let at = self.schedule(P::SUBMIT_COST, service);
         self.stats.reads.inc();
-        let data = self
-            .blocks
-            .get(&block)
-            .cloned()
-            .unwrap_or(PageContents::Zero);
+        let data = self.blocks.get(block as usize).cloned().unwrap_or_default();
         Ok(Completion { data, at })
     }
 
@@ -349,16 +355,26 @@ mod tests {
         assert_eq!(q.stats.queue_full_waits.get(), 1);
     }
 
+    /// The payload array grows on demand: the last block round-trips, a
+    /// hole below it still reads zero, an overwrite returns the latest
+    /// payload, and block `capacity` is out of range both ways.
     #[test]
     fn range_checking() {
-        let q = queue(10, 1, SimClock::new());
-        assert!(q.check_range(9).is_ok());
+        let mut q = queue(10, 4, SimClock::new());
+        q.write_sync(9, PageContents::Token(1)).unwrap();
+        assert_eq!(q.read_sync(9).unwrap(), PageContents::Token(1));
+        assert_eq!(q.read_sync(4).unwrap(), PageContents::Zero);
+        q.write_sync(9, PageContents::Token(2)).unwrap();
+        assert_eq!(q.read_sync(9).unwrap(), PageContents::Token(2));
+        let out = Err(BlockError::OutOfRange {
+            block: 10,
+            capacity: 10,
+        });
+        assert_eq!(q.submit_read(10).map(|c| c.data), out);
         assert_eq!(
-            q.check_range(10),
-            Err(BlockError::OutOfRange {
-                block: 10,
-                capacity: 10
-            })
+            q.submit_write(10, PageContents::Token(3)).map(|c| c.data),
+            out
         );
+        assert_eq!(q.stats().writes, 2, "a rejected write is not counted");
     }
 }

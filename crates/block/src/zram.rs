@@ -7,9 +7,11 @@
 //! baseline as well as the 2019-era ones.
 
 use fluidmem_mem::{PageContents, PAGE_SIZE};
-use fluidmem_sim::{FastMap, LatencyModel, SimClock, SimDuration, SimRng};
+use fluidmem_sim::{LatencyModel, SimClock, SimDuration, SimRng};
 
-use crate::device::{BlockCounters, BlockDevice, BlockError, BlockStats, Completion};
+use crate::device::{
+    block_entry, check_range, BlockCounters, BlockDevice, BlockError, BlockStats, Completion,
+};
 
 /// A compressed-memory block device (Linux `zram`): writes compress the
 /// page (LZ-class CPU cost) into a DRAM pool budgeted by *compressed*
@@ -34,7 +36,9 @@ use crate::device::{BlockCounters, BlockDevice, BlockError, BlockStats, Completi
 /// # Ok::<(), fluidmem_block::BlockError>(())
 /// ```
 pub struct ZramDevice {
-    blocks: FastMap<u64, (PageContents, usize)>,
+    /// Payloads and their stored sizes by block number (see
+    /// `block_entry`); a never-written block is a free zero page.
+    blocks: Vec<(PageContents, usize)>,
     capacity_blocks: u64,
     mem_limit_bytes: usize,
     used_bytes: usize,
@@ -51,7 +55,7 @@ impl ZramDevice {
     /// compressed-memory budget of `mem_limit_bytes`.
     pub fn new(capacity_blocks: u64, mem_limit_bytes: usize, clock: SimClock, rng: SimRng) -> Self {
         ZramDevice {
-            blocks: FastMap::default(),
+            blocks: Vec::new(),
             capacity_blocks,
             mem_limit_bytes,
             used_bytes: 0,
@@ -90,18 +94,13 @@ impl BlockDevice for ZramDevice {
     }
 
     fn submit_read(&mut self, block: u64) -> Result<Completion, BlockError> {
-        if block >= self.capacity_blocks {
-            return Err(BlockError::OutOfRange {
-                block,
-                capacity: self.capacity_blocks,
-            });
-        }
+        check_range(block, self.capacity_blocks)?;
         self.stats.reads.inc();
         let data = self
             .blocks
-            .get(&block)
+            .get(block as usize)
             .map(|(c, _)| c.clone())
-            .unwrap_or(PageContents::Zero);
+            .unwrap_or_default();
         // Zero-fill reads (never-written blocks and stored zero pages)
         // have nothing to decompress: only the submit overhead applies.
         let cost = match data {
@@ -113,17 +112,12 @@ impl BlockDevice for ZramDevice {
     }
 
     fn submit_write(&mut self, block: u64, data: PageContents) -> Result<Completion, BlockError> {
-        if block >= self.capacity_blocks {
-            return Err(BlockError::OutOfRange {
-                block,
-                capacity: self.capacity_blocks,
-            });
-        }
+        check_range(block, self.capacity_blocks)?;
         // Real zram compresses first and only then discovers the pool is
         // full: the CPU cost of the attempt is paid either way.
         let cost = self.submit + self.compress.sample(&mut self.rng);
         let new_size = Self::stored_size(&data);
-        let old_size = self.blocks.get(&block).map(|(_, n)| *n).unwrap_or(0);
+        let old_size = self.blocks.get(block as usize).map_or(0, |(_, n)| *n);
         if self.used_bytes - old_size + new_size > self.mem_limit_bytes {
             self.stats.write_errors.inc();
             self.clock.advance(cost);
@@ -135,7 +129,7 @@ impl BlockDevice for ZramDevice {
         let at = self.clock.now() + cost;
         self.stats.writes.inc();
         self.used_bytes = self.used_bytes - old_size + new_size;
-        self.blocks.insert(block, (data, new_size));
+        *block_entry(&mut self.blocks, block) = (data, new_size);
         Ok(Completion {
             data: PageContents::Zero,
             at,
@@ -158,7 +152,7 @@ impl BlockDevice for ZramDevice {
 impl std::fmt::Debug for ZramDevice {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ZramDevice")
-            .field("blocks", &self.blocks.len())
+            .field("capacity_blocks", &self.capacity_blocks)
             .field("compressed_bytes", &self.used_bytes)
             .field("limit", &self.mem_limit_bytes)
             .finish()
@@ -243,6 +237,27 @@ mod tests {
         assert_eq!(dev.read_sync(1).unwrap(), PageContents::Zero);
         let d = (clock.now() - t1).as_micros_f64();
         assert!((d - 0.5).abs() < 1e-9, "stored-zero read cost {d} µs");
+    }
+
+    /// The last block round-trips, an overwrite returns the latest
+    /// payload and recharges its size, and block `capacity` is out of
+    /// range both ways.
+    #[test]
+    fn last_block_overwrite_and_capacity_edge() {
+        let mut dev = ZramDevice::new(8, 1 << 20, SimClock::new(), SimRng::seed_from_u64(6));
+        dev.write_sync(7, PageContents::from_byte_fill(1)).unwrap();
+        assert_eq!(dev.read_sync(7).unwrap(), PageContents::from_byte_fill(1));
+        assert_eq!(dev.read_sync(3).unwrap(), PageContents::Zero);
+        dev.write_sync(7, PageContents::Token(2)).unwrap();
+        assert_eq!(dev.read_sync(7).unwrap(), PageContents::Token(2));
+        let token = ZramDevice::stored_size(&PageContents::Token(2));
+        assert_eq!(dev.compressed_bytes(), token, "overwrite recharges");
+        let out = Err(BlockError::OutOfRange {
+            block: 8,
+            capacity: 8,
+        });
+        assert_eq!(dev.submit_read(8).map(|c| c.data), out);
+        assert_eq!(dev.submit_write(8, PageContents::Zero).map(|c| c.data), out);
     }
 
     /// `ENOSPC` happens *after* the compression attempt in real zram:

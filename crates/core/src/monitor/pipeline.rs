@@ -42,7 +42,7 @@ use std::collections::VecDeque;
 use fluidmem_kv::PendingGet;
 use fluidmem_mem::{PageContents, PageTable, PhysicalMemory, Vpn};
 use fluidmem_sim::{EventQueue, EventToken, SimInstant};
-use fluidmem_telemetry::SpanId;
+use fluidmem_telemetry::{consts, SpanId};
 use fluidmem_uffd::Userfaultfd;
 
 use super::stages::ReadFlight;
@@ -755,9 +755,12 @@ impl Monitor {
 
         let effective_write = write || waiters.iter().any(|w| w.write);
         let wake_at = self.stage_place_and_wake(uffd, pt, pm, vpn, effective_write, contents);
-        // One UFFDIO_WAKE per coalesced waiter's vCPU.
+        // One UFFDIO_WAKE per coalesced waiter's vCPU; like its latency,
+        // a waiter's wake is marked at the fault's wake instant.
         for _ in &waiters {
             uffd.wake_page(vpn);
+            self.telemetry
+                .instant_at(consts::TRACK_GUEST, "wake", wake_at);
         }
         self.stage_post_wake(uffd, pt, pm);
 

@@ -86,8 +86,6 @@ impl Monitor {
         // The guest-observed latency ends at the wake, not at the end of
         // post-wake work (which has already advanced the clock).
         self.telemetry.end_at(span, wake_at);
-        self.telemetry
-            .instant_at(consts::TRACK_GUEST, "wake", wake_at);
         self.stats.fault_latency(resolution).observe(wake_at - t0);
         self.update_gauges();
     }
@@ -139,8 +137,7 @@ impl Monitor {
         self.profile
             .record(CodePath::InsertLruCacheNode, self.clock.now() - t0);
 
-        uffd.wake_page(vpn);
-        let wake_at = self.clock.now();
+        let wake_at = self.wake(uffd, vpn);
         self.stats.zero_fills.inc();
 
         // Asynchronous (post-wake) eviction — the blue path of Figure 2.
@@ -295,8 +292,17 @@ impl Monitor {
         self.profile
             .record(CodePath::InsertLruCacheNode, self.clock.now() - t0);
 
+        self.wake(uffd, vpn)
+    }
+
+    /// Wakes the vCPU blocked on `vpn` and marks the wake on the guest
+    /// track at once, so it precedes any post-wake work that starts at
+    /// the same instant. Returns the wake instant.
+    fn wake(&self, uffd: &mut Userfaultfd, vpn: Vpn) -> SimInstant {
         uffd.wake_page(vpn);
-        self.clock.now()
+        let at = self.clock.now();
+        self.telemetry.instant_at(consts::TRACK_GUEST, "wake", at);
+        at
     }
 
     /// Post-wake work on the read path: honor the capacity budget, then

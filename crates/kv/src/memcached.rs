@@ -1,10 +1,10 @@
 //! A Memcached-like slab cache.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use fluidmem_coord::PartitionId;
 use fluidmem_mem::{PageContents, PAGE_SIZE};
-use fluidmem_sim::{SimClock, SimRng};
+use fluidmem_sim::{FastMap, SimClock, SimRng};
 
 use crate::error::KvError;
 use crate::key::ExternalKey;
@@ -64,7 +64,7 @@ pub type MemcachedStore = LeafStore<MemcachedEngine>;
 #[derive(Debug)]
 pub struct MemcachedEngine {
     classes: Vec<SlabClass>,
-    items: HashMap<u64, Item>,
+    items: FastMap<u64, Item>,
     capacity_bytes: usize,
     used_bytes: usize,
     next_seq: u64,
@@ -95,7 +95,7 @@ impl LeafStore<MemcachedEngine> {
                     lru: BTreeMap::new(),
                 })
                 .collect(),
-            items: HashMap::new(),
+            items: FastMap::default(),
             capacity_bytes,
             used_bytes: 0,
             next_seq: 0,

@@ -7,10 +7,11 @@ use fluidmem_mem::{
     AccessCounters, AccessOutcome, AccessReport, CapacityError, FrameId, MemoryBackend, PageClass,
     PageContents, PageTable, PhysicalMemory, PteFlags, Region, VirtAddr, Vpn,
 };
-use fluidmem_sim::{FastMap, LatencyModel, SimClock, SimDuration, SimInstant, SimRng};
+use fluidmem_sim::{LatencyModel, SimClock, SimDuration, SimRng};
 
 use crate::config::SwapConfig;
 use crate::lru::TwoListLru;
+use crate::pages::{Location, Pages};
 use crate::slots::SlotAllocator;
 use crate::stats::{SwapCounters, SwapStats};
 
@@ -20,6 +21,9 @@ const BALLOON_FLOOR_PAGES: u64 = 20_480;
 
 /// Pages reclaimed per kswapd batch.
 const KSWAPD_BATCH: usize = 32;
+
+/// The first region's first page.
+const FIRST_VPN: Vpn = Vpn::new(0x10_000);
 
 /// Kernel-path cost models for the swap fault paths.
 ///
@@ -67,13 +71,6 @@ impl Costs {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct SwappedInfo {
-    slot: u64,
-    /// Pending background writeback; a refault must wait for it.
-    write_completes: Option<SimInstant>,
-}
-
 /// A VM memory system using the guest kernel's swap subsystem over a
 /// block device — the partial-disaggregation baseline (Infiniswap /
 /// NVMeoF remote paging, paper §II and §VI-A).
@@ -119,17 +116,14 @@ pub struct SwapBackedMemory {
     /// start-vpn → region, for page-class lookup on faults.
     regions: BTreeMap<u64, Region>,
     next_vpn: u64,
+    /// Every mapped page's swap slot, location, LRU list and
+    /// filesystem block.
+    pages: Pages,
     lru: TwoListLru,
     slots: SlotAllocator,
-    /// Anonymous pages currently on the swap device.
-    swapped_out: FastMap<Vpn, SwappedInfo>,
-    /// Resident pages whose swap-slot copy is still valid (clean).
-    clean_slot: FastMap<Vpn, u64>,
-    /// Readahead pages: resident in a frame but not yet mapped.
-    swap_cache: FastMap<Vpn, FrameId>,
+    /// Swap-cache pages in readahead order, oldest first; an entry whose
+    /// page has since left the swap cache is skipped.
     swap_cache_order: VecDeque<Vpn>,
-    /// File-backed pages' filesystem blocks.
-    fs_blocks: FastMap<Vpn, u64>,
     next_fs_block: u64,
     label: String,
     counters: AccessCounters,
@@ -159,13 +153,10 @@ impl SwapBackedMemory {
             pt: PageTable::new(),
             frames: PhysicalMemory::new(dram),
             regions: BTreeMap::new(),
-            next_vpn: 0x10_000,
-            lru: TwoListLru::new(),
-            swapped_out: FastMap::default(),
-            clean_slot: FastMap::default(),
-            swap_cache: FastMap::default(),
+            next_vpn: FIRST_VPN.raw(),
+            pages: Pages::new(FIRST_VPN),
+            lru: TwoListLru::default(),
             swap_cache_order: VecDeque::new(),
-            fs_blocks: FastMap::default(),
             next_fs_block: 0,
             label,
             counters: AccessCounters::default(),
@@ -214,31 +205,26 @@ impl SwapBackedMemory {
     }
 
     fn fs_block_of(&mut self, vpn: Vpn) -> u64 {
-        if let Some(&b) = self.fs_blocks.get(&vpn) {
-            return b;
-        }
-        let b = self.next_fs_block % self.fs_dev.capacity_blocks();
-        self.next_fs_block += 1;
-        self.fs_blocks.insert(vpn, b);
-        b
+        let (next, capacity) = (&mut self.next_fs_block, self.fs_dev.capacity_blocks());
+        self.pages[vpn].fs_block_or(|| {
+            let block = *next % capacity;
+            *next += 1;
+            block
+        })
     }
 
     /// Drops one clean swap-cache page (free reclaim). Returns `true` if
     /// one was dropped.
     fn shrink_swap_cache(&mut self) -> bool {
         while let Some(vpn) = self.swap_cache_order.pop_front() {
-            if let Some(frame) = self.swap_cache.remove(&vpn) {
+            let location = &mut self.pages[vpn].location;
+            if let Location::SwapCache { frame } = *location {
+                // Its clean device copy (and slot) remains; it is simply
+                // swapped out again.
+                *location = Location::SwappedOut {
+                    write_completes: None,
+                };
                 self.frames.free(frame);
-                // Its clean device copy remains; it is simply swapped out
-                // again.
-                let slot = self.slots.slot_of(vpn).expect("cached page kept its slot");
-                self.swapped_out.insert(
-                    vpn,
-                    SwappedInfo {
-                        slot,
-                        write_completes: None,
-                    },
-                );
                 return true;
             }
         }
@@ -254,7 +240,7 @@ impl SwapBackedMemory {
         }
         let pt = &mut self.pt;
         let mut scanned = 0u32;
-        let victim = self.lru.pick_victim(|vpn| {
+        let victim = self.lru.pick_victim(&mut self.pages, |vpn| {
             scanned += 1;
             let referenced = pt.has_flags(vpn, PteFlags::REFERENCED);
             pt.clear_flags(vpn, PteFlags::REFERENCED);
@@ -274,22 +260,18 @@ impl SwapBackedMemory {
         let contents = self.frames.free(entry.frame);
         match self.class_of(vpn) {
             PageClass::Anonymous => {
-                if let Some(slot) = self.clean_slot.remove(&vpn) {
+                let write_completes = if self.pages[vpn].slot().is_some() {
                     // Device copy still valid: no write needed.
                     self.stats.clean_evictions.inc();
-                    self.swapped_out.insert(
-                        vpn,
-                        SwappedInfo {
-                            slot,
-                            write_completes: None,
-                        },
-                    );
+                    None
                 } else {
                     let slot = self
                         .slots
                         .allocate(vpn)
                         .expect("swap device full: undersized experiment configuration");
-                    let completion = if direct {
+                    self.pages[vpn].set_slot(slot);
+                    self.stats.swap_outs.inc();
+                    if direct {
                         let c = self
                             .swap_dev
                             .submit_write(slot, contents)
@@ -302,16 +284,9 @@ impl SwapBackedMemory {
                             .submit_write_background(slot, contents)
                             .expect("slot within device");
                         Some(c.at)
-                    };
-                    self.stats.swap_outs.inc();
-                    self.swapped_out.insert(
-                        vpn,
-                        SwappedInfo {
-                            slot,
-                            write_completes: completion,
-                        },
-                    );
-                }
+                    }
+                };
+                self.pages[vpn].location = Location::SwappedOut { write_completes };
             }
             PageClass::FileBacked => {
                 if dirty {
@@ -396,11 +371,11 @@ impl SwapBackedMemory {
             let Some(vpn) = self.slots.owner_of(s) else {
                 continue;
             };
-            let Some(info) = self.swapped_out.get(&vpn).copied() else {
+            let Location::SwappedOut { write_completes } = self.pages[vpn].location else {
                 continue;
             };
             let now = self.clock.now();
-            if info.write_completes.is_some_and(|t| t > now) {
+            if write_completes.is_some_and(|t| t > now) {
                 continue; // still being written; skip
             }
             // Readahead never triggers reclaim (GFP_NORETRY-ish) and must
@@ -411,8 +386,7 @@ impl SwapBackedMemory {
             let completion = self.swap_dev.submit_read(s).expect("slot within device");
             let frame = self.frames.alloc().expect("checked free_frames");
             self.frames.store(frame, completion.data);
-            self.swapped_out.remove(&vpn);
-            self.swap_cache.insert(vpn, frame);
+            self.pages[vpn].location = Location::SwapCache { frame };
             self.swap_cache_order.push_back(vpn);
             self.stats.readahead_pages.inc();
         }
@@ -424,28 +398,28 @@ impl SwapBackedMemory {
         self.charge_fault_entry();
         let class = self.class_of(vpn);
         match class {
-            PageClass::Anonymous => {
-                // Swap-cache hit (readahead already brought it in)?
-                if let Some(frame) = self.swap_cache.remove(&vpn) {
+            PageClass::Anonymous => match self.pages[vpn].location {
+                // Swap-cache hit (readahead already brought it in).
+                Location::SwapCache { frame } => {
                     self.charge(|c| &c.minor_fault);
                     let mut flags = PteFlags::PRESENT | PteFlags::WRITABLE | PteFlags::REFERENCED;
-                    let slot = self.slots.slot_of(vpn).expect("cached page kept slot");
+                    self.pages[vpn].location = Location::Resident;
                     if write {
                         flags.insert(PteFlags::DIRTY);
-                        self.slots.free(vpn);
-                    } else {
-                        self.clean_slot.insert(vpn, slot);
+                        self.free_slot(vpn);
                     }
                     self.pt.map(vpn, frame, flags);
-                    self.lru.insert(vpn);
+                    self.lru.insert(&mut self.pages, vpn);
                     self.stats.swap_cache_hits.inc();
                     self.kswapd();
-                    return AccessOutcome::MinorFault;
+                    AccessOutcome::MinorFault
                 }
-                // Swapped out?
-                if let Some(info) = self.swapped_out.get(&vpn).copied() {
+                Location::SwappedOut { write_completes } => {
+                    let slot = self.pages[vpn]
+                        .slot()
+                        .expect("a swapped-out page owns a slot");
                     self.charge(|c| &c.cache_lookup);
-                    if let Some(t) = info.write_completes {
+                    if let Some(t) = write_completes {
                         // Writeback still in flight: wait for it before
                         // reading the slot back.
                         if self.clock.advance_to(t) > SimDuration::ZERO {
@@ -453,35 +427,32 @@ impl SwapBackedMemory {
                         }
                     }
                     self.ensure_frames(1);
-                    let completion = self
-                        .swap_dev
-                        .submit_read(info.slot)
-                        .expect("slot within device");
-                    self.readahead(info.slot);
+                    let completion = self.swap_dev.submit_read(slot).expect("slot within device");
+                    self.readahead(slot);
                     self.clock.advance_to(completion.at);
                     self.charge(|c| &c.swapin_setup);
                     self.charge(|c| &c.swapin_overhead);
-                    self.swapped_out.remove(&vpn);
+                    self.pages[vpn].location = Location::Resident;
                     self.map_new_frame(vpn, completion.data, write);
                     if write {
-                        self.slots.free(vpn);
-                    } else {
-                        self.clean_slot.insert(vpn, info.slot);
+                        self.free_slot(vpn);
                     }
-                    self.lru.insert(vpn);
+                    self.lru.insert(&mut self.pages, vpn);
                     self.stats.major_faults.inc();
                     self.kswapd();
-                    return AccessOutcome::MajorFault;
+                    AccessOutcome::MajorFault
                 }
                 // First touch: zero-fill.
-                self.ensure_frames(1);
-                self.charge(|c| &c.first_touch);
-                self.map_new_frame(vpn, PageContents::Zero, write);
-                self.lru.insert(vpn);
-                self.stats.first_touch_faults.inc();
-                self.kswapd();
-                AccessOutcome::MinorFault
-            }
+                Location::Resident => {
+                    self.ensure_frames(1);
+                    self.charge(|c| &c.first_touch);
+                    self.map_new_frame(vpn, PageContents::Zero, write);
+                    self.lru.insert(&mut self.pages, vpn);
+                    self.stats.first_touch_faults.inc();
+                    self.kswapd();
+                    AccessOutcome::MinorFault
+                }
+            },
             PageClass::FileBacked => {
                 // File pages always refault from the filesystem — swap
                 // cannot hold them (paper §II).
@@ -491,7 +462,7 @@ impl SwapBackedMemory {
                 self.clock.advance_to(completion.at);
                 self.charge(|c| &c.swapin_setup);
                 self.map_new_frame(vpn, completion.data, write);
-                self.lru.insert(vpn);
+                self.lru.insert(&mut self.pages, vpn);
                 self.stats.fs_reads.inc();
                 self.kswapd();
                 AccessOutcome::MajorFault
@@ -509,6 +480,13 @@ impl SwapBackedMemory {
         }
     }
 
+    /// Frees the page's swap slot, if it owns one: its copy is stale.
+    fn free_slot(&mut self, vpn: Vpn) {
+        if let Some(slot) = self.pages[vpn].take_slot() {
+            self.slots.free(slot);
+        }
+    }
+
     fn do_access(&mut self, addr: VirtAddr, write: bool) -> AccessReport {
         let vpn = addr.vpn();
         let start = self.clock.now();
@@ -517,9 +495,7 @@ impl SwapBackedMemory {
             if write {
                 entry.flags.insert(PteFlags::DIRTY);
                 // A write invalidates any clean swap copy.
-                if self.clean_slot.remove(&vpn).is_some() {
-                    self.slots.free(vpn);
-                }
+                self.free_slot(vpn);
             }
             self.counters.record(AccessOutcome::Hit);
             return AccessReport {
@@ -541,6 +517,7 @@ impl MemoryBackend for SwapBackedMemory {
         let region = Region::new(Vpn::new(self.next_vpn), pages, class);
         // Leave a guard gap between regions.
         self.next_vpn += pages + 16;
+        self.pages.extend_to(Vpn::new(self.next_vpn));
         self.regions.insert(region.start().raw(), region);
         region
     }
@@ -608,7 +585,7 @@ impl std::fmt::Debug for SwapBackedMemory {
             .field("label", &self.label)
             .field("dram_pages", &self.config.dram_pages)
             .field("resident", &self.resident_pages())
-            .field("swapped_out", &self.swapped_out.len())
+            .field("swap_slots", &self.slots.allocated())
             .finish()
     }
 }
@@ -867,6 +844,174 @@ mod tests {
     fn access_outside_regions_panics() {
         let mut vm = backend(8);
         vm.access(VirtAddr::new(0x1), false);
+    }
+
+    /// A page's swap state in the reference model.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Model {
+        Untouched,
+        /// Mapped, and its only copy is in its frame.
+        ResidentDirty,
+        /// Mapped, with a still-valid copy in the slot.
+        ResidentClean(u64),
+        SwapCache(u64),
+        SwappedOut(u64),
+    }
+
+    impl Model {
+        fn slot(self) -> Option<u64> {
+            match self {
+                Model::ResidentClean(s) | Model::SwapCache(s) | Model::SwappedOut(s) => Some(s),
+                Model::Untouched | Model::ResidentDirty => None,
+            }
+        }
+
+        /// The outcome of an access, and the state after it.
+        fn access(self, write: bool) -> (AccessOutcome, Model) {
+            let outcome = match self {
+                Model::Untouched | Model::SwapCache(_) => AccessOutcome::MinorFault,
+                Model::ResidentDirty | Model::ResidentClean(_) => AccessOutcome::Hit,
+                Model::SwappedOut(_) => AccessOutcome::MajorFault,
+            };
+            let after = match (self.slot(), write) {
+                (Some(s), false) => Model::ResidentClean(s),
+                _ => Model::ResidentDirty,
+            };
+            (outcome, after)
+        }
+
+        /// Whether reclaim and readahead, which only ever move a page
+        /// toward the device, can take it from `self` to `to`: a page
+        /// keeps its slot, and a dirty page gains one.
+        fn reclaims_to(self, to: Model) -> bool {
+            let down = matches!(to, Model::SwapCache(_) | Model::SwappedOut(_));
+            to == self
+                || (down
+                    && self != Model::Untouched
+                    && self.slot().is_none_or(|s| to.slot() == Some(s)))
+        }
+    }
+
+    /// The backend's state of `vpn`, from its descriptor and page table.
+    fn observe(vm: &SwapBackedMemory, vpn: Vpn) -> Result<Model, String> {
+        let desc = vm.pages[vpn];
+        let mapped = vm.pt.get(vpn).is_some();
+        let model = match (mapped, desc.location, desc.slot()) {
+            (false, Location::Resident, None) => Model::Untouched,
+            (true, Location::Resident, None) => Model::ResidentDirty,
+            (true, Location::Resident, Some(s)) => Model::ResidentClean(s),
+            (false, Location::SwapCache { .. }, Some(s)) => Model::SwapCache(s),
+            (false, Location::SwappedOut { .. }, Some(s)) => Model::SwappedOut(s),
+            state => return Err(format!("{vpn}: impossible state {state:?}")),
+        };
+        if desc.lru.is_some() != mapped {
+            return Err(format!("{vpn}: on the LRU {:?}, mapped {mapped}", desc.lru));
+        }
+        match model.slot() {
+            Some(s) if vm.slots.owner_of(s) != Some(vpn) => {
+                Err(format!("{vpn}: slot {s} not its own"))
+            }
+            _ => Ok(model),
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Read(u64),
+        Write(u64, u64),
+        Balloon(u64),
+    }
+
+    /// Replays `ops` on a backend of `dram` frames over `pages` anonymous
+    /// pages, checking every page's state against the model after each
+    /// operation and every read against the last write.
+    fn replay(dram: u64, pages: u64, ops: &[Op]) -> Result<(), String> {
+        let mut vm = backend(dram);
+        let region = vm.map_region(pages, PageClass::Anonymous);
+        let mut states = vec![Model::Untouched; pages as usize];
+        let mut written = vec![PageContents::Zero; pages as usize];
+        for (i, &op) in ops.iter().enumerate() {
+            let mut expected = states.clone();
+            match op {
+                Op::Read(p) | Op::Write(p, _) => {
+                    let write = matches!(op, Op::Write(..));
+                    let (outcome, after) = states[p as usize].access(write);
+                    expected[p as usize] = after;
+                    let (got, report) = match op {
+                        Op::Write(_, v) => {
+                            written[p as usize] = PageContents::Token(v);
+                            (None, vm.write_page(region.page(p), PageContents::Token(v)))
+                        }
+                        _ => {
+                            let (contents, report) = vm.read_page(region.page(p));
+                            (Some(contents), report)
+                        }
+                    };
+                    if report.outcome != outcome {
+                        return Err(format!(
+                            "op {i} {op:?}: {:?}, want {outcome:?}",
+                            report.outcome
+                        ));
+                    }
+                    if got.as_ref().is_some_and(|c| *c != written[p as usize]) {
+                        return Err(format!("op {i} {op:?}: read {got:?}"));
+                    }
+                }
+                Op::Balloon(target) => {
+                    let left = vm.balloon_reclaim(target);
+                    if left != vm.resident_pages() || left > target.max(BALLOON_FLOOR_PAGES) {
+                        return Err(format!("op {i} {op:?}: {left} left"));
+                    }
+                }
+            }
+            let mut slots = std::collections::BTreeSet::new();
+            for p in 0..pages {
+                let got = observe(&vm, region.page(p).vpn())?;
+                if !expected[p as usize].reclaims_to(got) {
+                    return Err(format!(
+                        "op {i} {op:?}: page {p} {:?} -> {got:?}",
+                        expected[p as usize]
+                    ));
+                }
+                if got.slot().is_some_and(|s| !slots.insert(s)) {
+                    return Err(format!("op {i}: slot {got:?} shared"));
+                }
+                states[p as usize] = got;
+            }
+            if vm.slots.allocated() != slots.len() as u64 || vm.resident_pages() > dram {
+                return Err(format!("op {i}: slots or frames leaked"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Every access at small scope — 16 to 64 frames, 2-4x overcommit,
+    /// readahead on — against the reference model of page states.
+    #[test]
+    fn page_states_follow_the_reference_model() {
+        for (dram, overcommit) in [(16, 4), (32, 3), (64, 2)] {
+            let pages = dram * overcommit;
+            fluidmem_sim::prop::forall_sequences(
+                &format!("swap-page-states-{dram}x{overcommit}"),
+                24,
+                |rng| {
+                    // Runs of neighbors make readahead and swap-cache hits.
+                    let mut page = 0;
+                    fluidmem_sim::prop::vec_of(rng, 1, 400, |r| {
+                        page = match r.gen_bool(0.9) {
+                            true => (page + 1) % pages,
+                            false => r.gen_index(pages),
+                        };
+                        match r.gen_index(20) {
+                            0 => Op::Balloon(r.gen_index(dram)),
+                            1..=11 => Op::Read(page),
+                            _ => Op::Write(page, r.gen_index(1 << 20)),
+                        }
+                    })
+                },
+                |ops| replay(dram, pages, ops),
+            );
+        }
     }
 
     #[test]

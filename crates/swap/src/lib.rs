@@ -32,12 +32,12 @@
 mod backend;
 mod config;
 mod lru;
+mod pages;
 mod slots;
 mod stats;
 
 pub use backend::SwapBackedMemory;
 pub use config::SwapConfig;
-pub use lru::TwoListLru;
 pub use slots::SlotAllocator;
 pub use stats::{SwapCounters, SwapStats};
 

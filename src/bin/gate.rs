@@ -274,7 +274,7 @@ const LINTS: &[Lint] = &[
         fix: "outputs are compared byte for byte: sort first, use a BTreeMap, or mark the use" },
     Lint { name: "default-hasher maps on the per-page paths",
         roots: "crates/mem/src crates/core/src crates/uffd/src crates/block/src crates/swap/src \
-                crates/kv/src/ramcloud.rs",
+                crates/kv/src/ramcloud.rs crates/kv/src/memcached.rs",
         marker: Some("lint: cold-path"), exempt: Exempt::CommentsAndTests,
         hit: |l| any(l, "HashMap|HashSet"),
         fix: "SipHash cost a fifth of host time (DESIGN.md §17): use FastMap/FastSet, or mark it" },
@@ -485,6 +485,7 @@ mod tests {
             !flagged(name, "crates/core/src/monitor/tests.rs", hit),
             "tests.rs is test code"
         );
+        assert!(flagged(name, "crates/kv/src/memcached.rs", hit));
     }
 
     #[test]

@@ -43,22 +43,43 @@ fn lru_buffer_behaves_like_fifo_queue() {
 }
 
 /// Slot allocation is a partial bijection: no two pages share a slot,
-/// and lookups invert each other.
+/// and the owner array inverts it. Slots go out in ascending order until
+/// the device is full; after that every allocation recycles a freed slot,
+/// and a full device refuses.
 #[test]
 fn slot_allocator_is_injective() {
     prop::forall("slot-allocator-injective", 64, |rng| {
-        let pages: std::collections::HashSet<u64> =
-            prop::vec_of(rng, 1, 299, |r| r.gen_index(10_000))
-                .into_iter()
-                .collect();
-        let mut slots = SlotAllocator::new(4096);
-        let mut assigned = std::collections::HashMap::new();
-        for &p in &pages {
-            if let Some(slot) = slots.allocate(Vpn::new(p)) {
-                assert!(assigned.insert(slot, p).is_none(), "slot reused while live");
-                assert_eq!(slots.owner_of(slot), Some(Vpn::new(p)));
-                assert_eq!(slots.slot_of(Vpn::new(p)), Some(slot));
+        let capacity = rng.gen_range(1, 48);
+        let ops = prop::vec_of(rng, 1, 299, |r| (r.gen_bool(0.6), r.gen_index(1 << 16)));
+        let mut slots = SlotAllocator::new(capacity);
+        let mut owners = std::collections::BTreeMap::new();
+        let (mut fresh, mut next_page) = (0, 0);
+        for (allocate, pick) in ops {
+            if allocate {
+                next_page += 1;
+                match slots.allocate(Vpn::new(next_page)) {
+                    Some(slot) if fresh < capacity => {
+                        assert_eq!(slot, fresh, "ascending until the device fills");
+                        fresh += 1;
+                        owners.insert(slot, next_page);
+                    }
+                    Some(slot) => {
+                        let live = owners.insert(slot, next_page);
+                        assert!(live.is_none(), "slot {slot} reused while live");
+                    }
+                    None => assert_eq!(owners.len() as u64, capacity, "refused a free slot"),
+                }
+            } else if !owners.is_empty() {
+                let slot = *owners.keys().nth(pick as usize % owners.len()).unwrap();
+                let page = owners.remove(&slot).unwrap();
+                assert_eq!(slots.free(slot), Some(Vpn::new(page)));
+                assert_eq!(slots.free(slot), None, "a slot frees once");
             }
+            assert_eq!(slots.allocated(), owners.len() as u64);
+        }
+        for slot in 0..=capacity {
+            let owner = owners.get(&slot).map(|&p| Vpn::new(p));
+            assert_eq!(slots.owner_of(slot), owner, "owner of slot {slot}");
         }
     });
 }

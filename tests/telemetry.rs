@@ -171,6 +171,45 @@ fn recording_spans_moves_no_modeled_value() {
     assert!(traced == untraced, "recording spans moved a modeled value");
 }
 
+/// Figure 2's scenario: a guest wakes before the post-wake eviction it
+/// makes room with, so its `wake` marker precedes every span that starts
+/// at the same instant (the `UFFD_REMAP` and TLB shootdown of that
+/// eviction) in the recorded order `fig2` prints.
+#[test]
+fn wake_precedes_post_wake_work_at_the_same_instant() {
+    let clock = SimClock::new();
+    let store = RamCloudStore::new(1 << 26, clock.clone(), SimRng::seed_from_u64(1));
+    let mut vm = FluidMemMemory::new(
+        MonitorConfig::new(2).write_batch(2),
+        Box::new(store),
+        PartitionId::new(0),
+        clock.clone(),
+        SimRng::seed_from_u64(2),
+    );
+    let telemetry = Telemetry::new(clock);
+    telemetry.enable_spans();
+    vm.attach_telemetry(&telemetry);
+    let region = vm.map_region(8, PageClass::Anonymous);
+    for page in 0..4 {
+        vm.access(region.page(page), page > 0);
+    }
+    let records = telemetry.spans().records();
+    let mut post_wake = 0;
+    for (i, wake) in records.iter().enumerate() {
+        if (wake.track, wake.name) != (consts::TRACK_GUEST, "wake") {
+            continue;
+        }
+        let at = |r: &&SpanRecord| r.start == wake.start && r.name != "wake";
+        assert!(
+            !records[..i].iter().any(|r| at(&r)),
+            "post-wake work recorded before the wake at {:?}",
+            wake.start
+        );
+        post_wake += records[i..].iter().filter(at).count();
+    }
+    assert!(post_wake >= 2, "evictions must start at a wake instant");
+}
+
 #[test]
 fn stats_views_match_registry_counters() {
     let (telemetry, vm) = traced_run(11);
