@@ -134,7 +134,8 @@ impl FluidMemMemory {
     }
 
     /// Attaches a shared telemetry handle with every monitor instrument
-    /// keyed by a `vm` label, so N backends can share one registry (see
+    /// keyed by a `vm` label, so N backends can share one registry, and
+    /// drops the monitor's Table I profile (see
     /// [`Monitor::attach_telemetry_labeled`]).
     pub fn attach_telemetry_labeled(
         &mut self,

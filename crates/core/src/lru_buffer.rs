@@ -1,17 +1,33 @@
 //! The monitor's resizable LRU buffer.
 
-use fluidmem_mem::Vpn;
-use fluidmem_sim::FastMap;
+use fluidmem_mem::{PageArray, Vpn};
 
-/// Slab link sentinel: "no node".
-const NIL: u32 = u32::MAX;
+/// Link value past either end of the list.
+const END: i32 = i32::MIN;
+/// A slot whose page is not on the list: no page links to itself.
+const OFF: i32 = 0;
 
-/// One page's slab node, linked into the recency list.
-#[derive(Debug, Clone, Copy)]
-struct Node {
-    vpn: Vpn,
-    prev: u32,
-    next: u32,
+/// One page's place in the recency list: how many slots away its
+/// neighbours are, or [`END`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Links {
+    prev: i32,
+    next: i32,
+}
+
+/// The page a link from `vpn` leads to.
+fn step(vpn: Vpn, link: i32) -> Option<Vpn> {
+    (link != END).then(|| Vpn::new(vpn.raw().wrapping_add_signed(link.into())))
+}
+
+/// The link from `from` to `to`.
+fn link(from: Vpn, to: Option<Vpn>) -> i32 {
+    to.map_or(END, |to| {
+        let offset = to.raw().wrapping_sub(from.raw()) as i64;
+        let link = i32::try_from(offset).unwrap_or(END);
+        assert!(link != END, "an LRU spans under 2³¹ pages");
+        link
+    })
 }
 
 /// The list that bounds a VM's DRAM footprint (§V-A).
@@ -27,12 +43,12 @@ struct Node {
 ///   actively sized up or down" — [`set_capacity`](LruBuffer::set_capacity)
 ///   changes the bound at runtime; the monitor then evicts down to it.
 ///
-/// Internally the list is an intrusive doubly-linked list over a slab of
-/// nodes: insert, remove, rotate, and victim-pop are all true O(1), and
-/// [`peek_head`](LruBuffer::peek_head) walks exactly the nodes it
-/// returns. There are no stale entries and therefore no compaction — the
-/// slab's footprint plateaus at the peak live page count, with freed
-/// nodes recycled through a free list.
+/// Internally the list is intrusive and doubly linked through a
+/// [`PageArray`]: each page's links live at the page's own slot and are
+/// slot offsets to its neighbours, so insert, remove, rotate, and
+/// victim-pop are all O(1) array steps with no hash, and
+/// [`peek_head`](LruBuffer::peek_head) walks exactly the pages it
+/// returns. The array spans the pages the buffer has ever held.
 ///
 /// [`rotate_to_tail`]: LruBuffer::rotate_to_tail
 ///
@@ -52,11 +68,10 @@ struct Node {
 /// ```
 #[derive(Debug)]
 pub struct LruBuffer {
-    nodes: Vec<Node>,
-    free: Vec<u32>,
-    head: u32,
-    tail: u32,
-    index: FastMap<Vpn, u32>,
+    links: PageArray<Links>,
+    head: Option<Vpn>,
+    tail: Option<Vpn>,
+    len: u64,
     capacity: u64,
 }
 
@@ -64,11 +79,10 @@ impl LruBuffer {
     /// Creates a buffer bounded at `capacity` pages.
     pub fn new(capacity: u64) -> Self {
         LruBuffer {
-            nodes: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            index: FastMap::default(),
+            links: PageArray::default(),
+            head: None,
+            tail: None,
+            len: 0,
             capacity,
         }
     }
@@ -86,119 +100,90 @@ impl LruBuffer {
 
     /// Pages currently tracked (the VM's DRAM footprint).
     pub fn len(&self) -> u64 {
-        self.index.len() as u64
+        self.len
     }
 
     /// Whether the buffer tracks no pages.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len == 0
     }
 
     /// Whether the buffer exceeds its bound.
     pub fn over_capacity(&self) -> bool {
-        self.len() > self.capacity
+        self.len > self.capacity
     }
 
     /// Whether a page is tracked.
     pub fn contains(&self, vpn: Vpn) -> bool {
-        self.index.contains_key(&vpn)
+        self.links.get(vpn).is_some_and(|l| l.prev != OFF)
     }
 
-    /// Slab nodes allocated (live + free-listed): the buffer's standing
-    /// memory footprint, which plateaus at the peak live page count.
-    pub fn slab_nodes(&self) -> usize {
-        self.nodes.len()
+    /// Slots in the page array: the buffer's standing memory footprint,
+    /// which spans the pages it has ever held.
+    pub fn array_slots(&self) -> usize {
+        self.links.span()
     }
 
-    fn alloc_node(&mut self, vpn: Vpn) -> u32 {
-        match self.free.pop() {
-            Some(i) => {
-                self.nodes[i as usize] = Node {
-                    vpn,
-                    prev: NIL,
-                    next: NIL,
-                };
-                i
-            }
-            None => {
-                let i = self.nodes.len() as u32;
-                self.nodes.push(Node {
-                    vpn,
-                    prev: NIL,
-                    next: NIL,
-                });
-                i
-            }
+    /// Splices `vpn` onto the list tail.
+    fn link_tail(&mut self, vpn: Vpn) {
+        let tail = self.tail;
+        *self.links.slot_mut(vpn) = Links {
+            prev: link(vpn, tail),
+            next: END,
+        };
+        match tail {
+            None => self.head = Some(vpn),
+            Some(t) => self.links[t].next = link(t, Some(vpn)),
         }
+        self.tail = Some(vpn);
     }
 
-    /// Splices node `i` onto the list tail.
-    fn link_tail(&mut self, i: u32) {
-        self.nodes[i as usize].prev = self.tail;
-        self.nodes[i as usize].next = NIL;
-        if self.tail == NIL {
-            self.head = i;
-        } else {
-            self.nodes[self.tail as usize].next = i;
+    /// Unlinks `vpn` from the list, leaving its slot off the list.
+    fn unlink(&mut self, vpn: Vpn) {
+        let Links { prev, next } = std::mem::take(&mut self.links[vpn]);
+        let (prev, next) = (step(vpn, prev), step(vpn, next));
+        match prev {
+            None => self.head = next,
+            Some(p) => self.links[p].next = link(p, next),
         }
-        self.tail = i;
-    }
-
-    /// Unlinks node `i` from the list (does not free it).
-    fn unlink(&mut self, i: u32) {
-        let Node { prev, next, .. } = self.nodes[i as usize];
-        if prev == NIL {
-            self.head = next;
-        } else {
-            self.nodes[prev as usize].next = next;
-        }
-        if next == NIL {
-            self.tail = prev;
-        } else {
-            self.nodes[next as usize].prev = prev;
+        match next {
+            None => self.tail = prev,
+            Some(n) => self.links[n].prev = link(n, prev),
         }
     }
 
     /// Adds a page at the tail (first access or refault). Returns `false`
     /// if already present.
     pub fn insert(&mut self, vpn: Vpn) -> bool {
-        if self.index.contains_key(&vpn) {
+        if self.contains(vpn) {
             return false;
         }
-        let i = self.alloc_node(vpn);
-        self.link_tail(i);
-        self.index.insert(vpn, i);
+        self.link_tail(vpn);
+        self.len += 1;
         true
     }
 
-    /// Removes a page in O(1) via its slab node.
+    /// Removes a page in O(1) through its slot.
     pub fn remove(&mut self, vpn: Vpn) -> bool {
-        match self.index.remove(&vpn) {
-            Some(i) => {
-                self.unlink(i);
-                self.free.push(i);
-                true
-            }
-            None => false,
+        if !self.contains(vpn) {
+            return false;
         }
+        self.unlink(vpn);
+        self.len -= 1;
+        true
     }
 
     /// Takes the eviction victim from the top of the list.
     pub fn pop_victim(&mut self) -> Option<Vpn> {
-        if self.head == NIL {
-            return None;
-        }
-        let i = self.head;
-        let vpn = self.nodes[i as usize].vpn;
-        self.unlink(i);
-        self.free.push(i);
-        self.index.remove(&vpn);
+        let vpn = self.head?;
+        self.unlink(vpn);
+        self.len -= 1;
         Some(vpn)
     }
 
     /// Peeks at the next `n` victims in order (for referenced-bit
     /// scanning) without removing them. Walks exactly `min(n, len)`
-    /// nodes — every step lands on a live page.
+    /// pages — every step lands on a live page.
     pub fn peek_head(&self, n: usize) -> Vec<Vpn> {
         let mut out = Vec::new();
         self.peek_head_into(n, &mut out);
@@ -209,25 +194,22 @@ impl LruBuffer {
     /// the periodic scan path can reuse one allocation.
     pub fn peek_head_into(&self, n: usize, out: &mut Vec<Vpn>) {
         out.clear();
-        let mut i = self.head;
-        while i != NIL && out.len() < n {
-            let node = &self.nodes[i as usize];
-            out.push(node.vpn);
-            i = node.next;
+        let mut next = self.head;
+        while let Some(vpn) = next.filter(|_| out.len() < n) {
+            out.push(vpn);
+            next = step(vpn, self.links[vpn].next);
         }
     }
 
     /// Moves a tracked page to the tail (the `ScanReferenced` ablation's
     /// rotation). Returns `false` if the page is not tracked.
     pub fn rotate_to_tail(&mut self, vpn: Vpn) -> bool {
-        match self.index.get(&vpn) {
-            Some(&i) => {
-                self.unlink(i);
-                self.link_tail(i);
-                true
-            }
-            None => false,
+        if !self.contains(vpn) {
+            return false;
         }
+        self.unlink(vpn);
+        self.link_tail(vpn);
+        true
     }
 }
 
@@ -342,9 +324,9 @@ mod tests {
                 lru.rotate_to_tail(v(n));
             }
         }
-        // Rotation relinks in place: the slab never grows past the live
-        // page count, no matter how much the order churns.
-        assert_eq!(lru.slab_nodes(), 64, "slab grew under rotation churn");
+        // Rotation relinks in place: the array spans the 64 pages, no
+        // matter how much the order churns.
+        assert_eq!(lru.array_slots(), 64, "array grew under rotation churn");
         // Order is still coherent after all that relinking.
         let mut seen = std::collections::HashSet::new();
         while let Some(p) = lru.pop_victim() {
@@ -361,19 +343,19 @@ mod tests {
             lru.insert(v(p));
             lru.remove(v(p));
         }
-        // Freed nodes recycle through the free list: storage stays at the
-        // peak live count (1 here), not the operation count.
+        // Storage spans the pages ever held (16 here), not the
+        // operation count.
         assert!(
-            lru.slab_nodes() <= 1,
-            "slab grew to {} under insert/remove churn",
-            lru.slab_nodes()
+            lru.array_slots() <= 16,
+            "array grew to {} under insert/remove churn",
+            lru.array_slots()
         );
         assert!(lru.is_empty());
         assert_eq!(lru.pop_victim(), None);
     }
 
     #[test]
-    fn slab_plateaus_at_peak_live_pages() {
+    fn array_spans_only_the_pages_held() {
         let mut lru = LruBuffer::new(1024);
         // Peak of 32 live pages, then sustained churn below the peak.
         for n in 0..32 {
@@ -389,9 +371,9 @@ mod tests {
             lru.remove(v(p));
         }
         assert!(
-            lru.slab_nodes() <= 32,
-            "slab grew past peak live pages: {}",
-            lru.slab_nodes()
+            lru.array_slots() <= 124,
+            "array grew past the pages held: {}",
+            lru.array_slots()
         );
     }
 
@@ -469,9 +451,9 @@ mod tests {
         });
     }
 
-    /// The pre-slab implementation, verbatim semantics: a `(seq, page)`
+    /// The first implementation, verbatim semantics: a `(seq, page)`
     /// deque with lazily skipped stale entries. Kept as the behavioral
-    /// reference the slab list is checked against.
+    /// reference the linked list is checked against.
     struct DequeLru {
         order: std::collections::VecDeque<(u64, Vpn)>,
         members: HashMap<Vpn, u64>,
@@ -543,33 +525,33 @@ mod tests {
         // the old deque implementation: victim order, peek order, and
         // membership answers must be identical.
         fluidmem_sim::prop::forall("lru-slab-vs-deque", 4, |rng| {
-            let mut slab = LruBuffer::new(16);
+            let mut list = LruBuffer::new(16);
             let mut deque = DequeLru::new();
             for _ in 0..2_000 {
                 let page = v(rng.gen_index(64));
                 match rng.gen_index(6) {
-                    0 | 1 => assert_eq!(slab.insert(page), deque.insert(page)),
-                    2 => assert_eq!(slab.remove(page), deque.remove(page)),
-                    3 => assert_eq!(slab.rotate_to_tail(page), deque.rotate_to_tail(page)),
+                    0 | 1 => assert_eq!(list.insert(page), deque.insert(page)),
+                    2 => assert_eq!(list.remove(page), deque.remove(page)),
+                    3 => assert_eq!(list.rotate_to_tail(page), deque.rotate_to_tail(page)),
                     4 => {
                         // Refault: evict to the store, fault straight back.
-                        let sv = slab.pop_victim();
+                        let sv = list.pop_victim();
                         assert_eq!(sv, deque.pop_victim());
                         if let Some(victim) = sv {
-                            assert!(slab.insert(victim));
+                            assert!(list.insert(victim));
                             assert!(deque.insert(victim));
                         }
                     }
                     _ => {
                         let n = rng.gen_index(8) as usize;
-                        assert_eq!(slab.peek_head(n), deque.peek_head(n));
+                        assert_eq!(list.peek_head(n), deque.peek_head(n));
                     }
                 }
-                assert_eq!(slab.contains(page), deque.contains(page));
-                assert_eq!(slab.len(), deque.members.len() as u64);
+                assert_eq!(list.contains(page), deque.contains(page));
+                assert_eq!(list.len(), deque.members.len() as u64);
             }
             loop {
-                let sv = slab.pop_victim();
+                let sv = list.pop_victim();
                 assert_eq!(sv, deque.pop_victim());
                 if sv.is_none() {
                     break;

@@ -53,11 +53,9 @@ impl Monitor {
         // be requeued), but the page leaves the LRU exactly here.
         self.workingset.record_eviction(victim);
         // A prefetched page evicted before the guest ever touched it was
-        // a wasted remote read; the emptiness check keeps the policy-off
-        // eviction path to a single branch.
-        if !self.prefetch_pending_touch.is_empty()
-            && self.prefetch_pending_touch.remove(&victim).is_some()
-        {
+        // a wasted remote read.
+        let pending = self.prefetch_pending_touch.get_mut(victim);
+        if pending.and_then(Option::take).is_some() {
             self.stats.prefetch_wasted.inc();
         }
         Some(victim)

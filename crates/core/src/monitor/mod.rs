@@ -37,8 +37,8 @@ pub use pipeline::{CompletedFault, SubmitOutcome};
 
 use fluidmem_coord::PartitionId;
 use fluidmem_kv::{ExternalKey, KeyValueStore};
-use fluidmem_mem::{PageTable, PhysicalMemory, Region, Vpn};
-use fluidmem_sim::{FastMap, LatencyModel, SimClock, SimInstant, SimRng};
+use fluidmem_mem::{PageArray, PageTable, PhysicalMemory, Region, Vpn};
+use fluidmem_sim::{LatencyModel, SimClock, SimInstant, SimRng};
 use fluidmem_uffd::Userfaultfd;
 
 use crate::config::{MonitorConfig, PrefetchPolicy};
@@ -202,7 +202,7 @@ pub struct Monitor {
     /// mapped to their issue instant: the accuracy panel's ledger. A
     /// first guest touch resolves to a hit (and a timeliness sample); an
     /// eviction or region removal first resolves to a waste.
-    pub(in crate::monitor) prefetch_pending_touch: FastMap<Vpn, SimInstant>,
+    pub(in crate::monitor) prefetch_pending_touch: PageArray<Option<SimInstant>>,
     pub(in crate::monitor) clock: SimClock,
     pub(in crate::monitor) rng: SimRng,
 }
@@ -243,7 +243,7 @@ impl Monitor {
             scan_buf: Vec::new(),
             prefetch_candidates: Vec::new(),
             stride,
-            prefetch_pending_touch: FastMap::default(),
+            prefetch_pending_touch: PageArray::default(),
             clock,
             rng,
         };
@@ -266,10 +266,12 @@ impl Monitor {
     /// registration from several monitors would leave only the last one
     /// visible.
     ///
-    /// The Table I code-path profile is *not* registered here: its rows
-    /// are monitor-global by construction and only meaningful when a
-    /// single monitor owns the registry.
+    /// The Table I code-path profile is dropped here, not registered:
+    /// its rows are monitor-global by construction and only meaningful
+    /// when a single monitor owns the registry. From then on
+    /// [`profile`](Monitor::profile) has no rows and records nothing.
     pub fn attach_telemetry_labeled(&mut self, telemetry: &Telemetry, vm: &str) {
+        self.profile = ProfileTable::off();
         self.attach(telemetry, &[(consts::LABEL_VM, vm)]);
     }
 
@@ -297,8 +299,9 @@ impl Monitor {
         g.tier_pool_pages.set(self.tier.len() as i64);
         g.write_list_pending
             .set(self.write_list.pending_len() as i64);
-        g.lru_slab_nodes.set(self.lru.slab_nodes() as i64);
-        g.tracker_chunks.set(self.tracker.chunk_count() as i64);
+        g.lru_array_slots.set(self.lru.array_slots() as i64);
+        g.tracker_bitmap_words
+            .set(self.tracker.bitmap_words() as i64);
         g.inflight_parked_ops.set(self.inflight.len() as i64);
     }
 
@@ -356,14 +359,12 @@ impl Monitor {
 
     /// Notes a mapped (non-faulting) guest access: the first touch of a
     /// prefetched page resolves its accuracy-ledger entry to a hit and
-    /// records the issue→touch timeliness. Pure bookkeeping on a map
-    /// that is empty unless prefetch has installed pages, so the hot hit
-    /// path pays one branch.
+    /// records the issue→touch timeliness. Pure bookkeeping on an array
+    /// that spans nothing unless prefetch has installed pages, so the hot
+    /// hit path pays one bounds check.
     pub fn note_mapped_touch(&mut self, vpn: Vpn) {
-        if self.prefetch_pending_touch.is_empty() {
-            return;
-        }
-        if let Some(issued_at) = self.prefetch_pending_touch.remove(&vpn) {
+        let pending = self.prefetch_pending_touch.get_mut(vpn);
+        if let Some(issued_at) = pending.and_then(Option::take) {
             self.stats.prefetch_hits.inc();
             self.stats
                 .prefetch_timeliness
@@ -619,9 +620,9 @@ impl Monitor {
     /// by one: the VM's other regions share its partition, so a bulk
     /// `drop_partition` would wipe their pages too.
     pub fn remove_region(&mut self, region: &Region) -> usize {
-        // Regions are contiguous, so the tracker drops whole bitmap
-        // chunks: the cost depends on this region's span, not on how
-        // many pages the other regions track.
+        // Regions are contiguous, so the tracker masks only this
+        // region's bitmap words: the cost depends on this region's span,
+        // not on how many pages the other regions track.
         let removed = self.tracker.remove_range(region.start(), region.end());
         for vpn in region.iter_pages() {
             self.lru.remove(vpn);
@@ -631,13 +632,11 @@ impl Monitor {
         self.workingset.forget_region(region);
         // Prefetched pages the guest never got to touch die with the
         // region: resolve their ledger entries to wasted.
-        if !self.prefetch_pending_touch.is_empty() {
-            let before = self.prefetch_pending_touch.len();
-            self.prefetch_pending_touch
-                .retain(|vpn, _| !region.contains(*vpn));
-            let dropped = (before - self.prefetch_pending_touch.len()) as u64;
-            self.stats.prefetch_wasted.add(dropped);
-        }
+        let pending = self
+            .prefetch_pending_touch
+            .range_mut(region.start(), region.end());
+        let dropped = pending.filter_map(|(_, issued)| issued.take()).count();
+        self.stats.prefetch_wasted.add(dropped as u64);
         // So do speculative reads still in flight for it: landing later
         // they would find an unregistered range and a deleted key.
         let cancelled = self.inflight.cancel_prefetches(|vpn| region.contains(vpn));

@@ -461,7 +461,7 @@ impl Monitor {
                     // Open an accuracy-ledger entry: the guest's first
                     // touch resolves it to a hit, an eviction first
                     // resolves it to a waste.
-                    self.prefetch_pending_touch.insert(candidate, issued_at);
+                    *self.prefetch_pending_touch.slot_mut(candidate) = Some(issued_at);
                 } else {
                     // The page got mapped while the read was in
                     // flight; the fetched copy is redundant, not

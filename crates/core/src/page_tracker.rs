@@ -1,30 +1,6 @@
 //! The page tracker: FluidMem's "already seen" hash.
 
-use std::collections::BTreeMap;
-
-use fluidmem_mem::Vpn;
-
-/// Pages per bitmap chunk (64 words × 64 bits).
-const CHUNK_PAGES: u64 = 4096;
-/// Words per chunk.
-const CHUNK_WORDS: usize = 64;
-
-/// One chunk of the tracked-page bitmap: a fixed 4096-page window of the
-/// address space with a live-bit count.
-#[derive(Debug)]
-struct Chunk {
-    words: Box<[u64; CHUNK_WORDS]>,
-    live: u32,
-}
-
-impl Chunk {
-    fn new() -> Self {
-        Chunk {
-            words: Box::new([0; CHUNK_WORDS]),
-            live: 0,
-        }
-    }
-}
+use fluidmem_mem::{PageArray, Vpn};
 
 /// The monitor's hash of pages it has seen before.
 ///
@@ -35,12 +11,11 @@ impl Chunk {
 /// resolved with `UFFD_ZEROPAGE` and **no remote read**, because nothing
 /// was ever stored for it.
 ///
-/// Storage is a map of 4096-page bitmap chunks keyed by `vpn / 4096`.
-/// VM regions are contiguous VPN ranges, so a region's pages land in a
-/// handful of adjacent chunks: membership is one map lookup plus a bit
-/// test, dense populations cost one bit per page instead of a hash
-/// entry, and unregistering a region ([`remove_range`]) drops whole
-/// chunks without visiting other regions' pages.
+/// Storage is one contiguous bitmap: a [`PageArray`] of 64-bit words,
+/// word `vpn / 64` holding page `vpn`'s bit. VM regions are contiguous
+/// VPN ranges, so membership is an array index plus a bit test at one
+/// bit per page of the span, and unregistering a region
+/// ([`remove_range`]) masks only that region's words.
 ///
 /// [`remove_range`]: PageTracker::remove_range
 ///
@@ -57,18 +32,13 @@ impl Chunk {
 /// ```
 #[derive(Debug, Default)]
 pub struct PageTracker {
-    chunks: BTreeMap<u64, Chunk>,
+    words: PageArray<u64>,
     len: usize,
 }
 
-/// Splits a VPN into (chunk key, word index, bit mask).
-fn locate(vpn: Vpn) -> (u64, usize, u64) {
-    let raw = vpn.raw();
-    let key = raw / CHUNK_PAGES;
-    let offset = raw % CHUNK_PAGES;
-    let word = (offset / 64) as usize;
-    let mask = 1u64 << (offset % 64);
-    (key, word, mask)
+/// Splits a VPN into (word number, bit mask).
+fn locate(vpn: Vpn) -> (Vpn, u64) {
+    (Vpn::new(vpn.raw() / 64), 1u64 << (vpn.raw() % 64))
 }
 
 impl PageTracker {
@@ -79,107 +49,71 @@ impl PageTracker {
 
     /// Whether the page has been seen before.
     pub fn contains(&self, vpn: Vpn) -> bool {
-        let (key, word, mask) = locate(vpn);
-        self.chunks
-            .get(&key)
-            .is_some_and(|c| c.words[word] & mask != 0)
+        let (word, mask) = locate(vpn);
+        self.words.get(word).is_some_and(|w| w & mask != 0)
     }
 
     /// Marks a page as seen. Returns `false` if it was already tracked.
     pub fn insert(&mut self, vpn: Vpn) -> bool {
-        let (key, word, mask) = locate(vpn);
-        let chunk = self.chunks.entry(key).or_insert_with(Chunk::new);
-        if chunk.words[word] & mask != 0 {
+        let (word, mask) = locate(vpn);
+        let bits = self.words.slot_mut(word);
+        if *bits & mask != 0 {
             return false;
         }
-        chunk.words[word] |= mask;
-        chunk.live += 1;
+        *bits |= mask;
         self.len += 1;
         true
     }
 
     /// Forgets a page (its VM's region was unregistered).
     pub fn remove(&mut self, vpn: Vpn) -> bool {
-        let (key, word, mask) = locate(vpn);
-        let Some(chunk) = self.chunks.get_mut(&key) else {
-            return false;
-        };
-        if chunk.words[word] & mask == 0 {
-            return false;
+        let (word, mask) = locate(vpn);
+        match self.words.get_mut(word) {
+            Some(bits) if *bits & mask != 0 => {
+                *bits &= !mask;
+                self.len -= 1;
+                true
+            }
+            _ => false,
         }
-        chunk.words[word] &= !mask;
-        chunk.live -= 1;
-        self.len -= 1;
-        if chunk.live == 0 {
-            self.chunks.remove(&key);
-        }
-        true
     }
 
     /// Forgets every tracked page with `start <= vpn < end` (a region
-    /// unregister); returns how many were removed. Interior chunks are
-    /// dropped whole; only the two edge chunks are masked bit-by-word —
-    /// the cost is O(chunks in range), independent of how many pages
-    /// other regions track.
+    /// unregister); returns how many were removed. Visits only the words
+    /// of the range inside the bitmap, masking the two edge words.
     pub fn remove_range(&mut self, start: Vpn, end: Vpn) -> usize {
         if start >= end {
             return 0;
         }
-        let (first_key, _, _) = locate(start);
-        let last_raw = end.raw() - 1;
-        let last_key = last_raw / CHUNK_PAGES;
+        let (lo, hi) = (start.raw(), end.raw());
+        let words = self
+            .words
+            .range_mut(Vpn::new(lo / 64), Vpn::new((hi - 1) / 64 + 1));
         let mut removed = 0;
-        let doomed: Vec<u64> = self
-            .chunks
-            .range(first_key..=last_key)
-            .map(|(&k, _)| k)
-            .collect();
-        for key in doomed {
-            let chunk_start = key * CHUNK_PAGES;
-            let chunk = self.chunks.get_mut(&key).expect("key just ranged");
-            if start.raw() <= chunk_start && chunk_start + CHUNK_PAGES <= end.raw() {
-                // Fully covered: drop the whole chunk.
-                removed += chunk.live as usize;
-                self.chunks.remove(&key);
-                continue;
+        for (word, bits) in words {
+            let first = word.raw() * 64;
+            let mut mask = u64::MAX;
+            if lo > first {
+                mask &= u64::MAX << (lo - first);
             }
-            // Edge chunk: mask out the covered words.
-            let lo = start.raw().max(chunk_start) - chunk_start;
-            let hi = end.raw().min(chunk_start + CHUNK_PAGES) - chunk_start;
-            for word in (lo / 64)..=((hi - 1) / 64) {
-                let word_start = word * 64;
-                let mut mask = u64::MAX;
-                if lo > word_start {
-                    mask &= u64::MAX << (lo - word_start);
-                }
-                if hi < word_start + 64 {
-                    mask &= (1u64 << (hi - word_start)) - 1;
-                }
-                let cleared = (chunk.words[word as usize] & mask).count_ones();
-                chunk.words[word as usize] &= !mask;
-                chunk.live -= cleared;
-                removed += cleared as usize;
+            if hi < first + 64 {
+                mask &= (1u64 << (hi - first)) - 1;
             }
-            if chunk.live == 0 {
-                self.chunks.remove(&key);
-            }
+            removed += (*bits & mask).count_ones() as usize;
+            *bits &= !mask;
         }
         self.len -= removed;
         removed
     }
 
-    /// Exports the tracked set (for live migration). Chunks are keyed in
-    /// address order, so the export is naturally sorted.
+    /// Exports the tracked set (for live migration), in address order.
     pub fn export(&self) -> Vec<Vpn> {
         let mut out = Vec::with_capacity(self.len);
-        for (&key, chunk) in &self.chunks {
-            for word in 0..CHUNK_WORDS {
-                let mut bits = chunk.words[word];
-                while bits != 0 {
-                    let bit = bits.trailing_zeros() as u64;
-                    bits &= bits - 1;
-                    out.push(Vpn::new(key * CHUNK_PAGES + word as u64 * 64 + bit));
-                }
+        for (word, &bits) in self.words.iter() {
+            let mut bits = bits;
+            while bits != 0 {
+                out.push(Vpn::new(word.raw() * 64 + u64::from(bits.trailing_zeros())));
+                bits &= bits - 1;
             }
         }
         out
@@ -195,16 +129,18 @@ impl PageTracker {
         self.len == 0
     }
 
-    /// Bitmap chunks currently allocated (the tracker's standing memory
-    /// footprint: ~512 bytes per populated 4096-page window).
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
+    /// Words in the bitmap (the tracker's standing memory footprint).
+    pub fn bitmap_words(&self) -> usize {
+        self.words.span()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The spacing of the property's page windows.
+    const CHUNK_PAGES: u64 = 4096;
 
     #[test]
     fn insert_is_idempotent() {
@@ -215,9 +151,9 @@ mod tests {
     }
 
     #[test]
-    fn remove_range_handles_chunk_edges() {
+    fn remove_range_handles_word_edges() {
         let mut t = PageTracker::new();
-        // Pages straddling three chunks: 4000..4100 and 12_000..12_300.
+        // Two populations with ragged edges: 4000..4100 and 12_000..12_300.
         for n in 4000..4100 {
             t.insert(Vpn::new(n));
         }
@@ -230,13 +166,15 @@ mod tests {
         assert!(!t.contains(Vpn::new(4050)));
         assert!(!t.contains(Vpn::new(4089)));
         assert!(t.contains(Vpn::new(4090)));
-        // Remove the second population entirely (interior chunk dropped
-        // whole, edge chunks masked).
+        // Remove the second population entirely (interior words cleared
+        // whole, edge words masked).
         assert_eq!(t.remove_range(Vpn::new(12_000), Vpn::new(12_300)), 300);
         assert_eq!(t.len(), 60);
         assert_eq!(t.remove_range(Vpn::new(0), Vpn::new(u64::MAX / 2)), 60);
         assert!(t.is_empty());
-        assert_eq!(t.chunk_count(), 0);
+        assert!(t.export().is_empty());
+        // One bit per page up to the highest page ever tracked.
+        assert_eq!(t.bitmap_words(), 12_299 / 64 + 1);
     }
 
     #[test]
@@ -277,7 +215,7 @@ mod tests {
             let mut bitmap = PageTracker::new();
             let mut set: std::collections::HashSet<u64> = std::collections::HashSet::new();
             for _ in 0..2_000 {
-                // Spread across chunk boundaries: a few dense windows.
+                // A few dense windows, far apart.
                 let page = rng.gen_index(4) * CHUNK_PAGES + rng.gen_index(80);
                 let vpn = Vpn::new(page);
                 match rng.gen_index(5) {

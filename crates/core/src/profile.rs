@@ -86,6 +86,8 @@ pub struct PathStats {
 #[derive(Debug, Clone, Default)]
 pub struct ProfileTable {
     paths: CodePathHistograms,
+    /// A table that is [`off`](ProfileTable::off) records nothing.
+    off: bool,
 }
 
 instrument_set! {
@@ -117,6 +119,14 @@ impl ProfileTable {
         Self::default()
     }
 
+    /// A table that keeps nothing: it records no span and has no rows.
+    pub(crate) fn off() -> Self {
+        ProfileTable {
+            off: true,
+            ..Self::default()
+        }
+    }
+
     /// Registers each path's histogram in `registry` under
     /// `fluidmem_codepath_latency_us`, labeled by the Table I row name.
     /// Spans already recorded carry over (the registry adopts the live
@@ -142,7 +152,9 @@ impl ProfileTable {
     /// Records one span. Summaries are exact; the percentile sample is
     /// systematically subsampled past its cap to bound memory.
     pub fn record(&self, path: CodePath, duration: SimDuration) {
-        self.histogram(path).observe(duration);
+        if !self.off {
+            self.histogram(path).observe(duration);
+        }
     }
 
     /// Statistics for one path.
@@ -263,6 +275,14 @@ mod tests {
             "subsampled p99 {}",
             stats.p99_us
         );
+    }
+
+    #[test]
+    fn a_table_that_is_off_records_nothing() {
+        let p = ProfileTable::off();
+        p.record(CodePath::ReadPage, SimDuration::from_micros(10));
+        assert!(p.rows().is_empty());
+        assert_eq!(p.stats(CodePath::ReadPage).count, 0);
     }
 
     #[test]

@@ -117,8 +117,8 @@ instrument_set! {
             tier_pool_bytes: TIER_POOL_BYTES[], "Compressed bytes charged to the tier pool.";
             tier_pool_pages: TIER_POOL_PAGES[], "Live entries in the tier pool.";
             write_list_pending: WRITE_LIST_PENDING[], "Pages waiting on the write list.";
-            lru_slab_nodes: LRU_SLAB_NODES[], "Slab nodes allocated by the LRU buffer.";
-            tracker_chunks: TRACKER_CHUNKS[], "Bitmap chunks held by the page tracker.";
+            lru_array_slots: LRU_ARRAY_SLOTS[], "Slots in the LRU buffer's page array.";
+            tracker_bitmap_words: TRACKER_BITMAP_WORDS[], "Words in the page tracker's bitmap.";
             inflight_parked_ops: INFLIGHT_PARKED_OPS[], "Operations parked in the in-flight table.";
             wss_estimate: WSS_ESTIMATE_PAGES[], "The current working-set-size estimate.";
         }

@@ -30,8 +30,7 @@
 
 use std::collections::VecDeque;
 
-use fluidmem_mem::{Region, Vpn};
-use fluidmem_sim::FastMap;
+use fluidmem_mem::{PageArray, Region, Vpn};
 
 /// How the estimator's output is used.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,10 +124,11 @@ pub struct Refault {
 pub struct WorkingSetEstimator {
     config: WorkingSetConfig,
     /// Live shadow entries: nonresident page → eviction stamp.
-    shadow: FastMap<Vpn, u64>,
+    shadow: PageArray<Option<u64>>,
+    /// Live shadow entries.
+    shadow_len: usize,
     /// Insertion order by stamp, for FIFO overflow. Entries whose page
-    /// was consumed or forgotten go stale and are skipped lazily (the
-    /// same scheme as `LruBuffer`).
+    /// was consumed or forgotten go stale and are skipped lazily.
     order: VecDeque<(u64, Vpn)>,
     /// The monotonic eviction counter; also the next stamp.
     evictions: u64,
@@ -151,7 +151,8 @@ impl WorkingSetEstimator {
     pub fn new(config: WorkingSetConfig) -> Self {
         WorkingSetEstimator {
             config,
-            shadow: FastMap::default(),
+            shadow: PageArray::default(),
+            shadow_len: 0,
             order: VecDeque::new(),
             evictions: 0,
             refaults: 0,
@@ -178,15 +179,16 @@ impl WorkingSetEstimator {
     pub fn record_eviction(&mut self, vpn: Vpn) {
         let stamp = self.evictions;
         self.evictions += 1;
-        let prior = self.shadow.insert(vpn, stamp);
+        let prior = self.shadow.slot_mut(vpn).replace(stamp);
         debug_assert!(prior.is_none(), "double shadow entry for {vpn}");
+        self.shadow_len += 1;
         self.order.push_back((stamp, vpn));
-        while self.shadow.len() > self.config.shadow_capacity {
+        while self.shadow_len > self.config.shadow_capacity {
             let Some((s, v)) = self.order.pop_front() else {
                 break;
             };
-            if self.shadow.get(&v) == Some(&s) {
-                self.shadow.remove(&v);
+            if self.shadow.get(v) == Some(&Some(s)) {
+                self.take_shadow(v);
                 self.overflow_drops += 1;
             }
         }
@@ -197,7 +199,7 @@ impl WorkingSetEstimator {
     /// Returns `None` when the page has no live shadow entry (it was
     /// never evicted, or its entry aged out of the bounded table).
     pub fn note_refault(&mut self, vpn: Vpn, resident: u64) -> Option<Refault> {
-        let stamp = self.shadow.remove(&vpn)?;
+        let stamp = self.take_shadow(vpn)?;
         let distance = self.evictions - stamp;
         let needed = resident.saturating_add(distance);
         // Compare against the estimate *before* this sample updates it,
@@ -255,17 +257,25 @@ impl WorkingSetEstimator {
     /// Drops the shadow entry for `vpn`, if any (page removed outside
     /// the fault path).
     pub fn forget(&mut self, vpn: Vpn) {
-        if self.shadow.remove(&vpn).is_some() {
+        if self.take_shadow(vpn).is_some() {
             self.forgotten += 1;
         }
+    }
+
+    /// Removes `vpn`'s shadow entry, returning its stamp.
+    fn take_shadow(&mut self, vpn: Vpn) -> Option<u64> {
+        let stamp = self.shadow.get_mut(vpn)?.take()?;
+        self.shadow_len -= 1;
+        Some(stamp)
     }
 
     /// Drops every shadow entry inside `region` (VM shutdown /
     /// unregister): refaults can no longer happen for these pages.
     pub fn forget_region(&mut self, region: &Region) {
-        let before = self.shadow.len();
-        self.shadow.retain(|vpn, _| !region.contains(*vpn));
-        self.forgotten += (before - self.shadow.len()) as u64;
+        let entries = self.shadow.range_mut(region.start(), region.end());
+        let dropped = entries.filter_map(|(_, entry)| entry.take()).count();
+        self.shadow_len -= dropped;
+        self.forgotten += dropped as u64;
         self.maybe_compact();
     }
 
@@ -277,19 +287,18 @@ impl WorkingSetEstimator {
 
     /// Live shadow entries.
     pub fn shadow_len(&self) -> usize {
-        self.shadow.len()
+        self.shadow_len
     }
 
     /// Whether `vpn` currently has a live shadow entry.
     pub fn shadow_contains(&self, vpn: Vpn) -> bool {
-        self.shadow.contains_key(&vpn)
+        self.shadow.get(vpn).is_some_and(Option::is_some)
     }
 
-    /// The pages with live shadow entries, sorted (deterministic).
+    /// The pages with live shadow entries, sorted.
     pub fn shadow_pages(&self) -> Vec<Vpn> {
-        let mut pages: Vec<Vpn> = self.shadow.keys().copied().collect();
-        pages.sort();
-        pages
+        let entries = self.shadow.iter();
+        entries.filter_map(|(vpn, e)| e.map(|_| vpn)).collect()
     }
 
     /// Total evictions recorded (the monotonic counter's value).
@@ -323,13 +332,14 @@ impl WorkingSetEstimator {
     /// neither leak nor double-count nonresident entries.
     pub fn accounting_balances(&self) -> bool {
         self.evictions
-            == self.shadow.len() as u64 + self.refaults + self.overflow_drops + self.forgotten
+            == self.shadow_len as u64 + self.refaults + self.overflow_drops + self.forgotten
     }
 
     /// Drops stale order entries once they dominate the deque.
     fn maybe_compact(&mut self) {
-        if self.order.len() > self.shadow.len() * 2 + 64 {
-            self.order.retain(|(s, v)| self.shadow.get(v) == Some(s));
+        if self.order.len() > self.shadow_len * 2 + 64 {
+            self.order
+                .retain(|&(s, v)| self.shadow.get(v) == Some(&Some(s)));
         }
     }
 }

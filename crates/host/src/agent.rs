@@ -1614,6 +1614,25 @@ mod tests {
         assert!(trace.contains("host"), "{trace}");
     }
 
+    /// A host-attached monitor keeps no Table I profile: its rows are
+    /// monitor-global, so it records none and registers none.
+    #[test]
+    fn host_attached_monitors_record_no_table1_rows() {
+        let mut agent = host(HostConfig::new(128), 9);
+        agent.add_vm(VmSpec::new("alpha", 96));
+        agent.run(2_000);
+        assert!(agent.vm_faults(0) > 0);
+        assert!(agent.slots[0].vm.monitor().profile().rows().is_empty());
+        let snapshot = agent.telemetry().registry().snapshot();
+        let names: Vec<&str> = snapshot
+            .histograms
+            .iter()
+            .map(|((n, _), _)| n.as_str())
+            .collect();
+        assert!(names.contains(&consts::FAULT_LATENCY_US));
+        assert!(!names.contains(&consts::CODEPATH_LATENCY_US));
+    }
+
     /// A telemetry handle attached after the fleet is up sees every
     /// series the host's own handle had — including the coordination
     /// service's events and each VM's SLO counter, with their counts.

@@ -2,10 +2,10 @@
 
 use fluidmem_coord::PartitionId;
 use fluidmem_mem::{PageContents, PAGE_SIZE};
-use fluidmem_sim::{FastMap, SimClock, SimRng};
+use fluidmem_sim::{SimClock, SimRng};
 
 use crate::error::KvError;
-use crate::key::ExternalKey;
+use crate::key::{ExternalKey, KeyTable};
 use crate::leaf::{LeafStore, StorageEngine};
 use crate::stats::StoreCounters;
 use crate::transport::TransportModel;
@@ -33,7 +33,7 @@ pub type DramStore = LeafStore<DramEngine>;
 /// The storage engine behind [`DramStore`]: a bounded table.
 #[derive(Debug)]
 pub struct DramEngine {
-    map: FastMap<u64, PageContents>,
+    map: KeyTable<PageContents>,
     capacity_pages: usize,
 }
 
@@ -41,7 +41,7 @@ impl LeafStore<DramEngine> {
     /// Creates a store holding up to `capacity_bytes` of pages.
     pub fn new(capacity_bytes: usize, clock: SimClock, rng: SimRng) -> Self {
         let engine = DramEngine {
-            map: FastMap::default(),
+            map: KeyTable::new(),
             capacity_pages: (capacity_bytes / PAGE_SIZE).max(1),
         };
         LeafStore::over(engine, TransportModel::local(), clock, rng)
@@ -60,19 +60,19 @@ impl StorageEngine for DramEngine {
         _stats: &StoreCounters,
     ) -> Result<(), KvError> {
         // Overwrite of an existing key is always allowed.
-        if !self.map.contains_key(&key.raw()) && self.map.len() >= self.capacity_pages {
+        if self.map.get(key).is_none() && self.map.len() >= self.capacity_pages {
             return Err(KvError::OutOfCapacity);
         }
-        self.map.insert(key.raw(), value);
+        self.map.insert(key, value);
         Ok(())
     }
 
     fn peek(&self, key: ExternalKey) -> Option<PageContents> {
-        self.map.get(&key.raw()).cloned()
+        self.map.get(key).cloned()
     }
 
     fn remove(&mut self, key: ExternalKey) -> bool {
-        self.map.remove(&key.raw()).is_some()
+        self.map.remove(key).is_some()
     }
 
     fn len(&self) -> usize {
@@ -80,11 +80,11 @@ impl StorageEngine for DramEngine {
     }
 
     fn contains(&self, key: ExternalKey) -> bool {
-        self.map.contains_key(&key.raw())
+        self.map.get(key).is_some()
     }
 
     fn partition_keys(&self, partition: PartitionId) -> Vec<ExternalKey> {
-        ExternalKey::sorted_in_partition(self.map.keys().copied(), partition)
+        self.map.keys(partition)
     }
 }
 

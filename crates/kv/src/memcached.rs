@@ -4,10 +4,10 @@ use std::collections::BTreeMap;
 
 use fluidmem_coord::PartitionId;
 use fluidmem_mem::{PageContents, PAGE_SIZE};
-use fluidmem_sim::{FastMap, SimClock, SimRng};
+use fluidmem_sim::{SimClock, SimRng};
 
 use crate::error::KvError;
-use crate::key::ExternalKey;
+use crate::key::{ExternalKey, KeyTable};
 use crate::leaf::{LeafStore, StorageEngine};
 use crate::stats::StoreCounters;
 use crate::transport::TransportModel;
@@ -17,7 +17,7 @@ use crate::transport::TransportModel;
 /// behind a per-item header + key.
 const ITEM_BYTES: usize = PAGE_SIZE + 56;
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Item {
     value: PageContents,
     class: usize,
@@ -64,7 +64,7 @@ pub type MemcachedStore = LeafStore<MemcachedEngine>;
 #[derive(Debug)]
 pub struct MemcachedEngine {
     classes: Vec<SlabClass>,
-    items: FastMap<u64, Item>,
+    items: KeyTable<Item>,
     capacity_bytes: usize,
     used_bytes: usize,
     next_seq: u64,
@@ -95,7 +95,7 @@ impl LeafStore<MemcachedEngine> {
                     lru: BTreeMap::new(),
                 })
                 .collect(),
-            items: FastMap::default(),
+            items: KeyTable::new(),
             capacity_bytes,
             used_bytes: 0,
             next_seq: 0,
@@ -119,7 +119,7 @@ impl MemcachedEngine {
     }
 
     fn take(&mut self, key: ExternalKey) -> Option<Item> {
-        let item = self.items.remove(&key.raw())?;
+        let item = self.items.remove(key)?;
         self.classes[item.class].lru.remove(&item.lru_seq);
         self.used_bytes -= self.classes[item.class].chunk_size;
         Some(item)
@@ -155,19 +155,19 @@ impl StorageEngine for MemcachedEngine {
             class,
             lru_seq,
         };
-        self.items.insert(key.raw(), item);
+        self.items.insert(key, item);
         self.classes[class].lru.insert(lru_seq, key);
         self.used_bytes += chunk;
         Ok(())
     }
 
     fn peek(&self, key: ExternalKey) -> Option<PageContents> {
-        self.items.get(&key.raw()).map(|item| item.value.clone())
+        self.items.get(key).map(|item| item.value.clone())
     }
 
     /// A hit moves the item to the warm end of its class's LRU.
     fn lookup(&mut self, key: ExternalKey) -> Option<PageContents> {
-        let item = self.items.get_mut(&key.raw())?;
+        let item = self.items.get_mut(key)?;
         let lru = &mut self.classes[item.class].lru;
         lru.remove(&item.lru_seq);
         item.lru_seq = self.next_seq;
@@ -185,11 +185,11 @@ impl StorageEngine for MemcachedEngine {
     }
 
     fn contains(&self, key: ExternalKey) -> bool {
-        self.items.contains_key(&key.raw())
+        self.items.get(key).is_some()
     }
 
     fn partition_keys(&self, partition: PartitionId) -> Vec<ExternalKey> {
-        ExternalKey::sorted_in_partition(self.items.keys().copied(), partition)
+        self.items.keys(partition)
     }
 }
 

@@ -2,10 +2,10 @@
 
 use fluidmem_coord::PartitionId;
 use fluidmem_mem::{PageContents, PAGE_SIZE};
-use fluidmem_sim::{FastMap, SimClock, SimDuration, SimRng};
+use fluidmem_sim::{SimClock, SimDuration, SimRng};
 
 use crate::error::KvError;
-use crate::key::ExternalKey;
+use crate::key::{ExternalKey, KeyTable};
 use crate::leaf::{LeafStore, StorageEngine};
 use crate::stats::StoreCounters;
 use crate::transport::TransportModel;
@@ -42,7 +42,7 @@ impl Segment {
 }
 
 /// A log-structured, DRAM-resident store in the style of RAMCloud
-/// (Ousterhout et al.): an append-only segmented log, a hash-table index,
+/// (Ousterhout et al.): an append-only segmented log, an index,
 /// a segment cleaner that compacts dead space, and a batched
 /// `multiWrite` — the store the paper gives 25 GB of memory on a
 /// separate server (§VI-A).
@@ -73,7 +73,8 @@ pub type RamCloudStore = LeafStore<RamCloudEngine>;
 #[derive(Debug)]
 pub struct RamCloudEngine {
     segments: Vec<Segment>,
-    index: FastMap<u64, (u32, u32)>,
+    /// Each live key's record: (segment, position in it).
+    index: KeyTable<(u32, u32)>,
     capacity_records: usize,
     records_per_segment: usize,
     live_records: usize,
@@ -98,7 +99,7 @@ impl LeafStore<RamCloudEngine> {
         let capacity_records = (capacity_bytes / RECORD_BYTES).max(1);
         let engine = RamCloudEngine {
             segments: vec![Segment::default()],
-            index: FastMap::default(),
+            index: KeyTable::new(),
             capacity_records,
             records_per_segment: (SEGMENT_BYTES / RECORD_BYTES)
                 .min(capacity_records.div_ceil(MIN_SEGMENTS))
@@ -139,13 +140,14 @@ impl RamCloudEngine {
         segment.records.len() >= self.records_per_segment
     }
 
-    /// Rebuilds the index from the live records of the log.
+    /// Rebuilds the index from the live records of the log, in the
+    /// index's own storage.
     fn reindex(&mut self) {
         self.index.clear();
         for (si, seg) in self.segments.iter().enumerate() {
             for (ri, rec) in seg.records.iter().enumerate() {
                 if rec.live {
-                    self.index.insert(rec.key.raw(), (si as u32, ri as u32));
+                    self.index.insert(rec.key, (si as u32, ri as u32));
                 }
             }
         }
@@ -171,7 +173,7 @@ impl RamCloudEngine {
         let seg = self.segments.len() - 1;
         let head = &mut self.segments[seg];
         self.index
-            .insert(key.raw(), (seg as u32, head.records.len() as u32));
+            .insert(key, (seg as u32, head.records.len() as u32));
         head.records.push(LogRecord {
             key,
             value,
@@ -236,7 +238,7 @@ impl StorageEngine for RamCloudEngine {
     }
 
     fn peek(&self, key: ExternalKey) -> Option<PageContents> {
-        let &(seg, idx) = self.index.get(&key.raw())?;
+        let &(seg, idx) = self.index.get(key)?;
         Some(
             self.segments[seg as usize].records[idx as usize]
                 .value
@@ -249,7 +251,7 @@ impl StorageEngine for RamCloudEngine {
     /// cleaner drops dead ones — and the log space it occupies is
     /// counted in `RECORD_BYTES`, not by the payload it held.
     fn remove(&mut self, key: ExternalKey) -> bool {
-        let Some((seg, idx)) = self.index.remove(&key.raw()) else {
+        let Some((seg, idx)) = self.index.remove(key) else {
             return false;
         };
         let segment = &mut self.segments[seg as usize];
@@ -267,11 +269,11 @@ impl StorageEngine for RamCloudEngine {
     }
 
     fn contains(&self, key: ExternalKey) -> bool {
-        self.index.contains_key(&key.raw())
+        self.index.get(key).is_some()
     }
 
     fn partition_keys(&self, partition: PartitionId) -> Vec<ExternalKey> {
-        ExternalKey::sorted_in_partition(self.index.keys().copied(), partition)
+        self.index.keys(partition)
     }
 }
 

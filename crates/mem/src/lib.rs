@@ -5,7 +5,8 @@
 //! subsystem) are built on:
 //!
 //! * 4 KB pages with optional real contents ([`PageContents`]),
-//! * [`VirtAddr`]/[`Vpn`] virtual addressing and typed [`Region`]s,
+//! * [`VirtAddr`]/[`Vpn`] virtual addressing, typed [`Region`]s, and
+//!   [`PageArray`], the dense table every per-page map is built on,
 //! * page-table entries with [`PteFlags`] and a per-process [`PageTable`],
 //! * host [`PhysicalMemory`] (frame allocator + frame contents),
 //! * a [`TlbModel`] charging flush / shootdown-IPI costs, and
@@ -24,6 +25,7 @@ mod addr;
 mod backend;
 mod frame;
 mod page;
+mod page_array;
 mod page_class;
 mod page_table;
 mod pte;
@@ -33,6 +35,7 @@ pub use addr::{Region, VirtAddr, Vpn};
 pub use backend::{AccessCounters, AccessOutcome, AccessReport, CapacityError, MemoryBackend};
 pub use frame::{FrameId, PhysicalMemory};
 pub use page::{PageBuf, PageContents, PAGE_SIZE};
+pub use page_array::PageArray;
 pub use page_class::{PageClass, WritebackTarget};
 pub use page_table::{PageTable, PageTableEntry};
 pub use pte::PteFlags;

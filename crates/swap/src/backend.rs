@@ -154,7 +154,7 @@ impl SwapBackedMemory {
             frames: PhysicalMemory::new(dram),
             regions: BTreeMap::new(),
             next_vpn: FIRST_VPN.raw(),
-            pages: Pages::new(FIRST_VPN),
+            pages: Pages::default(),
             lru: TwoListLru::default(),
             swap_cache_order: VecDeque::new(),
             next_fs_block: 0,
@@ -517,7 +517,8 @@ impl MemoryBackend for SwapBackedMemory {
         let region = Region::new(Vpn::new(self.next_vpn), pages, class);
         // Leave a guard gap between regions.
         self.next_vpn += pages + 16;
-        self.pages.extend_to(Vpn::new(self.next_vpn));
+        self.pages.slot_mut(region.start());
+        self.pages.slot_mut(Vpn::new(self.next_vpn - 1));
         self.regions.insert(region.start().raw(), region);
         region
     }

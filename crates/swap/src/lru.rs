@@ -123,8 +123,8 @@ mod tests {
     /// An LRU tracking pages `0..n`, inserted in order, over their
     /// descriptors.
     fn lru_of(n: u64) -> (TwoListLru, Pages) {
-        let mut pages = Pages::new(v(0));
-        pages.extend_to(v(16));
+        let mut pages = Pages::default();
+        pages.slot_mut(v(15));
         let mut lru = TwoListLru::default();
         for p in 0..n {
             lru.insert(&mut pages, v(p));

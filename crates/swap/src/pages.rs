@@ -1,8 +1,6 @@
 //! The swap backend's per-page descriptors.
 
-use std::ops::{Index, IndexMut};
-
-use fluidmem_mem::{FrameId, Vpn};
+use fluidmem_mem::{FrameId, PageArray};
 use fluidmem_sim::SimInstant;
 
 use crate::lru::ListKind;
@@ -39,14 +37,19 @@ pub(crate) struct PageDesc {
     pub(crate) lru: Option<ListKind>,
 }
 
-impl PageDesc {
-    const UNTOUCHED: PageDesc = PageDesc {
-        slot: NONE,
-        fs_block: NONE,
-        location: Location::Resident,
-        lru: None,
-    };
+/// An untouched page.
+impl Default for PageDesc {
+    fn default() -> Self {
+        PageDesc {
+            slot: NONE,
+            fs_block: NONE,
+            location: Location::Resident,
+            lru: None,
+        }
+    }
+}
 
+impl PageDesc {
     /// The page's swap slot, if it owns one.
     pub(crate) fn slot(&self) -> Option<u64> {
         (self.slot != NONE).then_some(u64::from(self.slot))
@@ -73,39 +76,5 @@ impl PageDesc {
     }
 }
 
-/// The descriptors of every mapped page, indexed by `vpn − first`.
-#[derive(Debug)]
-pub(crate) struct Pages {
-    first: u64,
-    descs: Vec<PageDesc>,
-}
-
-impl Pages {
-    /// An empty array whose pages will start at `first`.
-    pub(crate) fn new(first: Vpn) -> Self {
-        Pages {
-            first: first.raw(),
-            descs: Vec::new(),
-        }
-    }
-
-    /// Extends the array with untouched pages up to (not including) `end`.
-    pub(crate) fn extend_to(&mut self, end: Vpn) {
-        let len = (end.raw() - self.first) as usize;
-        self.descs.resize(len, PageDesc::UNTOUCHED);
-    }
-}
-
-impl Index<Vpn> for Pages {
-    type Output = PageDesc;
-
-    fn index(&self, vpn: Vpn) -> &PageDesc {
-        &self.descs[(vpn.raw() - self.first) as usize]
-    }
-}
-
-impl IndexMut<Vpn> for Pages {
-    fn index_mut(&mut self, vpn: Vpn) -> &mut PageDesc {
-        &mut self.descs[(vpn.raw() - self.first) as usize]
-    }
-}
+/// The descriptors of every mapped page.
+pub(crate) type Pages = PageArray<PageDesc>;

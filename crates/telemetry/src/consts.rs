@@ -47,13 +47,12 @@ pub const HOST_VM_CAPACITY_PAGES: &str = "fluidmem_host_vm_capacity_pages";
 /// signal the `slo_guarded` arbiter policy throttles on.
 pub const HOST_SLO_VIOLATIONS: &str = "fluidmem_host_slo_violations_total";
 
-/// Slab nodes allocated by the monitor's LRU buffer, live + free-listed
-/// (gauge): the structure's standing memory footprint.
-pub const LRU_SLAB_NODES: &str = "fluidmem_lru_slab_nodes";
+/// Slots in the page array of the monitor's LRU buffer (gauge): the
+/// structure's standing memory footprint, 8 bytes a slot.
+pub const LRU_ARRAY_SLOTS: &str = "fluidmem_lru_array_slots";
 
-/// Bitmap chunks allocated by the monitor's page tracker (gauge), each
-/// covering a 4096-page window.
-pub const TRACKER_CHUNKS: &str = "fluidmem_tracker_chunks";
+/// Words in the page tracker's bitmap (gauge), each covering 64 pages.
+pub const TRACKER_BITMAP_WORDS: &str = "fluidmem_tracker_bitmap_words";
 
 /// Operations currently parked in the monitor's in-flight table (gauge):
 /// the pipeline's live occupancy, bounded by the configured depth.

@@ -274,10 +274,10 @@ const LINTS: &[Lint] = &[
         fix: "outputs are compared byte for byte: sort first, use a BTreeMap, or mark the use" },
     Lint { name: "default-hasher maps on the per-page paths",
         roots: "crates/mem/src crates/core/src crates/uffd/src crates/block/src crates/swap/src \
-                crates/kv/src/ramcloud.rs crates/kv/src/memcached.rs",
+                crates/kv/src/ramcloud.rs crates/kv/src/memcached.rs crates/kv/src/dram.rs",
         marker: Some("lint: cold-path"), exempt: Exempt::CommentsAndTests,
-        hit: |l| any(l, "HashMap|HashSet"),
-        fix: "SipHash cost a fifth of host time (DESIGN.md §17): use FastMap/FastSet, or mark it" },
+        hit: |l| any(l, "HashMap|HashSet|FastMap<Vpn|FastSet<Vpn"),
+        fix: "hashing cost host time (DESIGN.md §17): key pages by PageArray, else FastMap, or mark it" },
     Lint { name: "depth is a bound, not a mode",
         roots: "crates/core/src crates/host/src crates/vm/src",
         marker: Some("lint: depth-bound"), exempt: Exempt::CommentsAndTests,
@@ -486,6 +486,11 @@ mod tests {
             "tests.rs is test code"
         );
         assert!(flagged(name, "crates/kv/src/memcached.rs", hit));
+        for hit in ["index: FastMap<Vpn, u32>,", "let s: FastSet<Vpn> = x;"] {
+            assert!(flagged(name, "crates/kv/src/dram.rs", hit), "{hit}");
+        }
+        let keyed = "m: FastMap<ExternalKey, u32>,";
+        assert!(!flagged(name, "crates/core/src/tier.rs", keyed));
     }
 
     #[test]
