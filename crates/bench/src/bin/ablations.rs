@@ -1,16 +1,6 @@
-//! Design-choice ablations beyond the paper's tables, covering the
-//! decisions DESIGN.md calls out:
-//!
-//! 1. **Write-list batch size & stealing** (§V-B): batch-size sweep
-//!    showing flush amortization and the page-steal hit rate.
-//! 2. **`UFFD_REMAP` vs `UFFD_COPY` eviction** (§V-B zero-copy
-//!    discussion): remap avoids the 4 KB copy but pays TLB shootdowns.
-//! 3. **LRU reordering** (§V-A's "future optimization"): the
-//!    `ScanReferenced` policy closes part of the Figure 4c gap against
-//!    kswapd's aging.
-//! 4. **Virtual-partition table throughput** (§IV): concurrent VM
-//!    registration against the replicated coordination service,
-//!    including a leader failover mid-burst.
+//! Eight design-choice ablations beyond the paper's tables, one output
+//! section each. EXPERIMENTS.md "Ablations beyond the paper" lists them
+//! and reads each result against the paper's text.
 
 use fluidmem_bench::{banner, f2, pct, HarnessArgs, TextTable};
 use fluidmem_coord::{CoordCluster, PartitionId, PartitionTable, VmIdentity};

@@ -644,7 +644,7 @@ mod tests {
         vm.unregister_region(&r);
         assert_eq!(vm.resident_pages(), 0);
         assert_eq!(vm.monitor().seen_pages(), 0);
-        assert!(vm.monitor().store().is_empty());
+        assert_eq!(vm.monitor().store().len(), 0);
     }
 
     #[test]
@@ -669,8 +669,8 @@ mod tests {
         // Identical vpn range, different partition => different keys.
         let key_p1 = fluidmem_kv::ExternalKey::new(r.page(0).vpn(), PartitionId::new(1));
         let key_p2 = fluidmem_kv::ExternalKey::new(r.page(0).vpn(), PartitionId::new(2));
-        assert!(vm_a.monitor().store().contains(key_p1));
-        assert!(!vm_a.monitor().store().contains(key_p2));
+        assert!(vm_a.monitor().store().peek(key_p1).is_some());
+        assert!(vm_a.monitor().store().peek(key_p2).is_none());
     }
 
     #[test]

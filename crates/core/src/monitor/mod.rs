@@ -570,7 +570,7 @@ impl Monitor {
             let resident = self.lru.contains(vpn);
             let pooled = self.tier.contains(key);
             let pending = self.write_list.is_tracked(key);
-            if !resident && !pooled && !pending && !self.store.contains(key) {
+            if !resident && !pooled && !pending && self.store.peek(key).is_none() {
                 lost_pages += 1;
             }
             if pooled && (resident || pending) {

@@ -471,7 +471,7 @@ fn sync_eviction_writes_retry_instead_of_panicking() {
         "{:?}",
         r.monitor.stats()
     );
-    assert!(!r.monitor.store().is_empty(), "the eviction must land");
+    assert!(r.monitor.store().len() > 0, "the eviction must land");
 }
 
 #[test]
@@ -562,7 +562,8 @@ fn remove_region_spares_siblings_on_the_shared_partition() {
     assert!(r
         .monitor
         .store()
-        .contains(ExternalKey::new(b.start(), PartitionId::new(0))));
+        .peek(ExternalKey::new(b.start(), PartitionId::new(0)))
+        .is_some());
     let res = fault(&mut r, 8, false);
     assert_eq!(res.resolution, Resolution::RemoteRead);
     assert_eq!(r.monitor.stats().lost_pages, 0);

@@ -10,10 +10,10 @@
 //! # Live partition migration
 //!
 //! Moving a partition from `source` to `target` runs in three phases,
-//! modeled on the background reclaimer (DESIGN.md §13): the copier's CPU
-//! time accrues on a **private timeline** (`cursor`) and its activations
-//! ride a completion [`EventQueue`], so the fault pipeline never waits on
-//! a copy batch.
+//! modeled on the evictor of DESIGN.md "Background reclaim": the
+//! copier's CPU time accrues on a **private timeline** (`cursor`) and its
+//! activations ride a completion [`EventQueue`], so the fault pipeline
+//! never waits on a copy batch.
 //!
 //! 1. **Snapshot copy** — [`start_migration`](ClusterStore::start_migration)
 //!    snapshots the partition's key list (an uncharged maintenance read)
@@ -176,7 +176,7 @@ pub struct ClusterStore {
     migrations: FastMap<u16, Migration>,
     /// Copier activations, by partition: one per copying migration.
     activations: EventQueue<u16>,
-    /// The copier's private timeline (DESIGN.md §13 pattern).
+    /// The copier's private timeline, as the evictor's in DESIGN.md "Background reclaim".
     cursor: SimInstant,
     batch_pages: usize,
     transport: TransportModel,
@@ -558,7 +558,7 @@ impl ClusterStore {
                     let mut holders = 0usize;
                     let mut on_owner = false;
                     for node in &self.nodes {
-                        if !node.store.contains(key) {
+                        if node.store.peek(key).is_none() {
                             continue;
                         }
                         if node.id == owner_id {
@@ -980,17 +980,6 @@ impl KeyValueStore for ClusterStore {
 
     fn len(&self) -> usize {
         self.nodes.iter().map(|n| n.store.len()).sum()
-    }
-
-    fn contains(&self, key: ExternalKey) -> bool {
-        match self.owner_of(key.partition()) {
-            Some(id) => self
-                .nodes
-                .iter()
-                .find(|n| n.id == id)
-                .is_some_and(|n| n.store.contains(key)),
-            None => false,
-        }
     }
 
     fn partition_keys(&self, partition: PartitionId) -> Vec<ExternalKey> {

@@ -415,7 +415,7 @@ impl KeyValueStore for CompressedStore {
     }
 
     forward!(self, self.inner, self.inner; delete begin_get finish_write drop_partition len
-        contains partition_keys expunge stats instrument);
+        partition_keys expunge stats instrument);
 }
 
 impl std::fmt::Debug for CompressedStore {

@@ -60,8 +60,8 @@ fn conformance(make: impl Fn(&SimClock) -> Box<dyn KeyValueStore>) {
 
     // `drop_partition` is scoped.
     assert_eq!(s.drop_partition(PartitionId::new(3)), 4);
-    assert!(listed.iter().all(|&k| !s.contains(k)));
-    assert!((10..26).all(|i| s.contains(key(i, 4))));
+    assert!(listed.iter().all(|&k| s.peek(k).is_none()));
+    assert!((10..26).all(|i| s.peek(key(i, 4)).is_some()));
     assert_eq!(s.len(), 16);
 
     maintenance_is_free(&make);

@@ -25,7 +25,7 @@ use crate::transport::TransportModel;
 /// let mut store = DramStore::new(16 << 20, SimClock::new(), SimRng::seed_from_u64(1));
 /// let key = ExternalKey::new(Vpn::new(1), PartitionId::new(0));
 /// store.put(key, PageContents::Token(1))?;
-/// assert!(store.contains(key));
+/// assert_eq!(store.get(key)?, PageContents::Token(1));
 /// # Ok::<(), fluidmem_kv::KvError>(())
 /// ```
 pub type DramStore = LeafStore<DramEngine>;
@@ -77,10 +77,6 @@ impl StorageEngine for DramEngine {
 
     fn len(&self) -> usize {
         self.map.len()
-    }
-
-    fn contains(&self, key: ExternalKey) -> bool {
-        self.map.get(key).is_some()
     }
 
     fn partition_keys(&self, partition: PartitionId) -> Vec<ExternalKey> {

@@ -268,7 +268,7 @@ impl KeyValueStore for FaultInjectingStore {
     // (a copier's private channel), so it is not faultable and consumes
     // no fault-plan decisions.
     forward!(self, self.inner, self.inner; delete finish_get finish_write drop_partition len
-        contains partition_keys peek ingest expunge);
+        partition_keys peek ingest expunge);
 
     fn stats(&self) -> StoreStats {
         let mut stats = self.inner.stats();
@@ -340,7 +340,7 @@ mod tests {
         let t0 = clock.now();
         assert_eq!(s.put(key(1), PageContents::Token(7)), Err(KvError::Timeout));
         assert!(clock.now() - t0 >= s.deadline(), "deadline must elapse");
-        assert!(!s.contains(key(1)), "a dropped request never lands");
+        assert!(s.peek(key(1)).is_none(), "a dropped request never lands");
         assert_eq!(s.stats().timeouts, 1);
     }
 
@@ -399,7 +399,7 @@ mod tests {
             Err(KvError::Unavailable)
         );
         assert!(clock.now() - t0 < s.deadline() / 2, "refusals are fast");
-        assert!(!s.contains(key(1)));
+        assert!(s.peek(key(1)).is_none());
         assert_eq!(s.stats().unavailables, 1);
     }
 

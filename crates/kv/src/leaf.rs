@@ -24,7 +24,7 @@ use crate::transport::TransportModel;
 /// The in-memory half of a leaf store. Nothing here charges virtual time
 /// or draws randomness, which is what lets the migration copier's
 /// maintenance hooks reach the engine directly.
-#[allow(clippy::len_without_is_empty)] // `KeyValueStore::is_empty` derives it from `len`
+#[allow(clippy::len_without_is_empty)] // `len` sizes a store; nothing asks if it is empty
 pub trait StorageEngine {
     /// Short backend name (`"ramcloud"`, `"memcached"`, `"dram"`).
     const NAME: &'static str;
@@ -62,9 +62,6 @@ pub trait StorageEngine {
 
     /// Number of live objects.
     fn len(&self) -> usize;
-
-    /// Whether `key` is present.
-    fn contains(&self, key: ExternalKey) -> bool;
 
     /// Every key stored under `partition`, ascending.
     fn partition_keys(&self, partition: PartitionId) -> Vec<ExternalKey>;
@@ -201,10 +198,6 @@ impl<E: StorageEngine> KeyValueStore for LeafStore<E> {
 
     fn len(&self) -> usize {
         self.engine.len()
-    }
-
-    fn contains(&self, key: ExternalKey) -> bool {
-        self.engine.contains(key)
     }
 
     fn partition_keys(&self, partition: PartitionId) -> Vec<ExternalKey> {

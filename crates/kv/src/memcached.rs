@@ -184,10 +184,6 @@ impl StorageEngine for MemcachedEngine {
         self.items.len()
     }
 
-    fn contains(&self, key: ExternalKey) -> bool {
-        self.items.get(key).is_some()
-    }
-
     fn partition_keys(&self, partition: PartitionId) -> Vec<ExternalKey> {
         self.items.keys(partition)
     }
@@ -222,8 +218,8 @@ mod tests {
         s.get(key(1)).unwrap();
         s.put(key(4), PageContents::Token(4)).unwrap();
         assert_eq!(s.stats().evictions, 1);
-        assert!(s.contains(key(1)), "recently used item survived");
-        assert!(!s.contains(key(2)), "LRU item evicted");
+        assert!(s.peek(key(1)).is_some(), "recently used item survived");
+        assert!(s.peek(key(2)).is_none(), "LRU item evicted");
         assert!(matches!(s.get(key(2)), Err(KvError::NotFound(_))));
     }
 

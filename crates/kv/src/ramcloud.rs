@@ -268,10 +268,6 @@ impl StorageEngine for RamCloudEngine {
         self.index.len()
     }
 
-    fn contains(&self, key: ExternalKey) -> bool {
-        self.index.get(key).is_some()
-    }
-
     fn partition_keys(&self, partition: PartitionId) -> Vec<ExternalKey> {
         self.index.keys(partition)
     }

@@ -307,13 +307,6 @@ impl KeyValueStore for ReplicatedStore {
             .unwrap_or(0)
     }
 
-    fn contains(&self, key: ExternalKey) -> bool {
-        self.replicas
-            .iter()
-            .zip(&self.alive)
-            .any(|(r, &alive)| alive && r.contains(key))
-    }
-
     fn partition_keys(&self, partition: PartitionId) -> Vec<ExternalKey> {
         self.first_alive()
             .map(|i| self.replicas[i].partition_keys(partition))
@@ -420,8 +413,8 @@ mod tests {
         let clock = SimClock::new();
         let mut s = two_replica(&clock);
         s.put(key(1), PageContents::Token(1)).unwrap();
-        assert!(s.replicas[0].contains(key(1)));
-        assert!(s.replicas[1].contains(key(1)));
+        assert!(s.replicas[0].peek(key(1)).is_some());
+        assert!(s.replicas[1].peek(key(1)).is_some());
     }
 
     #[test]
@@ -451,7 +444,7 @@ mod tests {
         assert_eq!(s.get(key(2)).unwrap(), PageContents::Token(2));
         assert_eq!(s.failovers(), 1);
         assert_eq!(s.repairs(), 1);
-        assert!(s.replicas[0].contains(key(2)), "repaired in place");
+        assert!(s.replicas[0].peek(key(2)).is_some(), "repaired in place");
         // Subsequent reads are served by the primary again.
         assert_eq!(s.get(key(2)).unwrap(), PageContents::Token(2));
         assert_eq!(s.failovers(), 1);
@@ -498,8 +491,8 @@ mod tests {
         let mut s = ReplicatedStore::new(vec![Box::new(a), Box::new(b)]);
         s.put(key(1), PageContents::Token(1)).unwrap();
         assert!(s.delete(key(1)));
-        assert!(!s.replicas[0].contains(key(1)));
-        assert!(!s.replicas[1].contains(key(1)));
+        assert!(s.replicas[0].peek(key(1)).is_none());
+        assert!(s.replicas[1].peek(key(1)).is_none());
     }
 
     #[test]
@@ -569,7 +562,10 @@ mod tests {
         s.recover_replica(0);
         assert!(matches!(s.get(key(1)), Err(KvError::NotFound(_))));
         assert_eq!(s.stale_keys(), 0, "stale mark must drain");
-        assert!(!s.replicas[0].contains(key(1)), "delete repaired through");
+        assert!(
+            s.replicas[0].peek(key(1)).is_none(),
+            "delete repaired through"
+        );
         // Healed: reads keep missing without touching the mirror.
         assert!(matches!(s.get(key(1)), Err(KvError::NotFound(_))));
     }
@@ -628,10 +624,13 @@ mod tests {
         s.multi_write(vec![(key(1), PageContents::Token(1))])
             .unwrap();
         assert_eq!(s.failovers(), 1);
-        assert!(s.replicas[1].contains(key(1)), "mirror took the batch");
+        assert!(
+            s.replicas[1].peek(key(1)).is_some(),
+            "mirror took the batch"
+        );
         // A transient refusal never applies the write on the primary; the
         // data survives on the mirror and heals via read-repair later.
-        assert!(!s.replicas[0].contains(key(1)));
+        assert!(s.replicas[0].peek(key(1)).is_none());
         assert_eq!(s.get(key(1)).unwrap(), PageContents::Token(1));
         assert_eq!(s.repairs(), 1);
     }

@@ -1,12 +1,13 @@
 //! A consistent-hash ring mapping partitions to store nodes.
 //!
-//! The cluster layer (§ DESIGN.md 15) shards a host's remote memory
-//! across N store nodes. Partition placement must be *stable* — adding
-//! or removing a node may only move the partitions whose arc changed,
-//! never reshuffle the whole table — so routing uses the classic
-//! consistent-hash construction: every node contributes a fixed number
-//! of *virtual nodes* (points on a 64-bit ring), and a partition homes
-//! at the first point clockwise of its own hash.
+//! The cluster layer (DESIGN.md "Sharded cluster and live migration")
+//! shards a host's remote memory across N store nodes. Partition
+//! placement must be *stable* — adding or removing a node may only move
+//! the partitions whose arc changed, never reshuffle the whole table —
+//! so routing uses the classic consistent-hash construction: every node
+//! contributes a fixed number of *virtual nodes* (points on a 64-bit
+//! ring), and a partition homes at the first point clockwise of its own
+//! hash.
 //!
 //! Hashing is FNV-1a, the same deterministic function the coordination
 //! service's [`PartitionTable`](fluidmem_coord::PartitionTable) uses for

@@ -103,9 +103,9 @@ mod tests {
         let mut b = shared.handle();
         let key = ExternalKey::new(Vpn::new(3), PartitionId::new(1));
         a.put(key, PageContents::Token(42)).unwrap();
-        assert!(b.contains(key));
+        assert!(b.peek(key).is_some());
         assert!(b.delete(key));
-        assert!(!a.contains(key));
+        assert!(a.peek(key).is_none());
     }
 
     #[test]

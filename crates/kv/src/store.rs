@@ -26,6 +26,7 @@ use crate::stats::StoreStats;
 /// Implementations are single-writer (the monitor) in this reproduction;
 /// multiple VMs share a store through distinct
 /// [`partition`](ExternalKey::partition)s.
+#[allow(clippy::len_without_is_empty)] // `len` sizes a store; nothing asks if it is empty
 pub trait KeyValueStore {
     /// Short backend name (`"ramcloud"`, `"memcached"`, `"dram"`).
     fn name(&self) -> &'static str;
@@ -95,30 +96,18 @@ pub trait KeyValueStore {
     /// Number of live objects.
     fn len(&self) -> usize;
 
-    /// Whether the store holds no objects.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Test hook: whether a key is present, without charging time.
-    fn contains(&self, key: ExternalKey) -> bool;
-
     /// Maintenance hook: every key currently stored under `partition`,
     /// sorted ascending so callers iterate deterministically. Charges no
     /// virtual time — this is the snapshot a cluster migration copier
-    /// takes, off the fault path. The default (for simple test doubles)
-    /// reports nothing.
-    fn partition_keys(&self, _partition: fluidmem_coord::PartitionId) -> Vec<ExternalKey> {
-        Vec::new()
-    }
+    /// takes, off the fault path.
+    fn partition_keys(&self, partition: fluidmem_coord::PartitionId) -> Vec<ExternalKey>;
 
     /// Maintenance hook: the current value of a key, without charging
     /// time or consuming randomness. The migration copier reads pages
     /// through this so a background copy never advances the shared
     /// clock; transfer time is accounted on the copier's own timeline.
-    fn peek(&self, _key: ExternalKey) -> Option<PageContents> {
-        None
-    }
+    /// Audits ask `peek(key).is_some()` for presence.
+    fn peek(&self, key: ExternalKey) -> Option<PageContents>;
 
     /// Maintenance hook: installs a value without charging time (the
     /// receiving side of a migration copy).
@@ -144,9 +133,8 @@ pub trait KeyValueStore {
 
     /// Registers this store's live counters in `registry` (see
     /// [`StoreCounters::register`](crate::StoreCounters::register)).
-    /// Wrapper stores forward to what they wrap; the default is a no-op
-    /// so simple test doubles need not care.
-    fn instrument(&mut self, _registry: &Registry) {}
+    /// Wrapper stores forward to what they wrap.
+    fn instrument(&mut self, registry: &Registry);
 }
 
 /// Writes the pass-through methods of a [`KeyValueStore`] that wraps
@@ -157,7 +145,7 @@ pub trait KeyValueStore {
 macro_rules! forward {
     ($s:ident, $r:expr, $m:expr; all) => {
         forward!($s, $r, $m; name put delete begin_get finish_get begin_multi_write
-            finish_write drop_partition len contains partition_keys peek ingest expunge
+            finish_write drop_partition len partition_keys peek ingest expunge
             stats instrument);
     };
     ($s:ident, $r:expr, $m:expr; $($method:ident)+) => {
@@ -216,11 +204,6 @@ macro_rules! forward {
     (@len $s:ident, $r:expr, $m:expr) => {
         fn len(&$s) -> usize {
             $r.len()
-        }
-    };
-    (@contains $s:ident, $r:expr, $m:expr) => {
-        fn contains(&$s, key: $crate::ExternalKey) -> bool {
-            $r.contains(key)
         }
     };
     (@partition_keys $s:ident, $r:expr, $m:expr) => {

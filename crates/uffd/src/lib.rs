@@ -16,8 +16,8 @@
 //! This crate reproduces that API surface over the [`fluidmem_mem`]
 //! substrate, with per-operation virtual-time costs calibrated to the
 //! paper's Table I. The real kernel feature cannot be used in this
-//! reproduction environment; see `DESIGN.md` for the substitution
-//! rationale.
+//! reproduction environment; DESIGN.md "Reproduction strategy" gives the
+//! substitution rationale.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

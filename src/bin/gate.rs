@@ -101,8 +101,8 @@ const STEPS: &[Step] = &[
         }
         Ok(())
     }),
-    // The reproduction's record: a change that moves it regenerates it
-    // with a diff table in EXPERIMENTS.md, or it is a regression.
+    // The reproduction's record: a change that moves it regenerates it and
+    // EXPERIMENTS.md "Experiments — paper vs. measured", or it is a regression.
     ("paper-shape outputs", |_, tmp| {
         let json = tmp.join("BENCH_scaling.json");
         std::thread::scope(|s| {
@@ -277,7 +277,7 @@ const LINTS: &[Lint] = &[
                 crates/kv/src/ramcloud.rs crates/kv/src/memcached.rs crates/kv/src/dram.rs",
         marker: Some("lint: cold-path"), exempt: Exempt::CommentsAndTests,
         hit: |l| any(l, "HashMap|HashSet|FastMap<Vpn|FastSet<Vpn"),
-        fix: "hashing cost host time (DESIGN.md §17): key pages by PageArray, else FastMap, or mark it" },
+        fix: "hashing cost host time (DESIGN.md \"Host cost\"): key pages by PageArray, else FastMap, or mark it" },
     Lint { name: "depth is a bound, not a mode",
         roots: "crates/core/src crates/host/src crates/vm/src",
         marker: Some("lint: depth-bound"), exempt: Exempt::CommentsAndTests,
@@ -292,12 +292,12 @@ const LINTS: &[Lint] = &[
         roots: "crates src tests examples !crates/core/src/monitor/pipeline.rs",
         marker: None, exempt: Exempt::CommentsAndTestsIn("crates/sim/src"),
         hit: |l| l.contains("on_timeline") && !l.contains("pub fn on_timeline"),
-        fix: "a timeline the guest clock never sees: use the monitor's wrapper (§12)" },
+        fix: "a timeline the guest clock never sees: use the monitor's wrapper (DESIGN.md \"Fault engine\")" },
     Lint { name: "the clock has one writer",
         roots: "crates/sim/src/clock.rs",
         marker: None, exempt: Exempt::CommentsAndTests,
         hit: |l| any(l, "fetch_add|fetch_sub|fetch_update|compare_exchange|swap("),
-        fix: "a world runs on one thread: use a relaxed load and store (DESIGN.md §17)" },
+        fix: "a world runs on one thread: use a relaxed load and store (DESIGN.md \"Host cost\")" },
     Lint { name: "no timeline is passed by hand",
         roots: "crates/core/src crates/uffd/src",
         marker: None, exempt: Exempt::CommentsAndTests,
@@ -314,7 +314,7 @@ const LINTS: &[Lint] = &[
         hit: |l| any(l, "scan_runs(|.stored_len(") || l.match_indices("rle_len(").any(|(i, _)| {
             !l[..i].ends_with(|c: char| c.is_ascii_lowercase() || c == '_')
         }),
-        fix: "a PageBuf remembers its size (DESIGN.md §16): call stored_page_size, or mark it" },
+        fix: "a PageBuf remembers its size (DESIGN.md \"Compressed tier\"): call stored_page_size, or mark it" },
     Lint { name: "durations are recorded as durations",
         roots: "crates src examples !crates/sim/src/stats.rs",
         marker: Some("lint: raw-sample"), exempt: Exempt::CommentsAndTests,
@@ -322,7 +322,7 @@ const LINTS: &[Lint] = &[
             let first_arg = l[i + m.len()..].split(',').next().unwrap_or_default();
             first_arg.contains(".as_micros_f64())")
         }),
-        fix: "a float moves a Sample to its 8-byte store (§10): call record_duration, or mark it" },
+        fix: "a float moves a Sample to its 8-byte store (DESIGN.md \"Telemetry\"): call record_duration, or mark it" },
 ];
 
 /// Whether `line` contains any of the `|`-separated `patterns`.

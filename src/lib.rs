@@ -8,8 +8,10 @@
 //! configurations (FluidMem over DRAM / RAMCloud / Memcached, swap over
 //! DRAM / NVMeoF / SSD) exactly as the paper's §VI test platform does.
 //!
-//! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for
-//! paper-vs-measured results.
+//! README.md maps each of the paper's tables and figures to the command
+//! that regenerates it. DESIGN.md "Crates" is the system inventory, and
+//! EXPERIMENTS.md "Experiments — paper vs. measured" sets every result
+//! against the paper.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
