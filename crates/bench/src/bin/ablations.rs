@@ -465,7 +465,7 @@ fn ablation_modern_zram(args: &HarnessArgs) {
 }
 
 fn main() {
-    let args = HarnessArgs::parse(1);
+    let args = HarnessArgs::parse(1, &[]);
     ablation_batch_size(&args);
     ablation_eviction_mechanism(&args);
     ablation_lru_policy(&args);

@@ -22,7 +22,7 @@ fn dump_spans(telemetry: &Telemetry, heading: &str) {
 }
 
 fn main() {
-    let args = HarnessArgs::parse(1);
+    let args = HarnessArgs::parse(1, &[]);
     banner(
         "Figure 2: page-fault handling trace",
         "critical path (ends at wake) and asynchronous eviction/writeback",

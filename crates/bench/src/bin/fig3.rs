@@ -13,7 +13,7 @@ use fluidmem_sim::{SimDuration, SimRng};
 use fluidmem_workloads::pmbench::{self, PmbenchConfig};
 
 fn main() {
-    let args = HarnessArgs::parse(64);
+    let args = HarnessArgs::parse(64, &["--scale", "--json"]);
     let testbed = Testbed::scaled_down(args.scale_denominator);
     let config = PmbenchConfig {
         // Paper: 4 GB WSS over 1 GB local DRAM (4x overcommit).

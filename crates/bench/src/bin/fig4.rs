@@ -36,7 +36,7 @@ fn wss_pages(config: &Graph500Config, graph: &CsrGraph) -> u64 {
 }
 
 fn main() {
-    let args = HarnessArgs::parse(128);
+    let args = HarnessArgs::parse(128, &["--scale", "--json"]);
     let shift = 63 - args.scale_denominator.max(1).leading_zeros(); // log2
     let roots = if args.scale_denominator == 1 { 64 } else { 8 };
 

@@ -52,7 +52,7 @@ fn build_fluidmem(dram_pages: u64, store_bytes: usize, seed: u64) -> Box<dyn Mem
 }
 
 fn main() {
-    let args = HarnessArgs::parse(64);
+    let args = HarnessArgs::parse(64, &["--scale", "--json"]);
     let d = args.scale_denominator;
     let dram_pages = (262_144 / d).max(2048); // 1 GB local DRAM, scaled
     let os_denom = d;

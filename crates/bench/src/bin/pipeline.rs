@@ -45,7 +45,7 @@ struct Sizes {
 }
 
 fn main() {
-    let args = HarnessArgs::parse(1);
+    let args = HarnessArgs::parse(1, &["--smoke", "--json"]);
     let sizes = if args.smoke {
         Sizes {
             capacity: 256,

@@ -189,7 +189,7 @@ fn run_config(sizes: &Sizes, seed: u64, policy: PrefetchPolicy) -> RunResult {
 }
 
 fn main() {
-    let args = HarnessArgs::parse(1);
+    let args = HarnessArgs::parse(1, &["--smoke", "--json"]);
     let sizes = if args.smoke {
         Sizes {
             region_pages: 8192,

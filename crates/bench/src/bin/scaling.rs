@@ -575,7 +575,7 @@ fn faceoff(args: &HarnessArgs, dram: u64, interval: u64) {
 }
 
 fn main() {
-    let mut args = HarnessArgs::parse(1);
+    let mut args = HarnessArgs::parse(1, &["--smoke", "--big", "--cluster", "--json"]);
     let (dram, interval) = if args.smoke { (256, 128) } else { (2048, 512) };
     if args.big {
         // A separate mode with its own default JSON artifact. The file

@@ -16,7 +16,7 @@ use fluidmem_sim::{SimClock, SimRng};
 use fluidmem_telemetry::Telemetry;
 
 fn main() {
-    let args = HarnessArgs::parse(8);
+    let args = HarnessArgs::parse(8, &["--scale", "--trace"]);
     // Enough traffic for stable p99s; the code paths are size-independent.
     let faults = 400_000 / args.scale_denominator.max(1);
 

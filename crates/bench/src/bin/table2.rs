@@ -88,7 +88,7 @@ fn run_case(
 }
 
 fn main() {
-    let args = HarnessArgs::parse(8);
+    let args = HarnessArgs::parse(8, &["--scale"]);
     let faults = 60_000 / args.scale_denominator.max(1);
 
     banner(

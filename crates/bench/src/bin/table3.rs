@@ -53,7 +53,7 @@ fn revive(vm: &mut Vm) -> bool {
 }
 
 fn main() {
-    let args = HarnessArgs::parse(1);
+    let args = HarnessArgs::parse(1, &[]);
     banner(
         "Table III: reducing a VM's footprint toward one page",
         "booted CentOS-like guest (81042 pages); SSH timeout 10s, ICMP probe 1s",

@@ -174,7 +174,7 @@ fn opt_f2(v: Option<f64>) -> String {
 }
 
 fn main() {
-    let args = HarnessArgs::parse(1);
+    let args = HarnessArgs::parse(1, &["--smoke", "--json"]);
     let sizes = if args.smoke {
         Sizes {
             capacity: 96,

@@ -48,7 +48,7 @@ fn miss_rate(kind: BackendKind, wss_ratio: f64, seed: u64) -> f64 {
 }
 
 fn main() {
-    let args = HarnessArgs::parse(1);
+    let args = HarnessArgs::parse(1, &[]);
     banner(
         "Extension: deadline misses vs. remote working-set fraction",
         &format!(

@@ -256,7 +256,7 @@ fn faceoff(args: &HarnessArgs, sizes: &Sizes) {
 }
 
 fn main() {
-    let args = HarnessArgs::parse(1);
+    let args = HarnessArgs::parse(1, &["--smoke", "--json"]);
     let sizes = if args.smoke {
         Sizes {
             capacity: 128,

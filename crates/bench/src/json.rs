@@ -44,7 +44,7 @@ impl Json {
     }
 
     /// Serializes to a compact JSON string.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         self.write(&mut out);
         out
@@ -154,7 +154,7 @@ impl From<Vec<Json>> for Json {
 
 /// Writes a record to the path given by `--json` (if any), appending a
 /// newline (JSON-lines style, so sweeps can append multiple records).
-pub fn write_json_line(path: &std::path::Path, record: &Json) -> std::io::Result<()> {
+pub(crate) fn write_json_line(path: &std::path::Path, record: &Json) -> std::io::Result<()> {
     use std::io::Write as _;
     let mut file = std::fs::OpenOptions::new()
         .create(true)

@@ -14,10 +14,11 @@
 //! | `ablations` | eight design-choice studies beyond the paper |
 //! | `timeouts` | §VI-D1's closing remark: deadlines vs. disaggregation depth |
 //!
-//! All binaries accept `--scale <N>` (run at 1/N of the paper's sizes;
-//! each has a sensible default) and `--full` (paper-size run), and print
-//! aligned text tables plus gnuplot-ready CDF/series data where the
-//! figure needs it.
+//! Each binary names the flags it reads ([`HarnessArgs::parse`]); the
+//! paper-size harnesses take `--scale <N>` (run at 1/N of the paper's
+//! sizes; each has a sensible default) and `--full` (paper-size run).
+//! They print aligned text tables plus gnuplot-ready CDF/series data
+//! where the figure needs it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,56 +49,19 @@ pub struct HarnessArgs {
 }
 
 impl HarnessArgs {
-    /// Parses `--full`, `--scale <N>`, `--smoke`, `--big`, `--cluster`,
-    /// `--seed <N>`, `--json <file>` and `--trace <file>` from the
-    /// command line, using `default_denominator` when neither sizing
-    /// flag is given.
-    pub fn parse(default_denominator: u64) -> HarnessArgs {
-        let mut scale = default_denominator;
-        let (mut smoke, mut big, mut cluster) = (false, false, false);
-        let mut seed = 42;
-        let mut json_path = None;
-        let mut trace_path = None;
-        let argv: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < argv.len() {
-            match argv[i].as_str() {
-                "--full" => scale = 1,
-                "--smoke" => smoke = true,
-                "--big" => big = true,
-                "--cluster" => cluster = true,
-                "--scale" => {
-                    i += 1;
-                    scale = argv
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or(default_denominator);
-                }
-                "--seed" => {
-                    i += 1;
-                    seed = argv.get(i).and_then(|s| s.parse().ok()).unwrap_or(42);
-                }
-                "--json" => {
-                    i += 1;
-                    json_path = argv.get(i).map(PathBuf::from);
-                }
-                "--trace" => {
-                    i += 1;
-                    trace_path = argv.get(i).map(PathBuf::from);
-                }
-                other => eprintln!("ignoring unknown argument {other:?}"),
-            }
-            i += 1;
-        }
-        HarnessArgs {
-            scale_denominator: scale.max(1),
-            seed,
-            json_path,
-            trace_path,
-            smoke,
-            big,
-            cluster,
-        }
+    /// Parses the command line. Every harness takes `--seed <N>`; it
+    /// takes the other flags only where `reads` names them: `"--scale"`
+    /// admits `--scale <N>` and `--full` (`default_denominator` when
+    /// neither is given), and `--json <file>`, `--trace <file>`,
+    /// `--smoke`, `--big` and `--cluster` are admitted by their own
+    /// names. Any other argument, or a value that does not parse, ends
+    /// the run with exit status 2.
+    pub fn parse(default_denominator: u64, reads: &[&str]) -> HarnessArgs {
+        let argv: Vec<String> = std::env::args().skip(1).collect();
+        parse_args(&argv, default_denominator, reads).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
     }
 
     /// Writes the telemetry's Chrome trace when `--trace` was given.
@@ -120,6 +84,48 @@ impl HarnessArgs {
             }
         }
     }
+}
+
+/// [`HarnessArgs::parse`] over `argv` (the arguments after the
+/// program name).
+fn parse_args(
+    argv: &[String],
+    default_denominator: u64,
+    reads: &[&str],
+) -> Result<HarnessArgs, String> {
+    let mut args = HarnessArgs {
+        scale_denominator: default_denominator,
+        seed: 42,
+        json_path: None,
+        trace_path: None,
+        smoke: false,
+        big: false,
+        cluster: false,
+    };
+    let mut argv = argv.iter();
+    while let Some(flag) = argv.next() {
+        let name = if flag == "--full" { "--scale" } else { flag };
+        if name != "--seed" && !reads.contains(&name) {
+            return Err(format!("this harness takes no argument {flag:?}"));
+        }
+        let mut value = || argv.next().ok_or(format!("{flag} needs a value"));
+        let number = |v: &String| -> Result<u64, String> {
+            v.parse()
+                .map_err(|_| format!("{flag} {v:?} is not a number"))
+        };
+        match flag.as_str() {
+            "--full" => args.scale_denominator = 1,
+            "--scale" => args.scale_denominator = number(value()?)?.max(1),
+            "--seed" => args.seed = number(value()?)?,
+            "--json" => args.json_path = Some(PathBuf::from(value()?)),
+            "--trace" => args.trace_path = Some(PathBuf::from(value()?)),
+            "--smoke" => args.smoke = true,
+            "--big" => args.big = true,
+            "--cluster" => args.cluster = true,
+            _ => return Err(format!("unknown flag {flag:?} in the harness's list")),
+        }
+    }
+    Ok(args)
 }
 
 /// A plain-text table printer with aligned columns.
@@ -146,7 +152,7 @@ impl TextTable {
     }
 
     /// Renders the table.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let cols = self.headers.len();
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
@@ -207,6 +213,60 @@ pub fn banner(title: &str, detail: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(line: &str, reads: &[&str]) -> Result<HarnessArgs, String> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&argv, 8, reads)
+    }
+
+    #[test]
+    fn defaults_and_read_flags() {
+        let args = parse("", &[]).unwrap();
+        assert_eq!((args.scale_denominator, args.seed), (8, 42));
+        let args = parse("--scale 64 --seed 7 --json r.json", &["--scale", "--json"]).unwrap();
+        assert_eq!((args.scale_denominator, args.seed), (64, 7));
+        assert_eq!(args.json_path, Some(PathBuf::from("r.json")));
+        assert_eq!(parse("--full", &["--scale"]).unwrap().scale_denominator, 1);
+        assert_eq!(
+            parse("--scale 0", &["--scale"]).unwrap().scale_denominator,
+            1
+        );
+        let args = parse(
+            "--smoke --big --cluster",
+            &["--smoke", "--big", "--cluster"],
+        )
+        .unwrap();
+        assert!(args.smoke && args.big && args.cluster);
+        let args = parse("--trace t.json", &["--trace"]).unwrap();
+        assert_eq!(args.trace_path, Some(PathBuf::from("t.json")));
+    }
+
+    #[test]
+    fn flags_a_harness_does_not_read_are_refused() {
+        for (line, reads) in [
+            ("--json /tmp/x.json", &[][..]),
+            ("--trace /tmp/t.json", &["--scale"][..]),
+            ("--full", &["--json"][..]),
+            ("--smoke", &[][..]),
+            ("--big", &["--smoke"][..]),
+            ("extra", &["--json"][..]),
+        ] {
+            let e = parse(line, reads).unwrap_err();
+            assert!(e.contains("takes no argument"), "{line}: {e}");
+        }
+    }
+
+    #[test]
+    fn bad_values_are_refused() {
+        let e = parse("--seed x", &[]).unwrap_err();
+        assert!(e.contains("not a number"), "{e}");
+        let e = parse("--scale 1.5", &["--scale"]).unwrap_err();
+        assert!(e.contains("not a number"), "{e}");
+        assert!(parse("--seed", &[]).unwrap_err().contains("needs a value"));
+        assert!(parse("--json", &["--json"])
+            .unwrap_err()
+            .contains("needs a value"));
+    }
 
     #[test]
     fn table_renders_aligned() {

@@ -56,7 +56,7 @@ pub struct Completion {
 instrument_set! {
     /// A device's live counter handles; `register` takes the device
     /// name as the runtime `device` label.
-    pub struct BlockCounters {
+    pub(crate) struct BlockCounters {
         counters {
             reads: BLOCK_OPS[LABEL_OP = "read"], "Read requests completed or in flight.";
             writes: BLOCK_OPS[LABEL_OP = "write"], "Write requests completed or in flight.";

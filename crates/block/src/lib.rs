@@ -25,9 +25,8 @@ mod pmem;
 mod ssd;
 mod zram;
 
-pub use device::{
-    BlockCounters, BlockDevice, BlockError, BlockStats, Completion, DeviceProfile, QueuedDevice,
-};
+pub(crate) use device::BlockCounters;
+pub use device::{BlockDevice, BlockError, BlockStats, Completion, DeviceProfile, QueuedDevice};
 pub use nvmeof::NvmeofDevice;
 pub use pmem::PmemDevice;
 pub use ssd::SsdDevice;

@@ -32,7 +32,6 @@ use crate::device::{
 /// let mut dev = ZramDevice::new(1024, 1 << 20, SimClock::new(), SimRng::seed_from_u64(1));
 /// dev.write_sync(3, PageContents::from_byte_fill(7))?;
 /// assert_eq!(dev.read_sync(3)?, PageContents::from_byte_fill(7));
-/// assert!(dev.compressed_bytes() < 4096, "uniform page packs small");
 /// # Ok::<(), fluidmem_block::BlockError>(())
 /// ```
 pub struct ZramDevice {
@@ -66,11 +65,6 @@ impl ZramDevice {
             rng,
             stats: BlockCounters::default(),
         }
-    }
-
-    /// Bytes of compressed storage in use.
-    pub fn compressed_bytes(&self) -> usize {
-        self.used_bytes
     }
 
     /// Slot charge for `contents`, delegating to the shared
@@ -172,7 +166,7 @@ mod tests {
             dev.write_sync(b, PageContents::from_byte_fill((b % 251) as u8))
                 .unwrap();
         }
-        assert!(dev.compressed_bytes() < 64 << 10);
+        assert!(dev.used_bytes < 64 << 10);
         assert_eq!(dev.read_sync(17).unwrap(), PageContents::from_byte_fill(17));
     }
 
@@ -206,7 +200,7 @@ mod tests {
         for b in 0..64u64 {
             dev.write_sync(b, PageContents::Zero).unwrap();
         }
-        assert_eq!(dev.compressed_bytes(), 0);
+        assert_eq!(dev.used_bytes, 0);
     }
 
     #[test]
@@ -251,7 +245,7 @@ mod tests {
         dev.write_sync(7, PageContents::Token(2)).unwrap();
         assert_eq!(dev.read_sync(7).unwrap(), PageContents::Token(2));
         let token = ZramDevice::stored_size(&PageContents::Token(2));
-        assert_eq!(dev.compressed_bytes(), token, "overwrite recharges");
+        assert_eq!(dev.used_bytes, token, "overwrite recharges");
         let out = Err(BlockError::OutOfRange {
             block: 8,
             capacity: 8,

@@ -62,7 +62,6 @@ impl Replica {
 ///
 /// let mut c = CoordCluster::new(3, SimClock::new(), SimRng::seed_from_u64(1));
 /// c.propose(WriteOp::Create { path: "/a".into(), data: vec![1], ephemeral_owner: None })?;
-/// assert_eq!(c.read("/a").unwrap().data, vec![1]);
 /// # Ok::<(), fluidmem_coord::CoordError>(())
 /// ```
 pub struct CoordCluster {
@@ -123,18 +122,13 @@ impl CoordCluster {
         &self.counters
     }
 
-    /// Number of replicas (alive or dead).
-    pub fn size(&self) -> usize {
-        self.replicas.len()
-    }
-
     /// Majority quorum size.
-    pub fn quorum(&self) -> usize {
+    pub(crate) fn quorum(&self) -> usize {
         self.replicas.len() / 2 + 1
     }
 
     /// Replicas currently alive.
-    pub fn alive_count(&self) -> usize {
+    pub(crate) fn alive_count(&self) -> usize {
         self.replicas.iter().filter(|r| r.alive).count()
     }
 
@@ -145,13 +139,8 @@ impl CoordCluster {
             .map(ReplicaId)
     }
 
-    /// Current leadership epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Opens a client session.
-    pub fn create_session(&mut self) -> SessionId {
+    pub(crate) fn create_session(&mut self) -> SessionId {
         let id = self.next_session;
         self.next_session += 1;
         self.open_sessions.insert(id);
@@ -165,17 +154,13 @@ impl CoordCluster {
     /// # Errors
     ///
     /// Fails if the session is unknown or the cluster cannot commit.
-    pub fn close_session(&mut self, session: SessionId) -> Result<(), CoordError> {
+    #[cfg(test)]
+    pub(crate) fn close_session(&mut self, session: SessionId) -> Result<(), CoordError> {
         if !self.open_sessions.remove(&session.0) {
             return Err(CoordError::UnknownSession);
         }
         self.propose(WriteOp::ExpireSession { session: session.0 })
             .map(|_| ())
-    }
-
-    /// Whether a session is open.
-    pub fn session_is_open(&self, session: SessionId) -> bool {
-        self.open_sessions.contains(&session.0)
     }
 
     /// Proposes a write. Returns once the entry is committed on a majority
@@ -271,7 +256,7 @@ impl CoordCluster {
     }
 
     /// Drains the watch events queued for a session.
-    pub fn take_watch_events(&mut self, session: SessionId) -> Vec<WatchEvent> {
+    pub(crate) fn take_watch_events(&mut self, session: SessionId) -> Vec<WatchEvent> {
         self.watch_events.remove(&session.0).unwrap_or_default()
     }
 
@@ -310,14 +295,14 @@ impl CoordCluster {
     ///
     /// Returns `None` when the node does not exist. Charges a client round
     /// trip.
-    pub fn read(&mut self, path: &str) -> Option<Znode> {
+    pub(crate) fn read(&mut self, path: &str) -> Option<Znode> {
         self.charge_rtt();
         let leader = self.leader.filter(|&l| self.replicas[l].alive)?;
         self.replicas[leader].tree.get(path).cloned()
     }
 
     /// Children of a node, read from the leader.
-    pub fn children(&mut self, path: &str) -> Vec<String> {
+    pub(crate) fn children(&mut self, path: &str) -> Vec<String> {
         self.charge_rtt();
         match self.leader.filter(|&l| self.replicas[l].alive) {
             Some(l) => self.replicas[l].tree.children(path),
@@ -412,16 +397,6 @@ impl CoordCluster {
             .unwrap_or(0)
     }
 
-    /// Test/verification hook: the tree of a specific replica.
-    pub fn replica_tree(&self, id: ReplicaId) -> &ZnodeTree {
-        &self.replicas[id.0].tree
-    }
-
-    /// Test/verification hook: whether a replica is alive.
-    pub fn replica_alive(&self, id: ReplicaId) -> bool {
-        self.replicas[id.0].alive
-    }
-
     fn charge_rtt(&mut self) {
         let rtt = self.rpc.sample(&mut self.rng) + self.rpc.sample(&mut self.rng);
         self.clock.advance(rtt);
@@ -459,6 +434,11 @@ mod tests {
         CoordCluster::new(n, SimClock::new(), SimRng::seed_from_u64(42))
     }
 
+    /// The tree of a specific replica.
+    fn replica_tree(c: &CoordCluster, id: ReplicaId) -> &ZnodeTree {
+        &c.replicas[id.0].tree
+    }
+
     fn create(path: &str) -> WriteOp {
         WriteOp::Create {
             path: path.into(),
@@ -473,7 +453,7 @@ mod tests {
         c.propose(create("/a")).unwrap();
         for i in 0..3 {
             assert!(
-                c.replica_tree(ReplicaId(i)).exists("/a"),
+                replica_tree(&c, ReplicaId(i)).exists("/a"),
                 "replica {i} missing committed write"
             );
         }
@@ -501,7 +481,7 @@ mod tests {
                 needed: 2
             }
         ));
-        assert!(!c.replica_tree(ReplicaId(0)).exists("/blocked"));
+        assert!(!replica_tree(&c, ReplicaId(0)).exists("/blocked"));
     }
 
     #[test]
@@ -520,7 +500,7 @@ mod tests {
         );
         c.propose(create("/after")).unwrap();
         assert!(c.read("/after").is_some());
-        assert!(c.epoch() >= 2);
+        assert!(c.epoch >= 2);
     }
 
     #[test]
@@ -538,12 +518,12 @@ mod tests {
         c.propose(create("/while-dead")).unwrap();
         c.revive(ReplicaId(2));
         assert!(
-            c.replica_tree(ReplicaId(2)).exists("/while-dead"),
+            replica_tree(&c, ReplicaId(2)).exists("/while-dead"),
             "state transfer on revive"
         );
         // And it participates in new commits.
         c.propose(create("/again")).unwrap();
-        assert!(c.replica_tree(ReplicaId(2)).exists("/again"));
+        assert!(replica_tree(&c, ReplicaId(2)).exists("/again"));
     }
 
     #[test]
@@ -572,9 +552,9 @@ mod tests {
         };
         assert!(matches!(c.propose(seq), Err(CoordError::NodeExists(_))));
         assert_eq!(c.committed_len(), before, "a refused op must not commit");
-        let leader = c.replica_tree(ReplicaId(0)).clone();
+        let leader = replica_tree(&c, ReplicaId(0)).clone();
         for i in 1..3 {
-            assert_eq!(c.replica_tree(ReplicaId(i)), &leader, "replica {i}");
+            assert_eq!(replica_tree(&c, ReplicaId(i)), &leader, "replica {i}");
         }
         // And the counter did not move: the next sequential name is the
         // same one, once it is free.
@@ -643,7 +623,7 @@ mod tests {
         assert!(c.read("/eph").is_some());
         c.close_session(s).unwrap();
         assert!(c.read("/eph").is_none());
-        assert!(!c.session_is_open(s));
+        assert!(!c.open_sessions.contains(&s.0));
         assert!(matches!(
             c.close_session(s),
             Err(CoordError::UnknownSession)
@@ -663,11 +643,11 @@ mod tests {
         c.revive(ReplicaId(3));
         c.revive(old);
         c.propose(create("/r/c")).unwrap();
-        let reference = c.replica_tree(ReplicaId(c.leader().unwrap().0)).clone();
+        let reference = replica_tree(&c, ReplicaId(c.leader().unwrap().0)).clone();
         for i in 0..5 {
-            if c.replica_alive(ReplicaId(i)) {
+            if c.replicas[i].alive {
                 assert_eq!(
-                    c.replica_tree(ReplicaId(i)),
+                    replica_tree(&c, ReplicaId(i)),
                     &reference,
                     "replica {i} diverged"
                 );

@@ -32,7 +32,7 @@ mod znode;
 
 pub use cluster::{CoordCluster, CoordCounters, ReplicaId, SessionId};
 pub use error::CoordError;
-pub use log::{LogEntry, OpResult, WriteOp};
+pub use log::{OpResult, WriteOp};
 pub use membership::{HostDirectory, VmLease};
 pub use partition::{PartitionId, PartitionTable, VmIdentity};
 pub use stores::StoreDirectory;

@@ -59,7 +59,7 @@ pub enum OpResult {
 impl WriteOp {
     /// Applies the operation to a tree. Deterministic: every replica
     /// applying the same committed prefix reaches the same tree.
-    pub fn apply(&self, tree: &mut ZnodeTree) -> Result<OpResult, CoordError> {
+    pub(crate) fn apply(&self, tree: &mut ZnodeTree) -> Result<OpResult, CoordError> {
         match self {
             WriteOp::Create {
                 path,
@@ -99,7 +99,7 @@ impl WriteOp {
 
 /// One entry in the replicated log.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogEntry {
+pub(crate) struct LogEntry {
     /// Leadership epoch in which the entry was proposed.
     pub epoch: u64,
     /// Zero-based log index.

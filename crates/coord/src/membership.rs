@@ -77,18 +77,8 @@ impl HostDirectory {
         Ok(dir)
     }
 
-    /// The host id this directory belongs to.
-    pub fn host(&self) -> u64 {
-        self.host
-    }
-
-    /// The session the VM leases are ephemeral under.
-    pub fn session(&self) -> SessionId {
-        self.session
-    }
-
     /// The membership directory's path.
-    pub fn vms_path(&self) -> String {
+    pub(crate) fn vms_path(&self) -> String {
         format!("{HOSTS}/{}/vms", self.host)
     }
 
@@ -169,16 +159,6 @@ impl HostDirectory {
     pub fn membership_events(&self, cluster: &mut CoordCluster) -> Vec<WatchEvent> {
         cluster.take_watch_events(self.session)
     }
-
-    /// Closes the host's session, expiring every remaining lease (the
-    /// host-crash path; no watches fire — see the module docs).
-    ///
-    /// # Errors
-    ///
-    /// Propagates cluster availability errors.
-    pub fn close(self, cluster: &mut CoordCluster) -> Result<(), CoordError> {
-        cluster.close_session(self.session)
-    }
 }
 
 #[cfg(test)]
@@ -250,7 +230,7 @@ mod tests {
         };
         observer.watch_membership(&mut c).unwrap();
 
-        dir.close(&mut c).unwrap();
+        c.close_session(dir.session).unwrap();
         // The ephemerals are gone…
         assert!(observer.live_vms(&mut c).is_empty());
         // …but no watch fired: expiry is watch-invisible, the observer

@@ -67,9 +67,7 @@ pub struct VmIdentity {
 /// PartitionTable::init(&mut cluster)?;
 /// let vm = VmIdentity { pid: 4242, hypervisor: 1 };
 /// let p = PartitionTable::allocate(&mut cluster, vm)?;
-/// assert_eq!(PartitionTable::lookup(&mut cluster, p), Some(vm));
 /// PartitionTable::release(&mut cluster, p)?;
-/// assert_eq!(PartitionTable::lookup(&mut cluster, p), None);
 /// # Ok::<(), fluidmem_coord::CoordError>(())
 /// ```
 #[derive(Debug)]
@@ -196,46 +194,21 @@ impl PartitionTable {
         }
     }
 
-    /// The store node a partition routes to, if published.
-    pub fn route_of(cluster: &mut CoordCluster, id: PartitionId) -> Option<u32> {
-        let node = cluster.read(&Self::route_path(id))?;
-        String::from_utf8(node.data).ok()?.parse().ok()
-    }
-
     /// Removes a partition's route; succeeds whether or not one existed.
     ///
     /// # Errors
     ///
     /// Propagates cluster availability errors.
-    pub fn clear_route(cluster: &mut CoordCluster, id: PartitionId) -> Result<(), CoordError> {
+    pub(crate) fn clear_route(
+        cluster: &mut CoordCluster,
+        id: PartitionId,
+    ) -> Result<(), CoordError> {
         match cluster.propose(WriteOp::Delete {
             path: Self::route_path(id),
         }) {
             Ok(_) | Err(CoordError::NoNode(_)) => Ok(()),
             Err(e) => Err(e),
         }
-    }
-
-    /// Looks up the identity owning a partition.
-    pub fn lookup(cluster: &mut CoordCluster, id: PartitionId) -> Option<VmIdentity> {
-        let node = cluster.read(&Self::node_path(id))?;
-        let text = String::from_utf8(node.data).ok()?;
-        let mut parts = text.split(':');
-        Some(VmIdentity {
-            pid: parts.next()?.parse().ok()?,
-            hypervisor: parts.next()?.parse().ok()?,
-        })
-    }
-
-    /// Every allocated partition index.
-    pub fn allocated(cluster: &mut CoordCluster) -> Vec<PartitionId> {
-        cluster
-            .children(PARTITIONS)
-            .iter()
-            .filter_map(|p| p.rsplit('/').next())
-            .filter_map(|s| s.parse::<u16>().ok())
-            .map(PartitionId)
-            .collect()
     }
 
     fn node_path(id: PartitionId) -> String {
@@ -262,6 +235,34 @@ impl PartitionTable {
 mod tests {
     use super::*;
     use fluidmem_sim::{SimClock, SimRng};
+
+    /// The store node a partition routes to, if published.
+    fn route_of(cluster: &mut CoordCluster, id: PartitionId) -> Option<u32> {
+        let node = cluster.read(&PartitionTable::route_path(id))?;
+        String::from_utf8(node.data).ok()?.parse().ok()
+    }
+
+    /// The identity owning a partition.
+    fn lookup(cluster: &mut CoordCluster, id: PartitionId) -> Option<VmIdentity> {
+        let node = cluster.read(&PartitionTable::node_path(id))?;
+        let text = String::from_utf8(node.data).ok()?;
+        let mut parts = text.split(':');
+        Some(VmIdentity {
+            pid: parts.next()?.parse().ok()?,
+            hypervisor: parts.next()?.parse().ok()?,
+        })
+    }
+
+    /// Every allocated partition index.
+    fn allocated(cluster: &mut CoordCluster) -> Vec<PartitionId> {
+        cluster
+            .children(PARTITIONS)
+            .iter()
+            .filter_map(|p| p.rsplit('/').next())
+            .filter_map(|s| s.parse::<u16>().ok())
+            .map(PartitionId)
+            .collect()
+    }
 
     fn setup() -> CoordCluster {
         let mut c = CoordCluster::new(3, SimClock::new(), SimRng::seed_from_u64(9));
@@ -292,7 +293,7 @@ mod tests {
                 assert!(seen.insert(p), "duplicate partition {p}");
             }
         }
-        assert_eq!(PartitionTable::allocated(&mut c).len(), 100);
+        assert_eq!(allocated(&mut c).len(), 100);
     }
 
     #[test]
@@ -316,9 +317,9 @@ mod tests {
             hypervisor: 2,
         };
         let p = PartitionTable::allocate(&mut c, vm).unwrap();
-        assert_eq!(PartitionTable::lookup(&mut c, p), Some(vm));
+        assert_eq!(lookup(&mut c, p), Some(vm));
         PartitionTable::release(&mut c, p).unwrap();
-        assert_eq!(PartitionTable::lookup(&mut c, p), None);
+        assert_eq!(lookup(&mut c, p), None);
         assert!(PartitionTable::release(&mut c, p).is_err());
     }
 
@@ -345,7 +346,7 @@ mod tests {
         )
         .unwrap();
         assert_ne!(p1, p2);
-        assert!(PartitionTable::lookup(&mut c, p1).is_some());
+        assert!(lookup(&mut c, p1).is_some());
     }
 
     #[test]
@@ -367,10 +368,10 @@ mod tests {
         };
         let p = PartitionTable::allocate(&mut c, vm).unwrap();
         PartitionTable::set_route(&mut c, p, 2).unwrap();
-        assert_eq!(PartitionTable::route_of(&mut c, p), Some(2));
+        assert_eq!(route_of(&mut c, p), Some(2));
         PartitionTable::release(&mut c, p).unwrap();
         assert_eq!(
-            PartitionTable::route_of(&mut c, p),
+            route_of(&mut c, p),
             None,
             "a released partition must not keep a stale route"
         );
@@ -381,7 +382,7 @@ mod tests {
             ephemeral_owner: None,
         })
         .unwrap();
-        assert_eq!(PartitionTable::route_of(&mut c, p), None);
+        assert_eq!(route_of(&mut c, p), None);
     }
 
     #[test]
@@ -412,7 +413,7 @@ mod tests {
             "stale release must fail the ownership delete, got {stale:?}"
         );
         assert_eq!(
-            PartitionTable::route_of(&mut c, p),
+            route_of(&mut c, p),
             Some(5),
             "the failed release must not have touched the route"
         );

@@ -156,13 +156,6 @@ impl StoreDirectory {
         self.leases(cluster).into_iter().map(|(n, _)| n).collect()
     }
 
-    /// A registered node's current lease deadline.
-    pub fn deadline_of(&self, cluster: &mut CoordCluster, node: u32) -> Option<SimInstant> {
-        let znode = cluster.read(&Self::node_path(node))?;
-        let nanos: u64 = String::from_utf8(znode.data).ok()?.parse().ok()?;
-        Some(SimInstant::from_nanos(nanos))
-    }
-
     /// Arms one-shot watches on the directory (node joins) and every
     /// current lease (deregistrations *and* expiries — both are explicit
     /// deletes here). Re-arm after draining events.
@@ -220,6 +213,13 @@ mod tests {
         CoordCluster::new(3, SimClock::new(), SimRng::seed_from_u64(5))
     }
 
+    /// A registered node's current lease deadline.
+    fn deadline_of(cluster: &mut CoordCluster, node: u32) -> Option<SimInstant> {
+        let znode = cluster.read(&StoreDirectory::node_path(node))?;
+        let nanos: u64 = String::from_utf8(znode.data).ok()?.parse().ok()?;
+        Some(SimInstant::from_nanos(nanos))
+    }
+
     fn at_us(us: u64) -> SimInstant {
         SimInstant::EPOCH + SimDuration::from_micros(us)
     }
@@ -231,9 +231,9 @@ mod tests {
         dir.register(&mut c, 0, at_us(100)).unwrap();
         dir.register(&mut c, 1, at_us(100)).unwrap();
         assert_eq!(dir.live(&mut c), vec![0, 1]);
-        assert_eq!(dir.deadline_of(&mut c, 0), Some(at_us(100)));
+        assert_eq!(deadline_of(&mut c, 0), Some(at_us(100)));
         dir.renew(&mut c, 0, at_us(500)).unwrap();
-        assert_eq!(dir.deadline_of(&mut c, 0), Some(at_us(500)));
+        assert_eq!(deadline_of(&mut c, 0), Some(at_us(500)));
         dir.deregister(&mut c, 1).unwrap();
         assert_eq!(dir.live(&mut c), vec![0]);
         assert!(dir.deregister(&mut c, 1).is_err());

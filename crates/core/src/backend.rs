@@ -128,7 +128,7 @@ impl FluidMemMemory {
     }
 
     /// Attaches a shared telemetry handle (see
-    /// [`Monitor::attach_telemetry`]).
+    /// `Monitor::attach_telemetry`).
     pub fn attach_telemetry(&mut self, telemetry: &fluidmem_telemetry::Telemetry) {
         self.monitor.attach_telemetry(telemetry);
     }
@@ -136,7 +136,7 @@ impl FluidMemMemory {
     /// Attaches a shared telemetry handle with every monitor instrument
     /// keyed by a `vm` label, so N backends can share one registry, and
     /// drops the monitor's Table I profile (see
-    /// [`Monitor::attach_telemetry_labeled`]).
+    /// `Monitor::attach_telemetry_labeled`).
     pub fn attach_telemetry_labeled(
         &mut self,
         telemetry: &fluidmem_telemetry::Telemetry,

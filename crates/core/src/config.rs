@@ -81,7 +81,7 @@ pub enum PrefetchPolicy {
         window: u64,
     },
     /// Leap-style trend prefetch: a majority-vote
-    /// [`StrideDetector`](crate::StrideDetector) watches the fault VPN
+    /// `StrideDetector` watches the fault VPN
     /// stream, and while a stride trend holds, each remote read also
     /// pulls up to `max_depth` pages ahead *at the detected stride*
     /// (negative strides included). Issue is suppressed for
@@ -134,7 +134,7 @@ impl ReclaimConfig {
     pub const WATERMARK_HIGH: f64 = 0.08;
 
     /// Background reclaim off (the default).
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         ReclaimConfig { enabled: false }
     }
 
@@ -146,13 +146,13 @@ impl ReclaimConfig {
     /// The low watermark in pages for a given capacity: rounded up and
     /// floored at 1, so small buffers still wake the evictor (the same
     /// truncation bug `SwapConfig`'s watermarks had).
-    pub fn low_pages(&self, capacity: u64) -> u64 {
+    pub(crate) fn low_pages(&self, capacity: u64) -> u64 {
         ((capacity as f64 * Self::WATERMARK_LOW).ceil() as u64).max(1)
     }
 
     /// The high watermark in pages: strictly above the low watermark so
     /// every wakeup makes progress.
-    pub fn high_pages(&self, capacity: u64) -> u64 {
+    pub(crate) fn high_pages(&self, capacity: u64) -> u64 {
         ((capacity as f64 * Self::WATERMARK_HIGH).ceil() as u64).max(self.low_pages(capacity) + 1)
     }
 }
@@ -193,7 +193,6 @@ pub enum LruPolicy {
 ///     .optimizations(Optimizations::none())
 ///     .write_batch(64);
 /// assert_eq!(config.lru_capacity, 262_144);
-/// assert_eq!(config.write_batch_size, 64);
 /// ```
 #[derive(Debug, Clone)]
 pub struct MonitorConfig {
@@ -202,7 +201,7 @@ pub struct MonitorConfig {
     /// in DRAM for all VMs", §V-A).
     pub lru_capacity: u64,
     /// Flush the write list when it reaches this many pages.
-    pub write_batch_size: usize,
+    pub(crate) write_batch_size: usize,
     /// Also flush when the oldest pending write exceeds this age ("a
     /// stale file descriptor has been found", §V-B).
     pub flush_interval: SimDuration,

@@ -23,7 +23,7 @@
 //!   refault-distance tracking in the style of Linux's
 //!   `mm/workingset.c`, feeding a WSS estimate, a thrash detector, and
 //!   an optional adaptive LRU capacity;
-//! * the **stride prefetcher** ([`StrideDetector`]): Leap-style
+//! * the **stride prefetcher** (`StrideDetector`): Leap-style
 //!   majority-vote trend detection over the fault address stream,
 //!   turning sequential and strided phases into reads issued ahead of
 //!   demand — gated by the working-set estimator so a thrashing VM never
@@ -63,7 +63,6 @@ pub use config::{
 pub use lru_buffer::LruBuffer;
 pub use monitor::{CompletedFault, Monitor, SubmitOutcome};
 pub use page_tracker::PageTracker;
-pub use prefetch::StrideDetector;
 pub use profile::{CodePath, PathStats, ProfileTable};
 pub use signals::VmSignals;
 pub use stats::MonitorStats;

@@ -38,19 +38,17 @@ fn link(from: Vpn, to: Option<Vpn>) -> i32 {
 ///   At present, the internal ordering of the list does not change." —
 ///   new and refaulted pages join at the tail; nothing else moves (unless
 ///   the [`ScanReferenced`](crate::LruPolicy::ScanReferenced) ablation
-///   rotates entries explicitly via [`rotate_to_tail`]).
+///   rotates entries explicitly via `rotate_to_tail`).
 /// * "The userfaultfd capability allows the local memory buffer to be
-///   actively sized up or down" — [`set_capacity`](LruBuffer::set_capacity)
+///   actively sized up or down" — `set_capacity`
 ///   changes the bound at runtime; the monitor then evicts down to it.
 ///
 /// Internally the list is intrusive and doubly linked through a
 /// [`PageArray`]: each page's links live at the page's own slot and are
 /// slot offsets to its neighbours, so insert, remove, rotate, and
 /// victim-pop are all O(1) array steps with no hash, and
-/// [`peek_head`](LruBuffer::peek_head) walks exactly the pages it
+/// `peek_head_into` walks exactly the pages it
 /// returns. The array spans the pages the buffer has ever held.
-///
-/// [`rotate_to_tail`]: LruBuffer::rotate_to_tail
 ///
 /// # Example
 ///
@@ -62,9 +60,7 @@ fn link(from: Vpn, to: Option<Vpn>) -> i32 {
 /// lru.insert(Vpn::new(1));
 /// lru.insert(Vpn::new(2));
 /// lru.insert(Vpn::new(3));
-/// assert!(lru.over_capacity());
 /// assert_eq!(lru.pop_victim(), Some(Vpn::new(1))); // strict first-touch order
-/// assert!(!lru.over_capacity());
 /// ```
 #[derive(Debug)]
 pub struct LruBuffer {
@@ -88,13 +84,13 @@ impl LruBuffer {
     }
 
     /// The configured bound.
-    pub fn capacity(&self) -> u64 {
+    pub(crate) fn capacity(&self) -> u64 {
         self.capacity
     }
 
     /// Changes the bound. The caller is responsible for evicting down to
     /// it afterwards.
-    pub fn set_capacity(&mut self, capacity: u64) {
+    pub(crate) fn set_capacity(&mut self, capacity: u64) {
         self.capacity = capacity;
     }
 
@@ -109,18 +105,18 @@ impl LruBuffer {
     }
 
     /// Whether the buffer exceeds its bound.
-    pub fn over_capacity(&self) -> bool {
+    pub(crate) fn over_capacity(&self) -> bool {
         self.len > self.capacity
     }
 
     /// Whether a page is tracked.
-    pub fn contains(&self, vpn: Vpn) -> bool {
+    pub(crate) fn contains(&self, vpn: Vpn) -> bool {
         self.links.get(vpn).is_some_and(|l| l.prev != OFF)
     }
 
     /// Slots in the page array: the buffer's standing memory footprint,
     /// which spans the pages it has ever held.
-    pub fn array_slots(&self) -> usize {
+    pub(crate) fn array_slots(&self) -> usize {
         self.links.span()
     }
 
@@ -164,7 +160,7 @@ impl LruBuffer {
     }
 
     /// Removes a page in O(1) through its slot.
-    pub fn remove(&mut self, vpn: Vpn) -> bool {
+    pub(crate) fn remove(&mut self, vpn: Vpn) -> bool {
         if !self.contains(vpn) {
             return false;
         }
@@ -181,18 +177,11 @@ impl LruBuffer {
         Some(vpn)
     }
 
-    /// Peeks at the next `n` victims in order (for referenced-bit
-    /// scanning) without removing them. Walks exactly `min(n, len)`
-    /// pages — every step lands on a live page.
-    pub fn peek_head(&self, n: usize) -> Vec<Vpn> {
-        let mut out = Vec::new();
-        self.peek_head_into(n, &mut out);
-        out
-    }
-
-    /// [`peek_head`](LruBuffer::peek_head) into a caller-owned buffer so
-    /// the periodic scan path can reuse one allocation.
-    pub fn peek_head_into(&self, n: usize, out: &mut Vec<Vpn>) {
+    /// Writes the next `n` victims in order (for referenced-bit
+    /// scanning) to `out` without removing them. Walks exactly
+    /// `min(n, len)` pages — every step lands on a live page — and reuses
+    /// the caller's buffer, so the periodic scan path allocates once.
+    pub(crate) fn peek_head_into(&self, n: usize, out: &mut Vec<Vpn>) {
         out.clear();
         let mut next = self.head;
         while let Some(vpn) = next.filter(|_| out.len() < n) {
@@ -203,7 +192,7 @@ impl LruBuffer {
 
     /// Moves a tracked page to the tail (the `ScanReferenced` ablation's
     /// rotation). Returns `false` if the page is not tracked.
-    pub fn rotate_to_tail(&mut self, vpn: Vpn) -> bool {
+    pub(crate) fn rotate_to_tail(&mut self, vpn: Vpn) -> bool {
         if !self.contains(vpn) {
             return false;
         }
@@ -217,6 +206,12 @@ impl LruBuffer {
 mod tests {
     use super::*;
     use std::collections::HashMap;
+
+    fn peek_head(lru: &LruBuffer, n: usize) -> Vec<Vpn> {
+        let mut out = Vec::new();
+        lru.peek_head_into(n, &mut out);
+        out
+    }
 
     fn v(n: u64) -> Vpn {
         Vpn::new(n)
@@ -297,7 +292,7 @@ mod tests {
         }
         lru.remove(v(0));
         lru.rotate_to_tail(v(1));
-        assert_eq!(lru.peek_head(2), vec![v(2), v(3)]);
+        assert_eq!(peek_head(&lru, 2), vec![v(2), v(3)]);
     }
 
     #[test]
@@ -544,7 +539,7 @@ mod tests {
                     }
                     _ => {
                         let n = rng.gen_index(8) as usize;
-                        assert_eq!(list.peek_head(n), deque.peek_head(n));
+                        assert_eq!(peek_head(&list, n), deque.peek_head(n));
                     }
                 }
                 assert_eq!(list.contains(page), deque.contains(page));

@@ -149,7 +149,7 @@ impl Monitor {
     /// (§V-B: "a separate thread periodically flushes the write list ...
     /// when its size has reached a configured batch size of pages or a
     /// stale file descriptor has been found").
-    pub fn maybe_flush(&mut self) {
+    pub(crate) fn maybe_flush(&mut self) {
         let now = self.clock.now();
         self.write_list.retire(now);
         let stale = self
@@ -212,7 +212,7 @@ impl Monitor {
 
     /// Flushes and waits for every outstanding write (shutdown, or test
     /// synchronization).
-    pub fn drain_writes(&mut self) {
+    pub(crate) fn drain_writes(&mut self) {
         // A drain must leave every page durable in the store: demote the
         // whole compressed pool onto the write list first (charge-free —
         // shutdown work, not a fault or evictor timeline).

@@ -210,7 +210,7 @@ pub struct Monitor {
 impl Monitor {
     /// Creates a monitor over a key-value store, using `partition` for
     /// this VM's keys.
-    pub fn new(
+    pub(crate) fn new(
         config: MonitorConfig,
         store: Box<dyn KeyValueStore>,
         partition: PartitionId,
@@ -255,11 +255,11 @@ impl Monitor {
     /// instrument in its registry: the monitor's own set, the Table I
     /// code-path profile, and the store's counters. Accumulated values
     /// carry over.
-    pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
+    pub(crate) fn attach_telemetry(&mut self, telemetry: &Telemetry) {
         self.attach(telemetry, &[]);
     }
 
-    /// Like [`Monitor::attach_telemetry`], but every monitor-owned
+    /// Like `Monitor::attach_telemetry`, but every monitor-owned
     /// instrument is additionally keyed by a `vm` label so a host's N
     /// monitors can share one registry without clobbering each
     /// other — adoption replaces identically-keyed entries, so unlabeled
@@ -270,7 +270,7 @@ impl Monitor {
     /// its rows are monitor-global by construction and only meaningful
     /// when a single monitor owns the registry. From then on
     /// [`profile`](Monitor::profile) has no rows and records nothing.
-    pub fn attach_telemetry_labeled(&mut self, telemetry: &Telemetry, vm: &str) {
+    pub(crate) fn attach_telemetry_labeled(&mut self, telemetry: &Telemetry, vm: &str) {
         self.profile = ProfileTable::off();
         self.attach(telemetry, &[(consts::LABEL_VM, vm)]);
     }
@@ -283,11 +283,6 @@ impl Monitor {
         self.store.instrument(telemetry.registry());
         self.telemetry = telemetry.clone();
         self.update_gauges();
-    }
-
-    /// The telemetry handle spans and metrics flow through.
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
     }
 
     pub(in crate::monitor) fn update_gauges(&self) {
@@ -331,7 +326,7 @@ impl Monitor {
     }
 
     /// The current working-set-size estimate, in pages.
-    pub fn wss_estimate_pages(&self) -> u64 {
+    pub(crate) fn wss_estimate_pages(&self) -> u64 {
         self.workingset.wss_estimate()
     }
 
@@ -362,7 +357,7 @@ impl Monitor {
     /// records the issue→touch timeliness. Pure bookkeeping on an array
     /// that spans nothing unless prefetch has installed pages, so the hot
     /// hit path pays one bounds check.
-    pub fn note_mapped_touch(&mut self, vpn: Vpn) {
+    pub(crate) fn note_mapped_touch(&mut self, vpn: Vpn) {
         let pending = self.prefetch_pending_touch.get_mut(vpn);
         if let Some(issued_at) = pending.and_then(Option::take) {
             self.stats.prefetch_hits.inc();
@@ -416,7 +411,7 @@ impl Monitor {
     }
 
     /// This VM's partition.
-    pub fn partition(&self) -> PartitionId {
+    pub(crate) fn partition(&self) -> PartitionId {
         self.partition
     }
 
@@ -542,7 +537,7 @@ impl Monitor {
     /// Retargets the tier's compressed-byte budget (the host arbiter's
     /// per-VM pool quota). Shrinking below current occupancy demotes
     /// oldest-first down to the new budget's low watermark and flushes.
-    pub fn set_tier_budget(&mut self, max_bytes: usize) {
+    pub(crate) fn set_tier_budget(&mut self, max_bytes: usize) {
         if self.config.tier.max_bytes == max_bytes {
             return;
         }
@@ -591,7 +586,7 @@ impl Monitor {
     /// the background evictor: capacity retargets (e.g. from the host
     /// arbiter) wake it and it evicts batch-wise on its own timeline
     /// instead of inline on the caller's.
-    pub fn resize(
+    pub(crate) fn resize(
         &mut self,
         uffd: &mut Userfaultfd,
         pt: &mut PageTable,
@@ -619,7 +614,7 @@ impl Monitor {
     /// The store cleanup is scoped to *this region's* keys, deleted one
     /// by one: the VM's other regions share its partition, so a bulk
     /// `drop_partition` would wipe their pages too.
-    pub fn remove_region(&mut self, region: &Region) -> usize {
+    pub(crate) fn remove_region(&mut self, region: &Region) -> usize {
         // Regions are contiguous, so the tracker masks only this
         // region's bitmap words: the cost depends on this region's span,
         // not on how many pages the other regions track.
@@ -653,12 +648,12 @@ impl Monitor {
     /// pages the monitor has seen (everything else is first-touch on the
     /// destination). Call after evicting to zero and draining, so every
     /// page is in the shared store.
-    pub fn export_seen(&self) -> Vec<Vpn> {
+    pub(crate) fn export_seen(&self) -> Vec<Vpn> {
         self.tracker.export()
     }
 
     /// Imports a migrated page-tracker state on the destination monitor.
-    pub fn import_seen(&mut self, pages: impl IntoIterator<Item = Vpn>) {
+    pub(crate) fn import_seen(&mut self, pages: impl IntoIterator<Item = Vpn>) {
         for vpn in pages {
             self.tracker.insert(vpn);
         }

@@ -784,13 +784,14 @@ impl Monitor {
     /// blocked, the quantity [`MonitorConfig::max_inflight`](crate::MonitorConfig::max_inflight)
     /// bounds. A fault the monitor already finished frees its slot at
     /// once, whether or not the driver has collected it.
-    pub fn inflight_len(&self) -> usize {
+    pub(crate) fn inflight_len(&self) -> usize {
         self.inflight.len()
     }
 
     /// Faults the monitor already finished whose [`CompletedFault`] the
     /// driver has not collected yet.
-    pub fn unreported_completions(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn unreported_completions(&self) -> usize {
         self.inflight.finished.len()
     }
 
@@ -811,7 +812,7 @@ impl Monitor {
     }
 
     /// Speculative (prefetch) reads currently in flight. Not counted by
-    /// [`Monitor::inflight_len`]: the depth bound applies to faults
+    /// `Monitor::inflight_len`: the depth bound applies to faults
     /// holding vCPUs, and nothing blocks on these. They land on the next
     /// guest access after their instant, or while the driver waits for a
     /// completion.
@@ -821,8 +822,8 @@ impl Monitor {
 
     /// The virtual instant the next event still on the completion queue
     /// lands. Operations already finished are off the queue: `None`
-    /// with [`Monitor::unreported_completions`] non-zero means there is
-    /// nothing left to wait for, only results to collect.
+    /// with finished faults still uncollected means there is nothing
+    /// left to wait for, only results to collect.
     pub fn next_completion_at(&self) -> Option<SimInstant> {
         self.inflight.queue.peek_time()
     }

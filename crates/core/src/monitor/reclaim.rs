@@ -86,7 +86,7 @@ impl Monitor {
 
     /// Free headroom in the LRU: `capacity − resident`, zero when at or
     /// over capacity.
-    pub fn headroom(&self) -> u64 {
+    pub(crate) fn headroom(&self) -> u64 {
         self.lru.capacity().saturating_sub(self.lru.len())
     }
 

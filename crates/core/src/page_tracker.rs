@@ -15,9 +15,7 @@ use fluidmem_mem::{PageArray, Vpn};
 /// word `vpn / 64` holding page `vpn`'s bit. VM regions are contiguous
 /// VPN ranges, so membership is an array index plus a bit test at one
 /// bit per page of the span, and unregistering a region
-/// ([`remove_range`]) masks only that region's words.
-///
-/// [`remove_range`]: PageTracker::remove_range
+/// (`remove_range`) masks only that region's words.
 ///
 /// # Example
 ///
@@ -65,23 +63,10 @@ impl PageTracker {
         true
     }
 
-    /// Forgets a page (its VM's region was unregistered).
-    pub fn remove(&mut self, vpn: Vpn) -> bool {
-        let (word, mask) = locate(vpn);
-        match self.words.get_mut(word) {
-            Some(bits) if *bits & mask != 0 => {
-                *bits &= !mask;
-                self.len -= 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
     /// Forgets every tracked page with `start <= vpn < end` (a region
     /// unregister); returns how many were removed. Visits only the words
     /// of the range inside the bitmap, masking the two edge words.
-    pub fn remove_range(&mut self, start: Vpn, end: Vpn) -> usize {
+    pub(crate) fn remove_range(&mut self, start: Vpn, end: Vpn) -> usize {
         if start >= end {
             return 0;
         }
@@ -107,7 +92,7 @@ impl PageTracker {
     }
 
     /// Exports the tracked set (for live migration), in address order.
-    pub fn export(&self) -> Vec<Vpn> {
+    pub(crate) fn export(&self) -> Vec<Vpn> {
         let mut out = Vec::with_capacity(self.len);
         for (word, &bits) in self.words.iter() {
             let mut bits = bits;
@@ -120,17 +105,12 @@ impl PageTracker {
     }
 
     /// Number of tracked pages.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// Whether no pages are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Words in the bitmap (the tracker's standing memory footprint).
-    pub fn bitmap_words(&self) -> usize {
+    pub(crate) fn bitmap_words(&self) -> usize {
         self.words.span()
     }
 }
@@ -171,7 +151,7 @@ mod tests {
         assert_eq!(t.remove_range(Vpn::new(12_000), Vpn::new(12_300)), 300);
         assert_eq!(t.len(), 60);
         assert_eq!(t.remove_range(Vpn::new(0), Vpn::new(u64::MAX / 2)), 60);
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
         assert!(t.export().is_empty());
         // One bit per page up to the highest page ever tracked.
         assert_eq!(t.bitmap_words(), 12_299 / 64 + 1);
@@ -220,7 +200,10 @@ mod tests {
                 let vpn = Vpn::new(page);
                 match rng.gen_index(5) {
                     0..=2 => assert_eq!(bitmap.insert(vpn), set.insert(page)),
-                    3 => assert_eq!(bitmap.remove(vpn), set.remove(&page)),
+                    3 => {
+                        let removed = bitmap.remove_range(vpn, Vpn::new(page + 1)) == 1;
+                        assert_eq!(removed, set.remove(&page));
+                    }
                     _ => {
                         // Range removal vs the equivalent set retain.
                         let lo = rng.gen_index(4) * CHUNK_PAGES;

@@ -41,7 +41,7 @@ const MIN_WINDOW: usize = 4;
 /// or counter side effects, so an attached-but-unused detector leaves a
 /// run byte-identical.
 #[derive(Debug, Clone)]
-pub struct StrideDetector {
+pub(crate) struct StrideDetector {
     window: usize,
     deltas: VecDeque<i64>,
     last: Option<u64>,
@@ -52,7 +52,7 @@ pub struct StrideDetector {
 impl StrideDetector {
     /// A detector voting over the last `window` fault deltas (clamped to
     /// at least [`MIN_WINDOW`]).
-    pub fn new(window: usize) -> Self {
+    pub(crate) fn new(window: usize) -> Self {
         StrideDetector {
             window: window.max(MIN_WINDOW),
             deltas: VecDeque::new(),
@@ -63,7 +63,7 @@ impl StrideDetector {
     }
 
     /// Feeds one fault address into the detector.
-    pub fn observe(&mut self, vpn: Vpn) {
+    pub(crate) fn observe(&mut self, vpn: Vpn) {
         let raw = vpn.raw();
         let Some(prev) = self.last.replace(raw) else {
             return;
@@ -97,7 +97,7 @@ impl StrideDetector {
 
     /// The stride currently trending, in pages per fault; `None` while
     /// the stream looks random (or before a full window of evidence).
-    pub fn trend(&self) -> Option<i64> {
+    pub(crate) fn trend(&self) -> Option<i64> {
         self.trend
     }
 }
@@ -123,7 +123,7 @@ fn majority(deltas: &VecDeque<i64>) -> Option<i64> {
 
 /// The page `steps` strides ahead of `base`, or `None` if the projection
 /// leaves the address space (a descending scan near zero, or overflow).
-pub fn project(base: Vpn, stride: i64, steps: u64) -> Option<Vpn> {
+pub(crate) fn project(base: Vpn, stride: i64, steps: u64) -> Option<Vpn> {
     let offset = (stride as i128).checked_mul(steps as i128)?;
     let target = base.raw() as i128 + offset;
     if (0..=u64::MAX as i128).contains(&target) {

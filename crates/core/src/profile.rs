@@ -70,19 +70,6 @@ pub struct PathStats {
 }
 
 /// Collects span durations for each [`CodePath`].
-///
-/// # Example
-///
-/// ```
-/// use fluidmem_core::{CodePath, ProfileTable};
-/// use fluidmem_sim::SimDuration;
-///
-/// let profile = ProfileTable::new();
-/// profile.record(CodePath::ReadPage, SimDuration::from_micros(15));
-/// let stats = profile.stats(CodePath::ReadPage);
-/// assert_eq!(stats.count, 1);
-/// assert!((stats.avg_us - 15.0).abs() < 1e-9);
-/// ```
 #[derive(Debug, Clone, Default)]
 pub struct ProfileTable {
     paths: CodePathHistograms,
@@ -115,7 +102,7 @@ instrument_set! {
 
 impl ProfileTable {
     /// Creates an empty table (detached histograms).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -131,7 +118,7 @@ impl ProfileTable {
     /// `fluidmem_codepath_latency_us`, labeled by the Table I row name.
     /// Spans already recorded carry over (the registry adopts the live
     /// handles).
-    pub fn register(&self, registry: &Registry) {
+    pub(crate) fn register(&self, registry: &Registry) {
         self.paths.register(registry, &[]);
     }
 
@@ -151,7 +138,7 @@ impl ProfileTable {
 
     /// Records one span. Summaries are exact; the percentile sample is
     /// systematically subsampled past its cap to bound memory.
-    pub fn record(&self, path: CodePath, duration: SimDuration) {
+    pub(crate) fn record(&self, path: CodePath, duration: SimDuration) {
         if !self.off {
             self.histogram(path).observe(duration);
         }
@@ -179,7 +166,7 @@ impl ProfileTable {
 
     /// Drops all recorded spans. Registered histograms stay registered
     /// (the handles reset in place).
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         for path in CodePath::ALL {
             self.histogram(path).reset();
         }

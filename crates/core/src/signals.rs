@@ -53,26 +53,6 @@ impl VmSignals {
         }
     }
 
-    /// Faults per access (minor + major); `0.0` when idle.
-    pub fn fault_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            (self.minor_faults + self.major_faults) as f64 / self.accesses as f64
-        }
-    }
-
-    /// Major faults per access; `0.0` when idle. Major faults are the
-    /// signal capacity can actually buy down, so this is what the
-    /// fault-rate-proportional arbiter weighs.
-    pub fn major_fault_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.major_faults as f64 / self.accesses as f64
-        }
-    }
-
     /// The delta of the monotone counters since `baseline`, carrying the
     /// instantaneous gauges (residency, capacity, pending writes) from
     /// `self`. This is the per-window view an arbiter rebalances on.
@@ -89,8 +69,6 @@ mod tests {
     fn idle_vm_looks_cheap() {
         let s = VmSignals::default();
         assert_eq!(s.hit_ratio(), 1.0);
-        assert_eq!(s.fault_rate(), 0.0);
-        assert_eq!(s.major_fault_rate(), 0.0);
     }
 
     #[test]
@@ -104,8 +82,6 @@ mod tests {
             ..Default::default()
         };
         assert!((s.hit_ratio() - 0.6).abs() < 1e-12);
-        assert!((s.fault_rate() - 0.4).abs() < 1e-12);
-        assert!((s.major_fault_rate() - 0.3).abs() < 1e-12);
     }
 
     /// The five levels are declared as gauges: a window carries them and

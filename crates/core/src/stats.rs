@@ -13,7 +13,7 @@ use crate::monitor::Resolution;
 
 instrument_set! {
     /// The monitor's live instrument handles (see the module docs).
-    pub struct MonitorCounters {
+    pub(crate) struct MonitorCounters {
         counters {
             faults: MONITOR_EVENTS[LABEL_EVENT = "fault"], "Faults handled in total.";
             zero_fills: MONITOR_EVENTS[LABEL_EVENT = "zero_fill"],
@@ -150,7 +150,7 @@ instrument_set! {
 
 impl MonitorCounters {
     /// The guest-observed latency histogram of faults resolved as `r`.
-    pub fn fault_latency(&self, r: Resolution) -> &Histogram {
+    pub(crate) fn fault_latency(&self, r: Resolution) -> &Histogram {
         match r {
             Resolution::ZeroFill => &self.zero_fill_latency,
             Resolution::RemoteRead => &self.remote_read_latency,

@@ -74,7 +74,7 @@ pub struct TierConfig {
 
 impl TierConfig {
     /// Compressed tier off (the default).
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         TierConfig {
             enabled: false,
             ..Self::pool(8 << 20)
@@ -91,17 +91,17 @@ impl TierConfig {
     }
 
     /// The demotion-stop target in bytes (floor of the hysteresis band).
-    pub fn low_bytes(&self) -> usize {
+    pub(crate) fn low_bytes(&self) -> usize {
         (self.max_bytes as f64 * WATERMARK_LOW) as usize
     }
 
     /// The demotion-start threshold in bytes.
-    pub fn high_bytes(&self) -> usize {
+    pub(crate) fn high_bytes(&self) -> usize {
         (self.max_bytes as f64 * WATERMARK_HIGH) as usize
     }
 
     /// Approximate pool capacity in pages, for the thrash gate.
-    pub fn pool_pages_estimate(&self) -> u64 {
+    pub(crate) fn pool_pages_estimate(&self) -> u64 {
         (self.max_bytes / EXPECTED_PAGE_BYTES) as u64
     }
 
@@ -110,7 +110,7 @@ impl TierConfig {
     /// # Panics
     ///
     /// Panics if `max_bytes` is 0.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.max_bytes > 0, "tier max_bytes must be positive");
     }
 }

@@ -164,11 +164,6 @@ impl WorkingSetEstimator {
         }
     }
 
-    /// The estimator's configuration.
-    pub fn config(&self) -> &WorkingSetConfig {
-        &self.config
-    }
-
     /// Records the eviction of `vpn`: bumps the eviction counter and
     /// leaves a shadow entry stamped with it, evicting the oldest
     /// entries if the table is over its bound.
@@ -234,7 +229,7 @@ impl WorkingSetEstimator {
     /// above) residency evicts nothing, so an adaptive run can never
     /// *cause* an eviction a static buffer of the original size would
     /// not also have performed.
-    pub fn take_adaptive_target(&mut self, resident: u64, current: u64) -> Option<u64> {
+    pub(crate) fn take_adaptive_target(&mut self, resident: u64, current: u64) -> Option<u64> {
         let WorkingSetMode::AdaptiveCapacity {
             min_pages,
             max_pages,
@@ -256,7 +251,7 @@ impl WorkingSetEstimator {
 
     /// Drops the shadow entry for `vpn`, if any (page removed outside
     /// the fault path).
-    pub fn forget(&mut self, vpn: Vpn) {
+    pub(crate) fn forget(&mut self, vpn: Vpn) {
         if self.take_shadow(vpn).is_some() {
             self.forgotten += 1;
         }
@@ -271,7 +266,7 @@ impl WorkingSetEstimator {
 
     /// Drops every shadow entry inside `region` (VM shutdown /
     /// unregister): refaults can no longer happen for these pages.
-    pub fn forget_region(&mut self, region: &Region) {
+    pub(crate) fn forget_region(&mut self, region: &Region) {
         let entries = self.shadow.range_mut(region.start(), region.end());
         let dropped = entries.filter_map(|(_, entry)| entry.take()).count();
         self.shadow_len -= dropped;
@@ -288,11 +283,6 @@ impl WorkingSetEstimator {
     /// Live shadow entries.
     pub fn shadow_len(&self) -> usize {
         self.shadow_len
-    }
-
-    /// Whether `vpn` currently has a live shadow entry.
-    pub fn shadow_contains(&self, vpn: Vpn) -> bool {
-        self.shadow.get(vpn).is_some_and(Option::is_some)
     }
 
     /// The pages with live shadow entries, sorted.
@@ -417,8 +407,7 @@ mod tests {
         assert_eq!(ws.shadow_len(), 4);
         assert_eq!(ws.overflow_drops(), 6);
         // The oldest entries aged out; the newest survive.
-        assert!(!ws.shadow_contains(vpn(0)));
-        assert!(ws.shadow_contains(vpn(9)));
+        assert_eq!(ws.shadow_pages(), (6..10).map(vpn).collect::<Vec<_>>());
         assert!(ws.note_refault(vpn(0), 10).is_none());
         assert!(ws.accounting_balances());
     }

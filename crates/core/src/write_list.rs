@@ -5,8 +5,8 @@ use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, VecDeque};
 
 use fluidmem_kv::ExternalKey;
-use fluidmem_mem::{PageContents, PAGE_SIZE};
-use fluidmem_sim::{FastMap, FastSet, SimInstant};
+use fluidmem_mem::PageContents;
+use fluidmem_sim::{FastMap, SimInstant};
 
 /// One page awaiting writeback.
 #[derive(Debug, Clone)]
@@ -60,21 +60,6 @@ pub enum StealOutcome {
 /// The monitor's write list: evicted pages queue here and a flusher
 /// periodically writes them to the key-value store in batches
 /// ("leveraging RAMCloud's multi-write operation", §V-B).
-///
-/// # Example
-///
-/// ```
-/// use fluidmem_core::WriteList;
-/// use fluidmem_coord::PartitionId;
-/// use fluidmem_kv::ExternalKey;
-/// use fluidmem_mem::{PageContents, Vpn};
-/// use fluidmem_sim::SimInstant;
-///
-/// let mut wl = WriteList::new();
-/// let key = ExternalKey::new(Vpn::new(1), PartitionId::new(0));
-/// wl.push(key, PageContents::Token(1), SimInstant::EPOCH);
-/// assert_eq!(wl.pending_len(), 1);
-/// ```
 #[derive(Debug, Default)]
 pub struct WriteList {
     pending: FastMap<ExternalKey, PendingPage>,
@@ -160,31 +145,21 @@ impl WriteList {
     }
 
     /// Pages queued but not yet flushed.
-    pub fn pending_len(&self) -> usize {
+    pub(crate) fn pending_len(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Bytes held by queued (not yet flushed) pages.
-    pub fn pending_bytes(&self) -> u64 {
-        (self.pending.len() * PAGE_SIZE) as u64
-    }
-
-    /// Batches currently on the wire.
-    pub fn inflight_batches(&self) -> usize {
-        self.inflight.len()
     }
 
     /// The earliest `ready_at` among pending pages (for the stale-flush
     /// timer and for drain loops, which advance the clock to this instant
     /// to guarantee progress).
-    pub fn oldest_pending(&self) -> Option<SimInstant> {
+    pub(crate) fn oldest_pending(&self) -> Option<SimInstant> {
         self.ready.peek().map(|&Reverse((at, _))| at)
     }
 
     /// Looks for a faulting page on the list (the §V-B steal path).
     /// Pending pages are stolen (their write is cancelled); in-flight
     /// pages require waiting for the batch.
-    pub fn steal(&mut self, key: ExternalKey, now: SimInstant) -> StealOutcome {
+    pub(crate) fn steal(&mut self, key: ExternalKey, now: SimInstant) -> StealOutcome {
         if let Some(page) = self.pending.remove(&key) {
             self.prune();
             return StealOutcome::Stolen(page.contents);
@@ -227,7 +202,7 @@ impl WriteList {
 
     /// Registers a batch (of distinct keys, as
     /// [`take_batch`](Self::take_batch) returns them) as in flight.
-    pub fn mark_inflight(
+    pub(crate) fn mark_inflight(
         &mut self,
         mut batch: Vec<(ExternalKey, PageContents)>,
         completes_at: SimInstant,
@@ -256,7 +231,7 @@ impl WriteList {
     }
 
     /// Drops batches whose writes have completed.
-    pub fn retire(&mut self, now: SimInstant) {
+    pub(crate) fn retire(&mut self, now: SimInstant) {
         let spare = &mut self.spare;
         self.inflight.retain_mut(|b| {
             let live = b.completes_at > now;
@@ -271,21 +246,21 @@ impl WriteList {
 
     /// Whether a key is pending or in flight (its store copy is stale or
     /// incomplete — do not prefetch it from the store).
-    pub fn is_tracked(&self, key: ExternalKey) -> bool {
+    pub(crate) fn is_tracked(&self, key: ExternalKey) -> bool {
         self.pending.contains_key(&key) || self.inflight.iter().any(|b| b.get(key).is_some())
     }
 
     /// Whether a key has a pending (not yet flushed) copy.
-    pub fn is_pending(&self, key: ExternalKey) -> bool {
+    pub(crate) fn is_pending(&self, key: ExternalKey) -> bool {
         self.pending.contains_key(&key)
     }
 
-    /// Distinct pages either pending or in flight (for shutdown
-    /// draining). A key can be both at once — re-evicted with new
-    /// contents while an earlier batch holding it is still on the wire —
-    /// and must count once, not twice.
-    pub fn outstanding(&self) -> usize {
-        let only_inflight: FastSet<ExternalKey> = self
+    /// Distinct pages either pending or in flight. A key can be both at
+    /// once — re-evicted with new contents while an earlier batch holding
+    /// it is still on the wire — and must count once, not twice.
+    #[cfg(test)]
+    fn outstanding(&self) -> usize {
+        let only_inflight: fluidmem_sim::FastSet<ExternalKey> = self
             .inflight
             .iter()
             .flat_map(|b| b.pages.iter().map(|&(key, _)| key))
@@ -299,7 +274,7 @@ impl WriteList {
     /// again). A key the VM re-evicted with *newer* contents while the
     /// batch was forming or on the wire keeps its pending copy: the
     /// stale batch copy is dropped for that key instead of clobbering it.
-    pub fn requeue(&mut self, mut batch: Vec<(ExternalKey, PageContents)>, now: SimInstant) {
+    pub(crate) fn requeue(&mut self, mut batch: Vec<(ExternalKey, PageContents)>, now: SimInstant) {
         for (key, contents) in batch.drain(..) {
             if !self.is_pending(key) {
                 self.push(key, contents, now);
@@ -313,7 +288,7 @@ impl WriteList {
 mod tests {
     use super::*;
     use fluidmem_coord::PartitionId;
-    use fluidmem_mem::Vpn;
+    use fluidmem_mem::{Vpn, PAGE_SIZE};
     use fluidmem_sim::{SimDuration, SimRng};
     use std::collections::{HashMap, HashSet};
 
@@ -534,14 +509,14 @@ mod tests {
             same(
                 "pending_bytes",
                 step,
-                wl.pending_bytes(),
+                (wl.pending.len() * PAGE_SIZE) as u64,
                 model.pending_bytes,
             )?;
             same("outstanding", step, wl.outstanding(), model.outstanding())?;
             same(
                 "inflight_batches",
                 step,
-                wl.inflight_batches(),
+                wl.inflight.len(),
                 model.inflight.len(),
             )?;
             // The indexes stay proportional to what is pending, whatever
@@ -628,7 +603,7 @@ mod tests {
         // After completion the batch retires and the page is simply gone
         // (it lives in the store now).
         assert_eq!(wl.steal(key(1), t(101)), StealOutcome::Miss);
-        assert_eq!(wl.inflight_batches(), 0);
+        assert_eq!(wl.inflight.len(), 0);
     }
 
     #[test]
@@ -685,20 +660,20 @@ mod tests {
     }
 
     #[test]
-    fn stolen_page_decrements_pending_bytes_exactly_once() {
+    fn stolen_page_decrements_pending_len_exactly_once() {
         let mut wl = WriteList::new();
         wl.push(key(1), PageContents::Token(1), t(0));
-        // Re-pushing the same key must not double-count its bytes.
+        // Re-pushing the same key must not double-count it.
         wl.push(key(1), PageContents::Token(2), t(0));
         wl.push(key(2), PageContents::Token(3), t(0));
-        assert_eq!(wl.pending_bytes(), 2 * PAGE_SIZE as u64);
+        assert_eq!(wl.pending_len(), 2);
         assert!(matches!(wl.steal(key(1), t(1)), StealOutcome::Stolen(_)));
-        assert_eq!(wl.pending_bytes(), PAGE_SIZE as u64);
+        assert_eq!(wl.pending_len(), 1);
         // A second steal of the same key misses and leaves the count.
         assert!(!matches!(wl.steal(key(1), t(1)), StealOutcome::Stolen(_)));
-        assert_eq!(wl.pending_bytes(), PAGE_SIZE as u64);
+        assert_eq!(wl.pending_len(), 1);
         let _ = wl.take_batch(10, t(2));
-        assert_eq!(wl.pending_bytes(), 0);
+        assert_eq!(wl.pending_len(), 0);
     }
 
     #[test]
@@ -720,7 +695,7 @@ mod tests {
             wl.is_tracked(key(1))
         });
         assert_eq!(wl.steal(key(1), t(100)), StealOutcome::Miss);
-        assert_eq!(wl.inflight_batches(), 0);
+        assert_eq!(wl.inflight.len(), 0);
         assert_eq!(wl.outstanding(), 0);
     }
 

@@ -48,7 +48,7 @@ pub struct HostConfig {
     /// Host DRAM available to VM LRU buffers, in pages.
     pub dram_pages: u64,
     /// Per-VM minimum capacity guarantee (see [`ArbiterConfig`]).
-    pub min_pages_per_vm: u64,
+    pub(crate) min_pages_per_vm: u64,
     /// The arbiter policy.
     pub policy: ArbiterPolicy,
     /// Rebalance every this many host ops (`0` disables the arbiter).
@@ -106,24 +106,6 @@ impl HostConfig {
     /// Sets the per-VM monitor configuration.
     pub fn monitor(mut self, monitor: MonitorConfig) -> Self {
         self.monitor = monitor;
-        self
-    }
-
-    /// Enables watermark-driven background reclaim in every VM's
-    /// monitor. Arbiter capacity retargets then kick each VM's
-    /// background evictor (through `Monitor::resize`) instead of
-    /// evicting inline on the agent's timeline.
-    pub fn reclaim(mut self, cfg: fluidmem_core::ReclaimConfig) -> Self {
-        self.monitor = self.monitor.reclaim(cfg);
-        self
-    }
-
-    /// Enables the compressed local tier in every VM's monitor. The
-    /// config's `max_bytes` is the *host-wide* pool budget: the agent
-    /// splits it into per-VM quotas in proportion to each VM's DRAM
-    /// grant, and re-splits on every arbiter rebalance.
-    pub fn tier(mut self, cfg: fluidmem_core::TierConfig) -> Self {
-        self.monitor = self.monitor.tier(cfg);
         self
     }
 }
@@ -212,7 +194,6 @@ instrument_set! {
 /// One hosted VM: its backend, lease, balloon, and measurement state.
 struct VmSlot {
     spec: VmSpec,
-    pid: u64,
     partition: PartitionId,
     lease: String,
     vm: FluidMemMemory,
@@ -396,7 +377,6 @@ impl HostAgent {
         self.interleave.push(spec.weight);
         self.slots.push(VmSlot {
             spec,
-            pid,
             partition,
             lease,
             vm,
@@ -477,7 +457,7 @@ impl HostAgent {
 
     /// Runs one arbiter round immediately: collect windowed demands,
     /// plan, apply (shrinks before grows), roll the window baselines.
-    pub fn rebalance_now(&mut self) {
+    pub(crate) fn rebalance_now(&mut self) {
         if self.slots.is_empty() {
             return;
         }
@@ -576,7 +556,8 @@ impl HostAgent {
 
     /// Announces an operator balloon target for a VM (or clears it with
     /// `None`); the arbiter clamps the VM's grant from the next round.
-    pub fn set_balloon_target(&mut self, index: usize, target: Option<u64>) {
+    #[cfg(test)]
+    fn set_balloon_target(&mut self, index: usize, target: Option<u64>) {
         match target {
             Some(pages) => self.slots[index].balloon.request(pages),
             None => self.slots[index].balloon.deflate(),
@@ -599,26 +580,6 @@ impl HostAgent {
     pub fn drain(&mut self) {
         for slot in &mut self.slots {
             slot.vm.drain_writes();
-        }
-    }
-
-    /// Swaps in a shared telemetry handle: re-registers the host's and
-    /// the coordination service's counters, every VM's labeled
-    /// instruments, and the cluster's.
-    pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        self.telemetry = telemetry.clone();
-        let registry = self.telemetry.registry();
-        self.counters.register(registry, &[]);
-        self.coord.counters().register(registry, &[]);
-        for slot in &mut self.slots {
-            slot.vm
-                .attach_telemetry_labeled(&self.telemetry, &slot.spec.name);
-            slot.instruments
-                .register(registry, &[(consts::LABEL_VM, &slot.spec.name)]);
-        }
-        if let Some(rt) = &self.cluster {
-            rt.handle
-                .with(|c| c.attach_telemetry(self.telemetry.clone()));
         }
     }
 
@@ -867,8 +828,9 @@ impl HostAgent {
     }
 
     /// Store-node ids with live leases, ascending. Charges coordination
-    /// RTTs; intended for assertions and bench reporting, not hot paths.
-    pub fn live_store_nodes(&mut self) -> Vec<NodeId> {
+    /// RTTs; intended for assertions, not hot paths.
+    #[cfg(test)]
+    fn live_store_nodes(&mut self) -> Vec<NodeId> {
         match &self.cluster {
             Some(rt) => {
                 let dir = &rt.dir;
@@ -886,11 +848,6 @@ impl HostAgent {
     /// A VM's name.
     pub fn vm_name(&self, index: usize) -> &str {
         &self.slots[index].spec.name
-    }
-
-    /// A VM's PID (as leased in the membership directory).
-    pub fn vm_pid(&self, index: usize) -> u64 {
-        self.slots[index].pid
     }
 
     /// A VM's store partition.
@@ -984,11 +941,6 @@ impl HostAgent {
         self.store.handle()
     }
 
-    /// The live membership directory contents, as of the last refresh.
-    pub fn members(&self) -> &[VmLease] {
-        &self.members
-    }
-
     /// The host's telemetry handle.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
@@ -997,11 +949,6 @@ impl HostAgent {
     /// The shared clock.
     pub fn clock(&self) -> &SimClock {
         &self.clock
-    }
-
-    /// Host ops driven so far (warm-up included).
-    pub fn ops_done(&self) -> u64 {
-        self.ops_done
     }
 }
 
@@ -1054,13 +1001,12 @@ mod tests {
         agent.add_vm(VmSpec::new("b", 64));
         agent.add_vm(VmSpec::new("c", 64));
         assert_eq!(agent.vm_count(), 3);
-        assert_eq!(agent.members().len(), 3);
+        assert_eq!(agent.members.len(), 3);
         // Partitions are distinct and the leases carry them.
         let partitions: Vec<PartitionId> = (0..3).map(|i| agent.vm_partition(i)).collect();
         assert_eq!(partitions.len(), 3);
         assert!(partitions[0] != partitions[1] && partitions[1] != partitions[2]);
-        for (i, lease) in agent.members().to_vec().iter().enumerate() {
-            assert_eq!(lease.pid, agent.vm_pid(i));
+        for (i, lease) in agent.members.to_vec().iter().enumerate() {
             assert_eq!(lease.partition, agent.vm_partition(i));
         }
         // Registration fired membership watches.
@@ -1069,7 +1015,7 @@ mod tests {
         agent.run(600);
         agent.remove_vm(1);
         assert_eq!(agent.vm_count(), 2);
-        assert_eq!(agent.members().len(), 2);
+        assert_eq!(agent.members.len(), 2);
         assert_eq!(agent.vm_name(1), "c");
     }
 
@@ -1262,8 +1208,11 @@ mod tests {
             let config = HostConfig::new(256)
                 .min_pages(16)
                 .rebalance_interval(128)
-                .monitor(MonitorConfig::new(256).inflight(depth))
-                .reclaim(fluidmem_core::ReclaimConfig::kswapd());
+                .monitor(
+                    MonitorConfig::new(256)
+                        .inflight(depth)
+                        .reclaim(fluidmem_core::ReclaimConfig::kswapd()),
+                );
             let mut agent =
                 HostAgent::new(config, Box::new(store), clock, SimRng::seed_from_u64(32));
             agent.add_vm(VmSpec::new("hot", 200).weight(3));
@@ -1571,12 +1520,11 @@ mod tests {
         let mut agent = HostAgent::new(
             HostConfig::new(128).rebalance_interval(256),
             Box::new(store),
-            clock.clone(),
+            clock,
             SimRng::seed_from_u64(6),
         );
-        let telemetry = Telemetry::new(clock);
+        let telemetry = agent.telemetry().clone();
         telemetry.enable_spans();
-        agent.attach_telemetry(&telemetry);
         agent.add_vm(VmSpec::new("alpha", 96));
         agent.add_vm(VmSpec::new("beta", 96));
         agent.run(2_000);
@@ -1631,36 +1579,5 @@ mod tests {
             .collect();
         assert!(names.contains(&consts::FAULT_LATENCY_US));
         assert!(!names.contains(&consts::CODEPATH_LATENCY_US));
-    }
-
-    /// A telemetry handle attached after the fleet is up sees every
-    /// series the host's own handle had — including the coordination
-    /// service's events and each VM's SLO counter, with their counts.
-    #[test]
-    fn reattached_telemetry_carries_coord_events_and_per_vm_slo_counters() {
-        let mut agent = host(HostConfig::new(128).rebalance_interval(256), 7);
-        agent.add_vm(VmSpec::new("alpha", 96).slo_p99(1.0));
-        agent.add_vm(VmSpec::new("beta", 96));
-        agent.run(2_000);
-        assert!(agent.slo_violations() > 0, "a 1 µs SLO must be violated");
-
-        let telemetry = Telemetry::new(agent.clock().clone());
-        agent.attach_telemetry(&telemetry);
-        let registry = telemetry.registry();
-        let coord = |event| {
-            registry
-                .counter(consts::COORD_EVENTS, &[(consts::LABEL_EVENT, event)])
-                .get()
-        };
-        assert!(coord("proposal") > 0, "partition and lease writes commit");
-        assert_eq!(coord("session_open"), 1);
-        assert_eq!(coord("election"), 0);
-        let slo = registry.counter(consts::HOST_SLO_VIOLATIONS, &[(consts::LABEL_VM, "alpha")]);
-        assert_eq!(slo.get(), agent.slo_violations());
-
-        // The registry holds the live handles, not copies.
-        let before = coord("proposal");
-        agent.add_vm(VmSpec::new("gamma", 32));
-        assert!(coord("proposal") > before);
     }
 }

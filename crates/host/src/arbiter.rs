@@ -120,18 +120,13 @@ pub struct ArbiterPlan {
     /// Next capacity per VM, index-aligned with the input demands.
     pub capacities: Vec<u64>,
     /// Whether each VM's grant was clamped by its balloon target.
-    pub balloon_clamped: Vec<bool>,
+    pub(crate) balloon_clamped: Vec<bool>,
     /// Whether each VM was throttled this round to fund an SLO-violating
     /// neighbor (only [`ArbiterPolicy::SloGuarded`] sets these).
-    pub slo_throttled: Vec<bool>,
+    pub(crate) slo_throttled: Vec<bool>,
 }
 
-impl ArbiterPlan {
-    /// Sum of all grants (never exceeds the configured total).
-    pub fn granted(&self) -> u64 {
-        self.capacities.iter().sum()
-    }
-}
+impl ArbiterPlan {}
 
 /// Splits `pool` across `weights` by largest-remainder apportionment:
 /// exact floors first, then one extra page each to the largest
@@ -329,6 +324,11 @@ pub fn plan(config: &ArbiterConfig, demands: &[VmDemand]) -> ArbiterPlan {
 mod tests {
     use super::*;
 
+    /// Sum of all grants.
+    fn granted(plan: &ArbiterPlan) -> u64 {
+        plan.capacities.iter().sum()
+    }
+
     fn demand(major_faults: u64, current: u64) -> VmDemand {
         VmDemand {
             major_faults,
@@ -374,7 +374,7 @@ mod tests {
             ],
         );
         assert_eq!(p.capacities, vec![25, 25, 25, 25]);
-        assert_eq!(p.granted(), 100);
+        assert_eq!(granted(&p), 100);
     }
 
     #[test]
@@ -393,7 +393,7 @@ mod tests {
                 demand(0, 128),
             ],
         );
-        assert_eq!(p.granted(), 512);
+        assert_eq!(granted(&p), 512);
         assert!(p.capacities[0] > 300, "{:?}", p.capacities);
         for &c in &p.capacities {
             assert!(c >= 48, "guarantee violated: {:?}", p.capacities);
@@ -427,7 +427,7 @@ mod tests {
             demand(10, 100),
         ];
         let p = plan(&cfg, &demands);
-        assert!(p.granted() <= 400);
+        assert!(granted(&p) <= 400);
         assert!(p.capacities[0] > 100, "{:?}", p.capacities);
         for i in 1..4 {
             assert!(
@@ -460,7 +460,7 @@ mod tests {
             ],
         );
         assert!(again.capacities[0] >= p.capacities[0]);
-        assert!(again.granted() <= 400);
+        assert!(granted(&again) <= 400);
     }
 
     #[test]
@@ -488,7 +488,7 @@ mod tests {
         let mut thrasher = demand(600, 100);
         thrasher.thrash_refaults = 550;
         let p = plan(&cfg, &[streamer, thrasher]);
-        assert_eq!(p.granted(), 400);
+        assert_eq!(granted(&p), 400);
         assert_eq!(p.capacities[0], 40, "streamer holds only the guarantee");
         assert_eq!(p.capacities[1], 360, "thrasher takes the whole pool");
 
@@ -584,7 +584,7 @@ mod tests {
             assert!(p.capacities[i] >= 20, "floor breached: {:?}", p.capacities);
             assert!(p.capacities[i] < base.capacities[i]);
         }
-        assert!(p.granted() <= 400);
+        assert!(granted(&p) <= 400);
     }
 
     #[test]
@@ -655,7 +655,7 @@ mod tests {
             policy: ArbiterPolicy::FaultRateProportional,
         };
         let p = plan(&cfg, &[demand(5, 10), demand(5, 10), demand(5, 10)]);
-        assert_eq!(p.granted(), 30);
+        assert_eq!(granted(&p), 30);
         for &c in &p.capacities {
             assert!(c >= 10);
         }

@@ -336,7 +336,7 @@ impl ClusterStore {
     }
 
     /// The node a partition currently routes to, if assigned or homeable.
-    pub fn owner_of(&self, partition: PartitionId) -> Option<NodeId> {
+    pub(crate) fn owner_of(&self, partition: PartitionId) -> Option<NodeId> {
         self.assignments
             .get(&partition.raw())
             .copied()
@@ -433,7 +433,7 @@ impl ClusterStore {
 
     /// Aborts an in-flight migration, discarding everything already
     /// copied to the target. Returns whether one existed.
-    pub fn abort_migration(&mut self, partition: PartitionId) -> bool {
+    pub(crate) fn abort_migration(&mut self, partition: PartitionId) -> bool {
         let Some(mig) = self.migrations.remove(&partition.raw()) else {
             return false;
         };
@@ -582,11 +582,6 @@ impl ClusterStore {
         report.missing.sort_unstable();
         report.duplicated.sort_unstable();
         report
-    }
-
-    /// Number of keys the shadow set currently tracks.
-    pub fn shadow_len(&self) -> usize {
-        self.shadow.len()
     }
 
     // ----- internals --------------------------------------------------
@@ -1506,7 +1501,7 @@ mod tests {
         let target = 1 - c.owner_of(p).unwrap();
         assert!(c.start_migration(p, target));
         assert_eq!(c.drop_partition(p), 16);
-        assert_eq!(c.shadow_len(), 0);
+        assert_eq!(c.shadow.len(), 0);
         assert!(c.migration_of(p).is_none());
         assert_eq!(c.len(), 0);
     }

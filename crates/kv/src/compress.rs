@@ -236,7 +236,7 @@ pub const TOKEN_STORED_BYTES: usize = 64;
 /// panicking when the buffer is damaged: a missing tag, a dangling
 /// half-pair (odd payload length), or a zero-length run (which the
 /// compressor never emits).
-pub fn rle_decompress(data: &[u8]) -> Result<Vec<u8>, KvError> {
+fn rle_decompress(data: &[u8]) -> Result<Vec<u8>, KvError> {
     if data.first() != Some(&RLE_MAGIC) {
         return Err(KvError::Corruption("RLE frame tag missing"));
     }
@@ -318,7 +318,6 @@ fn decompress_contents(contents: PageContents) -> Result<PageContents, KvError> 
 /// let key = ExternalKey::new(Vpn::new(1), PartitionId::new(0));
 /// store.put(key, PageContents::from_byte_fill(7))?;
 /// assert_eq!(store.get(key)?, PageContents::from_byte_fill(7));
-/// assert!(store.pages_compressed() > 0);
 /// # Ok::<(), fluidmem_kv::KvError>(())
 /// ```
 pub struct CompressedStore {
@@ -344,16 +343,6 @@ impl CompressedStore {
             pages_compressed: 0,
             pages_incompressible: 0,
         }
-    }
-
-    /// Pages stored in compressed form.
-    pub fn pages_compressed(&self) -> u64 {
-        self.pages_compressed
-    }
-
-    /// Pages stored raw because compression did not shrink them.
-    pub fn pages_incompressible(&self) -> u64 {
-        self.pages_incompressible
     }
 
     fn compress(&mut self, contents: PageContents) -> PageContents {
@@ -594,7 +583,7 @@ mod tests {
         assert!(rle_compress(&page).is_none(), "noise must not 'compress'");
         let mut s = store();
         s.put(key(1), PageContents::from_bytes(&page)).unwrap();
-        assert_eq!(s.pages_incompressible(), 1);
+        assert_eq!(s.pages_incompressible, 1);
         assert_eq!(s.get(key(1)).unwrap(), PageContents::from_bytes(&page));
     }
 
@@ -605,7 +594,7 @@ mod tests {
             s.put(key(u64::from(i)), PageContents::from_byte_fill(i))
                 .unwrap();
         }
-        assert_eq!(s.pages_compressed(), 16);
+        assert_eq!(s.pages_compressed, 16);
         for i in 0..16u8 {
             assert_eq!(
                 s.get(key(u64::from(i))).unwrap(),
@@ -638,7 +627,7 @@ mod tests {
             .map(|i| (key(i), PageContents::from_byte_fill(i as u8)))
             .collect();
         s.multi_write(batch).unwrap();
-        assert_eq!(s.pages_compressed(), 8);
+        assert_eq!(s.pages_compressed, 8);
         assert_eq!(s.get(key(3)).unwrap(), PageContents::from_byte_fill(3));
     }
 

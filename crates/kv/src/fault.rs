@@ -36,7 +36,6 @@ use crate::key::ExternalKey;
 use crate::pending::{PendingGet, PendingWrite};
 use crate::stats::StoreStats;
 use crate::store::{forward, KeyValueStore};
-use crate::transport::TransportModel;
 use fluidmem_telemetry::{consts, instrument_set, Registry};
 
 /// Wraps a store with deterministic transport-fault injection.
@@ -92,34 +91,6 @@ impl FaultInjectingStore {
             ops: 0,
             counters: FaultInjectionCounters::default(),
         }
-    }
-
-    /// Wraps `inner`, deriving the deadline from the transport the
-    /// store is reached over (see [`TransportModel::suggested_deadline`]).
-    pub fn with_transport(
-        inner: Box<dyn KeyValueStore>,
-        plan: FaultPlan,
-        clock: SimClock,
-        transport: &TransportModel,
-    ) -> Self {
-        let deadline = transport.suggested_deadline(fluidmem_mem::PAGE_SIZE);
-        FaultInjectingStore::new(inner, plan, clock).with_deadline(deadline)
-    }
-
-    /// Overrides the per-op deadline.
-    pub fn with_deadline(mut self, deadline: SimDuration) -> Self {
-        self.deadline = deadline;
-        self
-    }
-
-    /// The per-op deadline charged for lost requests/responses.
-    pub fn deadline(&self) -> SimDuration {
-        self.deadline
-    }
-
-    /// Read access to the wrapped store.
-    pub fn inner(&self) -> &dyn KeyValueStore {
-        self.inner.as_ref()
     }
 
     fn next_fault(&mut self) -> Option<FaultKind> {
@@ -339,7 +310,7 @@ mod tests {
         let mut s = scripted(&clock, vec![event(0, FaultKind::Drop)]);
         let t0 = clock.now();
         assert_eq!(s.put(key(1), PageContents::Token(7)), Err(KvError::Timeout));
-        assert!(clock.now() - t0 >= s.deadline(), "deadline must elapse");
+        assert!(clock.now() - t0 >= s.deadline, "deadline must elapse");
         assert!(s.peek(key(1)).is_none(), "a dropped request never lands");
         assert_eq!(s.stats().timeouts, 1);
     }
@@ -398,7 +369,7 @@ mod tests {
             s.put(key(1), PageContents::Token(7)),
             Err(KvError::Unavailable)
         );
-        assert!(clock.now() - t0 < s.deadline() / 2, "refusals are fast");
+        assert!(clock.now() - t0 < s.deadline / 2, "refusals are fast");
         assert!(s.peek(key(1)).is_none());
         assert_eq!(s.stats().unavailables, 1);
     }
@@ -422,24 +393,5 @@ mod tests {
         assert_eq!(s.get(key(1)), Err(KvError::Timeout));
         assert_eq!(s.get(key(1)).unwrap(), PageContents::Token(7));
         assert_eq!(s.stats().timeouts, 1);
-    }
-
-    #[test]
-    fn transport_derived_deadline_covers_the_tail() {
-        let clock = SimClock::new();
-        let inner = DramStore::new(1 << 24, clock.clone(), SimRng::seed_from_u64(1));
-        let transport = TransportModel::infiniband_verbs();
-        let s = FaultInjectingStore::with_transport(
-            Box::new(inner),
-            FaultPlan::disabled(),
-            clock,
-            &transport,
-        );
-        let mean = SimDuration::from_micros_f64(transport.mean_read_us(4096));
-        assert!(
-            s.deadline() > mean * 3,
-            "deadline {} mean {mean}",
-            s.deadline()
-        );
     }
 }

@@ -52,14 +52,14 @@ impl ExternalKey {
     }
 
     /// The raw 64-bit key.
-    pub fn raw(self) -> u64 {
+    pub(crate) fn raw(self) -> u64 {
         self.0
     }
 
     /// Rebuilds a key from its raw 64-bit encoding. Every `u64` is a
     /// valid encoding (52-bit page number, 12-bit partition), so this
     /// cannot fail.
-    pub fn from_raw(raw: u64) -> Self {
+    pub(crate) fn from_raw(raw: u64) -> Self {
         ExternalKey(raw)
     }
 }

@@ -48,8 +48,8 @@ mod transport;
 
 pub use cluster::{AuditReport, ClusterCounters, ClusterHandle, ClusterStore};
 pub use compress::{
-    compress_cost, decompress_cost, rle_compress, rle_decompress, rle_len, stored_page_size,
-    CompressedStore, TOKEN_STORED_BYTES,
+    compress_cost, decompress_cost, rle_compress, rle_len, stored_page_size, CompressedStore,
+    TOKEN_STORED_BYTES,
 };
 pub use dram::DramStore;
 pub use error::KvError;
@@ -61,7 +61,7 @@ pub use pending::{PendingGet, PendingWrite};
 pub use ramcloud::RamCloudStore;
 pub use replicated::ReplicatedStore;
 pub use retry::{retry_backoff, run_with_retries_from, RETRY_MAX_ATTEMPTS};
-pub use ring::{HashRing, NodeId};
+pub use ring::NodeId;
 pub use shared::{Shared, SharedStore};
 pub use stats::{StoreCounters, StoreStats};
 pub use store::KeyValueStore;

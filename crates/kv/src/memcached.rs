@@ -78,7 +78,7 @@ impl LeafStore<MemcachedEngine> {
     }
 
     /// Creates a cache with an explicit transport model.
-    pub fn with_transport(
+    pub(crate) fn with_transport(
         capacity_bytes: usize,
         transport: TransportModel,
         clock: SimClock,
@@ -101,11 +101,6 @@ impl LeafStore<MemcachedEngine> {
             next_seq: 0,
         };
         LeafStore::over(engine, transport, clock, rng)
-    }
-
-    /// Slab memory currently allocated to items.
-    pub fn used_bytes(&self) -> usize {
-        self.engine.used_bytes
     }
 }
 
@@ -227,9 +222,9 @@ mod tests {
     fn overwrite_does_not_grow_usage() {
         let mut s = small_store(4);
         s.put(key(1), PageContents::Token(1)).unwrap();
-        let used = s.used_bytes();
+        let used = s.engine.used_bytes;
         s.put(key(1), PageContents::Token(2)).unwrap();
-        assert_eq!(s.used_bytes(), used);
+        assert_eq!(s.engine.used_bytes, used);
         assert_eq!(s.len(), 1);
     }
 

@@ -44,7 +44,7 @@ impl PendingGet {
     }
 
     /// The key being read.
-    pub fn key(&self) -> ExternalKey {
+    pub(crate) fn key(&self) -> ExternalKey {
         self.key
     }
 
@@ -75,7 +75,7 @@ pub struct PendingWrite {
 
 impl PendingWrite {
     /// The keys being written, in batch order.
-    pub fn keys(&self) -> impl Iterator<Item = ExternalKey> + '_ {
+    pub(crate) fn keys(&self) -> impl Iterator<Item = ExternalKey> + '_ {
         self.batch.iter().map(|&(key, _)| key)
     }
 

@@ -2,7 +2,7 @@
 
 use fluidmem_coord::PartitionId;
 use fluidmem_mem::{PageContents, PAGE_SIZE};
-use fluidmem_sim::{SimClock, SimDuration, SimRng};
+use fluidmem_sim::{SimClock, SimRng};
 
 use crate::error::KvError;
 use crate::key::{ExternalKey, KeyTable};
@@ -90,7 +90,7 @@ impl LeafStore<RamCloudEngine> {
     }
 
     /// Creates a store with an explicit transport model.
-    pub fn with_transport(
+    pub(crate) fn with_transport(
         capacity_bytes: usize,
         transport: TransportModel,
         clock: SimClock,
@@ -116,18 +116,20 @@ impl LeafStore<RamCloudEngine> {
     /// the paper's citation \[33\]). Charges recovery time proportional to
     /// the log size; later records win replay conflicts, so the recovered
     /// index is exactly the pre-crash one.
-    pub fn crash_and_recover(&mut self) -> SimDuration {
+    #[cfg(test)]
+    fn crash_and_recover(&mut self) -> fluidmem_sim::SimDuration {
         self.stats.recoveries.inc();
         self.engine.reindex();
         // Replay: ~0.6 µs per log record (hash insert + checksum), spread
         // over the recovery masters; single-server model charges it all.
-        let cost = SimDuration::from_nanos(600) * self.engine.total_records as u64;
+        let cost = fluidmem_sim::SimDuration::from_nanos(600) * self.engine.total_records as u64;
         self.clock.advance(cost);
         cost
     }
 
     /// Fraction of the log occupied by live records.
-    pub fn log_utilization(&self) -> f64 {
+    #[cfg(test)]
+    fn log_utilization(&self) -> f64 {
         if self.engine.total_records == 0 {
             return 0.0;
         }
@@ -278,6 +280,7 @@ mod tests {
     use super::*;
     use crate::KeyValueStore;
     use fluidmem_mem::Vpn;
+    use fluidmem_sim::SimDuration;
 
     fn store(mb: usize) -> RamCloudStore {
         RamCloudStore::new(mb << 20, SimClock::new(), SimRng::seed_from_u64(5))

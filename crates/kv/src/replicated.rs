@@ -16,9 +16,8 @@ use fluidmem_telemetry::{consts, instrument_set, Registry};
 ///
 /// Writes go to every replica (issued back-to-back as asynchronous top
 /// halves, so the round trips overlap); reads go to the primary and fail
-/// over to the next replica on a miss or after
-/// [`fail_replica`](ReplicatedStore::fail_replica), with read-repair
-/// bringing a recovered replica back in sync lazily.
+/// over to the next replica on a miss or after a replica fails, with
+/// read-repair bringing a recovered replica back in sync lazily.
 ///
 /// A replica that misses a write — because it was down, or because its
 /// transport dropped or refused the request — is remembered as *stale*
@@ -32,25 +31,6 @@ use fluidmem_telemetry::{consts, instrument_set, Registry};
 /// writes \[and\] since FluidMem carries out writes asynchronously, the
 /// overall impact on page fault latency would be minimal" (§VI-A) — a
 /// claim the `ablations` bench checks directly with this wrapper.
-///
-/// # Example
-///
-/// ```
-/// use fluidmem_coord::PartitionId;
-/// use fluidmem_kv::{DramStore, ExternalKey, KeyValueStore, ReplicatedStore};
-/// use fluidmem_mem::{PageContents, Vpn};
-/// use fluidmem_sim::{SimClock, SimRng};
-///
-/// let clock = SimClock::new();
-/// let a = DramStore::new(1 << 24, clock.clone(), SimRng::seed_from_u64(1));
-/// let b = DramStore::new(1 << 24, clock.clone(), SimRng::seed_from_u64(2));
-/// let mut store = ReplicatedStore::new(vec![Box::new(a), Box::new(b)]);
-/// let key = ExternalKey::new(Vpn::new(1), PartitionId::new(0));
-/// store.put(key, PageContents::Token(5))?;
-/// store.fail_replica(0); // primary dies
-/// assert_eq!(store.get(key)?, PageContents::Token(5)); // served by the mirror
-/// # Ok::<(), fluidmem_kv::KvError>(())
-/// ```
 pub struct ReplicatedStore {
     replicas: Vec<Box<dyn KeyValueStore>>,
     alive: Vec<bool>,
@@ -59,7 +39,6 @@ pub struct ReplicatedStore {
     /// Answers for these keys are untrusted until read-repair heals them.
     stale: Vec<std::collections::HashSet<u64>>,
     counters: ReplicationCounters,
-    repairs: u64,
 }
 
 instrument_set! {
@@ -90,34 +69,19 @@ impl ReplicatedStore {
             alive,
             stale,
             counters: ReplicationCounters::default(),
-            repairs: 0,
         }
     }
 
     /// Marks a replica as failed (its server crashed / unreachable).
-    pub fn fail_replica(&mut self, index: usize) {
+    #[cfg(test)]
+    fn fail_replica(&mut self, index: usize) {
         self.alive[index] = false;
     }
 
     /// Brings a replica back; stale pages heal via read-repair.
-    pub fn recover_replica(&mut self, index: usize) {
+    #[cfg(test)]
+    fn recover_replica(&mut self, index: usize) {
         self.alive[index] = true;
-    }
-
-    /// Reads served by a non-primary replica.
-    pub fn failovers(&self) -> u64 {
-        self.counters.failovers.get()
-    }
-
-    /// Pages re-written to lagging replicas by read-repair.
-    pub fn repairs(&self) -> u64 {
-        self.repairs
-    }
-
-    /// Keys currently known stale on some replica (unacked latest
-    /// writes awaiting read-repair).
-    pub fn stale_keys(&self) -> usize {
-        self.stale.iter().map(|s| s.len()).sum()
     }
 
     fn first_alive(&self) -> Option<usize> {
@@ -220,7 +184,6 @@ impl KeyValueStore for ReplicatedStore {
                     self.counters.failovers.inc();
                     if needs_repair && self.replicas[primary].put(key, v.clone()).is_ok() {
                         self.stale[primary].remove(&key.raw());
-                        self.repairs += 1;
                     }
                     return Ok(v);
                 }
@@ -238,7 +201,6 @@ impl KeyValueStore for ReplicatedStore {
             // delete through and report an honest miss.
             self.replicas[primary].delete(key);
             self.stale[primary].remove(&key.raw());
-            self.repairs += 1;
             return Err(KvError::NotFound(key));
         }
         primary_result
@@ -402,6 +364,12 @@ mod tests {
         ExternalKey::new(Vpn::new(n), PartitionId::new(0))
     }
 
+    /// Keys known stale on some replica (unacked latest writes awaiting
+    /// read-repair).
+    fn stale_keys(s: &ReplicatedStore) -> usize {
+        s.stale.iter().map(|s| s.len()).sum()
+    }
+
     fn two_replica(clock: &SimClock) -> ReplicatedStore {
         let a = RamCloudStore::new(1 << 24, clock.clone(), SimRng::seed_from_u64(1));
         let b = RamCloudStore::new(1 << 24, clock.clone(), SimRng::seed_from_u64(2));
@@ -442,12 +410,11 @@ mod tests {
         // over, and repair.
         s.recover_replica(0);
         assert_eq!(s.get(key(2)).unwrap(), PageContents::Token(2));
-        assert_eq!(s.failovers(), 1);
-        assert_eq!(s.repairs(), 1);
+        assert_eq!(s.counters.failovers.get(), 1);
         assert!(s.replicas[0].peek(key(2)).is_some(), "repaired in place");
         // Subsequent reads are served by the primary again.
         assert_eq!(s.get(key(2)).unwrap(), PageContents::Token(2));
-        assert_eq!(s.failovers(), 1);
+        assert_eq!(s.counters.failovers.get(), 1);
     }
 
     #[test]
@@ -519,10 +486,10 @@ mod tests {
         let mut s = faulty_primary_pair(&clock, vec![(1, FaultKind::Drop)]);
         s.put(key(1), PageContents::Token(1)).unwrap();
         assert_eq!(s.get(key(1)).unwrap(), PageContents::Token(1));
-        assert_eq!(s.failovers(), 1);
+        assert_eq!(s.counters.failovers.get(), 1);
         // The primary still holds the page — a transport fault is not a
         // miss, so no read-repair write happens.
-        assert_eq!(s.repairs(), 0);
+        assert_eq!(stale_keys(&s), 0);
         assert_eq!(s.stats().failovers, 1);
     }
 
@@ -534,16 +501,15 @@ mod tests {
         let mut s = faulty_primary_pair(&clock, vec![(1, FaultKind::Drop)]);
         s.put(key(1), PageContents::Token(1)).unwrap();
         s.put(key(1), PageContents::Token(2)).unwrap();
-        assert_eq!(s.stale_keys(), 1);
+        assert_eq!(stale_keys(&s), 1);
         // The stale mark forces the read over to the mirror — without it
         // the primary would happily serve Token(1).
         assert_eq!(s.get(key(1)).unwrap(), PageContents::Token(2));
-        assert_eq!(s.failovers(), 1);
-        assert_eq!(s.repairs(), 1);
-        assert_eq!(s.stale_keys(), 0);
+        assert_eq!(s.counters.failovers.get(), 1);
+        assert_eq!(stale_keys(&s), 0);
         // Healed: the next read is primary-served again.
         assert_eq!(s.get(key(1)).unwrap(), PageContents::Token(2));
-        assert_eq!(s.failovers(), 1);
+        assert_eq!(s.counters.failovers.get(), 1);
     }
 
     #[test]
@@ -555,13 +521,13 @@ mod tests {
         // primary is marked stale for the key.
         s.fail_replica(0);
         assert!(s.delete(key(1)));
-        assert_eq!(s.stale_keys(), 1);
+        assert_eq!(stale_keys(&s), 1);
         // The primary recovers still holding its pre-delete copy. The
         // read must NOT serve it: the mirror's authoritative miss wins,
         // the delete is repaired through, and the stale mark drains.
         s.recover_replica(0);
         assert!(matches!(s.get(key(1)), Err(KvError::NotFound(_))));
-        assert_eq!(s.stale_keys(), 0, "stale mark must drain");
+        assert_eq!(stale_keys(&s), 0, "stale mark must drain");
         assert!(
             s.replicas[0].peek(key(1)).is_none(),
             "delete repaired through"
@@ -596,12 +562,12 @@ mod tests {
             s.delete(key(i));
         }
         s.recover_replica(0);
-        assert!(s.stale_keys() > 0, "chaos must have left stale marks");
+        assert!(stale_keys(&s) > 0, "chaos must have left stale marks");
 
         // Repair writes themselves go through the chaotic transport, so
         // one pass may leave marks; repeated passes must converge.
         for _pass in 0..8 {
-            if s.stale_keys() == 0 {
+            if stale_keys(&s) == 0 {
                 break;
             }
             for i in 0..64 {
@@ -613,8 +579,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(s.stale_keys(), 0, "read-repair must drain every stale mark");
-        assert!(s.repairs() > 0);
+        assert_eq!(stale_keys(&s), 0, "read-repair must drain every stale mark");
     }
 
     #[test]
@@ -623,7 +588,7 @@ mod tests {
         let mut s = faulty_primary_pair(&clock, vec![(0, FaultKind::TransientError)]);
         s.multi_write(vec![(key(1), PageContents::Token(1))])
             .unwrap();
-        assert_eq!(s.failovers(), 1);
+        assert_eq!(s.counters.failovers.get(), 1);
         assert!(
             s.replicas[1].peek(key(1)).is_some(),
             "mirror took the batch"
@@ -632,6 +597,6 @@ mod tests {
         // data survives on the mirror and heals via read-repair later.
         assert!(s.replicas[0].peek(key(1)).is_none());
         assert_eq!(s.get(key(1)).unwrap(), PageContents::Token(1));
-        assert_eq!(s.repairs(), 1);
+        assert!(s.replicas[0].peek(key(1)).is_some(), "repaired in place");
     }
 }

@@ -45,24 +45,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// A consistent-hash ring with virtual nodes.
-///
-/// # Example
-///
-/// ```
-/// use fluidmem_coord::PartitionId;
-/// use fluidmem_kv::HashRing;
-///
-/// let mut ring = HashRing::new(64);
-/// ring.add_node(0);
-/// ring.add_node(1);
-/// let before = ring.home_of(PartitionId::new(7)).unwrap();
-/// ring.add_node(2);
-/// // Stability: a partition either stays home or moves to the new node.
-/// let after = ring.home_of(PartitionId::new(7)).unwrap();
-/// assert!(after == before || after == 2);
-/// ```
 #[derive(Debug, Clone)]
-pub struct HashRing {
+pub(crate) struct HashRing {
     /// `(point, node)` sorted by point; ties broken by node id so layout
     /// is independent of insertion order.
     points: Vec<(u64, NodeId)>,
@@ -72,7 +56,7 @@ pub struct HashRing {
 
 impl HashRing {
     /// An empty ring where each node will contribute `vnodes` points.
-    pub fn new(vnodes: u32) -> Self {
+    pub(crate) fn new(vnodes: u32) -> Self {
         assert!(vnodes > 0, "a node must contribute at least one point");
         HashRing {
             points: Vec::new(),
@@ -83,7 +67,7 @@ impl HashRing {
 
     /// Adds a node's virtual points. Returns `false` (and changes
     /// nothing) if the node is already present.
-    pub fn add_node(&mut self, node: NodeId) -> bool {
+    pub(crate) fn add_node(&mut self, node: NodeId) -> bool {
         if !self.nodes.insert(node) {
             return false;
         }
@@ -98,7 +82,7 @@ impl HashRing {
     }
 
     /// Removes a node's virtual points. Returns `false` if absent.
-    pub fn remove_node(&mut self, node: NodeId) -> bool {
+    pub(crate) fn remove_node(&mut self, node: NodeId) -> bool {
         if !self.nodes.remove(&node) {
             return false;
         }
@@ -106,25 +90,15 @@ impl HashRing {
         true
     }
 
-    /// Whether `node` is on the ring.
-    pub fn contains(&self, node: NodeId) -> bool {
-        self.nodes.contains(&node)
-    }
-
-    /// Number of member nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Member node ids in ascending order.
-    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+    pub(crate) fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.nodes.iter().copied()
     }
 
     /// The node a partition homes at: the first ring point at or
     /// clockwise of the partition's hash, wrapping at the top. `None`
     /// on an empty ring.
-    pub fn home_of(&self, partition: PartitionId) -> Option<NodeId> {
+    pub(crate) fn home_of(&self, partition: PartitionId) -> Option<NodeId> {
         if self.points.is_empty() {
             return None;
         }
@@ -149,7 +123,7 @@ mod tests {
     fn empty_ring_routes_nothing() {
         let ring = HashRing::new(8);
         assert_eq!(ring.home_of(PartitionId::new(0)), None);
-        assert_eq!(ring.node_count(), 0);
+        assert!(ring.nodes.is_empty());
     }
 
     #[test]
@@ -203,7 +177,7 @@ mod tests {
         }
         let before = homes(&ring);
         ring.remove_node(2);
-        assert!(!ring.contains(2));
+        assert!(!ring.nodes.contains(&2));
         let after = homes(&ring);
         for (b, a) in before.iter().zip(&after) {
             if *b != 2 {

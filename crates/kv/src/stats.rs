@@ -15,11 +15,6 @@ impl StoreStats {
     pub fn total_puts(&self) -> u64 {
         self.puts + self.batched_puts
     }
-
-    /// Total operations that failed with a retryable error.
-    pub fn retryable_failures(&self) -> u64 {
-        self.timeouts + self.unavailables
-    }
 }
 
 instrument_set! {

@@ -16,19 +16,8 @@ use fluidmem_sim::{LatencyModel, SimDuration, SimRng};
 /// * **round trip + server time** — elapses in the background;
 /// * **bottom half** (completion poll + payload copy) — paid when the op
 ///   is finished.
-///
-/// # Example
-///
-/// ```
-/// use fluidmem_kv::TransportModel;
-///
-/// let ib = TransportModel::infiniband_verbs();
-/// let tcp = TransportModel::ip_over_ib();
-/// assert!(tcp.mean_read_us(4096) > ib.mean_read_us(4096));
-/// ```
 #[derive(Debug, Clone)]
 pub struct TransportModel {
-    name: &'static str,
     top_half: LatencyModel,
     round_trip: LatencyModel,
     server_op: LatencyModel,
@@ -43,7 +32,6 @@ impl TransportModel {
     /// (Table I `READ_PAGE`) of which ≈10 µs is the network wait (§V-B).
     pub fn infiniband_verbs() -> Self {
         TransportModel {
-            name: "ib-verbs",
             top_half: LatencyModel::normal_us(1.3, 0.2),
             round_trip: LatencyModel::lognormal_mean_p99_us(7.3, 11.0),
             server_op: LatencyModel::normal_us(2.0, 0.3),
@@ -56,9 +44,8 @@ impl TransportModel {
     /// averages ≈70 µs (kernel TCP stack on both ends), matching the
     /// ≈65.8 µs pmbench average the paper reports for the Memcached
     /// backend.
-    pub fn ip_over_ib() -> Self {
+    pub(crate) fn ip_over_ib() -> Self {
         TransportModel {
-            name: "ipoib-tcp",
             top_half: LatencyModel::normal_us(4.5, 0.8),
             round_trip: LatencyModel::lognormal_mean_p99_us(48.0, 110.0),
             server_op: LatencyModel::normal_us(6.0, 1.0),
@@ -69,9 +56,8 @@ impl TransportModel {
 
     /// In-process access for the local DRAM baseline: a table lookup and
     /// a 4 KB copy.
-    pub fn local() -> Self {
+    pub(crate) fn local() -> Self {
         TransportModel {
-            name: "local",
             top_half: LatencyModel::normal_us(0.25, 0.05),
             round_trip: LatencyModel::zero(),
             server_op: LatencyModel::normal_us(0.5, 0.1),
@@ -80,25 +66,25 @@ impl TransportModel {
         }
     }
 
-    /// The transport's short name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// Cost of the top half (request marshal/post).
-    pub fn sample_top_half(&self, rng: &mut SimRng) -> SimDuration {
+    pub(crate) fn sample_top_half(&self, rng: &mut SimRng) -> SimDuration {
         self.top_half.sample(rng)
     }
 
     /// Background time until a single-object response of `bytes` payload
     /// is available: round trip + server processing + wire time.
-    pub fn sample_flight(&self, rng: &mut SimRng, bytes: usize) -> SimDuration {
+    pub(crate) fn sample_flight(&self, rng: &mut SimRng, bytes: usize) -> SimDuration {
         self.round_trip.sample(rng) + self.server_op.sample(rng) + self.wire(rng, bytes)
     }
 
     /// Background time for a batch of `count` objects totalling `bytes`:
     /// one round trip, per-object server time, shared wire.
-    pub fn sample_batch_flight(&self, rng: &mut SimRng, count: usize, bytes: usize) -> SimDuration {
+    pub(crate) fn sample_batch_flight(
+        &self,
+        rng: &mut SimRng,
+        count: usize,
+        bytes: usize,
+    ) -> SimDuration {
         let mut d = self.round_trip.sample(rng) + self.wire(rng, bytes);
         for _ in 0..count {
             d += self.server_op.sample(rng);
@@ -107,25 +93,8 @@ impl TransportModel {
     }
 
     /// Cost of the bottom half (completion poll + payload copy).
-    pub fn sample_bottom_half(&self, rng: &mut SimRng) -> SimDuration {
+    pub(crate) fn sample_bottom_half(&self, rng: &mut SimRng) -> SimDuration {
         self.bottom_half.sample(rng)
-    }
-
-    /// A per-operation deadline suited to this transport: well past the
-    /// p99 of a `bytes`-sized read, so only genuinely lost requests or
-    /// responses trip it. Used by
-    /// [`FaultInjectingStore`](crate::FaultInjectingStore).
-    pub fn suggested_deadline(&self, bytes: usize) -> SimDuration {
-        SimDuration::from_micros_f64(self.mean_read_us(bytes) * 8.0)
-    }
-
-    /// Analytic mean of a synchronous read of `bytes` in microseconds.
-    pub fn mean_read_us(&self, bytes: usize) -> f64 {
-        self.top_half.mean_us()
-            + self.round_trip.mean_us()
-            + self.server_op.mean_us()
-            + self.bottom_half.mean_us()
-            + self.per_kib.mean_us() * (bytes as f64 / 1024.0)
     }
 
     fn wire(&self, rng: &mut SimRng, bytes: usize) -> SimDuration {
@@ -191,6 +160,11 @@ mod tests {
     #[test]
     fn bigger_payloads_cost_more_wire_time() {
         let t = TransportModel::ip_over_ib();
-        assert!(t.mean_read_us(64 * 1024) > t.mean_read_us(4096) + 50.0);
+        let mut rng = SimRng::seed_from_u64(4);
+        let mut mean = |bytes| {
+            let total: SimDuration = (0..1_000).map(|_| t.sample_flight(&mut rng, bytes)).sum();
+            total.as_micros_f64() / 1_000.0
+        };
+        assert!(mean(64 * 1024) > mean(4096) + 50.0);
     }
 }

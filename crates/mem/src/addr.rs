@@ -19,7 +19,6 @@ use crate::page_class::PageClass;
 ///
 /// let a = VirtAddr::new(0x1234_5678);
 /// assert_eq!(a.vpn(), Vpn::new(0x1234_5678 >> 12));
-/// assert_eq!(a.page_offset(), 0x678);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VirtAddr(u64);
@@ -31,28 +30,10 @@ impl VirtAddr {
         VirtAddr(raw)
     }
 
-    /// The raw 64-bit value.
-    #[inline]
-    pub const fn raw(self) -> u64 {
-        self.0
-    }
-
     /// The 52-bit virtual page number containing this address.
     #[inline]
     pub const fn vpn(self) -> Vpn {
         Vpn(self.0 >> 12)
-    }
-
-    /// The byte offset within the page.
-    #[inline]
-    pub const fn page_offset(self) -> u64 {
-        self.0 & (PAGE_SIZE as u64 - 1)
-    }
-
-    /// The address rounded down to its page boundary.
-    #[inline]
-    pub const fn page_base(self) -> VirtAddr {
-        VirtAddr(self.0 & !(PAGE_SIZE as u64 - 1))
     }
 }
 
@@ -101,7 +82,7 @@ impl Vpn {
 
     /// The base address of this page.
     #[inline]
-    pub const fn base_addr(self) -> VirtAddr {
+    pub(crate) const fn base_addr(self) -> VirtAddr {
         VirtAddr(self.0 << 12)
     }
 
@@ -139,7 +120,6 @@ impl fmt::Display for Vpn {
 /// assert_eq!(r.pages(), 16);
 /// assert!(r.contains(Vpn::new(0x10f)));
 /// assert!(!r.contains(Vpn::new(0x110)));
-/// assert_eq!(r.bytes(), 16 * 4096);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Region {
@@ -179,7 +159,7 @@ impl Region {
     }
 
     /// Region size in bytes.
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         self.pages * PAGE_SIZE as u64
     }
 
@@ -226,9 +206,7 @@ mod tests {
     #[test]
     fn vpn_addr_round_trip() {
         let a = VirtAddr::new(0xdead_b000 + 0xeef);
-        assert_eq!(a.page_offset(), 0xeef);
-        assert_eq!(a.page_base(), VirtAddr::new(0xdead_b000));
-        assert_eq!(a.vpn().base_addr(), a.page_base());
+        assert_eq!(a.vpn().base_addr(), VirtAddr::new(0xdead_b000));
     }
 
     #[test]

@@ -29,15 +29,7 @@ pub struct AccessReport {
     pub latency: SimDuration,
 }
 
-impl AccessReport {
-    /// A zero-latency hit.
-    pub fn hit() -> Self {
-        AccessReport {
-            outcome: AccessOutcome::Hit,
-            latency: SimDuration::ZERO,
-        }
-    }
-}
+impl AccessReport {}
 
 /// Running counters kept by every backend.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -54,17 +46,6 @@ impl AccessCounters {
     /// Total accesses observed.
     pub fn total(&self) -> u64 {
         self.hits + self.minor_faults + self.major_faults
-    }
-
-    /// Fraction of accesses that were faults of any kind (0 if no
-    /// accesses yet).
-    pub fn fault_rate(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            0.0
-        } else {
-            (self.minor_faults + self.major_faults) as f64 / total as f64
-        }
     }
 
     /// Records one outcome.
@@ -180,19 +161,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_record_and_rate() {
+    fn counters_record_every_outcome() {
         let mut c = AccessCounters::default();
         c.record(AccessOutcome::Hit);
         c.record(AccessOutcome::Hit);
         c.record(AccessOutcome::MinorFault);
         c.record(AccessOutcome::MajorFault);
         assert_eq!(c.total(), 4);
-        assert!((c.fault_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_counters_have_zero_rate() {
-        assert_eq!(AccessCounters::default().fault_rate(), 0.0);
     }
 
     #[test]
@@ -200,13 +175,6 @@ mod tests {
         let e = CapacityError::new("swap");
         assert!(e.to_string().contains("swap"));
         assert!(e.to_string().contains("guest cooperation"));
-    }
-
-    #[test]
-    fn hit_report_is_zero_latency() {
-        let r = AccessReport::hit();
-        assert_eq!(r.outcome, AccessOutcome::Hit);
-        assert!(r.latency.is_zero());
     }
 
     #[test]

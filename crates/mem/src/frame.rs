@@ -11,11 +11,6 @@ pub struct FrameId(u64);
 impl FrameId {
     /// The reserved frame holding the kernel's shared zero page.
     pub const ZERO_PAGE: FrameId = FrameId(0);
-
-    /// The raw frame number.
-    pub const fn raw(self) -> u64 {
-        self.0
-    }
 }
 
 impl fmt::Debug for FrameId {
@@ -144,28 +139,6 @@ impl PhysicalMemory {
             .and_then(Option::as_ref)
             .expect("loading from an unallocated frame")
     }
-
-    /// Takes the contents out of a frame (leaving `Zero`) without freeing
-    /// it — the data movement of the proposed `UFFD_REMAP` ioctl, which
-    /// transfers a page by rewriting page-table entries instead of copying.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frame is not allocated or is the zero-page frame.
-    pub fn take(&mut self, frame: FrameId) -> PageContents {
-        assert_ne!(frame, FrameId::ZERO_PAGE, "the zero page is read-only");
-        let slot = self
-            .contents
-            .get_mut(frame.0 as usize)
-            .and_then(Option::as_mut)
-            .expect("taking from an unallocated frame");
-        std::mem::take(slot)
-    }
-
-    /// Whether the frame is currently allocated.
-    pub fn is_allocated(&self, frame: FrameId) -> bool {
-        frame == FrameId::ZERO_PAGE || matches!(self.contents.get(frame.0 as usize), Some(Some(_)))
-    }
 }
 
 #[cfg(test)]
@@ -202,21 +175,17 @@ mod tests {
     }
 
     #[test]
-    fn store_load_take() {
+    fn store_then_load() {
         let mut pm = PhysicalMemory::new(1);
         let f = pm.alloc().unwrap();
         pm.store(f, PageContents::Token(99));
         assert_eq!(pm.load(f), &PageContents::Token(99));
-        let taken = pm.take(f);
-        assert_eq!(taken, PageContents::Token(99));
-        assert_eq!(pm.load(f), &PageContents::Zero, "take leaves Zero behind");
     }
 
     #[test]
     fn zero_page_always_readable() {
         let pm = PhysicalMemory::new(0);
         assert_eq!(pm.load(FrameId::ZERO_PAGE), &PageContents::Zero);
-        assert!(pm.is_allocated(FrameId::ZERO_PAGE));
     }
 
     #[test]
@@ -242,7 +211,6 @@ mod tests {
         let f = pm.alloc().unwrap();
         pm.store(f, PageContents::Token(5));
         pm.free(f);
-        assert!(!pm.is_allocated(f));
         let _ = pm.load(f);
     }
 
@@ -253,7 +221,6 @@ mod tests {
         let mut big = PhysicalMemory::new(8);
         let far = (0..8).map(|_| big.alloc().unwrap()).last().unwrap();
         let pm = PhysicalMemory::new(8);
-        assert!(!pm.is_allocated(far));
         let _ = pm.load(far);
     }
 }

@@ -36,7 +36,7 @@ pub use backend::{AccessCounters, AccessOutcome, AccessReport, CapacityError, Me
 pub use frame::{FrameId, PhysicalMemory};
 pub use page::{PageBuf, PageContents, PAGE_SIZE};
 pub use page_array::PageArray;
-pub use page_class::{PageClass, WritebackTarget};
+pub use page_class::PageClass;
 pub use page_table::{PageTable, PageTableEntry};
 pub use pte::PteFlags;
 pub use tlb::TlbModel;

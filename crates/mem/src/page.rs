@@ -81,7 +81,6 @@ impl Eq for PageBuf {}
 ///
 /// let p = PageContents::from_byte_fill(0xAB);
 /// assert_eq!(p.as_bytes().unwrap()[17], 0xAB);
-/// assert_ne!(p.fingerprint(), PageContents::Zero.fingerprint());
 /// ```
 #[derive(Clone, Default, PartialEq, Eq)]
 pub enum PageContents {
@@ -126,19 +125,9 @@ impl PageContents {
         }
     }
 
-    /// Whether the page is all zeroes (the `Zero` variant or a zeroed
-    /// byte buffer).
-    pub fn is_zero(&self) -> bool {
-        match self {
-            PageContents::Zero => true,
-            PageContents::Token(_) => false,
-            PageContents::Bytes(b) => b.iter().all(|&x| x == 0),
-        }
-    }
-
     /// A 64-bit fingerprint of the contents, stable across clones; used by
     /// integrity tests to follow a page through evict/refault round trips.
-    pub fn fingerprint(&self) -> u64 {
+    pub(crate) fn fingerprint(&self) -> u64 {
         match self {
             PageContents::Zero => 0,
             PageContents::Token(t) => 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(t | 1),
@@ -151,17 +140,6 @@ impl PageContents {
                 }
                 h
             }
-        }
-    }
-
-    /// The number of bytes this representation costs the *simulator's*
-    /// host (not the simulated machine): tokens are 8 bytes, real buffers
-    /// their length (4 KB for a page, 3 to 4 097 for a compressed frame).
-    pub fn host_cost_bytes(&self) -> usize {
-        match self {
-            PageContents::Zero => 0,
-            PageContents::Token(_) => 8,
-            PageContents::Bytes(b) => b.len(),
         }
     }
 }
@@ -210,14 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_detection() {
-        assert!(PageContents::Zero.is_zero());
-        assert!(PageContents::from_byte_fill(0).is_zero());
-        assert!(!PageContents::from_byte_fill(1).is_zero());
-        assert!(!PageContents::Token(0).is_zero());
-    }
-
-    #[test]
     fn fingerprints_distinguish_contents() {
         let a = PageContents::from_byte_fill(1);
         let b = PageContents::from_byte_fill(2);
@@ -228,18 +198,6 @@ mod tests {
             PageContents::Token(2).fingerprint()
         );
         assert_eq!(PageContents::Zero.fingerprint(), 0);
-    }
-
-    #[test]
-    fn token_is_cheap_on_host() {
-        assert_eq!(PageContents::Token(42).host_cost_bytes(), 8);
-        assert_eq!(PageContents::from_byte_fill(1).host_cost_bytes(), PAGE_SIZE);
-        assert_eq!(PageContents::Zero.host_cost_bytes(), 0);
-        // Compressed frames are byte buffers too, from a 3-byte RLE
-        // frame to a 4 097-byte raw one.
-        assert_eq!(PageContents::bytes(vec![0xC7, 9, 1]).host_cost_bytes(), 3);
-        let raw = vec![7u8; PAGE_SIZE + 1];
-        assert_eq!(PageContents::bytes(raw).host_cost_bytes(), PAGE_SIZE + 1);
     }
 
     /// The type doc promises a `Send + Sync` page: a `Cell` memo or an

@@ -11,18 +11,6 @@ use std::fmt;
 /// | `Unevictable` (mlocked/pinned) | no | yes |
 /// | `FileBacked` (mmap, page cache) | not to swap — written back to its filesystem | yes, to remote memory |
 /// | `Anonymous` | yes | yes |
-///
-/// # Example
-///
-/// ```
-/// use fluidmem_mem::PageClass;
-///
-/// assert!(PageClass::Anonymous.swappable());
-/// assert!(!PageClass::KernelText.swappable());
-/// assert!(PageClass::FileBacked.reclaimable_by_kernel());
-/// // FluidMem's full disaggregation covers every class:
-/// assert!(PageClass::ALL.iter().all(|c| c.disaggregatable()));
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PageClass {
     /// Kernel code.
@@ -47,39 +35,6 @@ impl PageClass {
         PageClass::FileBacked,
         PageClass::Anonymous,
     ];
-
-    /// Whether the Linux swap subsystem can write this page to swap space.
-    ///
-    /// Only anonymous pages are swappable; this is the central limitation
-    /// of swap-based disaggregation that FluidMem removes.
-    pub fn swappable(self) -> bool {
-        matches!(self, PageClass::Anonymous)
-    }
-
-    /// Whether the kernel can reclaim the page from DRAM *at all* under
-    /// memory pressure (either by swapping it or by dropping/writing it
-    /// back to its filesystem).
-    pub fn reclaimable_by_kernel(self) -> bool {
-        matches!(self, PageClass::Anonymous | PageClass::FileBacked)
-    }
-
-    /// Whether FluidMem can move the page to remote memory. Full memory
-    /// disaggregation means this is `true` for every class.
-    pub fn disaggregatable(self) -> bool {
-        true
-    }
-
-    /// Whether a reclaimed page of this class must be written somewhere
-    /// before its frame can be reused (dirty anonymous pages go to swap;
-    /// dirty file-backed pages go back to their file; clean file-backed
-    /// pages can simply be dropped).
-    pub fn writeback_target(self) -> WritebackTarget {
-        match self {
-            PageClass::Anonymous => WritebackTarget::SwapDevice,
-            PageClass::FileBacked => WritebackTarget::Filesystem,
-            _ => WritebackTarget::NotReclaimable,
-        }
-    }
 }
 
 impl fmt::Display for PageClass {
@@ -95,56 +50,9 @@ impl fmt::Display for PageClass {
     }
 }
 
-/// Where the kernel writes a reclaimed page of a given class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WritebackTarget {
-    /// Dirty anonymous pages are written to the swap device.
-    SwapDevice,
-    /// Dirty file-backed pages are written back to their filesystem.
-    Filesystem,
-    /// The kernel cannot reclaim this page at all.
-    NotReclaimable,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn only_anonymous_is_swappable() {
-        let swappable: Vec<_> = PageClass::ALL.iter().filter(|c| c.swappable()).collect();
-        assert_eq!(swappable, vec![&PageClass::Anonymous]);
-    }
-
-    #[test]
-    fn kernel_reclaims_anon_and_file_only() {
-        assert!(PageClass::Anonymous.reclaimable_by_kernel());
-        assert!(PageClass::FileBacked.reclaimable_by_kernel());
-        assert!(!PageClass::KernelText.reclaimable_by_kernel());
-        assert!(!PageClass::KernelData.reclaimable_by_kernel());
-        assert!(!PageClass::Unevictable.reclaimable_by_kernel());
-    }
-
-    #[test]
-    fn fluidmem_disaggregates_everything() {
-        assert!(PageClass::ALL.iter().all(|c| c.disaggregatable()));
-    }
-
-    #[test]
-    fn writeback_targets() {
-        assert_eq!(
-            PageClass::Anonymous.writeback_target(),
-            WritebackTarget::SwapDevice
-        );
-        assert_eq!(
-            PageClass::FileBacked.writeback_target(),
-            WritebackTarget::Filesystem
-        );
-        assert_eq!(
-            PageClass::Unevictable.writeback_target(),
-            WritebackTarget::NotReclaimable
-        );
-    }
 
     #[test]
     fn display_is_kebab_case() {

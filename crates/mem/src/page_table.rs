@@ -213,18 +213,8 @@ impl PageTable {
         self.get(vpn).is_some_and(|e| e.flags.contains(flags))
     }
 
-    /// Number of installed translations.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the table has no translations.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Iterates over `(vpn, entry)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (Vpn, &PageTableEntry)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Vpn, &PageTableEntry)> {
         self.leaves.iter().flat_map(|leaf| {
             (0..LEAF_SLOTS).filter_map(move |slot| {
                 let vpn = Vpn::new(leaf.number << LEAF_BITS | slot as u64);
@@ -262,11 +252,11 @@ mod tests {
         let mut pt = PageTable::new();
         let f = frame(0);
         pt.map(Vpn::new(1), f, PteFlags::PRESENT);
-        assert_eq!(pt.len(), 1);
+        assert_eq!(pt.len, 1);
         assert_eq!(pt.get(Vpn::new(1)).unwrap().frame, f);
         assert!(pt.unmap(Vpn::new(1)).is_some());
         assert!(pt.unmap(Vpn::new(1)).is_none());
-        assert!(pt.is_empty());
+        assert_eq!(pt.len, 0);
     }
 
     #[test]
@@ -417,7 +407,7 @@ mod tests {
                                 .to_string(),
                         ),
                         Op::Len => (
-                            format!("{} {}", pt.len(), pt.is_empty()),
+                            format!("{} {}", pt.len, pt.len == 0),
                             format!("{} {}", oracle.len(), oracle.is_empty()),
                         ),
                         Op::Iter => (
@@ -431,7 +421,7 @@ mod tests {
                 }
                 let got = sorted(pt.iter().map(|(v, e)| (v, *e)));
                 let want = sorted(oracle.iter().map(|(v, e)| (*v, *e)));
-                if got != want || pt.len() != oracle.len() {
+                if got != want || pt.len != oracle.len() {
                     return Err(format!("at the end: table {got:?}, oracle {want:?}"));
                 }
                 Ok(())
@@ -446,6 +436,6 @@ mod tests {
         let f2 = frame(1);
         pt.map(Vpn::new(3), f2, PteFlags::PRESENT | PteFlags::DIRTY);
         assert_eq!(pt.get(Vpn::new(3)).unwrap().frame, f2);
-        assert_eq!(pt.len(), 1);
+        assert_eq!(pt.len, 1);
     }
 }

@@ -16,15 +16,14 @@ use std::ops::{BitAnd, BitOr, BitOrAssign};
 /// let mut f = PteFlags::PRESENT | PteFlags::REFERENCED;
 /// assert!(f.contains(PteFlags::PRESENT));
 /// f.insert(PteFlags::DIRTY);
-/// f.remove(PteFlags::REFERENCED);
-/// assert!(f.contains(PteFlags::DIRTY) && !f.contains(PteFlags::REFERENCED));
+/// assert!(f.contains(PteFlags::DIRTY | PteFlags::REFERENCED));
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct PteFlags(u16);
 
 impl PteFlags {
     /// No flags set.
-    pub const EMPTY: PteFlags = PteFlags(0);
+    pub(crate) const EMPTY: PteFlags = PteFlags(0);
     /// The translation is valid and backed by a frame.
     pub const PRESENT: PteFlags = PteFlags(1 << 0);
     /// Hardware-set "accessed" bit; the kernel's LRU aging clears and
@@ -45,12 +44,6 @@ impl PteFlags {
         self.0 & other.0 == other.0
     }
 
-    /// Whether any bit in `other` is set in `self`.
-    #[inline]
-    pub const fn intersects(self, other: PteFlags) -> bool {
-        self.0 & other.0 != 0
-    }
-
     /// Sets the bits in `other`.
     #[inline]
     pub fn insert(&mut self, other: PteFlags) {
@@ -59,20 +52,8 @@ impl PteFlags {
 
     /// Clears the bits in `other`.
     #[inline]
-    pub fn remove(&mut self, other: PteFlags) {
+    pub(crate) fn remove(&mut self, other: PteFlags) {
         self.0 &= !other.0;
-    }
-
-    /// Whether no flags are set.
-    #[inline]
-    pub const fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
-    /// The raw bit pattern.
-    #[inline]
-    pub const fn bits(self) -> u16 {
-        self.0
     }
 }
 
@@ -129,7 +110,7 @@ mod tests {
     #[test]
     fn insert_remove_contains() {
         let mut f = PteFlags::EMPTY;
-        assert!(f.is_empty());
+        assert_eq!(f, PteFlags::EMPTY);
         f.insert(PteFlags::PRESENT | PteFlags::WRITABLE);
         assert!(f.contains(PteFlags::PRESENT));
         assert!(f.contains(PteFlags::PRESENT | PteFlags::WRITABLE));
@@ -137,13 +118,6 @@ mod tests {
         f.remove(PteFlags::WRITABLE);
         assert!(!f.contains(PteFlags::WRITABLE));
         assert!(f.contains(PteFlags::PRESENT));
-    }
-
-    #[test]
-    fn intersects_vs_contains() {
-        let f = PteFlags::PRESENT | PteFlags::DIRTY;
-        assert!(f.intersects(PteFlags::DIRTY | PteFlags::ZERO_PAGE));
-        assert!(!f.contains(PteFlags::DIRTY | PteFlags::ZERO_PAGE));
     }
 
     #[test]

@@ -9,19 +9,6 @@ use fluidmem_sim::{LatencyModel, SimDuration, SimRng};
 /// requires an interrupt to be sent to all CPUs to flush the TLB entry"*
 /// (§VI-C). A local invalidation is cheap; a shootdown must interrupt
 /// every other CPU and wait for acknowledgements.
-///
-/// # Example
-///
-/// ```
-/// use fluidmem_mem::TlbModel;
-/// use fluidmem_sim::SimRng;
-///
-/// let tlb = TlbModel::new(16);
-/// let mut rng = SimRng::seed_from_u64(1);
-/// let local = tlb.local_flush(&mut rng);
-/// let remote = tlb.shootdown(&mut rng);
-/// assert!(remote >= local);
-/// ```
 #[derive(Debug, Clone)]
 pub struct TlbModel {
     cpus: u32,
@@ -38,7 +25,7 @@ impl TlbModel {
     /// A model for a machine with `cpus` logical CPUs, calibrated so that
     /// the common-case shootdown costs a few microseconds with a long tail
     /// (matching Table I's `UFFD_REMAP` stdev/p99).
-    pub fn new(cpus: u32) -> Self {
+    pub(crate) fn new(cpus: u32) -> Self {
         TlbModel {
             cpus: cpus.max(1),
             local_flush: LatencyModel::normal_us(0.15, 0.03),
@@ -47,16 +34,6 @@ impl TlbModel {
             straggler: LatencyModel::uniform_us(6.0, 18.0),
             straggler_probability: 0.02,
         }
-    }
-
-    /// Number of CPUs participating in shootdowns.
-    pub fn cpus(&self) -> u32 {
-        self.cpus
-    }
-
-    /// Cost of invalidating an entry on the local CPU only.
-    pub fn local_flush(&self, rng: &mut SimRng) -> SimDuration {
-        self.local_flush.sample(rng)
     }
 
     /// Cost of a full shootdown: IPI to all other CPUs plus waiting for
@@ -71,17 +48,6 @@ impl TlbModel {
             }
         }
         d
-    }
-
-    /// The analytic mean shootdown cost in microseconds.
-    pub fn mean_shootdown_us(&self) -> f64 {
-        if self.cpus <= 1 {
-            return self.local_flush.mean_us();
-        }
-        self.local_flush.mean_us()
-            + self.ipi_base.mean_us()
-            + self.ipi_per_cpu.mean_us() * f64::from(self.cpus - 1)
-            + self.straggler_probability * self.straggler.mean_us()
     }
 }
 
@@ -109,7 +75,7 @@ mod tests {
 
     #[test]
     fn zero_cpus_clamps_to_one() {
-        assert_eq!(TlbModel::new(0).cpus(), 1);
+        assert_eq!(TlbModel::new(0).cpus, 1);
     }
 
     #[test]
@@ -129,8 +95,12 @@ mod tests {
 
     #[test]
     fn more_cpus_cost_more() {
-        let small = TlbModel::new(2);
-        let big = TlbModel::new(64);
-        assert!(big.mean_shootdown_us() > small.mean_shootdown_us());
+        let mean_us = |cpus| {
+            let tlb = TlbModel::new(cpus);
+            let mut rng = SimRng::seed_from_u64(3);
+            let total: SimDuration = (0..10_000).map(|_| tlb.shootdown(&mut rng)).sum();
+            total.as_micros_f64() / 10_000.0
+        };
+        assert!(mean_us(64) > mean_us(2));
     }
 }

@@ -107,11 +107,6 @@ impl SimClock {
     pub fn elapsed_since(&self, start: SimInstant) -> SimDuration {
         self.now().saturating_since(start)
     }
-
-    /// Whether two handles observe the same underlying clock.
-    pub fn same_clock(&self, other: &SimClock) -> bool {
-        Arc::ptr_eq(&self.now_ns, &other.now_ns)
-    }
 }
 
 impl fmt::Debug for SimClock {
@@ -132,8 +127,6 @@ mod tests {
         let b = a.clone();
         a.advance(SimDuration::from_micros(5));
         assert_eq!(b.now().as_nanos(), 5_000);
-        assert!(a.same_clock(&b));
-        assert!(!a.same_clock(&SimClock::new()));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! grown to the peak depth. The slot indirection is also what makes
 //! O(1)-amortized cancellation possible: [`EventQueue::push_keyed`]
 //! returns an [`EventToken`] (slot + generation), and
-//! [`EventQueue::cancel`] / [`EventQueue::reschedule`] just bump the
+//! [`EventQueue::cancel`] just bumps the
 //! slot's generation — the orphaned heap record is skipped lazily when
 //! it surfaces, never searched for.
 
@@ -56,16 +56,15 @@ impl Ord for HeapRecord {
 }
 
 /// One payload slot: the generation invalidates stale heap records
-/// after a cancel or reschedule.
+/// after a cancel.
 struct Slot<T> {
     gen: u32,
     payload: Option<T>,
 }
 
 /// A handle to a scheduled event, returned by
-/// [`EventQueue::push_keyed`]. Passing it to [`EventQueue::cancel`] or
-/// [`EventQueue::reschedule`] after the event already popped (or was
-/// cancelled) is safe: the generation check makes the call a no-op.
+/// [`EventQueue::push_keyed`]. Passing it to [`EventQueue::cancel`]
+/// after the event already popped (or was cancelled) is safe: the generation check makes the call a no-op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventToken {
     slot: u32,
@@ -76,9 +75,8 @@ pub struct EventToken {
 ///
 /// Events at equal instants pop in push order (FIFO), so the schedule is
 /// fully determined by the sequence of pushes — no dependence on heap
-/// internals, hash order, or wall-clock time. Cancelling or
-/// rescheduling an event never disturbs the relative order of the
-/// others.
+/// internals, hash order, or wall-clock time. Cancelling an event
+/// never disturbs the relative order of the others.
 pub struct EventQueue<T> {
     heap: BinaryHeap<Reverse<HeapRecord>>,
     slots: Vec<Slot<T>>,
@@ -162,11 +160,9 @@ impl<T> EventQueue<T> {
     }
 
     /// Schedules `payload` to complete at `at`, returning both the
-    /// sequence number and a token for later [`cancel`] /
-    /// [`reschedule`].
+    /// sequence number and a token for a later [`cancel`].
     ///
     /// [`cancel`]: EventQueue::cancel
-    /// [`reschedule`]: EventQueue::reschedule
     pub fn push_keyed(&mut self, at: SimInstant, payload: T) -> (u64, EventToken) {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -177,8 +173,7 @@ impl<T> EventQueue<T> {
     }
 
     /// Cancels a scheduled event, returning its payload, or `None` if
-    /// the token is stale (the event already popped, was cancelled, or
-    /// was rescheduled — a reschedule issues a fresh token). O(1)
+    /// the token is stale (the event already popped or was cancelled). O(1)
     /// amortized: the heap record is orphaned in place, not removed.
     pub fn cancel(&mut self, token: EventToken) -> Option<T> {
         if self
@@ -202,35 +197,6 @@ impl<T> EventQueue<T> {
             return None;
         }
         slot.payload.as_mut()
-    }
-
-    /// Moves a scheduled event to a new completion instant, keeping its
-    /// payload in place. Returns the replacement token, or `None` if
-    /// the original token is stale. The event's FIFO rank among ties is
-    /// its *new* push order (a rescheduled event behaves exactly like a
-    /// cancel followed by a push).
-    pub fn reschedule(&mut self, token: EventToken, at: SimInstant) -> Option<EventToken> {
-        let slot = self.slots.get_mut(token.slot as usize)?;
-        if slot.gen != token.gen || slot.payload.is_none() {
-            return None;
-        }
-        // Orphan the old heap record; the payload stays in the slot, so
-        // nothing is moved or reallocated.
-        slot.gen = slot.gen.wrapping_add(1);
-        let gen = slot.gen;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Reverse(HeapRecord {
-            at,
-            seq,
-            slot: token.slot,
-            gen,
-        }));
-        self.drop_stale_top();
-        Some(EventToken {
-            slot: token.slot,
-            gen,
-        })
     }
 
     /// The completion time of the earliest event, if any.
@@ -352,7 +318,6 @@ mod tests {
         assert_eq!(q.pop_next(), Some((SimInstant::from_nanos(1), 7)));
         // Popped: the token is dead.
         assert_eq!(q.cancel(tok), None);
-        assert_eq!(q.reschedule(tok, SimInstant::from_nanos(9)), None);
         // Double-cancel is dead too, even after the slot is reused.
         let (_, tok2) = q.push_keyed(SimInstant::from_nanos(2), 8u32);
         assert_eq!(q.cancel(tok2), Some(8));
@@ -377,34 +342,6 @@ mod tests {
         // peek_time is &self, so the cancel itself must restore the
         // heap-top invariant.
         assert_eq!(q.peek_time(), Some(SimInstant::from_nanos(5)));
-    }
-
-    #[test]
-    fn reschedule_moves_without_reordering_others() {
-        let mut q = EventQueue::new();
-        q.push(SimInstant::from_nanos(10), "a");
-        let (_, tok) = q.push_keyed(SimInstant::from_nanos(20), "moved");
-        q.push(SimInstant::from_nanos(30), "b");
-        let tok = q.reschedule(tok, SimInstant::from_nanos(40)).unwrap();
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.pop_next(), Some((SimInstant::from_nanos(10), "a")));
-        assert_eq!(q.pop_next(), Some((SimInstant::from_nanos(30), "b")));
-        assert_eq!(q.pop_next(), Some((SimInstant::from_nanos(40), "moved")));
-        // The replacement token died with the pop.
-        assert_eq!(q.cancel(tok), None);
-    }
-
-    #[test]
-    fn reschedule_to_equal_instant_requeues_behind_ties() {
-        let mut q = EventQueue::new();
-        let t = SimInstant::from_nanos(5);
-        let (_, tok) = q.push_keyed(t, "first");
-        q.push(t, "second");
-        // Rescheduling to the same instant is a cancel + push: the event
-        // moves behind existing ties, exactly as a fresh push would.
-        q.reschedule(tok, t).unwrap();
-        assert_eq!(q.pop_next(), Some((t, "second")));
-        assert_eq!(q.pop_next(), Some((t, "first")));
     }
 
     #[test]

@@ -69,18 +69,6 @@ impl FaultKind {
         FaultKind::SlowReplica,
         FaultKind::TransientError,
     ];
-
-    /// A short label for traces and result tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            FaultKind::Drop => "drop",
-            FaultKind::Timeout => "timeout",
-            FaultKind::Duplicate => "duplicate",
-            FaultKind::SlowReplica => "slow-replica",
-            FaultKind::TransientError => "transient-error",
-            FaultKind::Fatal => "fatal",
-        }
-    }
 }
 
 /// A scripted fault: fire `kind` at exactly the `at_op`-th operation.
@@ -100,14 +88,14 @@ pub struct FaultPlanStats {
     /// Responses delayed past the deadline.
     pub timeouts: u64,
     /// Requests delivered twice.
-    pub duplicates: u64,
+    pub(crate) duplicates: u64,
     /// Operations served by a straggler.
-    pub slow_replicas: u64,
+    pub(crate) slow_replicas: u64,
     /// Transient server refusals.
-    pub transient_errors: u64,
+    pub(crate) transient_errors: u64,
     /// Non-retryable server refusals (scripted only; see
     /// [`FaultKind::Fatal`]).
-    pub fatals: u64,
+    pub(crate) fatals: u64,
 }
 
 impl FaultPlanStats {
@@ -155,11 +143,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// A plan that injects nothing (all probabilities zero).
-    pub fn disabled() -> Self {
-        FaultPlan::new(SimRng::seed_from_u64(0))
-    }
-
     /// Creates an empty plan over a seeded generator. Until probabilities
     /// are set or events scripted, it injects nothing.
     pub fn new(rng: SimRng) -> Self {
@@ -189,22 +172,16 @@ impl FaultPlan {
     }
 
     /// Sets the per-op probability of duplicate delivery.
-    pub fn with_duplicate(mut self, p: f64) -> Self {
+    #[cfg(test)]
+    fn with_duplicate(mut self, p: f64) -> Self {
         self.duplicate_p = p.clamp(0.0, 1.0);
         self
     }
 
-    /// Sets the per-op probability of a straggling server, and optionally
-    /// the flight-time multiplier via [`with_slowdown`](Self::with_slowdown).
+    /// Sets the per-op probability of a straggling server, whose flight
+    /// time is multiplied by [`slowdown`](Self::slowdown).
     pub fn with_slow_replica(mut self, p: f64) -> Self {
         self.slow_p = p.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Sets the flight-time multiplier applied by
-    /// [`FaultKind::SlowReplica`] (default 8x).
-    pub fn with_slowdown(mut self, factor: f64) -> Self {
-        self.slowdown = factor.max(1.0);
         self
     }
 
@@ -224,16 +201,6 @@ impl FaultPlan {
     /// The flight-time multiplier for slow-replica faults.
     pub fn slowdown(&self) -> f64 {
         self.slowdown
-    }
-
-    /// Whether this plan can ever inject anything.
-    pub fn is_active(&self) -> bool {
-        !self.scripted.is_empty()
-            || self.drop_p > 0.0
-            || self.timeout_p > 0.0
-            || self.duplicate_p > 0.0
-            || self.slow_p > 0.0
-            || self.transient_p > 0.0
     }
 
     /// What actually fired so far.
@@ -308,9 +275,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_plan_injects_nothing() {
-        let mut p = FaultPlan::disabled();
-        assert!(!p.is_active());
+    fn empty_plan_injects_nothing() {
+        let mut p = FaultPlan::new(SimRng::seed_from_u64(0));
         for op in 0..1000 {
             assert_eq!(p.decide(op), None);
         }
@@ -359,7 +325,7 @@ mod tests {
             }
         }
         for kind in FaultKind::ALL {
-            assert!(seen.contains(&kind), "{} never fired", kind.label());
+            assert!(seen.contains(&kind), "{kind:?} never fired");
         }
     }
 

@@ -72,7 +72,7 @@ impl Hasher for FastHasher {
 
 /// `BuildHasher` for [`FastHasher`] (stateless, so maps built with it
 /// hash identically everywhere).
-pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
+pub(crate) type FastBuildHasher = BuildHasherDefault<FastHasher>;
 
 /// A `HashMap` over [`FastHasher`]; construct with `FastMap::default()`.
 pub type FastMap<K, V> = HashMap<K, V, FastBuildHasher>;

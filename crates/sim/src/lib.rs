@@ -60,7 +60,7 @@ pub use clock::SimClock;
 pub use dist::LatencyModel;
 pub use event::{EventQueue, EventToken};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultPlanStats};
-pub use hash::{FastBuildHasher, FastHasher, FastMap, FastSet};
+pub use hash::{FastHasher, FastMap, FastSet};
 pub use rng::SimRng;
 pub use series::TimeSeries;
 pub use time::{SimDuration, SimInstant};

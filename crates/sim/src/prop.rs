@@ -27,7 +27,7 @@
 use crate::SimRng;
 
 /// Derives the deterministic seed of one case of a named property.
-pub fn case_seed(label: &str, case: u64) -> u64 {
+pub(crate) fn case_seed(label: &str, case: u64) -> u64 {
     // FNV-1a over the label, mixed with the case index.
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in label.as_bytes() {
@@ -56,7 +56,7 @@ pub fn forall(label: &str, cases: u64, mut body: impl FnMut(&mut SimRng)) {
 }
 
 /// Runs a single case of a property from an explicit seed.
-pub fn run_case(label: &str, seed: u64, body: &mut impl FnMut(&mut SimRng)) {
+pub(crate) fn run_case(label: &str, seed: u64, body: &mut impl FnMut(&mut SimRng)) {
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let mut rng = SimRng::seed_from_u64(seed);
         body(&mut rng);

@@ -60,11 +60,6 @@ impl SimRng {
         }
     }
 
-    /// The seed this generator was created with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Derives an independent child generator from a string label.
     ///
     /// The child's seed depends only on this generator's *seed* and the
@@ -139,7 +134,7 @@ impl SimRng {
     }
 
     /// A standard-normal sample (Box–Muller; no extra dependencies).
-    pub fn gen_standard_normal(&mut self) -> f64 {
+    pub(crate) fn gen_standard_normal(&mut self) -> f64 {
         // Draw u1 in (0, 1] to avoid ln(0).
         let u1: f64 = 1.0 - self.gen_f64();
         let u2: f64 = self.gen_f64();

@@ -68,11 +68,6 @@ impl TimeSeries {
     pub fn overall(&self) -> &Summary {
         &self.overall
     }
-
-    /// Total number of observations recorded.
-    pub fn count(&self) -> u64 {
-        self.overall.count()
-    }
 }
 
 #[cfg(test)]
@@ -91,7 +86,7 @@ mod tests {
         let pts = ts.points();
         assert_eq!(pts.len(), 5);
         assert_eq!(pts[3], (3.0, 3.0));
-        assert_eq!(ts.count(), 5);
+        assert_eq!(ts.overall.count(), 5);
     }
 
     #[test]

@@ -111,26 +111,6 @@ impl Summary {
             self.max
         }
     }
-
-    /// Merges another summary into this one.
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// A sample that retains all observations for exact order statistics.
@@ -277,7 +257,7 @@ impl Sample {
     }
 
     /// Whether the sample is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.count() == 0
     }
 
@@ -299,17 +279,6 @@ impl Sample {
         let mean = self.mean();
         let ss: f64 = self.iter().map(|v| (v - mean) * (v - mean)).sum();
         (ss / (n - 1) as f64).sqrt()
-    }
-
-    /// Harmonic mean — the aggregation the Graph500 specification uses for
-    /// TEPS across BFS roots (0 if empty; requires strictly positive
-    /// observations to be meaningful).
-    pub fn harmonic_mean(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        let recip: f64 = self.iter().map(|v| 1.0 / v).sum();
-        self.count() as f64 / recip
     }
 
     /// Exact percentile by nearest-rank interpolation. `p` is in `[0, 1]`.
@@ -416,7 +385,8 @@ impl Extend<f64> for Sample {
     }
 }
 
-/// Harmonic mean of a slice (0 if empty).
+/// Harmonic mean of a slice (0 if empty) — the aggregation the Graph500
+/// specification uses for TEPS across BFS roots.
 pub fn harmonic_mean(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
@@ -518,20 +488,6 @@ impl LatencyHistogram {
         }
     }
 
-    /// Smallest recorded latency (zero if empty).
-    pub fn min(&self) -> SimDuration {
-        if self.total == 0 {
-            SimDuration::ZERO
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest recorded latency.
-    pub fn max(&self) -> SimDuration {
-        self.max
-    }
-
     /// The cumulative distribution as `(latency_us, fraction)` points,
     /// one per non-empty bucket edge.
     pub fn cdf(&self) -> Vec<(f64, f64)> {
@@ -574,23 +530,6 @@ impl LatencyHistogram {
         let cut = Self::bucket_of(threshold);
         let below: u64 = self.counts[..=cut].iter().sum();
         below as f64 / self.total as f64
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum_us += other.sum_us;
-        if other.total > 0 {
-            if other.min < self.min {
-                self.min = other.min;
-            }
-            if other.max > self.max {
-                self.max = other.max;
-            }
-        }
     }
 }
 
@@ -635,26 +574,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_merge_equals_combined() {
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        let mut c = Summary::new();
-        for v in 0..100 {
-            let x = (v as f64).sin() * 10.0;
-            if v % 2 == 0 {
-                a.record(x);
-            } else {
-                b.record(x);
-            }
-            c.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), c.count());
-        assert!((a.mean() - c.mean()).abs() < 1e-9);
-        assert!((a.stdev() - c.stdev()).abs() < 1e-9);
-    }
-
-    #[test]
     fn sample_percentiles_exact() {
         let mut s: Sample = (1..=1000).map(|v| v as f64).collect();
         assert_eq!(s.percentile(0.0), 1.0);
@@ -663,10 +582,8 @@ mod tests {
     }
 
     #[test]
-    fn sample_harmonic_mean() {
-        let s: Sample = [1.0, 4.0, 4.0].into_iter().collect();
-        assert!((s.harmonic_mean() - 2.0).abs() < 1e-12);
-        assert_eq!(harmonic_mean(&[1.0, 4.0, 4.0]), s.harmonic_mean());
+    fn harmonic_mean_of_a_slice() {
+        assert!((harmonic_mean(&[1.0, 4.0, 4.0]) - 2.0).abs() < 1e-12);
         assert_eq!(harmonic_mean(&[]), 0.0);
     }
 
@@ -728,14 +645,6 @@ mod tests {
             let mean = self.mean();
             let ss: f64 = self.values.iter().map(|v| (v - mean) * (v - mean)).sum();
             (ss / (n - 1) as f64).sqrt()
-        }
-
-        fn harmonic_mean(&self) -> f64 {
-            if self.values.is_empty() {
-                return 0.0;
-            }
-            let recip: f64 = self.values.iter().map(|v| 1.0 / v).sum();
-            self.values.len() as f64 / recip
         }
 
         fn percentile(&mut self, p: f64) -> f64 {
@@ -821,11 +730,6 @@ mod tests {
                         ("count", sample.count() as f64, oracle.values.len() as f64),
                         ("mean", sample.mean(), oracle.mean()),
                         ("stdev", sample.stdev(), oracle.stdev()),
-                        (
-                            "harmonic mean",
-                            sample.harmonic_mean(),
-                            oracle.harmonic_mean(),
-                        ),
                     ];
                     for (what, got, want) in checks {
                         if got.to_bits() != want.to_bits() {
@@ -929,19 +833,6 @@ mod tests {
         }
         let f = h.fraction_below(SimDuration::from_micros(10));
         assert!((f - 0.25).abs() < 0.01, "{f}");
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        a.record(SimDuration::from_micros(1));
-        b.record(SimDuration::from_micros(3));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert!((a.mean_us() - 2.0).abs() < 1e-9);
-        assert_eq!(a.min(), SimDuration::from_micros(1));
-        assert_eq!(a.max(), SimDuration::from_micros(3));
     }
 
     #[test]

@@ -81,12 +81,6 @@ impl SimDuration {
         self.0
     }
 
-    /// The duration in whole microseconds (truncating).
-    #[inline]
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// The duration as fractional microseconds.
     #[inline]
     pub fn as_micros_f64(self) -> f64 {
@@ -95,7 +89,7 @@ impl SimDuration {
 
     /// The duration as fractional milliseconds.
     #[inline]
-    pub fn as_millis_f64(self) -> f64 {
+    pub(crate) fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
     }
 
@@ -111,32 +105,10 @@ impl SimDuration {
         self.0 == 0
     }
 
-    /// Subtraction that clamps at zero instead of panicking.
-    #[inline]
-    pub const fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Addition that clamps at `u64::MAX` instead of panicking.
-    #[inline]
-    pub const fn saturating_add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_add(rhs.0))
-    }
-
     /// The larger of two durations.
     #[inline]
-    pub fn max(self, other: SimDuration) -> SimDuration {
+    pub(crate) fn max(self, other: SimDuration) -> SimDuration {
         if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The smaller of two durations.
-    #[inline]
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        if self.0 <= other.0 {
             self
         } else {
             other
@@ -247,27 +219,11 @@ impl SimInstant {
         self.0
     }
 
-    /// Fractional seconds since the epoch.
-    #[inline]
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1_000_000_000.0
-    }
-
     /// Virtual time elapsed since `earlier`, clamping at zero if `earlier`
     /// is in the future.
     #[inline]
     pub const fn saturating_since(self, earlier: SimInstant) -> SimDuration {
         SimDuration::from_nanos(self.0.saturating_sub(earlier.0))
-    }
-
-    /// The later of two instants.
-    #[inline]
-    pub fn max(self, other: SimInstant) -> SimInstant {
-        if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
     }
 }
 
@@ -350,7 +306,6 @@ mod tests {
         assert_eq!(a - b, SimDuration::from_micros(7));
         assert_eq!(a * 2, SimDuration::from_micros(20));
         assert_eq!(a / 2, SimDuration::from_micros(5));
-        assert_eq!(b.saturating_sub(a), SimDuration::ZERO);
         assert_eq!(a.max(b), a);
         assert_eq!(a.min(b), b);
     }

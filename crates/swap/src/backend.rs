@@ -177,11 +177,6 @@ impl SwapBackedMemory {
         self.fs_dev.instrument(telemetry.registry());
     }
 
-    /// The swap configuration in use.
-    pub fn config(&self) -> &SwapConfig {
-        &self.config
-    }
-
     fn class_of(&self, vpn: Vpn) -> PageClass {
         let (_, region) = self
             .regions

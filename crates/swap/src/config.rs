@@ -40,13 +40,13 @@ impl SwapConfig {
     /// Shifting `1u64` by an unclamped `u32` is undefined for shifts
     /// ≥ 64 (debug panic, wrapping in release), so both the getter and
     /// [`SwapConfig::validate`] pin the exponent here.
-    pub const MAX_PAGE_CLUSTER: u32 = 20;
+    pub(crate) const MAX_PAGE_CLUSTER: u32 = 20;
 
     /// Readahead window size in pages: `2^page_cluster`, with the
     /// exponent clamped to [`SwapConfig::MAX_PAGE_CLUSTER`] so a wild
     /// config value degrades to the maximum window instead of an
     /// overflowing shift.
-    pub fn readahead_pages(&self) -> u64 {
+    pub(crate) fn readahead_pages(&self) -> u64 {
         1 << self.page_cluster.min(Self::MAX_PAGE_CLUSTER)
     }
 
@@ -54,14 +54,14 @@ impl SwapConfig {
     /// below this. Rounded *up* and floored at 1 — truncation used to
     /// yield 0 for small `dram_pages`, so kswapd never woke and every
     /// reclaim ran on the fault path.
-    pub fn low_watermark_pages(&self) -> u64 {
+    pub(crate) fn low_watermark_pages(&self) -> u64 {
         ((self.dram_pages as f64 * WATERMARK_LOW).ceil() as u64).max(1)
     }
 
     /// The high watermark in pages: kswapd reclaims until free frames
     /// reach this. Always strictly above the low watermark so a wakeup
     /// makes progress.
-    pub fn high_watermark_pages(&self) -> u64 {
+    pub(crate) fn high_watermark_pages(&self) -> u64 {
         ((self.dram_pages as f64 * WATERMARK_HIGH).ceil() as u64)
             .max(self.low_watermark_pages() + 1)
     }
@@ -71,7 +71,7 @@ impl SwapConfig {
     /// # Panics
     ///
     /// Panics unless `page_cluster <= MAX_PAGE_CLUSTER`.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(
             self.page_cluster <= Self::MAX_PAGE_CLUSTER,
             "page_cluster ({}) exceeds MAX_PAGE_CLUSTER ({})",

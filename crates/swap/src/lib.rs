@@ -39,7 +39,8 @@ mod stats;
 pub use backend::SwapBackedMemory;
 pub use config::SwapConfig;
 pub use slots::SlotAllocator;
-pub use stats::{SwapCounters, SwapStats};
+pub(crate) use stats::SwapCounters;
+pub use stats::SwapStats;
 
 /// The series every instrument set this crate declares exports.
 pub const CATALOGUE: &[&[fluidmem_telemetry::CatalogueRow]] = &[SwapCounters::CATALOGUE];

@@ -9,7 +9,7 @@ use fluidmem_telemetry::instrument_set;
 
 instrument_set! {
     /// The swap backend's live counter handles (see the module docs).
-    pub struct SwapCounters {
+    pub(crate) struct SwapCounters {
         counters {
             major_faults: SWAP_EVENTS[LABEL_EVENT = "major_fault"],
                 "Faults served from the swap device (page was swapped out).";

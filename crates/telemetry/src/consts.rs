@@ -181,7 +181,7 @@ pub const TRACK_CLUSTER: &str = "cluster";
 
 /// Stable Chrome-trace thread ids per track, in display order. Unlisted
 /// tracks are assigned ids after these, in first-use order.
-pub const TRACK_TIDS: [(&str, u64); 6] = [
+pub(crate) const TRACK_TIDS: [(&str, u64); 6] = [
     (TRACK_GUEST, 1),
     (TRACK_MONITOR, 2),
     (TRACK_KV, 3),
@@ -196,4 +196,4 @@ pub const TRACK_TIDS: [(&str, u64); 6] = [
 pub const HIST_SAMPLE_CAP: u64 = 1 << 18;
 
 /// Default capacity of the span ring buffer (completed spans retained).
-pub const SPAN_RING_CAPACITY: usize = 1 << 16;
+pub(crate) const SPAN_RING_CAPACITY: usize = 1 << 16;

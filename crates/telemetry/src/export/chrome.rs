@@ -30,7 +30,7 @@ fn tid_of(track: &str, extra: &mut Vec<String>) -> u64 {
 ///
 /// `ts`/`dur` are microseconds of virtual time since the simulation
 /// epoch. Output is deterministic for a given span list.
-pub fn chrome_trace(records: &[SpanRecord]) -> String {
+pub(crate) fn chrome_trace(records: &[SpanRecord]) -> String {
     let mut extra_tracks: Vec<String> = Vec::new();
     let mut events: Vec<String> = Vec::new();
 

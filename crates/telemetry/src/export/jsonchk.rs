@@ -225,7 +225,7 @@ impl<'a> Parser<'a> {
 /// # Errors
 ///
 /// A description of the first syntax error.
-pub fn parse(text: &str) -> Result<Json, String> {
+pub(crate) fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser::new(text);
     let v = p.value()?;
     p.skip_ws();
@@ -236,7 +236,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
 }
 
 /// Validates the Chrome-trace shape; returns the duration-event count.
-pub fn validate_trace(text: &str) -> Result<usize, String> {
+pub(crate) fn validate_trace(text: &str) -> Result<usize, String> {
     let doc = parse(text)?;
     let Json::Object(top) = doc else {
         return Err("top level must be an object".to_string());

@@ -3,7 +3,8 @@
 mod chrome;
 mod jsonchk;
 
-pub use chrome::{chrome_trace, validate_chrome_trace};
+pub(crate) use chrome::chrome_trace;
+pub use chrome::validate_chrome_trace;
 
 /// Escapes a string for embedding in a JSON string literal.
 pub(crate) fn json_escape(s: &str) -> String {

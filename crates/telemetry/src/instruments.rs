@@ -159,7 +159,7 @@ macro_rules! instrument_set {
 
         impl $Set {
             /// A point-in-time snapshot of every counter.
-            pub fn snapshot(&self) -> $Stats {
+            pub(crate) fn snapshot(&self) -> $Stats {
                 $Stats { $($c: self.$c.get(),)* }
             }
         }
@@ -187,7 +187,7 @@ macro_rules! instrument_set {
         impl $Stats {
             /// The window since `baseline`: counters are subtracted
             /// (saturating), gauges carry their current value.
-            pub fn since(&self, baseline: &$Stats) -> $Stats {
+            pub(crate) fn since(&self, baseline: &$Stats) -> $Stats {
                 $Stats {
                     $($c: self.$c.saturating_sub(baseline.$c),)*
                     $($g: self.$g,)*

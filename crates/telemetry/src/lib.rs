@@ -55,11 +55,10 @@ mod instruments;
 mod registry;
 mod span;
 
-pub use export::{chrome_trace, validate_chrome_trace};
+pub(crate) use export::chrome_trace;
+pub use export::validate_chrome_trace;
 pub use instruments::{CatalogueRow, InstrumentKind};
-pub use registry::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricKey, Registry, RegistrySnapshot,
-};
+pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, RegistrySnapshot};
 pub use span::{SpanId, SpanKind, SpanRecord, SpanRecorder};
 
 use fluidmem_sim::{SimClock, SimInstant};
@@ -99,20 +98,9 @@ impl Telemetry {
         &self.spans
     }
 
-    /// The clock spans are stamped against.
-    pub fn clock(&self) -> &SimClock {
-        &self.clock
-    }
-
     /// Starts recording spans.
     pub fn enable_spans(&self) {
         self.spans.enable();
-    }
-
-    /// Whether spans are being recorded.
-    #[inline]
-    pub fn spans_enabled(&self) -> bool {
-        self.spans.is_enabled()
     }
 
     /// Opens a span on `track` starting now.
@@ -195,7 +183,7 @@ mod tests {
         t.registry().counter("c", &[]).inc();
         assert_eq!(u.registry().counter("c", &[]).get(), 1);
         u.enable_spans();
-        assert!(t.spans_enabled());
+        assert!(t.spans.is_enabled());
     }
 
     #[test]

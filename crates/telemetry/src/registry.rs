@@ -17,7 +17,7 @@ use fluidmem_sim::SimDuration;
 use crate::consts::HIST_SAMPLE_CAP;
 
 /// A metric's identity: name plus sorted `(key, value)` labels.
-pub type MetricKey = (String, Vec<(String, String)>);
+pub(crate) type MetricKey = (String, Vec<(String, String)>);
 
 fn metric_key<'a>(
     name: &str,
@@ -33,17 +33,12 @@ fn metric_key<'a>(
 
 /// A monotonically increasing counter handle.
 ///
-/// Detached counters ([`Counter::new`]) work standalone; adopting them
+/// Detached counters (`Counter::default()`) work standalone; adopting them
 /// into a [`Registry`] makes the same handle exportable.
 #[derive(Clone, Debug, Default)]
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// Creates a detached counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Adds one.
     #[inline]
     pub fn inc(&self) {
@@ -68,26 +63,21 @@ impl Counter {
 pub struct Gauge(Arc<AtomicI64>);
 
 impl Gauge {
-    /// Creates a detached gauge at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Sets the value.
     #[inline]
     pub fn set(&self, v: i64) {
         self.0.store(v, Ordering::Relaxed);
     }
 
-    /// Adds `n` (may be negative).
-    #[inline]
-    pub fn add(&self, n: i64) {
+    /// Adds `n` (negative to subtract).
+    #[cfg(test)]
+    pub(crate) fn add(&self, n: i64) {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// The current value.
     #[inline]
-    pub fn get(&self) -> i64 {
+    pub(crate) fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -172,7 +162,7 @@ pub struct HistogramSnapshot {
     /// Exact sample standard deviation (µs).
     pub stdev_us: f64,
     /// Smallest observation (µs).
-    pub min_us: f64,
+    pub(crate) min_us: f64,
     /// Largest observation (µs).
     pub max_us: f64,
     /// Median from the percentile subsample (µs).
@@ -214,18 +204,19 @@ impl Registry {
         Self::default()
     }
 
+    /// Gets or creates a gauge.
+    #[cfg(test)]
+    pub(crate) fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
+        let key = metric_key(name, labels);
+        let mut inner = self.inner.lock().expect("registry lock");
+        inner.gauges.entry(key).or_default().clone()
+    }
+
     /// Gets or creates a counter under `name` and `labels`.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         let key = metric_key(name, labels);
         let mut inner = self.inner.lock().expect("registry lock");
         inner.counters.entry(key).or_default().clone()
-    }
-
-    /// Gets or creates a gauge.
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        let key = metric_key(name, labels);
-        let mut inner = self.inner.lock().expect("registry lock");
-        inner.gauges.entry(key).or_default().clone()
     }
 
     /// Gets or creates a histogram.
@@ -336,7 +327,7 @@ mod tests {
     #[test]
     fn adopted_counter_keeps_its_value() {
         let reg = Registry::new();
-        let c = Counter::new();
+        let c = Counter::default();
         c.add(7);
         reg.adopt_counter("pre", &[], &c);
         assert_eq!(reg.counter("pre", &[]).get(), 7);
@@ -346,7 +337,7 @@ mod tests {
 
     #[test]
     fn gauge_moves_both_ways() {
-        let g = Gauge::new();
+        let g = Gauge::default();
         g.set(10);
         g.add(-3);
         assert_eq!(g.get(), 7);

@@ -34,7 +34,7 @@ impl SpanId {
     pub const NONE: SpanId = SpanId(0);
 
     /// Whether this id refers to a live span.
-    pub fn is_live(self) -> bool {
+    pub(crate) fn is_live(self) -> bool {
         self.0 != 0
     }
 }
@@ -147,8 +147,19 @@ pub struct SpanRecorder {
 
 impl SpanRecorder {
     /// Creates a disabled recorder with the default ring capacity.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
+    }
+
+    /// Caps the ring at `capacity` completed spans (oldest are dropped).
+    #[cfg(test)]
+    fn set_capacity(&self, capacity: usize) {
+        let mut core = self.core.lock().expect("span lock");
+        core.capacity = capacity.max(1);
+        while core.done.len() > core.capacity {
+            core.done.pop_front();
+            core.dropped += 1;
+        }
     }
 
     /// Turns recording on.
@@ -163,18 +174,8 @@ impl SpanRecorder {
 
     /// Whether spans are being recorded.
     #[inline]
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Caps the ring at `capacity` completed spans (oldest are dropped).
-    pub fn set_capacity(&self, capacity: usize) {
-        let mut core = self.core.lock().expect("span lock");
-        core.capacity = capacity.max(1);
-        while core.done.len() > core.capacity {
-            core.done.pop_front();
-            core.dropped += 1;
-        }
     }
 
     /// How many completed spans were dropped by the ring.
@@ -184,7 +185,7 @@ impl SpanRecorder {
 
     /// Opens a span on `track` starting at `start`. The `args` closure is
     /// only evaluated when recording is enabled.
-    pub fn begin_at<F>(
+    pub(crate) fn begin_at<F>(
         &self,
         track: &'static str,
         name: &'static str,
@@ -210,7 +211,7 @@ impl SpanRecorder {
     }
 
     /// Closes an open span at `end`. Unknown or `NONE` ids are ignored.
-    pub fn end_at(&self, id: SpanId, end: SimInstant) {
+    pub(crate) fn end_at(&self, id: SpanId, end: SimInstant) {
         if !id.is_live() {
             return;
         }
@@ -260,8 +261,13 @@ impl SpanRecorder {
 
     /// Records a zero-duration instant marker. The `args` closure is
     /// only evaluated when recording is enabled.
-    pub fn instant<F>(&self, track: &'static str, name: &'static str, at: SimInstant, args: F)
-    where
+    pub(crate) fn instant<F>(
+        &self,
+        track: &'static str,
+        name: &'static str,
+        at: SimInstant,
+        args: F,
+    ) where
         F: FnOnce() -> Vec<(&'static str, String)>,
     {
         if !self.is_enabled() {

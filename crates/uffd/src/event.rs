@@ -8,12 +8,7 @@ use fluidmem_mem::VirtAddr;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RegionId(pub(crate) u64);
 
-impl RegionId {
-    /// The raw identifier.
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-}
+impl RegionId {}
 
 impl fmt::Display for RegionId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -48,7 +43,7 @@ pub enum UffdEvent {
 
 impl UffdEvent {
     /// The region the event concerns.
-    pub fn region(&self) -> RegionId {
+    pub(crate) fn region(&self) -> RegionId {
         match self {
             UffdEvent::PageFault { region, .. } => *region,
             UffdEvent::Unregister { region } => *region,

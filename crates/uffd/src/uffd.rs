@@ -156,16 +156,6 @@ impl Userfaultfd {
         region.contains(vpn).then_some(*id)
     }
 
-    /// The registered region for an id.
-    pub fn region(&self, id: RegionId) -> Option<&Region> {
-        self.by_id.get(&id)
-    }
-
-    /// Number of live registrations.
-    pub fn region_count(&self) -> usize {
-        self.by_id.len()
-    }
-
     /// Kernel side of a missing-page fault: charges the trap cost (plus a
     /// VM-exit cost when the faulting context is a KVM vCPU) and queues an
     /// event for the monitor.
@@ -206,11 +196,6 @@ impl Userfaultfd {
         self.clock
             .advance(self.costs.event_delivery.sample(&mut self.rng));
         Some(event)
-    }
-
-    /// Whether events are pending.
-    pub fn has_events(&self) -> bool {
-        !self.events.is_empty()
     }
 
     /// `UFFD_ZEROPAGE`: maps the shared copy-on-write zero page at `vpn`.
@@ -319,16 +304,6 @@ impl Userfaultfd {
         }
     }
 
-    /// How many vCPU threads are currently parked on unresolved faults.
-    pub fn blocked_count(&self) -> usize {
-        self.blocked.len()
-    }
-
-    /// Whether a vCPU thread is parked on `vpn`.
-    pub fn blocked_on(&self, vpn: Vpn) -> bool {
-        self.blocked.iter().any(|(v, _)| *v == vpn)
-    }
-
     /// The kernel's ordinary copy-on-write break: the guest wrote to a
     /// zero-page mapping, so a private frame is allocated and mapped
     /// writable. This is a regular minor fault — userfaultfd is *not*
@@ -383,7 +358,7 @@ mod tests {
     fn fault_event_round_trip() {
         let (mut uffd, _pt, _pm, region) = setup();
         uffd.raise_fault(region.page(3), true, 99, true).unwrap();
-        assert!(uffd.has_events());
+        assert!(!uffd.events.is_empty());
         match uffd.poll().unwrap() {
             UffdEvent::PageFault {
                 addr, write, pid, ..
@@ -429,7 +404,7 @@ mod tests {
         // Adjacent is fine.
         let after = Region::new(Vpn::new(0x1020), 8, PageClass::Anonymous);
         assert!(uffd.register(after).is_ok());
-        assert_eq!(uffd.region_count(), 2);
+        assert_eq!(uffd.by_id.len(), 2);
     }
 
     #[test]
@@ -523,7 +498,7 @@ mod tests {
             UffdEvent::Unregister { region: r } => assert_eq!(r, id),
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(uffd.region_count(), 0);
+        assert_eq!(uffd.by_id.len(), 0);
         // Faults now fail.
         assert!(uffd.raise_fault(region.page(0), false, 1, false).is_err());
     }
@@ -550,12 +525,13 @@ mod tests {
         uffd.raise_fault(region.page(0), false, 1, true).unwrap();
         uffd.raise_fault(region.page(1), false, 2, true).unwrap();
         uffd.raise_fault(region.page(2), false, 3, true).unwrap();
-        assert_eq!(uffd.blocked_count(), 3);
+        assert_eq!(uffd.blocked.len(), 3);
         // Out-of-order resolution: page 1's read completed first.
         assert!(uffd.wake_page(region.page(1).vpn()));
-        assert_eq!(uffd.blocked_count(), 2);
-        assert!(!uffd.blocked_on(region.page(1).vpn()));
-        assert!(uffd.blocked_on(region.page(0).vpn()));
+        assert_eq!(uffd.blocked.len(), 2);
+        let blocked_on = |vpn| uffd.blocked.iter().any(|&(v, _)| v == vpn);
+        assert!(!blocked_on(region.page(1).vpn()));
+        assert!(blocked_on(region.page(0).vpn()));
         // Waking an unparked page reports false but still costs time.
         let before = uffd.clock.now();
         assert!(!uffd.wake_page(region.page(1).vpn()));
@@ -568,7 +544,7 @@ mod tests {
         uffd.raise_fault(region.page(0), false, 1, true).unwrap();
         let id = uffd.region_containing(region.start()).unwrap();
         uffd.unregister(id).unwrap();
-        assert_eq!(uffd.blocked_count(), 0);
+        assert_eq!(uffd.blocked.len(), 0);
     }
 
     #[test]

@@ -45,12 +45,6 @@ impl Balloon {
         achieved
     }
 
-    /// Registers the balloon's inflation counter in a shared telemetry
-    /// registry.
-    pub fn attach_telemetry(&mut self, telemetry: &fluidmem_telemetry::Telemetry) {
-        self.events.register(telemetry.registry(), &[]);
-    }
-
     /// The last inflation target, if any.
     pub fn target(&self) -> Option<u64> {
         self.inflated_to

@@ -11,27 +11,16 @@ use fluidmem_mem::{MemoryBackend, PageClass, Region};
 /// most of the footprint is page cache (binaries, libraries) and
 /// anonymous daemon heap, with kernel text/data and pinned pages making
 /// up the remainder — the portion swap can never evict.
-///
-/// # Example
-///
-/// ```
-/// use fluidmem_vm::GuestOsProfile;
-///
-/// let os = GuestOsProfile::paper_boot();
-/// assert_eq!(os.total_pages(), 81_042);
-/// // The pages swap cannot reclaim at all:
-/// assert_eq!(os.unswappable_pages(), 3_000 + 9_500 + 3_542);
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GuestOsProfile {
     /// Kernel code pages.
-    pub kernel_text: u64,
+    pub(crate) kernel_text: u64,
     /// Kernel data, slab, page tables.
-    pub kernel_data: u64,
+    pub(crate) kernel_data: u64,
     /// mlocked / pinned pages.
     pub unevictable: u64,
     /// Page cache: binaries, shared libraries, file mappings.
-    pub file_backed: u64,
+    pub(crate) file_backed: u64,
     /// Anonymous memory of system daemons.
     pub anonymous: u64,
 }
@@ -80,35 +69,22 @@ impl GuestOsProfile {
     }
 
     /// Total boot footprint in pages.
-    pub fn total_pages(&self) -> u64 {
+    pub(crate) fn total_pages(&self) -> u64 {
         self.kernel_text + self.kernel_data + self.unevictable + self.file_backed + self.anonymous
-    }
-
-    /// Boot footprint in MB.
-    pub fn total_mb(&self) -> f64 {
-        self.total_pages() as f64 * 4096.0 / (1024.0 * 1024.0)
-    }
-
-    /// Pages the swap subsystem can never move out of DRAM (kernel +
-    /// unevictable) — FluidMem's structural advantage in Figure 4b.
-    pub fn unswappable_pages(&self) -> u64 {
-        self.kernel_text + self.kernel_data + self.unevictable
     }
 }
 
 /// The booted guest: its regions in the backend's address space.
 #[derive(Debug, Clone)]
-pub struct GuestOs {
-    /// The profile the guest was booted with.
-    pub profile: GuestOsProfile,
+pub(crate) struct GuestOs {
     /// Kernel text region.
-    pub kernel_text: Region,
+    pub(crate) kernel_text: Region,
     /// Kernel data region.
-    pub kernel_data: Region,
+    pub(crate) kernel_data: Region,
     /// Pinned pages region.
     pub unevictable: Region,
     /// Page-cache region.
-    pub file_backed: Region,
+    pub(crate) file_backed: Region,
     /// Daemon heap region.
     pub anonymous: Region,
 }
@@ -117,14 +93,13 @@ impl GuestOs {
     /// Boots the guest: allocates one region per page class and touches
     /// every page once, exactly as a kernel populating itself and its
     /// daemons would. Charges boot-time faults to the clock.
-    pub fn boot(backend: &mut dyn MemoryBackend, profile: GuestOsProfile) -> GuestOs {
+    pub(crate) fn boot(backend: &mut dyn MemoryBackend, profile: GuestOsProfile) -> GuestOs {
         let kernel_text = backend.map_region(profile.kernel_text, PageClass::KernelText);
         let kernel_data = backend.map_region(profile.kernel_data, PageClass::KernelData);
         let unevictable = backend.map_region(profile.unevictable, PageClass::Unevictable);
         let file_backed = backend.map_region(profile.file_backed, PageClass::FileBacked);
         let anonymous = backend.map_region(profile.anonymous, PageClass::Anonymous);
         let os = GuestOs {
-            profile,
             kernel_text,
             kernel_data,
             unevictable,
@@ -148,16 +123,6 @@ impl GuestOs {
         }
         os
     }
-
-    /// A light background tick: the idle OS touches a few of its hot
-    /// pages (timer tick, daemon heartbeat). `step` selects which pages
-    /// so the hot set stays small and stable.
-    pub fn idle_tick(&self, backend: &mut dyn MemoryBackend, step: u64) {
-        let hot = 16.min(self.kernel_data.pages());
-        backend.access(self.kernel_data.page(step % hot), true);
-        let hot_file = 16.min(self.file_backed.pages());
-        backend.access(self.file_backed.page(step % hot_file), false);
-    }
 }
 
 #[cfg(test)]
@@ -168,7 +133,8 @@ mod tests {
     fn paper_boot_matches_table3() {
         let p = GuestOsProfile::paper_boot();
         assert_eq!(p.total_pages(), 81_042);
-        assert!((p.total_mb() - 316.57).abs() < 0.2, "{}", p.total_mb());
+        let mb = p.total_pages() as f64 * 4096.0 / (1024.0 * 1024.0);
+        assert!((mb - 316.57).abs() < 0.2, "{mb}");
     }
 
     #[test]
@@ -178,15 +144,5 @@ mod tests {
         assert!(p.total_pages() < 1000);
         let huge = GuestOsProfile::scaled_down(u64::MAX);
         assert_eq!(huge.total_pages(), 5, "every class floors at one page");
-    }
-
-    #[test]
-    fn unswappable_excludes_reclaimable_classes() {
-        let p = GuestOsProfile::paper_boot();
-        assert!(p.unswappable_pages() < p.total_pages());
-        assert_eq!(
-            p.unswappable_pages(),
-            p.kernel_text + p.kernel_data + p.unevictable
-        );
     }
 }

@@ -30,13 +30,11 @@ mod vcpus;
 mod vm;
 
 pub use balloon::Balloon;
-pub use guest_os::{GuestOs, GuestOsProfile};
+pub use guest_os::GuestOsProfile;
 pub use services::{IcmpService, ServiceError, SshService};
 pub use vcpus::{PipelineRunStats, VcpuSet};
 pub use vm::{VirtualizationMode, Vm};
 
 /// The series every instrument set this crate declares exports.
-pub const CATALOGUE: &[&[fluidmem_telemetry::CatalogueRow]] = &[
-    vm::VmCounters::CATALOGUE,
-    balloon::BalloonCounters::CATALOGUE,
-];
+pub const CATALOGUE: &[&[fluidmem_telemetry::CatalogueRow]] =
+    &[balloon::BalloonCounters::CATALOGUE];

@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use fluidmem_core::{FluidMemMemory, PipelineSubmit, SubmitOutcome};
 use fluidmem_mem::{AccessOutcome, MemoryBackend, PageClass, Region};
 use fluidmem_sim::stats::Sample;
-use fluidmem_sim::{EventQueue, SimDuration, SimInstant, SimRng};
+use fluidmem_sim::{EventQueue, SimDuration, SimRng};
 
 /// Aggregate results of a [`VcpuSet::run`] window.
 #[derive(Debug, Clone)]
@@ -92,12 +92,6 @@ impl VcpuSet {
             blocked: BTreeMap::new(),
             workload_rng,
         }
-    }
-
-    /// Sets the write fraction of the workload (default 0.3).
-    pub fn write_fraction(mut self, fraction: f64) -> Self {
-        self.write_fraction = fraction;
-        self
     }
 
     /// Seeds the workload stream (default seed 0).
@@ -197,12 +191,6 @@ impl VcpuSet {
         for vcpu in vcpus {
             self.ready.push(done.wake_at, vcpu);
         }
-    }
-
-    /// The instant the next in-flight completion would land (if any);
-    /// reads that already landed and finished do not count.
-    pub fn next_completion_at(&self) -> Option<SimInstant> {
-        self.vm.monitor().next_completion_at()
     }
 
     /// The backing memory (stats, drain, telemetry).

@@ -1,6 +1,6 @@
 //! The virtual machine: a guest bound to a memory backend.
 
-use fluidmem_mem::{MemoryBackend, PageClass, Region};
+use fluidmem_mem::MemoryBackend;
 
 use crate::guest_os::{GuestOs, GuestOsProfile};
 
@@ -13,7 +13,7 @@ use crate::guest_os::{GuestOs, GuestOsProfile};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VirtualizationMode {
     /// KVM hardware-assisted virtualization: fault handling itself needs
-    /// at least [`Vm::KVM_FAULT_HANDLER_PAGES`] pages resident, so a
+    /// at least `Vm::KVM_FAULT_HANDLER_PAGES` pages resident, so a
     /// footprint below that deadlocks.
     #[default]
     Kvm,
@@ -23,7 +23,7 @@ pub enum VirtualizationMode {
     FullEmulation,
 }
 
-/// A virtual machine: a booted [`GuestOs`] over a [`MemoryBackend`].
+/// A virtual machine: a booted `GuestOs` over a [`MemoryBackend`].
 ///
 /// # Example
 ///
@@ -50,24 +50,12 @@ pub struct Vm {
     backend: Box<dyn MemoryBackend>,
     os: GuestOs,
     mode: VirtualizationMode,
-    idle_step: u64,
-    events: VmCounters,
-}
-
-fluidmem_telemetry::instrument_set! {
-    /// A VM's event counters.
-    pub(crate) struct VmCounters {
-        counters {
-            idle_ticks: VM_EVENTS[LABEL_EVENT = "idle_tick"], "Idle-loop ticks run.";
-            workload_allocs: VM_EVENTS[LABEL_EVENT = "workload_alloc"], "Workload regions allocated.";
-        }
-    }
 }
 
 impl Vm {
     /// Minimum resident pages KVM needs to make fault-handling progress
     /// (the faulting instruction's page plus the handler's working page).
-    pub const KVM_FAULT_HANDLER_PAGES: u64 = 2;
+    pub(crate) const KVM_FAULT_HANDLER_PAGES: u64 = 2;
 
     /// Boots a guest with the given OS profile on a backend.
     pub fn boot(mut backend: Box<dyn MemoryBackend>, profile: GuestOsProfile) -> Vm {
@@ -76,14 +64,7 @@ impl Vm {
             backend,
             os,
             mode: VirtualizationMode::Kvm,
-            idle_step: 0,
-            events: VmCounters::default(),
         }
-    }
-
-    /// Registers the VM's event counters in a shared telemetry registry.
-    pub fn attach_telemetry(&mut self, telemetry: &fluidmem_telemetry::Telemetry) {
-        self.events.register(telemetry.registry(), &[]);
     }
 
     /// Switches the virtualization mode (Table III's last row uses
@@ -92,13 +73,8 @@ impl Vm {
         self.mode = mode;
     }
 
-    /// The virtualization mode.
-    pub fn mode(&self) -> VirtualizationMode {
-        self.mode
-    }
-
     /// The booted OS layout.
-    pub fn os(&self) -> &GuestOs {
+    pub(crate) fn os(&self) -> &GuestOs {
         &self.os
     }
 
@@ -122,26 +98,11 @@ impl Vm {
         self.footprint_pages() as f64 * 4096.0 / (1024.0 * 1024.0)
     }
 
-    /// Allocates an anonymous workload region (an application starting in
-    /// the guest).
-    pub fn alloc_workload(&mut self, pages: u64) -> Region {
-        self.events.workload_allocs.inc();
-        self.backend.map_region(pages, PageClass::Anonymous)
-    }
-
-    /// One idle-OS tick (a timer interrupt's worth of background memory
-    /// traffic).
-    pub fn idle_tick(&mut self) {
-        self.events.idle_ticks.inc();
-        self.os.idle_tick(self.backend.as_mut(), self.idle_step);
-        self.idle_step += 1;
-    }
-
     /// Whether the VM can make forward progress at its current local
     /// capacity. Under KVM, fault handling needs
     /// [`KVM_FAULT_HANDLER_PAGES`](Self::KVM_FAULT_HANDLER_PAGES)
     /// resident pages; under full emulation one page suffices.
-    pub fn can_make_progress(&self) -> bool {
+    pub(crate) fn can_make_progress(&self) -> bool {
         let needed = match self.mode {
             VirtualizationMode::Kvm => Self::KVM_FAULT_HANDLER_PAGES,
             VirtualizationMode::FullEmulation => 1,
@@ -192,16 +153,6 @@ mod tests {
     fn boot_respects_capacity_bound() {
         let vm = small_vm(64);
         assert!(vm.footprint_pages() <= 64);
-    }
-
-    #[test]
-    fn workload_alloc_and_idle_tick() {
-        let mut vm = small_vm(4096);
-        let region = vm.alloc_workload(32);
-        assert_eq!(region.pages(), 32);
-        let before = vm.backend().counters().total();
-        vm.idle_tick();
-        assert!(vm.backend().counters().total() > before);
     }
 
     #[test]

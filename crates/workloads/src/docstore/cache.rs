@@ -37,7 +37,7 @@ impl WiredTigerCache {
     /// # Panics
     ///
     /// Panics if the capacity is zero.
-    pub fn new(capacity_slots: u64) -> Self {
+    pub(crate) fn new(capacity_slots: u64) -> Self {
         assert!(capacity_slots > 0, "cache needs at least one slot");
         WiredTigerCache {
             capacity_slots,
@@ -53,37 +53,22 @@ impl WiredTigerCache {
     }
 
     /// Slot capacity.
-    pub fn capacity_slots(&self) -> u64 {
+    pub(crate) fn capacity_slots(&self) -> u64 {
         self.capacity_slots
     }
 
     /// Records currently cached.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.by_key.len() as u64
     }
 
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.by_key.is_empty()
-    }
-
     /// Cache hits so far.
-    pub fn hits(&self) -> u64 {
+    pub(crate) fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Cache misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Evictions so far.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
     /// Looks up a record; on hit, promotes it and returns its slot.
-    pub fn lookup(&mut self, key: u64) -> Option<u64> {
+    pub(crate) fn lookup(&mut self, key: u64) -> Option<u64> {
         let seq = self.next_seq;
         self.next_seq += 1;
         if let Some(slot) = self.by_key.get_mut(&key) {
@@ -100,7 +85,7 @@ impl WiredTigerCache {
 
     /// Inserts a record after a miss, evicting the LRU record if full.
     /// Returns `(slot, evicted_slot)`.
-    pub fn insert(&mut self, key: u64) -> (u64, Option<u64>) {
+    pub(crate) fn insert(&mut self, key: u64) -> (u64, Option<u64>) {
         debug_assert!(!self.by_key.contains_key(&key), "insert only after miss");
         let mut evicted = None;
         if self.len() >= self.capacity_slots {
@@ -135,7 +120,7 @@ mod tests {
         let (s1, _) = c.insert(1);
         assert_eq!(c.lookup(1), Some(s1));
         assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
+        assert_eq!(c.misses, 1);
     }
 
     #[test]
@@ -148,7 +133,7 @@ mod tests {
         assert!(evicted.is_some());
         assert_eq!(c.lookup(2), None, "LRU record evicted");
         assert!(c.lookup(1).is_some());
-        assert_eq!(c.evictions(), 1);
+        assert_eq!(c.evictions, 1);
     }
 
     #[test]

@@ -5,16 +5,14 @@
 /// Self-loops are dropped (as in the reference kernel); each remaining
 /// input edge appears in both endpoints' adjacency lists. The graph is
 /// therefore symmetric by construction: `v` is on `u`'s list exactly as
-/// often as `u` is on `v`'s, which [`validate_bfs`](super::validate_bfs)
+/// often as `u` is on `v`'s, which `validate_bfs`
 /// relies on to check a tree link from the child's side.
 #[derive(Debug, Clone)]
 pub struct CsrGraph {
     /// `xoff[v]..xoff[v+1]` indexes `adj` for vertex `v`.
     pub xoff: Vec<u64>,
     /// Concatenated adjacency lists.
-    pub adj: Vec<u32>,
-    /// Number of input edges retained (after self-loop removal).
-    pub input_edges: u64,
+    pub(crate) adj: Vec<u32>,
 }
 
 impl CsrGraph {
@@ -44,25 +42,21 @@ impl CsrGraph {
                 cursor[v as usize] += 1;
             }
         }
-        CsrGraph {
-            xoff,
-            adj,
-            input_edges: kept,
-        }
+        CsrGraph { xoff, adj }
     }
 
     /// Number of vertices.
-    pub fn vertices(&self) -> u64 {
+    pub(crate) fn vertices(&self) -> u64 {
         (self.xoff.len() - 1) as u64
     }
 
     /// Degree of a vertex.
-    pub fn degree(&self, v: u32) -> u64 {
+    pub(crate) fn degree(&self, v: u32) -> u64 {
         self.xoff[v as usize + 1] - self.xoff[v as usize]
     }
 
     /// The adjacency list of a vertex.
-    pub fn neighbors(&self, v: u32) -> &[u32] {
+    pub(crate) fn neighbors(&self, v: u32) -> &[u32] {
         &self.adj[self.xoff[v as usize] as usize..self.xoff[v as usize + 1] as usize]
     }
 
@@ -79,8 +73,7 @@ mod tests {
     #[test]
     fn builds_symmetric_lists() {
         let g = CsrGraph::build(4, &[(0, 1), (1, 2), (2, 2), (0, 3)]);
-        assert_eq!(g.input_edges, 3, "self loop dropped");
-        assert_eq!(g.adjacency_len(), 6);
+        assert_eq!(g.adjacency_len(), 6, "self loop dropped");
         assert_eq!(g.degree(0), 2);
         assert_eq!(g.degree(1), 2);
         assert_eq!(g.degree(2), 1);

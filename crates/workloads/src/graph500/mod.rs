@@ -9,7 +9,7 @@ mod bfs;
 mod csr;
 mod kronecker;
 
-pub use bfs::{run_benchmark, validate_bfs, BfsResult, Graph500Report};
+pub use bfs::{run_benchmark, BfsResult, Graph500Report};
 pub use csr::CsrGraph;
 pub use kronecker::generate_edges;
 
@@ -38,7 +38,7 @@ pub struct Graph500Config {
 
 impl Graph500Config {
     /// The paper's setup at a given scale factor.
-    pub fn paper(scale: u32) -> Self {
+    pub(crate) fn paper(scale: u32) -> Self {
         Graph500Config {
             scale,
             edgefactor: 16,

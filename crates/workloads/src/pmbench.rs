@@ -21,19 +21,7 @@ pub struct PmbenchConfig {
     pub max_accesses: u64,
 }
 
-impl PmbenchConfig {
-    /// The paper's setup scaled by `scale_denominator` (1 = full size:
-    /// 4 GB WSS and 100 s).
-    pub fn paper(scale_denominator: u64) -> Self {
-        let d = scale_denominator.max(1);
-        PmbenchConfig {
-            wss_pages: (1_048_576 / d).max(16),
-            duration: SimDuration::from_secs_f64(100.0 / d as f64),
-            read_ratio: 0.5,
-            max_accesses: u64::MAX,
-        }
-    }
-}
+impl PmbenchConfig {}
 
 /// Results of one pmbench run.
 #[derive(Debug, Clone)]

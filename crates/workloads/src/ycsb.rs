@@ -8,26 +8,13 @@ use crate::docstore::DocumentStore;
 
 /// The standard YCSB zipfian generator (Gray et al.), producing skewed
 /// key popularity with constant `theta` (YCSB default 0.99).
-///
-/// # Example
-///
-/// ```
-/// use fluidmem_sim::SimRng;
-/// use fluidmem_workloads::ycsb::ZipfianGenerator;
-///
-/// let mut z = ZipfianGenerator::new(1000, 0.99);
-/// let mut rng = SimRng::seed_from_u64(1);
-/// let k = z.next_key(&mut rng);
-/// assert!(k < 1000);
-/// ```
 #[derive(Debug, Clone)]
-pub struct ZipfianGenerator {
+pub(crate) struct ZipfianGenerator {
     items: u64,
     theta: f64,
     zeta_n: f64,
     alpha: f64,
     eta: f64,
-    zeta2: f64,
 }
 
 impl ZipfianGenerator {
@@ -36,7 +23,7 @@ impl ZipfianGenerator {
     /// # Panics
     ///
     /// Panics if `items` is zero or `theta` is not in `(0, 1)`.
-    pub fn new(items: u64, theta: f64) -> Self {
+    pub(crate) fn new(items: u64, theta: f64) -> Self {
         assert!(items > 0, "need at least one item");
         assert!(theta > 0.0 && theta < 1.0, "theta must be in (0,1)");
         let zeta_n = Self::zeta(items, theta);
@@ -49,7 +36,6 @@ impl ZipfianGenerator {
             zeta_n,
             alpha,
             eta,
-            zeta2,
         }
     }
 
@@ -70,7 +56,7 @@ impl ZipfianGenerator {
     }
 
     /// Draws the next key (0-based).
-    pub fn next_key(&mut self, rng: &mut SimRng) -> u64 {
+    pub(crate) fn next_key(&mut self, rng: &mut SimRng) -> u64 {
         let u: f64 = rng.gen_f64();
         let uz = u * self.zeta_n;
         if uz < 1.0 {
@@ -82,17 +68,6 @@ impl ZipfianGenerator {
         let k = (self.items as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
         k.min(self.items - 1)
     }
-
-    /// The number of keys.
-    pub fn items(&self) -> u64 {
-        self.items
-    }
-
-    /// Exposes ζ(2,θ) for testing.
-    #[doc(hidden)]
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2
-    }
 }
 
 /// Workload C (read-only) parameters.
@@ -101,10 +76,10 @@ pub struct WorkloadC {
     /// Number of operations to run.
     pub operations: u64,
     /// Zipfian theta (YCSB default 0.99).
-    pub theta: f64,
+    pub(crate) theta: f64,
     /// Bucket width for the latency time series (Figure 5 plots ~10 s
     /// buckets).
-    pub series_bucket: SimDuration,
+    pub(crate) series_bucket: SimDuration,
 }
 
 impl WorkloadC {

@@ -82,7 +82,7 @@ const STEPS: &[Step] = &[
     }),
     // The one harness that drives CompressedStore's frames and ZramDevice
     // end to end; ablation 6 counts the pages that did not round-trip.
-    ("ablations --scale 64", |line, _| {
+    ("ablations", |line, _| {
         let out = output(&mut bench(line))?;
         same("stdout", &out, &output(&mut bench(line))?)?;
         let text = String::from_utf8_lossy(&out);
@@ -123,9 +123,9 @@ fn main() -> ExitCode {
     let tmp = std::env::temp_dir().join(format!("fluidmem-gate-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&tmp);
     let start = Instant::now();
-    let setup = std::env::set_current_dir(env!("CARGO_MANIFEST_DIR"))
-        .and_then(|()| std::fs::create_dir_all(&tmp));
-    let verdict = setup.map_err(|e| format!("setup: {e}")).and_then(|()| {
+    let setup = std::fs::create_dir_all(&tmp).map_err(|e| format!("setup: {e}"));
+    let verdict = setup.and_then(|()| {
+        check(Path::new(file!()).exists(), "no src/bin/gate.rs here")?;
         for args in CARGO {
             let mut cargo = Command::new("cargo");
             let cargo = cargo.args(args.split(' ')).stdout(Stdio::inherit());
@@ -177,6 +177,10 @@ fn bench(line: &str) -> Command {
     cmd
 }
 
+fn same(what: &str, a: &[u8], b: &[u8]) -> Check {
+    check(a == b, format!("{what} differs between two runs"))
+}
+
 fn read(path: impl AsRef<Path>) -> Result<String, String> {
     let path = path.as_ref();
     std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))
@@ -196,10 +200,6 @@ fn smoke(tmp: &Path, line: &str, record: &str) -> Result<String, String> {
     same("JSON", json.as_bytes(), json_b.as_bytes())?;
     records(&json, record)?;
     Ok(json)
-}
-
-fn same(what: &str, a: &[u8], b: &[u8]) -> Check {
-    check(a == b, format!("{what} differs between two runs"))
 }
 
 /// The JSON-lines records of bench `bench`; none at all is an error.

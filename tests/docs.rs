@@ -2,6 +2,7 @@
 //! names one of its headings by title, and every command line README.md
 //! shows runs something that exists.
 
+use std::collections::HashSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -127,4 +128,83 @@ fn readme_commands_run_real_targets() {
         }
     }
     assert!(targets > 0 && commands > 0, "README.md shows no commands");
+}
+
+/// The identifiers of `text`: every maximal run of letters, digits and
+/// underscores.
+fn identifiers(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|w| w.starts_with(|c: char| c.is_alphabetic() || c == '_'))
+}
+
+/// The names of the `pub fn`s declared in `text`, `pub(crate)` ones left
+/// out.
+fn pub_fns(text: &str) -> Vec<&str> {
+    let words: Vec<&str> = identifiers(text).collect();
+    let mut names = Vec::new();
+    for (i, _) in words.iter().enumerate().filter(|(_, w)| **w == "pub") {
+        let mut rest = words[i + 1..].iter();
+        let fn_at = rest.find(|w| !matches!(**w, "const" | "unsafe" | "async" | "extern"));
+        if fn_at == Some(&"fn") {
+            names.extend(rest.next());
+        }
+    }
+    names
+}
+
+/// A crate's `pub` surface is what someone outside its library names:
+/// another crate or bin, the crate's own bins, `src/`, `tests/`,
+/// `examples/` or `fmbench/src/`. A `pub` item only its own crate calls
+/// hides from rustc's `dead_code` lint, so it must be `pub(crate)` or
+/// carry a reason here. Doc examples are not callers.
+#[test]
+fn every_pub_fn_is_named_outside_its_library() {
+    /// `(crate, fn, why it stays pub)`.
+    const ALLOWED: &[(&str, &str, &str)] = &[];
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples", "fmbench/src"] {
+        rust_files(&root().join(dir), &mut files);
+    }
+    // This file names the allowed fns; it is not a caller.
+    files.retain(|f| !f.ends_with(file!()));
+    let texts: Vec<String> = files
+        .iter()
+        .map(|f| fs::read_to_string(f).expect("source file"))
+        .collect();
+    let sources: Vec<(&PathBuf, HashSet<&str>)> = files
+        .iter()
+        .zip(&texts)
+        .map(|(f, text)| (f, identifiers(text).collect()))
+        .collect();
+    let (mut declared, mut unnamed) = (0, Vec::new());
+    for entry in fs::read_dir(root().join("crates")).expect("crates/") {
+        let crate_dir = entry.expect("crate").path();
+        let name = crate_dir.file_name().expect("crate name").to_string_lossy();
+        let lib = crate_dir.join("src");
+        let in_lib = |f: &Path| f.starts_with(&lib) && !f.starts_with(lib.join("bin"));
+        let mut fns: Vec<&str> = (files.iter().zip(&texts))
+            .filter(|(f, _)| in_lib(f))
+            .flat_map(|(_, text)| pub_fns(text))
+            .collect();
+        fns.sort_unstable();
+        fns.dedup();
+        declared += fns.len();
+        for f in fns {
+            let named = sources.iter().any(|(p, ids)| !in_lib(p) && ids.contains(f));
+            if !named && !ALLOWED.iter().any(|&(c, n, _)| c == name && n == f) {
+                unnamed.push(format!("{name}::{f}"));
+            }
+        }
+    }
+    unnamed.sort();
+    assert!(
+        declared > 100,
+        "found {declared} pub fns: is the scan looking in the right place?"
+    );
+    assert!(
+        unnamed.is_empty(),
+        "{} pub fns named nowhere outside their library (make them pub(crate), or allow one with a reason):\n{}",
+        unnamed.len(),
+        unnamed.join("\n")
+    );
 }
