@@ -1,34 +1,6 @@
 //! The monitor's resizable LRU buffer.
 
-use fluidmem_mem::{PageArray, Vpn};
-
-/// Link value past either end of the list.
-const END: i32 = i32::MIN;
-/// A slot whose page is not on the list: no page links to itself.
-const OFF: i32 = 0;
-
-/// One page's place in the recency list: how many slots away its
-/// neighbours are, or [`END`].
-#[derive(Debug, Clone, Copy, Default)]
-struct Links {
-    prev: i32,
-    next: i32,
-}
-
-/// The page a link from `vpn` leads to.
-fn step(vpn: Vpn, link: i32) -> Option<Vpn> {
-    (link != END).then(|| Vpn::new(vpn.raw().wrapping_add_signed(link.into())))
-}
-
-/// The link from `from` to `to`.
-fn link(from: Vpn, to: Option<Vpn>) -> i32 {
-    to.map_or(END, |to| {
-        let offset = to.raw().wrapping_sub(from.raw()) as i64;
-        let link = i32::try_from(offset).unwrap_or(END);
-        assert!(link != END, "an LRU spans under 2³¹ pages");
-        link
-    })
-}
+use fluidmem_mem::{Linked, PageArray, PageList, Vpn};
 
 /// The list that bounds a VM's DRAM footprint (§V-A).
 ///
@@ -43,12 +15,8 @@ fn link(from: Vpn, to: Option<Vpn>) -> i32 {
 ///   actively sized up or down" — `set_capacity`
 ///   changes the bound at runtime; the monitor then evicts down to it.
 ///
-/// Internally the list is intrusive and doubly linked through a
-/// [`PageArray`]: each page's links live at the page's own slot and are
-/// slot offsets to its neighbours, so insert, remove, rotate, and
-/// victim-pop are all O(1) array steps with no hash, and
-/// `peek_head_into` walks exactly the pages it
-/// returns. The array spans the pages the buffer has ever held.
+/// Internally it is a [`PageList`] plus its capacity; its array spans
+/// the pages the buffer has ever held.
 ///
 /// # Example
 ///
@@ -64,10 +32,8 @@ fn link(from: Vpn, to: Option<Vpn>) -> i32 {
 /// ```
 #[derive(Debug)]
 pub struct LruBuffer {
-    links: PageArray<Links>,
-    head: Option<Vpn>,
-    tail: Option<Vpn>,
-    len: u64,
+    links: PageArray<Linked<()>>,
+    list: PageList,
     capacity: u64,
 }
 
@@ -76,9 +42,7 @@ impl LruBuffer {
     pub fn new(capacity: u64) -> Self {
         LruBuffer {
             links: PageArray::default(),
-            head: None,
-            tail: None,
-            len: 0,
+            list: PageList::default(),
             capacity,
         }
     }
@@ -96,22 +60,22 @@ impl LruBuffer {
 
     /// Pages currently tracked (the VM's DRAM footprint).
     pub fn len(&self) -> u64 {
-        self.len
+        self.list.len()
     }
 
     /// Whether the buffer tracks no pages.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.list.is_empty()
     }
 
     /// Whether the buffer exceeds its bound.
     pub(crate) fn over_capacity(&self) -> bool {
-        self.len > self.capacity
+        self.len() > self.capacity
     }
 
     /// Whether a page is tracked.
     pub(crate) fn contains(&self, vpn: Vpn) -> bool {
-        self.links.get(vpn).is_some_and(|l| l.prev != OFF)
+        self.links.get(vpn).is_some_and(Linked::is_linked)
     }
 
     /// Slots in the page array: the buffer's standing memory footprint,
@@ -120,61 +84,20 @@ impl LruBuffer {
         self.links.span()
     }
 
-    /// Splices `vpn` onto the list tail.
-    fn link_tail(&mut self, vpn: Vpn) {
-        let tail = self.tail;
-        *self.links.slot_mut(vpn) = Links {
-            prev: link(vpn, tail),
-            next: END,
-        };
-        match tail {
-            None => self.head = Some(vpn),
-            Some(t) => self.links[t].next = link(t, Some(vpn)),
-        }
-        self.tail = Some(vpn);
-    }
-
-    /// Unlinks `vpn` from the list, leaving its slot off the list.
-    fn unlink(&mut self, vpn: Vpn) {
-        let Links { prev, next } = std::mem::take(&mut self.links[vpn]);
-        let (prev, next) = (step(vpn, prev), step(vpn, next));
-        match prev {
-            None => self.head = next,
-            Some(p) => self.links[p].next = link(p, next),
-        }
-        match next {
-            None => self.tail = prev,
-            Some(n) => self.links[n].prev = link(n, prev),
-        }
-    }
-
     /// Adds a page at the tail (first access or refault). Returns `false`
     /// if already present.
     pub fn insert(&mut self, vpn: Vpn) -> bool {
-        if self.contains(vpn) {
-            return false;
-        }
-        self.link_tail(vpn);
-        self.len += 1;
-        true
+        self.list.push_back(&mut self.links, vpn)
     }
 
     /// Removes a page in O(1) through its slot.
     pub(crate) fn remove(&mut self, vpn: Vpn) -> bool {
-        if !self.contains(vpn) {
-            return false;
-        }
-        self.unlink(vpn);
-        self.len -= 1;
-        true
+        self.list.remove(&mut self.links, vpn)
     }
 
     /// Takes the eviction victim from the top of the list.
     pub fn pop_victim(&mut self) -> Option<Vpn> {
-        let vpn = self.head?;
-        self.unlink(vpn);
-        self.len -= 1;
-        Some(vpn)
+        self.list.pop_front(&mut self.links)
     }
 
     /// Writes the next `n` victims in order (for referenced-bit
@@ -183,22 +106,13 @@ impl LruBuffer {
     /// the caller's buffer, so the periodic scan path allocates once.
     pub(crate) fn peek_head_into(&self, n: usize, out: &mut Vec<Vpn>) {
         out.clear();
-        let mut next = self.head;
-        while let Some(vpn) = next.filter(|_| out.len() < n) {
-            out.push(vpn);
-            next = step(vpn, self.links[vpn].next);
-        }
+        out.extend(self.list.iter(&self.links).take(n));
     }
 
     /// Moves a tracked page to the tail (the `ScanReferenced` ablation's
     /// rotation). Returns `false` if the page is not tracked.
     pub(crate) fn rotate_to_tail(&mut self, vpn: Vpn) -> bool {
-        if !self.contains(vpn) {
-            return false;
-        }
-        self.unlink(vpn);
-        self.link_tail(vpn);
-        true
+        self.remove(vpn) && self.insert(vpn)
     }
 }
 

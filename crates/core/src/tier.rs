@@ -9,6 +9,8 @@
 //!
 //! This module owns the pure pool: entry storage, charge/uncharge
 //! accounting, the FIFO demotion order, and the watermark arithmetic.
+//! A monitor's tier only ever holds keys of its own partition, so the
+//! entries and their order are one [`PageList`] keyed by page.
 //! The monitor glue (admission on eviction, promotion on refault,
 //! demotion onto the write list) lives in `monitor/`, gated so that a
 //! disabled tier leaves the monitor byte-identical to one built before
@@ -25,11 +27,9 @@
 //! [`PageBuf`](fluidmem_mem::PageBuf), so re-admitting a page the guest
 //! has not rewritten costs a load, not a 4 KB scan.
 
-use std::collections::VecDeque;
-
+use fluidmem_coord::PartitionId;
 use fluidmem_kv::ExternalKey;
-use fluidmem_mem::PageContents;
-use fluidmem_sim::FastMap;
+use fluidmem_mem::{Linked, PageArray, PageContents, PageList, Vpn};
 
 /// Demotion drains the pool down to this fraction of the budget once
 /// occupancy crosses [`WATERMARK_HIGH`] — hysteresis so pressure demotes
@@ -144,26 +144,26 @@ impl TierAudit {
     }
 }
 
+/// A pooled page, live while it is on the demotion order.
+#[derive(Debug, Clone, Default)]
 struct TierEntry {
     contents: PageContents,
     bytes: usize,
-    /// Admission sequence stamp; disambiguates a re-admitted key from
-    /// its stale position in the FIFO demotion order.
-    seq: u64,
 }
 
-/// The compressed pool: keyed entries, compressed-byte accounting, and
+/// The compressed pool: entries by page, compressed-byte accounting, and
 /// a FIFO demotion order (oldest admission demotes first — the zswap
 /// LRU, which for a pool fed exclusively by LRU-tail evictions is the
 /// eviction order itself).
 #[derive(Default)]
 pub(crate) struct CompressedTier {
-    entries: FastMap<ExternalKey, TierEntry>,
-    /// `(seq, key)` in admission order; stale stamps (seq mismatch) are
-    /// skipped lazily on demotion.
-    order: VecDeque<(u64, ExternalKey)>,
+    slots: PageArray<Linked<TierEntry>>,
+    /// The live entries in admission order; a re-admitted page moves to
+    /// the tail.
+    order: PageList,
+    /// The partition of every key admitted.
+    partition: Option<PartitionId>,
     bytes: usize,
-    next_seq: u64,
     // Lifetime accounting for the balance invariant:
     // admitted == live + promoted + demoted + dropped.
     admitted: u64,
@@ -179,12 +179,12 @@ impl CompressedTier {
 
     /// Live entries in the pool.
     pub(crate) fn len(&self) -> usize {
-        self.entries.len()
+        self.order.len() as usize
     }
 
     #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.order.is_empty()
     }
 
     /// Compressed bytes currently charged.
@@ -193,79 +193,78 @@ impl CompressedTier {
     }
 
     pub(crate) fn contains(&self, key: ExternalKey) -> bool {
-        self.entries.contains_key(&key)
+        self.slots.get(key.vpn()).is_some_and(Linked::is_linked)
     }
 
     /// Admits (or replaces) an entry, charging `bytes`. A replaced
     /// entry's charge is released first and counted as dropped — its
     /// contents are superseded, not lost.
     pub(crate) fn admit(&mut self, key: ExternalKey, contents: PageContents, bytes: usize) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        if let Some(old) = self.entries.insert(
-            key,
-            TierEntry {
-                contents,
-                bytes,
-                seq,
-            },
-        ) {
-            self.bytes -= old.bytes;
+        let vpn = key.vpn();
+        debug_assert!(self.partition.is_none_or(|p| p == key.partition()));
+        self.partition = Some(key.partition());
+        if self.take(vpn).is_some() {
             self.dropped += 1;
         }
+        self.slots.slot_mut(vpn).value = TierEntry { contents, bytes };
+        self.order.push_back(&mut self.slots, vpn);
         self.bytes += bytes;
         self.admitted += 1;
-        self.order.push_back((seq, key));
     }
 
     /// Removes and returns `key`'s entry (a refault promoting it back
-    /// to DRAM), releasing its charge. Its FIFO stamp goes stale and is
-    /// skipped lazily.
+    /// to DRAM), releasing its charge.
     pub(crate) fn promote(&mut self, key: ExternalKey) -> Option<PageContents> {
-        let entry = self.entries.remove(&key)?;
-        self.bytes -= entry.bytes;
+        let contents = self.take(key.vpn())?;
         self.promoted += 1;
-        Some(entry.contents)
+        Some(contents)
     }
 
     /// Removes and returns the oldest live entry (pool pressure demoting
     /// it toward the remote store), releasing its charge.
     pub(crate) fn pop_oldest(&mut self) -> Option<(ExternalKey, PageContents)> {
-        while let Some((seq, key)) = self.order.pop_front() {
-            match self.entries.get(&key) {
-                Some(entry) if entry.seq == seq => {
-                    let entry = self.entries.remove(&key).expect("entry just seen");
-                    self.bytes -= entry.bytes;
-                    self.demoted += 1;
-                    return Some((key, entry.contents));
-                }
-                // Stale stamp: the key was promoted or re-admitted since.
-                _ => continue,
-            }
-        }
-        None
+        let vpn = self.order.iter(&self.slots).next()?;
+        let contents = self.take(vpn).expect("the head is live");
+        self.demoted += 1;
+        Some((self.key(vpn), contents))
     }
 
     /// Drops every entry matching `f` (region teardown), releasing the
     /// charges. Returns how many were dropped.
     pub(crate) fn remove_matching(&mut self, f: impl Fn(ExternalKey) -> bool) -> usize {
-        let doomed: Vec<ExternalKey> = self.entries.keys().copied().filter(|&k| f(k)).collect();
-        for key in &doomed {
-            let entry = self.entries.remove(key).expect("key just listed");
-            self.bytes -= entry.bytes;
+        let live = self.order.iter(&self.slots);
+        let doomed: Vec<Vpn> = live.filter(|&vpn| f(self.key(vpn))).collect();
+        for &vpn in &doomed {
+            self.take(vpn);
             self.dropped += 1;
         }
         doomed.len()
+    }
+
+    /// Unlinks `vpn`'s entry, releasing its charge, and returns its
+    /// contents.
+    fn take(&mut self, vpn: Vpn) -> Option<PageContents> {
+        if !self.order.remove(&mut self.slots, vpn) {
+            return None;
+        }
+        let entry = std::mem::take(&mut self.slots[vpn].value);
+        self.bytes -= entry.bytes;
+        Some(entry.contents)
+    }
+
+    /// The key of a pooled page.
+    fn key(&self, vpn: Vpn) -> ExternalKey {
+        ExternalKey::new(vpn, self.partition.expect("a page was admitted"))
     }
 
     /// The charge/uncharge invariant: the byte gauge equals the sum of
     /// live entries, and every admission is accounted for exactly once
     /// (still live, promoted, demoted, or dropped).
     pub(crate) fn accounting_balances(&self) -> bool {
-        let live_bytes: usize = self.entries.values().map(|e| e.bytes).sum();
+        let live = self.order.iter(&self.slots);
+        let live_bytes: usize = live.map(|vpn| self.slots[vpn].value.bytes).sum();
         self.bytes == live_bytes
-            && self.admitted
-                == self.entries.len() as u64 + self.promoted + self.demoted + self.dropped
+            && self.admitted == self.order.len() + self.promoted + self.demoted + self.dropped
     }
 
     /// Lifetime (admitted, promoted, demoted, dropped) counts.
@@ -351,5 +350,132 @@ mod tests {
         assert_eq!(t.pop_oldest(), None);
         assert_eq!(t.bytes(), 0);
         assert!(t.accounting_balances());
+    }
+
+    #[test]
+    fn admit_promote_churn_keeps_one_slot_per_page() {
+        let mut t = CompressedTier::new();
+        for n in 0..100_000u64 {
+            t.admit(key(n % 64), PageContents::Token(n), 10);
+            assert_eq!(t.promote(key(n % 64)), Some(PageContents::Token(n)));
+        }
+        // Storage is one slot per page ever pooled, not one per
+        // admission.
+        assert!(t.slots.span() <= 64, "{} slots", t.slots.span());
+        assert!(t.is_empty());
+        assert_eq!(t.lifetime_counts(), (100_000, 100_000, 0, 0));
+        assert!(t.accounting_balances());
+    }
+
+    /// The first pool, verbatim semantics: a keyed map and a
+    /// `(seq, key)` demotion deque whose stamps go stale when a key is
+    /// promoted, dropped or re-admitted, skipped lazily on demotion. Kept
+    /// as the reference the page list is checked against.
+    #[derive(Default)]
+    struct DequeTier {
+        entries: std::collections::HashMap<ExternalKey, (PageContents, usize, u64)>,
+        order: std::collections::VecDeque<(u64, ExternalKey)>,
+        bytes: usize,
+        next_seq: u64,
+    }
+
+    impl DequeTier {
+        fn admit(&mut self, key: ExternalKey, contents: PageContents, bytes: usize) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            if let Some(old) = self.entries.insert(key, (contents, bytes, seq)) {
+                self.bytes -= old.1;
+            }
+            self.bytes += bytes;
+            self.order.push_back((seq, key));
+        }
+
+        fn promote(&mut self, key: ExternalKey) -> Option<PageContents> {
+            let (contents, bytes, _) = self.entries.remove(&key)?;
+            self.bytes -= bytes;
+            Some(contents)
+        }
+
+        fn pop_oldest(&mut self) -> Option<(ExternalKey, PageContents)> {
+            while let Some((seq, key)) = self.order.pop_front() {
+                if self.entries.get(&key).is_some_and(|e| e.2 == seq) {
+                    return Some((key, self.promote(key).expect("entry just seen")));
+                }
+            }
+            None
+        }
+
+        fn remove_matching(&mut self, f: impl Fn(ExternalKey) -> bool) -> usize {
+            let doomed: Vec<ExternalKey> = self.entries.keys().copied().filter(|&k| f(k)).collect();
+            doomed.iter().for_each(|&k| drop(self.promote(k)));
+            doomed.len()
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Admit(u64, usize),
+        Promote(u64),
+        PopOldest,
+        RemoveRange(u64, u64),
+    }
+
+    /// Replays `ops` on a pool and on the deque reference: every answer,
+    /// the charged bytes and the live count must agree after each op.
+    fn replay(ops: &[Op]) -> Result<(), String> {
+        let (mut t, mut reference) = (CompressedTier::new(), DequeTier::default());
+        for (step, op) in ops.iter().enumerate() {
+            let (got, want) = match *op {
+                Op::Admit(page, bytes) => {
+                    let contents = PageContents::Token(step as u64);
+                    t.admit(key(page), contents.clone(), bytes);
+                    reference.admit(key(page), contents, bytes);
+                    (String::new(), String::new())
+                }
+                Op::Promote(page) => (
+                    format!("{:?}", t.promote(key(page))),
+                    format!("{:?}", reference.promote(key(page))),
+                ),
+                Op::PopOldest => (
+                    format!("{:?}", t.pop_oldest()),
+                    format!("{:?}", reference.pop_oldest()),
+                ),
+                Op::RemoveRange(lo, hi) => {
+                    let doomed = |k: ExternalKey| (lo..hi).contains(&k.vpn().raw());
+                    let got = t.remove_matching(doomed);
+                    (
+                        got.to_string(),
+                        reference.remove_matching(doomed).to_string(),
+                    )
+                }
+            };
+            if got != want
+                || (t.bytes(), t.len()) != (reference.bytes, reference.entries.len())
+                || !t.accounting_balances()
+            {
+                return Err(format!("step {step} {op:?}: {got}, reference {want}"));
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn page_list_pool_matches_the_deque_implementation() {
+        fluidmem_sim::prop::forall_sequences(
+            "tier-list-vs-deque",
+            64,
+            |rng| {
+                fluidmem_sim::prop::vec_of(rng, 1, 300, |r| {
+                    let page = r.gen_index(16);
+                    match r.gen_index(10) {
+                        0..=4 => Op::Admit(page, 1 + r.gen_index(500) as usize),
+                        5..=6 => Op::Promote(page),
+                        7..=8 => Op::PopOldest,
+                        _ => Op::RemoveRange(page, page + r.gen_index(6)),
+                    }
+                })
+            },
+            replay,
+        );
     }
 }

@@ -28,9 +28,7 @@
 //! RNG draws — with the default [`WorkingSetMode::Passive`] mode the
 //! monitor's externally observable behavior is bit-for-bit unchanged.
 
-use std::collections::VecDeque;
-
-use fluidmem_mem::{PageArray, Region, Vpn};
+use fluidmem_mem::{Linked, PageArray, PageList, Region, Vpn};
 
 /// How the estimator's output is used.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,13 +121,10 @@ pub struct Refault {
 #[derive(Debug)]
 pub struct WorkingSetEstimator {
     config: WorkingSetConfig,
-    /// Live shadow entries: nonresident page → eviction stamp.
-    shadow: PageArray<Option<u64>>,
-    /// Live shadow entries.
-    shadow_len: usize,
-    /// Insertion order by stamp, for FIFO overflow. Entries whose page
-    /// was consumed or forgotten go stale and are skipped lazily.
-    order: VecDeque<(u64, Vpn)>,
+    /// Nonresident page → eviction stamp, live while on `order`.
+    shadow: PageArray<Linked<u64>>,
+    /// The live entries by stamp, oldest first, for FIFO overflow.
+    order: PageList,
     /// The monotonic eviction counter; also the next stamp.
     evictions: u64,
     /// Refaults that found a live shadow entry.
@@ -152,8 +147,7 @@ impl WorkingSetEstimator {
         WorkingSetEstimator {
             config,
             shadow: PageArray::default(),
-            shadow_len: 0,
-            order: VecDeque::new(),
+            order: PageList::default(),
             evictions: 0,
             refaults: 0,
             thrash_refaults: 0,
@@ -165,37 +159,31 @@ impl WorkingSetEstimator {
     }
 
     /// Records the eviction of `vpn`: bumps the eviction counter and
-    /// leaves a shadow entry stamped with it, evicting the oldest
-    /// entries if the table is over its bound.
+    /// leaves a shadow entry stamped with it, dropping the oldest entry
+    /// if the table is over its bound.
     ///
     /// A page can only be evicted while resident, and a refault consumes
     /// its shadow entry before re-inserting it — so a live entry for
     /// `vpn` cannot exist here (debug-asserted).
     pub fn record_eviction(&mut self, vpn: Vpn) {
-        let stamp = self.evictions;
+        self.shadow.slot_mut(vpn).value = self.evictions;
         self.evictions += 1;
-        let prior = self.shadow.slot_mut(vpn).replace(stamp);
-        debug_assert!(prior.is_none(), "double shadow entry for {vpn}");
-        self.shadow_len += 1;
-        self.order.push_back((stamp, vpn));
-        while self.shadow_len > self.config.shadow_capacity {
-            let Some((s, v)) = self.order.pop_front() else {
-                break;
-            };
-            if self.shadow.get(v) == Some(&Some(s)) {
-                self.take_shadow(v);
-                self.overflow_drops += 1;
-            }
+        let fresh = self.order.push_back(&mut self.shadow, vpn);
+        debug_assert!(fresh, "double shadow entry for {vpn}");
+        if self.shadow_len() > self.config.shadow_capacity {
+            self.order.pop_front(&mut self.shadow);
+            self.overflow_drops += 1;
         }
-        self.maybe_compact();
     }
 
     /// Measures the refault of `vpn` given the current resident count.
     /// Returns `None` when the page has no live shadow entry (it was
     /// never evicted, or its entry aged out of the bounded table).
     pub fn note_refault(&mut self, vpn: Vpn, resident: u64) -> Option<Refault> {
-        let stamp = self.take_shadow(vpn)?;
-        let distance = self.evictions - stamp;
+        if !self.order.remove(&mut self.shadow, vpn) {
+            return None;
+        }
+        let distance = self.evictions - self.shadow[vpn].value;
         let needed = resident.saturating_add(distance);
         // Compare against the estimate *before* this sample updates it,
         // as the kernel compares against the pre-activation list size.
@@ -252,26 +240,19 @@ impl WorkingSetEstimator {
     /// Drops the shadow entry for `vpn`, if any (page removed outside
     /// the fault path).
     pub(crate) fn forget(&mut self, vpn: Vpn) {
-        if self.take_shadow(vpn).is_some() {
+        if self.order.remove(&mut self.shadow, vpn) {
             self.forgotten += 1;
         }
-    }
-
-    /// Removes `vpn`'s shadow entry, returning its stamp.
-    fn take_shadow(&mut self, vpn: Vpn) -> Option<u64> {
-        let stamp = self.shadow.get_mut(vpn)?.take()?;
-        self.shadow_len -= 1;
-        Some(stamp)
     }
 
     /// Drops every shadow entry inside `region` (VM shutdown /
     /// unregister): refaults can no longer happen for these pages.
     pub(crate) fn forget_region(&mut self, region: &Region) {
-        let entries = self.shadow.range_mut(region.start(), region.end());
-        let dropped = entries.filter_map(|(_, entry)| entry.take()).count();
-        self.shadow_len -= dropped;
-        self.forgotten += dropped as u64;
-        self.maybe_compact();
+        for vpn in region.iter_pages() {
+            if self.order.remove(&mut self.shadow, vpn) {
+                self.forgotten += 1;
+            }
+        }
     }
 
     /// The current working-set-size estimate, in pages. Zero until the
@@ -282,13 +263,15 @@ impl WorkingSetEstimator {
 
     /// Live shadow entries.
     pub fn shadow_len(&self) -> usize {
-        self.shadow_len
+        self.order.len() as usize
     }
 
     /// The pages with live shadow entries, sorted.
     pub fn shadow_pages(&self) -> Vec<Vpn> {
         let entries = self.shadow.iter();
-        entries.filter_map(|(vpn, e)| e.map(|_| vpn)).collect()
+        entries
+            .filter_map(|(vpn, e)| e.is_linked().then_some(vpn))
+            .collect()
     }
 
     /// Total evictions recorded (the monotonic counter's value).
@@ -321,16 +304,7 @@ impl WorkingSetEstimator {
     /// explicitly forgotten. Chaos tests assert this to prove retries
     /// neither leak nor double-count nonresident entries.
     pub fn accounting_balances(&self) -> bool {
-        self.evictions
-            == self.shadow_len as u64 + self.refaults + self.overflow_drops + self.forgotten
-    }
-
-    /// Drops stale order entries once they dominate the deque.
-    fn maybe_compact(&mut self) {
-        if self.order.len() > self.shadow_len * 2 + 64 {
-            self.order
-                .retain(|&(s, v)| self.shadow.get(v) == Some(&Some(s)));
-        }
+        self.evictions == self.order.len() + self.refaults + self.overflow_drops + self.forgotten
     }
 }
 
@@ -478,5 +452,140 @@ mod tests {
             assert!(ws.accounting_balances(), "round {round}");
             assert!(ws.shadow_len() <= 16);
         }
+    }
+
+    /// The first shadow table, verbatim semantics: a `(stamp, page)`
+    /// deque whose entries go stale when their page is consumed or
+    /// forgotten, skipped lazily on overflow and compacted once they
+    /// dominate. Kept as the reference the page list is checked against.
+    struct DequeShadow {
+        capacity: usize,
+        shadow: std::collections::HashMap<Vpn, u64>,
+        order: std::collections::VecDeque<(u64, Vpn)>,
+        evictions: u64,
+        drops: u64,
+    }
+
+    impl DequeShadow {
+        fn record_eviction(&mut self, vpn: Vpn) {
+            let stamp = self.evictions;
+            self.evictions += 1;
+            self.shadow.insert(vpn, stamp);
+            self.order.push_back((stamp, vpn));
+            while self.shadow.len() > self.capacity {
+                let Some((s, v)) = self.order.pop_front() else {
+                    break;
+                };
+                if self.shadow.get(&v) == Some(&s) {
+                    self.shadow.remove(&v);
+                    self.drops += 1;
+                }
+            }
+            self.maybe_compact();
+        }
+
+        /// The refault distance of `vpn`, consuming its entry.
+        fn take(&mut self, vpn: Vpn) -> Option<u64> {
+            self.shadow.remove(&vpn).map(|stamp| self.evictions - stamp)
+        }
+
+        fn forget_region(&mut self, region: &Region) {
+            self.shadow.retain(|vpn, _| !region.contains(*vpn));
+            self.maybe_compact();
+        }
+
+        fn maybe_compact(&mut self) {
+            if self.order.len() > self.shadow.len() * 2 + 64 {
+                let shadow = &self.shadow;
+                self.order.retain(|(s, v)| shadow.get(v) == Some(s));
+            }
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Evict(u64),
+        Refault(u64, u64),
+        Forget(u64),
+        ForgetRegion(u64, u64),
+    }
+
+    /// Replays `ops` on an estimator and on the deque reference: every
+    /// refault's answer, the overflow drops, and the live pages after
+    /// each op must agree, which pins which page each drop took.
+    fn replay(ops: &[Op]) -> Result<(), String> {
+        let config = WorkingSetConfig::default().shadow_capacity(8);
+        let mut ws = WorkingSetEstimator::new(config);
+        let mut reference = DequeShadow {
+            capacity: 8,
+            shadow: Default::default(),
+            order: Default::default(),
+            evictions: 0,
+            drops: 0,
+        };
+        for (step, op) in ops.iter().enumerate() {
+            match *op {
+                // Only a resident page is evicted: one with no entry.
+                Op::Evict(page) if !reference.shadow.contains_key(&vpn(page)) => {
+                    ws.record_eviction(vpn(page));
+                    reference.record_eviction(vpn(page));
+                }
+                Op::Evict(_) => {}
+                Op::Refault(page, resident) => {
+                    let estimate = ws.wss_estimate();
+                    let got = ws.note_refault(vpn(page), resident);
+                    let want = reference.take(vpn(page)).map(|distance| Refault {
+                        distance,
+                        needed: resident + distance,
+                        thrash: distance <= estimate,
+                    });
+                    if got != want {
+                        return Err(format!("step {step} {op:?}: {got:?}, reference {want:?}"));
+                    }
+                }
+                Op::Forget(page) => {
+                    ws.forget(vpn(page));
+                    reference.take(vpn(page));
+                }
+                Op::ForgetRegion(start, pages) => {
+                    let region = Region::new(vpn(start), pages, fluidmem_mem::PageClass::Anonymous);
+                    ws.forget_region(&region);
+                    reference.forget_region(&region);
+                }
+            }
+            if ws.overflow_drops() != reference.drops {
+                let drops = (ws.overflow_drops(), reference.drops);
+                return Err(format!("step {step} {op:?}: drops {drops:?}"));
+            }
+            let mut live: Vec<Vpn> = reference.shadow.keys().copied().collect();
+            live.sort_unstable();
+            if ws.shadow_pages() != live || !ws.accounting_balances() {
+                return Err(format!(
+                    "step {step} {op:?}: live {:?}, reference {live:?}",
+                    ws.shadow_pages()
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn shadow_list_matches_the_deque_implementation() {
+        fluidmem_sim::prop::forall_sequences(
+            "shadow-list-vs-deque",
+            64,
+            |rng| {
+                fluidmem_sim::prop::vec_of(rng, 1, 400, |r| {
+                    let page = r.gen_index(24);
+                    match r.gen_index(12) {
+                        0..=5 => Op::Evict(page),
+                        6..=9 => Op::Refault(page, r.gen_index(32)),
+                        10 => Op::Forget(page),
+                        _ => Op::ForgetRegion(page, 1 + r.gen_index(6)),
+                    }
+                })
+            },
+            replay,
+        );
     }
 }

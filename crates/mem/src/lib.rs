@@ -7,6 +7,7 @@
 //! * 4 KB pages with optional real contents ([`PageContents`]),
 //! * [`VirtAddr`]/[`Vpn`] virtual addressing, typed [`Region`]s, and
 //!   [`PageArray`], the dense table every per-page map is built on,
+//!   and [`PageList`], the page order every LRU and FIFO is built on,
 //! * page-table entries with [`PteFlags`] and a per-process [`PageTable`],
 //! * host [`PhysicalMemory`] (frame allocator + frame contents),
 //! * a [`TlbModel`] charging flush / shootdown-IPI costs, and
@@ -27,6 +28,7 @@ mod frame;
 mod page;
 mod page_array;
 mod page_class;
+mod page_list;
 mod page_table;
 mod pte;
 mod tlb;
@@ -37,6 +39,7 @@ pub use frame::{FrameId, PhysicalMemory};
 pub use page::{PageBuf, PageContents, PAGE_SIZE};
 pub use page_array::PageArray;
 pub use page_class::PageClass;
+pub use page_list::{Linked, PageList};
 pub use page_table::{PageTable, PageTableEntry};
 pub use pte::PteFlags;
 pub use tlb::TlbModel;

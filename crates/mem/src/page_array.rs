@@ -36,7 +36,7 @@ pub struct PageArray<T> {
     slots: Vec<T>,
 }
 
-impl<T: Clone + Default> PageArray<T> {
+impl<T> PageArray<T> {
     /// The slot of `vpn`, or `None` outside the span.
     #[inline]
     pub fn get(&self, vpn: Vpn) -> Option<&T> {
@@ -48,24 +48,6 @@ impl<T: Clone + Default> PageArray<T> {
     pub fn get_mut(&mut self, vpn: Vpn) -> Option<&mut T> {
         self.slots
             .get_mut(vpn.raw().wrapping_sub(self.base) as usize)
-    }
-
-    /// The slot of `vpn`, growing the span to cover it.
-    pub fn slot_mut(&mut self, vpn: Vpn) -> &mut T {
-        if self.slots.is_empty() {
-            self.base = vpn.raw() & !(ALIGN - 1);
-        } else if vpn.raw() < self.base {
-            let len = self.slots.len() as u64;
-            let base = vpn.raw().min(self.base.saturating_sub(len));
-            let grow = std::iter::repeat_n(T::default(), (self.base - base) as usize);
-            self.slots.splice(0..0, grow);
-            self.base = base;
-        }
-        let i = (vpn.raw() - self.base) as usize;
-        if i >= self.slots.len() {
-            self.slots.resize(i + 1, T::default()); // reserves geometrically
-        }
-        &mut self.slots[i]
     }
 
     /// Every slot of the span with its page, in page order.
@@ -94,8 +76,28 @@ impl<T: Clone + Default> PageArray<T> {
     }
 }
 
+impl<T: Default> PageArray<T> {
+    /// The slot of `vpn`, growing the span to cover it.
+    pub fn slot_mut(&mut self, vpn: Vpn) -> &mut T {
+        if self.slots.is_empty() {
+            self.base = vpn.raw() & !(ALIGN - 1);
+        } else if vpn.raw() < self.base {
+            let len = self.slots.len() as u64;
+            let base = vpn.raw().min(self.base.saturating_sub(len));
+            let grow = std::iter::repeat_with(T::default).take((self.base - base) as usize);
+            self.slots.splice(0..0, grow);
+            self.base = base;
+        }
+        let i = (vpn.raw() - self.base) as usize;
+        if i >= self.slots.len() {
+            self.slots.resize_with(i + 1, T::default); // reserves geometrically
+        }
+        &mut self.slots[i]
+    }
+}
+
 /// Panics outside the span.
-impl<T: Clone + Default> Index<Vpn> for PageArray<T> {
+impl<T> Index<Vpn> for PageArray<T> {
     type Output = T;
 
     fn index(&self, vpn: Vpn) -> &T {
@@ -103,7 +105,7 @@ impl<T: Clone + Default> Index<Vpn> for PageArray<T> {
     }
 }
 
-impl<T: Clone + Default> IndexMut<Vpn> for PageArray<T> {
+impl<T> IndexMut<Vpn> for PageArray<T> {
     fn index_mut(&mut self, vpn: Vpn) -> &mut T {
         self.get_mut(vpn).expect("page inside the array's span")
     }

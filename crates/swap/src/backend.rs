@@ -122,7 +122,8 @@ pub struct SwapBackedMemory {
     lru: TwoListLru,
     slots: SlotAllocator,
     /// Swap-cache pages in readahead order, oldest first; an entry whose
-    /// page has since left the swap cache is skipped.
+    /// page has since left the swap cache is skipped. It stays a deque
+    /// (DESIGN.md "Per-page state").
     swap_cache_order: VecDeque<Vpn>,
     next_fs_block: u64,
     label: String,
@@ -201,7 +202,7 @@ impl SwapBackedMemory {
 
     fn fs_block_of(&mut self, vpn: Vpn) -> u64 {
         let (next, capacity) = (&mut self.next_fs_block, self.fs_dev.capacity_blocks());
-        self.pages[vpn].fs_block_or(|| {
+        self.pages[vpn].value.fs_block_or(|| {
             let block = *next % capacity;
             *next += 1;
             block
@@ -212,7 +213,7 @@ impl SwapBackedMemory {
     /// one was dropped.
     fn shrink_swap_cache(&mut self) -> bool {
         while let Some(vpn) = self.swap_cache_order.pop_front() {
-            let location = &mut self.pages[vpn].location;
+            let location = &mut self.pages[vpn].value.location;
             if let Location::SwapCache { frame } = *location {
                 // Its clean device copy (and slot) remains; it is simply
                 // swapped out again.
@@ -255,7 +256,7 @@ impl SwapBackedMemory {
         let contents = self.frames.free(entry.frame);
         match self.class_of(vpn) {
             PageClass::Anonymous => {
-                let write_completes = if self.pages[vpn].slot().is_some() {
+                let write_completes = if self.pages[vpn].value.slot().is_some() {
                     // Device copy still valid: no write needed.
                     self.stats.clean_evictions.inc();
                     None
@@ -264,7 +265,7 @@ impl SwapBackedMemory {
                         .slots
                         .allocate(vpn)
                         .expect("swap device full: undersized experiment configuration");
-                    self.pages[vpn].set_slot(slot);
+                    self.pages[vpn].value.set_slot(slot);
                     self.stats.swap_outs.inc();
                     if direct {
                         let c = self
@@ -281,7 +282,7 @@ impl SwapBackedMemory {
                         Some(c.at)
                     }
                 };
-                self.pages[vpn].location = Location::SwappedOut { write_completes };
+                self.pages[vpn].value.location = Location::SwappedOut { write_completes };
             }
             PageClass::FileBacked => {
                 if dirty {
@@ -366,7 +367,7 @@ impl SwapBackedMemory {
             let Some(vpn) = self.slots.owner_of(s) else {
                 continue;
             };
-            let Location::SwappedOut { write_completes } = self.pages[vpn].location else {
+            let Location::SwappedOut { write_completes } = self.pages[vpn].value.location else {
                 continue;
             };
             let now = self.clock.now();
@@ -381,7 +382,7 @@ impl SwapBackedMemory {
             let completion = self.swap_dev.submit_read(s).expect("slot within device");
             let frame = self.frames.alloc().expect("checked free_frames");
             self.frames.store(frame, completion.data);
-            self.pages[vpn].location = Location::SwapCache { frame };
+            self.pages[vpn].value.location = Location::SwapCache { frame };
             self.swap_cache_order.push_back(vpn);
             self.stats.readahead_pages.inc();
         }
@@ -393,12 +394,12 @@ impl SwapBackedMemory {
         self.charge_fault_entry();
         let class = self.class_of(vpn);
         match class {
-            PageClass::Anonymous => match self.pages[vpn].location {
+            PageClass::Anonymous => match self.pages[vpn].value.location {
                 // Swap-cache hit (readahead already brought it in).
                 Location::SwapCache { frame } => {
                     self.charge(|c| &c.minor_fault);
                     let mut flags = PteFlags::PRESENT | PteFlags::WRITABLE | PteFlags::REFERENCED;
-                    self.pages[vpn].location = Location::Resident;
+                    self.pages[vpn].value.location = Location::Resident;
                     if write {
                         flags.insert(PteFlags::DIRTY);
                         self.free_slot(vpn);
@@ -411,6 +412,7 @@ impl SwapBackedMemory {
                 }
                 Location::SwappedOut { write_completes } => {
                     let slot = self.pages[vpn]
+                        .value
                         .slot()
                         .expect("a swapped-out page owns a slot");
                     self.charge(|c| &c.cache_lookup);
@@ -427,7 +429,7 @@ impl SwapBackedMemory {
                     self.clock.advance_to(completion.at);
                     self.charge(|c| &c.swapin_setup);
                     self.charge(|c| &c.swapin_overhead);
-                    self.pages[vpn].location = Location::Resident;
+                    self.pages[vpn].value.location = Location::Resident;
                     self.map_new_frame(vpn, completion.data, write);
                     if write {
                         self.free_slot(vpn);
@@ -477,7 +479,7 @@ impl SwapBackedMemory {
 
     /// Frees the page's swap slot, if it owns one: its copy is stale.
     fn free_slot(&mut self, vpn: Vpn) {
-        if let Some(slot) = self.pages[vpn].take_slot() {
+        if let Some(slot) = self.pages[vpn].value.take_slot() {
             self.slots.free(slot);
         }
     }
@@ -890,7 +892,7 @@ mod tests {
 
     /// The backend's state of `vpn`, from its descriptor and page table.
     fn observe(vm: &SwapBackedMemory, vpn: Vpn) -> Result<Model, String> {
-        let desc = vm.pages[vpn];
+        let desc = vm.pages[vpn].value;
         let mapped = vm.pt.get(vpn).is_some();
         let model = match (mapped, desc.location, desc.slot()) {
             (false, Location::Resident, None) => Model::Untouched,
@@ -900,8 +902,9 @@ mod tests {
             (false, Location::SwappedOut { .. }, Some(s)) => Model::SwappedOut(s),
             state => return Err(format!("{vpn}: impossible state {state:?}")),
         };
-        if desc.lru.is_some() != mapped {
-            return Err(format!("{vpn}: on the LRU {:?}, mapped {mapped}", desc.lru));
+        let linked = vm.pages[vpn].is_linked();
+        if linked != mapped {
+            return Err(format!("{vpn}: on the LRU {linked}, mapped {mapped}"));
         }
         match model.slot() {
             Some(s) if vm.slots.owner_of(s) != Some(vpn) => {

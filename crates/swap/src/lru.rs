@@ -1,17 +1,8 @@
 //! The kernel's two-list (active/inactive) page LRU.
 
-use std::collections::VecDeque;
-
-use fluidmem_mem::Vpn;
+use fluidmem_mem::{PageList, Vpn};
 
 use crate::pages::Pages;
-
-/// The list a tracked page is on (its descriptor's `lru` field).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ListKind {
-    Active,
-    Inactive,
-}
 
 /// The Linux active/inactive LRU with referenced-bit second chance.
 ///
@@ -32,23 +23,21 @@ pub(crate) enum ListKind {
 ///   takes a callback to test-and-clear it, mirroring
 ///   `page_referenced()`.
 ///
-/// Each tracked page has exactly one entry, on the list its descriptor
-/// names: a page leaves only as a reclaim victim.
+/// Both lists link through the pages' descriptors, so a tracked page is
+/// on exactly one of them. A page leaves only as a reclaim victim: a
+/// list could unlink any page in O(1), but the backend unmaps a page
+/// only by reclaiming it (it has no region removal).
 #[derive(Debug, Default)]
 pub(crate) struct TwoListLru {
-    active: VecDeque<Vpn>,
-    inactive: VecDeque<Vpn>,
+    active: PageList,
+    inactive: PageList,
 }
 
 impl TwoListLru {
     /// Tracks a newly resident page (inactive tail, as the kernel does
     /// for fresh anonymous pages on 4.x kernels).
     pub(crate) fn insert(&mut self, pages: &mut Pages, vpn: Vpn) {
-        let list = &mut pages[vpn].lru;
-        if list.is_none() {
-            *list = Some(ListKind::Inactive);
-            self.inactive.push_back(vpn);
-        }
+        self.inactive.push_back(pages, vpn);
     }
 
     /// Picks a reclaim victim from the inactive head.
@@ -69,26 +58,21 @@ impl TwoListLru {
         // call, so a fully-referenced list still terminates.
         let budget = self.inactive.len().max(1);
         for _ in 0..=budget {
-            let Some(vpn) = self.inactive.pop_front() else {
+            let Some(vpn) = self.inactive.pop_front(pages) else {
                 break;
             };
             if !referenced(vpn) {
-                pages[vpn].lru = None;
                 return Some(vpn);
             }
             // Second chance: promote.
-            pages[vpn].lru = Some(ListKind::Active);
-            self.active.push_back(vpn);
+            self.active.push_back(pages, vpn);
         }
         // Everything had its referenced bit set this round; reclaim the
         // coldest page anyway (the kernel's priority escalation), taking
         // from the inactive head first and the active head otherwise.
-        let vpn = self
-            .inactive
-            .pop_front()
-            .or_else(|| self.active.pop_front())?;
-        pages[vpn].lru = None;
-        Some(vpn)
+        self.inactive
+            .pop_front(pages)
+            .or_else(|| self.active.pop_front(pages))
     }
 
     /// Ages active pages down when the inactive list is low
@@ -101,12 +85,14 @@ impl TwoListLru {
             if self.inactive.len() >= self.active.len() / 2 {
                 break;
             }
-            let vpn = self.active.pop_front().expect("active outnumbers inactive");
+            let vpn = self
+                .active
+                .pop_front(pages)
+                .expect("active outnumbers inactive");
             if referenced(vpn) {
-                self.active.push_back(vpn); // rotate, bit now cleared
+                self.active.push_back(pages, vpn); // rotate, bit now cleared
             } else {
-                pages[vpn].lru = Some(ListKind::Inactive);
-                self.inactive.push_back(vpn);
+                self.inactive.push_back(pages, vpn);
             }
         }
     }
@@ -133,9 +119,20 @@ mod tests {
     }
 
     impl TwoListLru {
-        fn len(&self) -> usize {
+        fn len(&self) -> u64 {
             self.active.len() + self.inactive.len()
         }
+    }
+
+    /// The pages of `list`, head to tail.
+    fn walk(list: &PageList, pages: &Pages) -> Vec<Vpn> {
+        list.iter(pages).collect()
+    }
+
+    #[test]
+    fn linked_descriptor_stays_at_32_bytes() {
+        let slot = std::mem::size_of::<fluidmem_mem::Linked<crate::pages::PageDesc>>();
+        assert_eq!(slot, 32);
     }
 
     #[test]
@@ -144,7 +141,7 @@ mod tests {
         assert_eq!(lru.pick_victim(&mut pages, |_| false), Some(v(0)));
         assert_eq!(lru.pick_victim(&mut pages, |_| false), Some(v(1)));
         assert_eq!(lru.len(), 2);
-        assert_eq!(pages[v(0)].lru, None, "a victim leaves the LRU");
+        assert!(!pages[v(0)].is_linked(), "a victim leaves the LRU");
     }
 
     #[test]
@@ -153,8 +150,8 @@ mod tests {
         // Page 0 referenced: survives the first scan, 1 is reclaimed.
         let victim = lru.pick_victim(&mut pages, |p| p == v(0));
         assert_eq!(victim, Some(v(1)));
-        assert_eq!(lru.active, [v(0)], "page 0 promoted");
-        assert_eq!(pages[v(0)].lru, Some(ListKind::Active));
+        assert_eq!(walk(&lru.active, &pages), [v(0)], "page 0 promoted");
+        assert!(!walk(&lru.inactive, &pages).contains(&v(0)));
     }
 
     #[test]
@@ -213,9 +210,9 @@ mod tests {
             !lru.inactive.is_empty(),
             "balancing should have demoted active pages"
         );
-        assert!(lru
-            .inactive
+        let active = walk(&lru.active, &pages);
+        assert!(walk(&lru.inactive, &pages)
             .iter()
-            .all(|&p| pages[p].lru == Some(ListKind::Inactive)));
+            .all(|p| pages[*p].is_linked() && !active.contains(p)));
     }
 }

@@ -1,9 +1,7 @@
 //! The swap backend's per-page descriptors.
 
-use fluidmem_mem::{FrameId, PageArray};
+use fluidmem_mem::{FrameId, Linked, PageArray};
 use fluidmem_sim::SimInstant;
-
-use crate::lru::ListKind;
 
 /// A descriptor's "no slot" / "no block" value.
 const NONE: u32 = u32::MAX;
@@ -33,8 +31,6 @@ pub(crate) struct PageDesc {
     /// first reclaim or fault.
     fs_block: u32,
     pub(crate) location: Location,
-    /// The two-list LRU list the page is on, if any.
-    pub(crate) lru: Option<ListKind>,
 }
 
 /// An untouched page.
@@ -44,7 +40,6 @@ impl Default for PageDesc {
             slot: NONE,
             fs_block: NONE,
             location: Location::Resident,
-            lru: None,
         }
     }
 }
@@ -76,5 +71,6 @@ impl PageDesc {
     }
 }
 
-/// The descriptors of every mapped page.
-pub(crate) type Pages = PageArray<PageDesc>;
+/// The descriptors of every mapped page, each linked on the two-list
+/// LRU while its page is mapped.
+pub(crate) type Pages = PageArray<Linked<PageDesc>>;

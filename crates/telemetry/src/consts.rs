@@ -29,10 +29,6 @@ pub const BLOCK_OPS: &str = "fluidmem_block_ops_total";
 /// Coordination-service event counter (labeled by [`LABEL_EVENT`]).
 pub const COORD_EVENTS: &str = "fluidmem_coord_events_total";
 
-/// Guest-VM event counter (labeled by [`LABEL_EVENT`]): balloon
-/// operations, service requests, …
-pub const VM_EVENTS: &str = "fluidmem_vm_events_total";
-
 /// Host-agent event counter (labeled by [`LABEL_EVENT`], and by
 /// [`LABEL_VM`] for per-VM decisions): arbiter rebalances, capacity
 /// grants/shrinks, balloon clamps, membership events.

@@ -34,7 +34,7 @@ pub struct CatalogueRow {
 ///     /// A cache's live instruments.
 ///     pub struct CacheInstruments {
 ///         counters {
-///             hits: VM_EVENTS[LABEL_EVENT = "hit"], "Lookups served.";
+///             hits: MONITOR_EVENTS[LABEL_EVENT = "hit"], "Lookups served.";
 ///         }
 ///         gauges {
 ///             resident: LRU_RESIDENT_PAGES[], "Entries held.";

@@ -18,16 +18,6 @@ use fluidmem_mem::MemoryBackend;
 #[derive(Debug, Default)]
 pub struct Balloon {
     inflated_to: Option<u64>,
-    events: BalloonCounters,
-}
-
-fluidmem_telemetry::instrument_set! {
-    /// A balloon's event counters.
-    pub(crate) struct BalloonCounters {
-        counters {
-            inflations: VM_EVENTS[LABEL_EVENT = "balloon_inflate"], "Inflation requests.";
-        }
-    }
 }
 
 impl Balloon {
@@ -39,7 +29,6 @@ impl Balloon {
     /// Inflates toward `target_resident_pages`; returns the footprint
     /// actually achieved (bounded by the mechanism's floor).
     pub fn inflate(&mut self, backend: &mut dyn MemoryBackend, target_resident_pages: u64) -> u64 {
-        self.events.inflations.inc();
         let achieved = backend.balloon_reclaim(target_resident_pages);
         self.inflated_to = Some(target_resident_pages);
         achieved
@@ -59,7 +48,6 @@ impl Balloon {
     /// guest cooperation needed (the paper's point about FluidMem vs.
     /// ballooning, §VII).
     pub fn request(&mut self, target_resident_pages: u64) {
-        self.events.inflations.inc();
         self.inflated_to = Some(target_resident_pages);
     }
 

@@ -34,7 +34,3 @@ pub use guest_os::GuestOsProfile;
 pub use services::{IcmpService, ServiceError, SshService};
 pub use vcpus::{PipelineRunStats, VcpuSet};
 pub use vm::{VirtualizationMode, Vm};
-
-/// The series every instrument set this crate declares exports.
-pub const CATALOGUE: &[&[fluidmem_telemetry::CatalogueRow]] =
-    &[balloon::BalloonCounters::CATALOGUE];
