@@ -136,12 +136,6 @@ impl<V: Clone> KeyTable<V> {
             .map(|(vpn, _)| ExternalKey::new(vpn, partition))
             .collect()
     }
-
-    /// Removes every key, keeping the storage for the next fill.
-    pub(crate) fn clear(&mut self) {
-        self.partitions.iter_mut().for_each(PageArray::clear);
-        self.len = 0;
-    }
 }
 
 #[cfg(test)]
@@ -174,7 +168,6 @@ mod tests {
         Remove(u16, u64),
         Get(u16, u64),
         DropPartition(u16),
-        Clear,
     }
 
     fn key(partition: u16, page: u64) -> ExternalKey {
@@ -202,11 +195,6 @@ mod tests {
                         table.remove(k);
                     }
                     model.retain(|k, _| k.partition() != PartitionId::new(p));
-                    (None, None)
-                }
-                Op::Clear => {
-                    table.clear();
-                    model.clear();
                     (None, None)
                 }
             };
@@ -241,8 +229,7 @@ mod tests {
                     let p = 1 + r.gen_index(2) as u16;
                     let page = 0x10_000 + r.gen_index(2) * 300 + r.gen_index(64);
                     match r.gen_index(24) {
-                        0 => Op::Clear,
-                        1 => Op::DropPartition(p),
+                        0 | 1 => Op::DropPartition(p),
                         2..=11 => Op::Insert(p, page, r.gen_index(1 << 20) as u32),
                         12..=16 => Op::Remove(p, page),
                         _ => Op::Get(p, page),

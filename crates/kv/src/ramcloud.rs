@@ -19,25 +19,30 @@ const SEGMENT_BYTES: usize = 8 * 1024 * 1024;
 /// Minimum number of segments the log is divided into.
 const MIN_SEGMENTS: usize = 16;
 
-#[derive(Debug)]
-struct LogRecord {
-    key: ExternalKey,
+/// A live key's value and the log record that holds its place: the
+/// record at position `pos` of segment `seg`.
+#[derive(Debug, Clone)]
+struct Entry {
     value: PageContents,
-    live: bool,
+    seg: u32,
+    pos: u32,
 }
 
+/// A log segment: the key of each record in append order, and how many
+/// of them are live. A record is live iff its key's [`Entry`] points back
+/// at it, so a segment holds no payloads.
 #[derive(Debug, Default)]
 struct Segment {
-    records: Vec<LogRecord>,
+    keys: Vec<ExternalKey>,
     live: usize,
 }
 
 impl Segment {
     fn utilization(&self) -> f64 {
-        if self.records.is_empty() {
+        if self.keys.is_empty() {
             return 1.0;
         }
-        self.live as f64 / self.records.len() as f64
+        self.live as f64 / self.keys.len() as f64
     }
 }
 
@@ -69,12 +74,13 @@ impl Segment {
 pub type RamCloudStore = LeafStore<RamCloudEngine>;
 
 /// The storage engine behind [`RamCloudStore`]: the segmented log, its
-/// index and its cleaner.
+/// index and its cleaner. The index holds each live value, so a get
+/// reads one slot and no segment; the log keeps only keys, which is all
+/// the cleaner and its record accounting need.
 #[derive(Debug)]
 pub struct RamCloudEngine {
     segments: Vec<Segment>,
-    /// Each live key's record: (segment, position in it).
-    index: KeyTable<(u32, u32)>,
+    index: KeyTable<Entry>,
     capacity_records: usize,
     records_per_segment: usize,
     live_records: usize,
@@ -96,35 +102,7 @@ impl LeafStore<RamCloudEngine> {
         clock: SimClock,
         rng: SimRng,
     ) -> Self {
-        let capacity_records = (capacity_bytes / RECORD_BYTES).max(1);
-        let engine = RamCloudEngine {
-            segments: vec![Segment::default()],
-            index: KeyTable::new(),
-            capacity_records,
-            records_per_segment: (SEGMENT_BYTES / RECORD_BYTES)
-                .min(capacity_records.div_ceil(MIN_SEGMENTS))
-                .max(8),
-            live_records: 0,
-            total_records: 0,
-        };
-        LeafStore::over(engine, transport, clock, rng)
-    }
-
-    /// Simulates the server crashing and recovering: the DRAM hash-table
-    /// index is lost and rebuilt by replaying the (durable, replicated)
-    /// log — the "fast crash recovery" design of Ongaro et al. (SOSP'11,
-    /// the paper's citation \[33\]). Charges recovery time proportional to
-    /// the log size; later records win replay conflicts, so the recovered
-    /// index is exactly the pre-crash one.
-    #[cfg(test)]
-    fn crash_and_recover(&mut self) -> fluidmem_sim::SimDuration {
-        self.stats.recoveries.inc();
-        self.engine.reindex();
-        // Replay: ~0.6 µs per log record (hash insert + checksum), spread
-        // over the recovery masters; single-server model charges it all.
-        let cost = fluidmem_sim::SimDuration::from_nanos(600) * self.engine.total_records as u64;
-        self.clock.advance(cost);
-        cost
+        LeafStore::over(RamCloudEngine::new(capacity_bytes), transport, clock, rng)
     }
 
     /// Fraction of the log occupied by live records.
@@ -138,25 +116,50 @@ impl LeafStore<RamCloudEngine> {
 }
 
 impl RamCloudEngine {
-    fn is_sealed(&self, segment: &Segment) -> bool {
-        segment.records.len() >= self.records_per_segment
-    }
-
-    /// Rebuilds the index from the live records of the log, in the
-    /// index's own storage.
-    fn reindex(&mut self) {
-        self.index.clear();
-        for (si, seg) in self.segments.iter().enumerate() {
-            for (ri, rec) in seg.records.iter().enumerate() {
-                if rec.live {
-                    self.index.insert(rec.key, (si as u32, ri as u32));
-                }
-            }
+    fn new(capacity_bytes: usize) -> Self {
+        let capacity_records = (capacity_bytes / RECORD_BYTES).max(1);
+        RamCloudEngine {
+            segments: vec![Segment::default()],
+            index: KeyTable::new(),
+            capacity_records,
+            records_per_segment: (SEGMENT_BYTES / RECORD_BYTES)
+                .min(capacity_records.div_ceil(MIN_SEGMENTS))
+                .max(8),
+            live_records: 0,
+            total_records: 0,
         }
     }
 
-    /// Appends a record to the head segment, running the cleaner if the
-    /// log is full.
+    fn is_sealed(&self, segment: &Segment) -> bool {
+        segment.keys.len() >= self.records_per_segment
+    }
+
+    /// Whether `key`'s record at `pos` of segment `seg` is its live one.
+    fn is_live(&self, key: ExternalKey, seg: usize, pos: usize) -> bool {
+        self.index
+            .get(key)
+            .is_some_and(|e| (e.seg as usize, e.pos as usize) == (seg, pos))
+    }
+
+    /// Appends a live record for `key` to the head segment and returns
+    /// where it went; the caller points `key`'s entry at it.
+    fn push_record(&mut self, key: ExternalKey) -> (u32, u32) {
+        if self.is_sealed(&self.segments[self.segments.len() - 1]) {
+            let keys = Vec::with_capacity(self.records_per_segment);
+            self.segments.push(Segment { keys, live: 0 });
+        }
+        let seg = self.segments.len() - 1;
+        let head = &mut self.segments[seg];
+        let pos = head.keys.len();
+        head.keys.push(key);
+        head.live += 1;
+        self.live_records += 1;
+        self.total_records += 1;
+        (seg as u32, pos as u32)
+    }
+
+    /// Appends `key`'s new version, running the cleaner if the log is
+    /// full.
     fn append(
         &mut self,
         key: ExternalKey,
@@ -169,22 +172,18 @@ impl RamCloudEngine {
                 return Err(KvError::OutOfCapacity);
             }
         }
-        if self.is_sealed(&self.segments[self.segments.len() - 1]) {
-            self.segments.push(Segment::default());
-        }
-        let seg = self.segments.len() - 1;
-        let head = &mut self.segments[seg];
-        self.index
-            .insert(key, (seg as u32, head.records.len() as u32));
-        head.records.push(LogRecord {
-            key,
-            value,
-            live: true,
-        });
-        head.live += 1;
-        self.live_records += 1;
-        self.total_records += 1;
+        let (seg, pos) = self.push_record(key);
+        self.index.insert(key, Entry { value, seg, pos });
         Ok(())
+    }
+
+    /// Takes `key`'s entry out of the index; its record stays in the log
+    /// as dead space.
+    fn kill(&mut self, key: ExternalKey) -> Option<Entry> {
+        let entry = self.index.remove(key)?;
+        self.segments[entry.seg as usize].live -= 1;
+        self.live_records -= 1;
+        Some(entry)
     }
 
     /// The log cleaner: compacts sealed segments with the most dead
@@ -193,33 +192,44 @@ impl RamCloudEngine {
     fn clean(&mut self, stats: &StoreCounters) {
         stats.cleanings.inc();
         // Collect live records from sealed segments with < 90% utilization.
-        let mut survivors: Vec<(ExternalKey, PageContents)> = Vec::new();
+        let mut survivors: Vec<ExternalKey> = Vec::new();
         let mut freed = 0usize;
-        let mut kept: Vec<Segment> = Vec::new();
-        for seg in std::mem::take(&mut self.segments) {
+        let mut kept: Vec<(usize, Segment)> = Vec::new();
+        for (old, seg) in std::mem::take(&mut self.segments).into_iter().enumerate() {
             if self.is_sealed(&seg) && seg.utilization() < 0.9 {
-                freed += seg.records.len();
-                survivors.extend(
-                    seg.records
-                        .into_iter()
-                        .filter(|rec| rec.live)
-                        .map(|rec| (rec.key, rec.value)),
-                );
+                freed += seg.keys.len();
+                let live = seg.keys.iter().enumerate();
+                let live = live.filter(|&(pos, &key)| self.is_live(key, old, pos));
+                survivors.extend(live.map(|(_, &key)| key));
             } else {
-                kept.push(seg);
+                kept.push((old, seg));
             }
         }
-        if kept.last().is_none_or(|head| self.is_sealed(head)) {
-            kept.push(Segment::default());
+        // Dropping segments renumbers the ones that stay. Each moves down,
+        // never onto a number still to be visited, so no stale entry is
+        // mistaken for a live one.
+        for (new, (old, seg)) in kept.iter().enumerate() {
+            if new == *old {
+                continue;
+            }
+            for (pos, &key) in seg.keys.iter().enumerate() {
+                if self.is_live(key, *old, pos) {
+                    self.index.get_mut(key).expect("live").seg = new as u32;
+                }
+            }
         }
-        self.segments = kept;
+        self.segments = kept.into_iter().map(|(_, seg)| seg).collect();
+        if self.segments.last().is_none_or(|head| self.is_sealed(head)) {
+            self.segments.push(Segment::default());
+        }
         self.total_records -= freed;
         self.live_records -= survivors.len();
-        // Dropping segments renumbers the ones that stay.
-        self.reindex();
-        for (key, value) in survivors {
+        for key in survivors {
             // Capacity now has room for every survivor by construction.
-            self.append(key, value, stats).expect("cleaner made room");
+            debug_assert!(self.total_records < self.capacity_records);
+            let (seg, pos) = self.push_record(key);
+            let entry = self.index.get_mut(key).expect("a survivor is live");
+            (entry.seg, entry.pos) = (seg, pos);
         }
     }
 }
@@ -229,41 +239,31 @@ impl StorageEngine for RamCloudEngine {
     const OBJECT_BYTES: usize = RECORD_BYTES;
     const DELETE_FLIGHT: bool = true;
 
+    /// Kills the old version, then appends the new one. A refused append
+    /// found no cleaner victim, so no record moved, and the old version
+    /// goes back where it was: the store refuses the write, not the data.
     fn insert(
         &mut self,
         key: ExternalKey,
         value: PageContents,
         stats: &StoreCounters,
     ) -> Result<(), KvError> {
-        self.remove(key);
-        self.append(key, value, stats)
+        let old = self.kill(key);
+        self.append(key, value, stats).inspect_err(|_| {
+            if let Some(entry) = old {
+                self.segments[entry.seg as usize].live += 1;
+                self.live_records += 1;
+                self.index.insert(key, entry);
+            }
+        })
     }
 
     fn peek(&self, key: ExternalKey) -> Option<PageContents> {
-        let &(seg, idx) = self.index.get(key)?;
-        Some(
-            self.segments[seg as usize].records[idx as usize]
-                .value
-                .clone(),
-        )
+        self.index.get(key).map(|e| e.value.clone())
     }
 
-    /// Marks the record dead and lets go of its payload. A dead version
-    /// is never read again — recovery indexes live records only and the
-    /// cleaner drops dead ones — and the log space it occupies is
-    /// counted in `RECORD_BYTES`, not by the payload it held.
     fn remove(&mut self, key: ExternalKey) -> bool {
-        let Some((seg, idx)) = self.index.remove(key) else {
-            return false;
-        };
-        let segment = &mut self.segments[seg as usize];
-        let rec = &mut segment.records[idx as usize];
-        debug_assert!(rec.live);
-        rec.live = false;
-        rec.value = PageContents::Zero;
-        segment.live -= 1;
-        self.live_records -= 1;
-        true
+        self.kill(key).is_some()
     }
 
     fn len(&self) -> usize {
@@ -323,9 +323,6 @@ mod tests {
         s.drop_partition(PartitionId::new(7));
         assert_eq!((holders(&a), holders(&b), holders(&c)), (1, 1, 1));
         assert!(s.log_utilization() < 0.5);
-        s.crash_and_recover();
-        assert_eq!(s.get(key(1)).unwrap(), PageContents::Token(9));
-        assert_eq!(s.len(), 1);
     }
 
     #[test]
@@ -414,38 +411,259 @@ mod tests {
     }
 
     #[test]
-    fn crash_recovery_rebuilds_exact_index() {
-        let mut s = store(16);
-        for i in 0..64u64 {
+    fn a_refused_overwrite_keeps_the_old_value() {
+        // 320 records in 20-record segments, every one live: the cleaner
+        // finds no victim, so the overwrite is refused.
+        let mut s = RamCloudStore::new(
+            RECORD_BYTES * 320,
+            SimClock::new(),
+            SimRng::seed_from_u64(1),
+        );
+        for i in 0..320u64 {
             s.put(key(i), PageContents::Token(i)).unwrap();
         }
-        // Create dead space so replay must resolve conflicts.
-        for i in 0..32u64 {
-            s.put(key(i), PageContents::Token(1000 + i)).unwrap();
-        }
-        s.delete(key(63));
-        let recovery_time = s.crash_and_recover();
-        assert!(!recovery_time.is_zero());
-        assert_eq!(s.stats().recoveries, 1);
-        for i in 0..32u64 {
-            assert_eq!(s.get(key(i)).unwrap(), PageContents::Token(1000 + i));
-        }
-        for i in 32..63u64 {
-            assert_eq!(s.get(key(i)).unwrap(), PageContents::Token(i));
-        }
-        assert!(s.get(key(63)).is_err(), "deletes survive recovery");
+        assert!(matches!(
+            s.put(key(3), PageContents::Token(99)),
+            Err(KvError::OutOfCapacity)
+        ));
+        assert_eq!(s.get(key(3)).unwrap(), PageContents::Token(3));
+        assert_eq!(s.len(), 320);
     }
 
     #[test]
-    fn recovery_time_scales_with_log() {
-        let mut small = store(16);
-        for i in 0..16u64 {
-            small.put(key(i), PageContents::Token(i)).unwrap();
+    fn a_slot_is_24_bytes_and_a_record_is_its_key() {
+        assert!(std::mem::size_of::<Option<Entry>>() <= 24);
+        // A record is its key: a segment's records are `ExternalKey`s.
+        let _: &Vec<ExternalKey> = &Segment::default().keys;
+        assert_eq!(std::mem::size_of::<ExternalKey>(), 8);
+    }
+
+    type PayloadRecord = (ExternalKey, PageContents, bool);
+
+    /// The engine as it was before the values moved into the index, but
+    /// for the refused-overwrite fix: each record carries its payload
+    /// and a live flag, the index maps a key to `(segment, position)`,
+    /// and the cleaner rebuilds that index after renumbering. Kept as the
+    /// behavioral reference [`RamCloudEngine`] is checked against.
+    #[derive(Debug)]
+    struct PayloadLog {
+        /// Each segment's records `(key, payload, live)` and live count.
+        segments: Vec<(Vec<PayloadRecord>, usize)>,
+        index: std::collections::BTreeMap<ExternalKey, (usize, usize)>,
+        capacity_records: usize,
+        records_per_segment: usize,
+        total_records: usize,
+    }
+
+    impl PayloadLog {
+        fn new(capacity_bytes: usize) -> Self {
+            let capacity_records = (capacity_bytes / RECORD_BYTES).max(1);
+            PayloadLog {
+                segments: vec![(Vec::new(), 0)],
+                index: Default::default(),
+                capacity_records,
+                records_per_segment: (SEGMENT_BYTES / RECORD_BYTES)
+                    .min(capacity_records.div_ceil(MIN_SEGMENTS))
+                    .max(8),
+                total_records: 0,
+            }
         }
-        let mut big = store(64);
-        for i in 0..2048u64 {
-            big.put(key(i), PageContents::Token(i)).unwrap();
+
+        fn sealed(&self, records: usize) -> bool {
+            records >= self.records_per_segment
         }
-        assert!(big.crash_and_recover() > small.crash_and_recover() * 8);
+
+        fn append(
+            &mut self,
+            key: ExternalKey,
+            value: PageContents,
+            stats: &StoreCounters,
+        ) -> Result<(), KvError> {
+            if self.total_records >= self.capacity_records {
+                self.clean(stats);
+                if self.total_records >= self.capacity_records {
+                    return Err(KvError::OutOfCapacity);
+                }
+            }
+            if self.sealed(self.segments[self.segments.len() - 1].0.len()) {
+                self.segments.push((Vec::new(), 0));
+            }
+            let seg = self.segments.len() - 1;
+            let head = &mut self.segments[seg];
+            self.index.insert(key, (seg, head.0.len()));
+            head.0.push((key, value, true));
+            head.1 += 1;
+            self.total_records += 1;
+            Ok(())
+        }
+
+        fn clean(&mut self, stats: &StoreCounters) {
+            stats.cleanings.inc();
+            let mut survivors = Vec::new();
+            let mut kept = Vec::new();
+            for (records, live) in std::mem::take(&mut self.segments) {
+                if self.sealed(records.len()) && (live as f64 / records.len() as f64) < 0.9 {
+                    self.total_records -= records.len();
+                    let alive = records.into_iter().filter(|r| r.2);
+                    survivors.extend(alive.map(|(key, value, _)| (key, value)));
+                } else {
+                    kept.push((records, live));
+                }
+            }
+            if kept.last().is_none_or(|head| self.sealed(head.0.len())) {
+                kept.push((Vec::new(), 0));
+            }
+            self.segments = kept;
+            self.index.clear();
+            for (si, (records, _)) in self.segments.iter().enumerate() {
+                for (ri, rec) in records.iter().enumerate() {
+                    if rec.2 {
+                        self.index.insert(rec.0, (si, ri));
+                    }
+                }
+            }
+            for (key, value) in survivors {
+                self.append(key, value, stats).expect("cleaner made room");
+            }
+        }
+
+        /// Marks `key`'s record dead and hands back its payload and place.
+        fn kill(&mut self, key: ExternalKey) -> Option<(PageContents, usize, usize)> {
+            let (seg, idx) = self.index.remove(&key)?;
+            let segment = &mut self.segments[seg];
+            segment.1 -= 1;
+            segment.0[idx].2 = false;
+            Some((std::mem::take(&mut segment.0[idx].1), seg, idx))
+        }
+    }
+
+    impl StorageEngine for PayloadLog {
+        const NAME: &'static str = "payload-log";
+        const OBJECT_BYTES: usize = RECORD_BYTES;
+        const DELETE_FLIGHT: bool = true;
+
+        fn insert(
+            &mut self,
+            key: ExternalKey,
+            value: PageContents,
+            stats: &StoreCounters,
+        ) -> Result<(), KvError> {
+            let old = self.kill(key);
+            let result = self.append(key, value, stats);
+            if let (Err(_), Some((value, seg, idx))) = (&result, old) {
+                self.segments[seg].0[idx] = (key, value, true);
+                self.segments[seg].1 += 1;
+                self.index.insert(key, (seg, idx));
+            }
+            result
+        }
+
+        fn peek(&self, key: ExternalKey) -> Option<PageContents> {
+            let &(seg, idx) = self.index.get(&key)?;
+            Some(self.segments[seg].0[idx].1.clone())
+        }
+
+        fn remove(&mut self, key: ExternalKey) -> bool {
+            self.kill(key).is_some()
+        }
+
+        fn len(&self) -> usize {
+            self.index.len()
+        }
+
+        fn partition_keys(&self, partition: PartitionId) -> Vec<ExternalKey> {
+            let keys = self.index.keys().filter(|k| k.partition() == partition);
+            keys.copied().collect()
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Put(u16, u64, u64),
+        Delete(u16, u64),
+        DropPartition(u16),
+        Get(u16, u64),
+    }
+
+    /// Applies `op` to `engine` the way a leaf store does; returns the
+    /// answer as text.
+    fn apply(engine: &mut impl StorageEngine, stats: &StoreCounters, op: &Op) -> String {
+        let k = |p: u16, page: u64| ExternalKey::new(Vpn::new(page), PartitionId::new(p));
+        match *op {
+            Op::Put(p, page, v) => format!(
+                "{:?}",
+                engine.insert(k(p, page), PageContents::Token(v), stats)
+            ),
+            Op::Delete(p, page) => format!("{}", engine.remove(k(p, page))),
+            Op::DropPartition(p) => {
+                let doomed = engine.partition_keys(PartitionId::new(p));
+                doomed.iter().for_each(|&key| assert!(engine.remove(key)));
+                format!("{doomed:?}")
+            }
+            Op::Get(p, page) => format!("{:?}", engine.peek(k(p, page))),
+        }
+    }
+
+    /// Replays `ops` on a 48-record engine and on [`PayloadLog`],
+    /// comparing after every op each answer, `len`, the cleaner passes
+    /// and every segment's `(records, live)`.
+    fn replay(ops: &[Op]) -> Result<(), String> {
+        let (mut engine, mut reference) = (
+            RamCloudEngine::new(RECORD_BYTES * 48),
+            PayloadLog::new(RECORD_BYTES * 48),
+        );
+        let (stats, reference_stats) = (StoreCounters::default(), StoreCounters::default());
+        for (step, op) in ops.iter().enumerate() {
+            let (got, want) = (
+                apply(&mut engine, &stats, op),
+                apply(&mut reference, &reference_stats, op),
+            );
+            let shape: Vec<(usize, usize)> = engine
+                .segments
+                .iter()
+                .map(|s| (s.keys.len(), s.live))
+                .collect();
+            let reference_shape: Vec<(usize, usize)> = reference
+                .segments
+                .iter()
+                .map(|s| (s.0.len(), s.1))
+                .collect();
+            let got = (got, engine.len(), stats.cleanings.get(), shape);
+            let want = (
+                want,
+                reference.len(),
+                reference_stats.cleanings.get(),
+                reference_shape,
+            );
+            if got != want {
+                return Err(format!(
+                    "step {step} {op:?}: engine {got:?}, reference {want:?}"
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn engine_matches_the_payload_log() {
+        fluidmem_sim::prop::forall_sequences(
+            "ramcloud-engine-vs-payload-log",
+            64,
+            |rng| {
+                // 72 keys over three partitions against 48 records: the
+                // cleaner runs and, while most keys are live, puts are
+                // refused.
+                fluidmem_sim::prop::vec_of(rng, 1, 400, |r| {
+                    let (p, page) = (1 + r.gen_index(3) as u16, r.gen_index(24));
+                    match r.gen_index(40) {
+                        0 => Op::DropPartition(p),
+                        1..=24 => Op::Put(p, page, r.gen_index(1 << 20)),
+                        25..=31 => Op::Delete(p, page),
+                        _ => Op::Get(p, page),
+                    }
+                })
+            },
+            replay,
+        );
     }
 }

@@ -34,7 +34,6 @@ instrument_set! {
             evictions: STORE_OPS[LABEL_OP = "eviction"],
                 "Objects dropped by cache eviction (memcached) — data loss.";
             cleanings: STORE_OPS[LABEL_OP = "cleaning"], "Log-cleaner passes (RAMCloud).";
-            recoveries: STORE_OPS[LABEL_OP = "recovery"], "Crash-recovery replays (RAMCloud).";
             faults_injected: STORE_OPS[LABEL_OP = "fault_injected"],
                 "Faults injected by a fault-injecting wrapper, of any kind.";
             timeouts: STORE_OPS[LABEL_OP = "timeout"],

@@ -71,7 +71,8 @@ impl<T> PageArray<T> {
     }
 
     /// Empties the span, keeping the storage.
-    pub fn clear(&mut self) {
+    #[cfg(test)]
+    fn clear(&mut self) {
         self.slots.clear();
     }
 }

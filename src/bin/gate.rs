@@ -2,6 +2,7 @@
 //! `cargo run --release --bin gate`. It runs [`CARGO`] and then [`STEPS`]
 //! in order, prints each one's wall time, and exits 1 at the first failure.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::process::{Command, ExitCode, Stdio};
 use std::str::FromStr;
@@ -22,13 +23,24 @@ const CARGO: [&str; 7] = [
     "test -q --manifest-path fmbench/Cargo.toml",
 ];
 
+/// The append-only record of the fmbench smoke set's modeled values: a
+/// JSON array of rows, each with the `rev` it was measured at, its
+/// `modeled` values, and a `rebaseline` reason when they moved on purpose.
+const TRAJECTORY: &str = "BENCH_fmbench.json";
+
 /// The steps after [`CARGO`]: a title, and the check that runs it, given
 /// the title and a scratch directory. A bench title is its command line.
 const STEPS: &[Step] = &[
-    // The adapter surface and every workload's integrity/audit self-check.
+    // The adapter surface, every workload's integrity/audit self-check,
+    // and the modeled values against the trajectory's last row.
     ("fmbench smoke", |_, tmp| {
-        let mut run = Command::new("fmbench/run.sh");
-        output(run.args(["--smoke", "--out"]).arg(tmp.join("fmbench.json"))).map(drop)
+        let set = tmp.join("fmbench.json");
+        output(
+            Command::new("fmbench/run.sh")
+                .args(["--smoke", "--out"])
+                .arg(&set),
+        )?;
+        trajectory(&read(&set)?, &read(TRAJECTORY)?)
     }),
     ("telemetry smoke", |_, tmp| {
         let trace = tmp.join("trace.json");
@@ -240,6 +252,179 @@ fn zero(json: &str, bench: &str, names: &str) -> Check {
         }
     }
     Ok(())
+}
+
+/// Modeled values keyed `workload field`, each as its JSON text.
+type Modeled = BTreeMap<String, String>;
+
+/// One row of [`TRAJECTORY`].
+#[derive(Default)]
+struct Row {
+    rev: String,
+    rebaseline: bool,
+    modeled: Modeled,
+}
+
+/// Fails unless the modeled values of fmbench set file `set` equal the
+/// last row of the trajectory `file`, and every row of it without a
+/// `rebaseline` equals the row before it. On a mismatch it prints this
+/// tree's row, to append with a reason if the move is meant.
+fn trajectory(set: &str, file: &str) -> Check {
+    let rows = rows(file)?;
+    for pair in rows.windows(2).filter(|pair| !pair[1].rebaseline) {
+        let (row, before) = (&pair[1], &pair[0]);
+        let diffs = differ(&row.modeled, &before.modeled, "row", "row before");
+        let why = format!(
+            "{TRAJECTORY}: row {} has no rebaseline but differs from row {}:",
+            row.rev, before.rev
+        );
+        check(diffs.is_empty(), format!("{why}\n  {}", diffs.join("\n  ")))?;
+    }
+    let last = rows.last().ok_or(format!("{TRAJECTORY} has no row"))?;
+    let (rev, now) = modeled(set)?;
+    let diffs = differ(
+        &now,
+        &last.modeled,
+        "this tree",
+        &format!("row {}", last.rev),
+    );
+    if !diffs.is_empty() {
+        let fields: Vec<String> = now
+            .iter()
+            .map(|(k, v)| format!("\n    \"{k}\": {v}"))
+            .collect();
+        let head =
+            format!("{{\"rev\": \"{rev}\", \"rebaseline\": \"<item: reason>\", \"modeled\": {{");
+        eprintln!("this tree's row:\n{head}{}\n}}}}", fields.join(","));
+    }
+    let why = format!("modeled values differ from the last row of {TRAJECTORY}:");
+    check(diffs.is_empty(), format!("{why}\n  {}", diffs.join("\n  ")))
+}
+
+/// The rows of trajectory text `file`, in order.
+fn rows(file: &str) -> Result<Vec<Row>, String> {
+    let mut rows: Vec<Row> = Vec::new();
+    for (path, text) in leaves(file)? {
+        let stray = || format!("{TRAJECTORY}: stray {path}");
+        let (i, field) = path.split_once('.').ok_or_else(stray)?;
+        let i: usize = i.parse().map_err(|_| stray())?;
+        rows.resize_with(rows.len().max(i + 1), Row::default);
+        let row = &mut rows[i];
+        match field.split_once('.') {
+            Some(("modeled", key)) => {
+                row.modeled.insert(key.to_string(), text);
+            }
+            None if field == "rev" => row.rev = text.trim_matches('"').to_string(),
+            None if field == "rebaseline" => row.rebaseline = true,
+            _ => return Err(stray()),
+        }
+    }
+    Ok(rows)
+}
+
+/// `key: <a_name> A, <b_name> B` for each key whose text differs between
+/// `a` and `b`, a missing value read as `absent`.
+fn differ(a: &Modeled, b: &Modeled, a_name: &str, b_name: &str) -> Vec<String> {
+    let keys: BTreeSet<&String> = a.keys().chain(b.keys()).collect();
+    let text = |m: &Modeled, k: &String| m.get(k).cloned().unwrap_or("absent".into());
+    let differs = keys.into_iter().filter(|k| a.get(*k) != b.get(*k));
+    differs
+        .map(|k| format!("{k}: {a_name} {}, {b_name} {}", text(a, k), text(b, k)))
+        .collect()
+}
+
+/// The git rev of fmbench set file `set` and its modeled values: for
+/// each workload `correct`, the op and sample counts, every `sim_*` value
+/// and each check's `ok` and `detail`. Host numbers are not exact; they
+/// stay out.
+fn modeled(set: &str) -> Result<(String, Modeled), String> {
+    let leaves: BTreeMap<String, String> = leaves(set)?.into_iter().collect();
+    let name = |path: String| leaves.get(&path).map_or("?", |t| t.trim_matches('"'));
+    let mut modeled = Modeled::new();
+    for (path, text) in &leaves {
+        let Some((run, field)) = path.strip_prefix("runs.").and_then(|p| p.split_once('.')) else {
+            continue;
+        };
+        let field = match field.split('.').collect::<Vec<_>>()[..] {
+            ["correct" | "ops_attempted" | "ops_failed" | "fault_samples"] => field.to_string(),
+            ["end_to_end", metric, "value"] if metric.starts_with("sim_") => metric.to_string(),
+            ["checks", i, part @ ("ok" | "detail")] => {
+                format!(
+                    "check {} {part}",
+                    name(format!("runs.{run}.checks.{i}.name"))
+                )
+            }
+            _ => continue,
+        };
+        let workload = name(format!("runs.{run}.workload"));
+        modeled.insert(format!("{workload} {field}"), text.clone());
+    }
+    Ok((name("git_rev".into()).to_string(), modeled))
+}
+
+/// The scalar leaves of JSON text `json` as `(path, text)`: a path joins
+/// object keys and array indices with `.`, and a leaf keeps its source
+/// text (strings with their quotes), so equal text is an equal value.
+fn leaves(json: &str) -> Result<Vec<(String, String)>, String> {
+    let mut out = Vec::new();
+    let rest = leaf(json, String::new(), &mut out)?;
+    check(rest.trim().is_empty(), "text after the JSON value")?;
+    Ok(out)
+}
+
+/// Reads the JSON value at the start of `s` into `out` under `path`;
+/// returns what follows it.
+fn leaf<'a>(s: &'a str, path: String, out: &mut Vec<(String, String)>) -> Result<&'a str, String> {
+    let s = s.trim_start();
+    let bad = || format!("malformed JSON at `{path}`: {:.40}", s);
+    let close = match s.chars().next() {
+        Some('{') => '}',
+        Some('[') => ']',
+        Some('"') => {
+            let end = string_end(s).ok_or_else(bad)?;
+            out.push((path, s[..end].to_string()));
+            return Ok(&s[end..]);
+        }
+        Some(_) => {
+            let end = s.find([',', '}', ']']).unwrap_or(s.len());
+            out.push((path, s[..end].trim_end().to_string()));
+            return Ok(&s[end..]);
+        }
+        None => return Err(bad()),
+    };
+    let mut rest = s[1..].trim_start();
+    for i in 0.. {
+        if let Some(after) = rest.strip_prefix(close) {
+            return Ok(after);
+        }
+        let mut key = i.to_string();
+        if close == '}' {
+            let end = string_end(rest).ok_or_else(bad)?;
+            key = rest[1..end - 1].to_string();
+            rest = rest[end..].trim_start().strip_prefix(':').ok_or_else(bad)?;
+        }
+        let child = if path.is_empty() {
+            key
+        } else {
+            format!("{path}.{key}")
+        };
+        rest = leaf(rest, child, out)?.trim_start();
+        rest = rest.strip_prefix(',').unwrap_or(rest).trim_start();
+    }
+    unreachable!("the loop returns")
+}
+
+/// The byte length of the JSON string `s` starts with, quotes included.
+fn string_end(s: &str) -> Option<usize> {
+    let mut escaped = false;
+    for (i, c) in s.char_indices().skip(1) {
+        match c {
+            '"' if !escaped => return Some(i + 1),
+            '\\' if !escaped => escaped = true,
+            _ => escaped = false,
+        }
+    }
+    None
 }
 
 /// What a lint does not read: `//` comments, and test code (the body of
@@ -723,5 +908,78 @@ mod tests {
             "an absent field fails"
         );
         assert_eq!(zero("{\"bench\":\"q\",\"n\":0}", "q", "n"), Ok(()));
+    }
+
+    /// A two-run set: `p50` and `hits` are the values that vary.
+    fn set(p50: &str, hits: &str) -> String {
+        format!(
+            "{{\"git_rev\": \"abc+dirty\", \"seed\": 42, \"runs\": [\
+             {{\"workload\": \"w\", \"correct\": true, \"ops_attempted\": 8, \
+             \"ops_failed\": 0, \"measured_s\": 0.5, \"fault_samples\": 3, \
+             \"checks\": [{{\"name\": \"c.x>=1\", \"ok\": true, \"detail\": \"{hits}\"}}], \
+             \"end_to_end\": {{\"peak_rss_mb\": {{\"value\": 9.5, \"unit\": \"MB\"}}, \
+             \"sim_fault_p50_us\": {{\"value\": {p50}, \"unit\": \"us\"}}}}}}, \
+             {{\"workload\": \"v\", \"correct\": true, \"checks\": []}}]}}"
+        )
+    }
+
+    fn trajectory_row(rev: &str, rebaseline: &str, p50: &str, hits: &str) -> String {
+        let (_, modeled) = modeled(&set(p50, hits)).unwrap();
+        let fields: Vec<String> = modeled
+            .iter()
+            .map(|(k, v)| format!("\"{k}\": {v}"))
+            .collect();
+        format!(
+            "{{\"rev\": \"{rev}\", {rebaseline}\"modeled\": {{{}}}}}",
+            fields.join(", ")
+        )
+    }
+
+    #[test]
+    fn modeled_values_leave_host_numbers_out() {
+        let (rev, modeled) = modeled(&set("30.1", "2 hits")).unwrap();
+        assert_eq!(rev, "abc+dirty");
+        let keys: Vec<&str> = modeled.keys().map(String::as_str).collect();
+        let want = [
+            "v correct",
+            "w check c.x>=1 detail",
+            "w check c.x>=1 ok",
+            "w correct",
+            "w fault_samples",
+            "w ops_attempted",
+            "w ops_failed",
+            "w sim_fault_p50_us",
+        ];
+        assert_eq!(keys, want);
+        assert_eq!(modeled["w check c.x>=1 detail"], "\"2 hits\"");
+    }
+
+    #[test]
+    fn trajectory_names_the_workload_field_values_and_rev() {
+        let file = |rows: &[&str]| format!("[\n{}\n]", rows.join(",\n"));
+        let first = trajectory_row("r1", "", "30.1", "2 hits");
+        let one = file(&[&first]);
+        assert_eq!(trajectory(&set("30.1", "2 hits"), &one), Ok(()));
+        let err = trajectory(&set("30.2", "2 hits"), &one).unwrap_err();
+        assert!(
+            err.contains("w sim_fault_p50_us: this tree 30.2, row r1 30.1"),
+            "{err}"
+        );
+        let err = trajectory(&set("30.1", "3 hits"), &one).unwrap_err();
+        assert!(err.contains("w check c.x>=1 detail: this tree \"3 hits\", row r1 \"2 hits\""));
+        // A moved row needs a rebaseline; the check reads the whole file.
+        let moved = trajectory_row("r2", "", "30.2", "2 hits");
+        let err = trajectory(&set("30.2", "2 hits"), &file(&[&first, &moved])).unwrap_err();
+        assert!(
+            err.contains("row r2 has no rebaseline but differs from row r1"),
+            "{err}"
+        );
+        let moved = trajectory_row("r2", "\"rebaseline\": \"item 9: why\", ", "30.2", "2 hits");
+        let both = file(&[&first, &moved]);
+        assert_eq!(trajectory(&set("30.2", "2 hits"), &both), Ok(()));
+        assert!(
+            trajectory(&set("30.2", "2 hits"), "[]").is_err(),
+            "no row fails"
+        );
     }
 }
